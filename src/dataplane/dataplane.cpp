@@ -1,6 +1,5 @@
 #include "dataplane/dataplane.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "util/strings.hpp"
@@ -44,7 +43,11 @@ DataPlane::~DataPlane() {
   // Clients created by this plane may outlive it (harness teardown order is
   // the owner's business); detach their unregister hooks so a later client
   // destruction doesn't call into freed memory.
-  for (TpuClient* client : clients_) client->setOnDestroy(nullptr);
+  for (const ClientList& list : clientsByShard_) {
+    for (TpuClient* client : list.slots) {
+      if (client != nullptr) client->setOnDestroy(nullptr);
+    }
+  }
 }
 
 TpuService* DataPlane::service(const std::string& tpuId) {
@@ -79,8 +82,8 @@ bool DataPlane::removeFromShard(unsigned shard, TpuId handle) {
   // discover the loss at their arrival event; broadcast the removal so they
   // re-route (or terminate with an explicit outcome) right now. Only this
   // shard's clients — their state belongs to this shard's event loop.
-  for (TpuClient* client : clientsByShard_[shard]) {
-    client->onServiceRemoved(handle);
+  for (TpuClient* client : clientsByShard_[shard].slots) {
+    if (client != nullptr) client->onServiceRemoved(handle);
   }
   return true;
 }
@@ -174,16 +177,39 @@ std::unique_ptr<TpuClient> DataPlane::makeClient(TpuClient::Config config) {
       router_.shardSim(shard), registry_, transport_,
       [this](TpuId tpu) { return serviceById(tpu); }, std::move(config),
       &router_);
-  clients_.push_back(client.get());
-  clientsByShard_[shard].push_back(client.get());
-  client->setOnDestroy([this, shard](TpuClient* dying) {
-    clients_.erase(std::remove(clients_.begin(), clients_.end(), dying),
-                   clients_.end());
-    auto& bucket = clientsByShard_[shard];
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), dying),
-                 bucket.end());
-  });
+  ClientList& list = clientsByShard_[shard];
+  list.slots.push_back(client.get());
+  ++clientCount_;
+  hookClient(client.get(), shard,
+             static_cast<std::uint32_t>(list.slots.size() - 1));
   return client;
+}
+
+void DataPlane::hookClient(TpuClient* client, unsigned shard,
+                           std::uint32_t slot) {
+  // The capture is 16 bytes, which std::function stores inline: hooking a
+  // client allocates nothing.
+  client->setOnDestroy(
+      [this, shard, slot](TpuClient*) { unregisterClient(shard, slot); });
+}
+
+void DataPlane::unregisterClient(unsigned shard, std::uint32_t slot) {
+  ClientList& list = clientsByShard_[shard];
+  list.slots[slot] = nullptr;
+  --clientCount_;
+  ++list.dead;
+  if (2 * list.dead < list.slots.size()) return;
+  // Half the list is dead: squeeze it out in order and re-hook the
+  // survivors at their new slots. Each compaction costs at most twice the
+  // deaths since the last one.
+  std::uint32_t live = 0;
+  for (TpuClient* client : list.slots) {
+    if (client == nullptr) continue;
+    list.slots[live] = client;
+    hookClient(client, shard, live++);
+  }
+  list.slots.resize(live);
+  list.dead = 0;
 }
 
 }  // namespace microedge

@@ -98,7 +98,7 @@ class DataPlane {
                                         LbSpread spread = LbSpread::kSmooth);
   // Same, with the reliability knobs (deadline / failover / breaker) set.
   std::unique_ptr<TpuClient> makeClient(TpuClient::Config config);
-  std::size_t clientCount() const { return clients_.size(); }
+  std::size_t clientCount() const { return clientCount_; }
 
  private:
   DataPlane(const ClusterTopology& topology, const ModelRegistry& registry,
@@ -109,6 +109,9 @@ class DataPlane {
   // Applies the removal on one shard: nulls the view entry and notifies the
   // shard's clients. Returns false if that shard already saw the removal.
   bool removeFromShard(unsigned shard, TpuId handle);
+  // Points the client's destroy hook at its registry slot.
+  void hookClient(TpuClient* client, unsigned shard, std::uint32_t slot);
+  void unregisterClient(unsigned shard, std::uint32_t slot);
 
   std::unique_ptr<SoloRouter> soloRouter_;  // owns the router in solo mode
   ShardRouter& router_;
@@ -122,11 +125,18 @@ class DataPlane {
   // written only by its own shard after construction.
   std::vector<std::vector<TpuService*>> serviceViews_;
   std::vector<std::size_t> liveCount_;  // live services per shard view
-  // Live clients created by makeClient (they unregister on destruction);
-  // clients_ is the teardown registry, clientsByShard_ the broadcast fan-
-  // out. Both mutate only during single-threaded setup/teardown.
-  std::vector<TpuClient*> clients_;
-  std::vector<std::vector<TpuClient*>> clientsByShard_;
+  // Live clients created by makeClient, per shard in creation order: the
+  // order removeFromShard notifies them in, which fixes the sequence order
+  // of fail-fast events. A destroyed client leaves a nullptr behind, and the
+  // list is compacted (order kept) once half of it is dead, so
+  // unregistration is amortised O(1). Mutated only during single-threaded
+  // setup/teardown.
+  struct ClientList {
+    std::vector<TpuClient*> slots;
+    std::size_t dead = 0;
+  };
+  std::vector<ClientList> clientsByShard_;
+  std::size_t clientCount_ = 0;
   std::vector<std::uint64_t> loadRetriesByShard_;
   // Next auto-assigned TpuClient::Config::streamToken (see makeClient).
   std::uint64_t nextStreamToken_ = 1;

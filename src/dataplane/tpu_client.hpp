@@ -230,6 +230,9 @@ class TpuClient {
   }
   // Live context slots (== outstanding()); exposed for pool-accounting tests.
   std::size_t contextsInFlight() const { return pool_.inUse(); }
+  // Context slots allocated, live or free: under twice the in-flight
+  // high-water mark.
+  std::size_t contextCapacity() const { return pool_.capacity(); }
   // Per-frame admission ledger (meaningful only with admission enabled).
   const AdmissionLedger& admissionLedger() const { return admission_; }
 

@@ -11,21 +11,28 @@
 // each hop.
 //
 // Design points:
-//  * storage is chunked (fixed-size slabs), so T* stay stable for the pool's
-//    lifetime — growth never moves live objects, and a stage may hold a
-//    pointer across calls that acquire new slots;
+//  * storage is chunked and chunks double from one slot: chunk k holds 2^k
+//    slots at indices [2^k - 1, 2^(k+1) - 1), so an index finds its chunk
+//    with one std::bit_width. Growth adds a chunk and never moves a live
+//    object, so T* stay stable for the pool's lifetime and a stage may hold
+//    a pointer across calls that acquire new slots;
+//  * capacity stays under twice the in-use high-water mark, so a pool that
+//    never has more than one frame in flight (the client of a 1 fps stream)
+//    holds one slot;
 //  * each slot carries a generation counter bumped on acquire AND release
 //    (odd = live). A Handle embeds the generation it was minted with, so a
 //    stale handle — slot released, possibly reused — resolves to nullptr
 //    instead of someone else's frame;
 //  * slots are recycled LIFO through an index free list, keeping the hot
-//    working set small and cache-resident;
+//    working set small and cache-resident; never-used slots sit beneath the
+//    recycled ones and come out lowest index first;
 //  * steady state performs zero heap allocations: a chunk is allocated only
 //    when the in-use high-water mark grows.
 //
 // T must be default-constructible; objects are constructed once per slot and
 // reused, so the caller resets whatever fields matter on acquire.
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -33,11 +40,8 @@
 
 namespace microedge {
 
-template <typename T, std::size_t ChunkSize = 64>
+template <typename T>
 class SlabPool {
-  static_assert(ChunkSize > 0 && (ChunkSize & (ChunkSize - 1)) == 0,
-                "ChunkSize must be a power of two");
-
  public:
   struct Handle {
     std::uint32_t index = kInvalidIndex;
@@ -51,7 +55,7 @@ class SlabPool {
   // Returns a handle to a live slot. The object is recycled, not
   // re-constructed — reset its fields before use.
   Handle acquire() {
-    if (freeList_.empty()) addChunk();
+    if (freeList_.empty()) grow(1);
     std::uint32_t index = freeList_.back();
     freeList_.pop_back();
     std::uint32_t gen = ++generation_[index];  // even -> odd: live
@@ -62,11 +66,11 @@ class SlabPool {
 
   // Acquires `n` slots in one call (a burst of frames entering the
   // pipeline), appending their handles to `out`. Equivalent to n acquire()
-  // calls — same LIFO recycling, one free-list top-up instead of n empty
-  // checks; chunks are added upfront so at most one growth path runs per
-  // burst regardless of n.
+  // calls — same slots in the same order, one free-list top-up instead of n
+  // empty checks; chunks are added upfront so at most one growth path runs
+  // per burst regardless of n.
   void acquireRun(std::size_t n, std::vector<Handle>& out) {
-    while (freeList_.size() < n) addChunk();
+    if (freeList_.size() < n) grow(n);
     out.reserve(out.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
       std::uint32_t index = freeList_.back();
@@ -98,10 +102,10 @@ class SlabPool {
     return true;
   }
 
-  // Visits every live slot as (Handle, T&). `fn` must not acquire or
-  // release slots while iterating — snapshot handles first if it needs to.
-  // O(capacity); meant for rare lifecycle sweeps (service removal), never
-  // the per-frame path.
+  // Visits every live slot as (Handle, T&) in index order. `fn` must not
+  // acquire or release slots while iterating — snapshot handles first if it
+  // needs to. O(capacity); meant for rare lifecycle sweeps (service
+  // removal), never the per-frame path.
   template <typename Fn>
   void forEachLive(Fn&& fn) {
     for (std::uint32_t i = 0; i < generation_.size(); ++i) {
@@ -118,18 +122,29 @@ class SlabPool {
   static constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
 
   T* slotPtr(std::uint32_t index) {
-    return &chunks_[index / ChunkSize][index % ChunkSize];
+    // index + 1 has its top bit at position k for every slot of chunk k.
+    const unsigned k = std::bit_width(index + 1u) - 1u;
+    return &chunks_[k][index + 1u - (1u << k)];
   }
 
-  void addChunk() {
-    std::size_t base = generation_.size();
-    assert(base + ChunkSize < kInvalidIndex && "slab pool index space");
-    chunks_.push_back(std::make_unique<T[]>(ChunkSize));
-    generation_.resize(base + ChunkSize, 0);
-    freeList_.reserve(base + ChunkSize);
-    // LIFO free list: push in reverse so the lowest index comes out first.
-    for (std::size_t i = ChunkSize; i-- > 0;) {
-      freeList_.push_back(static_cast<std::uint32_t>(base + i));
+  // Adds chunks until at least `n` slots are free. The new slots go beneath
+  // the free entries already listed, so recycled slots still come out first
+  // and never-used ones lowest index first, whichever call grew the pool.
+  void grow(std::size_t n) {
+    const std::size_t oldCapacity = generation_.size();
+    std::size_t newCapacity = oldCapacity;
+    while (freeList_.size() + (newCapacity - oldCapacity) < n) {
+      // The next chunk starts at index newCapacity == 2^k - 1, holding 2^k.
+      chunks_.push_back(std::make_unique<T[]>(newCapacity + 1));
+      newCapacity = 2 * newCapacity + 1;
+    }
+    assert(newCapacity < kInvalidIndex && "slab pool index space");
+    const std::size_t added = newCapacity - oldCapacity;
+    generation_.resize(newCapacity, 0);
+    freeList_.reserve(newCapacity);
+    freeList_.insert(freeList_.begin(), added, 0);
+    for (std::size_t i = 0; i < added; ++i) {
+      freeList_[i] = static_cast<std::uint32_t>(newCapacity - 1 - i);
     }
   }
 

@@ -395,14 +395,16 @@ TEST_P(AdmissionPropertyTest, InvariantsHoldUnderChurn) {
   EXPECT_EQ(pool.usedTpuCount(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Churn, AdmissionPropertyTest,
-    ::testing::Values(RandomScenario{1, true, true},
-                      RandomScenario{2, true, false},
-                      RandomScenario{3, false, true},
-                      RandomScenario{4, false, false},
-                      RandomScenario{5, true, true},
-                      RandomScenario{6, true, true}));
+// gtest names these cases by dumping each param's 16 bytes, padding
+// included. A static array is zero-initialized, padding too, so the names
+// come out the same in every build; stack temporaries left stack garbage in
+// the padding.
+constexpr RandomScenario kChurnScenarios[] = {
+    {1, true, true},  {2, true, false}, {3, false, true},
+    {4, false, false}, {5, true, true}, {6, true, true}};
+
+INSTANTIATE_TEST_SUITE_P(Churn, AdmissionPropertyTest,
+                         ::testing::ValuesIn(kChurnScenarios));
 
 }  // namespace
 }  // namespace microedge

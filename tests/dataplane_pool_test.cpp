@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "dataplane/dataplane.hpp"
@@ -53,19 +54,116 @@ TEST(SlabPoolTest, DefaultHandleAndOutOfRangeAreInvalid) {
 }
 
 TEST(SlabPoolTest, FreeListRecyclesBeforeGrowing) {
-  SlabPool<int, 4> pool;
-  std::vector<SlabPool<int, 4>::Handle> handles;
-  for (int i = 0; i < 4; ++i) handles.push_back(pool.acquire());
-  EXPECT_EQ(pool.capacity(), 4u);
-  for (auto& h : handles) ASSERT_TRUE(pool.release(h));
-  // A full release/acquire cycle reuses the chunk — capacity is stable.
-  for (int i = 0; i < 4; ++i) handles[i] = pool.acquire();
-  EXPECT_EQ(pool.capacity(), 4u);
-  EXPECT_EQ(pool.inUse(), 4u);
-  // One more forces a second chunk.
+  SlabPool<int> pool;
+  std::vector<SlabPool<int>::Handle> handles;
+  // Chunks double from one slot, so capacity steps 1, 3, 7, 15, and only
+  // when every slot is live.
+  for (std::size_t capacity : {1u, 3u, 7u, 15u}) {
+    while (handles.size() < capacity) handles.push_back(pool.acquire());
+    EXPECT_EQ(pool.capacity(), capacity);
+    for (auto& h : handles) ASSERT_TRUE(pool.release(h));
+    // A full release/acquire cycle reuses the chunks — capacity is stable.
+    for (auto& h : handles) h = pool.acquire();
+    EXPECT_EQ(pool.capacity(), capacity);
+    EXPECT_EQ(pool.inUse(), capacity);
+  }
+  // One more forces the next chunk.
   auto extra = pool.acquire();
-  EXPECT_EQ(pool.capacity(), 8u);
+  EXPECT_EQ(pool.capacity(), 31u);
   ASSERT_NE(pool.get(extra), nullptr);
+}
+
+TEST(SlabPoolTest, LowestNeverUsedFirstThenLifoReuseAcrossChunks) {
+  SlabPool<int> pool;
+  std::vector<SlabPool<int>::Handle> handles;
+  // Fresh slots come out in index order through the chunk starts at 1, 3
+  // and 7; capacity ends at 15.
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    handles.push_back(pool.acquire());
+    EXPECT_EQ(handles.back().index, i);
+  }
+  // Released slots come back LIFO, ahead of the never-used 10..14...
+  ASSERT_TRUE(pool.release(handles[2]));
+  ASSERT_TRUE(pool.release(handles[8]));
+  ASSERT_TRUE(pool.release(handles[5]));
+  EXPECT_EQ(pool.acquire().index, 5u);
+  EXPECT_EQ(pool.acquire().index, 8u);
+  EXPECT_EQ(pool.acquire().index, 2u);
+  // ...which then resume at the lowest.
+  EXPECT_EQ(pool.acquire().index, 10u);
+  // A run that has to grow the pool takes the slots n acquire() calls
+  // would: the recycled one, the rest of chunk 3, then chunk 4 from 15.
+  ASSERT_TRUE(pool.release(handles[0]));
+  std::vector<SlabPool<int>::Handle> run;
+  pool.acquireRun(7, run);
+  std::vector<std::uint32_t> indices;
+  for (auto h : run) indices.push_back(h.index);
+  EXPECT_EQ(indices, (std::vector<std::uint32_t>{0, 11, 12, 13, 14, 15, 16}));
+  EXPECT_EQ(pool.capacity(), 31u);
+}
+
+TEST(SlabPoolTest, PointersSurviveGrowth) {
+  SlabPool<int> pool;
+  auto first = pool.acquire();
+  int* p = pool.get(first);
+  ASSERT_NE(p, nullptr);
+  *p = 7;
+  // Six more chunks (2 .. 64 slots) arrive behind the first one.
+  std::vector<SlabPool<int>::Handle> more;
+  pool.acquireRun(100, more);
+  EXPECT_EQ(pool.capacity(), 127u);
+  std::set<int*> slots{p};
+  for (auto h : more) {
+    int* q = pool.get(h);
+    ASSERT_NE(q, nullptr);
+    *q = -1;
+    slots.insert(q);
+  }
+  EXPECT_EQ(slots.size(), 101u);  // every live handle owns its own slot
+  EXPECT_EQ(pool.get(first), p);
+  EXPECT_EQ(*p, 7);
+}
+
+TEST(SlabPoolTest, AcquireRunSpansThreeChunks) {
+  SlabPool<int> pool;
+  auto head = pool.acquire();  // fills chunk 0
+  std::vector<SlabPool<int>::Handle> run;
+  // Ten slots: chunk 1 (indices 1-2), chunk 2 (3-6) and most of chunk 3.
+  pool.acquireRun(10, run);
+  EXPECT_EQ(pool.capacity(), 15u);
+  EXPECT_EQ(pool.inUse(), 11u);
+  ASSERT_EQ(run.size(), 10u);
+  for (std::uint32_t i = 0; i < run.size(); ++i) {
+    EXPECT_EQ(run[i].index, i + 1);
+    ASSERT_NE(pool.get(run[i]), nullptr);
+    *pool.get(run[i]) = static_cast<int>(i);
+  }
+  for (std::uint32_t i = 0; i < run.size(); ++i) {
+    EXPECT_EQ(*pool.get(run[i]), static_cast<int>(i));
+  }
+  EXPECT_NE(pool.get(head), nullptr);
+}
+
+TEST(SlabPoolTest, ForEachLiveVisitsIndexOrderAcrossChunks) {
+  SlabPool<int> pool;
+  std::vector<SlabPool<int>::Handle> handles;
+  pool.acquireRun(20, handles);  // chunks 0-4
+  for (auto h : handles) *pool.get(h) = static_cast<int>(h.index);
+  std::vector<std::uint32_t> expected;
+  for (auto h : handles) {
+    if (h.index % 3 == 0) {
+      ASSERT_TRUE(pool.release(h));
+    } else {
+      expected.push_back(h.index);
+    }
+  }
+  std::vector<std::uint32_t> seen;
+  pool.forEachLive([&](SlabPool<int>::Handle h, int& value) {
+    EXPECT_EQ(value, static_cast<int>(h.index));
+    EXPECT_EQ(pool.get(h), &value);
+    seen.push_back(h.index);
+  });
+  EXPECT_EQ(seen, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +208,7 @@ TEST_F(ClientPoolTest, SlotReusedAfterCompletion) {
     EXPECT_EQ(client->contextsInFlight(), 0u);
   }
   EXPECT_EQ(client->completedCount(), 200u);
+  EXPECT_EQ(client->contextCapacity(), 1u);
 }
 
 TEST_F(ClientPoolTest, StopMidFlightDrainsInFlightFrames) {
@@ -124,6 +223,8 @@ TEST_F(ClientPoolTest, StopMidFlightDrainsInFlightFrames) {
         client->invoke([&](const FrameBreakdown&) { ++completions; }).isOk());
   }
   EXPECT_EQ(client->contextsInFlight(), 8u);
+  // Chunks double from one slot (1, 3, 7, 15): eight frames hold 15 slots.
+  EXPECT_LT(client->contextCapacity(), 16u);
   client->stop();
   EXPECT_FALSE(client->invoke(nullptr).isOk());
   sim_.run();

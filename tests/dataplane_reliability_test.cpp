@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "dataplane/dataplane.hpp"
 #include "models/zoo.hpp"
 
@@ -221,6 +224,63 @@ TEST_F(ReliabilityTest, RemoveServiceFailsInFlightFramesImmediately) {
   sim_.run();
   EXPECT_EQ(completions, 1);  // stale arrival event hit the generation check
   EXPECT_EQ(client->failedCount(), 1u);
+}
+
+TEST_F(ReliabilityTest, RemoveServiceNotifiesSurvivorsInCreationOrder) {
+  loadEverywhere(zoo::kMobileNetV1);
+  constexpr int kClients = 20;
+  std::vector<std::unique_ptr<TpuClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(makeClient(baseConfig(zoo::kMobileNetV1)));
+    ASSERT_TRUE(clients.back()
+                    ->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}})
+                    .isOk());
+  }
+  // Destroy the first, the last and every odd one between: eleven of
+  // twenty, so the registry also compacts and re-hooks its survivors
+  // before the last destruction.
+  std::vector<int> survivors;
+  for (int i = 0; i < kClients; ++i) {
+    if (i == 0 || i == kClients - 1 || i % 2 == 1) {
+      clients[i].reset();
+    } else {
+      survivors.push_back(i);
+    }
+  }
+  EXPECT_EQ(dataPlane_.clientCount(), survivors.size());
+  // The broadcast fails each survivor's frame synchronously, so the
+  // callback order is the order in which the plane notifies clients.
+  std::vector<int> notified;
+  for (int i : survivors) {
+    ASSERT_TRUE(clients[i]
+                    ->invoke([&notified, i](const FrameBreakdown& b) {
+                      EXPECT_EQ(b.outcome, FrameOutcome::kDroppedDeadTarget);
+                      notified.push_back(i);
+                    })
+                    .isOk());
+  }
+  dataPlane_.removeService("tpu-00");
+  EXPECT_EQ(notified, survivors);
+  sim_.run();
+  EXPECT_EQ(notified, survivors);
+}
+
+TEST_F(ReliabilityTest, DataPlaneDestroyedFirstDetachesClientHooks) {
+  ClusterTopology topo(sim_, zoo_, smallTopology());
+  auto plane = std::make_unique<DataPlane>(sim_, topo, zoo_);
+  std::vector<std::unique_ptr<TpuClient>> clients;
+  for (int i = 0; i < 6; ++i) {
+    clients.push_back(plane->makeClient("vrpi-00", zoo::kMobileNetV1));
+  }
+  // The third destruction compacts the registry and re-hooks the rest.
+  clients[0].reset();
+  clients[3].reset();
+  clients[4].reset();
+  EXPECT_EQ(plane->clientCount(), 3u);
+  plane.reset();
+  // No survivor may call back into the destroyed plane (ASan reports it if
+  // one does).
+  clients.clear();
 }
 
 TEST_F(ReliabilityTest, SubmitAgainstDeadTargetIsExplicitNotSilent) {

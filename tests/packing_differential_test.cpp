@@ -125,17 +125,16 @@ TEST_P(PackingDifferentialTest, RandomSequencesPlaceIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, PackingDifferentialTest,
-    ::testing::Values(DiffCase{PackingStrategy::kFirstFit, false},
-                      DiffCase{PackingStrategy::kFirstFit, true},
-                      DiffCase{PackingStrategy::kNextFit, false},
-                      DiffCase{PackingStrategy::kNextFit, true},
-                      DiffCase{PackingStrategy::kBestFit, false},
-                      DiffCase{PackingStrategy::kBestFit, true},
-                      DiffCase{PackingStrategy::kWorstFit, false},
-                      DiffCase{PackingStrategy::kWorstFit, true}),
-    caseName);
+// A static array is zero-initialized, padding too, so the byte dump gtest
+// prints for each param is the same in every build.
+constexpr DiffCase kDiffCases[] = {
+    {PackingStrategy::kFirstFit, false}, {PackingStrategy::kFirstFit, true},
+    {PackingStrategy::kNextFit, false},  {PackingStrategy::kNextFit, true},
+    {PackingStrategy::kBestFit, false},  {PackingStrategy::kBestFit, true},
+    {PackingStrategy::kWorstFit, false}, {PackingStrategy::kWorstFit, true}};
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, PackingDifferentialTest,
+                         ::testing::ValuesIn(kDiffCases), caseName);
 
 }  // namespace
 }  // namespace microedge

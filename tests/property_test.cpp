@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "orch/spec.hpp"
@@ -76,7 +77,10 @@ TEST(DeterminismTest, DifferentSeedsDifferInStochasticParts) {
 
 // ---- Capacity laws across sweeps --------------------------------------------
 
-using CapacityParam = std::tuple<const char*, double, int>;  // model, fps, tpus
+// model, fps, tpus. The model is a std::string, not a const char*: gtest
+// prints a char pointer's address into the test name, which changes from
+// build to build.
+using CapacityParam = std::tuple<std::string, double, int>;
 
 class CapacityLawTest : public ::testing::TestWithParam<CapacityParam> {};
 
