@@ -152,7 +152,6 @@ struct RunResult {
   std::uint64_t frames = 0;
   std::size_t events = 0;
   std::size_t windows = 0;
-  std::size_t reliefWindows = 0;
   std::size_t adaptiveWindows = 0;
   std::size_t crossMessages = 0;
   std::uint64_t digest = 0;
@@ -205,7 +204,6 @@ RunResult runPreset(const Preset& preset, unsigned shards,
   result.frames = cluster.totalSubmitted();
   result.events = fired;
   result.windows = cluster.shardedSim().windowCount();
-  result.reliefWindows = cluster.shardedSim().reliefWindowCount();
   result.adaptiveWindows = cluster.shardedSim().adaptiveWindowCount();
   result.crossMessages = cluster.shardedSim().crossShardMessages();
   result.digest = cluster.digest();
@@ -381,7 +379,6 @@ int main(int argc, char** argv) {
                        ", \"events_per_wall_second\": ", eventsPerSec,
                        ", \"windows\": ", r.windows,
                        ", \"events_per_window\": ", eventsPerWindow,
-                       ", \"relief_windows\": ", r.reliefWindows,
                        ", \"adaptive_windows\": ", r.adaptiveWindows,
                        ", \"cross_shard_messages\": ", r.crossMessages,
                        ", \"speedup_vs_first\": ", speedup);

@@ -33,7 +33,10 @@ StatusOr<LoadCommand> AdmissionController::makeLoad(TpuState& tpu,
                                                     const ModelInfo& model) {
   // The co-compile excludes zero-reference models: lazy reclamation point.
   tpu.purgeDeadModels();
-  if (config_.enableCoCompile) {
+  // A TPU with no live models gets a fresh composite. planAdd would plan
+  // the same one, but it rejects a lone model over the parameter budget,
+  // which modelAllowedOn admits onto an empty TPU (partial caching).
+  if (config_.enableCoCompile && tpu.liveModelCount() > 0) {
     auto plan = coCompiler_.planAdd(tpu, model);
     if (!plan.isOk()) return plan.status();
     return LoadCommand{plan->tpuId, plan->composite, plan->compileLatency};

@@ -174,9 +174,8 @@ std::unique_ptr<TpuClient> DataPlane::makeClient(TpuClient::Config config) {
   if (config.streamToken == 0) config.streamToken = nextStreamToken_++;
   const unsigned shard = router_.shardOfNode(internNode(config.clientNode));
   auto client = std::make_unique<TpuClient>(
-      router_.shardSim(shard), registry_, transport_,
-      [this](TpuId tpu) { return serviceById(tpu); }, std::move(config),
-      &router_);
+      router_, registry_, transport_,
+      [this](TpuId tpu) { return serviceById(tpu); }, std::move(config));
   ClientList& list = clientsByShard_[shard];
   list.slots.push_back(client.get());
   ++clientCount_;

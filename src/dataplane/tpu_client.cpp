@@ -35,18 +35,17 @@ const std::string& FrameBreakdown::servedByName() const {
   return servedBy.valid() ? tpuName(servedBy) : kEmpty;
 }
 
-TpuClient::TpuClient(Simulator& sim, const ModelRegistry& registry,
+TpuClient::TpuClient(ShardRouter& router, const ModelRegistry& registry,
                      SimTransport& transport, Directory directory,
-                     Config config, ShardRouter* router)
-    : sim_(sim), registry_(registry), transport_(transport),
+                     Config config)
+    : sim_(router.shardSim(router.shardOfNode(internNode(config.clientNode)))),
+      registry_(registry), transport_(transport),
       directory_(std::move(directory)), config_(std::move(config)),
-      router_(router), clientNode_(internNode(config_.clientNode)),
+      router_(router), sharded_(router.shardCount() > 1),
+      clientNode_(internNode(config_.clientNode)),
       model_(internModel(config_.model)), lb_(config_.spread) {
   lb_.setHealthConfig(config_.health);
-  if (router_ != nullptr && router_->shardCount() > 1) {
-    sharded_ = true;
-    myShard_ = router_->shardOfNode(clientNode_);
-  }
+  myShard_ = router_.shardOfNode(clientNode_);
 }
 
 Status TpuClient::configureLb(const LbConfig& config) {
@@ -280,7 +279,7 @@ Status TpuClient::invoke(CompletionCallback done) {
   // then the request hop. The preprocess stage delays departure
   // (departAfter) rather than taking its own event; only the wire latency
   // lands in requestTransmit.
-  if (sharded_ && router_->shardOfNode(c->serviceNode) != myShard_) {
+  if (sharded_ && router_.shardOfNode(c->serviceNode) != myShard_) {
     submitRemote(h, c, /*departAfter=*/info->preprocessLatency);
     return Status::ok();
   }
@@ -389,7 +388,7 @@ Status TpuClient::submitBurst(std::span<FrameSpec> frames) {
       }
       burst.chainTail = h;
     }
-    if (sharded_ && router_->shardOfNode(c->serviceNode) != myShard_) {
+    if (sharded_ && router_.shardOfNode(c->serviceNode) != myShard_) {
       // Cross-shard frames stay per-frame: mailbox sequence numbers must
       // preserve submit order, and the remote path allocates anyway.
       submitRemote(h, c, /*departAfter=*/info->preprocessLatency);
@@ -540,15 +539,15 @@ void TpuClient::submitRemote(Handle h, InvokeContext* c,
   // latency. Cross-shard implies cross-node, so reqLat >= the network base
   // latency == the router's lookahead and the mailbox invariant holds.
   const SimTime arriveAt = sim_.now() + departAfter + reqLat;
-  router_->postToShard(router_->shardOfNode(c->serviceNode), arriveAt,
-                       [hop] { remoteArrival(hop); });
+  router_.postToShard(router_.shardOfNode(c->serviceNode), arriveAt,
+                      [hop] { remoteArrival(hop); });
 }
 
 void TpuClient::remoteArrival(RemoteHop hop) {
   // Runs on the service shard: only the envelope, the service's own state
   // and this shard's transport lane may be touched here.
   TpuClient* client = hop.client;
-  Simulator& sim = client->router_->currentSim();
+  Simulator& sim = client->router_.currentSim();
   TpuService* service = client->directory_(hop.target);
   if (service == nullptr) {
     postRemoteNack(hop, RemoteNack::kDeadTarget);
@@ -577,13 +576,13 @@ void TpuClient::remoteComplete(const RemoteHop& hop,
   // completion lands at t2 + postprocess + respLat — identical to the solo
   // formulation's fused stages 4+5.
   TpuClient* client = hop.client;
-  Simulator& sim = client->router_->currentSim();
+  Simulator& sim = client->router_.currentSim();
   bool dropped = false;
   SimDuration respLat = client->transport_.sendRouted(
       hop.serviceNode, hop.clientNode, hop.outputBytes, &dropped, hop.respKey);
   if (dropped) return;
   const SimTime deliverAt = sim.now() + hop.postprocess + respLat;
-  client->router_->postToShard(
+  client->router_.postToShard(
       hop.clientShard, deliverAt,
       [client, h = hop.h, queueDelay = stats.queueDelay,
        serviceTime = stats.serviceTime, respLat] {
@@ -596,12 +595,12 @@ void TpuClient::postRemoteNack(const RemoteHop& hop, RemoteNack kind) {
   // cross-shard the client learns one control message later. Zero-byte
   // piggyback — deliberately not counted in the transport's counters.
   TpuClient* client = hop.client;
-  Simulator& sim = client->router_->currentSim();
+  Simulator& sim = client->router_.currentSim();
   SimDuration delay = std::max(
       client->transport_.network().controlLatency(hop.serviceNode,
                                                   hop.clientNode),
-      client->router_->lookahead());
-  client->router_->postToShard(
+      client->router_.lookahead());
+  client->router_.postToShard(
       hop.clientShard, sim.now() + delay,
       [client, h = hop.h, kind] { client->onRemoteNack(h, kind); });
 }
@@ -679,7 +678,7 @@ bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
   nc->targetIndex = static_cast<std::uint32_t>(index);
   // Re-ship the already-preprocessed frame to the new target; transmit cost
   // accumulates across attempts.
-  if (sharded_ && router_->shardOfNode(nc->serviceNode) != myShard_) {
+  if (sharded_ && router_.shardOfNode(nc->serviceNode) != myShard_) {
     submitRemote(nh, nc, SimDuration::zero());
     return true;
   }

@@ -152,13 +152,11 @@ class TpuClient {
   // context slot without a std::function heap allocation per frame.
   using CompletionCallback = MoveFn<void(const FrameBreakdown&)>;
 
-  // `sim` must be the event loop of the client node's shard; `router` (may
-  // be null, and may be a SoloRouter) enables the cross-shard remote path —
-  // with a null router or shardCount() == 1 the client behaves exactly as
-  // before sharding existed.
-  TpuClient(Simulator& sim, const ModelRegistry& registry,
-            SimTransport& transport, Directory directory, Config config,
-            ShardRouter* router = nullptr);
+  // The client runs on the event loop of its node's shard in `router` (a
+  // SoloRouter is one shard). With shardCount() > 1 the cross-shard remote
+  // path is armed; with one shard the client never takes it.
+  TpuClient(ShardRouter& router, const ModelRegistry& registry,
+            SimTransport& transport, Directory directory, Config config);
   ~TpuClient();
 
   // Seeds the embedded LB Service (done by the extended scheduler at pod
@@ -375,9 +373,9 @@ class TpuClient {
   SimTransport& transport_;
   Directory directory_;  // immutable after construction (read cross-shard)
   Config config_;
-  ShardRouter* router_ = nullptr;
+  ShardRouter& router_;
   unsigned myShard_ = 0;  // shard owning clientNode_ (== this client's sim_)
-  bool sharded_ = false;  // router present with >1 shard: remote path armed
+  bool sharded_ = false;  // router has >1 shard: remote path armed
   NodeId clientNode_{};  // interned once; every frame's transport endpoint
   ModelId model_{};      // interned once; every frame's invoke argument
   LbService lb_;

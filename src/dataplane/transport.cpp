@@ -54,8 +54,8 @@ SimDuration SimTransport::send(NodeId fromNode, NodeId toNode,
   SimDuration latency =
       modelMessage(lane(), fromNode, toNode, bytes, &dropped, msgKey);
   if (dropped) return latency;
-  Simulator& sim = router_ != nullptr ? router_->currentSim() : *sim_;
-  sim.scheduleAfter(departAfter + latency, std::move(onDelivered));
+  router_.currentSim().scheduleAfter(departAfter + latency,
+                                     std::move(onDelivered));
   return latency;
 }
 
@@ -96,8 +96,8 @@ bool SimTransport::sendCoalesced(NodeId fromNode, NodeId toNode,
     }
   }
   if (survivors == 0) return false;
-  Simulator& sim = router_ != nullptr ? router_->currentSim() : *sim_;
-  sim.scheduleAfter(departAfter + survivorLatency, std::move(onDelivered));
+  router_.currentSim().scheduleAfter(departAfter + survivorLatency,
+                                     std::move(onDelivered));
   return true;
 }
 

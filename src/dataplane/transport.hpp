@@ -19,15 +19,14 @@
 // event halves the client pipeline's event count without changing any
 // timestamp.
 //
-// Sharded runs: one SimTransport serves every shard. All mutable state —
-// counters and the fault window's RNG — lives in per-shard cache-line-sized
-// lanes indexed by ShardRouter::currentShard(), so concurrent shard workers
-// never touch the same bytes. send() schedules on the calling shard's own
-// Simulator and is therefore only correct for same-shard deliveries; a
-// cross-shard hop uses sendRouted() (model + account, no scheduling) and
-// posts the delivery through the router's mailbox itself. The solo
-// constructor degenerates to a single lane with the exact pre-sharding
-// behaviour.
+// Sharded runs: one SimTransport serves every shard of its ShardRouter (a
+// SoloRouter is one shard). All mutable state — counters and the fault
+// window's RNG — lives in per-shard cache-line-sized lanes indexed by
+// ShardRouter::currentShard(), so concurrent shard workers never touch the
+// same bytes. send() schedules on the calling shard's own Simulator and is
+// therefore only correct for same-shard deliveries; a cross-shard hop uses
+// sendRouted() (model + account, no scheduling) and posts the delivery
+// through the router's mailbox itself.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,10 +44,8 @@ namespace microedge {
 
 class SimTransport {
  public:
-  SimTransport(Simulator& sim, const NetworkModel& network)
-      : sim_(&sim), network_(network), lanes_(1) {}
   SimTransport(ShardRouter& router, const NetworkModel& network)
-      : router_(&router), network_(network), lanes_(router.shardCount()) {}
+      : router_(router), network_(network), lanes_(router.shardCount()) {}
 
   // Stable per-message identity for fault decisions. A keyed message's drop
   // draw under a loss window is a pure function of (fault seed, key) —
@@ -143,9 +140,7 @@ class SimTransport {
     std::uint64_t faultSeed = 0;      // keyed draws: base seed, lane-invariant
   };
 
-  Lane& lane() {
-    return lanes_[router_ != nullptr ? ShardRouter::currentShard() : 0];
-  }
+  Lane& lane() { return lanes_[ShardRouter::currentShard()]; }
   // Accounts the message on `lane` and returns its fault-adjusted latency;
   // sets *dropped when the fault window eats it. Keyed messages (msgKey !=
   // kUnkeyed) decide the drop from (lane.faultSeed, msgKey) without touching
@@ -154,8 +149,7 @@ class SimTransport {
                            std::size_t bytes, bool* dropped,
                            std::uint64_t msgKey);
 
-  Simulator* sim_ = nullptr;       // solo mode
-  ShardRouter* router_ = nullptr;  // sharded mode
+  ShardRouter& router_;
   const NetworkModel& network_;
   std::vector<Lane> lanes_;
 };

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
-
-#include "sweep/thread_pool.hpp"
 
 namespace microedge {
 
@@ -19,24 +19,22 @@ unsigned ShardRouter::currentShard() { return tlsCurrentShard; }
 
 ShardedSim::ShardedSim(unsigned shards, SimDuration lookahead,
                        WindowBound bound)
-    : map_(shards), lookahead_(lookahead), boundMode_(bound) {
+    : map_(shards), lookahead_(lookahead) {
   assert(lookahead > SimDuration::zero() && "lookahead must be positive");
   const unsigned n = map_.shards();
   sims_.reserve(n);
   for (unsigned s = 0; s < n; ++s) {
     sims_.push_back(std::make_unique<Simulator>());
-    // The emitter side-index only pays for itself when the adaptive bound
-    // queries it; enabled here — before any actor schedules — because
-    // flipping it later would miss already-pending emitters.
-    if (boundMode_ == WindowBound::kAdaptive && n > 1) {
+    // The emitter side-index narrows the bound to the earliest emitter;
+    // enabled here — before any actor schedules — because flipping it later
+    // would miss already-pending emitters. Off (kFixed), nextEmitterTime()
+    // is nextEventTime().
+    if (bound == WindowBound::kAdaptive && n > 1) {
       sims_.back()->setEmitterTracking(true);
     }
   }
   mail_.resize(static_cast<std::size_t>(n) * n);
-  shardNext_.resize(n);
-  shardEcsb_.resize(n, SimTime::max());
   shardWindowFired_.resize(n, 0);
-  outboundMin_.resize(n, SimTime::max());
   stallNanos_.resize(n, 0);
 }
 
@@ -50,33 +48,30 @@ void ShardedSim::postToShard(unsigned shard, SimTime deliverAt, EventFn fn,
     sims_[shard]->schedule(deliverAt, std::move(fn), emitter);
     return;
   }
-  // Conservative-lookahead soundness: a message sent at t must not be
-  // deliverable before t + lookahead, else a neighbour inside the current
-  // window could miss it.
-  assert(deliverAt >= sims_[src]->now() + lookahead_ &&
-         "cross-shard delivery inside the lookahead window");
-  // The sharper invariant, and under the adaptive bound the one that
-  // catches emitter-taint coverage bugs: the sender fired at t >= the min
-  // ECSB the bound was computed from, so delivery lands at or after the
-  // bound every shard is advancing to. An untagged cascade sending
-  // cross-shard trips this in adaptive runs.
-  assert(deliverAt >= windowBound_ &&
-         "cross-shard send deliverable inside the current window (untagged "
-         "emitter cascade?)");
+  // The delivery-time invariant, checked in every build: a send at t must
+  // not deliver before t + lookahead, and — the sharper check, which under
+  // kAdaptive catches an untagged cascade sending cross-shard — not before
+  // the bound every shard is advancing to. A violating message would still
+  // be drained, then clamped to the receiver's clock and fired out of
+  // order, so abort instead of computing a wrong result.
+  const SimTime sentAt = sims_[src]->now();
+  if (deliverAt < sentAt + lookahead_ || deliverAt < windowBound_) {
+    const auto ns = [](SimTime t) {
+      return static_cast<long long>(t.time_since_epoch().count());
+    };
+    std::fprintf(stderr,
+                 "ShardedSim: cross-shard send %u -> %u deliverAt=%lld ns "
+                 "violates the delivery-time invariant (sender now=%lld ns, "
+                 "lookahead=%lld ns, window bound=%lld ns)\n",
+                 src, shard, ns(deliverAt), ns(sentAt),
+                 static_cast<long long>(lookahead_.count()), ns(windowBound_));
+    std::abort();
+  }
   Mailbox& box = mailbox(src, shard);
   assert(box.msgs.size() < kMailboxCapacity && "mailbox overflow");
-  // Relief escalation signal: the next sub-barrier sees a nonzero count and
-  // falls back to the full barrier for the drain. Ordering rides the
-  // arrival barrier's acq_rel chain, so relaxed suffices.
-  pendingCross_.fetch_add(1, std::memory_order_relaxed);
-  // ECSB component (b): earliest armed-but-undrained outbound send. Folded
-  // into this shard's published ECSB at sub-barriers; structurally inert
-  // (any append escalates the sub-barrier and the full barrier drains
-  // first) but keeps the published bound honest by construction.
-  outboundMin_[src] = std::min(outboundMin_[src], deliverAt);
   MailMsg msg;
   msg.deliverAt = deliverAt;
-  msg.sentAt = sims_[src]->now();
+  msg.sentAt = sentAt;
   msg.srcSeq = box.nextSeq++;
   msg.fn = std::move(fn);
   box.msgs.push_back(std::move(msg));
@@ -136,22 +131,15 @@ void ShardedSim::serialPhase(SimTime deadline) {
                            /*emitter=*/true);
   }
 
-  // The drain is complete; sub-barriers count appends from here on, and
-  // every shard's outbound head (ECSB component (b)) resets to +infinity.
-  pendingCross_.store(0, std::memory_order_relaxed);
-  for (unsigned s = 0; s < n; ++s) outboundMin_[s] = SimTime::max();
-
-  // Next conservative window. Under the adaptive mode the bound advances on
-  // the earliest event that could SEND cross-shard (the ECSB) instead of
-  // the earliest event, letting windows stretch across long purely-local
-  // stretches; the done-protocol still keys off the true next event.
-  const bool adaptive = boundMode_ == WindowBound::kAdaptive;
+  // Next window: B = min over shards of nextEmitterTime() + lookahead. The
+  // done protocol keys off the true next event — a shard with only local
+  // work left must keep firing it.
   SimTime minNext = SimTime::max();
   SimTime minEcsb = SimTime::max();
   bool allAtDeadline = true;
   for (unsigned s = 0; s < n; ++s) {
     minNext = std::min(minNext, sims_[s]->nextEventTime());
-    if (adaptive) minEcsb = std::min(minEcsb, sims_[s]->nextEmitterTime());
+    minEcsb = std::min(minEcsb, sims_[s]->nextEmitterTime());
     allAtDeadline = allAtDeadline && sims_[s]->now() >= deadline;
   }
   const SimTime pastDeadline = deadline + nanoseconds(1);
@@ -161,79 +149,26 @@ void ShardedSim::serialPhase(SimTime deadline) {
     done_ = allAtDeadline;
     windowBound_ = pastDeadline;
     windowAdvanceTo_ = deadline;
-    reliefActive_.store(false, std::memory_order_relaxed);
   } else {
-    // base >= minNext always (emitters are a subset of events); base may be
-    // SimTime::max() — the all-shards-infinity case — where the whole rest
+    // minEcsb >= minNext always (emitters are a subset of events); it may
+    // be SimTime::max() — no emitter pending anywhere — where the whole rest
     // of the horizon is one window (guard before the +lookahead overflow).
-    const SimTime base = adaptive ? minEcsb : minNext;
-    windowBound_ = base > deadline ? pastDeadline
-                                   : std::min(base + lookahead_, pastDeadline);
+    windowBound_ = minEcsb > deadline
+                       ? pastDeadline
+                       : std::min(minEcsb + lookahead_, pastDeadline);
     windowAdvanceTo_ = std::min(windowBound_, deadline);
-    if (adaptive &&
-        windowBound_ > std::min(minNext + lookahead_, pastDeadline)) {
+    if (windowBound_ > std::min(minNext + lookahead_, pastDeadline)) {
       ++adaptiveWindows_;
     }
-    // Arm barrier relief: with every mailbox empty there is nothing only
-    // the full barrier can do, so the next windows may advance on the
-    // cheap sub-barrier until traffic appears or the episode budget runs
-    // out. (Workers read the flag after the epoch flip under the barrier
-    // mutex, which orders these plain-ish stores.)
-    const bool relieve = reliefK_ > 1 && drained.empty();
-    subLeft_ = relieve ? reliefK_ - 1 : 0;
-    reliefActive_.store(subLeft_ > 0, std::memory_order_relaxed);
   }
   ++windows_;
-}
-
-void ShardedSim::subLeaderStep(SimTime deadline) {
-  const unsigned n = static_cast<unsigned>(sims_.size());
-  const bool adaptive = boundMode_ == WindowBound::kAdaptive;
-  SimTime minNext = SimTime::max();
-  SimTime minEcsb = SimTime::max();
-  for (unsigned s = 0; s < n; ++s) {
-    minNext = std::min(minNext, shardNext_[s]);
-    if (adaptive) minEcsb = std::min(minEcsb, shardEcsb_[s]);
-  }
-  const SimTime pastDeadline = deadline + nanoseconds(1);
-  // Escalate to the full barrier whenever it could matter: a cross-shard
-  // message needs the deterministic drain, the horizon's end needs the
-  // done-protocol, and an exhausted episode re-arms through serialPhase.
-  // On continue, the bound formula is serialPhase's verbatim — that is the
-  // whole digest-identity argument.
-  if (pendingCross_.load(std::memory_order_relaxed) != 0 || subLeft_ == 0 ||
-      minNext > deadline) {
-    reliefActive_.store(false, std::memory_order_relaxed);
-  } else {
-    recordWindowEvents();
-    const SimTime base = adaptive ? minEcsb : minNext;
-    windowBound_ = base > deadline ? pastDeadline
-                                   : std::min(base + lookahead_, pastDeadline);
-    windowAdvanceTo_ = std::min(windowBound_, deadline);
-    if (adaptive &&
-        windowBound_ > std::min(minNext + lookahead_, pastDeadline)) {
-      ++adaptiveWindows_;
-    }
-    --subLeft_;
-    ++windows_;
-    ++reliefWindows_;
-  }
-  subArrived_.store(0, std::memory_order_relaxed);
-  subEpoch_.fetch_add(1, std::memory_order_release);
 }
 
 void ShardedSim::workerLoop(unsigned shard, SimTime deadline) {
   InternDomainAdopt adopt(*domain_);
   tlsCurrentShard = shard;
   const unsigned n = static_cast<unsigned>(sims_.size());
-  const bool adaptive = boundMode_ == WindowBound::kAdaptive;
   using WallClock = std::chrono::steady_clock;
-  const auto stalled = [this, shard](WallClock::time_point since) {
-    stallNanos_[shard] += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(WallClock::now() -
-                                                             since)
-            .count());
-  };
   for (;;) {
     {
       const auto waitStart = WallClock::now();
@@ -248,39 +183,14 @@ void ShardedSim::workerLoop(unsigned shard, SimTime deadline) {
         const std::uint64_t epoch = barrierEpoch_;
         barrierCv_.wait(lock, [&] { return barrierEpoch_ != epoch; });
       }
-      stalled(waitStart);
+      stallNanos_[shard] += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              WallClock::now() - waitStart)
+              .count());
       if (done_) break;
     }
     shardWindowFired_[shard] =
         sims_[shard]->runBefore(windowBound_, windowAdvanceTo_);
-    // Barrier relief: advance further windows on the cheap atomic barrier
-    // until a cross-shard send, the deadline, or the episode budget sends
-    // everyone back to the full barrier above.
-    while (reliefActive_.load(std::memory_order_relaxed)) {
-      const auto spinStart = WallClock::now();
-      const std::uint64_t epoch = subEpoch_.load(std::memory_order_acquire);
-      shardNext_[shard] = sims_[shard]->nextEventTime();
-      if (adaptive) {
-        // This shard's ECSB: earliest emitter in either heap tier, floored
-        // by the head of any not-yet-drained outbound send (component (b)).
-        shardEcsb_[shard] = std::min(sims_[shard]->nextEmitterTime(),
-                                     outboundMin_[shard]);
-      }
-      if (subArrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        // Last arriver: the acq_rel chain above makes every peer's
-        // shardNext_/shardEcsb_/shardWindowFired_ write and mailbox append
-        // visible here.
-        subLeaderStep(deadline);
-      } else {
-        while (subEpoch_.load(std::memory_order_acquire) == epoch) {
-          std::this_thread::yield();
-        }
-      }
-      stalled(spinStart);
-      if (!reliefActive_.load(std::memory_order_relaxed)) break;
-      shardWindowFired_[shard] =
-          sims_[shard]->runBefore(windowBound_, windowAdvanceTo_);
-    }
   }
   tlsCurrentShard = 0;
 }
@@ -298,17 +208,14 @@ std::size_t ShardedSim::run(SimTime deadline) {
     done_ = false;
     histPrimed_ = false;
     running_ = true;
-    // One long-lived task per shard on a pool sized threads == shards: each
-    // worker thread binds to one shard for the whole run (fewer threads
-    // would deadlock the barrier; WorkStealingPool's inline path must never
-    // trigger, which shardCount() >= 2 guarantees).
-    WorkStealingPool pool(static_cast<unsigned>(sims_.size()));
-    std::vector<WorkStealingPool::Task> tasks;
-    tasks.reserve(sims_.size());
+    // One thread per shard for the whole run: the barrier needs every
+    // shard's worker to arrive.
+    std::vector<std::thread> workers;
+    workers.reserve(sims_.size());
     for (unsigned s = 0; s < sims_.size(); ++s) {
-      tasks.emplace_back([this, s, deadline] { workerLoop(s, deadline); });
+      workers.emplace_back([this, s, deadline] { workerLoop(s, deadline); });
     }
-    pool.run(std::move(tasks));
+    for (std::thread& worker : workers) worker.join();
     running_ = false;
   }
 

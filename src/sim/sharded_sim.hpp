@@ -6,9 +6,9 @@
 // city-scale topologies (10k nodes, 100k streams) are therefore capped by a
 // single core. This layer partitions the cluster by rack into per-shard
 // Simulator instances and advances them in parallel under the classic
-// synchronous conservative-lookahead discipline:
+// synchronous conservative-lookahead discipline, one window at a time:
 //
-//   window bound  B = min over shards of nextEventTime() + lookahead
+//   window bound  B = min over shards of nextEmitterTime() + lookahead
 //
 // where lookahead is the NetworkModel's base inter-node latency. Every
 // cross-shard interaction in the system — a frame hop, a weight push, a
@@ -18,27 +18,30 @@
 // can only affect another shard at t + lookahead >= B. Each shard may thus
 // fire everything strictly before B without ever seeing a message from its
 // past ("the mailbox delivery-time invariant": every message drained at the
-// window barrier is stamped deliverAt >= B).
+// window barrier is stamped deliverAt >= B). postToShard checks the
+// invariant on every cross-shard send, in every build, and aborts on a
+// violation.
 //
-// Adaptive window bound (WindowBound::kAdaptive): instead of the earliest
-// *event*, the barrier advances on the earliest *cross-shard-send bound*
-// (ECSB) — per shard, the min over (a) its next pending emitter-tagged
-// event (Simulator::nextEmitterTime(): the earliest event that can
-// transitively send cross-shard, across both heap tiers), and (b) the head
-// of its still-undrained outbound mailbox appends (structurally +infinity
-// at every bound computation, kept as a safety net — see the .cpp). The
-// bound becomes B = min_s(ECSB_s) + lookahead: a shard whose racks host no
-// cross-shard traffic publishes +infinity and stops throttling everyone
-// else, and a pure rack-local cluster jumps to the stop time in ONE window.
+// nextEmitterTime() is the shard's earliest-cross-shard-send bound (ECSB):
+// its earliest pending emitter-tagged event, across both heap tiers — the
+// earliest event whose cascade can send cross-shard. Drained mailbox
+// deliveries are scheduled emitter-tagged, so a chain of hops stays visible.
 // Soundness: every cross-shard send happens inside an emitter cascade, and
 // (by taint induction — roots tagged at schedule time, the engine closes
 // the tag under scheduling) every emitter event fired inside the window has
-// timestamp t >= min ECSB, so its sends deliver at t + lookahead >= B. Fire
-// traces are byte-identical to the fixed bound: window partitioning never
-// reorders events, it only chooses how many fire between barriers
-// (DESIGN.md §12 has the full argument). kFixed stays the default — raw
-// ShardedSim users that post untagged cross-shard sends (unit tests) rely
-// on every event being conservatively treated as an emitter.
+// timestamp t >= min ECSB, so its sends deliver at t + lookahead >= B. A
+// shard whose racks host no cross-shard traffic publishes +infinity and
+// stops throttling everyone else; a pure rack-local cluster jumps to the
+// stop time in ONE window.
+//
+// WindowBound only decides whether emitter tracking is on. kAdaptive turns
+// it on; kFixed leaves it off, where nextEmitterTime() is nextEventTime()
+// and every event counts as a sender, so the same formula yields the
+// classic min(nextEventTime) + lookahead bound. Fire traces are
+// byte-identical in both modes: window partitioning never reorders events,
+// it only chooses how many fire between barriers (DESIGN.md §12 has the
+// full argument). kFixed stays the default — raw ShardedSim users that post
+// untagged cross-shard sends (unit tests) rely on it.
 //
 // Cross-shard traffic travels through bounded per-(src,dst) SPSC mailboxes:
 // the source shard appends during the parallel phase (it is the only
@@ -55,13 +58,11 @@
 // differential suite staggers camera phases to guarantee this) produce
 // identical per-frame timings at every shard count.
 //
-// Shard execution reuses WorkStealingPool: one long-lived task per shard,
-// each bound to a worker thread for the whole run (the pool is sized
-// threads == shards so the barrier cannot deadlock), and each adopting the
-// launching thread's InternDomain so dense handles resolve on every shard.
+// Each run() starts one plain std::thread per shard and joins them at the
+// deadline; every worker adopts the launching thread's InternDomain so
+// dense handles resolve on every shard.
 
 #include <array>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -78,7 +79,7 @@ namespace microedge {
 
 // Routing surface the shard-aware actors (DataPlane, SimTransport,
 // TpuClient) consult. SoloRouter wraps the classic single-Simulator world;
-// ShardedSim implements the parallel one. Actors hold a ShardRouter* and
+// ShardedSim implements the parallel one. Actors hold a ShardRouter& and
 // never know which they got.
 class ShardRouter {
  public:
@@ -145,10 +146,11 @@ class ShardedSim : public ShardRouter {
   // modelling bug (the window is half a millisecond of simulated time).
   static constexpr std::size_t kMailboxCapacity = 1u << 20;
 
-  // How the barrier leader computes the next window bound (see header).
+  // Whether the shards track emitters for the window bound (see header).
   // kAdaptive requires every cross-shard-emitting cascade root to be
   // emitter-tagged (the city-slice harness does this; raw users that post
-  // untagged cross-shard sends must stay on kFixed).
+  // untagged cross-shard sends must stay on kFixed, which counts every
+  // event as a sender).
   enum class WindowBound { kFixed, kAdaptive };
 
   ShardedSim(unsigned shards, SimDuration lookahead,
@@ -171,8 +173,6 @@ class ShardedSim : public ShardRouter {
   void postToShard(unsigned shard, SimTime deliverAt, EventFn fn,
                    bool emitter) override;
 
-  WindowBound windowBoundMode() const { return boundMode_; }
-
   // Node->shard assignment (setup phase; see ShardMap for the rack rules).
   ShardMap& shardMap() { return map_; }
   const ShardMap& shardMap() const { return map_; }
@@ -190,28 +190,11 @@ class ShardedSim : public ShardRouter {
   // deadline together); shard 0 is the witness.
   SimTime now() const { return sims_[0]->now(); }
 
-  // --- Barrier relief -------------------------------------------------------
-  // When a full barrier finds every mailbox empty, up to `k - 1` subsequent
-  // windows run on a light-weight sense-reversing atomic barrier (no mutex,
-  // no condition variable, no drain pass) before returning to the full
-  // barrier. Each sub-window's bound is computed by the EXACT formula the
-  // full barrier uses — min(next event across shards) + lookahead, capped
-  // past the deadline — and any cross-shard send observed at a sub-barrier
-  // escalates straight back to the full barrier for the drain. The window
-  // bound sequence, and therefore every event execution, is bit-identical
-  // to k = 1; only the synchronization cost changes. This is the relief
-  // valve for barrier-bound workloads (the 1k preset spends most of its
-  // wall clock parking/unparking workers at ~29 events/window). k = 1
-  // disables relief; values are clamped to >= 1.
-  void setBarrierRelief(unsigned k) { reliefK_ = k < 1 ? 1 : k; }
-  unsigned barrierRelief() const { return reliefK_; }
-
   // --- Telemetry ------------------------------------------------------------
   std::size_t windowCount() const { return windows_; }
   std::size_t crossShardMessages() const { return crossMessages_; }
-  // Windows advanced on the light-weight sub-barrier (subset of
-  // windowCount()).
-  std::size_t reliefWindowCount() const { return reliefWindows_; }
+  // Always 0; kept only for the benchmark, which reads it.
+  std::size_t reliefWindowCount() const { return 0; }
   // Windows where the adaptive ECSB bound was strictly wider than the fixed
   // formula would have allowed (subset of windowCount(); 0 under kFixed).
   std::size_t adaptiveWindowCount() const { return adaptiveWindows_; }
@@ -224,9 +207,9 @@ class ShardedSim : public ShardRouter {
       const {
     return windowHist_;
   }
-  // Wall-clock nanoseconds each shard's worker spent blocked at barriers
-  // (full-barrier waits + relief spins) across all run() calls. Wall time,
-  // NOT deterministic — keep it out of byte-compared dumps.
+  // Wall-clock nanoseconds each shard's worker spent blocked at the barrier
+  // across all run() calls. Wall time, NOT deterministic — keep it out of
+  // byte-compared dumps.
   const std::vector<std::uint64_t>& shardStallNanos() const {
     return stallNanos_;
   }
@@ -257,16 +240,14 @@ class ShardedSim : public ShardRouter {
   // drains all mailboxes into the destination sims (deterministic merge
   // order), then computes the next window bound.
   void serialPhase(SimTime deadline);
-  // Last arriver at a sub-barrier: decides continue-vs-escalate and, on
-  // continue, publishes the next sub-window bound.
-  void subLeaderStep(SimTime deadline);
+  // Adds the closed window's event count to the events-per-window histogram.
+  void recordWindowEvents();
   Mailbox& mailbox(unsigned src, unsigned dst) {
     return mail_[src * sims_.size() + dst];
   }
 
   ShardMap map_;
   SimDuration lookahead_;
-  WindowBound boundMode_ = WindowBound::kFixed;
   std::vector<std::unique_ptr<Simulator>> sims_;
   std::vector<Mailbox> mail_;
   std::vector<Drained> drainScratch_;  // reused across serial phases
@@ -290,35 +271,12 @@ class ShardedSim : public ShardRouter {
   std::array<std::uint64_t, kWindowHistBuckets> windowHist_{};
   bool histPrimed_ = false;  // reset per run(); see recordWindowEvents()
 
-  // Sub-barrier state. Ordering contract: workers publish shardNext_[s],
-  // shardEcsb_[s], shardWindowFired_[s] and any mailbox appends BEFORE the
-  // acq_rel arrival increment; the last arriver (sub-leader) therefore
-  // observes them all, writes the plain fields below, and publishes with
-  // the release epoch flip that the spinning workers acquire.
-  // reliefActive_/pendingCross_ are atomics only so the relaxed accesses
-  // outside those edges are race-free.
-  unsigned reliefK_ = 8;
-  std::atomic<bool> reliefActive_{false};
-  std::atomic<std::size_t> pendingCross_{0};  // mailbox appends since drain
-  std::atomic<unsigned> subArrived_{0};
-  std::atomic<std::uint64_t> subEpoch_{0};
-  std::vector<SimTime> shardNext_;  // per shard: nextEventTime at arrival
-  std::vector<SimTime> shardEcsb_;  // per shard: ECSB at arrival (adaptive)
-  unsigned subLeft_ = 0;            // sub-windows remaining in this episode
-  std::size_t reliefWindows_ = 0;
-
-  // Per-shard, own-worker-writes-only counters, read by the (sub-)leader
-  // under the barrier's ordering (see above) or after run() returns.
-  // shardWindowFired_[s]: events shard s fired in the window that just
-  // closed. outboundMin_[s]: earliest deliverAt shard s appended to any
-  // mailbox since the last drain (ECSB component (b); reset by the drain).
-  // stallNanos_[s]: cumulative wall-clock barrier wait.
+  // Per-shard, own-worker-writes-only counters, read by the leader under
+  // the barrier mutex or after run() returns. shardWindowFired_[s]: events
+  // shard s fired in the window that just closed. stallNanos_[s]:
+  // cumulative wall-clock barrier wait.
   std::vector<std::uint64_t> shardWindowFired_;
-  std::vector<SimTime> outboundMin_;
   std::vector<std::uint64_t> stallNanos_;
-
-  // Leader-side helpers for the bound formula (see .cpp).
-  void recordWindowEvents();
 };
 
 }  // namespace microedge

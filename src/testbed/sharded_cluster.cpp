@@ -109,7 +109,6 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   sharded_ = std::make_unique<ShardedSim>(config_.shards,
                                           config_.networkConfig.baseLatency,
                                           config_.windowBound);
-  sharded_->setBarrierRelief(config_.barrierRelief);
   ShardMap& map = sharded_->shardMap();
   // Placement policy must be fixed before the first shardOfName() — the
   // topology factory below resolves each node's owner sim through it.
@@ -898,7 +897,6 @@ std::string ShardedCluster::metricsJson(bool withSimStats) const {
     // default dump (see header).
     out += strCat(",\n  \"sim\": {\n    \"windows\": ",
                   sharded_->windowCount(),
-                  ",\n    \"reliefWindows\": ", sharded_->reliefWindowCount(),
                   ",\n    \"adaptiveWindows\": ",
                   sharded_->adaptiveWindowCount(),
                   ",\n    \"crossShardMessages\": ",

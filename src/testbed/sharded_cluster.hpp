@@ -118,10 +118,6 @@ struct ShardedClusterConfig {
   // Every `crossRackStride`-th camera targets the next rack's TPUs
   // (cross-shard when racks land on different shards); 0 = all rack-local.
   int crossRackStride = 0;
-  // ShardedSim::setBarrierRelief budget: max windows per empty-mailbox
-  // episode advanced on the light-weight sub-barrier. 1 disables relief;
-  // digests are identical at any value (see sharded_sim.hpp).
-  unsigned barrierRelief = 8;
   PackingStrategy strategy = PackingStrategy::kFirstFit;
   LbSpread spread = LbSpread::kSmooth;
   TpuHardwareConfig tpuConfig{};
@@ -230,8 +226,8 @@ class ShardedCluster {
   std::uint64_t digest() const;
   // Deterministic serialization of the full result surface (per-stream and
   // totals) — what the CI determinism smoke byte-compares. With
-  // `withSimStats`, appends a "sim" section (windows advanced, relief/
-  // adaptive windows, events-per-window histogram, per-shard barrier stall
+  // `withSimStats`, appends a "sim" section (windows advanced, adaptive
+  // windows, events-per-window histogram, per-shard barrier stall
   // wall-nanos). The section is opt-in because window counts differ by
   // shard count/window mode and stall time is wall-clock — none of it
   // belongs in the byte-compared default dump.

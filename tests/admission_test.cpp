@@ -217,6 +217,13 @@ TEST_F(AdmissionTest, OversizedModelSchedulesAlone) {
   // run on an otherwise-empty TPU (partial caching).
   auto alone = admission.admit(1, zoo::kResNet50, TpuUnit::fromDouble(0.3));
   ASSERT_TRUE(alone.isOk());
+  // Placed on the one TPU as a single share, with the Load that puts the
+  // model there.
+  ASSERT_EQ(alone->loads.size(), 1u);
+  EXPECT_EQ(alone->loads[0].composite,
+            std::vector<std::string>{zoo::kResNet50});
+  EXPECT_EQ(alone->allocation.shares.size(), 1u);
+  EXPECT_EQ(admission.partitionedCount(), 0u);
   // Nothing else may join that TPU now.
   auto second = admission.admit(2, zoo::kMobileNetV1, TpuUnit::fromDouble(0.1));
   EXPECT_FALSE(second.isOk());

@@ -1,6 +1,7 @@
 // Unit tests for the sharded-simulation core: ShardMap rack parsing and
-// assignment, the conservative-lookahead window loop, mailbox delivery
-// ordering, and the shards=1 canonical bypass.
+// assignment, the conservative-lookahead window loop, the window bound with
+// emitter tracking on and off, mailbox delivery ordering and its
+// delivery-time check, and the shards=1 canonical bypass.
 
 #include <gtest/gtest.h>
 
@@ -173,23 +174,21 @@ TEST(ShardedSim, RepeatedRunsResumeCleanly) {
   EXPECT_EQ(sharded.now(), start + milliseconds(4));
 }
 
-TEST(ShardedSim, BarrierReliefMatchesFullBarrierBitForBit) {
-  // Barrier relief (sharded_sim.hpp): after a drain-free full barrier, up
-  // to k-1 windows advance on the cheap atomic sub-barrier. The sub-window
-  // bound uses serialPhase's formula verbatim, so the fire trace must be
-  // IDENTICAL at every k — here a workload with long shard-local stretches
-  // (which relief accelerates) punctuated by cross-shard sends (which
-  // escalate back to the full barrier mid-episode).
-  auto script = [](unsigned reliefK, std::vector<std::string>* trace,
-                   std::size_t* reliefWindows) {
+TEST(ShardedSim, AdaptiveBoundMatchesFixedBitForBit) {
+  // One bound formula, B = min over shards of nextEmitterTime() +
+  // lookahead, with emitter tracking on (kAdaptive) and off (kFixed, where
+  // every event counts as a sender): dense shard-local ticks punctuated by
+  // sparse cross-shard sends whose roots are emitter-tagged. The fire trace
+  // must be IDENTICAL in both modes, and the adaptive bound must step over
+  // the local ticks in fewer windows.
+  auto script = [](ShardedSim::WindowBound mode,
+                   std::vector<std::string>* trace) {
     const SimDuration lookahead = microseconds(500);
-    ShardedSim sharded(2, lookahead);
-    sharded.setBarrierRelief(reliefK);
+    ShardedSim sharded(2, lookahead, mode);
     const SimTime start = sharded.now();
     std::vector<std::vector<std::string>> perShard(2);
     for (unsigned s = 0; s < 2; ++s) {
-      // Dense local ticks: every 100us for 20ms — dozens of windows with
-      // empty mailboxes, the case relief exists for.
+      // Dense local ticks: every 100us for 20ms, none of them a sender.
       for (int i = 1; i <= 200; ++i) {
         sharded.shardSim(s).schedule(start + microseconds(100 * i), [&, s] {
           perShard[s].push_back(
@@ -199,11 +198,11 @@ TEST(ShardedSim, BarrierReliefMatchesFullBarrierBitForBit) {
                                            .count()));
         });
       }
-      // Sparse cross-shard sends land mid-episode and must escalate to the
-      // full-barrier drain without perturbing any delivery time.
+      // Sparse cross-shard sends from tagged roots.
       for (int i = 1; i <= 4; ++i) {
         sharded.shardSim(s).schedule(
-            start + milliseconds(5 * i) + microseconds(50), [&, s] {
+            start + milliseconds(5 * i) + microseconds(50),
+            [&, s] {
               sharded.postToShard(
                   1 - s, sharded.shardSim(s).now() + lookahead, [&, s] {
                     perShard[1 - s].push_back(
@@ -213,30 +212,49 @@ TEST(ShardedSim, BarrierReliefMatchesFullBarrierBitForBit) {
                                            .time_since_epoch()
                                            .count()));
                   });
-            });
+            },
+            /*emitter=*/true);
       }
     }
     sharded.runFor(milliseconds(25));
     for (const auto& shardTrace : perShard) {
       for (const auto& entry : shardTrace) trace->push_back(entry);
     }
-    *reliefWindows = sharded.reliefWindowCount();
+    return sharded.windowCount();
   };
 
-  std::vector<std::string> reference;
-  std::size_t referenceRelief = 0;
-  script(1, &reference, &referenceRelief);
-  EXPECT_EQ(reference.size(), 2u * (200u + 4u));
-  EXPECT_EQ(referenceRelief, 0u);  // k=1 disables relief entirely
-  for (unsigned k : {4u, 16u}) {
-    std::vector<std::string> trace;
-    std::size_t reliefWindows = 0;
-    script(k, &trace, &reliefWindows);
-    EXPECT_EQ(trace, reference) << "reliefK=" << k;
-    // Relief actually engaged: a meaningful share of windows skipped the
-    // full barrier.
-    EXPECT_GT(reliefWindows, 10u) << "reliefK=" << k;
-  }
+  std::vector<std::string> fixedTrace, adaptiveTrace;
+  const std::size_t fixedWindows =
+      script(ShardedSim::WindowBound::kFixed, &fixedTrace);
+  const std::size_t adaptiveWindows =
+      script(ShardedSim::WindowBound::kAdaptive, &adaptiveTrace);
+  EXPECT_EQ(fixedTrace.size(), 2u * (200u + 4u));
+  EXPECT_EQ(adaptiveTrace, fixedTrace);
+  EXPECT_LT(adaptiveWindows, fixedWindows);
+}
+
+// The delivery-time invariant holds in every build. Under kAdaptive an
+// untagged root is invisible to the bound, so its cross-shard send would
+// land inside the current window: postToShard must abort instead of
+// letting the receiver fire it out of order. The same script is sound
+// under kFixed, where every event counts as a sender.
+TEST(ShardedSimDeathTest, UntaggedCrossShardSendAbortsUnderAdaptive) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto script = [](ShardedSim::WindowBound mode) {
+    const SimDuration lookahead = microseconds(500);
+    ShardedSim sharded(2, lookahead, mode);
+    int received = 0;  // written by shard 1's worker, read after run()
+    Simulator& shard0 = sharded.shardSim(0);
+    shard0.schedule(shard0.now() + milliseconds(1), [&] {
+      sharded.postToShard(1, shard0.now() + lookahead,
+                          [&received] { ++received; });
+    });
+    sharded.runFor(milliseconds(10));
+    return received;
+  };
+  EXPECT_EQ(script(ShardedSim::WindowBound::kFixed), 1);
+  EXPECT_DEATH(script(ShardedSim::WindowBound::kAdaptive),
+               "violates the delivery-time invariant");
 }
 
 TEST(ShardedSim, DeterministicAcrossRuns) {
