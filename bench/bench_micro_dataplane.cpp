@@ -8,26 +8,19 @@
 // 1..1024 closed-loop camera streams (one outstanding frame each, the next
 // frame submitted from the completion callback) over an 8-tRPi cluster with
 // the model pre-loaded everywhere — the steady state the figure harnesses
-// sit in. BM_DataplaneBurstIngest is the high-fan-in companion: each client
-// submits its whole fan-in at one instant, either as that many sequential
-// invoke() calls (burst:0) or as one submitBurst() (burst:1) — the delta is
-// the amortization batched ingest buys (one WRR cycle walk, one slab run,
-// coalesced delivery events, batched FIFO reservations per burst).
+// sit in. BM_DataplaneFanIn is the high-fan-in companion: each client
+// submits its whole fan-in at one instant as that many invoke() calls, so
+// deep device FIFOs and many frames in flight per client are measured too.
 //
 // Like bench_micro_sim, the binary overrides global operator new/delete with
 // a counting allocator so "zero heap allocations per steady-state frame" is
 // measured, not assumed: BM_DataplaneFrames reports allocs_per_frame, and
-// BM_DataplaneSteadyAllocFree hard-aborts on any steady-state allocation
-// (the CI bench smoke runs it, guarding the property against regressions).
+// BM_DataplaneSteadyAllocFree and BM_DataplaneFanInAllocFree hard-abort on
+// any steady-state allocation (the CI bench smoke runs both, guarding the
+// property against regressions).
 //
 // Emit machine-readable results with bench/run_bench.sh
 // (-> BENCH_dataplane.json).
-//
-// CI differential smoke: `--smoke_mode=single|burst --smoke_out=FILE` skips
-// google-benchmark entirely, replays a fixed fan-in workload in the given
-// ingest mode, and dumps a JSON digest folded over every completed frame's
-// breakdown in completion order. Batched ingest is bit-identical to
-// sequential, so the two dumps must compare byte-equal (`cmp`).
 
 #include <benchmark/benchmark.h>
 
@@ -181,18 +174,14 @@ BENCHMARK(BM_DataplaneFrames)
     ->Arg(1024);
 
 // One high-fan-in ingest point: the client submits `fanIn` frames at a
-// single instant, re-submitting the next wave when the previous one fully
-// drains. burst:0 = fanIn sequential invoke() calls, burst:1 = one
-// submitBurst() — semantically identical (the differential test proves it
-// bit for bit), so items_per_second isolates the submission-path overhead.
-struct BurstStream {
+// single instant as fanIn invoke() calls, re-submitting the next wave when
+// the previous one fully drains.
+struct FanInStream {
   TpuClient* client = nullptr;
   std::size_t fanIn = 0;
-  bool burst = false;
   std::uint64_t remainingWaves = 0;
   std::uint64_t completed = 0;
   std::size_t inFlight = 0;
-  std::vector<TpuClient::FrameSpec> frames;  // capacity retained per wave
 
   void pump() {
     if (remainingWaves == 0) return;
@@ -202,31 +191,24 @@ struct BurstStream {
       ++completed;
       if (--inFlight == 0) pump();
     };
-    if (burst) {
-      frames.resize(fanIn);
-      for (auto& f : frames) f.done = done;
-      if (!client->submitBurst(frames).isOk()) std::abort();
-    } else {
-      for (std::size_t i = 0; i < fanIn; ++i) {
-        if (!client->invoke(done).isOk()) std::abort();
-      }
+    for (std::size_t i = 0; i < fanIn; ++i) {
+      if (!client->invoke(done).isOk()) std::abort();
     }
   }
 };
 
 // Shared driver: one client per vRPi, each pumping waves of `fanIn` frames.
-// Construction runs a one-wave warm-up that sizes pools, rings, burst
-// scratch and the event arena, so run() is the steady state.
-struct BurstHarness {
+// Construction runs a warm-up that sizes pools, rings and the event arena,
+// so run() is the steady state.
+struct FanInHarness {
   Fixture fx;
-  std::vector<BurstStream> streams;
+  std::vector<FanInStream> streams;
 
-  BurstHarness(std::size_t fanIn, bool burst) : fx(kVRpis) {
+  explicit FanInHarness(std::size_t fanIn) : fx(kVRpis) {
     streams.resize(fx.clients.size());
     for (std::size_t i = 0; i < streams.size(); ++i) {
       streams[i].client = fx.clients[i].get();
       streams[i].fanIn = fanIn;
-      streams[i].burst = burst;
     }
     // Two warm-up waves: the second re-submits from inside a completion
     // callback — the steady-state shape, where the in-flight event and
@@ -238,26 +220,25 @@ struct BurstHarness {
   // Runs `waves` waves per client to completion; returns frames completed.
   std::uint64_t run(std::uint64_t waves) {
     std::uint64_t before = 0;
-    for (BurstStream& s : streams) before += s.completed;
-    for (BurstStream& s : streams) s.remainingWaves = waves;
-    for (BurstStream& s : streams) s.pump();
+    for (FanInStream& s : streams) before += s.completed;
+    for (FanInStream& s : streams) s.remainingWaves = waves;
+    for (FanInStream& s : streams) s.pump();
     fx.sim.run();
     std::uint64_t after = 0;
-    for (BurstStream& s : streams) after += s.completed;
+    for (FanInStream& s : streams) after += s.completed;
     return after - before;
   }
 };
 
-void BM_DataplaneBurstIngest(benchmark::State& state) {
+void BM_DataplaneFanIn(benchmark::State& state) {
   const std::size_t fanIn = static_cast<std::size_t>(state.range(0));
-  const bool burst = state.range(1) == 1;
   // Comparable work per iteration across fan-ins: ~128k frames total.
   const std::uint64_t waves = 16384 / fanIn;
   std::uint64_t frames = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto harness = std::make_unique<BurstHarness>(fanIn, burst);
+    auto harness = std::make_unique<FanInHarness>(fanIn);
     const std::uint64_t before = allocsNow();
     state.ResumeTiming();
     const std::uint64_t total = harness->run(waves);
@@ -272,9 +253,7 @@ void BM_DataplaneBurstIngest(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs) /
                          static_cast<double>(frames ? frames : 1));
 }
-BENCHMARK(BM_DataplaneBurstIngest)
-    ->ArgNames({"fanin", "burst"})
-    ->ArgsProduct({{64, 256, 1024}, {0, 1}});
+BENCHMARK(BM_DataplaneFanIn)->ArgName("fanin")->Arg(64)->Arg(256)->Arg(1024);
 
 // The zero-allocation property itself, asserted: after warm-up, a full
 // steady-state batch must not touch the heap at all. Aborting (rather than
@@ -312,15 +291,15 @@ void BM_DataplaneSteadyAllocFree(benchmark::State& state) {
 }
 BENCHMARK(BM_DataplaneSteadyAllocFree)->Arg(1)->Arg(16)->Arg(64);
 
-// Same hard assertion for batched ingest: a steady-state wave of
-// submitBurst() calls — slab runs, coalesced groups, batched FIFO
-// reservations, the deadline splice — must not touch the heap either.
-void BM_DataplaneBurstAllocFree(benchmark::State& state) {
+// Same hard assertion at high fan-in: a steady-state wave of fanIn
+// invoke() calls per client — deep device FIFOs and many contexts in
+// flight — must not touch the heap either.
+void BM_DataplaneFanInAllocFree(benchmark::State& state) {
   const std::size_t fanIn = static_cast<std::size_t>(state.range(0));
   std::uint64_t frames = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto harness = std::make_unique<BurstHarness>(fanIn, /*burst=*/true);
+    auto harness = std::make_unique<FanInHarness>(fanIn);
     const std::uint64_t before = allocsNow();
     state.ResumeTiming();
     const std::uint64_t total = harness->run(8);
@@ -328,8 +307,8 @@ void BM_DataplaneBurstAllocFree(benchmark::State& state) {
     const std::uint64_t delta = allocsNow() - before;
     if (delta != 0) {
       std::fprintf(stderr,
-                   "FATAL: %llu heap allocations in steady-state burst path "
-                   "(fan-in %zu, %llu frames) — batched ingest must be "
+                   "FATAL: %llu heap allocations in steady-state fan-in path "
+                   "(fan-in %zu, %llu frames) — the data plane must be "
                    "allocation-free\n",
                    static_cast<unsigned long long>(delta), fanIn,
                    static_cast<unsigned long long>(total));
@@ -342,116 +321,9 @@ void BM_DataplaneBurstAllocFree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(frames));
   state.counters["allocs_per_frame"] = benchmark::Counter(0.0);
 }
-BENCHMARK(BM_DataplaneBurstAllocFree)->Arg(64)->Arg(256);
-
-// --- CI differential smoke ---------------------------------------------------
+BENCHMARK(BM_DataplaneFanInAllocFree)->Arg(64)->Arg(256);
 
 }  // namespace
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnvFold(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * kFnvPrime;
-}
-
-// Replays a fixed fan-in workload in one ingest mode and dumps a digest
-// folded over every frame's breakdown in completion order. submitBurst is
-// bit-identical to sequential invokes, so the single and burst dumps must
-// be byte-equal — CI `cmp`s them.
-int runSmoke(const std::string& mode, const std::string& outPath) {
-  if (mode != "single" && mode != "burst") {
-    std::fprintf(stderr, "error: --smoke_mode must be single|burst\n");
-    return 2;
-  }
-  const bool burst = mode == "burst";
-  constexpr std::size_t kFanIn = 64;
-  constexpr std::uint64_t kWaves = 12;
-
-  Fixture fx(kVRpis);
-  std::uint64_t digest = kFnvOffset;
-  std::uint64_t frames = 0;
-  std::vector<BurstStream> streams(fx.clients.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    streams[i].client = fx.clients[i].get();
-    streams[i].fanIn = kFanIn;
-    streams[i].burst = burst;
-  }
-  // Drive waves manually so the completion callback can fold the digest.
-  for (std::uint64_t wave = 0; wave < kWaves; ++wave) {
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      BurstStream& s = streams[i];
-      auto done = [&digest, &frames](const FrameBreakdown& b) {
-        std::uint64_t h = digest;
-        h = fnvFold(h, b.frameId);
-        h = fnvFold(h, static_cast<std::uint64_t>(b.outcome));
-        h = fnvFold(h, b.failovers);
-        h = fnvFold(h, static_cast<std::uint64_t>(
-                           b.submitted.time_since_epoch().count()));
-        h = fnvFold(h, static_cast<std::uint64_t>(
-                           b.completed.time_since_epoch().count()));
-        h = fnvFold(h, static_cast<std::uint64_t>(b.requestTransmit.count()));
-        h = fnvFold(h, static_cast<std::uint64_t>(b.queueDelay.count()));
-        h = fnvFold(h, static_cast<std::uint64_t>(b.inference.count()));
-        h = fnvFold(h, static_cast<std::uint64_t>(b.responseTransmit.count()));
-        digest = h;
-        ++frames;
-      };
-      if (burst) {
-        s.frames.resize(kFanIn);
-        for (auto& f : s.frames) f.done = done;
-        if (!s.client->submitBurst(s.frames).isOk()) return 1;
-      } else {
-        for (std::size_t j = 0; j < kFanIn; ++j) {
-          if (!s.client->invoke(done).isOk()) return 1;
-        }
-      }
-    }
-    fx.sim.run();
-  }
-
-  const std::string json =
-      strCat("{\"frames\": ", frames, ", \"digest\": ", digest, "}\n");
-  if (outPath.empty()) {
-    std::fputs(json.c_str(), stdout);
-    return 0;
-  }
-  std::FILE* f = std::fopen(outPath.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", outPath.c_str());
-    return 2;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  return 0;
-}
-
 }  // namespace microedge
 
-// Custom main: peel off the smoke-mode flags before handing the rest to
-// google-benchmark (which rejects arguments it doesn't know).
-int main(int argc, char** argv) {
-  std::string smokeMode;
-  std::string smokeOut;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--smoke_mode=", 0) == 0) {
-      smokeMode = arg.substr(13);
-    } else if (arg.rfind("--smoke_out=", 0) == 0) {
-      smokeOut = arg.substr(12);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  if (!smokeMode.empty()) {
-    return microedge::runSmoke(smokeMode, smokeOut);
-  }
-  int restc = static_cast<int>(rest.size());
-  benchmark::Initialize(&restc, rest.data());
-  if (benchmark::ReportUnrecognizedArguments(restc, rest.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -88,10 +88,6 @@ class TpuDevice {
   // Enqueues one inference. The callback fires at completion time with the
   // timing breakdown. Unknown models are rejected immediately.
   Status invoke(ModelId model, InvokeCallback done);
-  // Pre-grows the FIFO for `n` imminent invokes (a burst fanning in), so the
-  // pushes take the ring's non-growing path instead of doubling mid-burst.
-  // Purely a capacity hint — queue contents and timings are untouched.
-  void reserveBacklog(std::size_t n) { queue_.reserve(n); }
   // String wrapper: resolves the dense handle, then takes the path above.
   Status invoke(const std::string& model, InvokeCallback done);
 

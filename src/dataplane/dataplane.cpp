@@ -170,7 +170,7 @@ std::unique_ptr<TpuClient> DataPlane::makeClient(TpuClient::Config config) {
   // Keyed transport-loss identity: clients that don't bring their own
   // stream token get a deterministic sequential one (creation order is
   // fixed single-threaded setup), so loss outcomes replay identically at
-  // any shard count and under any submission batching.
+  // any shard count.
   if (config.streamToken == 0) config.streamToken = nextStreamToken_++;
   const unsigned shard = router_.shardOfNode(internNode(config.clientNode));
   auto client = std::make_unique<TpuClient>(

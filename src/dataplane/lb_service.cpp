@@ -25,28 +25,12 @@ Status LbService::configure(const LbConfig& config) {
   maskEvents_ = 0;
   perTarget_.assign(lbConfig_.weights.size(), 0);
   targetState_.assign(lbConfig_.weights.size(), TargetState{});
-  pickBuffer_.clear();  // prefetched picks belong to the old schedule
-  pickCursor_ = 0;
   return Status::ok();
 }
 
 std::size_t LbService::rawPick() {
-  if (pickCursor_ < pickBuffer_.size()) return pickBuffer_[pickCursor_++];
   return spread_ == LbSpread::kSmooth ? smooth_.pickIndex()
                                       : burst_.pickIndex();
-}
-
-void LbService::beginBurst(std::size_t k) {
-  assert(configured_ && "LbService::beginBurst before configure");
-  if (spread_ != LbSpread::kSmooth || k == 0) return;
-  // Compact already-served picks instead of appending behind them so the
-  // buffer never grows past one burst's worth.
-  pickBuffer_.erase(pickBuffer_.begin(),
-                    pickBuffer_.begin() +
-                        static_cast<std::ptrdiff_t>(pickCursor_));
-  pickCursor_ = 0;
-  if (pickBuffer_.size() >= k) return;
-  smooth_.pickBatch(k - pickBuffer_.size(), pickBuffer_);
 }
 
 std::size_t LbService::routeIndex() {
@@ -58,26 +42,9 @@ std::size_t LbService::routeIndex() {
 }
 
 void LbService::routeBatch(std::size_t k, std::vector<std::uint32_t>& out) {
-  assert(configured_ && "LbService::routeBatch before configure");
-  if (spread_ == LbSpread::kSmooth) {
-    const std::size_t first = out.size();
-    // Serve any beginBurst() prefetch first so the pick sequence stays
-    // identical however the caller mixes the routing entry points.
-    std::size_t fromBuffer = std::min(k, pickBuffer_.size() - pickCursor_);
-    for (std::size_t i = 0; i < fromBuffer; ++i) {
-      out.push_back(pickBuffer_[pickCursor_++]);
-    }
-    if (k > fromBuffer) smooth_.pickBatch(k - fromBuffer, out);
-    routed_ += k;
-    for (std::size_t i = first; i < out.size(); ++i) ++perTarget_[out[i]];
-    return;
-  }
   out.reserve(out.size() + k);
   for (std::size_t j = 0; j < k; ++j) {
-    std::size_t index = burst_.pickIndex();
-    ++routed_;
-    ++perTarget_[index];
-    out.push_back(static_cast<std::uint32_t>(index));
+    out.push_back(static_cast<std::uint32_t>(routeIndex()));
   }
 }
 
@@ -104,11 +71,6 @@ std::size_t LbService::routeHealthyIndex(SimTime now) {
 
 std::size_t LbService::routeHealthyBatch(SimTime now, std::size_t k,
                                          std::vector<std::uint32_t>& out) {
-  assert(configured_ && "LbService::routeHealthyBatch before configure");
-  // With every target healthy (the steady state) each frame is exactly one
-  // cached O(1) draw; the masked-skip loop only runs during a failure
-  // window. Identical to k sequential routeHealthyIndex calls because
-  // health state can only change between calls, never inside one.
   out.reserve(out.size() + k);
   std::size_t routed = 0;
   for (; routed < k; ++routed) {

@@ -68,36 +68,19 @@ class LbService {
   // config().weights. Per-frame hot path — no string is touched.
   // Precondition: configured().
   std::size_t routeIndex();
-  // Routes k requests in one call (a pod submitting a burst of frames),
-  // appending the target indices to `out`. The pick sequence is identical
-  // to k routeIndex() calls — the smooth spread serves the batch from its
-  // precomputed periodic schedule (one pass over the weight vector,
-  // amortized), so the per-frame cost is a table read instead of an O(n)
-  // credit scan. Precondition: configured().
+  // Routes k requests, appending the target indices to `out`: exactly k
+  // routeIndex() calls. Precondition: configured().
   void routeBatch(std::size_t k, std::vector<std::uint32_t>& out);
   // Health-aware routing: repeatedly draws from the WRR, skipping targets
   // whose mask window has not elapsed; a target whose window elapsed is
   // moved to kProbing and returned (half-open probe). Returns kNoTarget
   // when every target is masked. Precondition: configured().
   std::size_t routeHealthyIndex(SimTime now);
-  // Health-aware batch: equivalent to calling routeHealthyIndex(now) k
-  // times (no health feedback can interleave within one call), except it
-  // stops at the first kNoTarget draw. Appends the routed target indices to
-  // `out` and returns how many of the k frames were routed.
+  // Health-aware batch: routeHealthyIndex(now) up to k times, stopping at
+  // the first kNoTarget draw. Appends the routed target indices to `out`
+  // and returns how many of the k frames were routed.
   std::size_t routeHealthyBatch(SimTime now, std::size_t k,
                                 std::vector<std::uint32_t>& out);
-  // Burst routing prologue: prefetches `k` RAW smooth-WRR picks in one
-  // cycle-cache walk. Subsequent routeIndex()/routeHealthyIndex() calls
-  // consume the prefetched picks transparently — the health filter is still
-  // applied at serve time, against whatever the health state is THEN — and
-  // fall back to live picks once the buffer drains. Because the raw pick
-  // sequence is feedback-independent (health affects only the filter, never
-  // the WRR credits), every downstream routing decision is bit-identical to
-  // the unprefetched sequence; the burst merely pays one amortized walk
-  // instead of k credit scans. Health feedback between the prefetch and the
-  // serve (breaker trips mid-burst) is therefore safe. kBurst spread: no-op
-  // (its pick is already O(1)). Unconsumed picks simply serve later routes.
-  void beginBurst(std::size_t k);
   // Routes the next request; returns the target TPU id.
   // Precondition: configured().
   const std::string& route() { return lbConfig_.weights[routeIndex()].tpuId; }
@@ -126,7 +109,7 @@ class LbService {
   };
 
   void trip(TargetState& target, SimTime now);
-  // Next raw WRR pick: the prefetch buffer when non-empty, else a live draw.
+  // Next raw pick from the configured spread's WRR.
   std::size_t rawPick();
 
   LbSpread spread_;
@@ -140,9 +123,6 @@ class LbService {
   // Aligned with lbConfig_.weights (the WRR preserves target order).
   std::vector<std::uint64_t> perTarget_;
   std::vector<TargetState> targetState_;
-  // beginBurst() prefetch of raw WRR picks; capacity retained across bursts.
-  std::vector<std::uint32_t> pickBuffer_;
-  std::size_t pickCursor_ = 0;
 };
 
 }  // namespace microedge

@@ -291,222 +291,12 @@ Status TpuClient::invoke(CompletionCallback done) {
   return Status::ok();
 }
 
-// ---- Batched ingest ---------------------------------------------------------
-
 Status TpuClient::submitBurst(std::span<FrameSpec> frames) {
-  if (stopped_) return failedPrecondition("TPU client is stopped");
-  if (!lb_.configured()) {
-    return failedPrecondition("TPU client LB not configured");
+  for (FrameSpec& frame : frames) {
+    Status s = invoke(std::move(frame.done));
+    if (!s.isOk()) return s;
   }
-  const ModelInfo* info = registry_.byId(model_);
-  if (info == nullptr) {
-    return notFound(strCat("model not registered: ", config_.model));
-  }
-  const std::size_t k = frames.size();
-  if (k == 0) return Status::ok();
-
-  // Burst prologue: one WRR cycle-cache walk and one slab-run acquisition
-  // for the whole burst. Both are pure prefetches — every downstream
-  // decision still happens per frame, in submit order, against live state.
-  lb_.beginBurst(k);
-  const std::size_t base = burstScratch_.size();
-  pool_.acquireRun(k, burstScratch_);
-  BurstState burst;
-  const SimTime now = sim_.now();
-  burst.deadlineAt = now + config_.frameDeadline;
-
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t index = 0;
-    TpuService* service = routeToLiveTarget(&index);
-    // Same admission gate as invoke(), at the same sequential position. A
-    // rejected frame gives back its pre-acquired slot and fires its callback
-    // mid-burst exactly where sequential would — after a flush, so
-    // re-entrant submissions observe sequential state.
-    std::uint32_t ledgerEntry = AdmissionLedger::kNoEntry;
-    std::uint32_t ledgerCharge = 0;
-    if (service != nullptr && admissionEstimateMilli_ != 0) {
-      ledgerEntry = admission_.entryFor(lb_.config().weights[index].tpu);
-      if (ledgerEntry != AdmissionLedger::kNoEntry) {
-        if (!admission_.tryCharge(ledgerEntry, admissionEstimateMilli_)) {
-          ++submitted_;
-          ++failed_;
-          ++outcomes_[static_cast<std::size_t>(
-              FrameOutcome::kAdmissionRejected)];
-          FrameBreakdown b;
-          b.frameId = nextFrameId_++;
-          b.submitted = now;
-          b.outcome = FrameOutcome::kAdmissionRejected;
-          pool_.release(burstScratch_[base + i]);
-          CompletionCallback done = std::move(frames[i].done);
-          flushBurst(burst);
-          if (done) done(b);
-          continue;
-        }
-        ledgerCharge = admissionEstimateMilli_;
-      }
-    }
-    ++submitted_;
-    // Index by value each iteration: a re-entrant burst from a mid-loop
-    // completion callback may reallocate the scratch vector.
-    Handle h = burstScratch_[base + i];
-    InvokeContext* c = pool_.get(h);
-    c->breakdown = FrameBreakdown{};
-    c->breakdown.frameId = nextFrameId_++;
-    c->breakdown.submitted = now;
-    c->dlPrev = Handle{};
-    c->dlNext = Handle{};
-    c->ledgerEntry = ledgerEntry;
-    c->ledgerCharge = ledgerCharge;
-    c->done = std::move(frames[i].done);
-    if (service == nullptr) {
-      ME_LOG(kWarning) << "no reachable TPU service for " << config_.model
-                       << "; frame dropped";
-      // Sequential fires this callback between frame i-1 and i+1; flush so
-      // it observes (and its re-entrant submissions extend) the same
-      // deadline-queue and event state it would have seen there.
-      flushBurst(burst);
-      finish(h, FrameOutcome::kDroppedDeadTarget);
-      continue;
-    }
-    c->breakdown.preprocess = info->preprocessLatency;
-    c->breakdown.servedBy = lb_.config().weights[index].tpu;
-    c->serviceNode = service->nodeId();
-    c->inputBytes = info->inputBytes();
-    c->outputBytes = info->outputBytes;
-    c->inferenceEstimate = info->inferenceLatency;
-    c->postprocessLatency = info->postprocessLatency;
-    c->targetIndex = static_cast<std::uint32_t>(index);
-    if (config_.frameDeadline > SimDuration::zero()) {
-      // Locally-linked chain, spliced onto the queue in one append at flush
-      // (all frames of the burst share submit time, hence deadline).
-      c->deadlineAt = burst.deadlineAt;
-      c->dlPrev = burst.chainTail;
-      if (burst.chainTail.valid()) {
-        pool_.get(burst.chainTail)->dlNext = h;
-      } else {
-        burst.chainHead = h;
-      }
-      burst.chainTail = h;
-    }
-    if (sharded_ && router_.shardOfNode(c->serviceNode) != myShard_) {
-      // Cross-shard frames stay per-frame: mailbox sequence numbers must
-      // preserve submit order, and the remote path allocates anyway.
-      submitRemote(h, c, /*departAfter=*/info->preprocessLatency);
-      continue;
-    }
-    // Coalesce by arrival latency. The network charges every non-loopback
-    // pair the same base + size cost, so all non-loopback frames of the
-    // burst share one delivery timestamp regardless of target node — one
-    // event replaces up to k. Loopback (a target on the client's own node)
-    // is the one other latency class.
-    const int which = c->serviceNode == clientNode_ ? 1 : 0;
-    GroupHandle& gh = burst.group[which];
-    if (!gh.valid()) {
-      gh = groupPool_.acquire();
-      groupPool_.get(gh)->members.clear();
-    }
-    groupPool_.get(gh)->members.push_back(h);
-  }
-  flushBurst(burst);
-  burstScratch_.resize(base);
   return Status::ok();
-}
-
-void TpuClient::flushBurst(BurstState& burst) {
-  // Deadline splice first: sequential arms the timer during the first
-  // routed frame's dlEnqueue, before any delivery event is scheduled, so
-  // the timer's event id sorts ahead of same-timestamp deliveries.
-  if (burst.chainHead.valid()) {
-    pool_.get(burst.chainHead)->dlPrev = dlTail_;
-    if (dlTail_.valid()) {
-      pool_.get(dlTail_)->dlNext = burst.chainHead;
-    } else {
-      dlHead_ = burst.chainHead;
-    }
-    dlTail_ = burst.chainTail;
-    if (!dlTimer_.valid() && !dlSweeping_) {
-      dlTimer_ =
-          sim_.schedule(burst.deadlineAt, [this] { onDeadlineTimer(); });
-    }
-    burst.chainHead = Handle{};
-    burst.chainTail = Handle{};
-  }
-  closeBurstGroup(burst, 0);
-  closeBurstGroup(burst, 1);
-}
-
-void TpuClient::closeBurstGroup(BurstState& burst, int which) {
-  GroupHandle gh = burst.group[which];
-  if (!gh.valid()) return;
-  burst.group[which] = GroupHandle{};
-  BurstGroup* g = groupPool_.get(gh);
-  const std::size_t n = g->members.size();
-  InvokeContext* first = pool_.get(g->members[0]);
-  keyScratch_.clear();
-  for (Handle h : g->members) {
-    InvokeContext* c = pool_.get(h);
-    keyScratch_.push_back(
-        frameMsgKey(c->breakdown.frameId, c->breakdown.failovers, /*hop=*/0));
-  }
-  latScratch_.resize(n);
-  dropScratch_.resize(n);
-  // The first member's node stands in for the whole group: every member
-  // shares the latency class `which` encodes (all non-loopback pairs model
-  // to the same latency for equal bytes), and the transport's accounting
-  // never records endpoints — so counters, draws and latencies are exactly
-  // the member-wise ones.
-  bool scheduled = transport_.sendCoalesced(
-      clientNode_, first->serviceNode, first->inputBytes, keyScratch_.data(),
-      n, dropScratch_.data(), latScratch_.data(),
-      [this, gh] { onBurstDelivered(gh); },
-      /*departAfter=*/first->breakdown.preprocess);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    InvokeContext* c = pool_.get(g->members[i]);
-    c->breakdown.requestTransmit = latScratch_[i];
-    // A message the fault window ate never delivers (send() semantics): the
-    // frame leaves the fan-out list and sits in flight until its deadline.
-    if (dropScratch_[i] == 0) g->members[kept++] = g->members[i];
-  }
-  g->members.resize(kept);
-  if (!scheduled) {
-    g->members.clear();
-    groupPool_.release(gh);
-  }
-}
-
-void TpuClient::onBurstDelivered(GroupHandle gh) {
-  BurstGroup* g = groupPool_.get(gh);
-  if (g == nullptr) return;
-  // Batched FIFO reservation: one capacity hint per same-target run before
-  // the per-frame invokes push. Purely pre-sizing — no queue contents move.
-  const std::size_t n = g->members.size();
-  std::size_t i = 0;
-  while (i < n) {
-    InvokeContext* c = pool_.get(g->members[i]);
-    if (c == nullptr) {
-      ++i;  // frame terminated while the burst was on the wire
-      continue;
-    }
-    std::size_t run = 1;
-    while (i + run < n) {
-      InvokeContext* next = pool_.get(g->members[i + run]);
-      if (next == nullptr || !(next->breakdown.servedBy == c->breakdown.servedBy)) {
-        break;
-      }
-      ++run;
-    }
-    if (run > 1) {
-      TpuService* service = directory_(c->breakdown.servedBy);
-      if (service != nullptr) service->reserveBacklog(run);
-    }
-    i += run;
-  }
-  // Fan out in submit order == the order sequential deliveries (consecutive
-  // event ids at one timestamp) would have executed.
-  for (Handle h : g->members) onRequestDelivered(h);
-  g->members.clear();
-  groupPool_.release(gh);
 }
 
 // ---- Cross-shard remote path ------------------------------------------------
@@ -786,10 +576,9 @@ void TpuClient::onServiceRemoved(TpuId tpu) {
     if (c.breakdown.servedBy == tpu) doomed.push_back(h);
   });
   if (doomed.empty()) return;
-  // Canonical submission order, not pool-slot order: slot identities differ
-  // between invoke() and submitBurst() (run acquisition vs LIFO recycling),
-  // so the broadcast's failover/breaker sequence must key on frame ids to
-  // stay bit-identical across ingest modes.
+  // Failover goes oldest frame first, not in pool-slot order: LIFO slot
+  // reuse makes slot order depend on which frames finished first, so a
+  // newer frame can sit in a lower slot than older ones on this target.
   std::sort(doomed.begin(), doomed.end(), [this](Handle a, Handle b) {
     return pool_.get(a)->breakdown.frameId < pool_.get(b)->breakdown.frameId;
   });

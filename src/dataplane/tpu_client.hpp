@@ -68,7 +68,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/admission_ledger.hpp"
 #include "dataplane/lb_service.hpp"
@@ -137,9 +136,9 @@ class TpuClient {
     // Stable identity of this client's frame stream for keyed transport-loss
     // draws: with a nonzero token, whether a frame drops under a loss window
     // is a pure function of (fault seed, token, frame id, attempt, hop) —
-    // invariant to shard count, submission batching, and every other
-    // stream's traffic. Zero keeps the legacy per-lane sequential draws.
-    // DataPlane::makeClient auto-assigns a token when left at zero.
+    // invariant to shard count and to every other stream's traffic. Zero
+    // keeps the legacy per-lane sequential draws. DataPlane::makeClient
+    // auto-assigns a token when left at zero.
     std::uint64_t streamToken = 0;
     // Per-frame admission (DESIGN.md §14). Disabled keeps the submit path
     // bit-identical to a ledger-free build.
@@ -174,26 +173,10 @@ class TpuClient {
   struct FrameSpec {
     CompletionCallback done;
   };
-  // Batched ingest: submits `frames.size()` frames exactly as that many
-  // sequential invoke() calls would — bit-identical per-frame timings and
-  // outcomes — but amortizes the per-frame machinery across the burst:
-  //  * one slab-run acquisition instead of k free-list probes;
-  //  * one raw-WRR cycle-cache walk (LbService::beginBurst) instead of k
-  //    credit scans, with the health filter still applied per frame at
-  //    serve time;
-  //  * frames sharing an arrival latency (all non-loopback targets of one
-  //    model do — the network charges the same base + size cost to every
-  //    non-loopback pair) coalesce into ONE transport delivery event that
-  //    fans out in submit order on arrival, batching the device FIFO
-  //    reservations per same-target run;
-  //  * one deadline-FIFO splice per burst instead of k list appends.
-  // Synchronous terminal outcomes (e.g. no live target) still fire their
-  // callbacks mid-burst at exactly the sequential position: pending burst
-  // state is flushed before each such callback, so re-entrant submissions
-  // observe the same queue/transport/WRR state either way. Under an active
-  // loss window, bit-identity to sequential additionally requires a keyed
-  // client (nonzero streamToken) — unkeyed draws are order-dependent.
-  // An empty burst is a no-op. The single-frame invoke() stays canonical.
+  // Submits `frames.size()` frames at one instant: one invoke() per frame,
+  // in order, stopping at the first error (whose Status is returned).
+  // Frames before it were submitted; frames from it on were not. An empty
+  // burst is a no-op.
   Status submitBurst(std::span<FrameSpec> frames);
 
   // Stops accepting new frames (pod termination); in-flight frames finish.
@@ -329,44 +312,10 @@ class TpuClient {
   // counts the outcome, recycles the slot, and runs the completion callback.
   void finish(Handle h, FrameOutcome outcome);
 
-  // ---- Burst machinery ------------------------------------------------------
-  // A coalesced delivery's fan-out list: the handles of the burst frames
-  // sharing one arrival event, in submit order. Pooled so the vector's
-  // capacity is retained across recycling (zero allocations in steady
-  // state).
-  struct BurstGroup {
-    std::vector<Handle> members;
-  };
-  using GroupPool = SlabPool<BurstGroup>;
-  using GroupHandle = GroupPool::Handle;
-  // Open coalesced groups while a burst is being built (locals of
-  // submitBurst, passed down so mid-burst flushes can close them).
-  struct BurstState {
-    GroupHandle group[2]{};  // [0] = non-loopback targets, [1] = loopback
-    Handle chainHead{};      // locally-linked deadline chain
-    Handle chainTail{};
-    SimTime deadlineAt{};
-  };
   // Message key for keyed transport-loss draws; kUnkeyed when the client
   // has no stream token. hop: 0 = request, 1 = response.
   std::uint64_t frameMsgKey(std::uint64_t frameId, std::uint32_t attempt,
                             std::uint32_t hop) const;
-  // Closes one open group: one sendCoalesced for its members (per-message
-  // accounting + keyed draws identical to member-wise send()), stamps each
-  // member's requestTransmit, evicts messages the fault window dropped, and
-  // schedules the single fan-out event.
-  void closeBurstGroup(BurstState& burst, int which);
-  // Flushes everything a synchronous mid-burst callback must observe in
-  // sequential state: splices the deadline chain (arming the timer exactly
-  // where sequential would) and closes both open groups, so re-entrant
-  // submissions schedule their events after the burst's so-far and before
-  // its remainder — the sequential interleaving.
-  void flushBurst(BurstState& burst);
-  // The coalesced delivery event: batches device-FIFO reservations per
-  // same-target run, then runs onRequestDelivered for each member in submit
-  // order (stale handles — frames that terminated while the burst was on
-  // the wire — are skipped by the generation check).
-  void onBurstDelivered(GroupHandle gh);
 
   Simulator& sim_;
   const ModelRegistry& registry_;
@@ -385,16 +334,6 @@ class TpuClient {
   // floored at 1. Zero when admission is off or no deadline is configured.
   std::uint32_t admissionEstimateMilli_ = 0;
   ContextPool pool_;
-  GroupPool groupPool_;
-  // Burst scratch, capacity retained across bursts. burstScratch_ holds the
-  // acquired slab run; nested (re-entrant) bursts append behind the caller's
-  // range and truncate back on exit, so each burst indexes only its own
-  // [base, base+k) slice. The lat/drop buffers are used only inside
-  // closeBurstGroup, which runs no user code — safe across re-entrancy.
-  std::vector<Handle> burstScratch_;
-  std::vector<std::uint64_t> keyScratch_;
-  std::vector<SimDuration> latScratch_;
-  std::vector<std::uint8_t> dropScratch_;
   // Deadline queue state: head/tail of the intrusive FIFO plus the single
   // armed timer (invalid while the queue is empty or a sweep is running).
   Handle dlHead_{};

@@ -54,9 +54,6 @@ class TpuService {
   Status invoke(ModelId model, TpuDevice::InvokeCallback done);
   // String wrapper: resolves the dense handle, then takes the path above.
   Status invoke(const std::string& model, TpuDevice::InvokeCallback done);
-  // Capacity hint for a burst about to fan into this service's device FIFO;
-  // see TpuDevice::reserveBacklog.
-  void reserveBacklog(std::size_t n) { device_.reserveBacklog(n); }
 
   // Hang fault (USB stall, wedged runtime): the process is up but stops
   // answering — Load and Invoke return kUnavailable until the hang clears.

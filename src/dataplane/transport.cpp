@@ -72,35 +72,6 @@ SimDuration SimTransport::sendRouted(NodeId fromNode, NodeId toNode,
   return modelMessage(lane(), fromNode, toNode, bytes, dropped, msgKey);
 }
 
-bool SimTransport::sendCoalesced(NodeId fromNode, NodeId toNode,
-                                 std::size_t bytesEach,
-                                 const std::uint64_t* keys, std::size_t count,
-                                 std::uint8_t* droppedOut,
-                                 SimDuration* latencyOut, EventFn onDelivered,
-                                 SimDuration departAfter) {
-  Lane& l = lane();
-  SimDuration survivorLatency = SimDuration::zero();
-  std::size_t survivors = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    // Endpoints and size are shared, so every surviving message models to
-    // the same latency; the per-message calls are kept so counters, loss
-    // draws and per-message latencies stay exactly what `count` send()
-    // calls would have produced.
-    bool dropped = false;
-    latencyOut[i] = modelMessage(l, fromNode, toNode, bytesEach, &dropped,
-                                 keys != nullptr ? keys[i] : kUnkeyed);
-    droppedOut[i] = dropped ? 1 : 0;
-    if (!dropped) {
-      survivorLatency = latencyOut[i];
-      ++survivors;
-    }
-  }
-  if (survivors == 0) return false;
-  router_.currentSim().scheduleAfter(departAfter + survivorLatency,
-                                     std::move(onDelivered));
-  return true;
-}
-
 void SimTransport::setFault(double lossProbability, double latencyMultiplier,
                             std::uint64_t seed) {
   for (std::size_t s = 0; s < lanes_.size(); ++s) {

@@ -80,24 +80,6 @@ class SimTransport {
   SimDuration sendRouted(NodeId fromNode, NodeId toNode, std::size_t bytes,
                          bool* dropped, std::uint64_t msgKey = kUnkeyed);
 
-  // Coalesced burst delivery: models and accounts each of the `count`
-  // messages individually — counters, keyed loss draws and the per-message
-  // latencies written to `latencyOut` are exactly what `count` send() calls
-  // would produce (all messages share endpoints and size, so all survivors
-  // share one latency; a dropped message's latency skips the fault
-  // multiplier, same as send()) — but schedules ONE delivery event for the
-  // whole group instead of one per message. The caller fans surviving
-  // messages out on arrival: `droppedOut[i]` is set per message, and the
-  // event is skipped entirely when the fault window ate the whole group
-  // (matching send(), whose delivery never fires for a dropped message).
-  // Same-shard only, like send(). Returns true iff the delivery event was
-  // scheduled.
-  bool sendCoalesced(NodeId fromNode, NodeId toNode, std::size_t bytesEach,
-                     const std::uint64_t* keys, std::size_t count,
-                     std::uint8_t* droppedOut, SimDuration* latencyOut,
-                     EventFn onDelivered,
-                     SimDuration departAfter = SimDuration::zero());
-
   const NetworkModel& network() const { return network_; }
 
   // Fault window (driven by the fault injector): every message is dropped

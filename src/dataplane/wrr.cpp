@@ -86,22 +86,9 @@ std::size_t SmoothWrr::pickIndex() {
 }
 
 void SmoothWrr::pickBatch(std::size_t k, std::vector<std::uint32_t>& out) {
-  assert(!targets_.empty() && "pickBatch() on empty WRR");
-  buildCycleIfNeeded();
   out.reserve(out.size() + k);
-  if (cycle_.empty()) {
-    for (std::size_t j = 0; j < k; ++j) {
-      std::size_t best = stepLinear();
-      ++counts_[best];
-      out.push_back(static_cast<std::uint32_t>(best));
-    }
-    return;
-  }
   for (std::size_t j = 0; j < k; ++j) {
-    std::uint32_t best = cycle_[phase_];
-    if (++phase_ == totalWeight_) phase_ = 0;
-    ++counts_[best];
-    out.push_back(best);
+    out.push_back(static_cast<std::uint32_t>(pickIndex()));
   }
 }
 

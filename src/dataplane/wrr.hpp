@@ -28,17 +28,16 @@ struct WrrTarget {
 // of totalWeight picks each target is chosen exactly weight_i times, and
 // picks of the same target are spread maximally apart.
 //
-// Batching: the credit state returns to its initial value after exactly
+// Cycle cache: the credit state returns to its initial value after exactly
 // totalWeight() picks (each target wins weight_i times, so every credit
 // gains weight_i * W and loses weight_i * W), so the pick sequence is
 // periodic with period W. On the first pick the schedule's one period is
 // materialized in a single pass of W argmax steps over the weight vector
-// and every subsequent pick — single or batched — is a table read, which is
-// what makes routing k frames of a burst O(k) instead of O(k * n). Both
-// paths produce the sequence of the original incremental argmax by
-// construction (the cache is *built by* that argmax). Degenerate weight
-// sets whose reduced period exceeds kMaxCyclePeriod skip the cache and keep
-// the O(n)-per-pick scan.
+// and every subsequent pick is a table read: O(1) per frame instead of an
+// O(n) credit scan. The cached sequence is the original incremental
+// argmax's by construction (the cache is *built by* that argmax).
+// Degenerate weight sets whose reduced period exceeds kMaxCyclePeriod skip
+// the cache and keep the O(n)-per-pick scan.
 class SmoothWrr {
  public:
   // Reduced periods above this fall back to the per-pick argmax scan
@@ -57,7 +56,7 @@ class SmoothWrr {
   // Index of the next target into targets(). Precondition: !empty().
   // The per-frame hot path: no string is touched.
   std::size_t pickIndex();
-  // Appends k picks to out, identical to k successive pickIndex() calls.
+  // Appends k picks to out: exactly k pickIndex() calls.
   // Precondition: !empty().
   void pickBatch(std::size_t k, std::vector<std::uint32_t>& out);
   // Next target id. Precondition: !empty().

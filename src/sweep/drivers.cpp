@@ -18,6 +18,14 @@ StatusOr<SchedulingMode> parseMode(const std::string& mode) {
       strCat("sweep: unknown mode \"", mode, "\" (baseline|no_wp|wp)"));
 }
 
+// Grid-authoring errors surface in-band, so the offending point is visible
+// in the merged output.
+JsonValue pointError(const Status& status) {
+  JsonValue err = JsonValue::object();
+  err.set("error", status.toString());
+  return err;
+}
+
 // Explicit "seed" field wins (paper-shape grids pin the seed the serial
 // benches used); otherwise the coordinate-derived per-point seed.
 std::uint64_t pointSeed(const SweepPoint& p) {
@@ -28,13 +36,7 @@ std::uint64_t pointSeed(const SweepPoint& p) {
 JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
   ScalabilityScenario scenario;
   StatusOr<SchedulingMode> mode = parseMode(p.getString("mode", "wp"));
-  // A bad mode string is a grid-authoring error; surface it in-band so the
-  // offending point is visible in the merged output.
-  if (!mode.isOk()) {
-    JsonValue err = JsonValue::object();
-    err.set("error", mode.status().toString());
-    return err;
-  }
+  if (!mode.isOk()) return pointError(mode.status());
   scenario.mode = *mode;
   scenario.deployment.model = p.getString("model", zoo::kSsdMobileNetV2);
   scenario.deployment.fps = p.getDouble("fps", 15.0);
@@ -44,6 +46,18 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
   scenario.horizon = secondsF(p.getDouble("horizon_s", 40.0));
   scenario.seed = pointSeed(p);
   const int tpus = static_cast<int>(p.getInt("tpus", 1));
+  // The pool is built as tpus / tpus_per_node tRPis, so anything but a
+  // positive multiple would divide by zero or simulate a smaller pool than
+  // the point reports.
+  if (scenario.tpusPerNode <= 0) {
+    return pointError(invalidArgument(strCat(
+        "sweep: tpus_per_node must be positive, got ", scenario.tpusPerNode)));
+  }
+  if (tpus <= 0 || tpus % scenario.tpusPerNode != 0) {
+    return pointError(invalidArgument(
+        strCat("sweep: tpus (", tpus, ") must be a positive multiple of "
+               "tpus_per_node (", scenario.tpusPerNode, ")")));
+  }
 
   ScalabilityPoint r = runScalabilityPoint(scenario, tpus);
   JsonValue out = JsonValue::object();
@@ -57,17 +71,20 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
 
 JsonValue runTraceSweepPoint(const SweepPoint& p) {
   StatusOr<SchedulingMode> mode = parseMode(p.getString("mode", "wp"));
-  if (!mode.isOk()) {
-    JsonValue err = JsonValue::object();
-    err.set("error", mode.status().toString());
-    return err;
+  if (!mode.isOk()) return pointError(mode.status());
+  const double windowS = p.getDouble("window_s", 60.0);
+  // The utilization sampler is a PeriodicTask with this period; a zero
+  // period would never let simulated time advance.
+  if (!(secondsF(windowS) > SimDuration::zero())) {
+    return pointError(invalidArgument(
+        strCat("sweep: window_s must be at least 1 ns, got ", windowS)));
   }
   TraceScenarioConfig config;
   config.trace = MafTraceGenerator::paperDefaults();
   config.trace.horizon = secondsF(p.getDouble("horizon_min", 20.0) * 60.0);
   config.trace.seed = pointSeed(p);
   config.capacityUnits = p.getDouble("capacity_units", 10.0);
-  config.sampleWindow = secondsF(p.getDouble("window_s", 60.0));
+  config.sampleWindow = secondsF(windowS);
   config.testbed.mode = *mode;
   config.testbed.enableCoCompile = p.getBool("co_compile", true);
 
@@ -106,14 +123,9 @@ Status applyScenarioPolicy(const std::string& policy, SimDuration deadline,
 }
 
 JsonValue runScenarioSweepPoint(const SweepPoint& p) {
-  auto fail = [](const Status& status) {
-    JsonValue err = JsonValue::object();
-    err.set("error", status.toString());
-    return err;
-  };
   const std::string name = p.getString("scenario", "flashcrowd");
   StatusOr<ScenarioSpec> specOr = builtinScenario(name);
-  if (!specOr.isOk()) return fail(specOr.status());
+  if (!specOr.isOk()) return pointError(specOr.status());
   ScenarioSpec spec = *std::move(specOr);
   spec.seed = pointSeed(p);
   const double peak = p.getDouble("peak", 0.0);
@@ -134,12 +146,12 @@ JsonValue runScenarioSweepPoint(const SweepPoint& p) {
   config.scenario.sloDeadline = slo;
   const std::string policy = p.getString("policy", "none");
   Status applied = applyScenarioPolicy(policy, slo, &config);
-  if (!applied.isOk()) return fail(applied);
+  if (!applied.isOk()) return pointError(applied);
 
   ShardedCluster cluster(std::move(config));
-  if (!cluster.setupStatus().isOk()) return fail(cluster.setupStatus());
+  if (!cluster.setupStatus().isOk()) return pointError(cluster.setupStatus());
   Status ran = cluster.runScenario();
-  if (!ran.isOk()) return fail(ran);
+  if (!ran.isOk()) return pointError(ran);
 
   JsonValue out = JsonValue::object();
   out.set("scenario", name);

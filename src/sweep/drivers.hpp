@@ -9,10 +9,14 @@
 //       horizon) per point. Fields: model, fps, mode (baseline|no_wp|wp),
 //       tpus; optional tpus_per_node, horizon_s, camera_upper_bound, seed
 //       (explicit seed overrides the derived per-point seed so paper-shape
-//       grids reproduce the fixed-seed bench output).
+//       grids reproduce the fixed-seed bench output). tpus must be a
+//       positive multiple of tpus_per_node (default 1).
 //   "trace" — one runTraceScenario (MAF-like replay) per point. Fields:
-//       mode, co_compile; optional horizon_min, capacity_units, window_s,
-//       seed.
+//       mode, co_compile; optional horizon_min, capacity_units, window_s
+//       (positive), seed.
+//
+// A point whose fields a driver rejects yields {"error": "..."} in place of
+// its result, so one bad point neither stops the sweep nor hides in it.
 //   "scenario" — one ShardedCluster scenario run (DESIGN.md §15) per point:
 //       SLO attainment x load shape x control policy. Fields: scenario
 //       (builtin name: diurnal|flashcrowd|churn|failures|city), policy

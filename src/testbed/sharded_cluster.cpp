@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "core/extended_scheduler.hpp"
 #include "models/zoo.hpp"
@@ -441,7 +443,13 @@ void ShardedCluster::armTpuFailure(const std::string& tpuId, SimTime at,
 }
 
 void ShardedCluster::armFaults(const FaultPlan& plan) {
-  assert(!faultsArmed_ && "one fault plan per harness instance");
+  // Checked in every build: a second plan would arm on top of the first.
+  if (faultsArmed_) {
+    std::fprintf(stderr,
+                 "ShardedCluster::armFaults: a fault plan is already armed "
+                 "(one fault plan per instance)\n");
+    std::abort();
+  }
   faultsArmed_ = true;
   const SimTime base = sharded_->now();
   for (const FaultEvent& event : plan.events) {

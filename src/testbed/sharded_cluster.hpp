@@ -153,7 +153,8 @@ class ShardedCluster {
   const Status& setupStatus() const { return setupStatus_; }
 
   // Pre-arms a replayable fault plan (call before run; one plan per
-  // instance). Events are scheduled onto their owner shards.
+  // instance, counting a scenario's failure groups: a second plan aborts,
+  // in every build). Events are scheduled onto their owner shards.
   void armFaults(const FaultPlan& plan);
 
   void run(SimDuration horizon) { sharded_->runFor(horizon); }

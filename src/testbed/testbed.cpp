@@ -1,6 +1,8 @@
 #include "testbed/testbed.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -579,6 +581,20 @@ Status Testbed::applyScenario(const ScenarioSpec& spec,
   }
   Status valid = spec.validate();
   if (!valid.isOk()) return valid;
+  // Correlated failures ride the standard fault-plan path (single-tenant:
+  // every tRPi sits in group 0). Compiled first: a scenario with failures
+  // cannot share the testbed with a hand-written plan, and refusing must
+  // leave no deployment or event behind.
+  std::vector<std::vector<std::string>> nodesByRack(1);
+  for (RpiNode* node : topology_.tRpis()) {
+    nodesByRack[0].push_back(node->name());
+  }
+  const FaultPlan plan = compileScenarioFaults(spec, nodesByRack);
+  if (!plan.events.empty() && faultInjector_ != nullptr) {
+    return failedPrecondition(
+        "applyScenario: the spec has failure groups and a fault plan is "
+        "already armed (one fault plan per testbed)");
+  }
   scenarioArmed_ = true;
   const CompiledScenario compiled = compileScenario(spec, /*tenants=*/1);
   const SimTime base = sim_.now();
@@ -629,19 +645,19 @@ Status Testbed::applyScenario(const ScenarioSpec& spec,
     }
   }
 
-  // Correlated failures ride the standard fault-plan path (single-tenant:
-  // every tRPi sits in group 0).
-  std::vector<std::vector<std::string>> nodesByRack(1);
-  for (RpiNode* node : topology_.tRpis()) {
-    nodesByRack[0].push_back(node->name());
-  }
-  FaultPlan plan = compileScenarioFaults(spec, nodesByRack);
   if (!plan.events.empty()) armFaults(plan);
   return Status::ok();
 }
 
 FaultInjector& Testbed::armFaults(const FaultPlan& plan) {
-  assert(faultInjector_ == nullptr && "one fault plan per testbed");
+  // Checked in every build: replacing the injector would free it while the
+  // first plan's events are still pending in the simulator.
+  if (faultInjector_ != nullptr) {
+    std::fprintf(stderr,
+                 "Testbed::armFaults: a fault plan is already armed (one "
+                 "fault plan per testbed)\n");
+    std::abort();
+  }
   FaultInjector::Hooks hooks;
   // Crash, data-plane edge: the service vanishes; registered clients fail
   // over immediately. Pool + recovery learn nothing until detection.

@@ -189,7 +189,7 @@ class Testbed {
   // masked health state) and the control plane at t + detectionDelay
   // (failure recovery replans, weights push). Hangs flip TPU Services to
   // kUnavailable; transport faults drive the shared SimTransport. One plan
-  // per testbed instance.
+  // per testbed instance: a second call aborts, in every build.
   FaultInjector& armFaults(const FaultPlan& plan);
   FaultInjector* faultInjector() { return faultInjector_.get(); }
 
@@ -199,9 +199,11 @@ class Testbed {
   // testbed is single-tenant, so tenant-scoped entries apply to all), each
   // churn entry deploys its own camera from `churnTemplate` at its join time
   // and removes it at its leave time, and failure groups compile into a
-  // FaultPlan armed through armFaults (so a scenario and a hand-written plan
-  // are mutually exclusive). Call after the steady-state deployments, before
-  // run(); at most once per testbed.
+  // FaultPlan armed through armFaults (so a scenario with failure groups
+  // and a hand-written plan are mutually exclusive: with a plan already
+  // armed, such a spec returns FailedPrecondition and changes nothing).
+  // Call after the steady-state deployments, before run(); at most once per
+  // testbed.
   Status applyScenario(const ScenarioSpec& spec,
                        const CameraDeployment& churnTemplate = {});
 

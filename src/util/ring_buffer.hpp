@@ -35,13 +35,6 @@ class RingQueue {
     ++size_;
   }
 
-  // Ensures capacity for `extra` more elements in one growth step (a burst
-  // of pushes then takes the non-growing path every time, instead of up to
-  // log2(extra) incremental doublings mid-burst).
-  void reserve(std::size_t extra) {
-    while (size_ + extra > slots_.size()) grow();
-  }
-
   T& front() {
     assert(size_ > 0 && "front() on empty RingQueue");
     return slots_[head_];

@@ -55,7 +55,7 @@ class SlabPool {
   // Returns a handle to a live slot. The object is recycled, not
   // re-constructed — reset its fields before use.
   Handle acquire() {
-    if (freeList_.empty()) grow(1);
+    if (freeList_.empty()) grow();
     std::uint32_t index = freeList_.back();
     freeList_.pop_back();
     std::uint32_t gen = ++generation_[index];  // even -> odd: live
@@ -64,22 +64,11 @@ class SlabPool {
     return Handle{index, gen};
   }
 
-  // Acquires `n` slots in one call (a burst of frames entering the
-  // pipeline), appending their handles to `out`. Equivalent to n acquire()
-  // calls — same slots in the same order, one free-list top-up instead of n
-  // empty checks; chunks are added upfront so at most one growth path runs
-  // per burst regardless of n.
+  // Acquires `n` slots, appending their handles to `out`: exactly n
+  // acquire() calls.
   void acquireRun(std::size_t n, std::vector<Handle>& out) {
-    if (freeList_.size() < n) grow(n);
     out.reserve(out.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t index = freeList_.back();
-      freeList_.pop_back();
-      std::uint32_t gen = ++generation_[index];
-      assert((gen & 1u) == 1u && "acquired slot must be generation-odd");
-      out.push_back(Handle{index, gen});
-    }
-    inUse_ += n;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(acquire());
   }
 
   // Resolves a handle; nullptr if the handle is stale (its slot has been
@@ -127,24 +116,18 @@ class SlabPool {
     return &chunks_[k][index + 1u - (1u << k)];
   }
 
-  // Adds chunks until at least `n` slots are free. The new slots go beneath
-  // the free entries already listed, so recycled slots still come out first
-  // and never-used ones lowest index first, whichever call grew the pool.
-  void grow(std::size_t n) {
+  // Adds the next chunk; acquire() calls this only on an empty free list.
+  // Chunk k starts at index capacity() == 2^k - 1 and holds 2^k slots,
+  // listed so the lowest index comes out first.
+  void grow() {
     const std::size_t oldCapacity = generation_.size();
-    std::size_t newCapacity = oldCapacity;
-    while (freeList_.size() + (newCapacity - oldCapacity) < n) {
-      // The next chunk starts at index newCapacity == 2^k - 1, holding 2^k.
-      chunks_.push_back(std::make_unique<T[]>(newCapacity + 1));
-      newCapacity = 2 * newCapacity + 1;
-    }
+    const std::size_t newCapacity = 2 * oldCapacity + 1;
     assert(newCapacity < kInvalidIndex && "slab pool index space");
-    const std::size_t added = newCapacity - oldCapacity;
+    chunks_.push_back(std::make_unique<T[]>(oldCapacity + 1));
     generation_.resize(newCapacity, 0);
     freeList_.reserve(newCapacity);
-    freeList_.insert(freeList_.begin(), added, 0);
-    for (std::size_t i = 0; i < added; ++i) {
-      freeList_[i] = static_cast<std::uint32_t>(newCapacity - 1 - i);
+    for (std::size_t i = newCapacity; i > oldCapacity; --i) {
+      freeList_.push_back(static_cast<std::uint32_t>(i - 1));
     }
   }
 

@@ -1,14 +1,13 @@
-// Batched-ingest acceptance proof: TpuClient::submitBurst(k frames) must be
-// observably indistinguishable — per-frame FrameBreakdown timings, outcomes,
-// failover counts, and client counters — from k sequential invoke() calls at
-// the same instant. Two separate simulations over identical topologies are
-// driven through each mode and compared field by field (SimTime is integer
-// nanoseconds: EXPECT_EQ, no tolerance), across the paths where batching
-// could plausibly diverge: queue contention, deadline shedding, circuit-
-// breaker trips during routing, a service removal racing the burst's wire
-// time, and an active transport loss + latency-spike window (keyed clients).
-// Plus the edge cases: empty burst, burst larger than the free slab run,
-// every target masked (exactly one terminal outcome per frame).
+// TpuClient::submitBurst(k frames) contract: it is k sequential invoke()
+// calls at the same instant, so per-frame FrameBreakdown timings, outcomes,
+// failover counts and client counters must equal those of the sequential
+// calls. Two separate simulations over identical topologies are driven
+// through each entry point and compared field by field (SimTime is integer
+// nanoseconds: EXPECT_EQ, no tolerance), under queue contention, deadline
+// shedding, circuit-breaker trips during routing, a service removal racing
+// the frames' wire time, and an active transport loss + latency-spike
+// window. Plus the edge cases: empty burst, burst larger than the free slab
+// run, every target masked (exactly one terminal outcome per frame).
 
 #include <gtest/gtest.h>
 
@@ -105,7 +104,7 @@ void expectSameCounters(const TpuClient& burst, const TpuClient& seq) {
 
 TEST(BurstIngestTest, HealthyBurstsMatchSequentialBitForBit) {
   // Client on trpi-00: routes to tpu-00 are loopback, tpu-01 non-loopback,
-  // so every round exercises BOTH coalesced groups plus queue contention on
+  // so every round exercises both latency classes plus queue contention on
   // the shared devices.
   Cluster a, b;
   a.loadAll(zoo::kSsdMobileNetV2);
@@ -169,9 +168,8 @@ TEST(BurstIngestTest, DeadlineSheddingMatchesSequential) {
 
 TEST(BurstIngestTest, BreakerTripDuringRoutingMatchesSequential) {
   // tpu-00 is removed before the burst: its WRR draws feed the circuit
-  // breaker until it masks the target mid-burst. The burst's prefetched raw
-  // picks must replay the same draw sequence — same breaker trip point,
-  // same serving targets.
+  // breaker until it masks the target mid-burst. The burst must replay the
+  // same draw sequence — same breaker trip point, same serving targets.
   Cluster a, b;
   a.loadAll(zoo::kMobileNetV1);
   b.loadAll(zoo::kMobileNetV1);
@@ -203,8 +201,8 @@ TEST(BurstIngestTest, BreakerTripDuringRoutingMatchesSequential) {
 TEST(BurstIngestTest, RemovalWhileBurstInFlightMatchesSequential) {
   // The burst is on the wire (delivery event scheduled, frames in flight)
   // when tpu-01 vanishes: its frames fail over immediately via the fail-fast
-  // broadcast, leaving stale handles in the coalesced fan-out list that the
-  // generation check must skip.
+  // broadcast, leaving stale delivery events that the generation check must
+  // skip.
   Cluster a, b;
   a.loadAll(zoo::kMobileNetV1);
   b.loadAll(zoo::kMobileNetV1);
@@ -291,9 +289,9 @@ TEST(BurstIngestTest, EmptyBurstIsANoop) {
 }
 
 TEST(BurstIngestTest, BurstLargerThanFreeSlabRunGrowsThePool) {
-  // A burst far larger than any slab chunk: acquireRun must grow the pool
-  // mid-acquisition, every frame must reach a terminal outcome, and every
-  // slot must come back.
+  // A burst far larger than any slab chunk: the pool must grow mid-burst,
+  // every frame must reach a terminal outcome, and every slot must come
+  // back.
   Cluster cluster;
   cluster.loadAll(zoo::kMobileNetV1);
   auto client = cluster.dataPlane.makeClient("vrpi-00", zoo::kMobileNetV1);
@@ -318,7 +316,7 @@ TEST(BurstIngestTest, BurstLargerThanFreeSlabRunGrowsThePool) {
 TEST(BurstIngestTest, AllTargetsMaskedEveryFrameGetsExactlyOneOutcome) {
   // Both services are gone before the burst: every frame must terminate
   // kDroppedDeadTarget with its callback fired exactly once, synchronously,
-  // mid-loop (the flush-before-callback path).
+  // mid-loop.
   Cluster cluster;
   cluster.loadAll(zoo::kMobileNetV1);
   auto client = cluster.dataPlane.makeClient("vrpi-00", zoo::kMobileNetV1);

@@ -265,6 +265,43 @@ TEST_F(ReliabilityTest, RemoveServiceNotifiesSurvivorsInCreationOrder) {
   EXPECT_EQ(notified, survivors);
 }
 
+TEST_F(ReliabilityTest, RemovalFailsOverOldestFrameFirst) {
+  // LIFO slot reuse can put a newer frame in a lower slot than older frames
+  // in flight to the same target; the fail-fast sweep must still re-ship
+  // them oldest first. Weights 2:1 route frames 1, 3, 4 to tpu-00 and
+  // frame 2 to tpu-01. Frame 1 takes slot 0, frame 3 slot 2; frame 4 is
+  // submitted from frame 1's completion and reuses slot 0.
+  loadEverywhere(zoo::kMobileNetV1);
+  auto client = makeClient(baseConfig(zoo::kMobileNetV1));
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 200},
+                                          LbWeight{"tpu-01", 100}}})
+                  .isOk());
+  std::vector<FrameBreakdown> failedOver;
+  auto record = [&failedOver](const FrameBreakdown& b) {
+    if (b.failovers > 0) failedOver.push_back(b);
+  };
+  auto first = [&](const FrameBreakdown& b) {
+    ASSERT_EQ(b.frameId, 1u);
+    ASSERT_EQ(b.servedByName(), "tpu-00");
+    ASSERT_TRUE(client->invoke(record).isOk());  // frame 4 -> tpu-00
+    sim_.scheduleAfter(SimDuration::zero(),
+                       [&] { dataPlane_.removeService("tpu-00"); });
+  };
+  ASSERT_TRUE(client->invoke(first).isOk());
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(client->invoke(record).isOk());
+  sim_.run();
+
+  ASSERT_EQ(failedOver.size(), 2u);
+  EXPECT_EQ(failedOver[0].frameId, 3u);
+  EXPECT_EQ(failedOver[1].frameId, 4u);
+  for (const FrameBreakdown& b : failedOver) {
+    EXPECT_EQ(b.outcome, FrameOutcome::kCompleted);
+    EXPECT_EQ(b.servedByName(), "tpu-01");
+  }
+  EXPECT_LT(failedOver[0].completed, failedOver[1].completed);
+}
+
 TEST_F(ReliabilityTest, DataPlaneDestroyedFirstDetachesClientHooks) {
   ClusterTopology topo(sim_, zoo_, smallTopology());
   auto plane = std::make_unique<DataPlane>(sim_, topo, zoo_);

@@ -1,7 +1,7 @@
-// LbService batched routing: routeBatch / routeHealthyBatch are pure
-// optimizations over k single calls — the differential tests here hold the
-// batch path to byte-identical pick sequences and counter states, including
-// with health events (trips, probes) landing between batches.
+// LbService batched routing: routeBatch / routeHealthyBatch are loops over
+// k single calls — the differential tests here hold them to byte-identical
+// pick sequences and counter states, including with health events (trips,
+// probes) landing between batches.
 
 #include <gtest/gtest.h>
 

@@ -224,5 +224,43 @@ TEST(ScenarioCluster, TestbedAppliesScenarioTimeline) {
   EXPECT_GT(pipeline->slo().completed(), 95u);
 }
 
+TEST(ScenarioCluster, TestbedRefusesScenarioFailuresOverAnArmedPlan) {
+  // Failure groups compile into a second fault plan. With a hand-written
+  // plan armed, the scenario is refused before it deploys or schedules
+  // anything, so a failure-free spec can still be applied afterwards.
+  Testbed testbed;
+  CameraDeployment resident;
+  resident.name = "resident-cam";
+  resident.model = zoo::kMobileNetV1;
+  resident.fps = 15.0;
+  ASSERT_TRUE(testbed.deployCamera(resident).isOk());
+  FaultPlan hang;
+  hang.events.push_back(
+      {seconds(1), FaultKind::kTpuHang, "tpu-00", milliseconds(500), 0.0});
+  testbed.armFaults(hang);
+  const std::size_t pending = testbed.sim().pendingCount();
+
+  ScenarioSpec spec;
+  spec.name = "failures-over-plan";
+  spec.horizonS = 4.0;
+  spec.quantumNs = 0;
+  // Present from the start: applying the spec would deploy it at once.
+  spec.churn = {{/*tenant=*/0, /*joinS=*/0.0, /*leaveS=*/0.0, /*count=*/1}};
+  spec.failures = {{/*atS=*/2.0, /*tenant=*/0, /*count=*/1}};
+  CameraDeployment churnTemplate = resident;
+  churnTemplate.name = "churn-cam";
+  Status refused = testbed.applyScenario(spec, churnTemplate);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition)
+      << refused.toString();
+  EXPECT_EQ(testbed.liveCameraCount(), 1u);
+  EXPECT_EQ(testbed.sim().pendingCount(), pending);
+
+  spec.failures.clear();
+  ASSERT_TRUE(testbed.applyScenario(spec, churnTemplate).isOk());
+  EXPECT_EQ(testbed.liveCameraCount(), 2u);
+  testbed.run(secondsF(spec.horizonS));
+  EXPECT_EQ(testbed.faultInjector()->log().size(), 2u);  // hang on + off
+}
+
 }  // namespace
 }  // namespace microedge

@@ -144,5 +144,19 @@ TEST(ShardedDifferential, RepeatedRunsAreByteIdentical) {
   EXPECT_FALSE(first.empty());
 }
 
+// One fault plan per instance, checked in every build: a second plan must
+// not arm on top of the first.
+TEST(ShardedClusterDeathTest, SecondFaultPlanAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardedCluster cluster(baseConfig(1));
+  ASSERT_TRUE(cluster.setupStatus().isOk());
+  FaultPlan hang;
+  hang.events.push_back({milliseconds(500), FaultKind::kTpuHang,
+                         cluster.topology().tpus().front()->id(),
+                         milliseconds(300), 0.0});
+  cluster.armFaults(hang);
+  EXPECT_DEATH(cluster.armFaults(FaultPlan{}), "a fault plan is already armed");
+}
+
 }  // namespace
 }  // namespace microedge

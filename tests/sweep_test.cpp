@@ -418,5 +418,43 @@ TEST(SweepDriversTest, BuiltinGridsResolve) {
   EXPECT_FALSE(findSweepDriver("nope").isOk());
 }
 
+// A bad grid value is a grid-authoring error: the point reports it in-band,
+// the way an unknown mode does, instead of crashing, hanging or simulating
+// something other than what it reports.
+JsonValue runDriverPoint(const std::string& driver, JsonValue values) {
+  auto fn = findSweepDriver(driver);
+  EXPECT_TRUE(fn.isOk()) << driver;
+  SweepPoint point;
+  point.values = std::move(values);
+  return (*fn)(point);
+}
+
+TEST(SweepDriversTest, ZeroTpusPerNodeIsAnInBandError) {
+  JsonValue values = JsonValue::object();
+  values.set("tpus", 2);
+  values.set("tpus_per_node", 0);
+  JsonValue result = runDriverPoint("scalability", std::move(values));
+  EXPECT_NE(result.find("error"), nullptr) << result.dump();
+}
+
+TEST(SweepDriversTest, TpusNotAMultipleOfTpusPerNodeIsAnInBandError) {
+  // 3 TPUs at 2 per node would be built as one 2-TPU node.
+  JsonValue values = JsonValue::object();
+  values.set("tpus", 3);
+  values.set("tpus_per_node", 2);
+  values.set("horizon_s", 0.5);
+  values.set("camera_upper_bound", 4);
+  JsonValue result = runDriverPoint("scalability", std::move(values));
+  EXPECT_NE(result.find("error"), nullptr) << result.dump();
+}
+
+TEST(SweepDriversTest, ZeroTraceWindowIsAnInBandError) {
+  JsonValue values = JsonValue::object();
+  values.set("horizon_min", 0.1);
+  values.set("window_s", 0.0);
+  JsonValue result = runDriverPoint("trace", std::move(values));
+  EXPECT_NE(result.find("error"), nullptr) << result.dump();
+}
+
 }  // namespace
 }  // namespace microedge

@@ -201,5 +201,18 @@ TEST(TestbedTest, DuplicateCameraNameRejected) {
   EXPECT_EQ(testbed.removeCamera("ghost").code(), StatusCode::kNotFound);
 }
 
+// One fault plan per testbed, checked in every build: replacing the
+// injector would free it while the first plan's events are still pending.
+TEST(TestbedDeathTest, SecondFaultPlanAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Testbed testbed;
+  ASSERT_TRUE(testbed.deployCamera(coralPieCamera("cam-0")).isOk());
+  FaultPlan hang;
+  hang.events.push_back(
+      {seconds(1), FaultKind::kTpuHang, "tpu-00", milliseconds(500), 0.0});
+  testbed.armFaults(hang);
+  EXPECT_DEATH(testbed.armFaults(FaultPlan{}), "a fault plan is already armed");
+}
+
 }  // namespace
 }  // namespace microedge

@@ -141,10 +141,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<std::uint32_t>{650, 350},
                       std::vector<std::uint32_t>{1000, 200, 150, 100}));
 
-// Batched picking must be *identical* to single picks — the batch path is
-// an optimization (the precomputed periodic schedule), never a different
-// scheduler. Tested in both regimes: the cached cycle and the linear
-// fallback for degenerate weight sets whose period exceeds the cap.
+// Batched picking must be *identical* to single picks — pickBatch is a loop
+// over pickIndex, never a different scheduler. Tested in both regimes: the
+// cached cycle and the linear fallback for degenerate weight sets whose
+// period exceeds the cap.
 
 TEST_P(WrrPropertyTest, BatchMatchesSinglePicks) {
   SmoothWrr single, batched;
