@@ -6,7 +6,10 @@
 //   1. the *actual* control-plane work is executed and timed in wall-clock
 //      terms (default scheduler + Algorithm 1 + LBS configuration) on this
 //      machine — it is microseconds, confirming the paper's point that the
-//      scheduling extension itself is not what costs time;
+//      scheduling extension itself is not what costs time. The measurement
+//      goes to stderr: it is far below the table's 1 ms resolution, so the
+//      launch model leaves it out and stdout stays byte-for-byte
+//      reproducible (tests/golden/ holds it);
 //   2. the launch pipeline components that exist only on real hardware are
 //      drawn from calibrated distributions (K3s API/bind machinery and
 //      container start on an RPi; co-compilation in a parallel process that
@@ -69,8 +72,9 @@ int main() {
         400.0, rng.gaussian(kContainerStartMeanMs, kContainerStartStddevMs));
     k3s.add(control + container);
 
-    // MicroEdge: extension work (measured, tiny) + Load push + LBS config.
-    double extra = extensionMs + kModelPushMeanMs * rng.uniform(0.8, 1.2) +
+    // MicroEdge: Load push + LBS config (the extension work itself is the
+    // measured microseconds above).
+    double extra = kModelPushMeanMs * rng.uniform(0.8, 1.2) +
                    kLbsConfigMeanMs * rng.uniform(0.8, 1.2);
     microedge.add(control + extra + container);
 
@@ -81,9 +85,10 @@ int main() {
     microedgeCc.add(control + extra + std::max(container, compile));
   }
 
+  std::cerr << "measured extended-scheduler wall-clock per pod: "
+            << fmtDouble(extensionMs, 3) << " ms (Algorithm 1 + bookkeeping)\n";
   std::cout << banner("Fig. 7a — admission control overhead (pod launch)");
-  std::cout << "measured extended-scheduler wall-clock per pod: "
-            << fmtDouble(extensionMs, 3) << " ms (Algorithm 1 + bookkeeping)\n\n";
+  std::cout << "\n";
   TextTable table({"config", "mean (ms)", "stddev (ms)", "p99 (ms)",
                    "vs native"});
   auto addRow = [&](const char* label, const Summary& s, const Summary& base) {

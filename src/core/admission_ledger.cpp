@@ -1,7 +1,8 @@
 #include "core/admission_ledger.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace microedge {
 
@@ -34,10 +35,25 @@ std::uint32_t AdmissionLedger::entryFor(TpuId tpu) const {
   return kNoEntry;
 }
 
+// The ledger's checks hold in every build, as SLEdge panics on the same
+// underflow: a bad entry index or a credit without a charge is a pipeline
+// bug, and a silently negative charge would skew every later admission
+// decision on that target. Each prints its context and aborts.
+AdmissionLedger::Entry& AdmissionLedger::checkedEntry(
+    const char* op, std::uint32_t entry, std::uint32_t estimateMilli) {
+  if (entry >= entries_.size()) {
+    std::fprintf(stderr,
+                 "AdmissionLedger: %s: entry %u out of range (%zu entries, "
+                 "estimate=%u milli)\n",
+                 op, entry, entries_.size(), estimateMilli);
+    std::abort();
+  }
+  return entries_[entry];
+}
+
 bool AdmissionLedger::tryCharge(std::uint32_t entry,
                                 std::uint32_t estimateMilli) {
-  assert(entry < entries_.size());
-  Entry& e = entries_[entry];
+  Entry& e = checkedEntry("charge", entry, estimateMilli);
   // Progress rule: an idle target always takes one frame, however large the
   // estimate; otherwise the charge must fit under the capacity line.
   if (e.chargedMilli != 0 &&
@@ -53,10 +69,16 @@ bool AdmissionLedger::tryCharge(std::uint32_t entry,
 
 void AdmissionLedger::credit(std::uint32_t entry,
                              std::uint32_t estimateMilli) {
-  assert(entry < entries_.size());
-  Entry& e = entries_[entry];
+  Entry& e = checkedEntry("credit", entry, estimateMilli);
+  if (e.chargedMilli < static_cast<std::int64_t>(estimateMilli)) {
+    std::fprintf(stderr,
+                 "AdmissionLedger: credit without charge (entry=%u tpu=%s "
+                 "estimate=%u charged=%lld, milli units)\n",
+                 entry, tpuName(e.tpu).c_str(), estimateMilli,
+                 static_cast<long long>(e.chargedMilli));
+    std::abort();
+  }
   e.chargedMilli -= static_cast<std::int64_t>(estimateMilli);
-  assert(e.chargedMilli >= 0 && "admission ledger credit without charge");
   ++credited_;
 }
 

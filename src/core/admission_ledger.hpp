@@ -76,7 +76,9 @@ class AdmissionLedger {
   bool tryCharge(std::uint32_t entry, std::uint32_t estimateMilli);
 
   // Returns a terminal frame's charge. Exactly one credit per charge is the
-  // conservation invariant the chaos soak asserts.
+  // conservation invariant the chaos soak asserts. A credit larger than the
+  // entry's outstanding charge, or a charge or credit to an unknown entry,
+  // prints its context and aborts in every build.
   void credit(std::uint32_t entry, std::uint32_t estimateMilli);
 
   // --- Introspection (tests, metrics) ---------------------------------------
@@ -99,6 +101,10 @@ class AdmissionLedger {
     std::int64_t capacityMilli = 0;
     std::int64_t chargedMilli = 0;
   };
+  // entries_[entry], aborting with `op` and the context on a bad index.
+  Entry& checkedEntry(const char* op, std::uint32_t entry,
+                      std::uint32_t estimateMilli);
+
   std::vector<Entry> entries_;  // append-only; indices are stable
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;

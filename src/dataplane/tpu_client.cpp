@@ -41,8 +41,7 @@ TpuClient::TpuClient(ShardRouter& router, const ModelRegistry& registry,
     : sim_(router.shardSim(router.shardOfNode(internNode(config.clientNode)))),
       registry_(registry), transport_(transport),
       directory_(std::move(directory)), config_(std::move(config)),
-      router_(router), sharded_(router.shardCount() > 1),
-      clientNode_(internNode(config_.clientNode)),
+      router_(router), clientNode_(internNode(config_.clientNode)),
       model_(internModel(config_.model)), lb_(config_.spread) {
   lb_.setHealthConfig(config_.health);
   myShard_ = router_.shardOfNode(clientNode_);
@@ -261,10 +260,6 @@ Status TpuClient::invoke(CompletionCallback done) {
   c->breakdown.preprocess = info->preprocessLatency;
   c->breakdown.servedBy = lb_.config().weights[index].tpu;
   c->serviceNode = service->nodeId();
-  c->inputBytes = info->inputBytes();
-  c->outputBytes = info->outputBytes;
-  c->inferenceEstimate = info->inferenceLatency;
-  c->postprocessLatency = info->postprocessLatency;
   c->targetIndex = static_cast<std::uint32_t>(index);
 
   // Deadline: append to the client's intrusive deadline FIFO — a few index
@@ -279,15 +274,7 @@ Status TpuClient::invoke(CompletionCallback done) {
   // then the request hop. The preprocess stage delays departure
   // (departAfter) rather than taking its own event; only the wire latency
   // lands in requestTransmit.
-  if (sharded_ && router_.shardOfNode(c->serviceNode) != myShard_) {
-    submitRemote(h, c, /*departAfter=*/info->preprocessLatency);
-    return Status::ok();
-  }
-  c->breakdown.requestTransmit = transport_.send(
-      clientNode_, c->serviceNode, c->inputBytes,
-      [this, h] { onRequestDelivered(h); },
-      /*departAfter=*/info->preprocessLatency,
-      frameMsgKey(c->breakdown.frameId, /*attempt=*/0, /*hop=*/0));
+  ship(h, c, /*departAfter=*/info->preprocessLatency);
   return Status::ok();
 }
 
@@ -299,132 +286,144 @@ Status TpuClient::submitBurst(std::span<FrameSpec> frames) {
   return Status::ok();
 }
 
-// ---- Cross-shard remote path ------------------------------------------------
+// ---- The frame pipeline -----------------------------------------------------
 
-void TpuClient::submitRemote(Handle h, InvokeContext* c,
-                             SimDuration departAfter) {
+void TpuClient::ship(Handle h, InvokeContext* c, SimDuration departAfter) {
+  const std::uint64_t frameId = c->breakdown.frameId;
+  const std::uint32_t attempt = c->breakdown.failovers;
   bool dropped = false;
-  SimDuration reqLat = transport_.sendRouted(
-      clientNode_, c->serviceNode, c->inputBytes, &dropped,
-      frameMsgKey(c->breakdown.frameId, c->breakdown.failovers, /*hop=*/0));
-  c->breakdown.requestTransmit += reqLat;
+  const SimDuration latency = transport_.sendRouted(
+      clientNode_, c->serviceNode, modelInfo().inputBytes(), &dropped,
+      frameMsgKey(frameId, attempt, /*hop=*/0));
+  // Transmit cost accumulates across attempts.
+  c->breakdown.requestTransmit += latency;
   if (dropped) return;  // lost on the wire; the deadline timer notices
-  RemoteHop hop;
-  hop.client = this;
-  hop.h = h;
-  hop.target = c->breakdown.servedBy;
-  hop.model = model_;
-  hop.serviceNode = c->serviceNode;
-  hop.clientNode = clientNode_;
-  hop.clientShard = myShard_;
-  hop.inferenceEstimate = c->inferenceEstimate;
-  hop.deadlineAt = config_.frameDeadline > SimDuration::zero()
-                       ? c->deadlineAt
-                       : SimTime::max();
-  hop.outputBytes = c->outputBytes;
-  hop.postprocess = c->postprocessLatency;
-  hop.respKey =
-      frameMsgKey(c->breakdown.frameId, c->breakdown.failovers, /*hop=*/1);
-  // Arrival time is exactly the solo path's: now + departAfter + transfer
-  // latency. Cross-shard implies cross-node, so reqLat >= the network base
-  // latency == the router's lookahead and the mailbox invariant holds.
-  const SimTime arriveAt = sim_.now() + departAfter + reqLat;
-  router_.postToShard(router_.shardOfNode(c->serviceNode), arriveAt,
-                      [hop] { remoteArrival(hop); });
+  const Hop hop{this,
+                h,
+                c->breakdown.servedBy,
+                c->serviceNode,
+                config_.frameDeadline > SimDuration::zero() ? c->deadlineAt
+                                                            : SimTime::max(),
+                frameMsgKey(frameId, attempt, /*hop=*/1)};
+  // Cross-shard implies cross-node, so latency >= the network base latency
+  // == the router's lookahead and the mailbox invariant holds.
+  router_.postToShard(router_.shardOfNode(c->serviceNode),
+                      sim_.now() + departAfter + latency,
+                      [hop] { onArrival(hop); });
 }
 
-void TpuClient::remoteArrival(RemoteHop hop) {
-  // Runs on the service shard: only the envelope, the service's own state
-  // and this shard's transport lane may be touched here.
-  TpuClient* client = hop.client;
-  Simulator& sim = client->router_.currentSim();
-  TpuService* service = client->directory_(hop.target);
+void TpuClient::onArrival(const Hop& hop) {
+  // Stage 3: inference on the (serial, run-to-completion) TPU. The service
+  // is resolved by dense handle at arrival: if it was removed while the
+  // frame was on the wire, the frame fails over instead of touching a dead
+  // instance. A frame that is already terminal needs no check here: it
+  // timed out (so the shed predicate drops it) or failed over away from a
+  // removed service (never re-added, so the directory says null).
+  const TpuClient& client = *hop.client;
+  TpuService* service = client.directory_(hop.target);
   if (service == nullptr) {
-    postRemoteNack(hop, RemoteNack::kDeadTarget);
+    nack(hop, Nack::kDeadTarget);
     return;
   }
-  // Deadline-based shedding, same predicate as onRequestDelivered.
+  // Deadline-based shedding: if the device backlog plus our own service
+  // time already overruns the deadline, drop now instead of queueing work
+  // whose result nobody can use. Conservative (response hop and postprocess
+  // are not included).
   if (hop.deadlineAt != SimTime::max()) {
-    SimDuration wait =
-        service->device().estimatedBacklog(sim.now(), hop.inferenceEstimate);
-    if (sim.now() + wait + hop.inferenceEstimate > hop.deadlineAt) {
-      postRemoteNack(hop, RemoteNack::kShed);
+    const SimTime now = client.router_.currentSim().now();
+    const SimDuration estimate = client.modelInfo().inferenceLatency;
+    if (now + service->device().estimatedBacklog(now, estimate) + estimate >
+        hop.deadlineAt) {
+      nack(hop, Nack::kShed);
       return;
     }
   }
   Status s = service->invoke(
-      hop.model, [hop](const TpuDevice::InvokeStats& stats) {
-        remoteComplete(hop, stats);
+      client.model_, [hop](const TpuDevice::InvokeStats& stats) {
+        onDeviceDone(hop, stats);
       });
-  if (!s.isOk()) postRemoteNack(hop, RemoteNack::kRejected);
+  if (!s.isOk()) nack(hop, Nack::kRejected);
 }
 
-void TpuClient::remoteComplete(const RemoteHop& hop,
-                               const TpuDevice::InvokeStats& stats) {
-  // Still on the service shard, at the device's finish time t2. The
-  // response hop is modelled on this shard's lane; the client-side
-  // completion lands at t2 + postprocess + respLat — identical to the solo
-  // formulation's fused stages 4+5.
+void TpuClient::onDeviceDone(const Hop& hop,
+                             const TpuDevice::InvokeStats& stats) {
   TpuClient* client = hop.client;
-  Simulator& sim = client->router_.currentSim();
+  // On the client's shard the slot is in reach: a terminal frame sends
+  // nothing, and a live one keeps its device figures even if it then times
+  // out or loses its response.
+  InvokeContext* c = nullptr;
+  if (client->onClientShard()) {
+    c = client->pool_.get(hop.h);
+    if (c == nullptr) return;
+  }
+  // Stages 4+5 fused: response hop back to the application pod, with the
+  // post-processing stage folded into the delivery event (completion fires
+  // at now + postprocess + latency).
+  const ModelInfo& info = client->modelInfo();
   bool dropped = false;
-  SimDuration respLat = client->transport_.sendRouted(
-      hop.serviceNode, hop.clientNode, hop.outputBytes, &dropped, hop.respKey);
+  const SimDuration respLat = client->transport_.sendRouted(
+      hop.serviceNode, client->clientNode_, info.outputBytes, &dropped,
+      hop.respKey);
+  if (c != nullptr) {
+    c->breakdown.queueDelay = stats.queueDelay;
+    c->breakdown.inference = stats.serviceTime;
+    c->breakdown.postprocess = info.postprocessLatency;
+    c->breakdown.responseTransmit = respLat;
+  }
   if (dropped) return;
-  const SimTime deliverAt = sim.now() + hop.postprocess + respLat;
   client->router_.postToShard(
-      hop.clientShard, deliverAt,
+      client->myShard_,
+      client->router_.currentSim().now() + info.postprocessLatency + respLat,
       [client, h = hop.h, queueDelay = stats.queueDelay,
        serviceTime = stats.serviceTime, respLat] {
-        client->onRemoteDone(h, queueDelay, serviceTime, respLat);
+        client->onResponse(h, queueDelay, serviceTime, respLat);
       });
 }
 
-void TpuClient::postRemoteNack(const RemoteHop& hop, RemoteNack kind) {
-  // Arrival-time failure: solo resolves these synchronously on the client;
-  // cross-shard the client learns one control message later. Zero-byte
-  // piggyback — deliberately not counted in the transport's counters.
+void TpuClient::nack(const Hop& hop, Nack kind) {
   TpuClient* client = hop.client;
-  Simulator& sim = client->router_.currentSim();
-  SimDuration delay = std::max(
+  if (client->onClientShard()) {
+    client->onNack(hop.h, kind);  // resolved within the arrival event
+    return;
+  }
+  // Across shards the client learns one control message later.
+  const SimDuration delay = std::max(
       client->transport_.network().controlLatency(hop.serviceNode,
-                                                  hop.clientNode),
+                                                  client->clientNode_),
       client->router_.lookahead());
   client->router_.postToShard(
-      hop.clientShard, sim.now() + delay,
-      [client, h = hop.h, kind] { client->onRemoteNack(h, kind); });
+      client->myShard_, client->router_.currentSim().now() + delay,
+      [client, h = hop.h, kind] { client->onNack(h, kind); });
 }
 
-void TpuClient::onRemoteDone(Handle h, SimDuration queueDelay,
-                             SimDuration serviceTime,
-                             SimDuration responseTransmit) {
+void TpuClient::onResponse(Handle h, SimDuration queueDelay,
+                           SimDuration serviceTime,
+                           SimDuration responseTransmit) {
   InvokeContext* c = pool_.get(h);
   if (c == nullptr) return;  // frame already terminal; stale event
   c->breakdown.queueDelay = queueDelay;
   c->breakdown.inference = serviceTime;
-  c->breakdown.postprocess = c->postprocessLatency;
+  c->breakdown.postprocess = modelInfo().postprocessLatency;
   c->breakdown.responseTransmit = responseTransmit;
   finish(h, FrameOutcome::kCompleted);
 }
 
-void TpuClient::onRemoteNack(Handle h, RemoteNack kind) {
+void TpuClient::onNack(Handle h, Nack kind) {
   InvokeContext* c = pool_.get(h);
-  if (c == nullptr) return;  // deadline beat the NACK home; stale event
-  switch (kind) {
-    case RemoteNack::kShed:
-      // Mirrors onRequestDelivered: shedding is not breaker feedback (the
-      // target is alive, just oversubscribed).
-      finish(h, FrameOutcome::kShed);
-      return;
-    case RemoteNack::kDeadTarget:
-      lb_.recordFailure(c->targetIndex, sim_.now());
-      if (!tryFailover(h, c)) finish(h, FrameOutcome::kDroppedDeadTarget);
-      return;
-    case RemoteNack::kRejected:
-      lb_.recordFailure(c->targetIndex, sim_.now());
-      if (!tryFailover(h, c)) finish(h, FrameOutcome::kRejected);
-      return;
+  if (c == nullptr) return;  // already terminal or failed over; stale
+  if (kind == Nack::kShed) {
+    // Shedding is not breaker feedback: the target is alive, just
+    // momentarily oversubscribed.
+    finish(h, FrameOutcome::kShed);
+    return;
   }
+  lb_.recordFailure(c->targetIndex, sim_.now());
+  if (tryFailover(h, c)) return;
+  const bool dead = kind == Nack::kDeadTarget;
+  ME_LOG(kWarning) << "TPU service " << c->breakdown.servedByName()
+                   << (dead ? " vanished mid-flight" : " rejected the invoke")
+                   << "; frame dropped";
+  finish(h, dead ? FrameOutcome::kDroppedDeadTarget : FrameOutcome::kRejected);
 }
 
 bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
@@ -440,10 +439,6 @@ bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
   Handle nh = pool_.acquire();
   InvokeContext* nc = pool_.get(nh);
   nc->breakdown = c->breakdown;
-  nc->inputBytes = c->inputBytes;
-  nc->outputBytes = c->outputBytes;
-  nc->inferenceEstimate = c->inferenceEstimate;
-  nc->postprocessLatency = c->postprocessLatency;
   nc->deadlineAt = c->deadlineAt;
   // The ledger charge follows the frame, not the attempt: the new slot
   // carries it to its terminal outcome (credited once, in finish); the old
@@ -466,78 +461,9 @@ bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
   nc->breakdown.servedBy = lb_.config().weights[index].tpu;
   nc->serviceNode = service->nodeId();
   nc->targetIndex = static_cast<std::uint32_t>(index);
-  // Re-ship the already-preprocessed frame to the new target; transmit cost
-  // accumulates across attempts.
-  if (sharded_ && router_.shardOfNode(nc->serviceNode) != myShard_) {
-    submitRemote(nh, nc, SimDuration::zero());
-    return true;
-  }
-  nc->breakdown.requestTransmit += transport_.send(
-      clientNode_, nc->serviceNode, nc->inputBytes,
-      [this, nh] { onRequestDelivered(nh); }, SimDuration::zero(),
-      frameMsgKey(nc->breakdown.frameId, nc->breakdown.failovers, /*hop=*/0));
+  // Re-ship the already-preprocessed frame to the new target.
+  ship(nh, nc, SimDuration::zero());
   return true;
-}
-
-void TpuClient::onRequestDelivered(Handle h) {
-  InvokeContext* c = pool_.get(h);
-  if (c == nullptr) return;  // frame already terminal; stale event
-  // Stage 3: inference on the (serial, run-to-completion) TPU. The service
-  // is re-resolved by dense handle at arrival — if it was removed while the
-  // frame was on the wire, the frame fails over instead of touching a dead
-  // instance.
-  TpuService* service = directory_(c->breakdown.servedBy);
-  if (service == nullptr) {
-    lb_.recordFailure(c->targetIndex, sim_.now());
-    if (!tryFailover(h, c)) {
-      ME_LOG(kWarning) << "TPU service " << c->breakdown.servedByName()
-                       << " vanished mid-flight; frame dropped";
-      finish(h, FrameOutcome::kDroppedDeadTarget);
-    }
-    return;
-  }
-  // Deadline-based shedding: if the device backlog plus our own service
-  // time already overruns the deadline, drop now instead of queueing work
-  // whose result nobody can use. Conservative (response hop and postprocess
-  // are not included) and no breaker feedback — the target is alive, just
-  // momentarily oversubscribed.
-  if (config_.frameDeadline > SimDuration::zero()) {
-    SimDuration wait =
-        service->device().estimatedBacklog(sim_.now(), c->inferenceEstimate);
-    if (sim_.now() + wait + c->inferenceEstimate > c->deadlineAt) {
-      finish(h, FrameOutcome::kShed);
-      return;
-    }
-  }
-  Status s = service->invoke(model_, [this, h](const TpuDevice::InvokeStats&
-                                                   stats) {
-    onInvokeDone(h, stats);
-  });
-  if (!s.isOk()) {
-    lb_.recordFailure(c->targetIndex, sim_.now());
-    if (!tryFailover(h, c)) {
-      ME_LOG(kWarning) << "invoke on " << c->breakdown.servedByName()
-                       << " failed: " << s.toString();
-      finish(h, FrameOutcome::kRejected);
-    }
-  }
-}
-
-void TpuClient::onInvokeDone(Handle h, const TpuDevice::InvokeStats& stats) {
-  InvokeContext* c = pool_.get(h);
-  if (c == nullptr) return;
-  c->breakdown.queueDelay = stats.queueDelay;
-  c->breakdown.inference = stats.serviceTime;
-  c->breakdown.postprocess = c->postprocessLatency;
-  // Stages 4+5 fused: response hop back to the application pod, with the
-  // post-processing stage folded into the delivery event (departAfter on
-  // the receive side is symmetric: completion fires at
-  // now + latency + postprocess either way).
-  c->breakdown.responseTransmit = transport_.send(
-      c->serviceNode, clientNode_, c->outputBytes,
-      [this, h] { finish(h, FrameOutcome::kCompleted); },
-      /*departAfter=*/c->postprocessLatency,
-      frameMsgKey(c->breakdown.frameId, c->breakdown.failovers, /*hop=*/1));
 }
 
 void TpuClient::finish(Handle h, FrameOutcome outcome) {

@@ -11,16 +11,51 @@
 // visibility inside the TPU Service) is reported on completion.
 //
 // Fast path: the per-frame pipeline is heap-allocation-free and string-free
-// in steady state. Frame state lives in a slab pool of InvokeContext slots
-// addressed by generation-checked handles; each pipeline stage captures
-// {this, handle} (16 bytes — inline in its event slot) and re-resolves the
-// context on entry, so a dropped frame's stale events are rejected instead
-// of dereferencing recycled state. Routing, transport and the TPU Service
-// all speak dense interned handles (TpuId / NodeId / ModelId); the client
-// interns its node and model once at construction. The frame takes three
-// simulator events end to end (arrival at the service, device completion,
-// client completion) — preprocess rides the request hop and postprocess the
-// response hop, with identical timestamps to the five-event formulation.
+// in steady state, on one shard or across shards. Frame state lives in a
+// slab pool of InvokeContext slots addressed by generation-checked handles;
+// client-side stages re-resolve the slot on entry, so a dropped frame's
+// stale events are rejected instead of dereferencing recycled state.
+// Routing, transport and the TPU Service all speak dense interned handles
+// (TpuId / NodeId / ModelId); the client interns its node and model once at
+// construction, and each stage looks the model's constants (bytes each way,
+// inference estimate, postprocess) up by ModelId in the registry. The frame
+// takes three simulator events end to end on one shard (arrival at the
+// service, device completion, client completion) — preprocess rides the
+// request hop and postprocess the response hop, with identical timestamps
+// to the five-event formulation.
+//
+// One pipeline, wherever the target lives:
+//
+//   ship -> onArrival -> device -> onDeviceDone -> onResponse
+//   ship -> onArrival -> nack -> onNack          (dead target, shed, reject)
+//
+// A client is bound to its node's shard: its Simulator& is that shard's
+// event loop, and invoke(), ship, onResponse and onNack run there. ship
+// models the request hop on that shard's transport lane and posts a Hop
+// envelope (client, slot handle, target, service node, deadline,
+// response-hop loss key: 40 bytes, stored inline in the event slot) through
+// ShardRouter::postToShard at exactly now + preprocess (none on a failover
+// re-ship) + transfer latency. On the client's own shard that is a plain
+// schedule; across shards, a mailbox append. onArrival, onDeviceDone
+// and nack run on the service's shard and read only the envelope, client
+// fields fixed at construction, and service-shard state — except in the two
+// stages that test for the client's shard:
+//   - nack: on the client's shard the NACK calls onNack in the arrival
+//     event itself, with no added event or latency; across shards it rides
+//     a control message back max(controlLatency, lookahead) later. NACKs
+//     are zero-byte control piggybacks and are not counted in the
+//     transport's message counters.
+//   - onDeviceDone: on the client's shard a frame that is already terminal
+//     sends nothing, and a live frame gets its queue delay, inference,
+//     postprocess and response-transmit times written into its slot at
+//     device completion, so it keeps them if it then times out or loses its
+//     response. Across shards they ride the response to onResponse.
+// So a cross-shard frame differs from a same-shard one in three ways: its
+// NACK arrives one control latency later, it reports zero device stats if
+// it times out after its device finished, and it still sends its response
+// if it became terminal while on the device. The differential suite keeps
+// deadline-carrying streams rack-local so these paths never occur
+// cross-shard (DESIGN.md §12).
 //
 // Reliability: every frame reaches exactly one terminal FrameOutcome and
 // the completion callback fires for all of them (apps gate on kCompleted).
@@ -44,23 +79,6 @@
 // Object lifetime: completions reference the client; the experiment harness
 // keeps client objects alive until the simulation drains (a stopped client
 // simply refuses new invokes).
-//
-// Sharded runs: a client is bound to its node's shard (its Simulator& IS
-// that shard's event loop; invoke() and every client-side stage run there).
-// A frame whose target TPU lives on another shard takes the remote path:
-// the request hop is modelled with SimTransport::sendRouted (accounting on
-// the client shard's lane) and a RemoteHop envelope — a POD copy of
-// everything the service side needs — is posted through the router's
-// mailbox to arrive at exactly the same timestamp the solo path would
-// deliver it. The service-shard stages (arrival, shed check, device invoke,
-// completion) touch only service-shard state plus the envelope, then post
-// the response back; timestamps of the healthy pipeline are bit-identical
-// to the solo path. Failure NACKs (dead target, shed, reject) are the one
-// divergence: solo resolves them instantly on the client, cross-shard they
-// ride a control message back (one controlLatency >= lookahead later) —
-// the differential suite keeps deadline-carrying streams rack-local so
-// these paths never occur cross-shard. NACKs are zero-byte control
-// piggybacks and are not counted in the transport's message counters.
 
 #include <array>
 #include <cstdint>
@@ -152,8 +170,7 @@ class TpuClient {
   using CompletionCallback = MoveFn<void(const FrameBreakdown&)>;
 
   // The client runs on the event loop of its node's shard in `router` (a
-  // SoloRouter is one shard). With shardCount() > 1 the cross-shard remote
-  // path is armed; with one shard the client never takes it.
+  // SoloRouter is one shard); its frames reach services on any shard.
   TpuClient(ShardRouter& router, const ModelRegistry& registry,
             SimTransport& transport, Directory directory, Config config);
   ~TpuClient();
@@ -218,10 +235,10 @@ class TpuClient {
   const AdmissionLedger& admissionLedger() const { return admission_; }
 
  private:
-  // All per-frame pipeline state (breakdown, the model's POD cost figures,
-  // completion) lives in one recycled pool slot so each stage's closure
-  // captures just {this, handle} — small enough to stay inline in the event
-  // slot — and no string or heap allocation recurs per frame.
+  // All client-side per-frame state (breakdown, deadline links, ledger
+  // charge, completion) lives in one recycled pool slot, so no string or
+  // heap allocation recurs per frame. The model's constants are not copied
+  // here: every stage looks them up by ModelId.
   struct InvokeContext;
   using ContextPool = SlabPool<InvokeContext>;
   using Handle = ContextPool::Handle;
@@ -229,10 +246,6 @@ class TpuClient {
   struct InvokeContext {
     FrameBreakdown breakdown{};
     NodeId serviceNode{};
-    std::size_t inputBytes = 0;
-    std::size_t outputBytes = 0;
-    SimDuration inferenceEstimate{};  // model service time, for shedding
-    SimDuration postprocessLatency{};
     SimTime deadlineAt{};
     // Intrusive deadline-queue links (valid while the frame is enqueued).
     Handle dlPrev{};
@@ -246,47 +259,50 @@ class TpuClient {
     CompletionCallback done;
   };
 
-  // Why a cross-shard NACK exists: the service-shard stages cannot touch
-  // the client's slab pool or LB state, so arrival-time failures are
-  // reported back as a control message and resolved on the client's shard.
-  enum class RemoteNack : std::uint8_t { kDeadTarget, kShed, kRejected };
+  // Why an arrival failed; resolved on the client's shard by onNack.
+  enum class Nack : std::uint8_t { kDeadTarget, kShed, kRejected };
 
-  // Everything the service-shard stages need, copied out of the context
-  // slot at submit time (the slot itself is client-shard state and may be
-  // concurrently recycled). ~90 bytes; posting it through the mailbox costs
-  // one MoveFn heap allocation per cross-shard frame — the price of leaving
-  // the same-shard fast path allocation-free.
-  struct RemoteHop {
+  // The envelope the service-side stages run on. The slot it names is
+  // client-shard state (it may be recycled concurrently on another shard),
+  // so everything those stages need from the frame is copied in at ship().
+  struct Hop {
     TpuClient* client = nullptr;
     Handle h{};
     TpuId target{};
-    ModelId model{};
     NodeId serviceNode{};
-    NodeId clientNode{};
-    unsigned clientShard = 0;
-    SimDuration inferenceEstimate{};
     SimTime deadlineAt{};  // SimTime::max() when the frame has no deadline
-    std::size_t outputBytes = 0;
-    SimDuration postprocess{};
-    // Keyed-loss key for the response hop, precomputed on the client shard
-    // (the service shard must not reach into client config to derive it).
+    // Keyed-loss key of the response hop, derived on the client's shard
+    // from its stream token.
     std::uint64_t respKey = 0;
   };
+  // Closures capturing a Hop stay inline in their event slot and device
+  // FIFO entry: no stage allocates, same shard or cross shard.
+  static_assert(sizeof(Hop) <= EventFn::kInlineSize &&
+                    sizeof(Hop) <= TpuDevice::InvokeCallback::kInlineSize,
+                "Hop must fit inline in EventFn and InvokeCallback");
 
-  // Client-shard half of the remote path: models the request hop on this
-  // shard's transport lane and posts the envelope to the service shard at
-  // the exact solo-path arrival time (now + departAfter + transfer latency).
-  void submitRemote(Handle h, InvokeContext* c, SimDuration departAfter);
-  // Service-shard stages (static: they run on another shard's event loop
-  // and must only touch the envelope + service-shard state).
-  static void remoteArrival(RemoteHop hop);
-  static void remoteComplete(const RemoteHop& hop,
-                             const TpuDevice::InvokeStats& stats);
-  static void postRemoteNack(const RemoteHop& hop, RemoteNack kind);
-  // Client-shard completions of the remote path.
-  void onRemoteDone(Handle h, SimDuration queueDelay, SimDuration serviceTime,
-                    SimDuration responseTransmit);
-  void onRemoteNack(Handle h, RemoteNack kind);
+  // The model's constants (registered before the first invoke, never
+  // dropped by the registry).
+  const ModelInfo& modelInfo() const { return *registry_.byId(model_); }
+  // Service-side stages run on the service's shard; true when that is also
+  // the client's.
+  bool onClientShard() const {
+    return ShardRouter::currentShard() == myShard_;
+  }
+
+  // Client shard: models the request hop and posts the arrival to the
+  // service's shard at now + departAfter + transfer latency.
+  void ship(Handle h, InvokeContext* c, SimDuration departAfter);
+  // Service shard (static: only the envelope, construction-time client
+  // fields and service-shard state may be touched, bar the two same-shard
+  // exceptions in the header comment).
+  static void onArrival(const Hop& hop);
+  static void onDeviceDone(const Hop& hop, const TpuDevice::InvokeStats& stats);
+  static void nack(const Hop& hop, Nack kind);
+  // Client shard: the response hop landed after postprocess.
+  void onResponse(Handle h, SimDuration queueDelay, SimDuration serviceTime,
+                  SimDuration responseTransmit);
+  void onNack(Handle h, Nack kind);
 
   // Draws healthy targets from the LB until one resolves to a live service
   // (each dead draw feeds the breaker). Returns nullptr when none does.
@@ -295,8 +311,6 @@ class TpuClient {
   // target. Returns false (context untouched) when the failover budget is
   // spent or no live target remains; on true the old handle is dead.
   bool tryFailover(Handle h, InvokeContext* c);
-  void onRequestDelivered(Handle h);
-  void onInvokeDone(Handle h, const TpuDevice::InvokeStats& stats);
   // Deadline queue: FIFO == deadline order because every frame of this
   // client carries the same frameDeadline (failover keeps the absolute
   // deadline, so position is preserved there too).
@@ -324,7 +338,6 @@ class TpuClient {
   Config config_;
   ShardRouter& router_;
   unsigned myShard_ = 0;  // shard owning clientNode_ (== this client's sim_)
-  bool sharded_ = false;  // router has >1 shard: remote path armed
   NodeId clientNode_{};  // interned once; every frame's transport endpoint
   ModelId model_{};      // interned once; every frame's invoke argument
   LbService lb_;

@@ -24,9 +24,11 @@
 // window's RNG — lives in per-shard cache-line-sized lanes indexed by
 // ShardRouter::currentShard(), so concurrent shard workers never touch the
 // same bytes. send() schedules on the calling shard's own Simulator and is
-// therefore only correct for same-shard deliveries; a cross-shard hop uses
-// sendRouted() (model + account, no scheduling) and posts the delivery
-// through the router's mailbox itself.
+// therefore only correct for same-shard deliveries (the Coral-Pie app and
+// the serverless baseline use it). TpuClient's frame hops use sendRouted()
+// (model + account, no scheduling) and post the delivery through
+// ShardRouter::postToShard: a plain schedule on the same shard, a mailbox
+// append across shards.
 
 #include <cstddef>
 #include <cstdint>
@@ -74,9 +76,8 @@ class SimTransport {
 
   // Models and accounts a message WITHOUT scheduling its delivery: returns
   // the (fault-adjusted) transfer latency and sets *dropped when the fault
-  // window eats the message. The caller owns delivery — this is the
-  // cross-shard path, where the delivery event must travel through the
-  // router's mailbox rather than the local event loop.
+  // window eats the message. The caller owns delivery, e.g. through the
+  // router, which may hand it to another shard's mailbox.
   SimDuration sendRouted(NodeId fromNode, NodeId toNode, std::size_t bytes,
                          bool* dropped, std::uint64_t msgKey = kUnkeyed);
 

@@ -68,7 +68,13 @@ void ShardedSim::postToShard(unsigned shard, SimTime deliverAt, EventFn fn,
     std::abort();
   }
   Mailbox& box = mailbox(src, shard);
-  assert(box.msgs.size() < kMailboxCapacity && "mailbox overflow");
+  if (box.msgs.size() >= kMailboxCapacity) {
+    std::fprintf(stderr,
+                 "ShardedSim: mailbox %u -> %u overflow (%zu messages in one "
+                 "window, capacity %zu)\n",
+                 src, shard, box.msgs.size(), kMailboxCapacity);
+    std::abort();
+  }
   MailMsg msg;
   msg.deliverAt = deliverAt;
   msg.sentAt = sentAt;

@@ -144,6 +144,7 @@ class ShardedSim : public ShardRouter {
   // Mailbox capacity per (src,dst) pair and window: a shard that emits more
   // cross-shard messages than this inside one lookahead window is a
   // modelling bug (the window is half a millisecond of simulated time).
+  // postToShard aborts on overflow in every build.
   static constexpr std::size_t kMailboxCapacity = 1u << 20;
 
   // Whether the shards track emitters for the window bound (see header).

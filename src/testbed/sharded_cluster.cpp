@@ -319,7 +319,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     clientConfig.admission = config_.frameAdmission;
     // Keyed transport loss: the stream uid tokens every message, so which
     // frames a loss window drops is a pure function of (plan seed, uid,
-    // frame seq) — identical at every shard count AND for batched ingest.
+    // frame seq), identical at every shard count.
     clientConfig.streamToken = uid;
     stream->client = dataPlane_->makeClient(std::move(clientConfig));
     if (admitNow) {

@@ -77,9 +77,11 @@ TEST_F(ReliabilityTest, DeadlineFiresBeforeArrivalAndCountsTimedOut) {
   EXPECT_EQ(client->failedCount(), 1u);
   EXPECT_EQ(client->contextsInFlight(), 0u);
   // The deadline fired at exactly submit + 1 ms, not at frame arrival (the
-  // stale request-arrival event still drains later, but finds a retired
-  // handle).
+  // stale request-arrival event still drains later).
   EXPECT_EQ(firedAt - submitAt, milliseconds(1));
+  // The stale arrival lands past the deadline, so the shed predicate drops
+  // it: a timed-out frame never reaches the device.
+  EXPECT_EQ(dataPlane_.service("tpu-00")->invokeCount(), 0u);
 }
 
 TEST_F(ReliabilityTest, CompletionBeatsDeadlineWithoutTimeout) {
@@ -99,6 +101,37 @@ TEST_F(ReliabilityTest, CompletionBeatsDeadlineWithoutTimeout) {
   // in transit+inference time. (The client-wide timer disarms lazily — one
   // pending no-op event may drain at +1 s, which costs nothing per frame.)
   EXPECT_LT(seen.endToEnd(), milliseconds(100));
+}
+
+TEST_F(ReliabilityTest, TimeoutAfterDeviceKeepsDeviceStats) {
+  loadEverywhere(zoo::kMobileNetV1);
+  auto healthy = makeClient(baseConfig(zoo::kMobileNetV1));
+  ASSERT_TRUE(healthy->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  FrameBreakdown done;
+  ASSERT_TRUE(
+      healthy->invoke([&](const FrameBreakdown& b) { done = b; }).isOk());
+  sim_.run();
+  ASSERT_EQ(done.outcome, FrameOutcome::kCompleted);
+
+  // The deadline falls after the device finished, halfway through the
+  // postprocess + response hop.
+  const SimDuration deviceDone = done.preprocess + done.requestTransmit +
+                                 done.queueDelay + done.inference;
+  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
+  config.frameDeadline =
+      deviceDone + (done.postprocess + done.responseTransmit) / 2;
+  auto client = makeClient(std::move(config));
+  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  FrameBreakdown late;
+  ASSERT_TRUE(client->invoke([&](const FrameBreakdown& b) { late = b; }).isOk());
+  sim_.run();
+  ASSERT_EQ(late.outcome, FrameOutcome::kTimedOut);
+  // The device figures were written at device completion, so the timed-out
+  // frame reports what a healthy one does.
+  EXPECT_EQ(late.inference, done.inference);
+  EXPECT_EQ(late.postprocess, done.postprocess);
+  EXPECT_EQ(late.responseTransmit, done.responseTransmit);
+  EXPECT_GT(late.inference, SimDuration::zero());
 }
 
 TEST_F(ReliabilityTest, RepeatedTimeoutsTripTheBreaker) {
@@ -140,6 +173,37 @@ TEST_F(ReliabilityTest, MidFlightFailoverMovesFrameToSurvivor) {
   EXPECT_EQ(client->completedCount(), 1u);
   EXPECT_EQ(client->failoverCount(), 1u);
   EXPECT_EQ(dataPlane_.service("tpu-01")->invokeCount(), 1u);
+}
+
+TEST_F(ReliabilityTest, RemovalMidInferenceSendsNoStaleResponse) {
+  loadEverywhere(zoo::kMobileNetV1);
+  auto client = makeClient(baseConfig(zoo::kMobileNetV1));
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
+                                          LbWeight{"tpu-01", 500}}})
+                  .isOk());
+  const ModelInfo& info = zoo_.at(zoo::kMobileNetV1);
+  const SimDuration arrival =
+      info.preprocessLatency +
+      topo_.network().transferLatency(internNode("vrpi-00"),
+                                      dataPlane_.service("tpu-00")->nodeId(),
+                                      info.inputBytes());
+  const std::size_t messagesBefore = dataPlane_.transport().messagesSent();
+  FrameBreakdown seen;
+  ASSERT_TRUE(
+      client->invoke([&](const FrameBreakdown& b) { seen = b; }).isOk());
+  // tpu-00 (the first pick) dies halfway through the frame's inference:
+  // the frame fails over to tpu-01 while tpu-00's device keeps running it.
+  sim_.scheduleAfter(arrival + info.inferenceLatency / 2,
+                     [&] { dataPlane_.removeService("tpu-00"); });
+  sim_.run();
+  EXPECT_EQ(seen.outcome, FrameOutcome::kCompleted);
+  EXPECT_EQ(seen.servedByName(), "tpu-01");
+  EXPECT_EQ(dataPlane_.service("tpu-01")->invokeCount(), 1u);
+  EXPECT_EQ(client->completedCount(), 1u);
+  // Two requests and one response: tpu-00's completion of the abandoned
+  // attempt sends nothing.
+  EXPECT_EQ(dataPlane_.transport().messagesSent() - messagesBefore, 3u);
 }
 
 TEST_F(ReliabilityTest, FailoverKeepsAbsoluteDeadline) {
@@ -426,6 +490,43 @@ TEST_F(ReliabilityTest, FailedProbeRemasksWithLongerBackoff) {
 }
 
 // ---- Deadline-based shedding -----------------------------------------------
+
+TEST_F(ReliabilityTest, ShedResolvesInTheArrivalEvent) {
+  loadEverywhere(zoo::kMobileNetV1);
+  const ModelInfo& info = zoo_.at(zoo::kMobileNetV1);
+  const SimDuration arrival =
+      info.preprocessLatency +
+      topo_.network().transferLatency(internNode("vrpi-00"),
+                                      dataPlane_.service("tpu-00")->nodeId(),
+                                      info.inputBytes());
+  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
+  // Room for one inference after arrival, not for two.
+  config.frameDeadline = arrival + info.inferenceLatency * 3 / 2;
+  auto client = makeClient(std::move(config));
+  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+
+  const SimTime submitAt = sim_.now();
+  std::vector<FrameBreakdown> seen;
+  std::vector<SimTime> firedAt;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client
+                    ->invoke([&](const FrameBreakdown& b) {
+                      seen.push_back(b);
+                      firedAt.push_back(sim_.now());
+                    })
+                    .isOk());
+  }
+  sim_.run();
+  // Both frames arrive together; the second finds the first's inference
+  // ahead of it and is shed. A same-shard NACK costs no event and no
+  // latency: the callback fires in the arrival event itself.
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].frameId, 2u);
+  EXPECT_EQ(seen[0].outcome, FrameOutcome::kShed);
+  EXPECT_EQ(firedAt[0] - submitAt, arrival);
+  EXPECT_EQ(seen[1].frameId, 1u);
+  EXPECT_EQ(seen[1].outcome, FrameOutcome::kCompleted);
+}
 
 TEST_F(ReliabilityTest, BacklogBeyondDeadlineShedsInsteadOfQueueing) {
   loadEverywhere(zoo::kEfficientNetLite0);  // 69 ms inference

@@ -107,6 +107,20 @@ TEST(AdmissionLedgerTest, ReconfigurePreservesChargesAndDrainsZombies) {
   EXPECT_EQ(ledger.entryCount(), 2u);  // append-only: the entry lingers
 }
 
+// Conservation holds in the build people run: a credit the entry never
+// charged aborts with its context instead of driving the charge negative.
+TEST(AdmissionLedgerDeathTest, CreditWithoutChargeAborts) {
+  AdmissionLedger ledger;
+  const AdmissionLedger::TargetCapacity targets[] = {{internTpu("al-f"), 500}};
+  ledger.reconfigure(targets, 1, 1.0);
+  const std::uint32_t entry = ledger.entryFor(internTpu("al-f"));
+  ASSERT_TRUE(ledger.tryCharge(entry, 100));
+  ledger.credit(entry, 100);
+  EXPECT_DEATH(ledger.credit(entry, 100),
+               "credit without charge \\(entry=0 tpu=al-f estimate=100 "
+               "charged=0");
+}
+
 // --- RepackSupervisor --------------------------------------------------------
 
 struct ScriptedSlo {
