@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the control-plane hot paths:
 //   - Algorithm 1 admission at pool sizes up to 65536 (the §4.2 scaling
 //     claim: the incremental packing indexes make a single admission
-//     O(log M), against the retained naive O(M) linear scan);
+//     O(log M) where a linear scan would be O(M));
 //   - admit/release churn (steady-state pool turnover);
 //   - workload-partitioned admission;
 //   - smooth-WRR routing;
@@ -31,15 +31,13 @@ namespace {
 
 // Builds a pool of `tpus` TPUs with all but the last filled to 900 milli, so
 // a 500-milli First-Fit admission must skip M-1 candidates (the worst case
-// for the linear scan, one firstAtLeast() for the segment tree).
+// for a linear scan, one firstAtLeast() for the segment tree).
 TpuPool makeFilledPool(int tpus, const ModelRegistry& zoo) {
   TpuPool pool;
   for (int i = 0; i < tpus; ++i) {
     Status s = pool.addTpu("tpu-" + std::to_string(i), 6.9);
     benchmark::DoNotOptimize(&s);
   }
-  // Fill through the indexed controller regardless of the variant under
-  // test: O(M log M) setup instead of O(M^2).
   AdmissionConfig fillConfig;
   fillConfig.enableWorkloadPartitioning = false;
   AdmissionController filler(pool, zoo, fillConfig);
@@ -51,15 +49,13 @@ TpuPool makeFilledPool(int tpus, const ModelRegistry& zoo) {
   return pool;
 }
 
-void admitReleaseLoop(benchmark::State& state, PackingStrategy strategy,
-                      bool indexed) {
+void admitReleaseLoop(benchmark::State& state, PackingStrategy strategy) {
   ModelRegistry zoo = zoo::standardZoo();
   const auto tpus = static_cast<int>(state.range(0));
   TpuPool pool = makeFilledPool(tpus, zoo);
   AdmissionConfig config;
   config.enableWorkloadPartitioning = false;
   config.strategy = strategy;
-  config.indexedScan = indexed;
   AdmissionController admission(pool, zoo, config);
   for (auto _ : state) {
     auto result =
@@ -74,35 +70,19 @@ void admitReleaseLoop(benchmark::State& state, PackingStrategy strategy,
 }
 
 void BM_AdmissionFirstFit(benchmark::State& state) {
-  admitReleaseLoop(state, PackingStrategy::kFirstFit, /*indexed=*/true);
+  admitReleaseLoop(state, PackingStrategy::kFirstFit);
 }
 BENCHMARK(BM_AdmissionFirstFit)
     ->RangeMultiplier(4)
     ->Range(8, 65536)
     ->Complexity();
 
-void BM_AdmissionFirstFitNaive(benchmark::State& state) {
-  admitReleaseLoop(state, PackingStrategy::kFirstFit, /*indexed=*/false);
-}
-BENCHMARK(BM_AdmissionFirstFitNaive)
-    ->RangeMultiplier(4)
-    ->Range(8, 4096)
-    ->Complexity();
-
 void BM_AdmissionBestFit(benchmark::State& state) {
-  admitReleaseLoop(state, PackingStrategy::kBestFit, /*indexed=*/true);
+  admitReleaseLoop(state, PackingStrategy::kBestFit);
 }
 BENCHMARK(BM_AdmissionBestFit)
     ->RangeMultiplier(4)
     ->Range(8, 65536)
-    ->Complexity();
-
-void BM_AdmissionBestFitNaive(benchmark::State& state) {
-  admitReleaseLoop(state, PackingStrategy::kBestFit, /*indexed=*/false);
-}
-BENCHMARK(BM_AdmissionBestFitNaive)
-    ->RangeMultiplier(4)
-    ->Range(8, 4096)
     ->Complexity();
 
 // Steady-state churn: the pool is pre-filled with pods of mixed sizes; each

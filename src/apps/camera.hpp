@@ -32,7 +32,6 @@ class CameraStream {
   bool running() const { return task_.running(); }
 
   const Config& config() const { return config_; }
-  std::uint64_t framesEmitted() const { return frames_; }
   SimDuration framePeriodDuration() const { return task_.period(); }
   // The underlying frame clock, exposed so a rate controller
   // (testbed/rate_control.hpp) can retune the period at runtime.

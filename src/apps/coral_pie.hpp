@@ -44,7 +44,6 @@ class ReIdStage {
 
   std::uint64_t reIdentifiedCount() const { return reIdentified_; }
   std::uint64_t newTrackCount() const { return newTracks_; }
-  std::uint64_t pendingUpstreamCount() const { return expected_.size(); }
 
  private:
   Simulator& sim_;

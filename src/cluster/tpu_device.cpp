@@ -97,13 +97,6 @@ bool TpuDevice::isResident(const std::string& model) const {
   return id.valid() && isResident(id);
 }
 
-std::vector<std::string> TpuDevice::residentModels() const {
-  std::vector<std::string> out;
-  out.reserve(resident_.size());
-  for (ModelId id : resident_) out.push_back(modelName(id));
-  return out;
-}
-
 double TpuDevice::residentParamMb() const {
   double total = 0.0;
   for (ModelId id : resident_) total += registry_.at(id).paramSizeMb;
@@ -177,7 +170,6 @@ SimDuration TpuDevice::computeServiceTime(ModelId model, bool* paidSwap,
     lastExecuted_ = model;
   } else if (lastExecuted_ != model) {
     *paidResidentSwitch = true;
-    ++residentSwitches_;
     service += config_.residentSwitchPenalty;
     lastExecuted_ = model;
   }

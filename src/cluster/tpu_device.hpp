@@ -94,10 +94,6 @@ class TpuDevice {
   // --- Introspection -------------------------------------------------------
   bool isResident(ModelId model) const { return residentIndex(model) >= 0; }
   bool isResident(const std::string& model) const;
-  const std::vector<ModelId>& residentIds() const { return resident_; }
-  // Resident model names in priority order (materialized; introspection
-  // convenience, not a hot path).
-  std::vector<std::string> residentModels() const;
   double residentParamMb() const;
   // Fraction of `model`'s parameters cached on-chip ([0,1]); 0 if absent.
   double cachedFraction(ModelId model) const;
@@ -115,7 +111,6 @@ class TpuDevice {
   }
   std::size_t invocations() const { return invocations_; }
   std::size_t swapCount() const { return swaps_; }
-  std::size_t residentSwitchCount() const { return residentSwitches_; }
 
   // Exact busy occupancy in [epoch, now]: completed service plus the elapsed
   // part of any in-flight request.
@@ -181,7 +176,6 @@ class TpuDevice {
   SimDuration completedBusy_{};
   std::size_t invocations_ = 0;
   std::size_t swaps_ = 0;
-  std::size_t residentSwitches_ = 0;
 };
 
 }  // namespace microedge

@@ -65,26 +65,14 @@ std::optional<AdmitResult> AdmissionController::placeSingle(
 StatusOr<AdmitResult> AdmissionController::admitSingle(std::uint64_t podUid,
                                                        const ModelInfo& model,
                                                        TpuUnit units) {
-  if (config_.indexedScan) {
-    // O(log M) per candidate: the cursor only yields TPUs whose residual
-    // already satisfies the TPU Units Rule.
-    auto cursor = pool_.scan(config_.strategy, units, nextFitCursor_);
-    for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
-         index = cursor.next()) {
-      if (!modelAllowedOn(pool_.tpus()[index], model)) continue;
-      if (auto result = placeSingle(index, podUid, model, units)) {
-        return std::move(*result);
-      }
-    }
-  } else {
-    for (std::size_t index :
-         packingScanOrder(config_.strategy, pool_, nextFitCursor_)) {
-      const TpuState& tpu = pool_.tpus()[index];
-      if (tpu.currentLoad() + units > TpuUnit::full()) continue;
-      if (!modelAllowedOn(tpu, model)) continue;
-      if (auto result = placeSingle(index, podUid, model, units)) {
-        return std::move(*result);
-      }
+  // O(log M) per candidate: the cursor only yields TPUs whose residual
+  // already satisfies the TPU Units Rule.
+  auto cursor = pool_.scan(config_.strategy, units, nextFitCursor_);
+  for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
+       index = cursor.next()) {
+    if (!modelAllowedOn(pool_.tpus()[index], model)) continue;
+    if (auto result = placeSingle(index, podUid, model, units)) {
+      return std::move(*result);
     }
   }
   return resourceExhausted(
@@ -101,29 +89,17 @@ StatusOr<AdmitResult> AdmissionController::admitPartitioned(
   };
   std::vector<PlannedShare> planned;
   TpuUnit remaining = units;
-  // Considers one candidate; returns true once the request is fully planned.
-  auto consider = [&](std::size_t index) {
+  // Any TPU with at least one free milli-unit is a candidate.
+  auto cursor =
+      pool_.scan(config_.strategy, TpuUnit::fromMilli(1), nextFitCursor_);
+  for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
+       index = cursor.next()) {
     const TpuState& tpu = pool_.tpus()[index];
-    if (!modelAllowedOn(tpu, model)) return false;
-    TpuUnit wp = TpuUnit::min(remaining, tpu.freeUnits());
-    if (!wp.isPositive()) return false;
+    if (!modelAllowedOn(tpu, model)) continue;
+    const TpuUnit wp = TpuUnit::min(remaining, tpu.freeUnits());
     planned.push_back(PlannedShare{index, wp});
     remaining -= wp;
-    return remaining.isZero();
-  };
-  if (config_.indexedScan) {
-    // Any TPU with at least one free milli-unit is a candidate.
-    auto cursor =
-        pool_.scan(config_.strategy, TpuUnit::fromMilli(1), nextFitCursor_);
-    for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
-         index = cursor.next()) {
-      if (consider(index)) break;
-    }
-  } else {
-    for (std::size_t index :
-         packingScanOrder(config_.strategy, pool_, nextFitCursor_)) {
-      if (consider(index)) break;
-    }
+    if (remaining.isZero()) break;
   }
   if (remaining.isPositive()) {
     return resourceExhausted(

@@ -36,11 +36,6 @@ struct AdmissionConfig {
   bool enableWorkloadPartitioning = true;
   bool enableCoCompile = true;
   PackingStrategy strategy = PackingStrategy::kFirstFit;
-  // Scan candidates through the pool's incremental packing indexes
-  // (O(log M) per admission) instead of materializing packingScanOrder()
-  // (O(M), plus a sort for Best/Worst-Fit). The two paths place identically;
-  // the naive path is retained as the differential-test reference.
-  bool indexedScan = true;
 };
 
 // One pod's share on one TPU Service instance.

@@ -51,7 +51,6 @@ FailureRecovery::Report FailureRecovery::onTpuFailure(
                                       pod.allocation.totalUnits());
     if (!replanned.isOk()) {
       ++report.evictedPods;
-      ++totalEvicted_;
       ME_LOG(kWarning) << "recovery: evicting pod uid " << pod.uid << ": "
                        << replanned.status().toString();
       if (callbacks_.evictPod) {
@@ -73,7 +72,6 @@ FailureRecovery::Report FailureRecovery::onTpuFailure(
                          << rollback.toString();
         }
         ++report.evictedPods;
-        ++totalEvicted_;
         if (callbacks_.evictPod) callbacks_.evictPod(pod.uid, s);
         ok = false;
         break;
@@ -88,7 +86,6 @@ FailureRecovery::Report FailureRecovery::onTpuFailure(
     }
     reclamation_.retrack(pod.uid, replanned->allocation);
     ++report.recoveredPods;
-    ++totalRecovered_;
     if (replanned->allocation.shares.size() != pod.allocation.shares.size()) {
       ++report.reshapedPods;
     }

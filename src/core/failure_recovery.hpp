@@ -61,15 +61,10 @@ class FailureRecovery {
   // removed from the pool and its TPU Service from the data plane.
   Report onTpuFailure(const std::string& tpuId);
 
-  std::size_t totalRecovered() const { return totalRecovered_; }
-  std::size_t totalEvicted() const { return totalEvicted_; }
-
  private:
   TpuAllocator& allocator_;
   Reclamation& reclamation_;
   Callbacks callbacks_;
-  std::size_t totalRecovered_ = 0;
-  std::size_t totalEvicted_ = 0;
 };
 
 }  // namespace microedge

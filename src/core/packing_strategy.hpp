@@ -8,9 +8,8 @@
 // algorithm by changing the order in which Algorithm 1 scans the TPU pool
 // (and, for Next-Fit, which TPUs it may revisit).
 //
-// The PackingStrategy enum, the incremental indexed scan (TpuPool::scan) and
-// the naive materialized reference (packingScanOrder) live in
-// core/tpu_state.hpp, next to the pool state they index; this header remains
-// for include compatibility.
+// The PackingStrategy enum and the incremental indexed scan (TpuPool::scan)
+// live in core/tpu_state.hpp, next to the pool state they index; this header
+// remains for include compatibility.
 
 #include "core/tpu_state.hpp"

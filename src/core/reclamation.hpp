@@ -29,7 +29,6 @@ class Reclamation {
   bool isTracked(std::uint64_t podUid) const {
     return tracked_.count(podUid) > 0;
   }
-  std::size_t trackedCount() const { return tracked_.size(); }
   const Allocation* allocationOf(std::uint64_t podUid) const;
   // Live allocations, keyed by pod uid (used by failure recovery and the
   // defragmenter to replan placements).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "util/strings.hpp"
 
@@ -360,41 +359,6 @@ TpuPool::ScanCursor TpuPool::scan(PackingStrategy strategy, TpuUnit minResidual,
   auto from = static_cast<std::uint32_t>(
       std::min<std::size_t>(nextFitCursor, tpus_.size()));
   return ScanCursor(this, strategy, min, from);
-}
-
-// ---------------------------------------------------------------------------
-// Naive reference scan order (materialized per call; O(M) / O(M log M)).
-
-std::vector<std::size_t> packingScanOrder(PackingStrategy strategy,
-                                          const TpuPool& pool,
-                                          std::size_t nextFitCursor) {
-  std::vector<std::size_t> order(pool.size());
-  std::iota(order.begin(), order.end(), 0);
-  switch (strategy) {
-    case PackingStrategy::kFirstFit:
-      break;
-    case PackingStrategy::kNextFit: {
-      if (nextFitCursor > pool.size()) nextFitCursor = pool.size();
-      order.erase(order.begin(),
-                  order.begin() + static_cast<std::ptrdiff_t>(nextFitCursor));
-      break;
-    }
-    case PackingStrategy::kBestFit:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return pool.tpus()[a].currentLoad() >
-                                pool.tpus()[b].currentLoad();
-                       });
-      break;
-    case PackingStrategy::kWorstFit:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return pool.tpus()[a].currentLoad() <
-                                pool.tpus()[b].currentLoad();
-                       });
-      break;
-  }
-  return order;
 }
 
 }  // namespace microedge

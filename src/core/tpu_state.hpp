@@ -176,10 +176,15 @@ class TpuPool {
                                          std::uint32_t from = 0) const;
 
   // Lazy enumeration of candidate positions in a packing strategy's scan
-  // order, restricted to residual >= minResidual. Candidate order matches
-  // packingScanOrder() filtered by the residual predicate exactly. The
-  // cursor is invalidated by any pool/load mutation EXCEPT committing to the
-  // most recently returned position (the admission pattern: place and stop).
+  // order, restricted to residual >= minResidual:
+  //  - FirstFit: pool order.
+  //  - NextFit:  from `nextFitCursor` onward only (earlier bins are "closed").
+  //  - BestFit:  most-loaded first (tightest remaining gap), ties by index.
+  //  - WorstFit: least-loaded first, ties by index.
+  // tests/packing_scan_order.hpp materializes the same order naively as the
+  // differential reference. The cursor is invalidated by any pool/load
+  // mutation EXCEPT committing to the most recently returned position (the
+  // admission pattern: place and stop).
   class ScanCursor {
    public:
     // Next candidate position, or TpuPool::npos when exhausted.
@@ -220,17 +225,5 @@ class TpuPool {
   LoadBuckets buckets_;
   std::unordered_map<std::uint32_t, std::uint32_t> posBySym_;
 };
-
-// Returns indices into pool.tpus() in the order the admission scan should
-// try them. Retained as the naive O(M)/O(M log M) reference implementation
-// for the differential tests and the pre-index benchmark baseline; the
-// indexed path (TpuPool::scan) must produce the identical candidate order.
-//  - FirstFit: pool order.
-//  - NextFit:  from `nextFitCursor` onward only (earlier bins are "closed").
-//  - BestFit:  most-loaded first (tightest remaining gap), ties by index.
-//  - WorstFit: least-loaded first, ties by index.
-std::vector<std::size_t> packingScanOrder(PackingStrategy strategy,
-                                          const TpuPool& pool,
-                                          std::size_t nextFitCursor);
 
 }  // namespace microedge

@@ -41,13 +41,6 @@ std::size_t LbService::routeIndex() {
   return index;
 }
 
-void LbService::routeBatch(std::size_t k, std::vector<std::uint32_t>& out) {
-  out.reserve(out.size() + k);
-  for (std::size_t j = 0; j < k; ++j) {
-    out.push_back(static_cast<std::uint32_t>(routeIndex()));
-  }
-}
-
 std::size_t LbService::routeHealthyIndex(SimTime now) {
   assert(configured_ && "LbService::route before configure");
   // Each draw advances the WRR even when the target is skipped; with every
@@ -67,18 +60,6 @@ std::size_t LbService::routeHealthyIndex(SimTime now) {
     return index;
   }
   return kNoTarget;
-}
-
-std::size_t LbService::routeHealthyBatch(SimTime now, std::size_t k,
-                                         std::vector<std::uint32_t>& out) {
-  out.reserve(out.size() + k);
-  std::size_t routed = 0;
-  for (; routed < k; ++routed) {
-    std::size_t index = routeHealthyIndex(now);
-    if (index == kNoTarget) break;
-    out.push_back(static_cast<std::uint32_t>(index));
-  }
-  return routed;
 }
 
 void LbService::recordSuccess(std::size_t index) {

@@ -62,28 +62,16 @@ class LbService {
   bool configured() const { return configured_; }
 
   void setHealthConfig(const LbHealthConfig& config) { health_ = config; }
-  const LbHealthConfig& healthConfig() const { return health_; }
 
   // Routes the next request; returns the index of the target in
   // config().weights. Per-frame hot path — no string is touched.
   // Precondition: configured().
   std::size_t routeIndex();
-  // Routes k requests, appending the target indices to `out`: exactly k
-  // routeIndex() calls. Precondition: configured().
-  void routeBatch(std::size_t k, std::vector<std::uint32_t>& out);
   // Health-aware routing: repeatedly draws from the WRR, skipping targets
   // whose mask window has not elapsed; a target whose window elapsed is
   // moved to kProbing and returned (half-open probe). Returns kNoTarget
   // when every target is masked. Precondition: configured().
   std::size_t routeHealthyIndex(SimTime now);
-  // Health-aware batch: routeHealthyIndex(now) up to k times, stopping at
-  // the first kNoTarget draw. Appends the routed target indices to `out`
-  // and returns how many of the k frames were routed.
-  std::size_t routeHealthyBatch(SimTime now, std::size_t k,
-                                std::vector<std::uint32_t>& out);
-  // Routes the next request; returns the target TPU id.
-  // Precondition: configured().
-  const std::string& route() { return lbConfig_.weights[routeIndex()].tpuId; }
 
   // Health feedback from the client. Out-of-range indices (stale after a
   // reconfigure) are ignored.

@@ -170,7 +170,6 @@ void TpuClient::onDeadlineTimer() {
 std::uint64_t TpuClient::frameMsgKey(std::uint64_t frameId,
                                      std::uint32_t attempt,
                                      std::uint32_t hop) const {
-  if (config_.streamToken == 0) return SimTransport::kUnkeyed;
   // splitMix64 chain over (token, frame, attempt, hop): full-avalanche, so
   // adjacent frames of one stream decorrelate under a loss window, and the
   // key depends on nothing positional (lane, draw order, shard count).
@@ -275,14 +274,6 @@ Status TpuClient::invoke(CompletionCallback done) {
   // (departAfter) rather than taking its own event; only the wire latency
   // lands in requestTransmit.
   ship(h, c, /*departAfter=*/info->preprocessLatency);
-  return Status::ok();
-}
-
-Status TpuClient::submitBurst(std::span<FrameSpec> frames) {
-  for (FrameSpec& frame : frames) {
-    Status s = invoke(std::move(frame.done));
-    if (!s.isOk()) return s;
-  }
   return Status::ok();
 }
 

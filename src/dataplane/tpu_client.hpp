@@ -83,7 +83,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -152,11 +151,10 @@ class TpuClient {
     std::uint32_t maxFailovers = 1;
     LbHealthConfig health{};
     // Stable identity of this client's frame stream for keyed transport-loss
-    // draws: with a nonzero token, whether a frame drops under a loss window
-    // is a pure function of (fault seed, token, frame id, attempt, hop) —
-    // invariant to shard count and to every other stream's traffic. Zero
-    // keeps the legacy per-lane sequential draws. DataPlane::makeClient
-    // auto-assigns a token when left at zero.
+    // draws: whether a frame drops under a loss window is a pure function of
+    // (fault seed, token, frame id, attempt, hop) — invariant to shard count
+    // and to every other stream's traffic. DataPlane::makeClient, the only
+    // place a client is built, assigns a nonzero token when left at zero.
     std::uint64_t streamToken = 0;
     // Per-frame admission (DESIGN.md §14). Disabled keeps the submit path
     // bit-identical to a ledger-free build.
@@ -185,16 +183,6 @@ class TpuClient {
   // frame reaches its terminal outcome (kCompleted after post-processing;
   // other outcomes possibly synchronously, e.g. no live target at submit).
   Status invoke(CompletionCallback done);
-
-  // One frame of a burst; completion callbacks are moved out on submit.
-  struct FrameSpec {
-    CompletionCallback done;
-  };
-  // Submits `frames.size()` frames at one instant: one invoke() per frame,
-  // in order, stopping at the first error (whose Status is returned).
-  // Frames before it were submitted; frames from it on were not. An empty
-  // burst is a no-op.
-  Status submitBurst(std::span<FrameSpec> frames);
 
   // Stops accepting new frames (pod termination); in-flight frames finish.
   void stop() { stopped_ = true; }
@@ -326,8 +314,8 @@ class TpuClient {
   // counts the outcome, recycles the slot, and runs the completion callback.
   void finish(Handle h, FrameOutcome outcome);
 
-  // Message key for keyed transport-loss draws; kUnkeyed when the client
-  // has no stream token. hop: 0 = request, 1 = response.
+  // Message key for keyed transport-loss draws. hop: 0 = request,
+  // 1 = response.
   std::uint64_t frameMsgKey(std::uint64_t frameId, std::uint32_t attempt,
                             std::uint32_t hop) const;
 

@@ -17,13 +17,7 @@ Status TpuService::invoke(ModelId model, TpuDevice::InvokeCallback done) {
     return unavailable(strCat("TPU service ", tpuId(), " not answering"));
   }
   Status s = device_.invoke(model, std::move(done));
-  if (s.isOk()) {
-    ++invokes_;
-    if (model.value >= perModel_.size()) {
-      perModel_.resize(model.value + 1, 0);  // first sight of this model only
-    }
-    ++perModel_[model.value];
-  }
+  if (s.isOk()) ++invokes_;
   return s;
 }
 
@@ -34,16 +28,6 @@ Status TpuService::invoke(const std::string& model,
     return notFound(strCat("invoke: unknown model ", model));
   }
   return invoke(id, std::move(done));
-}
-
-std::uint64_t TpuService::invokeCountFor(ModelId model) const {
-  return model.valid() && model.value < perModel_.size()
-             ? perModel_[model.value]
-             : 0;
-}
-
-std::uint64_t TpuService::invokeCountFor(const std::string& model) const {
-  return invokeCountFor(lookupModel(model));
 }
 
 }  // namespace microedge

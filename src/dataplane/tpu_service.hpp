@@ -9,17 +9,14 @@
 //   Invoke — from TPU Clients: run one inference, reply with the result.
 //
 // Time sharing falls out of the underlying device's serial FIFO; space
-// sharing falls out of installing co-compiled composites. The service keeps
-// per-model counters so experiments can attribute load.
+// sharing falls out of installing co-compiled composites.
 //
-// Hot path: Invoke takes a dense interned ModelId and bumps a vector-indexed
-// counter — no string-map probe per frame. The hosting node is interned at
-// construction so clients address response hops by NodeId. String overloads
-// remain as thin wrappers.
+// Hot path: Invoke takes a dense interned ModelId — no string-map probe per
+// frame. The hosting node is interned at construction so clients address
+// response hops by NodeId. String overloads remain as thin wrappers.
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cluster/tpu_device.hpp"
 #include "core/admission.hpp"
@@ -64,8 +61,6 @@ class TpuService {
 
   std::uint64_t invokeCount() const { return invokes_; }
   std::uint64_t loadCount() const { return loads_; }
-  std::uint64_t invokeCountFor(ModelId model) const;
-  std::uint64_t invokeCountFor(const std::string& model) const;
 
  private:
   TpuDevice& device_;
@@ -74,9 +69,6 @@ class TpuService {
   bool hung_ = false;
   std::uint64_t invokes_ = 0;
   std::uint64_t loads_ = 0;
-  // Indexed by ModelId.value (process-wide dense handles); grown on first
-  // sight of a model, then bumped with one vector index per invoke.
-  std::vector<std::uint64_t> perModel_;
 };
 
 }  // namespace microedge

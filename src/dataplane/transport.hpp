@@ -53,9 +53,10 @@ class SimTransport {
   // draw under a loss window is a pure function of (fault seed, key) —
   // independent of lane, shard count, and every other message — so loss
   // outcomes replay identically at any shard count. Key 0 means "unkeyed":
-  // the message draws from the lane's sequential RNG (control-plane and
-  // test traffic that predates keying). Frame traffic derives its key from
-  // (stream token, frame id, attempt, hop) in TpuClient.
+  // the message draws from the lane's sequential RNG. Every TpuClient frame
+  // is keyed, from (stream token, frame id, attempt, hop); the callers that
+  // send unkeyed are Coral-Pie's re-id hops (apps/coral_pie) and the
+  // serverless baseline's hops (testbed/serverless_baseline).
   static constexpr std::uint64_t kUnkeyed = 0;
 
   // Delivers `onDelivered` after the transfer latency of `bytes` from

@@ -85,13 +85,6 @@ std::size_t SmoothWrr::pickIndex() {
   return best;
 }
 
-void SmoothWrr::pickBatch(std::size_t k, std::vector<std::uint32_t>& out) {
-  out.reserve(out.size() + k);
-  for (std::size_t j = 0; j < k; ++j) {
-    out.push_back(static_cast<std::uint32_t>(pickIndex()));
-  }
-}
-
 std::uint64_t SmoothWrr::pickCount(const std::string& id) const {
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (targets_[i].id == id) return counts_[i];

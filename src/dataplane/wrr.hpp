@@ -49,16 +49,12 @@ class SmoothWrr {
   Status setTargets(std::vector<WrrTarget> targets);
 
   bool empty() const { return targets_.empty(); }
-  std::size_t targetCount() const { return targets_.size(); }
   std::uint64_t totalWeight() const { return totalWeight_; }
   const std::vector<WrrTarget>& targets() const { return targets_; }
 
   // Index of the next target into targets(). Precondition: !empty().
   // The per-frame hot path: no string is touched.
   std::size_t pickIndex();
-  // Appends k picks to out: exactly k pickIndex() calls.
-  // Precondition: !empty().
-  void pickBatch(std::size_t k, std::vector<std::uint32_t>& out);
   // Next target id. Precondition: !empty().
   const std::string& pick() { return targets_[pickIndex()].id; }
 

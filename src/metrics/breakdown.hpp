@@ -27,7 +27,6 @@ class BreakdownAggregator {
   // Every frame that reached a terminal state (completed or otherwise).
   std::uint64_t terminalCount() const;
   // Frames that re-routed at least once before terminating.
-  std::uint64_t failedOverCount() const { return failedOver_; }
   const DurationSummary& preprocess() const { return preprocess_; }
   const DurationSummary& requestTransmit() const { return requestTransmit_; }
   const DurationSummary& queueDelay() const { return queueDelay_; }

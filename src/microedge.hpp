@@ -14,7 +14,7 @@
 //                control, workload partitioning, co-compile planning,
 //                reclamation, extended scheduler, failure recovery,
 //                defragmentation
-//   dataplane -> TPU Service / LB Service / TPU Client (+ threaded runtime)
+//   dataplane -> TPU Service / LB Service / TPU Client
 //   apps      -> camera pipelines: Coral-Pie, BodyPix, cascades
 //   trace     -> MAF-like workload generation & replay
 //   metrics   -> utilization, SLO, latency breakdowns
@@ -34,7 +34,6 @@
 #include "core/reclamation.hpp"
 #include "core/tpu_units.hpp"
 #include "dataplane/dataplane.hpp"
-#include "dataplane/inproc_runtime.hpp"
 #include "metrics/breakdown.hpp"
 #include "metrics/report.hpp"
 #include "metrics/slo.hpp"

@@ -63,8 +63,6 @@ class ApiServer {
     watchers_.push_back(std::move(callback));
   }
 
-  const DefaultScheduler& defaultScheduler() const { return scheduler_; }
-
   // Runs the admission pipeline. On success the pod is Running and its uid
   // is returned; on rejection nothing is allocated anywhere.
   StatusOr<std::uint64_t> createPod(PodSpec spec);

@@ -140,7 +140,6 @@ class Simulator {
            "emitter tracking enabled with events already pending");
     trackEmitters_ = on;
   }
-  bool emitterTracking() const { return trackEmitters_; }
   // True while the currently-firing callback is an emitter: actors that
   // carry work across cascades through their own state (the TPU device
   // FIFO) capture this at enqueue time and re-assert it on the event that

@@ -1,5 +1,8 @@
 #include "sweep/drivers.hpp"
 
+#include <initializer_list>
+#include <limits>
+
 #include "models/zoo.hpp"
 #include "scenario/spec.hpp"
 #include "testbed/scenarios.hpp"
@@ -26,6 +29,31 @@ JsonValue pointError(const Status& status) {
   return err;
 }
 
+// Range checks for the numeric fields a driver reads. An out-of-range value
+// is a grid-authoring error too: it must not crash the sweep, or simulate
+// something other than what the point reports.
+Status checkAtLeast(std::string_view field, std::int64_t value,
+                    std::int64_t min) {
+  if (value >= min && value <= std::numeric_limits<int>::max()) {
+    return Status::ok();
+  }
+  return invalidArgument(strCat("sweep: ", field, " must be an integer >= ",
+                                min, ", got ", value));
+}
+
+Status checkPositive(std::string_view field, double value) {
+  if (value > 0.0) return Status::ok();
+  return invalidArgument(
+      strCat("sweep: ", field, " must be positive, got ", value));
+}
+
+Status firstError(std::initializer_list<Status> checks) {
+  for (const Status& check : checks) {
+    if (!check.isOk()) return check;
+  }
+  return Status::ok();
+}
+
 // Explicit "seed" field wins (paper-shape grids pin the seed the serial
 // benches used); otherwise the coordinate-derived per-point seed.
 std::uint64_t pointSeed(const SweepPoint& p) {
@@ -37,23 +65,28 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
   ScalabilityScenario scenario;
   StatusOr<SchedulingMode> mode = parseMode(p.getString("mode", "wp"));
   if (!mode.isOk()) return pointError(mode.status());
+  const double fps = p.getDouble("fps", 15.0);
+  const std::int64_t tpusPerNode = p.getInt("tpus_per_node", 1);
+  const std::int64_t upperBound = p.getInt("camera_upper_bound", 64);
+  const double horizonS = p.getDouble("horizon_s", 40.0);
+  const std::int64_t tpusField = p.getInt("tpus", 1);
+  Status valid = firstError({checkPositive("fps", fps),
+                             checkAtLeast("tpus_per_node", tpusPerNode, 1),
+                             checkAtLeast("camera_upper_bound", upperBound, 1),
+                             checkPositive("horizon_s", horizonS),
+                             checkAtLeast("tpus", tpusField, 1)});
+  if (!valid.isOk()) return pointError(valid);
   scenario.mode = *mode;
   scenario.deployment.model = p.getString("model", zoo::kSsdMobileNetV2);
-  scenario.deployment.fps = p.getDouble("fps", 15.0);
-  scenario.tpusPerNode = static_cast<int>(p.getInt("tpus_per_node", 1));
-  scenario.cameraUpperBound =
-      static_cast<int>(p.getInt("camera_upper_bound", 64));
-  scenario.horizon = secondsF(p.getDouble("horizon_s", 40.0));
+  scenario.deployment.fps = fps;
+  scenario.tpusPerNode = static_cast<int>(tpusPerNode);
+  scenario.cameraUpperBound = static_cast<int>(upperBound);
+  scenario.horizon = secondsF(horizonS);
   scenario.seed = pointSeed(p);
-  const int tpus = static_cast<int>(p.getInt("tpus", 1));
+  const int tpus = static_cast<int>(tpusField);
   // The pool is built as tpus / tpus_per_node tRPis, so anything but a
-  // positive multiple would divide by zero or simulate a smaller pool than
-  // the point reports.
-  if (scenario.tpusPerNode <= 0) {
-    return pointError(invalidArgument(strCat(
-        "sweep: tpus_per_node must be positive, got ", scenario.tpusPerNode)));
-  }
-  if (tpus <= 0 || tpus % scenario.tpusPerNode != 0) {
+  // multiple would simulate a smaller pool than the point reports.
+  if (tpus % scenario.tpusPerNode != 0) {
     return pointError(invalidArgument(
         strCat("sweep: tpus (", tpus, ") must be a positive multiple of "
                "tpus_per_node (", scenario.tpusPerNode, ")")));
@@ -79,11 +112,16 @@ JsonValue runTraceSweepPoint(const SweepPoint& p) {
     return pointError(invalidArgument(
         strCat("sweep: window_s must be at least 1 ns, got ", windowS)));
   }
+  const double horizonMin = p.getDouble("horizon_min", 20.0);
+  const double capacityUnits = p.getDouble("capacity_units", 10.0);
+  Status valid = firstError({checkPositive("horizon_min", horizonMin),
+                             checkPositive("capacity_units", capacityUnits)});
+  if (!valid.isOk()) return pointError(valid);
   TraceScenarioConfig config;
   config.trace = MafTraceGenerator::paperDefaults();
-  config.trace.horizon = secondsF(p.getDouble("horizon_min", 20.0) * 60.0);
+  config.trace.horizon = secondsF(horizonMin * 60.0);
   config.trace.seed = pointSeed(p);
-  config.capacityUnits = p.getDouble("capacity_units", 10.0);
+  config.capacityUnits = capacityUnits;
   config.sampleWindow = secondsF(windowS);
   config.testbed.mode = *mode;
   config.testbed.enableCoCompile = p.getBool("co_compile", true);
@@ -106,8 +144,8 @@ JsonValue runTraceSweepPoint(const SweepPoint& p) {
 
 // Overload-control bundles for the scenario driver, cumulative by design
 // (admit ⊂ degrade ⊂ full) so the sweep reads as an ablation.
-Status applyScenarioPolicy(const std::string& policy, SimDuration deadline,
-                           ShardedClusterConfig* config) {
+Status applyControlPolicy(const std::string& policy, SimDuration deadline,
+                          ShardedClusterConfig* config) {
   if (policy == "none") return Status::ok();
   config->frameDeadline = deadline;
   config->frameAdmission.enabled = true;
@@ -128,24 +166,38 @@ JsonValue runScenarioSweepPoint(const SweepPoint& p) {
   if (!specOr.isOk()) return pointError(specOr.status());
   ScenarioSpec spec = *std::move(specOr);
   spec.seed = pointSeed(p);
+  // 0 keeps the builtin spec's flash-crowd peak.
   const double peak = p.getDouble("peak", 0.0);
+  const std::int64_t shards = p.getInt("shards", 1);
+  const std::int64_t racks = p.getInt("racks", 2);
+  const std::int64_t vRpisPerRack = p.getInt("vrpis_per_rack", 4);
+  const std::int64_t streamsPerVRpi = p.getInt("streams_per_vrpi", 2);
+  const double fps = p.getDouble("fps", 24.0);
+  const double sloMs = p.getDouble("slo_ms", 60.0);
+  Status valid = firstError(
+      {peak == 0.0 ? Status::ok() : checkPositive("peak", peak),
+       checkAtLeast("shards", shards, 1), checkAtLeast("racks", racks, 1),
+       checkAtLeast("vrpis_per_rack", vRpisPerRack, 1),
+       checkAtLeast("streams_per_vrpi", streamsPerVRpi, 1),
+       checkPositive("fps", fps), checkPositive("slo_ms", sloMs)});
+  if (!valid.isOk()) return pointError(valid);
   if (peak > 0.0) {
     for (FlashCrowdSpec& flash : spec.flash) flash.peakMultiplier = peak;
   }
 
   ShardedClusterConfig config;
-  config.shards = static_cast<unsigned>(p.getInt("shards", 1));
-  config.racks = static_cast<int>(p.getInt("racks", 2));
+  config.shards = static_cast<unsigned>(shards);
+  config.racks = static_cast<int>(racks);
   config.tRpisPerRack = 1;
-  config.vRpisPerRack = static_cast<int>(p.getInt("vrpis_per_rack", 4));
-  config.streamsPerVRpi = static_cast<int>(p.getInt("streams_per_vrpi", 2));
-  config.fps = p.getDouble("fps", 24.0);
-  const SimDuration slo = millisecondsF(p.getDouble("slo_ms", 60.0));
+  config.vRpisPerRack = static_cast<int>(vRpisPerRack);
+  config.streamsPerVRpi = static_cast<int>(streamsPerVRpi);
+  config.fps = fps;
+  const SimDuration slo = millisecondsF(sloMs);
   config.scenario.enabled = true;
   config.scenario.spec = spec;
   config.scenario.sloDeadline = slo;
   const std::string policy = p.getString("policy", "none");
-  Status applied = applyScenarioPolicy(policy, slo, &config);
+  Status applied = applyControlPolicy(policy, slo, &config);
   if (!applied.isOk()) return pointError(applied);
 
   ShardedCluster cluster(std::move(config));

@@ -114,21 +114,4 @@ StatusOr<std::string> readTextFile(const std::string& path) {
   return buf.str();
 }
 
-StatusOr<JsonValue> mergeShardFiles(const SweepGrid& grid,
-                                    const std::vector<std::string>& paths) {
-  std::vector<JsonValue> docs;
-  docs.reserve(paths.size());
-  for (const std::string& path : paths) {
-    StatusOr<std::string> text = readTextFile(path);
-    if (!text.isOk()) return text.status();
-    StatusOr<JsonValue> doc = JsonValue::parse(*text);
-    if (!doc.isOk()) {
-      return invalidArgument(
-          strCat(path, ": ", doc.status().message()));
-    }
-    docs.push_back(std::move(*doc));
-  }
-  return mergeShardDocuments(grid, docs);
-}
-
 }  // namespace microedge

@@ -64,7 +64,5 @@ StatusOr<JsonValue> mergeShardDocuments(const SweepGrid& grid,
 // File-level conveniences for the sweep_runner CLI and tests.
 Status writeTextFile(const std::string& path, const std::string& contents);
 StatusOr<std::string> readTextFile(const std::string& path);
-StatusOr<JsonValue> mergeShardFiles(const SweepGrid& grid,
-                                    const std::vector<std::string>& paths);
 
 }  // namespace microedge

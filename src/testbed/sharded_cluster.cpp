@@ -19,6 +19,10 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// Gap between a departing churn camera's drain (task + client stop) and the
+// release of its admitted units back to the rack pool.
+constexpr SimDuration kDrainGrace = milliseconds(250);
+
 inline std::uint64_t fnvFold(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * kFnvPrime;
 }
@@ -44,7 +48,7 @@ struct ShardedCluster::Stream {
   // task, rate control) at setup but admitted — units, loads, LB config —
   // by its join event mid-run; `joined` stays false if that admission
   // fails. A leave event drains the stream: task + client stop, in-flight
-  // frames reach their terminal outcomes, units released after drainGrace.
+  // frames reach their terminal outcomes, units released after kDrainGrace.
   bool churn = false;
   bool joined = true;
   bool departed = false;
@@ -104,13 +108,16 @@ struct ShardedCluster::RackControl {
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     : config_(std::move(config)), zoo_(zoo::standardZoo()) {
-  if (config_.shards < 1) config_.shards = 1;
-  if (config_.racks < 1) config_.racks = 1;
+  if (config_.shards < 1 || config_.racks < 1) {
+    setupStatus_ = invalidArgument(
+        strCat("sharded cluster: shards (", config_.shards, ") and racks (",
+               config_.racks, ") must be at least 1"));
+    return;
+  }
   const int racks = config_.racks;
 
-  sharded_ = std::make_unique<ShardedSim>(config_.shards,
-                                          config_.networkConfig.baseLatency,
-                                          config_.windowBound);
+  sharded_ = std::make_unique<ShardedSim>(
+      config_.shards, NetworkConfig{}.baseLatency, config_.windowBound);
   ShardMap& map = sharded_->shardMap();
   // Placement policy must be fixed before the first shardOfName() — the
   // topology factory below resolves each node's owner sim through it.
@@ -121,8 +128,6 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   spec.tRpiCount = racks * config_.tRpisPerRack;
   spec.vRpiCount = racks * config_.vRpisPerRack;
   spec.tpusPerTRpi = config_.tpusPerTRpi;
-  spec.tpuConfig = config_.tpuConfig;
-  spec.networkConfig = config_.networkConfig;
   topology_ = std::make_unique<ClusterTopology>(
       [this](const std::string& name) -> Simulator& {
         return sharded_->shardSim(shardOfName(name));
@@ -138,10 +143,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     auto rc = std::make_unique<RackControl>();
     rc->rack = r;
     rc->shard = map.shardOfRack(r);
-    AdmissionConfig admission;
-    admission.strategy = config_.strategy;
-    rc->admission =
-        std::make_unique<AdmissionController>(rc->pool, zoo_, admission);
+    rc->admission = std::make_unique<AdmissionController>(rc->pool, zoo_);
     rc->reclamation = std::make_unique<Reclamation>(*rc->admission);
     FailureRecovery::Callbacks callbacks;
     callbacks.loadModel = [this](const LoadCommand& command) {
@@ -306,14 +308,11 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     TpuClient::Config clientConfig;
     clientConfig.clientNode = camera->name();
     clientConfig.model = config_.model;
-    clientConfig.spread = config_.spread;
     // Cross-rack streams run deadline-free: the deadline/shed/NACK paths are
     // the one place sharded timing legitimately differs from solo (see
     // header), so the differential witness keeps them rack-local only.
     clientConfig.frameDeadline =
         cross ? SimDuration::zero() : config_.frameDeadline;
-    clientConfig.maxFailovers = config_.maxFailovers;
-    clientConfig.health = config_.lbHealth;
     // Per-frame admission: with a zero deadline (cross-rack streams) the
     // estimate is zero and the ledger is never consulted.
     clientConfig.admission = config_.frameAdmission;
@@ -587,7 +586,7 @@ void ShardedCluster::armScenarioTimeline() {
           },
           /*emitter=*/true);
       sharded_->postToShard(
-          s->shard, scenarioBase_ + s->leaveAt + config_.scenario.drainGrace,
+          s->shard, scenarioBase_ + s->leaveAt + kDrainGrace,
           [this, s] {
             if (s->joined) {
               (void)racks_[static_cast<std::size_t>(s->targetRack)]

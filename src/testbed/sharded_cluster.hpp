@@ -77,12 +77,13 @@ struct ScenarioRunConfig {
   // accounting bound — it never sheds or times out frames, so policy "none"
   // runs can still be judged against the bound the others enforce.
   SimDuration sloDeadline{};
-  // Gap between a departing camera's drain (task + client stop) and the
-  // release of its admitted units back to the rack pool.
-  SimDuration drainGrace = milliseconds(250);
 };
 
+// Every rack runs First-Fit admission, every client smooth-WRR routing with
+// default health tuning and one failover per frame, on default TPU hardware
+// and network (whose base latency is the lookahead).
 struct ShardedClusterConfig {
+  // At least 1 each; anything less fails setupStatus() with InvalidArgument.
   unsigned shards = 1;
   int racks = 2;
   int tRpisPerRack = 2;
@@ -113,15 +114,9 @@ struct ShardedClusterConfig {
   // Deadline for rack-local streams; zero disables (cross-rack streams are
   // always deadline-free — see header).
   SimDuration frameDeadline{};
-  std::uint32_t maxFailovers = 1;
-  LbHealthConfig lbHealth{};
   // Every `crossRackStride`-th camera targets the next rack's TPUs
   // (cross-shard when racks land on different shards); 0 = all rack-local.
   int crossRackStride = 0;
-  PackingStrategy strategy = PackingStrategy::kFirstFit;
-  LbSpread spread = LbSpread::kSmooth;
-  TpuHardwareConfig tpuConfig{};
-  NetworkConfig networkConfig{};
   // Per-frame admission for every rack-local stream's client (cross-rack
   // streams run deadline-free, which disables the ledger's estimate). Off
   // keeps the submit path — and the default dump — byte-identical.
@@ -148,8 +143,9 @@ class ShardedCluster {
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
-  // Setup status: admission or load failures at construction land here
-  // instead of throwing (tests assert ok()).
+  // Setup status: a zero shard or rack count and admission or load failures
+  // at construction land here instead of throwing (tests assert ok()). Do
+  // not run a cluster whose setup failed.
   const Status& setupStatus() const { return setupStatus_; }
 
   // Pre-arms a replayable fault plan (call before run; one plan per

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/backoff.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -85,7 +86,7 @@ Testbed::Testbed(TestbedConfig config)
   recovery.loadModel = [this](const LoadCommand& command) {
     Status s = dataPlane_->executeLoad(command);
     if (s.isOk() || dataPlane_->service(command.tpuId) == nullptr) return s;
-    dataPlane_->executeLoadWithRetry(command, config_.loadRetryBackoff, {});
+    dataPlane_->executeLoadWithRetry(command, ExpBackoff{}, {});
     return Status::ok();
   };
   recovery.reconfigureLb = [this](std::uint64_t uid, const LbConfig& config) {
@@ -112,24 +113,6 @@ Testbed::Testbed(TestbedConfig config)
       sim_, std::move(devices), config_.utilizationWindow);
   reclamationTask_ = std::make_unique<PeriodicTask>(
       sim_, config_.reclamationPeriod, [this] { pollReclamationNow(); });
-  if (config_.repack.enabled && defragmenter_ != nullptr) {
-    // Attainment sample: completed / terminal across every stream that ever
-    // ran. The supervisor differences successive samples, so the window
-    // signal reacts to *current* misery, not run-lifetime averages.
-    repackSupervisor_ = std::make_unique<RepackSupervisor>(
-        config_.repack,
-        [this]() -> RepackSupervisor::Sample {
-          RepackSupervisor::Sample s;
-          for (const SloMonitor* m : collectSloMonitors()) {
-            s.good += m->completed();
-            s.total += m->completed() + m->dropped();
-          }
-          return s;
-        },
-        [this] { return defragmenter_->replanAll(); });
-    repackTask_ = std::make_unique<PeriodicTask>(
-        sim_, config_.repack.window, [this] { repackSupervisor_->onWindow(); });
-  }
 }
 
 std::function<Status(const LoadCommand&)> Testbed::callbacksLoadModel() {
@@ -187,11 +170,9 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   TpuClient::Config clientConfig;
   clientConfig.clientNode = clientNode;
   clientConfig.model = deployment.model;
-  clientConfig.spread = config_.spread;
   clientConfig.frameDeadline = deployment.frameDeadline > SimDuration::zero()
                                    ? deployment.frameDeadline
                                    : config_.frameDeadline;
-  clientConfig.maxFailovers = config_.maxFailovers;
   clientConfig.health = config_.lbHealth;
   clientConfig.admission = config_.frameAdmission;
   auto client = dataPlane_->makeClient(std::move(clientConfig));
@@ -438,7 +419,6 @@ void Testbed::startBackgroundTasks() {
   backgroundStarted_ = true;
   utilization_->start();
   reclamationTask_->start();
-  if (repackTask_ != nullptr) repackTask_->start();
 }
 
 void Testbed::run(SimDuration horizon) {
@@ -572,81 +552,6 @@ Testbed::NodeFailureReport Testbed::failNode(const std::string& nodeName) {
     report.recovery.reshapedPods += r.reshapedPods;
   }
   return report;
-}
-
-Status Testbed::applyScenario(const ScenarioSpec& spec,
-                              const CameraDeployment& churnTemplate) {
-  if (scenarioArmed_) {
-    return failedPrecondition("applyScenario: one scenario per testbed");
-  }
-  Status valid = spec.validate();
-  if (!valid.isOk()) return valid;
-  // Correlated failures ride the standard fault-plan path (single-tenant:
-  // every tRPi sits in group 0). Compiled first: a scenario with failures
-  // cannot share the testbed with a hand-written plan, and refusing must
-  // leave no deployment or event behind.
-  std::vector<std::vector<std::string>> nodesByRack(1);
-  for (RpiNode* node : topology_.tRpis()) {
-    nodesByRack[0].push_back(node->name());
-  }
-  const FaultPlan plan = compileScenarioFaults(spec, nodesByRack);
-  if (!plan.events.empty() && faultInjector_ != nullptr) {
-    return failedPrecondition(
-        "applyScenario: the spec has failure groups and a fault plan is "
-        "already armed (one fault plan per testbed)");
-  }
-  scenarioArmed_ = true;
-  const CompiledScenario compiled = compileScenario(spec, /*tenants=*/1);
-  const SimTime base = sim_.now();
-
-  // Envelope: every update retunes all cameras live right now through their
-  // rate arbiters, so a degrader rung applied later composes instead of
-  // being overwritten.
-  for (CameraPipeline* pipeline : liveCameras()) {
-    scenarioRates_.push_back(std::make_unique<StreamRateControl>(
-        pipeline->camera().task(), pipeline->camera().framePeriodDuration()));
-  }
-  for (const ScenarioRateUpdate& update : compiled.rateUpdates) {
-    sim_.schedule(base + update.at, [this, m = update.multiplier] {
-      for (const auto& rate : scenarioRates_) rate->setEnvelope(m);
-    });
-  }
-
-  // Churn: each compiled entry deploys its own camera (join) and removes it
-  // again (leave) — ordinary control-plane calls, just fired from events
-  // instead of between run() segments. Removed pipelines retire, not die,
-  // so in-flight frames drain to terminal outcomes as usual.
-  int index = 0;
-  for (const ScenarioChurnCamera& cam : compiled.churn) {
-    CameraDeployment deployment = churnTemplate;
-    if (deployment.model.empty()) deployment.model = zoo::kMobileNetV1;
-    if (deployment.name.empty()) deployment.name = "scenario-cam";
-    deployment.name = strCat(deployment.name, "-", index++);
-    if (cam.joinAt > SimDuration::zero()) {
-      sim_.schedule(base + cam.joinAt, [this, deployment] {
-        StatusOr<CameraPipeline*> joined = deployCamera(deployment);
-        if (!joined.isOk()) {
-          ME_LOG(kWarning) << "scenario join " << deployment.name
-                           << " failed: " << joined.status().toString();
-        }
-      });
-    } else {
-      StatusOr<CameraPipeline*> deployed = deployCamera(deployment);
-      if (!deployed.isOk()) return deployed.status();
-    }
-    if (cam.leaveAt > SimDuration::zero()) {
-      sim_.schedule(base + cam.leaveAt, [this, name = deployment.name] {
-        Status left = removeCamera(name);
-        if (!left.isOk()) {
-          ME_LOG(kWarning) << "scenario leave " << name
-                           << " failed: " << left.toString();
-        }
-      });
-    }
-  }
-
-  if (!plan.events.empty()) armFaults(plan);
-  return Status::ok();
 }
 
 FaultInjector& Testbed::armFaults(const FaultPlan& plan) {

@@ -27,17 +27,12 @@
 #include "core/defragmenter.hpp"
 #include "core/extended_scheduler.hpp"
 #include "core/failure_recovery.hpp"
-#include "core/overload_supervisor.hpp"
 #include "dataplane/dataplane.hpp"
 #include "metrics/slo.hpp"
 #include "metrics/utilization.hpp"
 #include "models/zoo.hpp"
 #include "orch/api_server.hpp"
-#include "scenario/engine.hpp"
-#include "scenario/spec.hpp"
 #include "sim/fault_injector.hpp"
-#include "testbed/rate_control.hpp"
-#include "util/backoff.hpp"
 #include "util/rng.hpp"
 
 namespace microedge {
@@ -51,25 +46,16 @@ struct TestbedConfig {
   SchedulingMode mode = SchedulingMode::kMicroEdgeWp;
   bool enableCoCompile = true;
   PackingStrategy strategy = PackingStrategy::kFirstFit;
-  LbSpread spread = LbSpread::kSmooth;
   SimDuration reclamationPeriod = seconds(2);
   SimDuration utilizationWindow = seconds(60);
   std::uint64_t seed = 1234;
   // --- Data-plane reliability defaults (per-deployment overridable) -------
   // Per-frame deadline; zero keeps the seed behaviour (no timer, no shed).
   SimDuration frameDeadline{};
-  std::uint32_t maxFailovers = 1;
   LbHealthConfig lbHealth{};
-  // Backoff for control-plane Load retries against transiently hung
-  // services (failure recovery / defrag replans).
-  ExpBackoff loadRetryBackoff{};
   // Per-frame admission for every deployed client (DESIGN.md §14); off
   // keeps the data-plane submit path byte-identical to the seed.
   FrameAdmissionConfig frameAdmission{};
-  // SLO-triggered runtime repacking: when enabled (MicroEdge modes only), a
-  // periodic supervisor watches windowed SLO attainment and runs the
-  // defragmenter through the same weight-push path failure recovery uses.
-  RepackSupervisorConfig repack{};
 };
 
 // Two-stage multi-model pipeline (gate model on every frame, expert model on
@@ -127,7 +113,6 @@ class Testbed {
   UtilizationTracker& utilization() { return *utilization_; }
   // Stats source valid only in MicroEdge modes (nullptr in baseline).
   AdmissionController* admissionController() { return microEdgeAllocator_.get(); }
-  DedicatedAllocator* dedicatedAllocator() { return baselineAllocator_.get(); }
 
   double profiledUnits(const std::string& model, double fps) const;
 
@@ -170,9 +155,6 @@ class Testbed {
   // consolidation of partitioned pods. Only meaningful in MicroEdge modes;
   // returns an un-applied report under the dedicated baseline.
   Defragmenter::Report defragment(bool full = true);
-  FailureRecovery& failureRecovery() { return *failureRecovery_; }
-  // Null unless config.repack.enabled in a MicroEdge mode.
-  RepackSupervisor* repackSupervisor() { return repackSupervisor_.get(); }
 
   struct NodeFailureReport {
     std::size_t podsLost = 0;  // pods hosted on the node, terminated
@@ -192,20 +174,6 @@ class Testbed {
   // per testbed instance: a second call aborts, in every build.
   FaultInjector& armFaults(const FaultPlan& plan);
   FaultInjector* faultInjector() { return faultInjector_.get(); }
-
-  // --- Scenario engine ------------------------------------------------------
-  // Arms a compiled scenario (DESIGN.md §15) against this solo stack: the
-  // diurnal x flash envelope retunes every camera live at call time (the
-  // testbed is single-tenant, so tenant-scoped entries apply to all), each
-  // churn entry deploys its own camera from `churnTemplate` at its join time
-  // and removes it at its leave time, and failure groups compile into a
-  // FaultPlan armed through armFaults (so a scenario with failure groups
-  // and a hand-written plan are mutually exclusive: with a plan already
-  // armed, such a spec returns FailedPrecondition and changes nothing).
-  // Call after the steady-state deployments, before run(); at most once per
-  // testbed.
-  Status applyScenario(const ScenarioSpec& spec,
-                       const CameraDeployment& churnTemplate = {});
 
   // --- Results ------------------------------------------------------------
   double meanTpuUtilization() const { return utilization_->overallMean(); }
@@ -268,12 +236,6 @@ class Testbed {
   std::unique_ptr<FaultInjector> faultInjector_;
   std::unique_ptr<UtilizationTracker> utilization_;
   std::unique_ptr<PeriodicTask> reclamationTask_;
-  std::unique_ptr<RepackSupervisor> repackSupervisor_;
-  std::unique_ptr<PeriodicTask> repackTask_;
-  // Scenario envelope controllers over the cameras live at applyScenario
-  // time (quantum 0: the solo sim needs no tick lattice).
-  std::vector<std::unique_ptr<StreamRateControl>> scenarioRates_;
-  bool scenarioArmed_ = false;
   bool backgroundStarted_ = false;
   Pcg32 rng_;
   std::uint64_t nextVehicleBase_ = 0;

@@ -50,11 +50,8 @@ class DurationSummary {
   std::size_t count() const { return summary_.count(); }
   bool empty() const { return summary_.empty(); }
   double meanMs() const { return summary_.mean(); }
-  double stddevMs() const { return summary_.stddev(); }
   double minMs() const { return summary_.min(); }
   double maxMs() const { return summary_.max(); }
-  double p50Ms() const { return summary_.p50(); }
-  double p90Ms() const { return summary_.p90(); }
   double p99Ms() const { return summary_.p99(); }
   const Summary& raw() const { return summary_; }
 
@@ -69,7 +66,6 @@ class Histogram {
 
   void add(double v);
   std::size_t count() const { return total_; }
-  std::size_t bucketCount() const { return counts_.size(); }
   std::size_t bucketValue(std::size_t i) const { return counts_[i]; }
   double bucketLow(std::size_t i) const { return lo_ + i * width_; }
   double bucketHigh(std::size_t i) const { return lo_ + (i + 1) * width_; }

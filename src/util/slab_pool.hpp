@@ -64,13 +64,6 @@ class SlabPool {
     return Handle{index, gen};
   }
 
-  // Acquires `n` slots, appending their handles to `out`: exactly n
-  // acquire() calls.
-  void acquireRun(std::size_t n, std::vector<Handle>& out) {
-    out.reserve(out.size() + n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(acquire());
-  }
-
   // Resolves a handle; nullptr if the handle is stale (its slot has been
   // released since, whether or not it was reacquired).
   T* get(Handle h) {

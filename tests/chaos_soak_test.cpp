@@ -36,7 +36,6 @@ TestbedConfig soakConfig() {
   config.topology.vRpiCount = 4;
   config.topology.tRpiCount = 4;  // 4 TPUs; plans kill at most 1
   config.frameDeadline = milliseconds(400);
-  config.maxFailovers = 1;
   config.lbHealth.failureThreshold = 2;
   config.lbHealth.maskDuration = milliseconds(200);
   config.reclamationPeriod = milliseconds(500);

@@ -91,13 +91,11 @@ TEST(SlabPoolTest, LowestNeverUsedFirstThenLifoReuseAcrossChunks) {
   EXPECT_EQ(pool.acquire().index, 2u);
   // ...which then resume at the lowest.
   EXPECT_EQ(pool.acquire().index, 10u);
-  // A run that has to grow the pool takes the slots n acquire() calls
-  // would: the recycled one, the rest of chunk 3, then chunk 4 from 15.
+  // A run of acquires that has to grow the pool takes the recycled slot,
+  // the rest of chunk 3, then chunk 4 from 15.
   ASSERT_TRUE(pool.release(handles[0]));
-  std::vector<SlabPool<int>::Handle> run;
-  pool.acquireRun(7, run);
   std::vector<std::uint32_t> indices;
-  for (auto h : run) indices.push_back(h.index);
+  for (int i = 0; i < 7; ++i) indices.push_back(pool.acquire().index);
   EXPECT_EQ(indices, (std::vector<std::uint32_t>{0, 11, 12, 13, 14, 15, 16}));
   EXPECT_EQ(pool.capacity(), 31u);
 }
@@ -110,7 +108,7 @@ TEST(SlabPoolTest, PointersSurviveGrowth) {
   *p = 7;
   // Six more chunks (2 .. 64 slots) arrive behind the first one.
   std::vector<SlabPool<int>::Handle> more;
-  pool.acquireRun(100, more);
+  for (int i = 0; i < 100; ++i) more.push_back(pool.acquire());
   EXPECT_EQ(pool.capacity(), 127u);
   std::set<int*> slots{p};
   for (auto h : more) {
@@ -129,7 +127,7 @@ TEST(SlabPoolTest, AcquireRunSpansThreeChunks) {
   auto head = pool.acquire();  // fills chunk 0
   std::vector<SlabPool<int>::Handle> run;
   // Ten slots: chunk 1 (indices 1-2), chunk 2 (3-6) and most of chunk 3.
-  pool.acquireRun(10, run);
+  for (int i = 0; i < 10; ++i) run.push_back(pool.acquire());
   EXPECT_EQ(pool.capacity(), 15u);
   EXPECT_EQ(pool.inUse(), 11u);
   ASSERT_EQ(run.size(), 10u);
@@ -147,7 +145,7 @@ TEST(SlabPoolTest, AcquireRunSpansThreeChunks) {
 TEST(SlabPoolTest, ForEachLiveVisitsIndexOrderAcrossChunks) {
   SlabPool<int> pool;
   std::vector<SlabPool<int>::Handle> handles;
-  pool.acquireRun(20, handles);  // chunks 0-4
+  for (int i = 0; i < 20; ++i) handles.push_back(pool.acquire());  // chunks 0-4
   for (auto h : handles) *pool.get(h) = static_cast<int>(h.index);
   std::vector<std::uint32_t> expected;
   for (auto h : handles) {

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "dataplane/dataplane.hpp"
+#include "dataplane/lb_service.hpp"
 #include "models/zoo.hpp"
+#include "util/intern.hpp"
 
 namespace microedge {
 namespace {
@@ -610,6 +612,26 @@ TEST_F(ReliabilityTest, BackoffDelaysDoubleAndCap) {
   EXPECT_EQ(backoff.delay(2), milliseconds(40));
   EXPECT_EQ(backoff.delay(3), milliseconds(50));   // capped
   EXPECT_EQ(backoff.delay(30), milliseconds(50));  // no overflow
+}
+
+TEST(LbBatchHealthTest, AllMaskedBatchRoutesNothing) {
+  // Every target masked: each of a batch of frames routed at one instant
+  // finds no target, and none of them counts as routed.
+  InternScope scope;
+  LbService lb;
+  ASSERT_TRUE(
+      lb.configure(LbConfig{{LbWeight{"tpu0", 100}, LbWeight{"tpu1", 100}}})
+          .isOk());
+  SimTime t0{};
+  for (std::size_t target : {std::size_t{0}, std::size_t{1}}) {
+    for (int j = 0; j < 3; ++j) lb.recordFailure(target, t0);
+  }
+  ASSERT_EQ(lb.maskedCount(), 2u);
+  for (int frame = 0; frame < 5; ++frame) {
+    EXPECT_EQ(lb.routeHealthyIndex(t0 + milliseconds(1)), LbService::kNoTarget)
+        << "frame " << frame;
+  }
+  EXPECT_EQ(lb.routedCount(), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/defragmenter.hpp"
 #include "models/zoo.hpp"
+#include "packing_scan_order.hpp"
 #include "testbed/testbed.hpp"
 
 namespace microedge {

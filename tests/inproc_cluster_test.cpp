@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/extended_scheduler.hpp"
-#include "dataplane/inproc_runtime.hpp"
+#include "inproc_runtime.hpp"
 #include "models/zoo.hpp"
 
 namespace microedge {

@@ -1,4 +1,4 @@
-#include "dataplane/inproc_runtime.hpp"
+#include "inproc_runtime.hpp"
 
 #include <algorithm>
 

@@ -1,6 +1,7 @@
 #pragma once
 
-// In-process *threaded* data plane.
+// In-process *threaded* data plane: a test fixture for inproc_runtime_test
+// and inproc_cluster_test, not part of the library.
 //
 // The simulator validates scheduling behaviour; this runtime validates that
 // the same control-plane artifacts (co-compiled composites, LBS weights)

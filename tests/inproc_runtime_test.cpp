@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "core/admission.hpp"
-#include "dataplane/inproc_runtime.hpp"
+#include "inproc_runtime.hpp"
 #include "models/zoo.hpp"
 
 namespace microedge {

@@ -5,6 +5,7 @@
 #include "core/admission.hpp"
 #include "core/packing_strategy.hpp"
 #include "models/zoo.hpp"
+#include "packing_scan_order.hpp"
 
 namespace microedge {
 namespace {

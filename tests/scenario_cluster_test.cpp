@@ -3,19 +3,16 @@
 // rack failure — must produce byte-identical metrics at shard counts
 // {1, 2, 8} and across reruns; churn cameras must drain cleanly (every
 // in-flight frame reaches exactly one terminal outcome, under chaos too);
-// and the per-phase windowed metrics series must cover the horizon. Plus
-// the single-Simulator attachment: Testbed::applyScenario.
+// and the per-phase windowed metrics series must cover the horizon.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "models/zoo.hpp"
 #include "scenario/spec.hpp"
 #include "sweep/drivers.hpp"
 #include "testbed/sharded_cluster.hpp"
-#include "testbed/testbed.hpp"
 
 namespace microedge {
 namespace {
@@ -186,80 +183,6 @@ TEST(ScenarioCluster, SweepExposesScenarioAxes) {
   EXPECT_EQ(grid.pointCount(), 20u);  // 5 scenarios x 4 policies
   EXPECT_EQ(grid.driver(), "scenario");
   EXPECT_TRUE(findSweepDriver("scenario").isOk());
-}
-
-TEST(ScenarioCluster, TestbedAppliesScenarioTimeline) {
-  // The single-Simulator attachment: envelope retunes + churn + a failure
-  // group ride the classic Testbed (quantum-free — solo runs need no
-  // cross-shard lattice).
-  Testbed testbed;
-  CameraDeployment resident;
-  resident.name = "resident-cam";
-  resident.model = zoo::kMobileNetV1;
-  resident.fps = 15.0;
-  ASSERT_TRUE(testbed.deployCamera(resident).isOk());
-
-  ScenarioSpec spec;
-  spec.name = "testbed-smoke";
-  spec.horizonS = 6.0;
-  spec.quantumNs = 0;
-  spec.diurnal.points = {{0.0, 1.0}, {3.0, 1.5}};
-  spec.churn = {{/*tenant=*/0, /*joinS=*/1.0, /*leaveS=*/4.0, /*count=*/1}};
-  CameraDeployment churnTemplate = resident;
-  churnTemplate.name = "churn-cam";
-  ASSERT_TRUE(testbed.applyScenario(spec, churnTemplate).isOk());
-  // One timeline per testbed instance.
-  EXPECT_FALSE(testbed.applyScenario(spec, churnTemplate).isOk());
-
-  testbed.run(secondsF(spec.horizonS));
-  // The churn camera joined at t=1 and was removed at t=4 (retired, so its
-  // in-flight frames drained; the SLO report still counts both streams).
-  EXPECT_EQ(testbed.liveCameraCount(), 1u);
-  EXPECT_EQ(testbed.findCamera("churn-cam-0"), nullptr);
-  EXPECT_EQ(testbed.sloReport().streams, 2u);
-  // The diurnal retune actually sped the resident up: more frames than the
-  // whole run at nominal rate (6 s x 15 fps = 90) could ever produce.
-  CameraPipeline* pipeline = testbed.findCamera("resident-cam");
-  ASSERT_NE(pipeline, nullptr);
-  EXPECT_GT(pipeline->slo().completed(), 95u);
-}
-
-TEST(ScenarioCluster, TestbedRefusesScenarioFailuresOverAnArmedPlan) {
-  // Failure groups compile into a second fault plan. With a hand-written
-  // plan armed, the scenario is refused before it deploys or schedules
-  // anything, so a failure-free spec can still be applied afterwards.
-  Testbed testbed;
-  CameraDeployment resident;
-  resident.name = "resident-cam";
-  resident.model = zoo::kMobileNetV1;
-  resident.fps = 15.0;
-  ASSERT_TRUE(testbed.deployCamera(resident).isOk());
-  FaultPlan hang;
-  hang.events.push_back(
-      {seconds(1), FaultKind::kTpuHang, "tpu-00", milliseconds(500), 0.0});
-  testbed.armFaults(hang);
-  const std::size_t pending = testbed.sim().pendingCount();
-
-  ScenarioSpec spec;
-  spec.name = "failures-over-plan";
-  spec.horizonS = 4.0;
-  spec.quantumNs = 0;
-  // Present from the start: applying the spec would deploy it at once.
-  spec.churn = {{/*tenant=*/0, /*joinS=*/0.0, /*leaveS=*/0.0, /*count=*/1}};
-  spec.failures = {{/*atS=*/2.0, /*tenant=*/0, /*count=*/1}};
-  CameraDeployment churnTemplate = resident;
-  churnTemplate.name = "churn-cam";
-  Status refused = testbed.applyScenario(spec, churnTemplate);
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition)
-      << refused.toString();
-  EXPECT_EQ(testbed.liveCameraCount(), 1u);
-  EXPECT_EQ(testbed.sim().pendingCount(), pending);
-
-  spec.failures.clear();
-  ASSERT_TRUE(testbed.applyScenario(spec, churnTemplate).isOk());
-  EXPECT_EQ(testbed.liveCameraCount(), 2u);
-  testbed.run(secondsF(spec.horizonS));
-  EXPECT_EQ(testbed.faultInjector()->log().size(), 2u);  // hang on + off
 }
 
 }  // namespace

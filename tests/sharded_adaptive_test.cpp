@@ -234,7 +234,6 @@ ShardedClusterConfig baseConfig(unsigned shards,
   config.tpusPerTRpi = 1;
   config.fps = 15.0;
   config.frameDeadline = milliseconds(60);
-  config.maxFailovers = 1;
   config.windowBound = mode;
   return config;
 }

@@ -34,7 +34,6 @@ ShardedClusterConfig soakConfig() {
   // Every stream carries a deadline so frames stranded by dropped messages
   // or hung devices terminate as kTimedOut instead of leaking.
   config.frameDeadline = milliseconds(60);
-  config.maxFailovers = 1;
   config.crossRackStride = 0;
   return config;
 }

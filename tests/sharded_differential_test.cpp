@@ -35,7 +35,6 @@ ShardedClusterConfig baseConfig(unsigned shards) {
   config.tpusPerTRpi = 1;
   config.fps = 15.0;
   config.frameDeadline = milliseconds(60);
-  config.maxFailovers = 1;
   return config;
 }
 
@@ -142,6 +141,25 @@ TEST(ShardedDifferential, RepeatedRunsAreByteIdentical) {
   const std::string second = runOnce();
   EXPECT_EQ(first, second);
   EXPECT_FALSE(first.empty());
+}
+
+// A cluster with no shard or no rack is a configuration error, reported by
+// setupStatus() rather than silently run as one shard or one rack.
+TEST(ShardedClusterSetupTest, ZeroShardsOrRacksIsInvalidArgument) {
+  ShardedClusterConfig noShards = baseConfig(1);
+  noShards.shards = 0;
+  ShardedClusterConfig noRacks = baseConfig(1);
+  noRacks.racks = 0;
+  ShardedClusterConfig negativeRacks = baseConfig(2);
+  negativeRacks.racks = -3;
+  for (const ShardedClusterConfig& config :
+       {noShards, noRacks, negativeRacks}) {
+    ShardedCluster cluster(config);
+    EXPECT_EQ(cluster.setupStatus().code(), StatusCode::kInvalidArgument)
+        << "shards=" << config.shards << " racks=" << config.racks << ": "
+        << cluster.setupStatus().toString();
+    EXPECT_EQ(cluster.streamCount(), 0u);
+  }
 }
 
 // One fault plan per instance, checked in every build: a second plan must

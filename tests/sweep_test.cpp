@@ -456,5 +456,65 @@ TEST(SweepDriversTest, ZeroTraceWindowIsAnInBandError) {
   EXPECT_NE(result.find("error"), nullptr) << result.dump();
 }
 
+// Every out-of-range numeric field a driver reads, one point per value, on
+// top of a base point that runs fast when valid.
+struct BadField {
+  const char* field;
+  JsonValue value;
+};
+
+void expectEachIsAnInBandError(const std::string& driver,
+                               const JsonValue& base,
+                               const std::vector<BadField>& table) {
+  for (const BadField& bad : table) {
+    JsonValue values = base;
+    values.set(bad.field, bad.value);
+    JsonValue result = runDriverPoint(driver, std::move(values));
+    EXPECT_NE(result.find("error"), nullptr)
+        << driver << " " << bad.field << "=" << bad.value.dump() << ": "
+        << result.dump();
+  }
+}
+
+TEST(SweepDriversTest, ScalabilityOutOfRangeNumbersAreInBandErrors) {
+  JsonValue base = JsonValue::object();
+  base.set("tpus", 2);
+  base.set("horizon_s", 0.5);
+  base.set("camera_upper_bound", 4);
+  expectEachIsAnInBandError(
+      "scalability", base,
+      {{"horizon_s", JsonValue(-5.0)}, {"horizon_s", JsonValue(0.0)},
+       {"fps", JsonValue(-15.0)}, {"fps", JsonValue(0.0)},
+       {"camera_upper_bound", JsonValue(0)},
+       {"camera_upper_bound", JsonValue(-4)}, {"tpus", JsonValue(-2)}});
+}
+
+TEST(SweepDriversTest, TraceOutOfRangeNumbersAreInBandErrors) {
+  JsonValue base = JsonValue::object();
+  base.set("horizon_min", 0.1);
+  expectEachIsAnInBandError(
+      "trace", base,
+      {{"horizon_min", JsonValue(-1.0)}, {"horizon_min", JsonValue(0.0)},
+       {"capacity_units", JsonValue(-3.0)},
+       {"capacity_units", JsonValue(0.0)}});
+}
+
+TEST(SweepDriversTest, ScenarioOutOfRangeNumbersAreInBandErrors) {
+  // shards is checked before its unsigned cast: -1 must not become
+  // 4,294,967,295 shards.
+  JsonValue base = JsonValue::object();
+  base.set("racks", 1);
+  base.set("vrpis_per_rack", 1);
+  base.set("streams_per_vrpi", 1);
+  expectEachIsAnInBandError(
+      "scenario", base,
+      {{"shards", JsonValue(-1)}, {"shards", JsonValue(0)},
+       {"racks", JsonValue(0)}, {"racks", JsonValue(-2)},
+       {"vrpis_per_rack", JsonValue(0)}, {"streams_per_vrpi", JsonValue(-3)},
+       {"streams_per_vrpi", JsonValue(0)}, {"slo_ms", JsonValue(-5.0)},
+       {"slo_ms", JsonValue(0.0)}, {"fps", JsonValue(0.0)},
+       {"peak", JsonValue(-2.0)}});
+}
+
 }  // namespace
 }  // namespace microedge

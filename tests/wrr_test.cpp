@@ -141,53 +141,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<std::uint32_t>{650, 350},
                       std::vector<std::uint32_t>{1000, 200, 150, 100}));
 
-// Batched picking must be *identical* to single picks — pickBatch is a loop
-// over pickIndex, never a different scheduler. Tested in both regimes: the
-// cached cycle and the linear fallback for degenerate weight sets whose
-// period exceeds the cap.
-
-TEST_P(WrrPropertyTest, BatchMatchesSinglePicks) {
-  SmoothWrr single, batched;
-  ASSERT_TRUE(single.setTargets(makeTargets(GetParam())).isOk());
-  ASSERT_TRUE(batched.setTargets(makeTargets(GetParam())).isOk());
-
-  // Cover several periods with a mix of batch sizes, including k spanning
-  // the period boundary and k == 0.
-  std::vector<std::uint32_t> got;
-  std::vector<std::uint32_t> want;
-  std::uint64_t period = single.totalWeight();
-  std::vector<std::size_t> batchSizes = {
-      1, 3, 0, static_cast<std::size_t>(period),
-      static_cast<std::size_t>(period) + 2, 7};
-  for (std::size_t k : batchSizes) {
-    batched.pickBatch(k, got);
-    for (std::size_t j = 0; j < k; ++j) {
-      want.push_back(static_cast<std::uint32_t>(single.pickIndex()));
-    }
-  }
-  EXPECT_EQ(got, want);
-  for (const WrrTarget& t : single.targets()) {
-    EXPECT_EQ(batched.pickCount(t.id), single.pickCount(t.id)) << t.id;
-  }
-}
-
-TEST_P(WrrPropertyTest, InterleavedBatchAndSingleMatchesAllSingles) {
-  SmoothWrr mixed, reference;
-  ASSERT_TRUE(mixed.setTargets(makeTargets(GetParam())).isOk());
-  ASSERT_TRUE(reference.setTargets(makeTargets(GetParam())).isOk());
-
-  std::vector<std::uint32_t> got;
-  for (int round = 0; round < 5; ++round) {
-    got.push_back(static_cast<std::uint32_t>(mixed.pickIndex()));
-    mixed.pickBatch(static_cast<std::size_t>(round) + 2, got);
-  }
-  std::vector<std::uint32_t> want;
-  for (std::size_t j = 0; j < got.size(); ++j) {
-    want.push_back(static_cast<std::uint32_t>(reference.pickIndex()));
-  }
-  EXPECT_EQ(got, want);
-}
-
 TEST(SmoothWrrBatchTest, CycleCacheActiveForTypicalWeights) {
   SmoothWrr wrr;
   ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 400}, WrrTarget{"b", 200}}).isOk());
@@ -198,32 +151,40 @@ TEST(SmoothWrrBatchTest, CycleCacheActiveForTypicalWeights) {
 
 TEST(SmoothWrrBatchTest, DegeneratePeriodFallsBackAndStillMatches) {
   // Coprime weights above the cap: reduced period 4099 + 2 > kMaxCyclePeriod,
-  // so the cache is skipped — and the batch must still equal single picks.
+  // so the cache is skipped — and the fallback's picks must still be the
+  // smooth-WRR argmax, checked against a step-by-step reference.
   std::vector<WrrTarget> targets = {WrrTarget{"big", 4099},
                                     WrrTarget{"small", 2}};
   ASSERT_GT(4099u + 2u, SmoothWrr::kMaxCyclePeriod);
-  SmoothWrr single, batched;
-  ASSERT_TRUE(single.setTargets(targets).isOk());
-  ASSERT_TRUE(batched.setTargets(targets).isOk());
-  batched.pickIndex();
-  EXPECT_EQ(batched.cyclePeriod(), 0u);  // fallback regime
+  SmoothWrr wrr;
+  ASSERT_TRUE(wrr.setTargets(targets).isOk());
+  wrr.pickIndex();  // the first pick decides the regime
+  EXPECT_EQ(wrr.cyclePeriod(), 0u);  // fallback regime
+  ASSERT_TRUE(wrr.setTargets(targets).isOk());
 
-  std::vector<std::uint32_t> got;
-  batched.pickBatch(5000, got);
-  single.pickIndex();
+  // Reference: add each weight to its credit, pick the first maximum, take
+  // the total weight off the winner.
+  std::vector<std::int64_t> credit(targets.size(), 0);
+  const std::int64_t total = 4099 + 2;
   for (std::size_t j = 0; j < 5000; ++j) {
-    EXPECT_EQ(got[j], static_cast<std::uint32_t>(single.pickIndex())) << j;
+    std::size_t best = 0;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      credit[t] += targets[t].weight;
+      if (credit[t] > credit[best]) best = t;
+    }
+    credit[best] -= total;
+    ASSERT_EQ(wrr.pickIndex(), best) << j;
   }
 }
 
 TEST(SmoothWrrBatchTest, SetTargetsResetsTheSchedule) {
   SmoothWrr wrr;
   ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 2}, WrrTarget{"b", 1}}).isOk());
-  std::vector<std::uint32_t> first;
-  wrr.pickBatch(5, first);
+  std::vector<std::size_t> first;
+  for (int j = 0; j < 5; ++j) first.push_back(wrr.pickIndex());
   ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 2}, WrrTarget{"b", 1}}).isOk());
-  std::vector<std::uint32_t> second;
-  wrr.pickBatch(5, second);
+  std::vector<std::size_t> second;
+  for (int j = 0; j < 5; ++j) second.push_back(wrr.pickIndex());
   EXPECT_EQ(first, second);  // reconfigure restarts from the schedule start
 }
 
