@@ -136,18 +136,8 @@ struct Fixture {
       streams[i].client = clients.back().get();
     }
     if (mode != Mode::kOff) {
-      FaultInjector::Hooks hooks;
-      hooks.setTpuHung = [this](const std::string& tpu, bool hung) {
-        if (TpuService* s = dataPlane.service(tpu)) s->setHung(hung);
-      };
-      hooks.setTransportFault = [this](double loss, double mult,
-                                       std::uint64_t seed) {
-        dataPlane.transport().setFault(loss, mult, seed);
-      };
-      hooks.clearTransportFault = [this] {
-        dataPlane.transport().clearFault();
-      };
-      injector = std::make_unique<FaultInjector>(sim, std::move(hooks));
+      injector = std::make_unique<FaultInjector>(dataPlane.router(),
+                                                 dataPlane.faultHooks());
       FaultPlan plan;
       plan.seed = 99;
       if (mode == Mode::kActive) {

@@ -4,11 +4,11 @@
 // work-stealing SweepRunner and writes the deterministically merged result:
 //
 //   sweep_runner --grid=fig5 --threads=8 --out=BENCH_sweep.json
-//   sweep_runner --grid=grid.json --shards=4 --resume
+//   sweep_runner --grid=grid.json --resume
 //
-// The merged output is byte-identical for any --threads/--shards split (and
-// across interrupted + resumed histories), so two invocations can be
-// compared with cmp(1) — CI does exactly that.
+// The merged output is byte-identical for any --threads count (and across
+// interrupted + resumed histories), so two invocations can be compared with
+// cmp(1) — CI does exactly that.
 
 #include <cstdlib>
 #include <iostream>
@@ -31,7 +31,6 @@ void usage() {
       "  --threads=N        worker threads (default: hardware concurrency;\n"
       "                     1 = serial path, 0 = auto — clamp to the\n"
       "                     machine's hardware concurrency)\n"
-      "  --shards=K         shard files to emit alongside --out (default 1)\n"
       "  --out=PATH         merged output (default BENCH_sweep.json)\n"
       "  --manifest=PATH    checkpoint manifest (default <out>.manifest.jsonl,\n"
       "                     'none' disables checkpointing)\n"
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
   std::string manifestPath;  // empty = derive from outPath
   unsigned threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
-  std::size_t shards = 1;
   std::size_t maxPoints = 0;
   bool resume = false;
   bool quiet = false;
@@ -75,8 +73,6 @@ int main(int argc, char** argv) {
         threads = std::thread::hardware_concurrency();
         if (threads == 0) threads = 1;
       }
-    } else if (parseFlag(arg, "shards", &value)) {
-      shards = std::stoul(value);
     } else if (parseFlag(arg, "out", &value)) {
       outPath = value;
     } else if (parseFlag(arg, "manifest", &value)) {
@@ -133,7 +129,6 @@ int main(int argc, char** argv) {
 
   SweepOptions options;
   options.threads = threads;
-  options.shards = shards;
   options.outPath = outPath;
   options.manifestPath =
       manifestPath == "none"
@@ -158,9 +153,6 @@ int main(int argc, char** argv) {
     std::cerr << "sweep " << grid.name()
               << ": interrupted (resume with --resume)\n";
     return 3;
-  }
-  for (const std::string& path : report->shardPaths) {
-    std::cerr << "wrote " << path << "\n";
   }
   std::cerr << "wrote " << outPath << "\n";
   return 0;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "dataplane/backoff.hpp"
 #include "util/strings.hpp"
 
 namespace microedge {
@@ -20,7 +21,8 @@ DataPlane::DataPlane(const ClusterTopology& topology,
                      std::unique_ptr<SoloRouter> solo, ShardRouter* router)
     : soloRouter_(std::move(solo)),
       router_(router != nullptr ? *router : *soloRouter_),
-      registry_(registry), transport_(router_, topology.network()) {
+      topology_(topology), registry_(registry),
+      transport_(router_, topology.network()) {
   const unsigned shards = router_.shardCount();
   serviceViews_.resize(shards);
   clientsByShard_.resize(shards);
@@ -120,33 +122,26 @@ Status DataPlane::executeLoad(const LoadCommand& command) {
   return target->load(command);
 }
 
-void DataPlane::executeLoadWithRetry(LoadCommand command, ExpBackoff backoff,
-                                     LoadDone done) {
+Status DataPlane::executeLoadOrRetry(const LoadCommand& command) {
   Status s = executeLoad(command);
-  if (s.isOk() || backoff.maxAttempts == 0 ||
-      service(command.tpuId) == nullptr) {
-    if (done) done(s);
-    return;
-  }
-  retryLoad(std::move(command), backoff, 0, std::move(done));
+  if (s.isOk() || service(command.tpuId) == nullptr) return s;
+  retryLoad(command, 0);
+  return Status::ok();
 }
 
-void DataPlane::retryLoad(LoadCommand command, ExpBackoff backoff,
-                          std::uint32_t attempt, LoadDone done) {
+void DataPlane::retryLoad(LoadCommand command, std::uint32_t attempt) {
   router_.currentSim().scheduleAfter(
-      backoff.delay(attempt),
-      [this, command = std::move(command), backoff, attempt,
-       done = std::move(done)]() mutable {
+      ExpBackoff{}.delay(attempt),
+      [this, command = std::move(command), attempt]() mutable {
         ++loadRetriesByShard_[ShardRouter::currentShard()];
-        Status s = executeLoad(command);
-        // Success, budget exhausted, or the service disappeared while we
-        // were backing off (permanent — eviction is the caller's move).
-        if (s.isOk() || attempt + 1 >= backoff.maxAttempts ||
+        // Done on success, an exhausted budget, or a service that vanished
+        // while we backed off (permanent: eviction is recovery's move).
+        if (executeLoad(command).isOk() ||
+            attempt + 1 >= ExpBackoff{}.maxAttempts ||
             service(command.tpuId) == nullptr) {
-          if (done) done(s);
           return;
         }
-        retryLoad(std::move(command), backoff, attempt + 1, std::move(done));
+        retryLoad(std::move(command), attempt + 1);
       });
 }
 
@@ -154,6 +149,39 @@ std::uint64_t DataPlane::loadRetries() const {
   std::uint64_t n = 0;
   for (std::uint64_t r : loadRetriesByShard_) n += r;
   return n;
+}
+
+FaultInjector::Hooks DataPlane::faultHooks() {
+  FaultInjector::Hooks hooks;
+  hooks.shardOf = [this](const std::string& target) {
+    return shardOfTarget(target);
+  };
+  hooks.tpuFailDataPlane = [this](const std::string& tpuId) {
+    removeService(tpuId);
+  };
+  hooks.nodeFailDataPlane = [this](const std::string& nodeName) {
+    if (const RpiNode* node = topology_.findNode(nodeName)) {
+      for (const TpuDevice* tpu : node->tpus()) removeService(tpu->id());
+    }
+  };
+  hooks.setTpuHung = [this](const std::string& tpuId, bool hung) {
+    if (TpuService* target = service(tpuId)) target->setHung(hung);
+  };
+  hooks.setTransportFault = [this](double loss, double latencyMultiplier,
+                                   std::uint64_t seed) {
+    transport_.setFault(loss, latencyMultiplier, seed);
+  };
+  hooks.clearTransportFault = [this] { transport_.clearFault(); };
+  return hooks;
+}
+
+unsigned DataPlane::shardOfTarget(const std::string& target) const {
+  const std::string& node = topology_.findTpu(target) != nullptr
+                                ? topology_.nodeOfTpu(target)
+                                : target;
+  return topology_.findNode(node) != nullptr
+             ? router_.shardOfNode(internNode(node))
+             : 0;
 }
 
 std::unique_ptr<TpuClient> DataPlane::makeClient(std::string clientNode,

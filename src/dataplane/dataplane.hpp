@@ -3,7 +3,8 @@
 // Data-plane assembly: instantiates one TPU Service per physical TPU at
 // cluster boot (as MicroEdge does at system initialization) and provides
 // the glue the control plane needs — a Load executor for the extended
-// scheduler and a client factory for application pods.
+// scheduler, the retrying Load every replan uses, the data-plane side of
+// fault plans, and a client factory for application pods.
 //
 // Reliability glue: the DataPlane keeps a registry of the clients it
 // created; removeService() broadcasts the removal so every in-flight frame
@@ -36,8 +37,8 @@
 #include "dataplane/tpu_client.hpp"
 #include "dataplane/tpu_service.hpp"
 #include "dataplane/transport.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/sharded_sim.hpp"
-#include "util/backoff.hpp"
 
 namespace microedge {
 
@@ -76,19 +77,26 @@ class DataPlane {
   // lookahead later.
   void removeService(const std::string& tpuId);
 
-  // ExtendedScheduler::Callbacks::loadModel implementation.
+  // ExtendedScheduler::Callbacks::loadModel implementation (admission-time
+  // Loads: a failure is the caller's to handle).
   Status executeLoad(const LoadCommand& command);
 
-  // Async Load with bounded exponential backoff, for transient service
-  // faults (hung TPU Service mid-recovery). Retries are ordinary simulator
-  // events on the calling shard; `done` (optional) fires with the final
-  // status — synchronously when the first attempt succeeds or the target
-  // service is gone (permanent failure: retrying a removed service is
-  // pointless).
-  using LoadDone = MoveFn<void(const Status&)>;
-  void executeLoadWithRetry(LoadCommand command, ExpBackoff backoff,
-                            LoadDone done);
+  // The control-plane replan Load (failure recovery, defragmentation,
+  // mid-run joins), which races with hung-but-alive services: tries the
+  // Load now; if it fails while the service still exists, retries in the
+  // background with ExpBackoff{} (ordinary events on the calling shard) and
+  // reports OK; if the service is gone the failure is permanent and its
+  // error is returned, so the caller evicts instead of waiting.
+  Status executeLoadOrRetry(const LoadCommand& command);
   std::uint64_t loadRetries() const;
+
+  // Fault-plan hooks (sim/fault_injector.hpp) for the data-plane side of
+  // every fault: a crash removes the TPU Service, a node death removes each
+  // of the node's services (in topology order), a hang flips setHung, and
+  // a transport window drives the calling shard's lane. shardOf maps a TPU
+  // id or node name to its node's shard. Harnesses add the control-plane
+  // edges.
+  FaultInjector::Hooks faultHooks();
 
   // Creates the client library instance baked into an application pod and
   // registers it for fail-fast service-removal broadcasts. The client is
@@ -104,8 +112,9 @@ class DataPlane {
   DataPlane(const ClusterTopology& topology, const ModelRegistry& registry,
             std::unique_ptr<SoloRouter> solo, ShardRouter* router);
 
-  void retryLoad(LoadCommand command, ExpBackoff backoff,
-                 std::uint32_t attempt, LoadDone done);
+  // Retry number `attempt` (0-based) of a failed replan Load.
+  void retryLoad(LoadCommand command, std::uint32_t attempt);
+  unsigned shardOfTarget(const std::string& target) const;
   // Applies the removal on one shard: nulls the view entry and notifies the
   // shard's clients. Returns false if that shard already saw the removal.
   bool removeFromShard(unsigned shard, TpuId handle);
@@ -115,6 +124,7 @@ class DataPlane {
 
   std::unique_ptr<SoloRouter> soloRouter_;  // owns the router in solo mode
   ShardRouter& router_;
+  const ClusterTopology& topology_;
   const ModelRegistry& registry_;
   SimTransport transport_;
   // Immutable after construction: keys AND values live for the plane's

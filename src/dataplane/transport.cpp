@@ -74,34 +74,17 @@ SimDuration SimTransport::sendRouted(NodeId fromNode, NodeId toNode,
 
 void SimTransport::setFault(double lossProbability, double latencyMultiplier,
                             std::uint64_t seed) {
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    lanes_[s].faultActive = true;
-    lanes_[s].lossProbability = lossProbability;
-    lanes_[s].latencyMultiplier = latencyMultiplier;
-    lanes_[s].faultRng = Pcg32{seed + s};
-    lanes_[s].faultSeed = seed;  // lane-invariant: keyed draws replay at any
-                                 // shard count
-  }
-}
-
-void SimTransport::clearFault() {
-  for (Lane& lane : lanes_) lane.faultActive = false;
-}
-
-void SimTransport::setFaultOnLane(unsigned shard, double lossProbability,
-                                  double latencyMultiplier,
-                                  std::uint64_t seed) {
+  const unsigned shard = ShardRouter::currentShard();
   Lane& lane = lanes_[shard];
   lane.faultActive = true;
   lane.lossProbability = lossProbability;
   lane.latencyMultiplier = latencyMultiplier;
   lane.faultRng = Pcg32{seed + shard};
-  lane.faultSeed = seed;
+  lane.faultSeed = seed;  // lane-invariant: keyed draws replay at any shard
+                          // count
 }
 
-void SimTransport::clearFaultOnLane(unsigned shard) {
-  lanes_[shard].faultActive = false;
-}
+void SimTransport::clearFault() { lane().faultActive = false; }
 
 bool SimTransport::faultActive() const {
   for (const Lane& lane : lanes_) {

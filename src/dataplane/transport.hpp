@@ -84,26 +84,18 @@ class SimTransport {
 
   const NetworkModel& network() const { return network_; }
 
-  // Fault window (driven by the fault injector): every message is dropped
-  // with `lossProbability` (its delivery callback never fires — the frame's
-  // deadline timer is what notices), and surviving deliveries take
-  // `latencyMultiplier` times the modelled latency. Draws come from a
-  // dedicated seeded Pcg32 so a replayed plan drops identical messages.
-  // Sharded runs seed lane s with `seed + s`: each shard's drop sequence is
-  // a pure function of (seed, shard, its own send order), so replays remain
-  // deterministic at any shard count. Steady-state cost with no fault
+  // Fault window on the CALLING shard's lane (the fault injector arms one
+  // edge pair per shard, each touching only its own lane): every message is
+  // dropped with `lossProbability` (its delivery callback never fires — the
+  // frame's deadline timer is what notices), and surviving deliveries take
+  // `latencyMultiplier` times the modelled latency. Keyed messages decide
+  // the drop from (seed, key) alone, so loss replays identically at any
+  // shard count; unkeyed ones draw from the lane's Pcg32{seed + shard},
+  // which is deterministic per shard count. Steady-state cost with no fault
   // active: one branch per send.
   void setFault(double lossProbability, double latencyMultiplier,
                 std::uint64_t seed);
   void clearFault();
-  // Single-lane variants for sharded runs: a fault window that starts or
-  // ends mid-run must be armed as one event per shard, each touching only
-  // its own lane (the whole-transport setters above write every lane and
-  // are only safe while no shard worker is sending). Lane s draws from
-  // Pcg32{seed + s}, matching setFault's seeding.
-  void setFaultOnLane(unsigned shard, double lossProbability,
-                      double latencyMultiplier, std::uint64_t seed);
-  void clearFaultOnLane(unsigned shard);
   bool faultActive() const;
   std::size_t droppedMessages() const;
 

@@ -12,7 +12,8 @@
 //     triples with a deterministic round-robin tenant assignment.
 //   * failures — rack-scoped fault groups compiled into the existing
 //     FaultPlan format (kNodeDeath per member tRPi, the spec's detection
-//     delay), so FaultInjector / armFaults / replay tooling run unchanged.
+//     delay); the harness arms them through its FaultInjector like any
+//     hand-written plan, so replay tooling runs unchanged.
 //   * phases — boundaries normalized to cover exactly [0, horizon].
 //
 // Everything here is a pure function of (spec, tenant count, node names):

@@ -1,7 +1,9 @@
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <tuple>
 
 #include "util/strings.hpp"
 
@@ -133,78 +135,104 @@ std::string FaultPlan::toJson() const {
   return out;
 }
 
-void FaultInjector::record(FaultKind kind, const std::string& target,
-                           bool begin) {
-  log_.push_back(Applied{sim_.now(), kind, target, begin});
-}
-
 void FaultInjector::arm(const FaultPlan& plan) {
-  assert(!armed_ && "FaultInjector::arm is one-shot");
+  // Checked in every build: a second plan would arm on top of the first.
+  if (armed_) {
+    std::fprintf(stderr,
+                 "FaultInjector::arm: a fault plan is already armed (one "
+                 "fault plan per injector)\n");
+    std::abort();
+  }
   armed_ = true;
   plan_ = plan;
-  const SimTime base = sim_.now();
+  const SimTime base = router_.currentSim().now();
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    // Copy the event into the closures: the plan vector must not be aliased
-    // by pending simulator events.
-    const FaultEvent e = plan_.events[i];
-    const SimTime at = base + e.at;
-    switch (e.kind) {
-      case FaultKind::kTpuCrash:
-        sim_.schedule(at, [this, e] {
-          record(e.kind, e.target, true);
-          if (hooks_.tpuFailDataPlane) hooks_.tpuFailDataPlane(e.target);
-        });
-        sim_.schedule(at + plan_.detectionDelay, [this, e] {
-          record(e.kind, e.target, false);
-          if (hooks_.tpuFailControlPlane) hooks_.tpuFailControlPlane(e.target);
-        });
-        scheduled_ += 2;
-        break;
-      case FaultKind::kNodeDeath:
-        sim_.schedule(at, [this, e] {
-          record(e.kind, e.target, true);
-          if (hooks_.nodeFailDataPlane) hooks_.nodeFailDataPlane(e.target);
-        });
-        sim_.schedule(at + plan_.detectionDelay, [this, e] {
-          record(e.kind, e.target, false);
-          if (hooks_.nodeFailControlPlane) hooks_.nodeFailControlPlane(e.target);
-        });
-        scheduled_ += 2;
-        break;
-      case FaultKind::kTpuHang:
-        sim_.schedule(at, [this, e] {
-          record(e.kind, e.target, true);
-          if (hooks_.setTpuHung) hooks_.setTpuHung(e.target, true);
-        });
-        sim_.schedule(at + e.duration, [this, e] {
-          record(e.kind, e.target, false);
-          if (hooks_.setTpuHung) hooks_.setTpuHung(e.target, false);
-        });
-        scheduled_ += 2;
-        break;
-      case FaultKind::kTransportLoss:
-      case FaultKind::kLatencySpike: {
-        // Per-window RNG stream: replaying the plan drops the exact same
-        // messages regardless of how many draws earlier windows consumed.
-        const std::uint64_t streamSeed =
-            plan_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-        const bool loss = e.kind == FaultKind::kTransportLoss;
-        sim_.schedule(at, [this, e, streamSeed, loss] {
-          record(e.kind, e.target, true);
-          if (hooks_.setTransportFault) {
-            hooks_.setTransportFault(loss ? e.magnitude : 0.0,
-                                     loss ? 1.0 : e.magnitude, streamSeed);
-          }
-        });
-        sim_.schedule(at + e.duration, [this, e] {
-          record(e.kind, e.target, false);
-          if (hooks_.clearTransportFault) hooks_.clearTransportFault();
-        });
-        scheduled_ += 2;
-        break;
+    const FaultEvent& e = plan_.events[i];
+    const SimTime begin = base + e.at;
+    const bool twoPhase =
+        e.kind == FaultKind::kTpuCrash || e.kind == FaultKind::kNodeDeath;
+    const SimTime end = begin + (twoPhase ? plan_.detectionDelay : e.duration);
+    if (e.kind == FaultKind::kTransportLoss ||
+        e.kind == FaultKind::kLatencySpike) {
+      // Lanes are shard-local state: one edge pair per shard, shard 0's
+      // pair stands for the window in the log.
+      for (unsigned s = 0; s < router_.shardCount(); ++s) {
+        post(s, begin, 2 * i, s == 0);
+        post(s, end, 2 * i + 1, s == 0);
       }
+    } else {
+      const unsigned shard = hooks_.shardOf ? hooks_.shardOf(e.target) : 0;
+      post(shard, begin, 2 * i, true);
+      post(shard, end, 2 * i + 1, true);
     }
   }
+}
+
+void FaultInjector::post(unsigned shard, SimTime at, std::size_t edge,
+                         bool logged) {
+  // Emitter-tagged: a fault's cascade (failure broadcast, recovery pushes,
+  // evictions) is exactly the rare cross-shard control traffic the adaptive
+  // window bound must see. Without emitter tracking the tag is inert.
+  router_.postToShard(
+      shard, at, [this, edge, logged] { apply(edge, logged); },
+      /*emitter=*/true);
+}
+
+void FaultInjector::apply(std::size_t edge, bool logged) {
+  const FaultEvent& e = plan_.events[edge / 2];
+  const bool begin = edge % 2 == 0;
+  if (logged) {
+    logs_[ShardRouter::currentShard()].push_back(
+        LogEntry{edge, Applied{router_.currentSim().now(), e.kind, e.target,
+                               begin}});
+  }
+  const auto call = [](const auto& hook, const auto&... args) {
+    if (hook) hook(args...);
+  };
+  switch (e.kind) {
+    case FaultKind::kTpuCrash:
+      call(begin ? hooks_.tpuFailDataPlane : hooks_.tpuFailControlPlane,
+           e.target);
+      break;
+    case FaultKind::kNodeDeath:
+      call(begin ? hooks_.nodeFailDataPlane : hooks_.nodeFailControlPlane,
+           e.target);
+      break;
+    case FaultKind::kTpuHang:
+      call(hooks_.setTpuHung, e.target, begin);
+      break;
+    case FaultKind::kTransportLoss:
+    case FaultKind::kLatencySpike: {
+      if (!begin) {
+        call(hooks_.clearTransportFault);
+        break;
+      }
+      // Per-window RNG stream: replaying the plan drops the exact same
+      // messages regardless of how many draws earlier windows consumed.
+      const std::uint64_t seed =
+          plan_.seed ^ (0x9e3779b97f4a7c15ULL * (edge / 2 + 1));
+      const bool loss = e.kind == FaultKind::kTransportLoss;
+      call(hooks_.setTransportFault, loss ? e.magnitude : 0.0,
+           loss ? 1.0 : e.magnitude, seed);
+      break;
+    }
+  }
+}
+
+std::vector<FaultInjector::Applied> FaultInjector::log() const {
+  std::vector<LogEntry> entries;
+  for (const auto& shardLog : logs_) {
+    entries.insert(entries.end(), shardLog.begin(), shardLog.end());
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const LogEntry& a, const LogEntry& b) {
+              return std::tie(a.applied.at, a.edge) <
+                     std::tie(b.applied.at, b.edge);
+            });
+  std::vector<Applied> out;
+  out.reserve(entries.size());
+  for (LogEntry& entry : entries) out.push_back(std::move(entry.applied));
+  return out;
 }
 
 }  // namespace microedge

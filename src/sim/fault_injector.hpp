@@ -10,9 +10,17 @@
 // same plan armed twice produces bit-identical event traces (the applied-
 // fault log is exposed for exactly that assertion).
 //
-// The injector is decoupled from the cluster stack through a small Hooks
-// struct (plain std::functions), keeping me_sim dependency-free; the
-// Testbed supplies hooks that call into DataPlane / FailureRecovery.
+// The injector is the only code that turns a plan into simulator events,
+// for both harnesses. It stays decoupled from the cluster stack through a
+// small Hooks struct (plain std::functions), keeping me_sim dependency-free:
+// DataPlane::faultHooks() fills the data-plane side and the owner-shard map,
+// and each harness adds its control-plane edges.
+//
+// Sharding: every edge is posted emitter-tagged onto its target's owner
+// shard (Hooks::shardOf), so a hook only ever touches state of the shard it
+// runs on. A transport window arms one edge pair per shard, each acting on
+// that shard's transport lane with the window's own seed. The applied-fault
+// log is kept per shard (hooks run on shard workers) and merged on read.
 //
 // Detection-window modelling: a crash/node-death fires twice. At t the
 // *data-plane* hook runs (the service stops answering — frames in flight
@@ -28,7 +36,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/sharded_sim.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -83,6 +91,9 @@ struct FaultPlan {
 class FaultInjector {
  public:
   struct Hooks {
+    // Owner shard of a crash/hang/death target (TPU id or node name): the
+    // shard whose event loop runs the target's edges. Unset: shard 0.
+    std::function<unsigned(const std::string& target)> shardOf;
     // Crash/death, data-plane edge (at t): stop answering.
     std::function<void(const std::string& tpuId)> tpuFailDataPlane;
     std::function<void(const std::string& node)> nodeFailDataPlane;
@@ -90,6 +101,8 @@ class FaultInjector {
     std::function<void(const std::string& tpuId)> tpuFailControlPlane;
     std::function<void(const std::string& node)> nodeFailControlPlane;
     std::function<void(const std::string& tpuId, bool hung)> setTpuHung;
+    // Transport window edges run once per shard and act on that shard's
+    // lane only.
     std::function<void(double lossProbability, double latencyMultiplier,
                        std::uint64_t seed)> setTransportFault;
     std::function<void()> clearTransportFault;
@@ -109,29 +122,40 @@ class FaultInjector {
     }
   };
 
-  FaultInjector(Simulator& sim, Hooks hooks)
-      : sim_(sim), hooks_(std::move(hooks)) {}
+  FaultInjector(ShardRouter& router, Hooks hooks)
+      : router_(router), hooks_(std::move(hooks)),
+        logs_(router.shardCount()) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Schedules every event of `plan` relative to sim.now(). May be called
-  // once per injector instance.
+  // Posts every edge of `plan` relative to the current sim time. One plan
+  // per injector: a second call aborts, in every build.
   void arm(const FaultPlan& plan);
 
   const FaultPlan& plan() const { return plan_; }
-  // Faults applied so far, in firing order — the replay-determinism witness.
-  const std::vector<Applied>& log() const { return log_; }
-  std::size_t scheduledCount() const { return scheduled_; }
+  // Edges applied so far, each plan edge once (a transport window is not
+  // repeated per lane), ordered by (time, arm order) — at one shard that is
+  // the firing order. The replay-determinism witness.
+  std::vector<Applied> log() const;
+  // Plan edges armed: two per event, so log().size() after a full run.
+  std::size_t scheduledCount() const { return 2 * plan_.events.size(); }
 
  private:
-  void record(FaultKind kind, const std::string& target, bool begin);
+  struct LogEntry {
+    std::size_t edge = 0;  // 2 * event index, + 1 for the closing edge
+    Applied applied;
+  };
 
-  Simulator& sim_;
+  // Posts edge `edge` onto `shard` at `at`; `logged` edges enter the log.
+  void post(unsigned shard, SimTime at, std::size_t edge, bool logged);
+  // Runs one edge on the calling shard.
+  void apply(std::size_t edge, bool logged);
+
+  ShardRouter& router_;
   Hooks hooks_;
-  FaultPlan plan_;
-  std::vector<Applied> log_;
-  std::size_t scheduled_ = 0;
+  FaultPlan plan_;  // immutable once armed; pending edges index into it
+  std::vector<std::vector<LogEntry>> logs_;  // [shard], own worker writes
   bool armed_ = false;
 };
 

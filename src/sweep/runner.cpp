@@ -3,9 +3,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include "sweep/thread_pool.hpp"
@@ -20,6 +22,17 @@ using WallClock = std::chrono::steady_clock;
 
 double secondsSince(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
+}
+
+// One completed point, fully described (config + seed are embedded so the
+// merged file is self-contained and replayable).
+JsonValue pointDocument(SweepPoint point, JsonValue result) {
+  JsonValue p = JsonValue::object();
+  p.set("i", point.index);
+  p.set("seed", point.seed);
+  p.set("config", std::move(point.values));
+  p.set("result", std::move(result));
+  return p;
 }
 
 // Once-a-second completed/total + ETA lines while workers run. Joined (and
@@ -93,9 +106,6 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
   const auto start = WallClock::now();
   const std::size_t total = grid.pointCount();
   if (total == 0) return invalidArgument("sweep: empty grid");
-  if (options.shards > 1 && options.outPath.empty()) {
-    return invalidArgument("sweep: shard files need an output path");
-  }
   const std::string fingerprint = grid.fingerprint();
 
   SweepReport report;
@@ -104,7 +114,7 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
   // Per-point result slots. A slot is written by exactly one worker task
   // (or prefilled from the manifest before workers start) and read only
   // after the pool joins — no locking, no ordering sensitivity.
-  std::vector<SweepPointRecord> records(total);
+  std::vector<JsonValue> slots(total);
   std::vector<char> present(total, 0);
 
   SweepManifest manifest(options.manifestPath.empty() ? std::string()
@@ -116,10 +126,8 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
       if (!entries.isOk()) return entries.status();
       for (SweepManifest::Entry& entry : *entries) {
         if (present[entry.pointIndex]) continue;  // later dup wins nothing
-        SweepPoint p = grid.point(entry.pointIndex);
-        records[entry.pointIndex] =
-            SweepPointRecord{p.index, p.seed, std::move(p.values),
-                             std::move(entry.result)};
+        slots[entry.pointIndex] = pointDocument(grid.point(entry.pointIndex),
+                                                std::move(entry.result));
         present[entry.pointIndex] = 1;
         ++report.resumed;
       }
@@ -148,10 +156,9 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
     InternScope scope;
     SweepPoint p = grid.point(index);
     JsonValue result = fn(p);
-    records[index] =
-        SweepPointRecord{p.index, p.seed, std::move(p.values), result};
+    if (checkpointing) manifest.append(index, result);
+    slots[index] = pointDocument(std::move(p), std::move(result));
     present[index] = 1;
-    if (checkpointing) manifest.append(index, records[index].result);
     done.fetch_add(1, std::memory_order_relaxed);
   };
 
@@ -177,36 +184,41 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
   report.wallSeconds = secondsSince(start);
   if (!report.complete) return report;  // interrupted (maxNewPoints)
 
-  // Shard + merge. Sharding is by point index, so the shard documents —
-  // like the merge — are independent of which worker ran what.
-  const std::size_t shardCount = options.shards < 1 ? 1 : options.shards;
-  std::vector<JsonValue> shardDocs;
-  shardDocs.reserve(shardCount);
-  for (std::size_t shard = 0; shard < shardCount; ++shard) {
-    std::vector<SweepPointRecord> owned;
-    for (std::size_t i = shard; i < total; i += shardCount) {
-      owned.push_back(records[i]);
-    }
-    shardDocs.push_back(
-        buildShardDocument(grid, std::move(owned), shard, shardCount));
-  }
-  StatusOr<JsonValue> merged = mergeShardDocuments(grid, shardDocs);
-  if (!merged.isOk()) return merged.status();
-  report.merged = std::move(*merged);
+  // Merge: the slots in index order, so the document is independent of
+  // which worker ran what.
+  JsonValue points = JsonValue::array();
+  for (JsonValue& slot : slots) points.push(std::move(slot));
+  report.merged = JsonValue::object();
+  report.merged.set("sweep", 1);
+  report.merged.set("grid", grid.name());
+  report.merged.set("fingerprint", fingerprint);
+  report.merged.set("points", std::move(points));
 
   if (!options.outPath.empty()) {
-    if (shardCount > 1) {
-      for (std::size_t shard = 0; shard < shardCount; ++shard) {
-        std::string path = sweepShardPath(options.outPath, shard, shardCount);
-        ME_RETURN_IF_ERROR(writeTextFile(path, shardDocs[shard].dump(2) + "\n"));
-        report.shardPaths.push_back(std::move(path));
-      }
-    }
     ME_RETURN_IF_ERROR(
         writeTextFile(options.outPath, report.merged.dump(2) + "\n"));
   }
   report.wallSeconds = secondsSince(start);
   return report;
+}
+
+Status writeTextFile(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  if (!out.is_open()) {
+    return internalError(strCat("cannot open ", path, " for writing"));
+  }
+  out << contents;
+  out.flush();
+  if (!out.good()) return internalError(strCat("short write to ", path));
+  return Status::ok();
+}
+
+StatusOr<std::string> readTextFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return notFound(strCat("cannot open ", path));
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 }  // namespace microedge

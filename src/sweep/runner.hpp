@@ -1,14 +1,18 @@
 #pragma once
 
-// SweepRunner: turns a SweepGrid into sharded, work-stolen units of
-// independent Simulator runs and merges the per-point results
-// deterministically.
+// SweepRunner: turns a SweepGrid into work-stolen units of independent
+// Simulator runs and merges the per-point results deterministically into
+// one document:
+//
+//   {"sweep": 1, "grid": ..., "fingerprint": ...,
+//    "points": [ {"i": 0, "seed": ..., "config": {...}, "result": {...}},
+//                ... ]}
 //
 // Determinism contract (the subsystem's reason to exist):
 //   merged_bytes = f(grid, point function)      — nothing else.
-// Thread count, shard count, completion order, steals, and interrupted/
-// resumed histories all produce the identical BENCH_sweep.json. Three
-// mechanisms carry that guarantee:
+// Thread count, completion order, steals, and interrupted/resumed
+// histories all produce the identical BENCH_sweep.json. Three mechanisms
+// carry that guarantee:
 //
 //   1. Per-point isolation. Every point runs inside its own InternScope
 //      (fresh intern tables for the worker thread) with a fresh Testbed/
@@ -17,8 +21,13 @@
 //      bit-identical to the same point run alone in a fresh process.
 //   2. Slotted collection. Workers write into a per-point slot (no shared
 //      accumulator), the manifest records completions in arrival order but
-//      is folded back by index, and the merge sorts by global index.
+//      is folded back by index, and the merge reads the slots in index
+//      order.
 //   3. Canonical serialization. util/json prints one spelling per value.
+//
+// The merged document deliberately excludes anything run-dependent (wall
+// clock, thread count); timing lives in the report and the stderr progress
+// lines instead, so two runs can be compared byte for byte.
 //
 // Work distribution is the WorkStealingPool (tail imbalance across grid
 // points is the real scheduling problem; see thread_pool.hpp). Progress is
@@ -33,7 +42,7 @@
 
 #include "sweep/checkpoint.hpp"
 #include "sweep/grid.hpp"
-#include "sweep/shard.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace microedge {
@@ -47,8 +56,6 @@ using SweepPointFn = std::function<JsonValue(const SweepPoint&)>;
 struct SweepOptions {
   // 1 = serial path (inline on the calling thread, canonical grid order).
   unsigned threads = 1;
-  // Shard files written alongside outPath when > 1 (outPath required).
-  std::size_t shards = 1;
   // Merged document path; empty = keep the merge in memory only.
   std::string outPath;
   // Checkpoint manifest path; empty disables checkpointing.
@@ -72,10 +79,13 @@ struct SweepReport {
   double wallSeconds = 0.0;
   bool complete = false;
   JsonValue merged;  // valid when complete
-  std::vector<std::string> shardPaths;  // written when complete && sharded
 };
 
 StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
                                const SweepOptions& options);
+
+// File-level conveniences for the sweep_runner CLI and tests.
+Status writeTextFile(const std::string& path, const std::string& contents);
+StatusOr<std::string> readTextFile(const std::string& path);
 
 }  // namespace microedge

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/extended_scheduler.hpp"
 #include "models/zoo.hpp"
 #include "sim/topology.hpp"
-#include "util/backoff.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -147,10 +144,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     rc->reclamation = std::make_unique<Reclamation>(*rc->admission);
     FailureRecovery::Callbacks callbacks;
     callbacks.loadModel = [this](const LoadCommand& command) {
-      Status s = dataPlane_->executeLoad(command);
-      if (s.isOk() || dataPlane_->service(command.tpuId) == nullptr) return s;
-      dataPlane_->executeLoadWithRetry(command, ExpBackoff{}, {});
-      return Status::ok();
+      return dataPlane_->executeLoadOrRetry(command);
     };
     callbacks.reconfigureLb = [this](std::uint64_t uid, const LbConfig& lb) {
       pushLbConfig(uid, lb);
@@ -415,102 +409,55 @@ void ShardedCluster::evictStream(std::uint64_t uid) {
   });
 }
 
-void ShardedCluster::armTpuFailure(const std::string& tpuId, SimTime at,
-                                   SimDuration detectionDelay) {
-  int rack = ShardMap::rackOfName(tpuId);
-  if (rack < 0) rack = 0;
-  RackControl* rc = racks_[static_cast<std::size_t>(rack)].get();
-  // Fault roots are armed at setup, outside any firing cascade, so each is
-  // emitter-tagged explicitly: their cascades (failure broadcast, recovery
-  // pushes, evictions) are exactly the rare cross-shard control traffic the
-  // adaptive window bound must account for.
-  // Data-plane edge at t, on the TPU's owner shard: the service vanishes,
-  // local clients fail over instantly, other shards notice +lookahead.
-  sharded_->postToShard(
-      rc->shard, at, [this, tpuId] { dataPlane_->removeService(tpuId); },
-      /*emitter=*/true);
-  // Control-plane edge at t + detectionDelay, same shard (the rack's
-  // control plane is rack-local): pool removal + replan/evict.
-  sharded_->postToShard(
-      rc->shard, at + detectionDelay,
-      [rc, tpuId] {
-        Status removed = rc->pool.removeTpu(tpuId);
-        if (!removed.isOk()) return;  // already failed by an earlier event
-        (void)rc->recovery->onTpuFailure(tpuId);
-      },
-      /*emitter=*/true);
+FaultInjector& ShardedCluster::armFaults(const FaultPlan& plan) {
+  if (faults_ == nullptr) {
+    // The data plane supplies every data-plane edge and each target's owner
+    // shard, which is also its rack's control shard; detection runs the
+    // rack-local control plane there.
+    FaultInjector::Hooks hooks = dataPlane_->faultHooks();
+    hooks.tpuFailControlPlane = [this](const std::string& tpuId) {
+      recoverTpu(tpuId);
+    };
+    hooks.nodeFailControlPlane = [this](const std::string& nodeName) {
+      recoverNode(nodeName);
+    };
+    faults_ = std::make_unique<FaultInjector>(*sharded_, std::move(hooks));
+  }
+  faults_->arm(plan);  // a second plan aborts
+  return *faults_;
 }
 
-void ShardedCluster::armFaults(const FaultPlan& plan) {
-  // Checked in every build: a second plan would arm on top of the first.
-  if (faultsArmed_) {
-    std::fprintf(stderr,
-                 "ShardedCluster::armFaults: a fault plan is already armed "
-                 "(one fault plan per instance)\n");
-    std::abort();
-  }
-  faultsArmed_ = true;
-  const SimTime base = sharded_->now();
-  for (const FaultEvent& event : plan.events) {
-    const SimTime at = base + event.at;
-    switch (event.kind) {
-      case FaultKind::kTpuCrash:
-        armTpuFailure(event.target, at, plan.detectionDelay);
-        break;
-      case FaultKind::kNodeDeath:
-        // The tRPi dies: every hosted TPU goes through the crash path.
-        for (const auto& tpu : topology_->tpus()) {
-          if (topology_->nodeOfTpu(tpu->id()) == event.target) {
-            armTpuFailure(tpu->id(), at, plan.detectionDelay);
-          }
-        }
-        break;
-      case FaultKind::kTpuHang: {
-        const unsigned shard = shardOfName(topology_->nodeOfTpu(event.target));
-        sharded_->postToShard(
-            shard, at,
-            [this, id = event.target] {
-              TpuService* service = dataPlane_->service(id);
-              if (service != nullptr) service->setHung(true);
-            },
-            /*emitter=*/true);
-        sharded_->postToShard(
-            shard, at + event.duration,
-            [this, id = event.target] {
-              TpuService* service = dataPlane_->service(id);
-              if (service != nullptr) service->setHung(false);
-            },
-            /*emitter=*/true);
-        break;
-      }
-      case FaultKind::kTransportLoss:
-      case FaultKind::kLatencySpike: {
-        const double loss =
-            event.kind == FaultKind::kTransportLoss ? event.magnitude : 0.0;
-        const double multiplier =
-            event.kind == FaultKind::kLatencySpike ? event.magnitude : 1.0;
-        // One window per transport lane, applied by each lane's own shard
-        // (lanes are shard-local state). Every stream's client is keyed
-        // (streamToken = uid), so the drop decision for each message is a
-        // pure function of (plan seed, stream uid, frame seq, attempt, hop)
-        // — no per-lane draw order involved — and the loss pattern is
-        // identical at every shard count, including for cross-shard frames.
-        for (unsigned s = 0; s < sharded_->shardCount(); ++s) {
-          sharded_->postToShard(
-              s, at,
-              [this, s, loss, multiplier, seed = plan.seed] {
-                dataPlane_->transport().setFaultOnLane(s, loss, multiplier,
-                                                       seed);
-              },
-              /*emitter=*/true);
-          sharded_->postToShard(
-              s, at + event.duration,
-              [this, s] { dataPlane_->transport().clearFaultOnLane(s); },
-              /*emitter=*/true);
-        }
-        break;
-      }
+void ShardedCluster::recoverTpu(const std::string& tpuId) {
+  const int rack = std::max(0, ShardMap::rackOfName(tpuId));
+  RackControl& rc = *racks_[static_cast<std::size_t>(rack)];
+  if (!rc.pool.removeTpu(tpuId).isOk()) return;  // already failed earlier
+  (void)rc.recovery->onTpuFailure(tpuId);
+}
+
+void ShardedCluster::recoverNode(const std::string& nodeName) {
+  // Streams hosted on the dead RPi die with it (they live on its shard).
+  // Their units return to their target rack before the node's TPUs are
+  // recovered, so the replan sees the freed capacity: at once for the
+  // node's own rack, one lookahead later for another rack (the control
+  // push latency, at every shard count).
+  const int rack = std::max(0, ShardMap::rackOfName(nodeName));
+  const SimTime pushAt = sharded_->currentSim().now() + sharded_->lookahead();
+  for (const auto& sp : streams_) {
+    Stream* s = sp.get();
+    if (s->camera != nodeName) continue;
+    s->task->stop();
+    s->client->stop();
+    RackControl* target = racks_[static_cast<std::size_t>(s->targetRack)].get();
+    if (s->targetRack == rack) {
+      (void)target->reclamation->releaseNow(s->uid);
+    } else {
+      sharded_->postToShard(target->shard, pushAt, [target, uid = s->uid] {
+        (void)target->reclamation->releaseNow(uid);
+      });
     }
+  }
+  if (const RpiNode* node = topology_->findNode(nodeName)) {
+    for (const TpuDevice* tpu : node->tpus()) recoverTpu(tpu->id());
   }
 }
 
@@ -620,10 +567,7 @@ void ShardedCluster::joinStream(Stream* stream) {
                                       TpuUnit::fromDouble(streamUnits_));
   if (!admitted.isOk()) return;
   for (const LoadCommand& load : admitted->loads) {
-    Status s = dataPlane_->executeLoad(load);
-    if (!s.isOk() && dataPlane_->service(load.tpuId) != nullptr) {
-      dataPlane_->executeLoadWithRetry(load, ExpBackoff{}, {});
-    }
+    (void)dataPlane_->executeLoadOrRetry(load);
   }
   const LbConfig lb =
       ExtendedScheduler::lbConfigFromAllocation(admitted->allocation);
@@ -639,10 +583,7 @@ void ShardedCluster::armRepackSupervisors() {
     RackControl* rc = rcp.get();
     Defragmenter::Callbacks callbacks;
     callbacks.loadModel = [this](const LoadCommand& command) {
-      Status s = dataPlane_->executeLoad(command);
-      if (s.isOk() || dataPlane_->service(command.tpuId) == nullptr) return s;
-      dataPlane_->executeLoadWithRetry(command, ExpBackoff{}, {});
-      return Status::ok();
+      return dataPlane_->executeLoadOrRetry(command);
     };
     callbacks.reconfigureLb = [this](std::uint64_t uid, const LbConfig& lb) {
       pushLbConfig(uid, lb);

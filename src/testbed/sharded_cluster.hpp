@@ -21,15 +21,17 @@
 // machinery — whose cross-shard timing legitimately differs from solo —
 // off the differential path.
 //
-// Chaos: a FaultPlan is pre-armed at setup onto each event's owner shard
-// (TPU crash -> removeService at t + pool/recovery at t+detectionDelay on
-// the TPU's shard; hang -> setHung window; transport faults -> one
-// per-shard lane window whose keyed drop decisions depend only on (plan
-// seed, stream uid, frame seq) — shard-count invariant, so LOSS sits on
-// the differential path). Weight pushes and evictions
-// from recovery are posted to the affected client's shard one lookahead
-// later — the modelled control-plane push latency — so they are
-// deterministic and identical at every shard count.
+// Chaos: a FaultPlan is armed through FaultInjector with the data plane's
+// hooks (DataPlane::faultHooks), so every edge runs on its target's owner
+// shard: TPU crash -> removeService at t, then the rack pool's removeTpu
+// and recovery at t + detectionDelay; tRPi death -> the same for each of
+// its TPUs, after the streams it hosts stop and return their units; hang ->
+// setHung window; transport faults -> one per-shard lane window whose keyed
+// drop decisions depend only on (window seed, stream uid, frame seq) —
+// shard-count invariant, so LOSS sits on the differential path. Weight
+// pushes and evictions from recovery are posted to the affected client's
+// shard one lookahead later — the modelled control-plane push latency — so
+// they are deterministic and identical at every shard count.
 //
 // Determinism witness: each stream folds every completed frame's breakdown
 // into a running FNV-1a digest on its own shard; metricsJson() serializes
@@ -149,9 +151,9 @@ class ShardedCluster {
   const Status& setupStatus() const { return setupStatus_; }
 
   // Pre-arms a replayable fault plan (call before run; one plan per
-  // instance, counting a scenario's failure groups: a second plan aborts,
-  // in every build). Events are scheduled onto their owner shards.
-  void armFaults(const FaultPlan& plan);
+  // instance, counting a scenario's failure groups: a second plan aborts in
+  // FaultInjector::arm, in every build). Edges run on their owner shards.
+  FaultInjector& armFaults(const FaultPlan& plan);
 
   void run(SimDuration horizon) { sharded_->runFor(horizon); }
   // Runs the armed scenario to its horizon, segment by segment, snapshotting
@@ -241,8 +243,11 @@ class ShardedCluster {
   // and sharded runs observe the identical push time.
   void pushLbConfig(std::uint64_t uid, const LbConfig& lb);
   void evictStream(std::uint64_t uid);
-  void armTpuFailure(const std::string& tpuId, SimTime at,
-                     SimDuration detectionDelay);
+  // Control-plane fault edges, on the failed hardware's shard: the rack
+  // pool forgets the TPU and the rack's recovery replans its tenants; a
+  // dead tRPi first stops the streams it hosts and returns their units.
+  void recoverTpu(const std::string& tpuId);
+  void recoverNode(const std::string& nodeName);
   // Scenario wiring (all no-ops with scenario off).
   Status validateScenario(std::size_t totalStreams) const;
   // Smallest lattice timestamp strictly after `notBefore` owned by `uid`
@@ -263,7 +268,7 @@ class ShardedCluster {
   std::vector<std::unique_ptr<RackControl>> racks_;
   std::vector<std::unique_ptr<Stream>> streams_;
   Status setupStatus_ = Status::ok();
-  bool faultsArmed_ = false;
+  std::unique_ptr<FaultInjector> faults_;  // built by the first armFaults()
   // Scenario state (empty/zero with scenario off).
   CompiledScenario compiled_;
   double streamUnits_ = 0.0;      // admitted units per stream (churn joins)

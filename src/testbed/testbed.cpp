@@ -1,10 +1,7 @@
 #include "testbed/testbed.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
-#include "util/backoff.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -70,7 +67,9 @@ Testbed::Testbed(TestbedConfig config)
   reclamation_ = std::make_unique<Reclamation>(*allocator_);
 
   ExtendedScheduler::Callbacks callbacks;
-  callbacks.loadModel = callbacksLoadModel();
+  callbacks.loadModel = [this](const LoadCommand& command) {
+    return dataPlane_->executeLoad(command);
+  };
   scheduler_ = std::make_unique<ExtendedScheduler>(*allocator_, *reclamation_,
                                                    std::move(callbacks));
   api_->setSchedulerExtension(
@@ -78,16 +77,11 @@ Testbed::Testbed(TestbedConfig config)
         return scheduler_->schedule(pod, candidates);
       });
 
+  // Replans race with hung-but-alive services: their Loads go through the
+  // data plane's retry policy (DataPlane::executeLoadOrRetry).
   FailureRecovery::Callbacks recovery;
-  // Recovery replans race with hung-but-alive services: a transient Load
-  // failure retries in the background with bounded backoff (optimistically
-  // reported as success to the replanner); a missing service is permanent
-  // and the error propagates so recovery evicts instead of waiting.
   recovery.loadModel = [this](const LoadCommand& command) {
-    Status s = dataPlane_->executeLoad(command);
-    if (s.isOk() || dataPlane_->service(command.tpuId) == nullptr) return s;
-    dataPlane_->executeLoadWithRetry(command, ExpBackoff{}, {});
-    return Status::ok();
+    return dataPlane_->executeLoadOrRetry(command);
   };
   recovery.reconfigureLb = [this](std::uint64_t uid, const LbConfig& config) {
     reconfigurePodLb(uid, config);
@@ -99,7 +93,9 @@ Testbed::Testbed(TestbedConfig config)
       *allocator_, *reclamation_, std::move(recovery));
   if (microEdgeAllocator_ != nullptr) {
     Defragmenter::Callbacks defrag;
-    defrag.loadModel = callbacksLoadModel();
+    defrag.loadModel = [this](const LoadCommand& command) {
+      return dataPlane_->executeLoadOrRetry(command);
+    };
     defrag.reconfigureLb = [this](std::uint64_t uid, const LbConfig& config) {
       reconfigurePodLb(uid, config);
     };
@@ -113,12 +109,6 @@ Testbed::Testbed(TestbedConfig config)
       sim_, std::move(devices), config_.utilizationWindow);
   reclamationTask_ = std::make_unique<PeriodicTask>(
       sim_, config_.reclamationPeriod, [this] { pollReclamationNow(); });
-}
-
-std::function<Status(const LoadCommand&)> Testbed::callbacksLoadModel() {
-  return [this](const LoadCommand& command) {
-    return dataPlane_->executeLoad(command);
-  };
 }
 
 double Testbed::profiledUnits(const std::string& model, double fps) const {
@@ -555,44 +545,21 @@ Testbed::NodeFailureReport Testbed::failNode(const std::string& nodeName) {
 }
 
 FaultInjector& Testbed::armFaults(const FaultPlan& plan) {
-  // Checked in every build: replacing the injector would free it while the
-  // first plan's events are still pending in the simulator.
-  if (faultInjector_ != nullptr) {
-    std::fprintf(stderr,
-                 "Testbed::armFaults: a fault plan is already armed (one "
-                 "fault plan per testbed)\n");
-    std::abort();
+  if (faultInjector_ == nullptr) {
+    // The data plane supplies every data-plane edge; detection runs the
+    // full failTpu / failNode paths (removeService is an idempotent no-op
+    // by then).
+    FaultInjector::Hooks hooks = dataPlane_->faultHooks();
+    hooks.tpuFailControlPlane = [this](const std::string& tpuId) {
+      (void)failTpu(tpuId);
+    };
+    hooks.nodeFailControlPlane = [this](const std::string& nodeName) {
+      (void)failNode(nodeName);
+    };
+    faultInjector_ = std::make_unique<FaultInjector>(dataPlane_->router(),
+                                                     std::move(hooks));
   }
-  FaultInjector::Hooks hooks;
-  // Crash, data-plane edge: the service vanishes; registered clients fail
-  // over immediately. Pool + recovery learn nothing until detection.
-  hooks.tpuFailDataPlane = [this](const std::string& tpuId) {
-    dataPlane_->removeService(tpuId);
-  };
-  // Crash, control-plane edge: health checks caught up — full failTpu path
-  // (removeService is an idempotent no-op by now).
-  hooks.tpuFailControlPlane = [this](const std::string& tpuId) {
-    (void)failTpu(tpuId);
-  };
-  hooks.nodeFailDataPlane = [this](const std::string& nodeName) {
-    RpiNode* node = topology_.findNode(nodeName);
-    if (node == nullptr) return;
-    for (TpuDevice* tpu : node->tpus()) dataPlane_->removeService(tpu->id());
-  };
-  hooks.nodeFailControlPlane = [this](const std::string& nodeName) {
-    (void)failNode(nodeName);
-  };
-  hooks.setTpuHung = [this](const std::string& tpuId, bool hung) {
-    TpuService* service = dataPlane_->service(tpuId);
-    if (service != nullptr) service->setHung(hung);
-  };
-  hooks.setTransportFault = [this](double loss, double latencyMultiplier,
-                                   std::uint64_t seed) {
-    dataPlane_->transport().setFault(loss, latencyMultiplier, seed);
-  };
-  hooks.clearTransportFault = [this] { dataPlane_->transport().clearFault(); };
-  faultInjector_ = std::make_unique<FaultInjector>(sim_, std::move(hooks));
-  faultInjector_->arm(plan);
+  faultInjector_->arm(plan);  // a second plan aborts
   return *faultInjector_;
 }
 

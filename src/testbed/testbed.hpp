@@ -169,11 +169,10 @@ class Testbed {
   // Arms a replayable fault plan against this stack: crash/death events hit
   // the data plane at t (services stop answering; clients fail over against
   // masked health state) and the control plane at t + detectionDelay
-  // (failure recovery replans, weights push). Hangs flip TPU Services to
-  // kUnavailable; transport faults drive the shared SimTransport. One plan
-  // per testbed instance: a second call aborts, in every build.
+  // (failTpu / failNode). Hangs flip TPU Services to kUnavailable; transport
+  // faults drive the SimTransport. One plan per testbed instance: a second
+  // call aborts in FaultInjector::arm, in every build.
   FaultInjector& armFaults(const FaultPlan& plan);
-  FaultInjector* faultInjector() { return faultInjector_.get(); }
 
   // --- Results ------------------------------------------------------------
   double meanTpuUtilization() const { return utilization_->overallMean(); }
@@ -203,7 +202,6 @@ class Testbed {
   };
 
   PodSpec buildPodSpec(const CameraDeployment& deployment) const;
-  std::function<Status(const LoadCommand&)> callbacksLoadModel();
   // The TPU Client baked into the pod with the given uid (nullptr if gone).
   TpuClient* clientForUid(std::uint64_t uid);
   // Replaces a pod's LB weights end to end (scheduler record + client).

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "dataplane/backoff.hpp"
 #include "dataplane/dataplane.hpp"
 #include "dataplane/lb_service.hpp"
 #include "models/zoo.hpp"
@@ -556,48 +557,50 @@ TEST_F(ReliabilityTest, BacklogBeyondDeadlineShedsInsteadOfQueueing) {
 }
 
 // ---- Load retry with bounded exponential backoff ---------------------------
+// The one control-plane replan policy (DataPlane::executeLoadOrRetry): try
+// now; while the service exists, retry in the background on ExpBackoff{}
+// (10, 20, 40, ... ms, 5 attempts) and report OK; a removed service is a
+// permanent, synchronous error.
 
 TEST_F(ReliabilityTest, LoadRetriesAfterTransientHangClears) {
   TpuService* service = dataPlane_.service("tpu-00");
   ASSERT_NE(service, nullptr);
   service->setHung(true);
-  // Un-hang after 25 ms — within the retry budget (10, 20, 40... ms).
+  // Un-hang after 25 ms — within the retry budget (retries at 10, 30 ms).
   sim_.scheduleAfter(milliseconds(25), [&] { service->setHung(false); });
 
-  Status final = internalError("never fired");
-  ExpBackoff backoff;
-  backoff.base = milliseconds(10);
-  dataPlane_.executeLoadWithRetry(
-      LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}}, backoff,
-      [&](const Status& s) { final = s; });
+  Status s = dataPlane_.executeLoadOrRetry(
+      LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}});
+  EXPECT_TRUE(s.isOk()) << s.toString();  // retrying in the background
   sim_.run();
-  EXPECT_TRUE(final.isOk()) << final.toString();
   EXPECT_GE(dataPlane_.loadRetries(), 1u);
   EXPECT_TRUE(topo_.findTpu("tpu-00")->isResident(zoo::kMobileNetV1));
 }
 
 TEST_F(ReliabilityTest, LoadRetryStopsWhenBudgetExhausted) {
   dataPlane_.service("tpu-00")->setHung(true);  // forever
-  Status final = Status::ok();
-  ExpBackoff backoff;
-  backoff.base = milliseconds(10);
-  backoff.maxAttempts = 3;
-  dataPlane_.executeLoadWithRetry(
-      LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}}, backoff,
-      [&](const Status& s) { final = s; });
+  EXPECT_TRUE(dataPlane_
+                  .executeLoadOrRetry(
+                      LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}})
+                  .isOk());
   sim_.run();
-  EXPECT_EQ(final.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(dataPlane_.loadRetries(), 3u);
+  const ExpBackoff budget{};
+  EXPECT_EQ(dataPlane_.loadRetries(), budget.maxAttempts);
+  EXPECT_FALSE(topo_.findTpu("tpu-00")->isResident(zoo::kMobileNetV1));
+  // The last retry fired after the whole backoff schedule, then nothing.
+  SimDuration schedule{};
+  for (std::uint32_t a = 0; a < budget.maxAttempts; ++a) {
+    schedule += budget.delay(a);
+  }
+  EXPECT_EQ(sim_.now(), kSimEpoch + schedule);
 }
 
 TEST_F(ReliabilityTest, LoadRetryOnRemovedServiceFailsPermanentlyAndFast) {
   dataPlane_.removeService("tpu-00");
-  Status final = Status::ok();
-  dataPlane_.executeLoadWithRetry(
-      LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}}, ExpBackoff{},
-      [&](const Status& s) { final = s; });
+  Status s = dataPlane_.executeLoadOrRetry(
+      LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}});
   // Permanent failure: reported synchronously, no retry events scheduled.
-  EXPECT_EQ(final.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   EXPECT_EQ(dataPlane_.loadRetries(), 0u);
   sim_.run();
   EXPECT_EQ(sim_.now(), kSimEpoch);

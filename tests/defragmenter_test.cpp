@@ -302,6 +302,47 @@ TEST(DefragTestbedTest, LiveStreamsSurviveDefrag) {
   }
 }
 
+// A replan's Loads race with hung-but-alive TPU Services, exactly like
+// failure recovery's: a Load refused by a hang retries on the data plane's
+// backoff instead of leaving the new composite unloaded.
+TEST(DefragTestbedTest, LoadsOnHungServicesRetry) {
+  Testbed testbed;
+  const char* models[] = {zoo::kSsdMobileNetV2, zoo::kMobileNetV1};
+  for (int i = 0; i < 10; ++i) {
+    CameraDeployment deployment;
+    deployment.name = "cam-" + std::to_string(i);
+    deployment.model = models[i % 2];
+    ASSERT_TRUE(testbed.deployCamera(deployment).isOk());
+  }
+  testbed.run(seconds(1));
+  for (int i : {0, 3, 4, 7}) {
+    ASSERT_TRUE(testbed.removeCamera("cam-" + std::to_string(i)).isOk());
+  }
+  testbed.run(seconds(3));  // reclamation poller returns the units
+
+  // Every service hangs through the replan and answers again 25 ms later,
+  // inside the retry budget (retries at 10 and 30 ms).
+  std::vector<TpuService*> services = testbed.dataPlane().services();
+  for (TpuService* service : services) service->setHung(true);
+  testbed.sim().scheduleAfter(milliseconds(25), [&services] {
+    for (TpuService* service : services) service->setHung(false);
+  });
+  const Defragmenter::Report report = testbed.defragment(/*full=*/true);
+  ASSERT_TRUE(report.applied);
+  ASSERT_GT(report.podsReplanned, 0u);
+  testbed.run(seconds(1));
+
+  EXPECT_GT(testbed.dataPlane().loadRetries(), 0u);
+  for (const auto& [uid, allocation] :
+       testbed.reclamation().trackedAllocations()) {
+    for (const TpuShare& share : allocation.shares) {
+      EXPECT_TRUE(
+          testbed.topology().findTpu(share.tpuId)->isResident(allocation.model))
+          << allocation.model << " not resident on " << share.tpuId;
+    }
+  }
+}
+
 TEST(DefragTestbedTest, BaselineModeIsNoop) {
   TestbedConfig config;
   config.mode = SchedulingMode::kBaselineDedicated;

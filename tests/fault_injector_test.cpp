@@ -93,6 +93,7 @@ TEST(FaultPlanTest, JsonCarriesSeedKindsAndTargets) {
 
 TEST(FaultInjectorTest, CrashSplitsAcrossDetectionWindow) {
   Simulator sim;
+  SoloRouter router(sim);
   std::vector<std::pair<std::string, SimDuration>> calls;
   FaultInjector::Hooks hooks;
   hooks.tpuFailDataPlane = [&](const std::string& tpu) {
@@ -101,7 +102,7 @@ TEST(FaultInjectorTest, CrashSplitsAcrossDetectionWindow) {
   hooks.tpuFailControlPlane = [&](const std::string& tpu) {
     calls.emplace_back("ctrl:" + tpu, sim.now() - kSimEpoch);
   };
-  FaultInjector injector(sim, std::move(hooks));
+  FaultInjector injector(router, std::move(hooks));
 
   FaultPlan plan;
   plan.detectionDelay = milliseconds(750);
@@ -124,6 +125,7 @@ TEST(FaultInjectorTest, CrashSplitsAcrossDetectionWindow) {
 
 TEST(FaultInjectorTest, HangAndTransportWindowsHaveBothEdges) {
   Simulator sim;
+  SoloRouter router(sim);
   std::vector<std::string> calls;
   FaultInjector::Hooks hooks;
   hooks.setTpuHung = [&](const std::string& tpu, bool hung) {
@@ -134,7 +136,7 @@ TEST(FaultInjectorTest, HangAndTransportWindowsHaveBothEdges) {
                     std::to_string(mult));
   };
   hooks.clearTransportFault = [&] { calls.push_back("clear"); };
-  FaultInjector injector(sim, std::move(hooks));
+  FaultInjector injector(router, std::move(hooks));
 
   FaultPlan plan;
   plan.events.push_back(FaultEvent{milliseconds(100), FaultKind::kTpuHang,
@@ -158,7 +160,8 @@ TEST(FaultInjectorTest, ReplayProducesIdenticalAppliedLog) {
 
   auto runOnce = [&plan] {
     Simulator sim;
-    FaultInjector injector(sim, FaultInjector::Hooks{});  // hooks optional
+    SoloRouter router(sim);
+    FaultInjector injector(router, FaultInjector::Hooks{});  // hooks optional
     injector.arm(plan);
     sim.run();
     return injector.log();
@@ -179,12 +182,7 @@ TEST(FaultInjectorTest, TransportLossWindowDropsThenHeals) {
   DataPlane dataPlane(sim, topo, zoo);
   SimTransport& transport = dataPlane.transport();
 
-  FaultInjector::Hooks hooks;
-  hooks.setTransportFault = [&](double loss, double mult, std::uint64_t seed) {
-    transport.setFault(loss, mult, seed);
-  };
-  hooks.clearTransportFault = [&] { transport.clearFault(); };
-  FaultInjector injector(sim, std::move(hooks));
+  FaultInjector injector(dataPlane.router(), dataPlane.faultHooks());
 
   FaultPlan plan;
   plan.events.push_back(FaultEvent{milliseconds(100),
@@ -205,6 +203,20 @@ TEST(FaultInjectorTest, TransportLossWindowDropsThenHeals) {
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(transport.droppedMessages(), 1u);
   EXPECT_FALSE(transport.faultActive());
+}
+
+// One plan per injector, checked in every build (Release included): a
+// second plan would arm on top of the first.
+TEST(FaultInjectorDeathTest, SecondArmAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim;
+  SoloRouter router(sim);
+  FaultInjector injector(router, FaultInjector::Hooks{});
+  FaultPlan hang;
+  hang.events.push_back(
+      {seconds(1), FaultKind::kTpuHang, "tpu-00", milliseconds(500), 0.0});
+  injector.arm(hang);
+  EXPECT_DEATH(injector.arm(FaultPlan{}), "a fault plan is already armed");
 }
 
 }  // namespace

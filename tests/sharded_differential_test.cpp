@@ -143,6 +143,157 @@ TEST(ShardedDifferential, RepeatedRunsAreByteIdentical) {
   EXPECT_FALSE(first.empty());
 }
 
+// ---- Fault plans through the one interpreter (FaultInjector) ---------------
+
+ShardedClusterConfig faultConfig(unsigned shards) {
+  ShardedClusterConfig config;
+  config.shards = shards;
+  config.racks = 2;
+  config.tRpisPerRack = 2;
+  config.vRpisPerRack = 2;
+  config.fps = 15.0;
+  config.frameDeadline = milliseconds(60);
+  return config;
+}
+
+FaultPlan nodeDeathPlan(const std::string& node) {
+  FaultPlan plan;
+  plan.detectionDelay = milliseconds(300);
+  plan.events.push_back(
+      {milliseconds(500), FaultKind::kNodeDeath, node, {}, 0.0});
+  return plan;
+}
+
+// A dead tRPi takes the camera streams it hosts with it: from detection on
+// they submit nothing, their units go back to their target rack (another
+// rack here: the first tRPi stream is cross-rack), and the run stays
+// byte-identical at every shard count.
+TEST(ShardedClusterFaults, NodeDeathStopsHostedStreams) {
+  std::string reference;
+  for (unsigned shards : {1u, 2u, 4u}) {
+    ShardedClusterConfig config = faultConfig(shards);
+    config.streamsPerTRpi = 1;
+    config.crossRackStride = 4;
+    ShardedCluster cluster(config);
+    ASSERT_TRUE(cluster.setupStatus().isOk())
+        << cluster.setupStatus().toString();
+    const std::string dead = cluster.topology().tRpis().front()->name();
+    const FaultPlan plan = nodeDeathPlan(dead);
+    cluster.armFaults(plan);
+    cluster.run(plan.events[0].at + plan.detectionDelay +
+                cluster.shardedSim().lookahead());
+
+    std::vector<std::size_t> hosted;
+    std::vector<std::uint64_t> submitted(cluster.streamCount());
+    for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+      const ShardedCluster::StreamStats stats = cluster.streamStats(i);
+      submitted[i] = stats.submitted;
+      if (stats.camera == dead) hosted.push_back(i);
+    }
+    ASSERT_EQ(hosted.size(), 1u);
+    EXPECT_TRUE(cluster.streamStats(hosted[0]).crossRack);
+    EXPECT_GT(submitted[hosted[0]], 0u) << "shards=" << shards;
+
+    cluster.run(seconds(1));
+    for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+      const std::uint64_t now = cluster.streamStats(i).submitted;
+      if (i == hosted[0]) {
+        EXPECT_EQ(now, submitted[i])
+            << "shards=" << shards << ": stream on dead " << dead
+            << " kept submitting";
+      } else {
+        EXPECT_GT(now, submitted[i]) << "shards=" << shards << " stream " << i;
+      }
+    }
+
+    const std::string metrics = cluster.metricsJson();
+    if (reference.empty()) {
+      reference = metrics;
+    } else {
+      EXPECT_EQ(metrics, reference) << "shards=" << shards;
+    }
+  }
+}
+
+// A node death is one event per edge; with no tRPi-hosted streams it must
+// act exactly like crashing each of the node's TPUs at the same instant.
+TEST(ShardedClusterFaults, NodeDeathMatchesCrashingEachTpu) {
+  std::string reference;
+  for (unsigned shards : {1u, 2u}) {
+    for (bool asNode : {true, false}) {
+      ShardedClusterConfig config = faultConfig(shards);
+      config.tpusPerTRpi = 2;
+      ShardedCluster cluster(config);
+      ASSERT_TRUE(cluster.setupStatus().isOk());
+      const RpiNode* node = cluster.topology().tRpis().front();
+      FaultPlan plan = nodeDeathPlan(node->name());
+      if (!asNode) {
+        plan.events.clear();
+        for (const TpuDevice* tpu : node->tpus()) {
+          plan.events.push_back(
+              {milliseconds(500), FaultKind::kTpuCrash, tpu->id(), {}, 0.0});
+        }
+        ASSERT_EQ(plan.events.size(), 2u);
+      }
+      cluster.armFaults(plan);
+      cluster.run(seconds(2));
+      std::uint64_t hit =
+          cluster.outcomeTotal(FrameOutcome::kDroppedDeadTarget);
+      for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+        hit += cluster.streamStats(i).failovers;
+      }
+      EXPECT_GT(hit, 0u) << "shards=" << shards
+                         << ": the death must hit live traffic";
+
+      const std::string metrics = cluster.metricsJson();
+      if (reference.empty()) {
+        reference = metrics;
+      } else {
+        EXPECT_EQ(metrics, reference)
+            << "shards=" << shards << (asNode ? " node death" : " crashes");
+      }
+    }
+  }
+}
+
+// The applied-fault log lists every plan edge once, in (time, arm order),
+// whichever shard worker ran it — so it is the same at every shard count.
+TEST(ShardedClusterFaults, AppliedFaultLogIsShardCountInvariant) {
+  std::vector<FaultInjector::Applied> reference;
+  for (unsigned shards : {1u, 2u, 4u}) {
+    ShardedClusterConfig config = faultConfig(shards);
+    config.racks = 4;
+    ShardedCluster cluster(config);
+    ASSERT_TRUE(cluster.setupStatus().isOk());
+    const auto& tpus = cluster.topology().tpus();
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.detectionDelay = milliseconds(300);
+    plan.events.push_back(
+        {milliseconds(400), FaultKind::kTpuCrash, tpus[1]->id(), {}, 0.0});
+    plan.events.push_back({milliseconds(500), FaultKind::kTpuHang,
+                           tpus[2]->id(), milliseconds(200), 0.0});
+    plan.events.push_back({milliseconds(600), FaultKind::kNodeDeath,
+                           cluster.topology().tRpis()[3]->name(), {}, 0.0});
+    plan.events.push_back({milliseconds(700), FaultKind::kTransportLoss,
+                           std::string(), milliseconds(300), 0.2});
+    FaultInjector& injector = cluster.armFaults(plan);
+    cluster.run(seconds(2));
+
+    const std::vector<FaultInjector::Applied> log = injector.log();
+    ASSERT_EQ(log.size(), 2 * plan.events.size()) << "shards=" << shards;
+    EXPECT_EQ(injector.scheduledCount(), log.size());
+    for (std::size_t i = 1; i < log.size(); ++i) {
+      EXPECT_LE(log[i - 1].at, log[i].at) << "shards=" << shards;
+    }
+    if (shards == 1) {
+      reference = log;
+    } else {
+      EXPECT_TRUE(log == reference) << "shards=" << shards;
+    }
+  }
+}
+
 // A cluster with no shard or no rack is a configuration error, reported by
 // setupStatus() rather than silently run as one shard or one rack.
 TEST(ShardedClusterSetupTest, ZeroShardsOrRacksIsInvalidArgument) {

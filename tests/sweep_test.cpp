@@ -1,6 +1,6 @@
 // src/sweep: grid enumeration, seed derivation, the work-stealing runner's
 // determinism contract (merged bytes = f(grid, point function) for any
-// thread/shard/resume history), checkpoint manifests, and the InternScope
+// thread/resume history), checkpoint manifests, and the InternScope
 // isolation that makes a worker's run bit-identical to a solo run.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "sweep/drivers.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/thread_pool.hpp"
 #include "util/intern.hpp"
 #include "util/strings.hpp"
@@ -183,49 +182,24 @@ TEST(SweepRunnerTest, EmptyGridIsAnError) {
   EXPECT_FALSE(runSweep(empty, syntheticPoint, options).isOk());
 }
 
-TEST(SweepRunnerTest, ShardingRequiresAnOutputPath) {
-  SweepOptions options;
-  options.shards = 4;  // no outPath
-  EXPECT_FALSE(runSweep(testGrid(), syntheticPoint, options).isOk());
-}
-
-TEST(SweepRunnerTest, MergedBytesIdenticalAcrossThreadsAndShards) {
-  // The subsystem's central property: every (threads, shards) combination
-  // writes the same bytes.
+TEST(SweepRunnerTest, MergedBytesIdenticalAcrossThreads) {
+  // The subsystem's central property: every thread count writes the same
+  // bytes.
   std::string reference;
   for (unsigned threads : {1u, 2u, 8u}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      std::string out = tempPath(strCat("det_t", threads, "_s", shards,
-                                        ".json"));
-      SweepOptions options;
-      options.threads = threads;
-      options.shards = shards;
-      options.outPath = out;
-      auto report = runSweep(testGrid(), syntheticPoint, options);
-      ASSERT_TRUE(report.isOk()) << report.status().toString();
-      ASSERT_TRUE(report->complete);
-      auto bytes = readTextFile(out);
-      ASSERT_TRUE(bytes.isOk());
-      if (reference.empty()) {
-        reference = *bytes;
-      } else {
-        EXPECT_EQ(*bytes, reference)
-            << "threads=" << threads << " shards=" << shards;
-      }
-      // Shard files (written only when actually sharded) partition the
-      // points by index % K.
-      ASSERT_EQ(report->shardPaths.size(), shards > 1 ? shards : 0u);
-      for (std::size_t k = 0; k < report->shardPaths.size(); ++k) {
-        auto shardText = readTextFile(report->shardPaths[k]);
-        ASSERT_TRUE(shardText.isOk());
-        auto doc = JsonValue::parse(*shardText);
-        ASSERT_TRUE(doc.isOk());
-        for (const JsonValue& p : doc->find("points")->items()) {
-          EXPECT_EQ(sweepShardOf(static_cast<std::size_t>(p.getInt("i", -1)),
-                                 shards),
-                    k);
-        }
-      }
+    std::string out = tempPath(strCat("det_t", threads, ".json"));
+    SweepOptions options;
+    options.threads = threads;
+    options.outPath = out;
+    auto report = runSweep(testGrid(), syntheticPoint, options);
+    ASSERT_TRUE(report.isOk()) << report.status().toString();
+    ASSERT_TRUE(report->complete);
+    auto bytes = readTextFile(out);
+    ASSERT_TRUE(bytes.isOk());
+    if (reference.empty()) {
+      reference = *bytes;
+    } else {
+      EXPECT_EQ(*bytes, reference) << "threads=" << threads;
     }
   }
   EXPECT_FALSE(reference.empty());
