@@ -50,9 +50,10 @@ SpreadResult runSpread(LbSpread spread) {
   // 0.35/0.35/0.30 — what admission would hand a high-rate stream.
   auto splitClient =
       dataPlane.makeClient("vrpi-00", zoo::kSsdMobileNetV2, spread);
-  Status s = splitClient->configureLb(LbConfig{{LbWeight{"tpu-00", 350},
-                                                LbWeight{"tpu-01", 350},
-                                                LbWeight{"tpu-02", 300}}});
+  Status s =
+      splitClient->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 350},
+                                         LbWeight{internTpu("tpu-01"), 350},
+                                         LbWeight{internTpu("tpu-02"), 300}}});
   (void)s;
   CameraStream splitCam(sim, CameraStream::Config{45.0, 0}, [&](std::uint64_t) {
     Status st = splitClient->invoke([&](const FrameBreakdown& frame) {
@@ -68,7 +69,8 @@ SpreadResult runSpread(LbSpread spread) {
   for (std::size_t i = 0; i < tpus.size(); ++i) {
     auto client = dataPlane.makeClient(strCat("vrpi-0", i + 1),
                                        zoo::kSsdMobileNetV2);
-    Status st = client->configureLb(LbConfig{{LbWeight{tpus[i], 500}}});
+    Status st =
+        client->configureLb(LbConfig{{LbWeight{internTpu(tpus[i]), 500}}});
     (void)st;
     TpuClient* raw = client.get();
     bgClients.push_back(std::move(client));

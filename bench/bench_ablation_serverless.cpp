@@ -76,7 +76,7 @@ FleetResult runDirect(SimDuration horizon) {
     // One MobileNet + one UNet stream per TPU (~0.89 units each), exactly
     // what Algorithm 1 would produce for this fleet.
     std::string tpu = index < 2 ? "tpu-00" : "tpu-01";
-    Status s = client->configureLb(LbConfig{{LbWeight{tpu, 500}}});
+    Status s = client->configureLb(LbConfig{{LbWeight{internTpu(tpu), 500}}});
     (void)s;
     TpuClient* raw = client.get();
     clients.push_back(std::move(client));

@@ -36,8 +36,9 @@ int main() {
 
     constexpr int kFrames = 200;
     DurationSummary measured;
+    const ModelId model = lookupModel(name);
     for (int i = 0; i < kFrames; ++i) {
-      Status s = tpu.invoke(name, [&](const TpuDevice::InvokeStats& stats) {
+      Status s = tpu.invoke(model, [&](const TpuDevice::InvokeStats& stats) {
         measured.add(stats.serviceTime);
       });
       if (!s.isOk()) {

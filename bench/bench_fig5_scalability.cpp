@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "metrics/report.hpp"
 #include "sweep/drivers.hpp"
 #include "sweep/runner.hpp"
@@ -80,6 +81,8 @@ void printSeries(const std::string& title, const Series& series) {
             << utilTable.render();
 }
 
+void usage() { std::cerr << "usage: bench_fig5_scalability [--threads=N]\n"; }
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,7 +91,8 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     const std::string prefix = "--threads=";
     if (arg.rfind(prefix, 0) == 0) {
-      threads = static_cast<unsigned>(std::stoul(arg.substr(prefix.size())));
+      threads = unsignedFlag<unsigned>("bench_fig5_scalability", "threads",
+                                       arg.substr(prefix.size()), usage);
     }
   }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "metrics/report.hpp"
 #include "sweep/drivers.hpp"
 #include "sweep/runner.hpp"
@@ -22,13 +23,20 @@
 
 using namespace microedge;
 
+namespace {
+
+void usage() { std::cerr << "usage: bench_fig6_trace [--threads=N]\n"; }
+
+}  // namespace
+
 int main(int argc, char** argv) {
   unsigned threads = 1;  // serial path by default; --threads=N parallelizes
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     const std::string prefix = "--threads=";
     if (arg.rfind(prefix, 0) == 0) {
-      threads = static_cast<unsigned>(std::stoul(arg.substr(prefix.size())));
+      threads = unsignedFlag<unsigned>("bench_fig6_trace", "threads",
+                                       arg.substr(prefix.size()), usage);
     }
   }
 

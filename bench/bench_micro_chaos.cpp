@@ -119,7 +119,7 @@ struct Fixture {
       const std::string tpuId = indexName("tpu-", t);
       LoadCommand load{tpuId, {zoo::kMobileNetV1}, {}};
       if (!dataPlane.executeLoad(load).isOk()) std::abort();
-      lb.weights.push_back(LbWeight{tpuId, 100});
+      lb.weights.push_back(LbWeight{internTpu(tpuId), 100});
     }
     sim.run();
     streams.resize(kStreams);
@@ -368,7 +368,7 @@ struct OverloadFixture {
       if (!dataPlane.executeLoad(load).isOk()) std::abort();
       // Weight doubles as the admission capacity line: each stream owns
       // 1/kOvStreams of every TPU — 4 x 125 milli == half a device.
-      lb.weights.push_back(LbWeight{tpuId, 1000 / kOvStreams});
+      lb.weights.push_back(LbWeight{internTpu(tpuId), 1000 / kOvStreams});
     }
     sim.run();
     const SimDuration inference = zoo.at(zoo::kMobileNetV1).inferenceLatency;

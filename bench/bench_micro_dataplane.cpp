@@ -114,7 +114,7 @@ struct Fixture {
       const std::string tpuId = indexName("tpu-", t);
       LoadCommand load{tpuId, {zoo::kMobileNetV1}, {}};
       if (!dataPlane.executeLoad(load).isOk()) std::abort();
-      lb.weights.push_back(LbWeight{tpuId, 100});
+      lb.weights.push_back(LbWeight{internTpu(tpuId), 100});
     }
     sim.run();
     streams.resize(streamCount);

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "scenario/spec.hpp"
 #include "testbed/sharded_cluster.hpp"
 #include "util/json.hpp"
@@ -184,7 +185,8 @@ int main(int argc, char** argv) {
     std::stringstream ss(shardList);
     std::string token;
     while (std::getline(ss, token, ',')) {
-      shardCounts.push_back(static_cast<unsigned>(std::stoul(token)));
+      shardCounts.push_back(unsignedFlag<unsigned>("bench_micro_scenario",
+                                                   "shards", token, usage));
     }
   }
   if (shardCounts.empty()) {

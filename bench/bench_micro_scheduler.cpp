@@ -157,11 +157,10 @@ BENCHMARK(BM_AdmissionWithPartitioning)->RangeMultiplier(4)->Range(4, 64);
 
 void BM_SmoothWrrPick(benchmark::State& state) {
   SmoothWrr wrr;
-  std::vector<WrrTarget> targets;
+  std::vector<LbWeight> targets;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    targets.push_back(
-        WrrTarget{"tpu-" + std::to_string(i),
-                  static_cast<std::uint32_t>(100 + 37 * i)});
+    targets.push_back(LbWeight{internTpu("tpu-" + std::to_string(i)),
+                               static_cast<std::uint32_t>(100 + 37 * i)});
   }
   Status s = wrr.setTargets(targets);
   benchmark::DoNotOptimize(&s);
@@ -175,7 +174,7 @@ void BM_CoCompilePlan(benchmark::State& state) {
   ModelRegistry zoo = zoo::standardZoo();
   CoCompiler compiler(zoo);
   TpuState tpu("tpu-00", 6.9);
-  tpu.addAllocation(zoo::kMobileNetV1, TpuUnit::fromMilli(100));
+  tpu.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromMilli(100));
   const ModelInfo& model = zoo.at(zoo::kUNetV2);
   for (auto _ : state) {
     auto plan = compiler.planAdd(tpu, model);

@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "testbed/sharded_cluster.hpp"
 #include "util/strings.hpp"
 
@@ -291,7 +292,8 @@ int main(int argc, char** argv) {
     std::stringstream ss(shardList);
     std::string token;
     while (std::getline(ss, token, ',')) {
-      shardCounts.push_back(static_cast<unsigned>(std::stoul(token)));
+      shardCounts.push_back(unsignedFlag<unsigned>("bench_micro_shardsim",
+                                                   "shards", token, usage));
     }
   }
   std::vector<ShardedSim::WindowBound> modes;

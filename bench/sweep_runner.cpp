@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "sweep/drivers.hpp"
 #include "sweep/runner.hpp"
 #include "util/strings.hpp"
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
     if (parseFlag(arg, "grid", &value)) {
       gridName = value;
     } else if (parseFlag(arg, "threads", &value)) {
-      threads = static_cast<unsigned>(std::stoul(value));
+      threads = unsignedFlag<unsigned>("sweep_runner", "threads", value, usage);
       // --threads=0 = auto: size to the machine, like the default.
       if (threads == 0) {
         threads = std::thread::hardware_concurrency();
@@ -78,7 +79,8 @@ int main(int argc, char** argv) {
     } else if (parseFlag(arg, "manifest", &value)) {
       manifestPath = value;
     } else if (parseFlag(arg, "max-points", &value)) {
-      maxPoints = std::stoul(value);
+      maxPoints =
+          unsignedFlag<std::size_t>("sweep_runner", "max-points", value, usage);
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--quiet") {

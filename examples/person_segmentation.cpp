@@ -38,7 +38,8 @@ int main() {
     const Pod* pod = testbed.api().findPodByName(deployment.name);
     std::cout << deployment.name << " partition:";
     for (const LbWeight& w : testbed.scheduler().lbConfig(pod->uid)->weights) {
-      std::cout << " " << w.tpuId << "=" << fmtDouble(w.weight / 1000.0, 2);
+      std::cout << " " << tpuName(w.tpu) << "="
+                << fmtDouble(w.weight / 1000.0, 2);
     }
     std::cout << "\n";
   }

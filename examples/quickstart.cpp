@@ -58,7 +58,7 @@ int main() {
   const Pod* pod = testbed.api().findPodByName(deployment.name);
   std::cout << "pod bound to " << pod->nodeName << "; TPU shares:";
   for (const LbWeight& w : testbed.scheduler().lbConfig(pod->uid)->weights) {
-    std::cout << " " << w.tpuId << "=" << w.weight << "m";
+    std::cout << " " << tpuName(w.tpu) << "=" << w.weight << "m";
   }
   std::cout << "\n\nstreaming 30 seconds of 15 FPS video...\n";
 

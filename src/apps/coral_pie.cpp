@@ -51,7 +51,8 @@ CoralPieApp::CoralPieApp(Simulator& sim, std::unique_ptr<TpuClient> client,
                          SimTransport& transport, Config config, Pcg32 rng)
     : sim_(sim), transport_(transport), config_(std::move(config)),
       detection_(sim, std::move(client), detectionConfig(config_), rng.split()),
-      reid_(sim, config_.reid) {
+      reid_(sim, config_.reid),
+      detectionNode_(internNode(detection_.client().config().clientNode)) {
   detection_.setFrameHook(
       [this](const FrameBreakdown& frame) { onDetectionComplete(frame); });
 }
@@ -70,17 +71,25 @@ void CoralPieApp::onDetectionComplete(const FrameBreakdown& frame) {
 
   // Ship the detection (thumbnail + embedding, ~24 KB) to the local re-id
   // RPi, then notify the downstream camera's re-id stage over the network.
-  transport_.send(detection_.client().config().clientNode, reid_.node(),
-                  24 * 1024, [this, vehicleId] {
-                    reid_.onLocalDetection(vehicleId);
-                    if (downstream_ != nullptr) {
-                      transport_.send(reid_.node(), downstream_->reid().node(),
-                                      4 * 1024, [app = downstream_, vehicleId] {
-                                        app->reid().onUpstreamNotification(
-                                            vehicleId);
-                                      });
-                    }
-                  });
+  // Both hops key on the detection client's stream token, unique on the
+  // transport, with the top tag bit set: frame keys tag (attempt << 1) | hop
+  // and never reach it.
+  constexpr std::uint64_t kReIdTag = std::uint64_t{1} << 63;
+  const std::uint64_t token = detection_.client().config().streamToken;
+  const std::uint64_t notifyKey =
+      SimTransport::messageKey(token, vehicleId, kReIdTag | 1);
+  transport_.send(
+      detectionNode_, reid_.node(), 24 * 1024,
+      SimTransport::messageKey(token, vehicleId, kReIdTag),
+      [this, vehicleId, notifyKey] {
+        reid_.onLocalDetection(vehicleId);
+        if (downstream_ != nullptr) {
+          transport_.send(reid_.node(), downstream_->reid().node(), 4 * 1024,
+                          notifyKey, [app = downstream_, vehicleId] {
+                            app->reid().onUpstreamNotification(vehicleId);
+                          });
+        }
+      });
 }
 
 }  // namespace microedge

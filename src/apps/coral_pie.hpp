@@ -30,9 +30,10 @@ class ReIdStage {
     SimDuration matchLatency = millisecondsF(12.0);
   };
 
-  ReIdStage(Simulator& sim, Config config) : sim_(sim), config_(config) {}
+  ReIdStage(Simulator& sim, Config config)
+      : sim_(sim), config_(config), node_(internNode(config_.node)) {}
 
-  const std::string& node() const { return config_.node; }
+  NodeId node() const { return node_; }
 
   // A vehicle id announced by an upstream camera (it should appear in this
   // camera's FOV shortly).
@@ -48,6 +49,7 @@ class ReIdStage {
  private:
   Simulator& sim_;
   Config config_;
+  NodeId node_{};
   std::set<std::uint64_t> expected_;
   std::set<std::uint64_t> matched_;
   std::uint64_t reIdentified_ = 0;
@@ -93,6 +95,7 @@ class CoralPieApp {
   Config config_;
   CameraPipeline detection_;
   ReIdStage reid_;
+  NodeId detectionNode_{};
   CoralPieApp* downstream_ = nullptr;
   std::uint64_t lastReportedVehicle_ = 0;
   std::uint64_t vehiclesReported_ = 0;

@@ -13,13 +13,11 @@
 // distinct node pairs do not contend; same-node communication takes the
 // loopback fast path.
 //
-// Hot path: endpoints are dense interned NodeId handles (util/intern.hpp),
-// so resolving a latency is an integer compare plus one multiply — no
-// string-pair probe per frame. The string overloads intern on entry and are
-// kept for control-plane and test convenience.
+// Endpoints are dense interned NodeId handles (util/intern.hpp), so
+// resolving a latency is an integer compare plus one multiply — no
+// string-pair probe per frame.
 
 #include <cstddef>
-#include <string>
 
 #include "util/intern.hpp"
 #include "util/time.hpp"
@@ -45,7 +43,7 @@ class NetworkModel {
 
   const NetworkConfig& config() const { return config_; }
 
-  // One-way latency for `bytes` between two nodes (dense-handle fast path).
+  // One-way latency for `bytes` between two nodes.
   SimDuration transferLatency(NodeId fromNode, NodeId toNode,
                               std::size_t bytes) const {
     if (fromNode == toNode) return config_.loopbackLatency;
@@ -57,14 +55,6 @@ class NetworkModel {
   SimDuration controlLatency(NodeId fromNode, NodeId toNode) const {
     return fromNode == toNode ? config_.loopbackLatency : config_.baseLatency;
   }
-
-  // String wrappers: intern on entry (interned names compare equal iff the
-  // strings do, so results are identical to the handle path bit for bit).
-  SimDuration transferLatency(const std::string& fromNode,
-                              const std::string& toNode,
-                              std::size_t bytes) const;
-  SimDuration controlLatency(const std::string& fromNode,
-                             const std::string& toNode) const;
 
  private:
   NetworkConfig config_;

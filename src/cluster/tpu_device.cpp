@@ -77,24 +77,11 @@ Status TpuDevice::invoke(ModelId model, InvokeCallback done) {
   return Status::ok();
 }
 
-Status TpuDevice::invoke(const std::string& model, InvokeCallback done) {
-  ModelId id = lookupModel(model);
-  if (!id.valid()) {
-    return notFound(strCat("invoke: unknown model ", model));
-  }
-  return invoke(id, std::move(done));
-}
-
 int TpuDevice::residentIndex(ModelId model) const {
   for (std::size_t i = 0; i < resident_.size(); ++i) {
     if (resident_[i] == model) return static_cast<int>(i);
   }
   return -1;
-}
-
-bool TpuDevice::isResident(const std::string& model) const {
-  ModelId id = lookupModel(model);
-  return id.valid() && isResident(id);
 }
 
 double TpuDevice::residentParamMb() const {
@@ -106,11 +93,6 @@ double TpuDevice::residentParamMb() const {
 double TpuDevice::cachedFraction(ModelId model) const {
   int index = residentIndex(model);
   return index < 0 ? 0.0 : cachedFraction_[index];
-}
-
-double TpuDevice::cachedFraction(const std::string& model) const {
-  ModelId id = lookupModel(model);
-  return id.valid() ? cachedFraction(id) : 0.0;
 }
 
 SimDuration TpuDevice::busyTime() const {

@@ -21,8 +21,7 @@
 // the FIFO is a recycled ring of {ModelId, enqueue time, SBO callback}
 // entries, and the resident set is a small ModelId vector with per-member
 // streaming penalties precomputed at load time — no strings, no maps, no
-// heap allocation in steady state. The string overloads intern/lookup on
-// entry and remain for control-plane and test convenience.
+// heap allocation in steady state.
 
 #include <cstddef>
 #include <string>
@@ -88,16 +87,12 @@ class TpuDevice {
   // Enqueues one inference. The callback fires at completion time with the
   // timing breakdown. Unknown models are rejected immediately.
   Status invoke(ModelId model, InvokeCallback done);
-  // String wrapper: resolves the dense handle, then takes the path above.
-  Status invoke(const std::string& model, InvokeCallback done);
 
   // --- Introspection -------------------------------------------------------
   bool isResident(ModelId model) const { return residentIndex(model) >= 0; }
-  bool isResident(const std::string& model) const;
   double residentParamMb() const;
   // Fraction of `model`'s parameters cached on-chip ([0,1]); 0 if absent.
   double cachedFraction(ModelId model) const;
-  double cachedFraction(const std::string& model) const;
 
   std::size_t queueDepth() const { return queue_.size() + (busy_ ? 1 : 0); }
   // Projected wait before a newly-arrived request would start executing:

@@ -57,7 +57,7 @@ std::optional<AdmitResult> AdmissionController::placeSingle(
   }
   tpu.addAllocation(model.id, units);
   result.allocation =
-      Allocation{podUid, model.name, {TpuShare{tpu.id(), units, tpu.tpuId()}}};
+      Allocation{podUid, model.name, {TpuShare{tpu.tpuId(), units}}};
   nextFitCursor_ = index;
   return result;
 }
@@ -121,8 +121,7 @@ StatusOr<AdmitResult> AdmissionController::admitPartitioned(
       if (load.isOk()) result.loads.push_back(std::move(load).value());
     }
     tpu.addAllocation(model.id, share.units);
-    result.allocation.shares.push_back(
-        TpuShare{tpu.id(), share.units, tpu.tpuId()});
+    result.allocation.shares.push_back(TpuShare{tpu.tpuId(), share.units});
   }
   nextFitCursor_ = planned.back().index;
   return result;
@@ -171,14 +170,14 @@ StatusOr<AdmitResult> AdmissionController::admit(std::uint64_t podUid,
 
 Status AdmissionController::release(const Allocation& allocation) {
   Status first = Status::ok();
+  const ModelId model = lookupModel(allocation.model);
   for (const TpuShare& share : allocation.shares) {
-    TpuState* tpu =
-        share.tpu.valid() ? pool_.find(share.tpu) : pool_.find(share.tpuId);
+    TpuState* tpu = pool_.find(share.tpu);
     if (tpu == nullptr) {
       // TPU left the pool (node failure) — its bookkeeping died with it.
       continue;
     }
-    Status s = tpu->removeAllocation(allocation.model, share.units);
+    Status s = tpu->removeAllocation(model, share.units);
     if (!s.isOk() && first.isOk()) first = s;
   }
   return first;

@@ -40,11 +40,8 @@ struct AdmissionConfig {
 
 // One pod's share on one TPU Service instance.
 struct TpuShare {
-  std::string tpuId;
-  TpuUnit units;
-  // Dense handle for the same TPU; release() and the LB service route by
-  // this instead of re-resolving the string id.
   TpuId tpu{};
+  TpuUnit units;
 };
 
 struct Allocation {

@@ -48,8 +48,7 @@ StatusOr<AdmitResult> DedicatedAllocator::admit(std::uint64_t podUid,
   for (TpuState* tpu : free) {
     // The whole TPU is taken regardless of the duty cycle actually used.
     tpu->addAllocation(model->id, TpuUnit::full());
-    result.allocation.shares.push_back(
-        TpuShare{tpu->id(), perTpu, tpu->tpuId()});
+    result.allocation.shares.push_back(TpuShare{tpu->tpuId(), perTpu});
     result.loads.push_back(LoadCommand{tpu->id(), {modelName}, {}});
   }
   ++admitted_;
@@ -58,11 +57,11 @@ StatusOr<AdmitResult> DedicatedAllocator::admit(std::uint64_t podUid,
 
 Status DedicatedAllocator::release(const Allocation& allocation) {
   Status first = Status::ok();
+  const ModelId model = lookupModel(allocation.model);
   for (const TpuShare& share : allocation.shares) {
-    TpuState* tpu =
-        share.tpu.valid() ? pool_.find(share.tpu) : pool_.find(share.tpuId);
+    TpuState* tpu = pool_.find(share.tpu);
     if (tpu == nullptr) continue;
-    Status s = tpu->removeAllocation(allocation.model, TpuUnit::full());
+    Status s = tpu->removeAllocation(model, TpuUnit::full());
     if (s.isOk()) tpu->purgeDeadModels();
     if (!s.isOk() && first.isOk()) first = s;
   }

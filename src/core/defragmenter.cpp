@@ -13,7 +13,7 @@ namespace {
 bool sameShares(const Allocation& a, const Allocation& b) {
   if (a.shares.size() != b.shares.size()) return false;
   for (std::size_t i = 0; i < a.shares.size(); ++i) {
-    if (a.shares[i].tpuId != b.shares[i].tpuId ||
+    if (a.shares[i].tpu != b.shares[i].tpu ||
         a.shares[i].units != b.shares[i].units) {
       return false;
     }

@@ -17,8 +17,7 @@ LbConfig ExtendedScheduler::lbConfigFromAllocation(
   config.weights.reserve(allocation.shares.size());
   for (const TpuShare& share : allocation.shares) {
     config.weights.push_back(
-        LbWeight{share.tpuId, static_cast<std::uint32_t>(share.units.milli()),
-                 share.tpu});
+        LbWeight{share.tpu, static_cast<std::uint32_t>(share.units.milli())});
   }
   return config;
 }

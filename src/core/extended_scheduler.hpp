@@ -32,11 +32,8 @@ namespace microedge {
 // One downstream TPU Service and its share of the pod's requests. Weights
 // are integer milli-units, consumed directly by the smooth-WRR scheduler.
 struct LbWeight {
-  std::string tpuId;
-  std::uint32_t weight = 0;
-  // Dense handle for the same TPU Service; the data plane routes by this
-  // without resolving the string id per frame.
   TpuId tpu{};
+  std::uint32_t weight = 0;
 };
 
 struct LbConfig {

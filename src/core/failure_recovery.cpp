@@ -18,9 +18,10 @@ FailureRecovery::Report FailureRecovery::onTpuFailure(
     Allocation allocation;
   };
   std::vector<Affected> affected;
+  const TpuId failed = lookupTpu(tpuId);
   for (const auto& [uid, allocation] : reclamation_.trackedAllocations()) {
     for (const TpuShare& share : allocation.shares) {
-      if (share.tpuId == tpuId) {
+      if (share.tpu == failed) {
         affected.push_back(Affected{uid, allocation});
         break;
       }

@@ -181,7 +181,7 @@ std::int64_t TpuPool::clampedResidual(const TpuState& tpu) {
 }
 
 Status TpuPool::addTpu(const std::string& id, double paramCapacityMb) {
-  if (find(id) != nullptr) {
+  if (find(lookupTpu(id)) != nullptr) {
     return alreadyExists(strCat("TPU ", id, " already in pool"));
   }
   if (paramCapacityMb <= 0.0) {
@@ -220,12 +220,6 @@ TpuState* TpuPool::find(TpuId id) {
 
 const TpuState* TpuPool::find(TpuId id) const {
   return const_cast<TpuPool*>(this)->find(id);
-}
-
-TpuState* TpuPool::find(const std::string& id) { return find(lookupTpu(id)); }
-
-const TpuState* TpuPool::find(const std::string& id) const {
-  return const_cast<TpuPool*>(this)->find(lookupTpu(id));
 }
 
 TpuUnit TpuPool::totalLoad() const {

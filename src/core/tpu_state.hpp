@@ -13,8 +13,8 @@
 // reference counts are a small dense vector of ModelId entries instead of a
 // map<string, int>, and the pool maintains incremental packing indexes
 // (core/packing_index.hpp) that are updated in place whenever a TPU's load
-// changes, so the admission scan is O(log M) instead of O(M). The string
-// APIs remain as thin wrappers that intern on entry.
+// changes, so the admission scan is O(log M) instead of O(M). Names enter
+// only where a TPU joins or leaves the pool (addTpu, removeTpu).
 
 #include <cstdint>
 #include <set>
@@ -60,9 +60,6 @@ class TpuState {
 
   // A model counts as "in the TPU" if it has at least one live reference.
   bool hasModel(ModelId model) const;
-  bool hasModel(const std::string& model) const {
-    return hasModel(lookupModel(model));
-  }
   // Memory consumed by live-referenced models only (lazy reclamation: dead
   // models will be excluded by the next co-compile, so their space is
   // considered reclaimable at admission time).
@@ -83,22 +80,13 @@ class TpuState {
   std::vector<std::string> residentOrder() const;
 
   int refCount(ModelId model) const;
-  int refCount(const std::string& model) const {
-    return refCount(lookupModel(model));
-  }
 
   // Adds an allocation: bumps load and the model's reference count. The
   // caller (AdmissionController) is responsible for having checked the two
   // rules first; this asserts only basic sanity.
   void addAllocation(ModelId model, TpuUnit units);
-  void addAllocation(const std::string& model, TpuUnit units) {
-    addAllocation(internModel(model), units);
-  }
   // Reverses addAllocation. Load may not go negative.
   Status removeAllocation(ModelId model, TpuUnit units);
-  Status removeAllocation(const std::string& model, TpuUnit units) {
-    return removeAllocation(internModel(model), units);
-  }
 
   // Applies a new co-compiled composite: zero-reference models are dropped
   // from the resident order (the lazy reclamation point).
@@ -158,8 +146,6 @@ class TpuPool {
   Status removeTpu(const std::string& id);
 
   std::size_t size() const { return tpus_.size(); }
-  TpuState* find(const std::string& id);
-  const TpuState* find(const std::string& id) const;
   TpuState* find(TpuId id);
   const TpuState* find(TpuId id) const;
   std::vector<TpuState>& tpus() { return tpus_; }

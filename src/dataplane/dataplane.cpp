@@ -196,10 +196,9 @@ std::unique_ptr<TpuClient> DataPlane::makeClient(std::string clientNode,
 
 std::unique_ptr<TpuClient> DataPlane::makeClient(TpuClient::Config config) {
   // Keyed transport-loss identity: clients that don't bring their own
-  // stream token get a deterministic sequential one (creation order is
-  // fixed single-threaded setup), so loss outcomes replay identically at
-  // any shard count.
-  if (config.streamToken == 0) config.streamToken = nextStreamToken_++;
+  // stream token get the next sequential one, so loss outcomes replay
+  // identically at any shard count.
+  if (config.streamToken == 0) config.streamToken = newStreamToken();
   const unsigned shard = router_.shardOfNode(internNode(config.clientNode));
   auto client = std::make_unique<TpuClient>(
       router_, registry_, transport_,

@@ -106,6 +106,10 @@ class DataPlane {
                                         LbSpread spread = LbSpread::kSmooth);
   // Same, with the reliability knobs (deadline / failover / breaker) set.
   std::unique_ptr<TpuClient> makeClient(TpuClient::Config config);
+  // Next sender token for SimTransport::messageKey: sequential from 1 in
+  // creation order (fixed single-threaded setup), so every sender on this
+  // data plane's transport keys its messages apart from every other one.
+  std::uint64_t newStreamToken() { return nextStreamToken_++; }
   std::size_t clientCount() const { return clientCount_; }
 
  private:
@@ -148,7 +152,6 @@ class DataPlane {
   std::vector<ClientList> clientsByShard_;
   std::size_t clientCount_ = 0;
   std::vector<std::uint64_t> loadRetriesByShard_;
-  // Next auto-assigned TpuClient::Config::streamToken (see makeClient).
   std::uint64_t nextStreamToken_ = 1;
 };
 

@@ -6,20 +6,10 @@
 namespace microedge {
 
 Status LbService::configure(const LbConfig& config) {
-  std::vector<WrrTarget> targets;
-  targets.reserve(config.weights.size());
-  for (const LbWeight& w : config.weights) {
-    targets.push_back(WrrTarget{w.tpuId, w.weight});
-  }
-  Status s = spread_ == LbSpread::kSmooth ? smooth_.setTargets(targets)
-                                          : burst_.setTargets(targets);
+  Status s = spread_ == LbSpread::kSmooth ? smooth_.setTargets(config.weights)
+                                          : burst_.setTargets(config.weights);
   if (!s.isOk()) return s;
   lbConfig_ = config;
-  // Hand-built configs (tests, benches) often carry only the string id; the
-  // hot routing path reads the dense handle, so resolve it once here.
-  for (LbWeight& w : lbConfig_.weights) {
-    if (!w.tpu.valid()) w.tpu = internTpu(w.tpuId);
-  }
   configured_ = true;
   routed_ = 0;
   maskEvents_ = 0;
@@ -112,9 +102,9 @@ std::size_t LbService::maskedCount() const {
   return n;
 }
 
-std::uint64_t LbService::routedCountTo(const std::string& tpuId) const {
+std::uint64_t LbService::routedCountTo(TpuId tpu) const {
   for (std::size_t i = 0; i < lbConfig_.weights.size(); ++i) {
-    if (lbConfig_.weights[i].tpuId == tpuId) return perTarget_[i];
+    if (lbConfig_.weights[i].tpu == tpu) return perTarget_[i];
   }
   return 0;
 }

@@ -20,7 +20,6 @@
 // allocation (health state is a flat vector aligned with the weights).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/extended_scheduler.hpp"
@@ -55,16 +54,18 @@ class LbService {
 
   explicit LbService(LbSpread spread = LbSpread::kSmooth) : spread_(spread) {}
 
-  // Installs the weights computed at admission (milli-units per TPU).
-  // Resets routing counters AND health state: a weight push from recovery
-  // names live targets, so they start healthy.
+  // Installs the weights computed at admission (milli-units per TPU, each
+  // target named by its TpuId handle) as given: the WRR routes by index and
+  // the client resolves the handle. Resets routing counters AND health
+  // state: a weight push from recovery names live targets, so they start
+  // healthy.
   Status configure(const LbConfig& config);
   bool configured() const { return configured_; }
 
   void setHealthConfig(const LbHealthConfig& config) { health_ = config; }
 
   // Routes the next request; returns the index of the target in
-  // config().weights. Per-frame hot path — no string is touched.
+  // config().weights. Per-frame hot path.
   // Precondition: configured().
   std::size_t routeIndex();
   // Health-aware routing: repeatedly draws from the WRR, skipping targets
@@ -84,7 +85,8 @@ class LbService {
   std::uint64_t maskEvents() const { return maskEvents_; }
 
   std::uint64_t routedCount() const { return routed_; }
-  std::uint64_t routedCountTo(const std::string& tpuId) const;
+  // Requests routed to `tpu` since configure(); 0 if it is not a target.
+  std::uint64_t routedCountTo(TpuId tpu) const;
   const LbConfig& config() const { return lbConfig_; }
 
  private:

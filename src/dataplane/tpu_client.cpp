@@ -170,12 +170,14 @@ void TpuClient::onDeadlineTimer() {
 std::uint64_t TpuClient::frameMsgKey(std::uint64_t frameId,
                                      std::uint32_t attempt,
                                      std::uint32_t hop) const {
-  // splitMix64 chain over (token, frame, attempt, hop): full-avalanche, so
-  // adjacent frames of one stream decorrelate under a loss window, and the
-  // key depends on nothing positional (lane, draw order, shard count).
-  std::uint64_t key = splitMix64(config_.streamToken ^ splitMix64(frameId));
-  key = splitMix64(key ^ ((static_cast<std::uint64_t>(attempt) << 1) | hop));
-  return key != 0 ? key : 1;  // 0 is reserved for "unkeyed"
+  // Full-avalanche, so adjacent frames of one stream decorrelate under a
+  // loss window, and the key depends on nothing positional (lane, draw
+  // order, shard count). Frame keys skip 0, so every recorded run replays
+  // bit for bit.
+  const std::uint64_t key = SimTransport::messageKey(
+      config_.streamToken, frameId,
+      (static_cast<std::uint64_t>(attempt) << 1) | hop);
+  return key != 0 ? key : 1;
 }
 
 TpuService* TpuClient::routeToLiveTarget(std::size_t* index) {

@@ -21,13 +21,4 @@ Status TpuService::invoke(ModelId model, TpuDevice::InvokeCallback done) {
   return s;
 }
 
-Status TpuService::invoke(const std::string& model,
-                          TpuDevice::InvokeCallback done) {
-  ModelId id = lookupModel(model);
-  if (!id.valid()) {
-    return notFound(strCat("invoke: unknown model ", model));
-  }
-  return invoke(id, std::move(done));
-}
-
 }  // namespace microedge

@@ -13,7 +13,7 @@
 //
 // Hot path: Invoke takes a dense interned ModelId — no string-map probe per
 // frame. The hosting node is interned at construction so clients address
-// response hops by NodeId. String overloads remain as thin wrappers.
+// response hops by NodeId.
 
 #include <cstdint>
 #include <string>
@@ -49,8 +49,6 @@ class TpuService {
   // hop back to the client is the caller's concern — the client library
   // owns the connection).
   Status invoke(ModelId model, TpuDevice::InvokeCallback done);
-  // String wrapper: resolves the dense handle, then takes the path above.
-  Status invoke(const std::string& model, TpuDevice::InvokeCallback done);
 
   // Hang fault (USB stall, wedged runtime): the process is up but stops
   // answering — Load and Invoke return kUnavailable until the hang clears.

@@ -4,11 +4,10 @@ namespace microedge {
 
 namespace {
 
-// Keyed drop decision: a uniform in [0,1) that is a pure function of
-// (fault seed, message key). splitMix64's finalizer gives full avalanche, so
-// adjacent frame keys decorrelate; >>11 keeps the top 53 bits — the same
-// mantissa construction Pcg32::nextDouble uses — so keyed and unkeyed draws
-// compare against `p` with identical granularity.
+// Drop decision: a uniform in [0,1) that is a pure function of (fault seed,
+// message key). splitMix64's finalizer gives full avalanche, so adjacent
+// frame keys decorrelate; >>11 keeps the top 53 bits, the mantissa
+// construction Pcg32::nextDouble uses.
 bool keyedBernoulli(std::uint64_t seed, std::uint64_t key, double p) {
   std::uint64_t bits = splitMix64(seed ^ splitMix64(key));
   double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
@@ -25,19 +24,14 @@ SimDuration SimTransport::modelMessage(Lane& lane, NodeId fromNode,
   lane.bytes += bytes;
   *dropped = false;
   if (lane.faultActive) {
-    if (lane.lossProbability > 0.0) {
-      bool drop = msgKey != kUnkeyed
-                      ? keyedBernoulli(lane.faultSeed, msgKey,
-                                       lane.lossProbability)
-                      : lane.faultRng.bernoulli(lane.lossProbability);
-      if (drop) {
-        // Dropped on the wire: the delivery callback never fires. The sender
-        // still paid the modelled latency (returned for the breakdown); the
-        // loss surfaces as a frame that never comes back.
-        ++lane.dropped;
-        *dropped = true;
-        return latency;
-      }
+    if (lane.lossProbability > 0.0 &&
+        keyedBernoulli(lane.faultSeed, msgKey, lane.lossProbability)) {
+      // Dropped on the wire: the delivery callback never fires. The sender
+      // still paid the modelled latency (returned for the breakdown); the
+      // loss surfaces as a frame that never comes back.
+      ++lane.dropped;
+      *dropped = true;
+      return latency;
     }
     if (lane.latencyMultiplier != 1.0) {
       latency = SimDuration{static_cast<SimDuration::rep>(
@@ -48,22 +42,14 @@ SimDuration SimTransport::modelMessage(Lane& lane, NodeId fromNode,
 }
 
 SimDuration SimTransport::send(NodeId fromNode, NodeId toNode,
-                               std::size_t bytes, EventFn onDelivered,
-                               SimDuration departAfter, std::uint64_t msgKey) {
+                               std::size_t bytes, std::uint64_t msgKey,
+                               EventFn onDelivered) {
   bool dropped = false;
   SimDuration latency =
       modelMessage(lane(), fromNode, toNode, bytes, &dropped, msgKey);
   if (dropped) return latency;
-  router_.currentSim().scheduleAfter(departAfter + latency,
-                                     std::move(onDelivered));
+  router_.currentSim().scheduleAfter(latency, std::move(onDelivered));
   return latency;
-}
-
-SimDuration SimTransport::send(const std::string& fromNode,
-                               const std::string& toNode, std::size_t bytes,
-                               EventFn onDelivered, SimDuration departAfter) {
-  return send(internNode(fromNode), internNode(toNode), bytes,
-              std::move(onDelivered), departAfter);
 }
 
 SimDuration SimTransport::sendRouted(NodeId fromNode, NodeId toNode,
@@ -74,14 +60,11 @@ SimDuration SimTransport::sendRouted(NodeId fromNode, NodeId toNode,
 
 void SimTransport::setFault(double lossProbability, double latencyMultiplier,
                             std::uint64_t seed) {
-  const unsigned shard = ShardRouter::currentShard();
-  Lane& lane = lanes_[shard];
-  lane.faultActive = true;
-  lane.lossProbability = lossProbability;
-  lane.latencyMultiplier = latencyMultiplier;
-  lane.faultRng = Pcg32{seed + shard};
-  lane.faultSeed = seed;  // lane-invariant: keyed draws replay at any shard
-                          // count
+  Lane& current = lane();
+  current.faultActive = true;
+  current.lossProbability = lossProbability;
+  current.latencyMultiplier = latencyMultiplier;
+  current.faultSeed = seed;
 }
 
 void SimTransport::clearFault() { lane().faultActive = false; }

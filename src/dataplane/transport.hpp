@@ -7,21 +7,17 @@
 // pairs do not contend (switched full-duplex fabric); per-message costs are
 // captured by the NetworkModel's base latency.
 //
-// Hot path: endpoints are pre-resolved NodeId handles (interned once at
-// client/service construction), so a per-frame send costs an integer
-// compare, one multiply and an event insertion — no strings. The string
-// overload interns on entry and is kept for control-plane and test callers.
+// Endpoints are pre-resolved NodeId handles (interned once at client/service
+// construction), so a per-frame send costs an integer compare, one multiply
+// and an event insertion — no strings.
 //
-// `departAfter` models sender-side work (e.g. the client's preprocess stage)
-// that delays the message's departure without occupying the wire: the
-// callback fires at now + departAfter + latency, and only the latency is
-// returned/attributed to transmission. Folding that stage into the delivery
-// event halves the client pipeline's event count without changing any
-// timestamp.
+// Every message carries a key (messageKey), and under a loss window its drop
+// draw is a pure function of (fault seed, key): one rule for every sender,
+// independent of lane, shard count and every other message.
 //
 // Sharded runs: one SimTransport serves every shard of its ShardRouter (a
 // SoloRouter is one shard). All mutable state — counters and the fault
-// window's RNG — lives in per-shard cache-line-sized lanes indexed by
+// window — lives in per-shard cache-line-sized lanes indexed by
 // ShardRouter::currentShard(), so concurrent shard workers never touch the
 // same bytes. send() schedules on the calling shard's own Simulator and is
 // therefore only correct for same-shard deliveries (the Coral-Pie app and
@@ -32,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cluster/network.hpp"
@@ -49,38 +44,30 @@ class SimTransport {
   SimTransport(ShardRouter& router, const NetworkModel& network)
       : router_(router), network_(network), lanes_(router.shardCount()) {}
 
-  // Stable per-message identity for fault decisions. A keyed message's drop
-  // draw under a loss window is a pure function of (fault seed, key) —
-  // independent of lane, shard count, and every other message — so loss
-  // outcomes replay identically at any shard count. Key 0 means "unkeyed":
-  // the message draws from the lane's sequential RNG. Every TpuClient frame
-  // is keyed, from (stream token, frame id, attempt, hop); the callers that
-  // send unkeyed are Coral-Pie's re-id hops (apps/coral_pie) and the
-  // serverless baseline's hops (testbed/serverless_baseline).
-  static constexpr std::uint64_t kUnkeyed = 0;
+  // Stable per-message identity for fault decisions: a splitMix64 chain over
+  // (sender token, message id, tag). Each sender on a transport needs its
+  // own token (DataPlane::newStreamToken hands out sequential ones), so two
+  // senders' keys differ; the id and tag tell one sender's messages apart.
+  static constexpr std::uint64_t messageKey(std::uint64_t token,
+                                            std::uint64_t id,
+                                            std::uint64_t tag) {
+    return splitMix64(splitMix64(token ^ splitMix64(id)) ^ tag);
+  }
 
   // Delivers `onDelivered` after the transfer latency of `bytes` from
-  // `fromNode` to `toNode` (plus `departAfter` of sender-side delay).
-  // Returns the modelled transfer latency (for breakdowns). EventFn keeps
-  // inline-sized completion closures off the heap all the way into the
-  // event slot. Sharded runs: delivery is scheduled on the calling shard's
-  // Simulator, so both endpoints must live on that shard.
+  // `fromNode` to `toNode`. Returns the modelled transfer latency (for
+  // breakdowns). EventFn keeps inline-sized completion closures off the heap
+  // all the way into the event slot. Sharded runs: delivery is scheduled on
+  // the calling shard's Simulator, so both endpoints must live on that shard.
   SimDuration send(NodeId fromNode, NodeId toNode, std::size_t bytes,
-                   EventFn onDelivered,
-                   SimDuration departAfter = SimDuration::zero(),
-                   std::uint64_t msgKey = kUnkeyed);
-
-  // String wrapper: interns both endpoints, then takes the path above.
-  SimDuration send(const std::string& fromNode, const std::string& toNode,
-                   std::size_t bytes, EventFn onDelivered,
-                   SimDuration departAfter = SimDuration::zero());
+                   std::uint64_t msgKey, EventFn onDelivered);
 
   // Models and accounts a message WITHOUT scheduling its delivery: returns
   // the (fault-adjusted) transfer latency and sets *dropped when the fault
   // window eats the message. The caller owns delivery, e.g. through the
   // router, which may hand it to another shard's mailbox.
   SimDuration sendRouted(NodeId fromNode, NodeId toNode, std::size_t bytes,
-                         bool* dropped, std::uint64_t msgKey = kUnkeyed);
+                         bool* dropped, std::uint64_t msgKey);
 
   const NetworkModel& network() const { return network_; }
 
@@ -88,11 +75,10 @@ class SimTransport {
   // edge pair per shard, each touching only its own lane): every message is
   // dropped with `lossProbability` (its delivery callback never fires — the
   // frame's deadline timer is what notices), and surviving deliveries take
-  // `latencyMultiplier` times the modelled latency. Keyed messages decide
-  // the drop from (seed, key) alone, so loss replays identically at any
-  // shard count; unkeyed ones draw from the lane's Pcg32{seed + shard},
-  // which is deterministic per shard count. Steady-state cost with no fault
-  // active: one branch per send.
+  // `latencyMultiplier` times the modelled latency. A message's drop is
+  // decided from (seed, key) alone, so loss replays identically at any
+  // shard count. Steady-state cost with no fault active: one branch per
+  // send.
   void setFault(double lossProbability, double latencyMultiplier,
                 std::uint64_t seed);
   void clearFault();
@@ -112,15 +98,14 @@ class SimTransport {
     bool faultActive = false;
     double lossProbability = 0.0;
     double latencyMultiplier = 1.0;
-    Pcg32 faultRng{0};                // unkeyed draws: sequential, per-lane
-    std::uint64_t faultSeed = 0;      // keyed draws: base seed, lane-invariant
+    std::uint64_t faultSeed = 0;  // same on every lane: keys replay at any
+                                  // shard count
   };
 
   Lane& lane() { return lanes_[ShardRouter::currentShard()]; }
   // Accounts the message on `lane` and returns its fault-adjusted latency;
-  // sets *dropped when the fault window eats it. Keyed messages (msgKey !=
-  // kUnkeyed) decide the drop from (lane.faultSeed, msgKey) without touching
-  // the lane RNG; unkeyed messages draw sequentially from it.
+  // sets *dropped when the fault window eats it, decided from
+  // (lane.faultSeed, msgKey).
   SimDuration modelMessage(Lane& lane, NodeId fromNode, NodeId toNode,
                            std::size_t bytes, bool* dropped,
                            std::uint64_t msgKey);

@@ -78,6 +78,10 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
   if (!valid.isOk()) return pointError(valid);
   scenario.mode = *mode;
   scenario.deployment.model = p.getString("model", zoo::kSsdMobileNetV2);
+  if (!zoo::standardZoo().contains(scenario.deployment.model)) {
+    return pointError(notFound(
+        strCat("sweep: unknown model ", scenario.deployment.model)));
+  }
   scenario.deployment.fps = fps;
   scenario.tpusPerNode = static_cast<int>(tpusPerNode);
   scenario.cameraUpperBound = static_cast<int>(upperBound);

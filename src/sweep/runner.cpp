@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -169,7 +170,9 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
           options.progressOut != nullptr ? *options.progressOut : std::cerr,
           grid.name(), total, report.resumed, done);
     }
-    WorkStealingPool pool(options.threads);
+    // No more workers than points: an idle worker only spins on steals.
+    WorkStealingPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(options.threads, pending.size())));
     std::vector<WorkStealingPool::Task> tasks;
     tasks.reserve(pending.size());
     for (std::size_t index : pending) {

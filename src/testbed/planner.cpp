@@ -249,7 +249,8 @@ std::string renderPlan(const PlannerScenario& scenario,
     if (p.accepted) {
       for (const TpuShare& share : p.shares) {
         if (!where.empty()) where += " + ";
-        where += strCat(share.tpuId, ":", fmtDouble(share.units.value(), 2));
+        where += strCat(tpuName(share.tpu), ":",
+                        fmtDouble(share.units.value(), 2));
       }
     } else {
       where = strCat("REJECTED (", p.reason, ")");

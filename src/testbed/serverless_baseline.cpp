@@ -12,7 +12,9 @@ ServerlessDispatcher::ServerlessDispatcher(Simulator& sim,
                                            const ModelRegistry& registry,
                                            Config config)
     : sim_(sim), dataPlane_(dataPlane), topology_(topology),
-      registry_(registry), config_(std::move(config)) {}
+      registry_(registry), config_(std::move(config)),
+      dispatcherNode_(internNode(config_.dispatcherNode)),
+      token_(dataPlane.newStreamToken()) {}
 
 TpuService* ServerlessDispatcher::pickLeastLoaded() {
   TpuService* best = nullptr;
@@ -39,19 +41,21 @@ Status ServerlessDispatcher::invoke(const std::string& clientNode,
   b->submitted = sim_.now();
   b->preprocess = modelInfo.preprocessLatency;
   SimTransport& transport = dataPlane_.transport();
+  const NodeId client = internNode(clientNode);
 
-  sim_.scheduleAfter(modelInfo.preprocessLatency, [this, b, modelInfo,
-                                                   clientNode, &transport,
+  // Hop h of frame f keys on (token_, f, h).
+  sim_.scheduleAfter(modelInfo.preprocessLatency, [this, b, modelInfo, client,
+                                                   &transport,
                                                    done = std::move(done)]() mutable {
     // Hop 1: frame to the shared queue on the dispatcher node.
     SimDuration hop1 = transport.send(
-        clientNode, config_.dispatcherNode, modelInfo.inputBytes(),
-        [this, b, modelInfo, clientNode, &transport,
-         done = std::move(done), hopStart = sim_.now()]() mutable {
-          (void)hopStart;
+        client, dispatcherNode_, modelInfo.inputBytes(),
+        SimTransport::messageKey(token_, b->frameId, 0),
+        [this, b, modelInfo, client, &transport,
+         done = std::move(done)]() mutable {
           // Runtime scheduling decision.
-          sim_.scheduleAfter(config_.decisionCost, [this, b, modelInfo,
-                                                    clientNode, &transport,
+          sim_.scheduleAfter(config_.decisionCost, [this, b, modelInfo, client,
+                                                    &transport,
                                                     done = std::move(done)]() mutable {
             TpuService* service = pickLeastLoaded();
             if (service == nullptr) {
@@ -60,21 +64,23 @@ Status ServerlessDispatcher::invoke(const std::string& clientNode,
             }
             ++dispatched_;
             b->servedBy = service->tpu();
-            const std::string serviceNode = service->node();
+            const NodeId serviceNode = service->nodeId();
             // Hop 2: frame moves again, dispatcher -> chosen tRPi.
             SimDuration hop2 = transport.send(
-                config_.dispatcherNode, serviceNode, modelInfo.inputBytes(),
-                [this, b, modelInfo, clientNode, serviceNode, service,
+                dispatcherNode_, serviceNode, modelInfo.inputBytes(),
+                SimTransport::messageKey(token_, b->frameId, 1),
+                [this, b, modelInfo, client, serviceNode, service,
                  &transport, done = std::move(done)]() mutable {
                   Status s = service->invoke(
-                      modelInfo.name,
-                      [this, b, modelInfo, clientNode, serviceNode, &transport,
+                      modelInfo.id,
+                      [this, b, modelInfo, client, serviceNode, &transport,
                        done = std::move(done)](
                           const TpuDevice::InvokeStats& stats) mutable {
                         b->queueDelay = stats.queueDelay;
                         b->inference = stats.serviceTime;
                         b->responseTransmit = transport.send(
-                            serviceNode, clientNode, modelInfo.outputBytes,
+                            serviceNode, client, modelInfo.outputBytes,
+                            SimTransport::messageKey(token_, b->frameId, 2),
                             [this, b, modelInfo,
                              done = std::move(done)]() mutable {
                               b->postprocess = modelInfo.postprocessLatency;

@@ -50,6 +50,9 @@ class ServerlessDispatcher {
   const ClusterTopology& topology_;
   const ModelRegistry& registry_;
   Config config_;
+  NodeId dispatcherNode_{};
+  // Sender token for the keyed loss draws of this dispatcher's hops.
+  std::uint64_t token_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t nextFrameId_ = 1;
 };

@@ -142,6 +142,10 @@ SloMonitor::Config Testbed::sloConfigFor(
 
 StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
     const CameraDeployment& deployment, std::uint64_t* uid) {
+  // Checked before buildPodSpec, which profiles the model's rate.
+  if (!zoo_.contains(deployment.model)) {
+    return notFound(strCat("model ", deployment.model, " not in the zoo"));
+  }
   auto created = api_->createPod(buildPodSpec(deployment));
   if (!created.isOk()) return created.status();
   *uid = *created;
@@ -154,7 +158,7 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   // TPU (no network hop); MicroEdge runs it wherever K3s bound the pod.
   std::string clientNode =
       config_.mode == SchedulingMode::kBaselineDedicated
-          ? topology_.nodeOfTpu(allocation->shares.front().tpuId)
+          ? topology_.nodeOfTpu(tpuName(allocation->shares.front().tpu))
           : pod->nodeName;
 
   TpuClient::Config clientConfig;

@@ -7,8 +7,10 @@
 // registry and the LB service). At 100k-TPU scale those string compares and
 // node allocations dominate the scan. A process-wide symbol table interns
 // each distinct id once and hands out a dense u32 handle; all hot state is
-// then vectors indexed (or small dense lists keyed) by handle, and the
-// public string-based APIs remain as thin wrappers that intern on entry.
+// then vectors indexed (or small dense lists keyed) by handle. Names are
+// resolved only where they enter or leave the system (registry lookups, pod
+// specs, Load commands, fault targets, reports); placements, LB weights and
+// every per-frame hop carry the handle alone.
 //
 // Handles are append-only for the lifetime of their *domain*, so a
 // ModelId/TpuId can be cached freely (in allocations, LB configs, benchmark
@@ -52,7 +54,7 @@ class Interner {
 
  private:
   // Heterogeneous lookup: probing with a string_view must not materialize a
-  // temporary std::string (the string-API wrappers route through here).
+  // temporary std::string.
   struct StringHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {

@@ -33,7 +33,7 @@ TEST_F(AdmissionTest, SingleRequestLandsOnFirstTpu) {
   auto result = admission.admit(1, zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35));
   ASSERT_TRUE(result.isOk());
   ASSERT_EQ(result->allocation.shares.size(), 1u);
-  EXPECT_EQ(result->allocation.shares[0].tpuId, "tpu-0");
+  EXPECT_EQ(result->allocation.shares[0].tpu, internTpu("tpu-0"));
   EXPECT_EQ(result->allocation.shares[0].units.milli(), 350);
   ASSERT_EQ(result->loads.size(), 1u);
   EXPECT_EQ(result->loads[0].composite,
@@ -47,10 +47,11 @@ TEST_F(AdmissionTest, TpuUnitsRuleTwo035FitThirdSpills) {
   for (std::uint64_t pod = 1; pod <= 3; ++pod) {
     auto result = admission.admit(pod, zoo::kSsdMobileNetV2, units);
     ASSERT_TRUE(result.isOk()) << "pod " << pod;
-    EXPECT_EQ(result->allocation.shares[0].tpuId, pod <= 2 ? "tpu-0" : "tpu-1");
+    EXPECT_EQ(result->allocation.shares[0].tpu,
+              internTpu(pod <= 2 ? "tpu-0" : "tpu-1"));
   }
-  EXPECT_EQ(pool_.find("tpu-0")->currentLoad().milli(), 700);
-  EXPECT_EQ(pool_.find("tpu-1")->currentLoad().milli(), 350);
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-0"))->currentLoad().milli(), 700);
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-1"))->currentLoad().milli(), 350);
 }
 
 TEST_F(AdmissionTest, SecondPodSameModelProducesNoNewLoadCommand) {
@@ -75,7 +76,7 @@ TEST_F(AdmissionTest, ModelSizeRuleForcesSeparateTpus) {
           .isOk());
   auto second = admission.admit(2, zoo::kMobileNetV1, TpuUnit::fromDouble(0.1));
   ASSERT_TRUE(second.isOk());
-  EXPECT_EQ(second->allocation.shares[0].tpuId, "tpu-1");
+  EXPECT_EQ(second->allocation.shares[0].tpu, internTpu("tpu-1"));
 }
 
 TEST_F(AdmissionTest, CoResidentModelsWithinBudgetShareOneTpu) {
@@ -85,7 +86,7 @@ TEST_F(AdmissionTest, CoResidentModelsWithinBudgetShareOneTpu) {
       admission.admit(1, zoo::kMobileNetV1, TpuUnit::fromDouble(0.2)).isOk());
   auto second = admission.admit(2, zoo::kUNetV2, TpuUnit::fromDouble(0.3));
   ASSERT_TRUE(second.isOk());
-  EXPECT_EQ(second->allocation.shares[0].tpuId, "tpu-0");
+  EXPECT_EQ(second->allocation.shares[0].tpu, internTpu("tpu-0"));
   ASSERT_EQ(second->loads.size(), 1u);
   // The co-compiled composite holds both models, existing resident first.
   EXPECT_EQ(second->loads[0].composite,
@@ -104,24 +105,24 @@ TEST_F(AdmissionTest, PaperExampleThreePods06UnitsWithWp) {
   auto pod1 = admission.admit(1, zoo::kMobileNetV1, units);
   ASSERT_TRUE(pod1.isOk());
   ASSERT_EQ(pod1->allocation.shares.size(), 1u);
-  EXPECT_EQ(pod1->allocation.shares[0].tpuId, "tpu-0");
+  EXPECT_EQ(pod1->allocation.shares[0].tpu, internTpu("tpu-0"));
 
   auto pod2 = admission.admit(2, zoo::kMobileNetV1, units);
   ASSERT_TRUE(pod2.isOk());
   ASSERT_EQ(pod2->allocation.shares.size(), 1u);
-  EXPECT_EQ(pod2->allocation.shares[0].tpuId, "tpu-1");
+  EXPECT_EQ(pod2->allocation.shares[0].tpu, internTpu("tpu-1"));
 
   auto pod3 = admission.admit(3, zoo::kMobileNetV1, units);
   ASSERT_TRUE(pod3.isOk());
   ASSERT_EQ(pod3->allocation.shares.size(), 2u);
-  EXPECT_EQ(pod3->allocation.shares[0].tpuId, "tpu-0");
+  EXPECT_EQ(pod3->allocation.shares[0].tpu, internTpu("tpu-0"));
   EXPECT_EQ(pod3->allocation.shares[0].units.milli(), 400);
-  EXPECT_EQ(pod3->allocation.shares[1].tpuId, "tpu-1");
+  EXPECT_EQ(pod3->allocation.shares[1].tpu, internTpu("tpu-1"));
   EXPECT_EQ(pod3->allocation.shares[1].units.milli(), 200);
 
   // 1.8 units packed onto two TPU Services (instead of three dedicated).
-  EXPECT_EQ(pool_.find("tpu-0")->currentLoad(), TpuUnit::full());
-  EXPECT_EQ(pool_.find("tpu-1")->currentLoad().milli(), 800);
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-0"))->currentLoad(), TpuUnit::full());
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-1"))->currentLoad().milli(), 800);
   EXPECT_EQ(admission.partitionedCount(), 1u);
 }
 
@@ -167,8 +168,10 @@ TEST_F(AdmissionTest, RejectionLeavesNoResidue) {
   // 0.5 more cannot fit anywhere (only 0.2 free in the whole pool).
   auto rejected = admission.admit(2, zoo::kMobileNetV1, TpuUnit::fromDouble(0.5));
   ASSERT_FALSE(rejected.isOk());
-  EXPECT_EQ(pool_.find("tpu-0")->currentLoad().milli(), 800);
-  EXPECT_EQ(pool_.find("tpu-0")->refCount(zoo::kMobileNetV1), 1);
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-0"))->currentLoad().milli(), 800);
+  EXPECT_EQ(
+      pool_.find(lookupTpu("tpu-0"))->refCount(lookupModel(zoo::kMobileNetV1)),
+      1);
   EXPECT_EQ(admission.rejectedCount(), 1u);
 }
 
@@ -183,7 +186,7 @@ TEST_F(AdmissionTest, WpSkipsTpusWhereModelCannotReside) {
   auto result = admission.admit(2, zoo::kMobileNetV1, TpuUnit::fromDouble(0.9));
   ASSERT_TRUE(result.isOk());
   ASSERT_EQ(result->allocation.shares.size(), 1u);
-  EXPECT_EQ(result->allocation.shares[0].tpuId, "tpu-1");
+  EXPECT_EQ(result->allocation.shares[0].tpu, internTpu("tpu-1"));
 }
 
 TEST_F(AdmissionTest, ReleaseReturnsUnitsAndDropsRefs) {
@@ -192,8 +195,9 @@ TEST_F(AdmissionTest, ReleaseReturnsUnitsAndDropsRefs) {
   auto result = admission.admit(1, zoo::kMobileNetV1, TpuUnit::fromDouble(0.7));
   ASSERT_TRUE(result.isOk());
   ASSERT_TRUE(admission.release(result->allocation).isOk());
-  EXPECT_TRUE(pool_.find("tpu-0")->currentLoad().isZero());
-  EXPECT_FALSE(pool_.find("tpu-0")->hasModel(zoo::kMobileNetV1));
+  EXPECT_TRUE(pool_.find(lookupTpu("tpu-0"))->currentLoad().isZero());
+  EXPECT_FALSE(
+      pool_.find(lookupTpu("tpu-0"))->hasModel(lookupModel(zoo::kMobileNetV1)));
   // Released capacity is immediately reusable.
   EXPECT_TRUE(
       admission.admit(2, zoo::kUNetV2, TpuUnit::fromDouble(1.0)).isOk());
@@ -207,7 +211,7 @@ TEST_F(AdmissionTest, ReleaseToleratesRemovedTpu) {
   ASSERT_TRUE(result.isOk());
   ASSERT_TRUE(pool_.removeTpu("tpu-0").isOk());
   EXPECT_TRUE(admission.release(result->allocation).isOk());
-  EXPECT_TRUE(pool_.find("tpu-1")->currentLoad().isZero());
+  EXPECT_TRUE(pool_.find(lookupTpu("tpu-1"))->currentLoad().isZero());
 }
 
 TEST_F(AdmissionTest, OversizedModelSchedulesAlone) {
@@ -248,12 +252,12 @@ TEST_F(AdmissionTest, NoCoCompileMeansOneDistinctModelPerTpu) {
       admission.admit(1, zoo::kMobileNetV1, TpuUnit::fromDouble(0.3)).isOk());
   auto same = admission.admit(2, zoo::kMobileNetV1, TpuUnit::fromDouble(0.3));
   ASSERT_TRUE(same.isOk());
-  EXPECT_EQ(same->allocation.shares[0].tpuId, "tpu-0");
+  EXPECT_EQ(same->allocation.shares[0].tpu, internTpu("tpu-0"));
   // ...but a different model must take a fresh TPU even though 4.2 + 2.5
   // would fit the memory budget.
   auto other = admission.admit(3, zoo::kUNetV2, TpuUnit::fromDouble(0.2));
   ASSERT_TRUE(other.isOk());
-  EXPECT_EQ(other->allocation.shares[0].tpuId, "tpu-1");
+  EXPECT_EQ(other->allocation.shares[0].tpu, internTpu("tpu-1"));
 }
 
 TEST_F(AdmissionTest, UnknownModelRejected) {
@@ -359,10 +363,10 @@ TEST_P(AdmissionPropertyTest, InvariantsHoldUnderChurn) {
       if (result.isOk()) {
         // Shares must sum exactly to the request and target distinct TPUs.
         EXPECT_EQ(result->allocation.totalUnits(), units);
-        std::set<std::string> distinct;
+        std::set<std::uint32_t> distinct;
         for (const auto& share : result->allocation.shares) {
           EXPECT_TRUE(share.units.isPositive());
-          distinct.insert(share.tpuId);
+          distinct.insert(share.tpu.value);
         }
         EXPECT_EQ(distinct.size(), result->allocation.shares.size());
         if (!scenario.workloadPartitioning) {

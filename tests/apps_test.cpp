@@ -100,7 +100,9 @@ class AppsFixture : public ::testing::Test {
     EXPECT_TRUE(loaded.isOk());
     sim_.run();
     auto client = dataPlane_.makeClient("vrpi-00", model);
-    EXPECT_TRUE(client->configureLb(LbConfig{{LbWeight{tpuId, weight}}}).isOk());
+    EXPECT_TRUE(
+        client->configureLb(LbConfig{{LbWeight{internTpu(tpuId), weight}}})
+            .isOk());
     return client;
   }
 

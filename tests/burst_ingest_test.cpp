@@ -49,9 +49,10 @@ TEST(BurstIngestTest, BurstLargerThanFreeSlabRunGrowsThePool) {
   Cluster cluster;
   cluster.loadAll(zoo::kMobileNetV1);
   auto client = cluster.dataPlane.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(
-      client->configureLb(LbConfig{{LbWeight{"tpu-00", 100},
-                                    LbWeight{"tpu-01", 100}}}).isOk());
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
+                  .isOk());
   constexpr std::size_t kBig = 1500;
   std::size_t done = 0;
   for (std::size_t i = 0; i < kBig; ++i) {
@@ -73,9 +74,10 @@ TEST(BurstIngestTest, AllTargetsMaskedEveryFrameGetsExactlyOneOutcome) {
   Cluster cluster;
   cluster.loadAll(zoo::kMobileNetV1);
   auto client = cluster.dataPlane.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(
-      client->configureLb(LbConfig{{LbWeight{"tpu-00", 100},
-                                    LbWeight{"tpu-01", 100}}}).isOk());
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
+                  .isOk());
   cluster.dataPlane.removeService("tpu-00");
   cluster.dataPlane.removeService("tpu-01");
 

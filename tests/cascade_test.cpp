@@ -40,7 +40,9 @@ class CascadeFixture : public ::testing::Test {
     EXPECT_TRUE(loaded.isOk());
     sim_.run();
     auto client = dataPlane_.makeClient("vrpi-00", model);
-    EXPECT_TRUE(client->configureLb(LbConfig{{LbWeight{tpuId, 500}}}).isOk());
+    EXPECT_TRUE(
+        client->configureLb(LbConfig{{LbWeight{internTpu(tpuId), 500}}})
+            .isOk());
     return client;
   }
 

@@ -168,7 +168,7 @@ SoakRun runSoak(std::uint64_t seed, TestbedConfig config = soakConfig()) {
        testbed.reclamation().trackedAllocations()) {
     trackedMilli += allocation.totalUnits().milli();
     for (const TpuShare& share : allocation.shares) {
-      EXPECT_NE(testbed.pool().find(share.tpuId), nullptr)
+      EXPECT_NE(testbed.pool().find(share.tpu), nullptr)
           << "seed " << seed << ": tracked share on a TPU not in the pool";
     }
   }

@@ -29,7 +29,7 @@ TEST_F(CoCompilerTest, FreshPlanSingleModel) {
 }
 
 TEST_F(CoCompilerTest, PlanAddAppendsNewModelLast) {
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.2));
   auto plan = compiler_.planAdd(tpu_, zoo_.at(zoo::kUNetV2));
   ASSERT_TRUE(plan.isOk()) << plan.status();
   ASSERT_EQ(plan->composite.size(), 2u);
@@ -40,7 +40,7 @@ TEST_F(CoCompilerTest, PlanAddAppendsNewModelLast) {
 }
 
 TEST_F(CoCompilerTest, PlanAddIdempotentForPresentModel) {
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.2));
   auto plan = compiler_.planAdd(tpu_, zoo_.at(zoo::kMobileNetV1));
   ASSERT_TRUE(plan.isOk());
   EXPECT_EQ(plan->composite.size(), 1u);
@@ -48,7 +48,8 @@ TEST_F(CoCompilerTest, PlanAddIdempotentForPresentModel) {
 
 TEST_F(CoCompilerTest, EnforcesParameterBudget) {
   // SSD MobileNet V2 (6.2) + MobileNet V1 (4.2) > 6.9 MB.
-  tpu_.addAllocation(zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35));
+  tpu_.addAllocation(internModel(zoo::kSsdMobileNetV2),
+                     TpuUnit::fromDouble(0.35));
   auto plan = compiler_.planAdd(tpu_, zoo_.at(zoo::kMobileNetV1));
   ASSERT_FALSE(plan.isOk());
   EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
@@ -56,9 +57,11 @@ TEST_F(CoCompilerTest, EnforcesParameterBudget) {
 
 TEST_F(CoCompilerTest, DeadModelsExcludedFromComposite) {
   // Lazy reclamation: a zero-reference SSD must be excluded, making room.
-  tpu_.addAllocation(zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35));
+  tpu_.addAllocation(internModel(zoo::kSsdMobileNetV2),
+                     TpuUnit::fromDouble(0.35));
   ASSERT_TRUE(
-      tpu_.removeAllocation(zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35))
+      tpu_.removeAllocation(internModel(zoo::kSsdMobileNetV2),
+                            TpuUnit::fromDouble(0.35))
           .isOk());
   auto plan = compiler_.planAdd(tpu_, zoo_.at(zoo::kMobileNetV1));
   ASSERT_TRUE(plan.isOk()) << plan.status();
@@ -77,7 +80,7 @@ TEST_F(CoCompilerTest, LatencyGrowsWithCompositeSize) {
 TEST_F(CoCompilerTest, PairThatFitsBudget) {
   // MobileNet V1 (4.2) + UNet V2 (2.5) = 6.7 <= 6.9: the trace study's
   // feasible co-residency pair.
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.1));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.1));
   auto plan = compiler_.planAdd(tpu_, zoo_.at(zoo::kUNetV2));
   ASSERT_TRUE(plan.isOk());
   EXPECT_LE(plan->totalParamMb, 6.9);

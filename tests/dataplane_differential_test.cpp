@@ -1,10 +1,8 @@
-// Differential check for the allocation-free fast path: the dense-handle
-// client pipeline (3 fused events, ModelId/NodeId/TpuId throughout) must
-// produce bit-for-bit identical FrameBreakdown timings to the literal
-// five-stage string-path formulation built from the retained wrappers
-// (transport.send(string,...), TpuService::invoke(string,...), one event per
-// stage). SimTime is integer nanoseconds, so "identical" means EXPECT_EQ on
-// every field — no tolerance.
+// Differential check for the allocation-free fast path: the client pipeline
+// (3 fused events) must produce bit-for-bit identical FrameBreakdown timings
+// to the literal five-stage formulation, one event per stage, built from
+// SimTransport::send and TpuService::invoke. SimTime is integer nanoseconds,
+// so "identical" means EXPECT_EQ on every field — no tolerance.
 
 #include <gtest/gtest.h>
 
@@ -44,12 +42,13 @@ struct Cluster {
   DataPlane dataPlane;
 };
 
-// The pre-refactor reference pipeline: five separate events per frame, all
-// addressing by strings through the wrapper overloads.
-class StringPathDriver {
+// The reference pipeline: five separate events per frame. It resolves the
+// names it is given itself.
+class FiveStageDriver {
  public:
-  StringPathDriver(Cluster& cluster, std::string clientNode, std::string model)
-      : cluster_(cluster), clientNode_(std::move(clientNode)),
+  FiveStageDriver(Cluster& cluster, const std::string& clientNode,
+                  const std::string& model)
+      : cluster_(cluster), clientNode_(internNode(clientNode)),
         info_(cluster_.zoo.at(model)) {
     results_.reserve(256);  // pointers into results_ must stay stable
   }
@@ -63,20 +62,22 @@ class StringPathDriver {
     TpuService* service = cluster_.dataPlane.service(tpuId);
     ASSERT_NE(service, nullptr);
     b->servedBy = service->tpu();
-    const std::string serviceNode = service->node();
+    const NodeId serviceNode = internNode(service->node());
+    const ModelId model = lookupModel(info_.name);
     // Stage 1: preprocess as its own event.
     cluster_.sim.scheduleAfter(info_.preprocessLatency, [=, this] {
-      // Stage 2: request hop via the string overload.
+      // Stage 2: request hop.
       b->requestTransmit = cluster_.dataPlane.transport().send(
-          clientNode_, serviceNode, info_.inputBytes(), [=, this] {
-            // Stage 3: inference via the string overload.
+          clientNode_, serviceNode, info_.inputBytes(), b->frameId, [=, this] {
+            // Stage 3: inference.
             Status s = service->invoke(
-                info_.name, [=, this](const TpuDevice::InvokeStats& stats) {
+                model, [=, this](const TpuDevice::InvokeStats& stats) {
                   b->queueDelay = stats.queueDelay;
                   b->inference = stats.serviceTime;
-                  // Stage 4: response hop via the string overload.
+                  // Stage 4: response hop.
                   b->responseTransmit = cluster_.dataPlane.transport().send(
-                      serviceNode, clientNode_, info_.outputBytes, [=, this] {
+                      serviceNode, clientNode_, info_.outputBytes, b->frameId,
+                      [=, this] {
                         // Stage 5: postprocess as its own event.
                         b->postprocess = info_.postprocessLatency;
                         cluster_.sim.scheduleAfter(
@@ -93,7 +94,7 @@ class StringPathDriver {
 
  private:
   Cluster& cluster_;
-  std::string clientNode_;
+  NodeId clientNode_;
   ModelInfo info_;
   std::vector<FrameBreakdown> results_;
 };
@@ -111,9 +112,9 @@ void expectIdentical(const FrameBreakdown& fast, const FrameBreakdown& ref) {
   EXPECT_EQ(fast.endToEnd(), ref.endToEnd());
 }
 
-TEST(DataplaneDifferentialTest, FusedPipelineMatchesFiveStageStringPath) {
+TEST(DataplaneDifferentialTest, FusedPipelineMatchesFiveStageReference) {
   // Two separate simulations over identical topologies: one driven by the
-  // dense-handle TpuClient, one by the literal string-path formulation.
+  // TpuClient, one by the literal five-stage formulation.
   Cluster fast;
   Cluster ref;
   fast.loadAll(zoo::kSsdMobileNetV2);
@@ -121,10 +122,10 @@ TEST(DataplaneDifferentialTest, FusedPipelineMatchesFiveStageStringPath) {
 
   auto client = fast.dataPlane.makeClient("vrpi-00", zoo::kSsdMobileNetV2);
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 200},
-                                          LbWeight{"tpu-01", 100}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 200},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
                   .isOk());
-  StringPathDriver driver(ref, "vrpi-00", zoo::kSsdMobileNetV2);
+  FiveStageDriver driver(ref, "vrpi-00", zoo::kSsdMobileNetV2);
 
   // Drive both with the same arrival pattern and the same routing sequence
   // (the smooth-WRR 2:1 order is deterministic; mirror it on the reference).
@@ -160,7 +161,9 @@ TEST(DataplaneDifferentialTest, QueueContentionMatchesBitForBit) {
   ref.loadAll(zoo::kEfficientNetLite0);
 
   auto client = fast.dataPlane.makeClient("vrpi-00", zoo::kEfficientNetLite0);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   std::vector<FrameBreakdown> fastResults;
   fastResults.reserve(8);
   for (int i = 0; i < 4; ++i) {
@@ -173,7 +176,7 @@ TEST(DataplaneDifferentialTest, QueueContentionMatchesBitForBit) {
   fast.sim.run();
   ASSERT_EQ(fastResults.size(), 4u);
 
-  StringPathDriver driver(ref, "vrpi-00", zoo::kEfficientNetLite0);
+  FiveStageDriver driver(ref, "vrpi-00", zoo::kEfficientNetLite0);
   for (int i = 0; i < 4; ++i) driver.invoke("tpu-00");
   ref.sim.run();
 

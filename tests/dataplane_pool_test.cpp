@@ -197,7 +197,9 @@ class ClientPoolTest : public ::testing::Test {
 TEST_F(ClientPoolTest, SlotReusedAfterCompletion) {
   loadAll(zoo::kMobileNetV1);
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   // Sequential frames cycle through the pool one slot at a time: the pool
   // never grows past the warm footprint of one in-flight frame.
   for (int i = 0; i < 200; ++i) {
@@ -212,8 +214,9 @@ TEST_F(ClientPoolTest, SlotReusedAfterCompletion) {
 TEST_F(ClientPoolTest, StopMidFlightDrainsInFlightFrames) {
   loadAll(zoo::kMobileNetV1);
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100},
-                                            LbWeight{"tpu-01", 100}}})
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
                   .isOk());
   int completions = 0;
   for (int i = 0; i < 8; ++i) {
@@ -236,7 +239,9 @@ TEST_F(ClientPoolTest, StopMidFlightDrainsInFlightFrames) {
 TEST_F(ClientPoolTest, RemovedServiceMidFlightRecyclesSlot) {
   loadAll(zoo::kMobileNetV1);
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   // The frame routes and departs, then its target dies while it is on the
   // wire: arrival re-resolves the dense handle, finds nothing, and the frame
   // is dropped — its slot must come back.
@@ -253,8 +258,9 @@ TEST_F(ClientPoolTest, RemovedServiceMidFlightRecyclesSlot) {
 TEST_F(ClientPoolTest, OutstandingTracksPoolUnderChurn) {
   loadAll(zoo::kMobileNetV1);
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100},
-                                            LbWeight{"tpu-01", 100}}})
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
                   .isOk());
   // Closed loop with a fan-out of 16: every completion immediately resubmits
   // until 500 frames have drained. The pool population must equal the

@@ -62,7 +62,9 @@ TEST_F(ReliabilityTest, DeadlineFiresBeforeArrivalAndCountsTimedOut) {
   config.frameDeadline = milliseconds(1);  // transit alone takes ~8 ms
   config.maxFailovers = 0;
   auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   FrameOutcome seen = FrameOutcome::kInFlight;
   SimTime firedAt{};
@@ -92,7 +94,9 @@ TEST_F(ReliabilityTest, CompletionBeatsDeadlineWithoutTimeout) {
   TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
   config.frameDeadline = seconds(1);  // generous: the frame wins the race
   auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   FrameBreakdown seen;
   ASSERT_TRUE(
@@ -109,7 +113,9 @@ TEST_F(ReliabilityTest, CompletionBeatsDeadlineWithoutTimeout) {
 TEST_F(ReliabilityTest, TimeoutAfterDeviceKeepsDeviceStats) {
   loadEverywhere(zoo::kMobileNetV1);
   auto healthy = makeClient(baseConfig(zoo::kMobileNetV1));
-  ASSERT_TRUE(healthy->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      healthy->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   FrameBreakdown done;
   ASSERT_TRUE(
       healthy->invoke([&](const FrameBreakdown& b) { done = b; }).isOk());
@@ -124,7 +130,9 @@ TEST_F(ReliabilityTest, TimeoutAfterDeviceKeepsDeviceStats) {
   config.frameDeadline =
       deviceDone + (done.postprocess + done.responseTransmit) / 2;
   auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   FrameBreakdown late;
   ASSERT_TRUE(client->invoke([&](const FrameBreakdown& b) { late = b; }).isOk());
   sim_.run();
@@ -144,7 +152,9 @@ TEST_F(ReliabilityTest, RepeatedTimeoutsTripTheBreaker) {
   config.maxFailovers = 0;
   config.health.failureThreshold = 3;
   auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
@@ -160,8 +170,8 @@ TEST_F(ReliabilityTest, MidFlightFailoverMovesFrameToSurvivor) {
   loadEverywhere(zoo::kMobileNetV1);
   auto client = makeClient(baseConfig(zoo::kMobileNetV1));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   FrameBreakdown seen;
   ASSERT_TRUE(
@@ -182,8 +192,8 @@ TEST_F(ReliabilityTest, RemovalMidInferenceSendsNoStaleResponse) {
   loadEverywhere(zoo::kMobileNetV1);
   auto client = makeClient(baseConfig(zoo::kMobileNetV1));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   const ModelInfo& info = zoo_.at(zoo::kMobileNetV1);
   const SimDuration arrival =
@@ -217,8 +227,8 @@ TEST_F(ReliabilityTest, FailoverKeepsAbsoluteDeadline) {
   config.frameDeadline = milliseconds(12);
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   FrameOutcome seen = FrameOutcome::kInFlight;
   ASSERT_TRUE(
@@ -246,9 +256,9 @@ TEST_F(ReliabilityTest, FailoverBudgetBoundsReRoutes) {
   config.maxFailovers = 1;
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 400},
-                                          LbWeight{"tpu-01", 300},
-                                          LbWeight{"tpu-02", 300}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 400},
+                                          LbWeight{internTpu("tpu-01"), 300},
+                                          LbWeight{internTpu("tpu-02"), 300}}})
                   .isOk());
   FrameOutcome seen = FrameOutcome::kInFlight;
   ASSERT_TRUE(
@@ -271,7 +281,9 @@ TEST_F(ReliabilityTest, FailoverBudgetBoundsReRoutes) {
 TEST_F(ReliabilityTest, RemoveServiceFailsInFlightFramesImmediately) {
   loadEverywhere(zoo::kMobileNetV1);
   auto client = makeClient(baseConfig(zoo::kMobileNetV1));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   int completions = 0;
   FrameOutcome seen = FrameOutcome::kInFlight;
@@ -299,9 +311,10 @@ TEST_F(ReliabilityTest, RemoveServiceNotifiesSurvivorsInCreationOrder) {
   std::vector<std::unique_ptr<TpuClient>> clients;
   for (int i = 0; i < kClients; ++i) {
     clients.push_back(makeClient(baseConfig(zoo::kMobileNetV1)));
-    ASSERT_TRUE(clients.back()
-                    ->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}})
-                    .isOk());
+    ASSERT_TRUE(
+        clients.back()
+            ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+            .isOk());
   }
   // Destroy the first, the last and every odd one between: eleven of
   // twenty, so the registry also compacts and re-hooks its survivors
@@ -341,8 +354,8 @@ TEST_F(ReliabilityTest, RemovalFailsOverOldestFrameFirst) {
   loadEverywhere(zoo::kMobileNetV1);
   auto client = makeClient(baseConfig(zoo::kMobileNetV1));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 200},
-                                          LbWeight{"tpu-01", 100}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 200},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
                   .isOk());
   std::vector<FrameBreakdown> failedOver;
   auto record = [&failedOver](const FrameBreakdown& b) {
@@ -390,7 +403,9 @@ TEST_F(ReliabilityTest, DataPlaneDestroyedFirstDetachesClientHooks) {
 TEST_F(ReliabilityTest, SubmitAgainstDeadTargetIsExplicitNotSilent) {
   loadEverywhere(zoo::kMobileNetV1);
   auto client = makeClient(baseConfig(zoo::kMobileNetV1));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   dataPlane_.removeService("tpu-00");
 
   FrameOutcome seen = FrameOutcome::kInFlight;
@@ -414,8 +429,8 @@ TEST_F(ReliabilityTest, HungTargetTripsMaskAndTrafficShiftsToSurvivor) {
   config.health.maskDuration = seconds(10);
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   dataPlane_.service("tpu-00")->setHung(true);
 
@@ -437,8 +452,8 @@ TEST_F(ReliabilityTest, HalfOpenProbeRestoresRecoveredTarget) {
   config.health.maskDuration = milliseconds(100);
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   dataPlane_.service("tpu-00")->setHung(true);
   for (int i = 0; i < 4; ++i) {
@@ -466,8 +481,8 @@ TEST_F(ReliabilityTest, FailedProbeRemasksWithLongerBackoff) {
   config.health.maskDuration = milliseconds(100);
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   dataPlane_.service("tpu-00")->setHung(true);  // and it stays hung
   for (int i = 0; i < 2; ++i) {
@@ -506,7 +521,9 @@ TEST_F(ReliabilityTest, ShedResolvesInTheArrivalEvent) {
   // Room for one inference after arrival, not for two.
   config.frameDeadline = arrival + info.inferenceLatency * 3 / 2;
   auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   const SimTime submitAt = sim_.now();
   std::vector<FrameBreakdown> seen;
@@ -536,7 +553,9 @@ TEST_F(ReliabilityTest, BacklogBeyondDeadlineShedsInsteadOfQueueing) {
   TpuClient::Config config = baseConfig(zoo::kEfficientNetLite0);
   config.frameDeadline = milliseconds(120);
   auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   // Burst of 5 frames at once: the first fits (8 + 69 < 120), later ones
   // find a backlog whose predicted completion blows the deadline.
@@ -574,7 +593,8 @@ TEST_F(ReliabilityTest, LoadRetriesAfterTransientHangClears) {
   EXPECT_TRUE(s.isOk()) << s.toString();  // retrying in the background
   sim_.run();
   EXPECT_GE(dataPlane_.loadRetries(), 1u);
-  EXPECT_TRUE(topo_.findTpu("tpu-00")->isResident(zoo::kMobileNetV1));
+  EXPECT_TRUE(
+      topo_.findTpu("tpu-00")->isResident(lookupModel(zoo::kMobileNetV1)));
 }
 
 TEST_F(ReliabilityTest, LoadRetryStopsWhenBudgetExhausted) {
@@ -586,7 +606,8 @@ TEST_F(ReliabilityTest, LoadRetryStopsWhenBudgetExhausted) {
   sim_.run();
   const ExpBackoff budget{};
   EXPECT_EQ(dataPlane_.loadRetries(), budget.maxAttempts);
-  EXPECT_FALSE(topo_.findTpu("tpu-00")->isResident(zoo::kMobileNetV1));
+  EXPECT_FALSE(
+      topo_.findTpu("tpu-00")->isResident(lookupModel(zoo::kMobileNetV1)));
   // The last retry fired after the whole backoff schedule, then nothing.
   SimDuration schedule{};
   for (std::uint32_t a = 0; a < budget.maxAttempts; ++a) {
@@ -622,9 +643,9 @@ TEST(LbBatchHealthTest, AllMaskedBatchRoutesNothing) {
   // finds no target, and none of them counts as routed.
   InternScope scope;
   LbService lb;
-  ASSERT_TRUE(
-      lb.configure(LbConfig{{LbWeight{"tpu0", 100}, LbWeight{"tpu1", 100}}})
-          .isOk());
+  ASSERT_TRUE(lb.configure(LbConfig{{LbWeight{internTpu("tpu0"), 100},
+                                      LbWeight{internTpu("tpu1"), 100}}})
+                  .isOk());
   SimTime t0{};
   for (std::size_t target : {std::size_t{0}, std::size_t{1}}) {
     for (int j = 0; j < 3; ++j) lb.recordFailure(target, t0);

@@ -51,8 +51,9 @@ TEST_F(DataPlaneTest, ExecuteLoadInstallsComposite) {
                                                       zoo::kUNetV2}))
                   .isOk());
   sim_.run();
-  EXPECT_TRUE(topo_.findTpu("tpu-00")->isResident(zoo::kMobileNetV1));
-  EXPECT_TRUE(topo_.findTpu("tpu-00")->isResident(zoo::kUNetV2));
+  EXPECT_TRUE(
+      topo_.findTpu("tpu-00")->isResident(lookupModel(zoo::kMobileNetV1)));
+  EXPECT_TRUE(topo_.findTpu("tpu-00")->isResident(lookupModel(zoo::kUNetV2)));
   EXPECT_EQ(dataPlane_.service("tpu-00")->loadCount(), 1u);
 }
 
@@ -66,7 +67,8 @@ TEST_F(DataPlaneTest, SimTransportDeliversAfterLatency) {
   SimTransport& transport = dataPlane_.transport();
   bool delivered = false;
   SimDuration latency =
-      transport.send("vrpi-00", "trpi-00", 270000, [&] { delivered = true; });
+      transport.send(internNode("vrpi-00"), internNode("trpi-00"), 270000,
+                     /*msgKey=*/1, [&] { delivered = true; });
   EXPECT_NEAR(toMilliseconds(latency), 8.0, 0.5);
   EXPECT_FALSE(delivered);
   sim_.run();
@@ -82,7 +84,7 @@ TEST_F(DataPlaneTest, ClientEndToEndBreakdown) {
           .isOk());
   sim_.run();
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kSsdMobileNetV2);
-  LbConfig lb{{LbWeight{"tpu-00", 350}}};
+  LbConfig lb{{LbWeight{internTpu("tpu-00"), 350}}};
   ASSERT_TRUE(client->configureLb(lb).isOk());
 
   FrameBreakdown seen;
@@ -119,8 +121,8 @@ TEST_F(DataPlaneTest, ClientFansOutPerLbWeights) {
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
   // 2:1 split, the §4.3 example.
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 400},
-                                          LbWeight{"tpu-01", 200}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 400},
+                                          LbWeight{internTpu("tpu-01"), 200}}})
                   .isOk());
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
@@ -128,7 +130,7 @@ TEST_F(DataPlaneTest, ClientFansOutPerLbWeights) {
   }
   EXPECT_EQ(dataPlane_.service("tpu-00")->invokeCount(), 20u);
   EXPECT_EQ(dataPlane_.service("tpu-01")->invokeCount(), 10u);
-  EXPECT_EQ(client->lbService().routedCountTo("tpu-00"), 20u);
+  EXPECT_EQ(client->lbService().routedCountTo(internTpu("tpu-00")), 20u);
 }
 
 TEST_F(DataPlaneTest, ClientRequiresConfiguration) {
@@ -142,7 +144,9 @@ TEST_F(DataPlaneTest, StoppedClientRefusesNewFrames) {
           .isOk());
   sim_.run();
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   ASSERT_TRUE(client->invoke(nullptr).isOk());
   client->stop();
   EXPECT_FALSE(client->invoke(nullptr).isOk());
@@ -160,8 +164,8 @@ TEST_F(DataPlaneTest, PartitionedClientFailsOverWhenOneTargetDies) {
   sim_.run();
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
   ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{"tpu-00", 500},
-                                          LbWeight{"tpu-01", 500}}})
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                          LbWeight{internTpu("tpu-01"), 500}}})
                   .isOk());
   // tpu-00 dies before recovery reconfigures the weights: the client's own
   // failover keeps frames flowing through tpu-01.
@@ -181,7 +185,9 @@ TEST_F(DataPlaneTest, RemovedServiceDropsFrames) {
           .isOk());
   sim_.run();
   auto client = dataPlane_.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   dataPlane_.removeService("tpu-00");  // node failure
   ASSERT_TRUE(client->invoke(nullptr).isOk());
   sim_.run();
@@ -196,7 +202,7 @@ TEST_F(DataPlaneTest, QueueDelayVisibleUnderContention) {
   sim_.run();
   auto a = dataPlane_.makeClient("vrpi-00", zoo::kEfficientNetLite0);
   auto c = dataPlane_.makeClient("vrpi-01", zoo::kEfficientNetLite0);
-  LbConfig lb{{LbWeight{"tpu-00", 100}}};
+  LbConfig lb{{LbWeight{internTpu("tpu-00"), 100}}};
   ASSERT_TRUE(a->configureLb(lb).isOk());
   ASSERT_TRUE(c->configureLb(lb).isOk());
   std::vector<SimDuration> queueDelays;
@@ -220,7 +226,9 @@ TEST_F(DataPlaneTest, BaselineCollocatedClientSkipsNetwork) {
   // Client on the TPU's own node: loopback transport.
   auto client =
       dataPlane_.makeClient(topo_.nodeOfTpu("tpu-00"), zoo::kSsdMobileNetV2);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 350}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 350}}})
+          .isOk());
   FrameBreakdown seen;
   ASSERT_TRUE(client->invoke([&](const FrameBreakdown& b) { seen = b; }).isOk());
   sim_.run();

@@ -29,7 +29,7 @@ TEST_F(DedicatedAllocatorTest, CoralPieTakesOneWholeTpu) {
   ASSERT_EQ(result->allocation.shares.size(), 1u);
   // Pool bookkeeping shows the TPU fully taken even though the duty cycle is
   // 0.35 — that gap IS the internal fragmentation.
-  EXPECT_EQ(pool_.find("tpu-0")->currentLoad(), TpuUnit::full());
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-0"))->currentLoad(), TpuUnit::full());
 }
 
 TEST_F(DedicatedAllocatorTest, BodyPixTakesTwoTpusAlternatingFrames) {
@@ -41,8 +41,8 @@ TEST_F(DedicatedAllocatorTest, BodyPixTakesTwoTpusAlternatingFrames) {
   // Equal weights -> the LBS alternates frames between the two TPUs.
   EXPECT_EQ(result->allocation.shares[0].units,
             result->allocation.shares[1].units);
-  EXPECT_EQ(pool_.find("tpu-0")->currentLoad(), TpuUnit::full());
-  EXPECT_EQ(pool_.find("tpu-1")->currentLoad(), TpuUnit::full());
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-0"))->currentLoad(), TpuUnit::full());
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-1"))->currentLoad(), TpuUnit::full());
 }
 
 TEST_F(DedicatedAllocatorTest, CapacityIsIntegral) {

@@ -221,7 +221,7 @@ TEST(DefragRollbackTest, InfeasibleReplanRestoresPackingIndexes) {
                                  const Allocation& want) {
     ASSERT_EQ(got.shares.size(), want.shares.size());
     for (std::size_t i = 0; i < got.shares.size(); ++i) {
-      EXPECT_EQ(got.shares[i].tpuId, want.shares[i].tpuId);
+      EXPECT_EQ(got.shares[i].tpu, want.shares[i].tpu);
       EXPECT_EQ(got.shares[i].units.milli(), want.shares[i].units.milli());
     }
   };
@@ -336,9 +336,10 @@ TEST(DefragTestbedTest, LoadsOnHungServicesRetry) {
   for (const auto& [uid, allocation] :
        testbed.reclamation().trackedAllocations()) {
     for (const TpuShare& share : allocation.shares) {
-      EXPECT_TRUE(
-          testbed.topology().findTpu(share.tpuId)->isResident(allocation.model))
-          << allocation.model << " not resident on " << share.tpuId;
+      const std::string& tpu = tpuName(share.tpu);
+      EXPECT_TRUE(testbed.topology().findTpu(tpu)->isResident(
+          lookupModel(allocation.model)))
+          << allocation.model << " not resident on " << tpu;
     }
   }
 }

@@ -141,12 +141,12 @@ TEST(DeviceEdgeTest, InvokeBeforeAnyLoadPaysSwap) {
   ModelRegistry zoo = zoo::standardZoo();
   TpuDevice tpu(sim, zoo, "tpu-00");
   TpuDevice::InvokeStats seen;
-  ASSERT_TRUE(tpu.invoke(zoo::kMobileNetV1,
+  ASSERT_TRUE(tpu.invoke(lookupModel(zoo::kMobileNetV1),
                          [&](const TpuDevice::InvokeStats& s) { seen = s; })
                   .isOk());
   sim.run();
   EXPECT_TRUE(seen.paidSwap);
-  EXPECT_TRUE(tpu.isResident(zoo::kMobileNetV1));
+  EXPECT_TRUE(tpu.isResident(lookupModel(zoo::kMobileNetV1)));
 }
 
 TEST(DeviceEdgeTest, QueuedInvokesSurviveMidStreamLoad) {
@@ -157,7 +157,7 @@ TEST(DeviceEdgeTest, QueuedInvokesSurviveMidStreamLoad) {
   sim.run();
   int completions = 0;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(tpu.invoke(zoo::kMobileNetV1,
+    ASSERT_TRUE(tpu.invoke(lookupModel(zoo::kMobileNetV1),
                            [&](const TpuDevice::InvokeStats&) { ++completions; })
                     .isOk());
   }
@@ -166,8 +166,8 @@ TEST(DeviceEdgeTest, QueuedInvokesSurviveMidStreamLoad) {
   ASSERT_TRUE(tpu.loadModels({zoo::kUNetV2}).isOk());
   sim.run();
   EXPECT_EQ(completions, 3);
-  EXPECT_TRUE(tpu.isResident(zoo::kUNetV2));
-  EXPECT_FALSE(tpu.isResident(zoo::kMobileNetV1));
+  EXPECT_TRUE(tpu.isResident(lookupModel(zoo::kUNetV2)));
+  EXPECT_FALSE(tpu.isResident(lookupModel(zoo::kMobileNetV1)));
 }
 
 TEST(DataPlaneEdgeTest, LbReconfigureMidStreamShiftsRouting) {
@@ -185,13 +185,17 @@ TEST(DataPlaneEdgeTest, LbReconfigureMidStreamShiftsRouting) {
   }
   sim.run();
   auto client = dataPlane.makeClient("vrpi-00", zoo::kMobileNetV1);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
     sim.run();
   }
   // Failure recovery / defrag path: weights move to the other TPU.
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-01", 100}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-01"), 100}}})
+          .isOk());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
     sim.run();
@@ -229,8 +233,8 @@ TEST(AdmissionEdgeTest, ExactRemainderPartition) {
   // 0.6 = 0.3 + 0.3: consumes both TPUs to exactly 1.0.
   auto split = admission.admit(3, zoo::kMobileNetV1, TpuUnit::fromDouble(0.6));
   ASSERT_TRUE(split.isOk());
-  EXPECT_EQ(pool.find("tpu-0")->currentLoad(), TpuUnit::full());
-  EXPECT_EQ(pool.find("tpu-1")->currentLoad(), TpuUnit::full());
+  EXPECT_EQ(pool.find(lookupTpu("tpu-0"))->currentLoad(), TpuUnit::full());
+  EXPECT_EQ(pool.find(lookupTpu("tpu-1"))->currentLoad(), TpuUnit::full());
   // The pool is now airtight.
   EXPECT_FALSE(
       admission.admit(4, zoo::kMobileNetV1, TpuUnit::fromMilli(1)).isOk());
@@ -253,10 +257,10 @@ TEST(AdmissionEdgeTest, ThreeModelTetris) {
   ASSERT_TRUE(b.isOk());
   ASSERT_TRUE(c.isOk());
   ASSERT_TRUE(d.isOk());
-  EXPECT_EQ(a->allocation.shares[0].tpuId, "tpu-0");
-  EXPECT_EQ(b->allocation.shares[0].tpuId, "tpu-0");
-  EXPECT_EQ(c->allocation.shares[0].tpuId, "tpu-1");
-  EXPECT_EQ(d->allocation.shares[0].tpuId, "tpu-0");
+  EXPECT_EQ(a->allocation.shares[0].tpu, internTpu("tpu-0"));
+  EXPECT_EQ(b->allocation.shares[0].tpu, internTpu("tpu-0"));
+  EXPECT_EQ(c->allocation.shares[0].tpu, internTpu("tpu-1"));
+  EXPECT_EQ(d->allocation.shares[0].tpu, internTpu("tpu-0"));
   EXPECT_TRUE(d->loads.empty());  // UNet already resident
 }
 

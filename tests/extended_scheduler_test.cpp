@@ -58,7 +58,7 @@ TEST_F(ExtendedSchedulerTest, HappyPathWiresEverything) {
   ASSERT_EQ(lbConfigs.size(), 1u);
   EXPECT_EQ(lbConfigs[0].first, 1u);
   ASSERT_EQ(lbConfigs[0].second.weights.size(), 1u);
-  EXPECT_EQ(lbConfigs[0].second.weights[0].tpuId, "tpu-0");
+  EXPECT_EQ(lbConfigs[0].second.weights[0].tpu, internTpu("tpu-0"));
   EXPECT_EQ(lbConfigs[0].second.weights[0].weight, 350u);
   EXPECT_TRUE(reclamation_->isTracked(1));
   ASSERT_NE(scheduler.lbConfig(1), nullptr);
@@ -79,9 +79,9 @@ TEST_F(ExtendedSchedulerTest, PartitionedPodGetsProportionalWeights) {
   const LbConfig* config = scheduler.lbConfig(4);
   ASSERT_NE(config, nullptr);
   ASSERT_EQ(config->weights.size(), 2u);
-  EXPECT_EQ(config->weights[0].tpuId, "tpu-0");
+  EXPECT_EQ(config->weights[0].tpu, internTpu("tpu-0"));
   EXPECT_EQ(config->weights[0].weight, 400u);
-  EXPECT_EQ(config->weights[1].tpuId, "tpu-1");
+  EXPECT_EQ(config->weights[1].tpu, internTpu("tpu-1"));
   EXPECT_EQ(config->weights[1].weight, 200u);
 }
 

@@ -75,12 +75,12 @@ TEST_F(FailureRecoveryUnitTest, AffectedPodMovesToSurvivor) {
   const Allocation* allocation = reclamation_->allocationOf(1);
   ASSERT_NE(allocation, nullptr);
   ASSERT_EQ(allocation->shares.size(), 1u);
-  EXPECT_EQ(allocation->shares[0].tpuId, "tpu-1");
-  EXPECT_EQ(pool_.find("tpu-1")->currentLoad().milli(), 500);
+  EXPECT_EQ(allocation->shares[0].tpu, internTpu("tpu-1"));
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-1"))->currentLoad().milli(), 500);
   ASSERT_EQ(loads.size(), 1u);
   EXPECT_EQ(loads[0].tpuId, "tpu-1");
   ASSERT_EQ(reconfigs.size(), 1u);
-  EXPECT_EQ(reconfigs[0].second.weights[0].tpuId, "tpu-1");
+  EXPECT_EQ(reconfigs[0].second.weights[0].tpu, internTpu("tpu-1"));
 }
 
 TEST_F(FailureRecoveryUnitTest, PartitionedPodLosesOneShareAndReplans) {

@@ -191,13 +191,14 @@ TEST(FaultInjectorTest, TransportLossWindowDropsThenHeals) {
   injector.arm(plan);
 
   int delivered = 0;
+  const NodeId from = internNode("vrpi-00"), to = internNode("trpi-00");
   // In-window message: dropped. (Send scheduled inside the window.)
   sim.schedule(kSimEpoch + milliseconds(150), [&] {
-    transport.send("vrpi-00", "trpi-00", 1000, [&] { ++delivered; });
+    transport.send(from, to, 1000, /*msgKey=*/1, [&] { ++delivered; });
   });
   // Post-window message: delivered.
   sim.schedule(kSimEpoch + milliseconds(400), [&] {
-    transport.send("vrpi-00", "trpi-00", 1000, [&] { ++delivered; });
+    transport.send(from, to, 1000, /*msgKey=*/2, [&] { ++delivered; });
   });
   sim.run();
   EXPECT_EQ(delivered, 1);

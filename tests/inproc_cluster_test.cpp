@@ -123,8 +123,8 @@ TEST_F(InprocClusterTest, PartitionedTenantSpreadsAcrossWorkerThreads) {
     double expected = static_cast<double>(kInvokes) *
                       static_cast<double>(share.units.milli()) /
                       static_cast<double>(splitTotal.milli());
-    EXPECT_NEAR(static_cast<double>(served[share.tpuId]), expected, 1.01)
-        << share.tpuId;
+    const std::string& tpu = tpuName(share.tpu);
+    EXPECT_NEAR(static_cast<double>(served[tpu]), expected, 1.01) << tpu;
   }
 }
 

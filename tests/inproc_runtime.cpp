@@ -121,17 +121,16 @@ InprocClient::InprocClient(const ModelRegistry& registry, std::string model)
 Status InprocClient::configure(
     const LbConfig& config,
     const std::map<std::string, InprocTpuService*>& directory) {
-  std::vector<WrrTarget> targets;
   std::vector<InprocTpuService*> resolved;
   for (const LbWeight& w : config.weights) {
-    auto it = directory.find(w.tpuId);
+    const std::string& tpu = tpuName(w.tpu);
+    auto it = directory.find(tpu);
     if (it == directory.end()) {
-      return notFound(strCat("inproc client: no service for ", w.tpuId));
+      return notFound(strCat("inproc client: no service for ", tpu));
     }
-    targets.push_back(WrrTarget{w.tpuId, w.weight});
     resolved.push_back(it->second);
   }
-  ME_RETURN_IF_ERROR(wrr_.setTargets(std::move(targets)));
+  ME_RETURN_IF_ERROR(wrr_.setTargets(config.weights));
   resolved_ = std::move(resolved);
   return Status::ok();
 }

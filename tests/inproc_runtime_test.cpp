@@ -110,7 +110,7 @@ TEST(InprocClientTest, RoutesPerAdmissionWeights) {
 TEST(InprocClientTest, ConfigureRequiresKnownServices) {
   ModelRegistry zoo = zoo::standardZoo();
   InprocClient client(zoo, zoo::kMobileNetV1);
-  LbConfig lb{{LbWeight{"tpu-99", 100}}};
+  LbConfig lb{{LbWeight{internTpu("tpu-99"), 100}}};
   EXPECT_FALSE(client.configure(lb, {}).isOk());
   EXPECT_FALSE(client.invoke().isOk());
 }

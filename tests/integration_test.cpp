@@ -33,8 +33,8 @@ TEST(YamlToAdmissionTest, SpecDrivesTheFullControlPlane) {
   // The model was pushed to the TPU Service by the Load command.
   testbed.sim().run();
   EXPECT_TRUE(testbed.topology()
-                  .findTpu(lb->weights[0].tpuId)
-                  ->isResident(zoo::kSsdMobileNetV2));
+                  .findTpu(tpuName(lb->weights[0].tpu))
+                  ->isResident(lookupModel(zoo::kSsdMobileNetV2)));
 }
 
 TEST(ScenarioTest, AdmissionCapacitiesMatchPaperMath) {
@@ -132,7 +132,9 @@ TEST(ServerlessTest, PerRequestSchedulingCostsMoreLatency) {
 
   // MicroEdge path: direct client -> TPU Service.
   auto client = dataPlane.makeClient("vrpi-00", zoo::kSsdMobileNetV2);
-  ASSERT_TRUE(client->configureLb(LbConfig{{LbWeight{"tpu-00", 350}}}).isOk());
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 350}}})
+          .isOk());
   SimDuration directLatency{};
   ASSERT_TRUE(client
                   ->invoke([&](const FrameBreakdown& b) {
@@ -178,8 +180,12 @@ TEST(CoCompileAblationTest, SwapSharingCollapsesThroughputOnTheDataPlane) {
 
   auto a = dataPlane.makeClient("vrpi-00", zoo::kMobileNetV1);
   auto b = dataPlane.makeClient("vrpi-01", zoo::kUNetV2);
-  ASSERT_TRUE(a->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
-  ASSERT_TRUE(b->configureLb(LbConfig{{LbWeight{"tpu-00", 100}}}).isOk());
+  ASSERT_TRUE(
+      a->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
+  ASSERT_TRUE(
+      b->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+          .isOk());
 
   DurationSummary serviceTimes;
   for (int i = 0; i < 20; ++i) {

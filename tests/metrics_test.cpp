@@ -26,7 +26,8 @@ TEST(UtilizationTrackerTest, MeasuresBusyFraction) {
   // 45 ms of work per second for 5 seconds => ~4.5% utilization. The load
   // above already advanced the clock, so run relative to now().
   PeriodicTask driver(sim, milliseconds(100), [&] {
-    Status s = tpu.invoke(zoo::kMobileNetV1, nullptr);  // 4.5 ms each
+    // 4.5 ms each.
+    Status s = tpu.invoke(lookupModel(zoo::kMobileNetV1), nullptr);
     (void)s;
   });
   driver.start();
@@ -48,7 +49,7 @@ TEST(UtilizationTrackerTest, StartResetsBaseline) {
   TpuDevice tpu(sim, zoo, "tpu-00");
   ASSERT_TRUE(tpu.loadModels({zoo::kEfficientNetLite0}).isOk());
   // Burn 69 ms of busy time before tracking starts.
-  ASSERT_TRUE(tpu.invoke(zoo::kEfficientNetLite0, nullptr).isOk());
+  ASSERT_TRUE(tpu.invoke(lookupModel(zoo::kEfficientNetLite0), nullptr).isOk());
   sim.run();
 
   UtilizationTracker tracker(sim, {&tpu}, seconds(1));

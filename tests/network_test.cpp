@@ -12,8 +12,9 @@ namespace {
 
 TEST(NetworkModelTest, RemoteTransferScalesWithBytes) {
   NetworkModel net;
-  SimDuration small = net.transferLatency("a", "b", 1000);
-  SimDuration large = net.transferLatency("a", "b", 1000000);
+  const NodeId a = internNode("a"), b = internNode("b");
+  SimDuration small = net.transferLatency(a, b, 1000);
+  SimDuration large = net.transferLatency(a, b, 1000000);
   EXPECT_GT(large, small);
   EXPECT_GE(small, net.config().baseLatency);
 }
@@ -22,21 +23,24 @@ TEST(NetworkModelTest, FrameTransmissionCalibratedToPaper) {
   // Fig. 7b: shipping a 300x300x3 pre-processed frame between RPis costs
   // about 8 ms.
   NetworkModel net;
-  SimDuration latency = net.transferLatency("vrpi-00", "trpi-00", 270000);
+  SimDuration latency =
+      net.transferLatency(internNode("vrpi-00"), internNode("trpi-00"), 270000);
   EXPECT_NEAR(toMilliseconds(latency), 8.0, 0.5);
 }
 
 TEST(NetworkModelTest, LoopbackIsFast) {
   NetworkModel net;
-  SimDuration loop = net.transferLatency("a", "a", 270000);
+  const NodeId a = internNode("a");
+  SimDuration loop = net.transferLatency(a, a, 270000);
   EXPECT_LT(loop, milliseconds(1));
   EXPECT_EQ(loop, net.config().loopbackLatency);
 }
 
 TEST(NetworkModelTest, ControlMessages) {
   NetworkModel net;
-  EXPECT_EQ(net.controlLatency("a", "b"), net.config().baseLatency);
-  EXPECT_EQ(net.controlLatency("a", "a"), net.config().loopbackLatency);
+  const NodeId a = internNode("a"), b = internNode("b");
+  EXPECT_EQ(net.controlLatency(a, b), net.config().baseLatency);
+  EXPECT_EQ(net.controlLatency(a, a), net.config().loopbackLatency);
 }
 
 class TopologyTest : public ::testing::Test {

@@ -264,7 +264,7 @@ struct MiniCluster {
   LbConfig allTpus(std::uint32_t weightMilli) {
     LbConfig lb;
     for (const auto& tpu : topo.tpus()) {
-      lb.weights.push_back(LbWeight{tpu->id(), weightMilli});
+      lb.weights.push_back(LbWeight{tpu->handle(), weightMilli});
     }
     return lb;
   }

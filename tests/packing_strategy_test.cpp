@@ -17,12 +17,13 @@ class PackingOrderTest : public ::testing::Test {
       EXPECT_TRUE(pool_.addTpu("tpu-" + std::to_string(i), 6.9).isOk());
     }
     // Loads: tpu-0 = 0.5, tpu-1 = 0.2, tpu-2 = 0.8, tpu-3 = 0.
-    pool_.find("tpu-0")->addAllocation(zoo::kMobileNetV1,
-                                       TpuUnit::fromDouble(0.5));
-    pool_.find("tpu-1")->addAllocation(zoo::kMobileNetV1,
-                                       TpuUnit::fromDouble(0.2));
-    pool_.find("tpu-2")->addAllocation(zoo::kMobileNetV1,
-                                       TpuUnit::fromDouble(0.8));
+    const ModelId model = internModel(zoo::kMobileNetV1);
+    pool_.find(lookupTpu("tpu-0"))
+        ->addAllocation(model, TpuUnit::fromDouble(0.5));
+    pool_.find(lookupTpu("tpu-1"))
+        ->addAllocation(model, TpuUnit::fromDouble(0.2));
+    pool_.find(lookupTpu("tpu-2"))
+        ->addAllocation(model, TpuUnit::fromDouble(0.8));
   }
 
   ModelRegistry zoo_;

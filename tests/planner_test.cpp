@@ -119,8 +119,8 @@ TEST_F(PlannerTest, ModelSizeRuleVisibleInPlan) {
   PlannerResult result = planScenario(scenario, registry_);
   ASSERT_EQ(result.accepted, 2u);
   // 6.2 + 4.2 MB cannot co-reside: distinct TPUs.
-  EXPECT_NE(result.placements[0].shares[0].tpuId,
-            result.placements[1].shares[0].tpuId);
+  EXPECT_NE(result.placements[0].shares[0].tpu,
+            result.placements[1].shares[0].tpu);
   for (const auto& row : result.tpus) {
     EXPECT_LE(row.usedParamMb, 6.9);
   }

@@ -158,7 +158,8 @@ TEST(DeviceConservationTest, BusyTimeEqualsSumOfServiceTimes) {
   SimDuration serviceSum{};
   std::vector<std::uint64_t> completionOrder;
   std::uint64_t id = 0;
-  const std::vector<std::string> models = {zoo::kMobileNetV1, zoo::kUNetV2};
+  const std::vector<ModelId> models = {lookupModel(zoo::kMobileNetV1),
+                                       lookupModel(zoo::kUNetV2)};
   for (int i = 0; i < 200; ++i) {
     // Random arrival gaps, random model choice.
     sim.runFor(millisecondsF(rng.uniform(0.0, 20.0)));
@@ -180,9 +181,10 @@ TEST(DeviceConservationTest, BusyTimeEqualsSumOfServiceTimes) {
 
 TEST(NetworkMonotonicityTest, LatencyIsMonotoneInBytes) {
   NetworkModel net;
+  const NodeId a = internNode("a"), b = internNode("b");
   SimDuration prev{};
   for (std::size_t bytes = 0; bytes <= 1 << 20; bytes += 64 * 1024) {
-    SimDuration latency = net.transferLatency("a", "b", bytes);
+    SimDuration latency = net.transferLatency(a, b, bytes);
     EXPECT_GE(latency, prev);
     prev = latency;
   }

@@ -61,16 +61,16 @@ TEST_F(ReclamationTest, DeadPodsReclaimUnits) {
 TEST_F(ReclamationTest, ModelsStayResidentUntilNextCoCompile) {
   admitPod(1, 0.5);
   reclamation_->pollOnce([](std::uint64_t) { return false; });
-  const TpuState* tpu = pool_.find("tpu-0");
+  const TpuState* tpu = pool_.find(lookupTpu("tpu-0"));
   // Lazy model reclamation (§4.2): the reference count dropped to zero, the
   // model lingers in the resident order.
-  EXPECT_FALSE(tpu->hasModel(zoo::kMobileNetV1));
+  EXPECT_FALSE(tpu->hasModel(lookupModel(zoo::kMobileNetV1)));
   EXPECT_EQ(tpu->residentOrder().size(), 1u);
   // A later admission's co-compile purges it.
   auto result =
       admission_->admit(2, zoo::kUNetV2, TpuUnit::fromDouble(0.2));
   ASSERT_TRUE(result.isOk());
-  EXPECT_EQ(pool_.find("tpu-0")->residentOrder(),
+  EXPECT_EQ(pool_.find(lookupTpu("tpu-0"))->residentOrder(),
             std::vector<std::string>{zoo::kUNetV2});
 }
 
@@ -97,7 +97,7 @@ TEST_F(ReclamationTest, ReclaimUpdatesPackingIndexInPlace) {
   // incremental indexes, not just the TpuState loads.
   Allocation a = admitPod(1, 0.9);
   ASSERT_EQ(a.shares.size(), 1u);
-  const std::string victimTpu = a.shares[0].tpuId;
+  const TpuId victimTpu = a.shares[0].tpu;
   // Occupy the other two TPUs as well so no TPU has >= 950 milli free.
   admitPod(2, 0.9);
   admitPod(3, 0.9);
@@ -109,7 +109,7 @@ TEST_F(ReclamationTest, ReclaimUpdatesPackingIndexInPlace) {
   // The freed TPU is immediately visible via the segment tree...
   std::uint32_t freed = pool_.firstWithResidualAtLeast(TpuUnit::fromMilli(950));
   ASSERT_NE(freed, TpuPool::npos);
-  EXPECT_EQ(pool_.tpus()[freed].id(), victimTpu);
+  EXPECT_EQ(pool_.tpus()[freed].tpuId(), victimTpu);
   EXPECT_TRUE(pool_.indexConsistent());
 
   // ...and a re-admission lands on it.
@@ -117,14 +117,14 @@ TEST_F(ReclamationTest, ReclaimUpdatesPackingIndexInPlace) {
       admission_->admit(9, zoo::kMobileNetV1, TpuUnit::fromMilli(950));
   ASSERT_TRUE(result.isOk());
   ASSERT_EQ(result->allocation.shares.size(), 1u);
-  EXPECT_EQ(result->allocation.shares[0].tpuId, victimTpu);
+  EXPECT_EQ(result->allocation.shares[0].tpu, victimTpu);
   EXPECT_TRUE(pool_.indexConsistent());
 }
 
 TEST_F(ReclamationTest, PurgeAfterReclaimKeepsIndexConsistent) {
   admitPod(1, 0.5);
   reclamation_->pollOnce([](std::uint64_t) { return false; });
-  TpuState* tpu = pool_.find("tpu-0");
+  TpuState* tpu = pool_.find(lookupTpu("tpu-0"));
   ASSERT_NE(tpu, nullptr);
   // The model lingers with zero references; purging it touches the resident
   // set but not the load, so the indexes must stay untouched and consistent.

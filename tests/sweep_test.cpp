@@ -422,6 +422,15 @@ TEST(SweepDriversTest, TpusNotAMultipleOfTpusPerNodeIsAnInBandError) {
   EXPECT_NE(result.find("error"), nullptr) << result.dump();
 }
 
+TEST(SweepDriversTest, UnknownModelIsAnInBandError) {
+  JsonValue values = JsonValue::object();
+  values.set("model", "no-such-model");
+  values.set("horizon_s", 0.5);
+  values.set("camera_upper_bound", 4);
+  JsonValue result = runDriverPoint("scalability", std::move(values));
+  EXPECT_NE(result.find("error"), nullptr) << result.dump();
+}
+
 TEST(SweepDriversTest, ZeroTraceWindowIsAnInBandError) {
   JsonValue values = JsonValue::object();
   values.set("horizon_min", 0.1);

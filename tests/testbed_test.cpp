@@ -201,6 +201,70 @@ TEST(TestbedTest, DuplicateCameraNameRejected) {
   EXPECT_EQ(testbed.removeCamera("ghost").code(), StatusCode::kNotFound);
 }
 
+// A model the zoo does not hold has no profile to size the request from:
+// every deploy path refuses it before admission and leaves nothing behind.
+TEST(TestbedTest, DeployUnknownModelIsNotFound) {
+  Testbed testbed;
+  CameraDeployment deployment = coralPieCamera("ghost");
+  deployment.model = "no-such-model";
+  EXPECT_EQ(testbed.deployCamera(deployment).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(testbed.deployCoralPie(deployment).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(testbed.deployBodyPix(deployment).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(testbed.api().liveCount(), 0u);
+  EXPECT_EQ(testbed.pool().totalLoad().milli(), 0);
+}
+
+// Coral-Pie's re-id hops are keyed: under a loss window, which of app A's
+// messages drop depends on A's messages alone, so a second app sending on
+// the same transport lane moves none of them. B's 0.7 units do not fit
+// beside A's 0.35, so the two share no TPU and only the lane differs.
+TEST(TestbedTest, CoralPieReIdLossIgnoresOtherSendersOnTheLane) {
+  auto deployment = [](const std::string& name) {
+    CameraDeployment d = coralPieCamera(name);
+    d.useDiffDetector = true;
+    d.diffConfig.meanQuietGap = seconds(1);
+    d.diffConfig.meanActivityDwell = seconds(1);
+    d.frameDeadline = milliseconds(500);  // lost frames time out
+    return d;
+  };
+  // A's delivered re-id messages, sampled every simulated second.
+  auto runA = [&](bool withB) {
+    Testbed testbed;
+    auto a = testbed.deployCoralPie(deployment("cp-a"));
+    EXPECT_TRUE(a.isOk()) << a.status();
+    if (withB) {
+      CameraDeployment b = deployment("cp-b");
+      b.tpuUnits = 0.7;
+      EXPECT_TRUE(testbed.deployCoralPie(b).isOk());
+      auto tpuOf = [&](const char* pod) {
+        const LbConfig* lb = testbed.scheduler().lbConfig(
+            testbed.api().findPodByName(pod)->uid);
+        EXPECT_EQ(lb->weights.size(), 1u);
+        return lb->weights[0].tpu;
+      };
+      EXPECT_NE(tpuOf("cp-a"), tpuOf("cp-b"));
+    }
+    FaultPlan plan;
+    plan.events.push_back(FaultEvent{SimDuration::zero(),
+                                     FaultKind::kTransportLoss, "",
+                                     seconds(120), 0.5});
+    testbed.armFaults(plan);
+    std::vector<std::uint64_t> delivered;
+    for (int s = 0; s < 120; ++s) {
+      testbed.run(seconds(1));
+      delivered.push_back((*a)->reid().newTrackCount() +
+                          (*a)->reid().reIdentifiedCount());
+    }
+    EXPECT_GT((*a)->vehiclesReported(), delivered.back());  // some dropped
+    EXPECT_GT(delivered.back(), 0u);
+    return delivered;
+  };
+  EXPECT_EQ(runA(false), runA(true));
+}
+
 // One fault plan per testbed, checked in every build: replacing the
 // injector would free it while the first plan's events are still pending.
 TEST(TestbedDeathTest, SecondFaultPlanAborts) {

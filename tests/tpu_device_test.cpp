@@ -25,11 +25,11 @@ class TpuDeviceTest : public ::testing::Test {
 
 TEST_F(TpuDeviceTest, LoadInstallsResidentSet) {
   loadAndSettle({zoo::kMobileNetV1, zoo::kUNetV2});
-  EXPECT_TRUE(tpu_.isResident(zoo::kMobileNetV1));
-  EXPECT_TRUE(tpu_.isResident(zoo::kUNetV2));
-  EXPECT_FALSE(tpu_.isResident(zoo::kResNet50));
+  EXPECT_TRUE(tpu_.isResident(lookupModel(zoo::kMobileNetV1)));
+  EXPECT_TRUE(tpu_.isResident(lookupModel(zoo::kUNetV2)));
+  EXPECT_FALSE(tpu_.isResident(lookupModel(zoo::kResNet50)));
   EXPECT_NEAR(tpu_.residentParamMb(), 4.2 + 2.5, 1e-9);
-  EXPECT_DOUBLE_EQ(tpu_.cachedFraction(zoo::kMobileNetV1), 1.0);
+  EXPECT_DOUBLE_EQ(tpu_.cachedFraction(lookupModel(zoo::kMobileNetV1)), 1.0);
 }
 
 TEST_F(TpuDeviceTest, LoadRejectsUnknownModel) {
@@ -41,7 +41,7 @@ TEST_F(TpuDeviceTest, InvokeTakesInferenceLatencyWhenResident) {
   loadAndSettle({zoo::kMobileNetV1});
   SimTime start = sim_.now();
   TpuDevice::InvokeStats seen;
-  ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1),
                           [&](const TpuDevice::InvokeStats& s) { seen = s; })
                   .isOk());
   sim_.run();
@@ -57,7 +57,7 @@ TEST_F(TpuDeviceTest, SerialRunToCompletion) {
   // Two invokes enqueued back to back: the second waits for the first.
   std::vector<TpuDevice::InvokeStats> stats;
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1,
+    ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1),
                             [&](const TpuDevice::InvokeStats& s) {
                               stats.push_back(s);
                             })
@@ -74,24 +74,24 @@ TEST_F(TpuDeviceTest, SerialRunToCompletion) {
 TEST_F(TpuDeviceTest, NonResidentModelPaysSwapAndReplacesResidentSet) {
   loadAndSettle({zoo::kMobileNetV1});
   TpuDevice::InvokeStats seen;
-  ASSERT_TRUE(tpu_.invoke(zoo::kUNetV2,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kUNetV2),
                           [&](const TpuDevice::InvokeStats& s) { seen = s; })
                   .isOk());
   sim_.run();
   EXPECT_TRUE(seen.paidSwap);
   EXPECT_GT(seen.serviceTime, zoo_.at(zoo::kUNetV2).inferenceLatency);
   EXPECT_EQ(tpu_.swapCount(), 1u);
-  EXPECT_TRUE(tpu_.isResident(zoo::kUNetV2));
-  EXPECT_FALSE(tpu_.isResident(zoo::kMobileNetV1));  // evicted
+  EXPECT_TRUE(tpu_.isResident(lookupModel(zoo::kUNetV2)));
+  EXPECT_FALSE(tpu_.isResident(lookupModel(zoo::kMobileNetV1)));  // evicted
 }
 
 TEST_F(TpuDeviceTest, CoCompiledSwitchIsCheap) {
   loadAndSettle({zoo::kMobileNetV1, zoo::kUNetV2});
   TpuDevice::InvokeStats first, second;
-  ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1),
                           [&](const TpuDevice::InvokeStats& s) { first = s; })
                   .isOk());
-  ASSERT_TRUE(tpu_.invoke(zoo::kUNetV2,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kUNetV2),
                           [&](const TpuDevice::InvokeStats& s) { second = s; })
                   .isOk());
   sim_.run();
@@ -108,7 +108,7 @@ TEST_F(TpuDeviceTest, BackToBackSameModelPaysNoSwitch) {
   loadAndSettle({zoo::kMobileNetV1, zoo::kUNetV2});
   std::vector<TpuDevice::InvokeStats> stats;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1,
+    ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1),
                             [&](const TpuDevice::InvokeStats& s) {
                               stats.push_back(s);
                             })
@@ -124,16 +124,16 @@ TEST_F(TpuDeviceTest, PartialCachingStreamsUncachedRemainder) {
   // ResNet-50 (25 MB) cannot fully cache in 6.9 MB: every inference streams
   // the remainder.
   loadAndSettle({zoo::kResNet50});
-  EXPECT_LT(tpu_.cachedFraction(zoo::kResNet50), 1.0);
+  EXPECT_LT(tpu_.cachedFraction(lookupModel(zoo::kResNet50)), 1.0);
   TpuDevice::InvokeStats seen;
-  ASSERT_TRUE(tpu_.invoke(zoo::kResNet50,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kResNet50),
                           [&](const TpuDevice::InvokeStats& s) { seen = s; })
                   .isOk());
   sim_.run();
   EXPECT_GT(seen.serviceTime, zoo_.at(zoo::kResNet50).inferenceLatency);
   // Second invoke pays the streaming penalty again (it recurs per request).
   TpuDevice::InvokeStats again;
-  ASSERT_TRUE(tpu_.invoke(zoo::kResNet50,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kResNet50),
                           [&](const TpuDevice::InvokeStats& s) { again = s; })
                   .isOk());
   sim_.run();
@@ -145,13 +145,14 @@ TEST_F(TpuDeviceTest, OverflowingCompositePartiallyCachesLowestPriority) {
   // 6.2 + 4.2 = 10.4 MB > 6.9 MB: the second (lower priority) model is
   // partially cached, the first stays fully cached.
   loadAndSettle({zoo::kSsdMobileNetV2, zoo::kMobileNetV1});
-  EXPECT_DOUBLE_EQ(tpu_.cachedFraction(zoo::kSsdMobileNetV2), 1.0);
-  EXPECT_LT(tpu_.cachedFraction(zoo::kMobileNetV1), 1.0);
-  EXPECT_GT(tpu_.cachedFraction(zoo::kMobileNetV1), 0.0);
+  EXPECT_DOUBLE_EQ(tpu_.cachedFraction(lookupModel(zoo::kSsdMobileNetV2)), 1.0);
+  EXPECT_LT(tpu_.cachedFraction(lookupModel(zoo::kMobileNetV1)), 1.0);
+  EXPECT_GT(tpu_.cachedFraction(lookupModel(zoo::kMobileNetV1)), 0.0);
 }
 
 TEST_F(TpuDeviceTest, InvokeUnknownModelRejected) {
-  EXPECT_EQ(tpu_.invoke("bogus", nullptr).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tpu_.invoke(lookupModel("bogus"), nullptr).code(),
+            StatusCode::kNotFound);
   EXPECT_EQ(tpu_.invocations(), 0u);
 }
 
@@ -159,7 +160,7 @@ TEST_F(TpuDeviceTest, BusyTimeIntegratesOccupancy) {
   loadAndSettle({zoo::kMobileNetV1});
   SimDuration busyAfterLoad = tpu_.busyTime();
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1, nullptr).isOk());
+    ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1), nullptr).isOk());
   }
   sim_.run();
   SimDuration expected = zoo_.at(zoo::kMobileNetV1).inferenceLatency * 4;
@@ -169,7 +170,8 @@ TEST_F(TpuDeviceTest, BusyTimeIntegratesOccupancy) {
 TEST_F(TpuDeviceTest, BusyTimeCountsPartialInFlightWork) {
   loadAndSettle({zoo::kEfficientNetLite0});
   SimDuration base = tpu_.busyTime();
-  ASSERT_TRUE(tpu_.invoke(zoo::kEfficientNetLite0, nullptr).isOk());
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kEfficientNetLite0),
+                          nullptr).isOk());
   sim_.runUntil(sim_.now() + milliseconds(10));
   EXPECT_EQ(tpu_.busyTime() - base, milliseconds(10));
 }
@@ -179,7 +181,7 @@ TEST_F(TpuDeviceTest, UtilizationSince) {
   SimTime windowStart = sim_.now();
   SimDuration busyStart = tpu_.busyTime();
   // 4.5 ms of work in a 45 ms window -> 10%.
-  ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1, nullptr).isOk());
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1), nullptr).isOk());
   sim_.runUntil(windowStart + millisecondsF(45.0));
   EXPECT_NEAR(tpu_.utilizationSince(busyStart, windowStart), 0.1, 1e-6);
 }
@@ -187,7 +189,7 @@ TEST_F(TpuDeviceTest, UtilizationSince) {
 TEST_F(TpuDeviceTest, LoadQueuesBehindInFlightInference) {
   loadAndSettle({zoo::kEfficientNetLite0});
   bool inferenceDone = false;
-  ASSERT_TRUE(tpu_.invoke(zoo::kEfficientNetLite0,
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kEfficientNetLite0),
                           [&](const TpuDevice::InvokeStats&) {
                             inferenceDone = true;
                           })
@@ -197,8 +199,8 @@ TEST_F(TpuDeviceTest, LoadQueuesBehindInFlightInference) {
   EXPECT_FALSE(inferenceDone);
   sim_.run();
   EXPECT_TRUE(inferenceDone);
-  EXPECT_TRUE(tpu_.isResident(zoo::kMobileNetV1));
-  EXPECT_FALSE(tpu_.isResident(zoo::kEfficientNetLite0));
+  EXPECT_TRUE(tpu_.isResident(lookupModel(zoo::kMobileNetV1)));
+  EXPECT_FALSE(tpu_.isResident(lookupModel(zoo::kEfficientNetLite0)));
 }
 
 TEST_F(TpuDeviceTest, QueuedEmitterJobTaintsInFlightCompletion) {
@@ -207,7 +209,7 @@ TEST_F(TpuDeviceTest, QueuedEmitterJobTaintsInFlightCompletion) {
   const SimTime start = sim_.now();
   const SimTime firstDone = start + zoo_.at(zoo::kMobileNetV1).inferenceLatency;
   // Untagged in-flight inference: its completion is not an emitter.
-  ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1, nullptr).isOk());
+  ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1), nullptr).isOk());
   EXPECT_EQ(sim_.nextEmitterTime(), SimTime::max());
   // From a tagged cascade, queue a second job behind it. The queued job has
   // no event of its own yet, so the device must retroactively taint the
@@ -217,7 +219,7 @@ TEST_F(TpuDeviceTest, QueuedEmitterJobTaintsInFlightCompletion) {
   sim_.schedule(
       start + microseconds(1),
       [&] {
-        ASSERT_TRUE(tpu_.invoke(zoo::kMobileNetV1,
+        ASSERT_TRUE(tpu_.invoke(lookupModel(zoo::kMobileNetV1),
                                 [&](const TpuDevice::InvokeStats&) {
                                   doneWasEmitter = sim_.firingEmitter();
                                 })

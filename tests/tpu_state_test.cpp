@@ -25,24 +25,25 @@ TEST_F(TpuStateTest, FreshState) {
 }
 
 TEST_F(TpuStateTest, AddAllocationTracksLoadAndRefs) {
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.3));
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.3));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.2));
   EXPECT_EQ(tpu_.currentLoad().milli(), 500);
-  EXPECT_EQ(tpu_.refCount(zoo::kMobileNetV1), 2);
-  EXPECT_TRUE(tpu_.hasModel(zoo::kMobileNetV1));
+  EXPECT_EQ(tpu_.refCount(lookupModel(zoo::kMobileNetV1)), 2);
+  EXPECT_TRUE(tpu_.hasModel(lookupModel(zoo::kMobileNetV1)));
   EXPECT_EQ(tpu_.liveModelCount(), 1u);
   EXPECT_NEAR(tpu_.usedParamMb(zoo_), 4.2, 1e-9);
 }
 
 TEST_F(TpuStateTest, RemoveAllocationIsLazyForModels) {
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.3));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.3));
   ASSERT_TRUE(
-      tpu_.removeAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.3))
+      tpu_.removeAllocation(internModel(zoo::kMobileNetV1),
+                            TpuUnit::fromDouble(0.3))
           .isOk());
   EXPECT_TRUE(tpu_.currentLoad().isZero());
   // Reference dropped to zero: the model no longer counts as "in" the TPU
   // for admission, but remains in the resident order until a purge.
-  EXPECT_FALSE(tpu_.hasModel(zoo::kMobileNetV1));
+  EXPECT_FALSE(tpu_.hasModel(lookupModel(zoo::kMobileNetV1)));
   EXPECT_EQ(tpu_.residentOrder().size(), 1u);
   EXPECT_DOUBLE_EQ(tpu_.usedParamMb(zoo_), 0.0);
   tpu_.purgeDeadModels();
@@ -51,37 +52,42 @@ TEST_F(TpuStateTest, RemoveAllocationIsLazyForModels) {
 
 TEST_F(TpuStateTest, RemoveAllocationErrors) {
   EXPECT_FALSE(
-      tpu_.removeAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.1))
+      tpu_.removeAllocation(internModel(zoo::kMobileNetV1),
+                            TpuUnit::fromDouble(0.1))
           .isOk());
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.2));
   // Releasing more load than present is rejected.
   EXPECT_FALSE(
-      tpu_.removeAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.5))
+      tpu_.removeAllocation(internModel(zoo::kMobileNetV1),
+                            TpuUnit::fromDouble(0.5))
           .isOk());
 }
 
 TEST_F(TpuStateTest, ModelFitsRule) {
   // 6.2 MB SSD fits an empty 6.9 MB TPU; adding 4.2 MB MobileNet then fails.
   EXPECT_TRUE(tpu_.modelFits(zoo_, zoo_.at(zoo::kSsdMobileNetV2)));
-  tpu_.addAllocation(zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35));
+  tpu_.addAllocation(internModel(zoo::kSsdMobileNetV2),
+                     TpuUnit::fromDouble(0.35));
   EXPECT_FALSE(tpu_.modelFits(zoo_, zoo_.at(zoo::kMobileNetV1)));
   // An already-present model always "fits".
   EXPECT_TRUE(tpu_.modelFits(zoo_, zoo_.at(zoo::kSsdMobileNetV2)));
 }
 
 TEST_F(TpuStateTest, DeadModelsFreeMemoryForAdmission) {
-  tpu_.addAllocation(zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35));
+  tpu_.addAllocation(internModel(zoo::kSsdMobileNetV2),
+                     TpuUnit::fromDouble(0.35));
   ASSERT_TRUE(
-      tpu_.removeAllocation(zoo::kSsdMobileNetV2, TpuUnit::fromDouble(0.35))
+      tpu_.removeAllocation(internModel(zoo::kSsdMobileNetV2),
+                            TpuUnit::fromDouble(0.35))
           .isOk());
   // Zero-ref SSD still resident, but its memory counts as reclaimable.
   EXPECT_TRUE(tpu_.modelFits(zoo_, zoo_.at(zoo::kInceptionV1)));
 }
 
 TEST_F(TpuStateTest, LiveModelsPreserveLoadOrder) {
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.1));
-  tpu_.addAllocation(zoo::kUNetV2, TpuUnit::fromDouble(0.1));
-  tpu_.addAllocation(zoo::kMobileNetV2, TpuUnit::fromDouble(0.1));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.1));
+  tpu_.addAllocation(internModel(zoo::kUNetV2), TpuUnit::fromDouble(0.1));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV2), TpuUnit::fromDouble(0.1));
   auto live = tpu_.liveModels();
   ASSERT_EQ(live.size(), 3u);
   EXPECT_EQ(live[0], zoo::kMobileNetV1);
@@ -96,19 +102,20 @@ TEST(TpuPoolTest, AddRemoveFind) {
   EXPECT_EQ(pool.addTpu("tpu-00", 6.9).code(), StatusCode::kAlreadyExists);
   EXPECT_FALSE(pool.addTpu("tpu-02", 0.0).isOk());
   EXPECT_EQ(pool.size(), 2u);
-  EXPECT_NE(pool.find("tpu-01"), nullptr);
-  EXPECT_EQ(pool.find("tpu-09"), nullptr);
+  EXPECT_NE(pool.find(lookupTpu("tpu-01")), nullptr);
+  EXPECT_EQ(pool.find(lookupTpu("tpu-09")), nullptr);
   EXPECT_TRUE(pool.removeTpu("tpu-01").isOk());
   EXPECT_EQ(pool.removeTpu("tpu-01").code(), StatusCode::kNotFound);
   EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST_F(TpuStateTest, PurgeDeadModelsKeepsLiveRefsAndCounts) {
-  tpu_.addAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.2));
-  tpu_.addAllocation(zoo::kUNetV2, TpuUnit::fromDouble(0.2));
-  tpu_.addAllocation(zoo::kMobileNetV2, TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kUNetV2), TpuUnit::fromDouble(0.2));
+  tpu_.addAllocation(internModel(zoo::kMobileNetV2), TpuUnit::fromDouble(0.2));
   ASSERT_TRUE(
-      tpu_.removeAllocation(zoo::kUNetV2, TpuUnit::fromDouble(0.2)).isOk());
+      tpu_.removeAllocation(internModel(zoo::kUNetV2),
+                            TpuUnit::fromDouble(0.2)).isOk());
   EXPECT_EQ(tpu_.liveModelCount(), 2u);
   EXPECT_EQ(tpu_.residentOrder().size(), 3u);
   tpu_.purgeDeadModels();
@@ -116,7 +123,7 @@ TEST_F(TpuStateTest, PurgeDeadModelsKeepsLiveRefsAndCounts) {
   // and first-touch order.
   EXPECT_EQ(tpu_.residentOrder(),
             (std::vector<std::string>{zoo::kMobileNetV1, zoo::kMobileNetV2}));
-  EXPECT_EQ(tpu_.refCount(zoo::kMobileNetV1), 1);
+  EXPECT_EQ(tpu_.refCount(lookupModel(zoo::kMobileNetV1)), 1);
   EXPECT_EQ(tpu_.liveModelCount(), 2u);
   EXPECT_EQ(tpu_.currentLoad().milli(), 400);
 }
@@ -131,11 +138,12 @@ TEST_F(TpuStateTest, ModelIdAndStringApisAgree) {
   ModelId id = zoo_.at(zoo::kMobileNetV1).id;
   ASSERT_TRUE(id.valid());
   tpu_.addAllocation(id, TpuUnit::fromDouble(0.3));
-  EXPECT_TRUE(tpu_.hasModel(zoo::kMobileNetV1));
+  EXPECT_TRUE(tpu_.hasModel(lookupModel(zoo::kMobileNetV1)));
   EXPECT_TRUE(tpu_.hasModel(id));
-  EXPECT_EQ(tpu_.refCount(zoo::kMobileNetV1), tpu_.refCount(id));
+  EXPECT_EQ(tpu_.refCount(lookupModel(zoo::kMobileNetV1)), tpu_.refCount(id));
   ASSERT_TRUE(
-      tpu_.removeAllocation(zoo::kMobileNetV1, TpuUnit::fromDouble(0.3))
+      tpu_.removeAllocation(internModel(zoo::kMobileNetV1),
+                            TpuUnit::fromDouble(0.3))
           .isOk());
   EXPECT_FALSE(tpu_.hasModel(id));
 }
@@ -148,16 +156,17 @@ TEST(TpuPoolTest, IndexTracksDirectMutations) {
   }
   // Mutating a TpuState through the pool (the reclamation/defrag pattern)
   // must keep the incremental indexes in sync without an explicit rebuild.
-  pool.find("tpu-1")->addAllocation(zoo::kMobileNetV1,
+  pool.find(lookupTpu("tpu-1"))->addAllocation(internModel(zoo::kMobileNetV1),
                                     TpuUnit::fromMilli(800));
-  pool.find("tpu-2")->addAllocation(zoo::kMobileNetV1,
+  pool.find(lookupTpu("tpu-2"))->addAllocation(internModel(zoo::kMobileNetV1),
                                     TpuUnit::fromMilli(400));
   EXPECT_TRUE(pool.indexConsistent());
   EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(700)), 0u);
   EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(700), 1), 3u);
   EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(600), 1), 2u);
-  ASSERT_TRUE(pool.find("tpu-1")
-                  ->removeAllocation(zoo::kMobileNetV1, TpuUnit::fromMilli(800))
+  ASSERT_TRUE(pool.find(lookupTpu("tpu-1"))
+                  ->removeAllocation(internModel(zoo::kMobileNetV1),
+                                     TpuUnit::fromMilli(800))
                   .isOk());
   EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(601), 1), 1u);
   EXPECT_TRUE(pool.indexConsistent());
@@ -169,7 +178,8 @@ TEST(TpuPoolTest, IndexSurvivesRemoveCopyAndMove) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pool.addTpu("tpu-" + std::to_string(i), 6.9).isOk());
   }
-  pool.find("tpu-3")->addAllocation(zoo::kMobileNetV1, TpuUnit::fromMilli(900));
+  pool.find(lookupTpu("tpu-3"))->addAllocation(internModel(zoo::kMobileNetV1),
+                                               TpuUnit::fromMilli(900));
   ASSERT_TRUE(pool.removeTpu("tpu-1").isOk());
   EXPECT_TRUE(pool.indexConsistent());
 
@@ -177,14 +187,15 @@ TEST(TpuPoolTest, IndexSurvivesRemoveCopyAndMove) {
   // stay independent of the original.
   TpuPool copy = pool;
   EXPECT_TRUE(copy.indexConsistent());
-  copy.find("tpu-0")->addAllocation(zoo::kMobileNetV1, TpuUnit::fromMilli(500));
+  copy.find(lookupTpu("tpu-0"))->addAllocation(internModel(zoo::kMobileNetV1),
+                                               TpuUnit::fromMilli(500));
   EXPECT_TRUE(copy.indexConsistent());
-  EXPECT_TRUE(pool.find("tpu-0")->currentLoad().isZero());
+  EXPECT_TRUE(pool.find(lookupTpu("tpu-0"))->currentLoad().isZero());
   EXPECT_TRUE(pool.indexConsistent());
 
   TpuPool moved = std::move(copy);
   EXPECT_TRUE(moved.indexConsistent());
-  EXPECT_EQ(moved.find("tpu-0")->currentLoad().milli(), 500);
+  EXPECT_EQ(moved.find(lookupTpu("tpu-0"))->currentLoad().milli(), 500);
 }
 
 TEST(TpuPoolTest, ScanCursorOrders) {
@@ -194,7 +205,7 @@ TEST(TpuPoolTest, ScanCursorOrders) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(pool.addTpu("tpu-" + std::to_string(i), 6.9).isOk());
     pool.tpus()[static_cast<std::size_t>(i)].addAllocation(
-        zoo::kMobileNetV1, TpuUnit::fromMilli(loads[i]));
+        internModel(zoo::kMobileNetV1), TpuUnit::fromMilli(loads[i]));
   }
   auto collect = [&](PackingStrategy strategy, int minMilli,
                      std::size_t from = 0) {
@@ -224,9 +235,10 @@ TEST(TpuPoolTest, Aggregates) {
   ASSERT_TRUE(pool.addTpu("tpu-00", 6.9).isOk());
   ASSERT_TRUE(pool.addTpu("tpu-01", 6.9).isOk());
   ASSERT_TRUE(pool.addTpu("tpu-02", 6.9).isOk());
-  pool.find("tpu-00")->addAllocation(zoo::kMobileNetV1,
+  pool.find(lookupTpu("tpu-00"))->addAllocation(internModel(zoo::kMobileNetV1),
                                      TpuUnit::fromDouble(0.4));
-  pool.find("tpu-02")->addAllocation(zoo::kUNetV2, TpuUnit::fromDouble(0.5));
+  pool.find(lookupTpu("tpu-02"))->addAllocation(internModel(zoo::kUNetV2),
+                                                TpuUnit::fromDouble(0.5));
   EXPECT_EQ(pool.totalLoad().milli(), 900);
   EXPECT_EQ(pool.usedTpuCount(), 2u);
 }

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "dataplane/wrr.hpp"
@@ -16,10 +15,10 @@
 namespace microedge {
 namespace {
 
-std::vector<WrrTarget> makeTargets(const std::vector<std::uint32_t>& weights) {
-  std::vector<WrrTarget> out;
+std::vector<LbWeight> makeTargets(const std::vector<std::uint32_t>& weights) {
+  std::vector<LbWeight> out;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    out.push_back(WrrTarget{strCat("t", i), weights[i]});
+    out.push_back(LbWeight{internTpu(strCat("t", i)), weights[i]});
   }
   return out;
 }
@@ -27,42 +26,44 @@ std::vector<WrrTarget> makeTargets(const std::vector<std::uint32_t>& weights) {
 TEST(SmoothWrrTest, RejectsBadTargets) {
   SmoothWrr wrr;
   EXPECT_FALSE(wrr.setTargets({}).isOk());
-  EXPECT_FALSE(wrr.setTargets({WrrTarget{"", 1}}).isOk());
-  EXPECT_FALSE(wrr.setTargets({WrrTarget{"a", 0}}).isOk());
+  EXPECT_FALSE(wrr.setTargets(makeTargets({0})).isOk());
+  EXPECT_FALSE(wrr.setTargets(makeTargets({1, 0})).isOk());
 }
 
 TEST(SmoothWrrTest, SingleTargetAlwaysPicked) {
   SmoothWrr wrr;
-  ASSERT_TRUE(wrr.setTargets({WrrTarget{"only", 350}}).isOk());
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(wrr.pick(), "only");
+  ASSERT_TRUE(wrr.setTargets(makeTargets({350})).isOk());
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(wrr.pickIndex(), 0u);
 }
 
 TEST(SmoothWrrTest, TwoToOneInterleavesSmoothly) {
   // The paper's §4.3 example: 0.4 vs 0.2 units -> 66% / 33% split. Smooth
   // WRR must not emit the heavy target more than twice in a row.
   SmoothWrr wrr;
-  ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 400}, WrrTarget{"b", 200}}).isOk());
+  ASSERT_TRUE(wrr.setTargets(makeTargets({400, 200})).isOk());
   int maxRun = 0, run = 0;
-  std::string prev;
+  std::size_t prev = 2;
+  std::uint64_t counts[2] = {0, 0};
   for (int i = 0; i < 300; ++i) {
-    std::string pick = wrr.pick();
+    std::size_t pick = wrr.pickIndex();
+    ASSERT_LT(pick, 2u);
+    ++counts[pick];
     run = (pick == prev) ? run + 1 : 1;
     maxRun = std::max(maxRun, run);
     prev = pick;
   }
-  EXPECT_EQ(wrr.pickCount("a"), 200u);
-  EXPECT_EQ(wrr.pickCount("b"), 100u);
+  EXPECT_EQ(counts[0], 200u);
+  EXPECT_EQ(counts[1], 100u);
   EXPECT_LE(maxRun, 2);
 }
 
 TEST(BurstWrrTest, SameProportionsWorstSpread) {
   BurstWrr wrr;
-  ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 400}, WrrTarget{"b", 200}}).isOk());
+  ASSERT_TRUE(wrr.setTargets(makeTargets({400, 200})).isOk());
   // gcd reduction -> bursts of 2 and 1.
-  std::vector<std::string> picks;
-  for (int i = 0; i < 6; ++i) picks.push_back(wrr.pick());
-  EXPECT_EQ(picks,
-            (std::vector<std::string>{"a", "a", "b", "a", "a", "b"}));
+  std::vector<std::size_t> picks;
+  for (int i = 0; i < 6; ++i) picks.push_back(wrr.pickIndex());
+  EXPECT_EQ(picks, (std::vector<std::size_t>{0, 0, 1, 0, 0, 1}));
 }
 
 // Property sweep: exact proportionality over one full period, and the
@@ -75,11 +76,10 @@ TEST_P(WrrPropertyTest, ExactProportionsOverOnePeriod) {
   SmoothWrr wrr;
   ASSERT_TRUE(wrr.setTargets(makeTargets(GetParam())).isOk());
   std::uint64_t period = wrr.totalWeight();
-  std::map<std::string, std::uint64_t> counts;
-  for (std::uint64_t i = 0; i < period; ++i) counts[wrr.pick()]++;
+  std::map<std::size_t, std::uint64_t> counts;
+  for (std::uint64_t i = 0; i < period; ++i) counts[wrr.pickIndex()]++;
   for (std::size_t i = 0; i < wrr.targets().size(); ++i) {
-    EXPECT_EQ(counts[wrr.targets()[i].id], wrr.targets()[i].weight)
-        << "target " << i;
+    EXPECT_EQ(counts[i], wrr.targets()[i].weight) << "target " << i;
   }
 }
 
@@ -87,30 +87,32 @@ TEST_P(WrrPropertyTest, SmoothnessBoundOverSlidingWindows) {
   SmoothWrr wrr;
   ASSERT_TRUE(wrr.setTargets(makeTargets(GetParam())).isOk());
   std::uint64_t period = wrr.totalWeight();
-  std::vector<std::string> picks;
-  for (std::uint64_t i = 0; i < period * 3; ++i) picks.push_back(wrr.pick());
+  std::vector<std::size_t> picks;
+  for (std::uint64_t i = 0; i < period * 3; ++i) {
+    picks.push_back(wrr.pickIndex());
+  }
 
   // For each target and each window of length w, the count must stay within
   // +-1 of w * weight / total (smooth WRR's defining spread property).
-  for (const WrrTarget& target : wrr.targets()) {
-    double share =
-        static_cast<double>(target.weight) / static_cast<double>(period);
+  for (std::size_t target = 0; target < wrr.targets().size(); ++target) {
+    double share = static_cast<double>(wrr.targets()[target].weight) /
+                   static_cast<double>(period);
     for (std::size_t w : {period / 2 + 1, period}) {
       if (w == 0 || w > picks.size()) continue;
       std::size_t count = 0;
       for (std::size_t i = 0; i < w; ++i) {
-        if (picks[i] == target.id) ++count;
+        if (picks[i] == target) ++count;
       }
       for (std::size_t start = 0;; ++start) {
         double expected = share * static_cast<double>(w);
         // Prefix deviation of smooth WRR is < 1; a sliding window is the
         // difference of two prefixes, so its deviation stays < 2.
         EXPECT_LE(std::abs(static_cast<double>(count) - expected), 2.0)
-            << "target " << target.id << " window [" << start << ", "
+            << "target " << target << " window [" << start << ", "
             << start + w << ")";
         if (start + w >= picks.size()) break;
-        count -= picks[start] == target.id ? 1 : 0;
-        count += picks[start + w] == target.id ? 1 : 0;
+        count -= picks[start] == target ? 1 : 0;
+        count += picks[start + w] == target ? 1 : 0;
       }
     }
   }
@@ -124,10 +126,10 @@ TEST_P(WrrPropertyTest, BurstMatchesProportionsOverOnePeriod) {
   std::uint32_t g = 0;
   for (auto& t : targets) g = std::gcd(g, t.weight);
   for (auto& t : targets) total += t.weight / g;
-  std::map<std::string, std::uint64_t> counts;
-  for (std::uint64_t i = 0; i < total; ++i) counts[wrr.pick()]++;
-  for (auto& t : targets) {
-    EXPECT_EQ(counts[t.id], t.weight / g) << t.id;
+  std::map<std::size_t, std::uint64_t> counts;
+  for (std::uint64_t i = 0; i < total; ++i) counts[wrr.pickIndex()]++;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(counts[i], targets[i].weight / g) << "target " << i;
   }
 }
 
@@ -141,25 +143,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<std::uint32_t>{650, 350},
                       std::vector<std::uint32_t>{1000, 200, 150, 100}));
 
-TEST(SmoothWrrBatchTest, CycleCacheActiveForTypicalWeights) {
-  SmoothWrr wrr;
-  ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 400}, WrrTarget{"b", 200}}).isOk());
-  EXPECT_EQ(wrr.cyclePeriod(), 0u);  // deferred until the first pick
-  wrr.pickIndex();
-  EXPECT_EQ(wrr.cyclePeriod(), 3u);  // 400:200 reduces to 2:1, period 3
-}
-
 TEST(SmoothWrrBatchTest, DegeneratePeriodFallsBackAndStillMatches) {
-  // Coprime weights above the cap: reduced period 4099 + 2 > kMaxCyclePeriod,
-  // so the cache is skipped — and the fallback's picks must still be the
-  // smooth-WRR argmax, checked against a step-by-step reference.
-  std::vector<WrrTarget> targets = {WrrTarget{"big", 4099},
-                                    WrrTarget{"small", 2}};
-  ASSERT_GT(4099u + 2u, SmoothWrr::kMaxCyclePeriod);
+  // Coprime weights with a long reduced period (4099 + 2): the picks must
+  // be the smooth-WRR argmax, checked against a step-by-step reference.
+  std::vector<LbWeight> targets = makeTargets({4099, 2});
   SmoothWrr wrr;
-  ASSERT_TRUE(wrr.setTargets(targets).isOk());
-  wrr.pickIndex();  // the first pick decides the regime
-  EXPECT_EQ(wrr.cyclePeriod(), 0u);  // fallback regime
   ASSERT_TRUE(wrr.setTargets(targets).isOk());
 
   // Reference: add each weight to its credit, pick the first maximum, take
@@ -179,10 +167,10 @@ TEST(SmoothWrrBatchTest, DegeneratePeriodFallsBackAndStillMatches) {
 
 TEST(SmoothWrrBatchTest, SetTargetsResetsTheSchedule) {
   SmoothWrr wrr;
-  ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 2}, WrrTarget{"b", 1}}).isOk());
+  ASSERT_TRUE(wrr.setTargets(makeTargets({2, 1})).isOk());
   std::vector<std::size_t> first;
   for (int j = 0; j < 5; ++j) first.push_back(wrr.pickIndex());
-  ASSERT_TRUE(wrr.setTargets({WrrTarget{"a", 2}, WrrTarget{"b", 1}}).isOk());
+  ASSERT_TRUE(wrr.setTargets(makeTargets({2, 1})).isOk());
   std::vector<std::size_t> second;
   for (int j = 0; j < 5; ++j) second.push_back(wrr.pickIndex());
   EXPECT_EQ(first, second);  // reconfigure restarts from the schedule start
