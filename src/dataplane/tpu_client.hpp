@@ -227,9 +227,11 @@ class TpuClient {
   // charge, completion) lives in one recycled pool slot, so no string or
   // heap allocation recurs per frame. The model's constants are not copied
   // here: every stage looks them up by ModelId.
+  // InvokeContext holds handles to its own pool's slots, so the handle type
+  // is named before the context is complete.
   struct InvokeContext;
   using ContextPool = SlabPool<InvokeContext>;
-  using Handle = ContextPool::Handle;
+  using Handle = SlabHandle;
 
   struct InvokeContext {
     FrameBreakdown breakdown{};

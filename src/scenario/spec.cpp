@@ -1,17 +1,39 @@
 #include "scenario/spec.hpp"
 
+#include <limits>
+
 #include "util/strings.hpp"
+#include "util/time.hpp"
 
 namespace microedge {
 
 namespace {
 
-Status checkEdge(const char* what, double v) {
-  if (v < 0.0) {
-    return invalidArgument(strCat("scenario: ", what, " must be >= 0 (got ",
-                                  v, ")"));
+// A time in seconds is >= 0 and, since the engine converts times with
+// secondsF(), fits SimDuration (int64 ns, about 292 years).
+Status checkSeconds(const char* what, double v) {
+  if (v >= 0.0 && fitsSimDuration(v * 1e9)) return Status::ok();
+  return invalidArgument(strCat(
+      "scenario: ", what, " must be >= 0 and at most about 292 years (got ",
+      v, ")"));
+}
+
+// Reads an int field, `fallback` when absent. A value an int cannot hold
+// sets *error (the first one wins) instead of wrapping.
+int intField(const JsonValue& obj, const char* key, int fallback,
+             Status* error) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->isNumber()) return fallback;
+  const double d = v->asDouble();
+  if (d >= std::numeric_limits<int>::min() &&
+      d <= std::numeric_limits<int>::max()) {
+    return static_cast<int>(v->asInt());
   }
-  return Status::ok();
+  if (error->isOk()) {
+    *error = invalidArgument(
+        strCat("scenario: ", key, " must fit an int (got ", v->dump(), ")"));
+  }
+  return fallback;
 }
 
 }  // namespace
@@ -21,15 +43,17 @@ Status ScenarioSpec::validate() const {
   if (horizonS <= 0.0) {
     return invalidArgument("scenario: horizon_s must be > 0");
   }
-  if (envelopePeriodS <= 0.0) {
-    return invalidArgument("scenario: envelope_period_s must be > 0");
+  // compileScenario counts horizon_s / envelope_period_s samples in int64.
+  if (!(envelopePeriodS * 1e9 >= 1.0)) {
+    return invalidArgument("scenario: envelope_period_s must be >= 1 ns");
   }
   if (quantumNs < 0) {
     return invalidArgument("scenario: quantum_ns must be >= 0");
   }
-  if (detectionDelayS < 0.0) {
-    return invalidArgument("scenario: detection_delay_s must be >= 0");
-  }
+  Status times = checkSeconds("horizon_s", horizonS);
+  if (times.isOk()) times = checkSeconds("envelope_period_s", envelopePeriodS);
+  if (times.isOk()) times = checkSeconds("detection_delay_s", detectionDelayS);
+  if (!times.isOk()) return times;
   for (std::size_t i = 0; i < diurnal.points.size(); ++i) {
     const DiurnalSpec::Point& p = diurnal.points[i];
     if (p.multiplier <= 0.0) {
@@ -44,10 +68,10 @@ Status ScenarioSpec::validate() const {
     if (f.peakMultiplier <= 0.0) {
       return invalidArgument("scenario: flash peak must be > 0");
     }
-    Status s = checkEdge("flash start_s", f.startS);
-    if (s.isOk()) s = checkEdge("flash ramp_s", f.rampS);
-    if (s.isOk()) s = checkEdge("flash hold_s", f.holdS);
-    if (s.isOk()) s = checkEdge("flash decay_s", f.decayS);
+    Status s = checkSeconds("flash start_s", f.startS);
+    if (s.isOk()) s = checkSeconds("flash ramp_s", f.rampS);
+    if (s.isOk()) s = checkSeconds("flash hold_s", f.holdS);
+    if (s.isOk()) s = checkSeconds("flash decay_s", f.decayS);
     if (!s.isOk()) return s;
   }
   for (const ChurnSpec& c : churn) {
@@ -61,6 +85,8 @@ Status ScenarioSpec::validate() const {
     if (c.leaveS > 0.0 && c.leaveS <= c.joinS) {
       return invalidArgument("scenario: churn leave_s must follow join_s");
     }
+    Status s = checkSeconds("churn leave_s", c.leaveS);
+    if (!s.isOk()) return s;
   }
   for (const FailureGroupSpec& g : failures) {
     if (g.tenant < 0) {
@@ -69,7 +95,7 @@ Status ScenarioSpec::validate() const {
     if (g.count < 0) {
       return invalidArgument("scenario: failure count must be >= 0");
     }
-    Status s = checkEdge("failure at_s", g.atS);
+    Status s = checkSeconds("failure at_s", g.atS);
     if (!s.isOk()) return s;
   }
   double prev = 0.0;
@@ -162,6 +188,7 @@ StatusOr<ScenarioSpec> ScenarioSpec::fromJson(const JsonValue& spec) {
     return invalidArgument("scenario: spec must be a JSON object");
   }
   ScenarioSpec out;
+  Status narrowed = Status::ok();
   out.name = spec.getString("name", out.name);
   out.seed = static_cast<std::uint64_t>(spec.getInt("seed", 1));
   out.horizonS = spec.getDouble("horizon_s", out.horizonS);
@@ -181,7 +208,7 @@ StatusOr<ScenarioSpec> ScenarioSpec::fromJson(const JsonValue& spec) {
       crowds != nullptr && crowds->isArray()) {
     for (const JsonValue& c : crowds->items()) {
       FlashCrowdSpec f;
-      f.tenant = static_cast<int>(c.getInt("tenant", -1));
+      f.tenant = intField(c, "tenant", -1, &narrowed);
       f.startS = c.getDouble("start_s", f.startS);
       f.rampS = c.getDouble("ramp_s", f.rampS);
       f.holdS = c.getDouble("hold_s", f.holdS);
@@ -194,10 +221,10 @@ StatusOr<ScenarioSpec> ScenarioSpec::fromJson(const JsonValue& spec) {
       entries != nullptr && entries->isArray()) {
     for (const JsonValue& e : entries->items()) {
       ChurnSpec c;
-      c.tenant = static_cast<int>(e.getInt("tenant", -1));
+      c.tenant = intField(e, "tenant", -1, &narrowed);
       c.joinS = e.getDouble("join_s", 0.0);
       c.leaveS = e.getDouble("leave_s", 0.0);
-      c.count = static_cast<int>(e.getInt("count", 1));
+      c.count = intField(e, "count", 1, &narrowed);
       out.churn.push_back(c);
     }
   }
@@ -206,8 +233,8 @@ StatusOr<ScenarioSpec> ScenarioSpec::fromJson(const JsonValue& spec) {
     for (const JsonValue& e : groups->items()) {
       FailureGroupSpec g;
       g.atS = e.getDouble("at_s", g.atS);
-      g.tenant = static_cast<int>(e.getInt("tenant", 0));
-      g.count = static_cast<int>(e.getInt("count", 0));
+      g.tenant = intField(e, "tenant", 0, &narrowed);
+      g.count = intField(e, "count", 0, &narrowed);
       out.failures.push_back(g);
     }
   }
@@ -220,6 +247,7 @@ StatusOr<ScenarioSpec> ScenarioSpec::fromJson(const JsonValue& spec) {
       out.phases.push_back(p);
     }
   }
+  if (!narrowed.isOk()) return narrowed;
   Status valid = out.validate();
   if (!valid.isOk()) return valid;
   return out;

@@ -99,7 +99,8 @@ struct ScenarioSpec {
   std::vector<PhaseSpec> phases;  // empty = one phase "run" to the horizon
 
   // Structural sanity: ordered diurnal points / phases, positive horizon
-  // and quantum, edge durations >= 0, churn windows inside the horizon.
+  // and quantum, edge durations >= 0, churn windows inside the horizon,
+  // and every time the engine converts within SimDuration's range.
   Status validate() const;
 
   static StatusOr<ScenarioSpec> fromJson(const JsonValue& spec);

@@ -47,6 +47,17 @@ Status checkPositive(std::string_view field, double value) {
       strCat("sweep: ", field, " must be positive, got ", value));
 }
 
+// A duration field whose value comes to `ns` nanoseconds (computed as the
+// driver's conversion computes it) must be at least 1 ns, or a horizon runs
+// nothing and a period never lets simulated time advance, and must fit
+// SimDuration, or it wraps into some other duration.
+Status checkDuration(std::string_view field, double value, double ns) {
+  if (ns >= 1.0 && fitsSimDuration(ns)) return Status::ok();
+  return invalidArgument(strCat(
+      "sweep: ", field, " must be between 1 ns and about 292 years, got ",
+      value));
+}
+
 Status firstError(std::initializer_list<Status> checks) {
   for (const Status& check : checks) {
     if (!check.isOk()) return check;
@@ -70,11 +81,12 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
   const std::int64_t upperBound = p.getInt("camera_upper_bound", 64);
   const double horizonS = p.getDouble("horizon_s", 40.0);
   const std::int64_t tpusField = p.getInt("tpus", 1);
-  Status valid = firstError({checkPositive("fps", fps),
-                             checkAtLeast("tpus_per_node", tpusPerNode, 1),
-                             checkAtLeast("camera_upper_bound", upperBound, 1),
-                             checkPositive("horizon_s", horizonS),
-                             checkAtLeast("tpus", tpusField, 1)});
+  Status valid = firstError(
+      {checkPositive("fps", fps),
+       checkAtLeast("tpus_per_node", tpusPerNode, 1),
+       checkAtLeast("camera_upper_bound", upperBound, 1),
+       checkDuration("horizon_s", horizonS, horizonS * 1e9),
+       checkAtLeast("tpus", tpusField, 1)});
   if (!valid.isOk()) return pointError(valid);
   scenario.mode = *mode;
   scenario.deployment.model = p.getString("model", zoo::kSsdMobileNetV2);
@@ -109,17 +121,14 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
 JsonValue runTraceSweepPoint(const SweepPoint& p) {
   StatusOr<SchedulingMode> mode = parseMode(p.getString("mode", "wp"));
   if (!mode.isOk()) return pointError(mode.status());
+  // window_s is the period of the utilization sampler, a PeriodicTask.
   const double windowS = p.getDouble("window_s", 60.0);
-  // The utilization sampler is a PeriodicTask with this period; a zero
-  // period would never let simulated time advance.
-  if (!(secondsF(windowS) > SimDuration::zero())) {
-    return pointError(invalidArgument(
-        strCat("sweep: window_s must be at least 1 ns, got ", windowS)));
-  }
   const double horizonMin = p.getDouble("horizon_min", 20.0);
   const double capacityUnits = p.getDouble("capacity_units", 10.0);
-  Status valid = firstError({checkPositive("horizon_min", horizonMin),
-                             checkPositive("capacity_units", capacityUnits)});
+  Status valid = firstError(
+      {checkDuration("window_s", windowS, windowS * 1e9),
+       checkDuration("horizon_min", horizonMin, horizonMin * 60.0 * 1e9),
+       checkPositive("capacity_units", capacityUnits)});
   if (!valid.isOk()) return pointError(valid);
   TraceScenarioConfig config;
   config.trace = MafTraceGenerator::paperDefaults();
@@ -183,7 +192,8 @@ JsonValue runScenarioSweepPoint(const SweepPoint& p) {
        checkAtLeast("shards", shards, 1), checkAtLeast("racks", racks, 1),
        checkAtLeast("vrpis_per_rack", vRpisPerRack, 1),
        checkAtLeast("streams_per_vrpi", streamsPerVRpi, 1),
-       checkPositive("fps", fps), checkPositive("slo_ms", sloMs)});
+       checkPositive("fps", fps),
+       checkDuration("slo_ms", sloMs, sloMs * 1e6)});
   if (!valid.isOk()) return pointError(valid);
   if (peak > 0.0) {
     for (FlashCrowdSpec& flash : spec.flash) flash.peakMultiplier = peak;

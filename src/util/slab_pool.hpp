@@ -11,23 +11,28 @@
 // each hop.
 //
 // Design points:
+//  * a slot is {generation, free link, T}: resolving a handle reads one slot
+//    and nothing else, with no side table of generations or free indices;
 //  * storage is chunked and chunks double from one slot: chunk k holds 2^k
 //    slots at indices [2^k - 1, 2^(k+1) - 1), so an index finds its chunk
-//    with one std::bit_width. Growth adds a chunk and never moves a live
-//    object, so T* stay stable for the pool's lifetime and a stage may hold
-//    a pointer across calls that acquire new slots;
-//  * capacity stays under twice the in-use high-water mark, so a pool that
-//    never has more than one frame in flight (the client of a 1 fps stream)
-//    holds one slot;
+//    with one std::bit_width. Chunk 0 — the one slot that a client with one
+//    frame in flight at a time (a 1 fps stream) ever uses — lives inline in
+//    the pool object, so it sits beside its owner's other fields and costs
+//    no heap block; chunks k >= 1 are heap arrays. Growth adds a chunk and
+//    never moves a live object, so T* stay stable for the pool's lifetime
+//    (the pool is neither copyable nor movable) and a stage may hold a
+//    pointer across calls that acquire new slots;
+//  * capacity stays under twice the in-use high-water mark;
 //  * each slot carries a generation counter bumped on acquire AND release
-//    (odd = live). A Handle embeds the generation it was minted with, so a
+//    (odd = live). A handle embeds the generation it was minted with, so a
 //    stale handle — slot released, possibly reused — resolves to nullptr
 //    instead of someone else's frame;
-//  * slots are recycled LIFO through an index free list, keeping the hot
-//    working set small and cache-resident; never-used slots sit beneath the
-//    recycled ones and come out lowest index first;
+//  * free slots form a LIFO list threaded through their links, keeping the
+//    hot working set small and cache-resident; a new chunk is linked in
+//    index order, so never-used slots come out lowest index first;
 //  * steady state performs zero heap allocations: a chunk is allocated only
-//    when the in-use high-water mark grows.
+//    when the in-use high-water mark outgrows the capacity, and chunk 0
+//    never is.
 //
 // T must be default-constructible; objects are constructed once per slot and
 // reused, so the caller resets whatever fields matter on acquire.
@@ -40,25 +45,35 @@
 
 namespace microedge {
 
+// A slot address minted by SlabPool<T>::acquire(). It does not depend on T,
+// so a T may hold handles to its own pool's slots.
+struct SlabHandle {
+  static constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
+  std::uint32_t index = kInvalidIndex;
+  std::uint32_t generation = 0;
+  bool valid() const { return index != kInvalidIndex; }
+  friend bool operator==(SlabHandle a, SlabHandle b) {
+    return a.index == b.index && a.generation == b.generation;
+  }
+};
+
 template <typename T>
 class SlabPool {
  public:
-  struct Handle {
-    std::uint32_t index = kInvalidIndex;
-    std::uint32_t generation = 0;
-    bool valid() const { return index != kInvalidIndex; }
-    friend bool operator==(Handle a, Handle b) {
-      return a.index == b.index && a.generation == b.generation;
-    }
-  };
+  using Handle = SlabHandle;
+
+  SlabPool() = default;
+  SlabPool(const SlabPool&) = delete;
+  SlabPool& operator=(const SlabPool&) = delete;
 
   // Returns a handle to a live slot. The object is recycled, not
   // re-constructed — reset its fields before use.
   Handle acquire() {
-    if (freeList_.empty()) grow();
-    std::uint32_t index = freeList_.back();
-    freeList_.pop_back();
-    std::uint32_t gen = ++generation_[index];  // even -> odd: live
+    if (freeHead_ == kNoSlot) grow();
+    const std::uint32_t index = freeHead_;
+    Slot& s = slot(index);
+    freeHead_ = s.nextFree;
+    const std::uint32_t gen = ++s.generation;  // even -> odd: live
     assert((gen & 1u) == 1u && "acquired slot must be generation-odd");
     ++inUse_;
     return Handle{index, gen};
@@ -67,19 +82,22 @@ class SlabPool {
   // Resolves a handle; nullptr if the handle is stale (its slot has been
   // released since, whether or not it was reacquired).
   T* get(Handle h) {
-    if (h.index >= generation_.size()) return nullptr;
-    if (generation_[h.index] != h.generation || (h.generation & 1u) == 0u) {
+    if (h.index >= capacity_) return nullptr;
+    Slot& s = slot(h.index);
+    if (s.generation != h.generation || (h.generation & 1u) == 0u) {
       return nullptr;
     }
-    return slotPtr(h.index);
+    return &s.value;
   }
 
   // Releases a live slot back to the free list. Stale handles are rejected
-  // (returns false) rather than corrupting the freelist with double-frees.
+  // (returns false) rather than corrupting the free list with double-frees.
   bool release(Handle h) {
     if (get(h) == nullptr) return false;
-    ++generation_[h.index];  // odd -> even: free
-    freeList_.push_back(h.index);
+    Slot& s = slot(h.index);
+    ++s.generation;  // odd -> even: free
+    s.nextFree = freeHead_;
+    freeHead_ = h.index;
     --inUse_;
     return true;
   }
@@ -90,43 +108,53 @@ class SlabPool {
   // removal), never the per-frame path.
   template <typename Fn>
   void forEachLive(Fn&& fn) {
-    for (std::uint32_t i = 0; i < generation_.size(); ++i) {
-      if ((generation_[i] & 1u) != 0u) {
-        fn(Handle{i, generation_[i]}, *slotPtr(i));
-      }
+    for (std::uint32_t i = 0; i < capacity_; ++i) {
+      Slot& s = slot(i);
+      if ((s.generation & 1u) != 0u) fn(Handle{i, s.generation}, s.value);
     }
   }
 
   std::size_t inUse() const { return inUse_; }
-  std::size_t capacity() const { return generation_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
  private:
-  static constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
+  static constexpr std::uint32_t kNoSlot = SlabHandle::kInvalidIndex;
 
-  T* slotPtr(std::uint32_t index) {
+  struct Slot {
+    std::uint32_t generation = 0;  // odd = live
+    std::uint32_t nextFree = kNoSlot;  // free-list link while free
+    T value{};
+  };
+
+  Slot& slot(std::uint32_t index) {
+    if (index == 0) return first_;
     // index + 1 has its top bit at position k for every slot of chunk k.
     const unsigned k = std::bit_width(index + 1u) - 1u;
-    return &chunks_[k][index + 1u - (1u << k)];
+    return chunks_[k - 1][index + 1u - (1u << k)];
   }
 
   // Adds the next chunk; acquire() calls this only on an empty free list.
   // Chunk k starts at index capacity() == 2^k - 1 and holds 2^k slots,
-  // listed so the lowest index comes out first.
+  // linked so the lowest index comes out first. Chunk 0 is first_, already
+  // in place.
   void grow() {
-    const std::size_t oldCapacity = generation_.size();
-    const std::size_t newCapacity = 2 * oldCapacity + 1;
-    assert(newCapacity < kInvalidIndex && "slab pool index space");
-    chunks_.push_back(std::make_unique<T[]>(oldCapacity + 1));
-    generation_.resize(newCapacity, 0);
-    freeList_.reserve(newCapacity);
-    for (std::size_t i = newCapacity; i > oldCapacity; --i) {
-      freeList_.push_back(static_cast<std::uint32_t>(i - 1));
+    const std::uint32_t oldCapacity = capacity_;
+    const std::uint32_t newCapacity = 2 * oldCapacity + 1;
+    assert(newCapacity < kNoSlot && "slab pool index space");
+    if (oldCapacity > 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(oldCapacity + 1));
     }
+    capacity_ = newCapacity;
+    for (std::uint32_t i = oldCapacity; i < newCapacity; ++i) {
+      slot(i).nextFree = i + 1 < newCapacity ? i + 1 : kNoSlot;
+    }
+    freeHead_ = oldCapacity;
   }
 
-  std::vector<std::unique_ptr<T[]>> chunks_;
-  std::vector<std::uint32_t> generation_;  // per slot; odd = live
-  std::vector<std::uint32_t> freeList_;
+  Slot first_;                                   // chunk 0 (index 0)
+  std::vector<std::unique_ptr<Slot[]>> chunks_;  // chunk k at chunks_[k - 1]
+  std::uint32_t capacity_ = 0;
+  std::uint32_t freeHead_ = kNoSlot;
   std::size_t inUse_ = 0;
 };
 

@@ -47,6 +47,11 @@ inline constexpr SimDuration minutes(std::int64_t m) {
 }
 
 // Fractional constructors, used by calibration code ("23.3 ms per frame").
+// Each truncates its nanosecond count to int64, which is defined only when
+// fitsSimDuration(count) holds: check outside input with it first.
+inline bool fitsSimDuration(double ns) {
+  return ns >= -0x1p63 && ns < 0x1p63;  // false for NaN
+}
 inline SimDuration millisecondsF(double ms) {
   return SimDuration{static_cast<std::int64_t>(ms * 1e6)};
 }

@@ -5,13 +5,34 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <vector>
 
 #include "dataplane/dataplane.hpp"
 #include "models/zoo.hpp"
 #include "util/slab_pool.hpp"
+
+// Counts heap allocations, so a test can show that a pool path makes none.
+// The array forms reach these through the library's defaults; the deletes
+// stay out of line so GCC does not match an inlined free() against the
+// replaced operator new (-Wmismatched-new-delete).
+namespace {
+std::atomic<std::uint64_t> g_allocCount{0};
+}
+
+void* operator new(std::size_t size) {
+  g_allocCount.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace microedge {
 namespace {
@@ -162,6 +183,28 @@ TEST(SlabPoolTest, ForEachLiveVisitsIndexOrderAcrossChunks) {
     seen.push_back(h.index);
   });
   EXPECT_EQ(seen, expected);
+}
+
+TEST(SlabPoolTest, FirstSlotIsInlineAndAllocatesNothing) {
+  // A client with one frame in flight at a time only ever uses slot 0: it
+  // lives inside the pool object, so using it costs no heap block.
+  const std::uint64_t before = g_allocCount.load();
+  SlabPool<std::uint64_t> pool;
+  SlabPool<std::uint64_t>::Handle h = pool.acquire();
+  std::uint64_t* first = pool.get(h);
+  for (int frame = 0; frame < 3; ++frame) {
+    pool.release(h);
+    h = pool.acquire();
+  }
+  const std::uint64_t allocs = g_allocCount.load() - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(h.index, 0u);
+  EXPECT_EQ(pool.get(h), first);
+  EXPECT_EQ(pool.capacity(), 1u);
+  const auto slot = reinterpret_cast<std::uintptr_t>(first);
+  const auto begin = reinterpret_cast<std::uintptr_t>(&pool);
+  EXPECT_GE(slot, begin);
+  EXPECT_LE(slot + sizeof(std::uint64_t), begin + sizeof(pool));
 }
 
 // ---------------------------------------------------------------------------

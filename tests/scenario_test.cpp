@@ -57,6 +57,42 @@ TEST(ScenarioSpec, ValidateRejectsMalformedSpecs) {
   EXPECT_FALSE(bad.validate().isOk());
 }
 
+// Specs are outside input: a value the spec cannot represent is an
+// InvalidArgument, never a narrowed int or a time that wraps in secondsF().
+void expectInvalidArgument(const char* text) {
+  StatusOr<ScenarioSpec> spec = ScenarioSpec::fromJsonText(text);
+  ASSERT_FALSE(spec.isOk()) << text << " parsed as " << spec->toJson().dump();
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+}
+
+TEST(ScenarioSpec, FromJsonRejectsChurnCountPastInt) {
+  // Narrowed with static_cast<int>, 2^32 + 1 would add one camera.
+  expectInvalidArgument(R"({"churn":[{"count":4294967297,"join_s":1}]})");
+}
+
+TEST(ScenarioSpec, FromJsonRejectsFailureTenantPastInt) {
+  // 2^32 would narrow to tenant 0, a real rack.
+  expectInvalidArgument(R"({"failures":[{"tenant":4294967296}]})");
+}
+
+TEST(ScenarioSpec, FromJsonRejectsHorizonPastSimDuration) {
+  expectInvalidArgument(R"({"horizon_s":1e10})");
+}
+
+TEST(ScenarioSpec, FromJsonRejectsOtherUnrepresentableValues) {
+  for (const char* text :
+       {R"({"flash":[{"tenant":-4294967295}]})",
+        R"({"churn":[{"tenant":2147483648}]})",
+        R"({"failures":[{"count":4294967301}]})",
+        R"({"churn":[{"join_s":1,"leave_s":1e10}]})",
+        R"({"failures":[{"at_s":1e10}]})",
+        R"({"detection_delay_s":1e10})",
+        R"({"flash":[{"hold_s":1e10}]})",
+        R"({"envelope_period_s":1e-12})"}) {
+    expectInvalidArgument(text);
+  }
+}
+
 TEST(ScenarioEnvelope, DiurnalInterpolatesAndClampsAtEdges) {
   ScenarioSpec spec;
   spec.horizonS = 10.0;

@@ -499,5 +499,47 @@ TEST(SweepDriversTest, ScenarioOutOfRangeNumbersAreInBandErrors) {
        {"peak", JsonValue(-2.0)}});
 }
 
+// A duration past SimDuration's range (int64 ns, about 292 years) is an
+// in-band error that names the range; it must not wrap into some other
+// duration first and run that.
+void expectDurationOutOfRange(const std::string& driver, JsonValue values,
+                              const char* field, double value) {
+  values.set(field, value);
+  JsonValue result = runDriverPoint(driver, std::move(values));
+  const JsonValue* error = result.find("error");
+  ASSERT_NE(error, nullptr) << driver << " " << field << ": " << result.dump();
+  EXPECT_NE(error->asString().find(strCat(field, " must be between 1 ns and")),
+            std::string::npos)
+      << error->asString();
+}
+
+TEST(SweepDriversTest, ScalabilityHorizonPastSimDurationIsAnInBandError) {
+  // Wrapped, 1e10 s reports two cameras at zero utilization meeting their
+  // SLO.
+  JsonValue base = JsonValue::object();
+  base.set("tpus", 2);
+  base.set("camera_upper_bound", 4);
+  expectDurationOutOfRange("scalability", std::move(base), "horizon_s", 1e10);
+}
+
+TEST(SweepDriversTest, TraceHorizonPastSimDurationIsAnInBandError) {
+  // Wrapped, 2e8 minutes runs as a zero-length trace ("attempted": 0).
+  expectDurationOutOfRange("trace", JsonValue::object(), "horizon_min", 2e8);
+}
+
+TEST(SweepDriversTest, TraceWindowPastSimDurationIsAnInBandError) {
+  JsonValue base = JsonValue::object();
+  base.set("horizon_min", 0.1);
+  expectDurationOutOfRange("trace", std::move(base), "window_s", 1e10);
+}
+
+TEST(SweepDriversTest, ScenarioSloPastSimDurationIsAnInBandError) {
+  JsonValue base = JsonValue::object();
+  base.set("racks", 1);
+  base.set("vrpis_per_rack", 1);
+  base.set("streams_per_vrpi", 1);
+  expectDurationOutOfRange("scenario", std::move(base), "slo_ms", 1e13);
+}
+
 }  // namespace
 }  // namespace microedge
