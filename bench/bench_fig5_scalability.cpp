@@ -6,18 +6,16 @@
 // 5c/5d: BodyPix (1.2 units @15 FPS) — baseline dedicates two TPUs per
 //        camera (attached to one RPi); MicroEdge uses W.P.
 //
-// The grid of (variant × pool size) points is independent Simulator runs,
-// so it executes on the sweep runner: `bench_fig5_scalability --threads=8`
-// fans the points across a work-stealing pool; the default --threads=1 is
-// the serial path and prints the identical tables (the merge is
-// deterministic by construction).
+// The grid of (variant × pool size) points is independent Simulator runs;
+// the bench runs it serially on the sweep runner and rebuilds the tables
+// from the merged document. `sweep_runner --grid=fig5 --threads=N` runs the
+// same grid in parallel and writes that document.
 
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "cli_flags.hpp"
 #include "metrics/report.hpp"
 #include "sweep/drivers.hpp"
 #include "sweep/runner.hpp"
@@ -81,27 +79,12 @@ void printSeries(const std::string& title, const Series& series) {
             << utilTable.render();
 }
 
-void usage() { std::cerr << "usage: bench_fig5_scalability [--threads=N]\n"; }
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  unsigned threads = 1;  // serial path by default; --threads=N parallelizes
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const std::string prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      threads = unsignedFlag<unsigned>("bench_fig5_scalability", "threads",
-                                       arg.substr(prefix.size()), usage);
-    }
-  }
-
+int main() {
   SweepGrid grid = fig5SweepGrid();
   StatusOr<SweepPointFn> driver = findSweepDriver(grid.driver());
-  SweepOptions options;
-  options.threads = threads;
-  options.progress = threads > 1;
-  StatusOr<SweepReport> report = runSweep(grid, *driver, options);
+  StatusOr<SweepReport> report = runSweep(grid, *driver, SweepOptions{});
   if (!report.isOk()) {
     std::cerr << "fig5 sweep failed: " << report.status().toString() << "\n";
     return 1;
@@ -120,8 +103,7 @@ int main(int argc, char** argv) {
                "baseline to dedicate 2 TPUs per camera (3 cameras on 6 TPUs,\n"
                "60% utilization); W.P. packs 5 cameras at ~100%.\n";
 
-  std::cerr << "\n[" << report->totalPoints << " grid points, " << threads
-            << " thread(s), " << fmtDouble(report->wallSeconds, 2)
-            << "s wall]\n";
+  std::cerr << "\n[" << report->totalPoints << " grid points, "
+            << fmtDouble(report->wallSeconds, 2) << "s wall]\n";
   return 0;
 }

@@ -7,15 +7,14 @@
 // TPU utilization) and Fig. 6b (camera instances served per minute) as
 // aligned series, plus acceptance totals.
 //
-// The five variants are independent 20-simulated-minute replays, so they
-// run as a sweep grid: `--threads=5` replays them concurrently; the default
-// --threads=1 is the serial path with byte-identical results.
+// The five variants are independent 20-simulated-minute replays; the bench
+// runs them serially as a sweep grid. `sweep_runner --grid=fig6
+// --threads=N` replays them in parallel and writes the merged document.
 
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "cli_flags.hpp"
 #include "metrics/report.hpp"
 #include "sweep/drivers.hpp"
 #include "sweep/runner.hpp"
@@ -23,29 +22,10 @@
 
 using namespace microedge;
 
-namespace {
-
-void usage() { std::cerr << "usage: bench_fig6_trace [--threads=N]\n"; }
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  unsigned threads = 1;  // serial path by default; --threads=N parallelizes
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const std::string prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      threads = unsignedFlag<unsigned>("bench_fig6_trace", "threads",
-                                       arg.substr(prefix.size()), usage);
-    }
-  }
-
+int main() {
   SweepGrid grid = fig6SweepGrid();
   StatusOr<SweepPointFn> driver = findSweepDriver(grid.driver());
-  SweepOptions options;
-  options.threads = threads;
-  options.progress = threads > 1;
-  StatusOr<SweepReport> report = runSweep(grid, *driver, options);
+  StatusOr<SweepReport> report = runSweep(grid, *driver, SweepOptions{});
   if (!report.isOk()) {
     std::cerr << "fig6 sweep failed: " << report.status().toString() << "\n";
     return 1;
@@ -111,8 +91,7 @@ int main(int argc, char** argv) {
                "(a TPU hosting multiple models serves more streams than one\n"
                "stream spread over many TPUs).\n";
 
-  std::cerr << "\n[" << report->totalPoints << " grid points, " << threads
-            << " thread(s), " << fmtDouble(report->wallSeconds, 2)
-            << "s wall]\n";
+  std::cerr << "\n[" << report->totalPoints << " grid points, "
+            << fmtDouble(report->wallSeconds, 2) << "s wall]\n";
   return 0;
 }

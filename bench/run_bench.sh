@@ -10,9 +10,9 @@
 #                     completion latency and allocs/frame with the injector
 #                     off vs armed-idle vs actively firing (-> BENCH_chaos.json)
 #   BENCH_SWEEP=1     (default) run the experiment-sweep suite: the Fig. 5
-#                     grid through the work-stealing sweep runner
+#                     grid through the sweep runner
 #                     (-> BENCH_sweep.json, deterministically merged — the
-#                     bytes are identical for any thread/shard count)
+#                     bytes are identical for any thread count)
 #   BENCH_SWEEP_GRID=fig5      built-in grid or JSON grid file for the sweep
 #   BENCH_SWEEP_THREADS=nproc  sweep worker threads
 #   BENCH_SHARDSIM=1  (default) run the sharded-simulation sweep: simulated
@@ -90,8 +90,8 @@ if [[ "${BENCH_OVERLOAD:-0}" == "1" ]]; then
 fi
 
 # Experiment sweep (src/sweep/): not a google-benchmark suite — the binary
-# runs a grid of independent Simulator experiments across a work-stealing
-# pool and writes one deterministically merged JSON document.
+# runs a grid of independent Simulator experiments on worker threads and
+# writes one deterministically merged JSON document.
 if [[ "${BENCH_SWEEP:-1}" == "1" ]]; then
   SWEEP_BIN="${BUILD_DIR}/bench/sweep_runner"
   if [[ ! -x "${SWEEP_BIN}" ]]; then
@@ -102,8 +102,7 @@ if [[ "${BENCH_SWEEP:-1}" == "1" ]]; then
     --grid="${BENCH_SWEEP_GRID:-fig5}" \
     --threads="${BENCH_SWEEP_THREADS:-$(nproc)}" \
     --out="${SWEEP_OUT}" \
-    --manifest=none \
-    --quiet
+    --manifest=none
   echo "wrote ${SWEEP_OUT}"
 fi
 

@@ -1,14 +1,14 @@
-// sweep_runner — CLI front end of the parallel experiment-sweep subsystem.
+// sweep_runner — CLI front end of the experiment-sweep subsystem.
 //
-// Runs a built-in grid (fig5 | fig6 | smoke) or a JSON grid file through the
-// work-stealing SweepRunner and writes the deterministically merged result:
+// Runs a built-in grid (fig5 | fig6 | smoke | scenario) or a JSON grid file
+// on --threads workers and writes the deterministically merged result:
 //
 //   sweep_runner --grid=fig5 --threads=8 --out=BENCH_sweep.json
 //   sweep_runner --grid=grid.json --resume
 //
 // The merged output is byte-identical for any --threads count (and across
-// interrupted + resumed histories), so two invocations can be compared with
-// cmp(1) — CI does exactly that.
+// interrupted + resumed histories); the `figures` ctest label compares it
+// with committed goldens. The run's summary goes to stderr.
 
 #include <cstdlib>
 #include <iostream>
@@ -27,8 +27,8 @@ namespace {
 void usage() {
   std::cerr <<
       "usage: sweep_runner [options]\n"
-      "  --grid=NAME|FILE   built-in grid (fig5|fig6|smoke) or JSON grid\n"
-      "                     file (default fig5)\n"
+      "  --grid=NAME|FILE   built-in grid (fig5|fig6|smoke|scenario) or JSON\n"
+      "                     grid file (default fig5)\n"
       "  --threads=N        worker threads (default: hardware concurrency;\n"
       "                     1 = serial path, 0 = auto — clamp to the\n"
       "                     machine's hardware concurrency)\n"
@@ -36,8 +36,6 @@ void usage() {
       "  --manifest=PATH    checkpoint manifest (default <out>.manifest.jsonl,\n"
       "                     'none' disables checkpointing)\n"
       "  --resume           fold an existing manifest in; run missing points\n"
-      "  --max-points=N     stop after N new points (simulated interruption)\n"
-      "  --quiet            no wall-clock progress lines\n"
       "  --dump-grid        print the grid JSON and exit\n";
 }
 
@@ -57,9 +55,7 @@ int main(int argc, char** argv) {
   std::string manifestPath;  // empty = derive from outPath
   unsigned threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
-  std::size_t maxPoints = 0;
   bool resume = false;
-  bool quiet = false;
   bool dumpGrid = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -78,13 +74,8 @@ int main(int argc, char** argv) {
       outPath = value;
     } else if (parseFlag(arg, "manifest", &value)) {
       manifestPath = value;
-    } else if (parseFlag(arg, "max-points", &value)) {
-      maxPoints =
-          unsignedFlag<std::size_t>("sweep_runner", "max-points", value, usage);
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
     } else if (arg == "--dump-grid") {
       dumpGrid = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -138,8 +129,6 @@ int main(int argc, char** argv) {
           : (manifestPath.empty() ? outPath + ".manifest.jsonl"
                                   : manifestPath);
   options.resume = resume;
-  options.maxNewPoints = maxPoints;
-  options.progress = !quiet;
 
   StatusOr<SweepReport> report = runSweep(grid, *driver, options);
   if (!report.isOk()) {
@@ -149,13 +138,8 @@ int main(int argc, char** argv) {
 
   std::cerr << "sweep " << grid.name() << ": " << report->ran << " run + "
             << report->resumed << " resumed of " << report->totalPoints
-            << " points, " << threads << " thread(s), " << report->stolen
-            << " stolen, " << fmtDouble(report->wallSeconds, 2) << "s wall\n";
-  if (!report->complete) {
-    std::cerr << "sweep " << grid.name()
-              << ": interrupted (resume with --resume)\n";
-    return 3;
-  }
+            << " points, " << threads << " thread(s), "
+            << fmtDouble(report->wallSeconds, 2) << "s wall\n";
   std::cerr << "wrote " << outPath << "\n";
   return 0;
 }

@@ -2,11 +2,12 @@
 
 // Checkpoint manifest for resumable sweeps.
 //
-// A sweep over a real grid is minutes-to-hours of wall clock; an
-// interrupted run must not re-pay the points that already finished. The
-// manifest is an append-only JSONL file next to the output: line one is a
-// header binding it to a grid fingerprint, every following line is one
-// completed point with its full result:
+// The built-in grids finish in about a second, but a grid file can name up
+// to kMaxSweepPoints points of any horizon, and a run that is killed part
+// way must not re-pay the points that already finished. The manifest is an
+// append-only JSONL file next to the output: line one is a header binding
+// it to a grid fingerprint, every following line is one completed point
+// with its full result:
 //
 //   {"sweep_manifest": 1, "grid": "fig5", "fingerprint": "9c0f..."}
 //   {"i": 3, "result": {...}}
@@ -40,8 +41,6 @@ class SweepManifest {
   };
 
   explicit SweepManifest(std::string path) : path_(std::move(path)) {}
-
-  const std::string& path() const { return path_; }
 
   // Reads completed entries from an existing manifest. Missing file is not
   // an error (fresh sweep: no entries). A fingerprint mismatch *is*: the

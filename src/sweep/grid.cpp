@@ -37,6 +37,15 @@ SweepGrid SweepGrid::explicitPoints(std::string name,
   return grid;
 }
 
+namespace {
+
+Status tooManyPoints() {
+  return invalidArgument(
+      strCat("sweep grid: more than ", kMaxSweepPoints, " points"));
+}
+
+}  // namespace
+
 StatusOr<SweepGrid> SweepGrid::fromJson(const JsonValue& spec) {
   if (!spec.isObject()) return invalidArgument("sweep grid: not an object");
   SweepGrid grid;
@@ -53,6 +62,7 @@ StatusOr<SweepGrid> SweepGrid::fromJson(const JsonValue& spec) {
     if (!points->isArray() || points->items().empty()) {
       return invalidArgument("sweep grid: \"points\" must be a non-empty array");
     }
+    if (points->size() > kMaxSweepPoints) return tooManyPoints();
     for (const JsonValue& p : points->items()) {
       if (!p.isObject()) {
         return invalidArgument("sweep grid: every point must be an object");
@@ -64,6 +74,7 @@ StatusOr<SweepGrid> SweepGrid::fromJson(const JsonValue& spec) {
   if (axes == nullptr || !axes->isArray() || axes->items().empty()) {
     return invalidArgument("sweep grid: missing \"axes\" (or \"points\")");
   }
+  std::size_t count = 1;
   for (const JsonValue& axis : axes->items()) {
     const JsonValue* values = axis.find("values");
     std::string axisName = axis.getString("name", "");
@@ -72,6 +83,9 @@ StatusOr<SweepGrid> SweepGrid::fromJson(const JsonValue& spec) {
       return invalidArgument(
           "sweep grid: each axis needs a name and non-empty values");
     }
+    // Divided, not multiplied, so the product cannot wrap.
+    if (values->size() > kMaxSweepPoints / count) return tooManyPoints();
+    count *= values->size();
     grid.axes_.push_back(Axis{std::move(axisName), values->items()});
   }
   return grid;

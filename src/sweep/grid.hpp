@@ -60,6 +60,10 @@ struct SweepPoint {
   }
 };
 
+// Most points a grid may hold. The runner keeps one result slot per point
+// in memory; the built-in grids hold at most 24.
+inline constexpr std::size_t kMaxSweepPoints = std::size_t{1} << 20;
+
 // splitMix64 chained over the base seed and the point's coordinates.
 std::uint64_t deriveSweepSeed(std::uint64_t baseSeed,
                               const std::vector<std::size_t>& coords);
@@ -80,6 +84,8 @@ class SweepGrid {
                                   std::vector<JsonValue> points,
                                   std::uint64_t baseSeed = 0);
 
+  // InvalidArgument on a malformed spec, or one naming more than
+  // kMaxSweepPoints points.
   static StatusOr<SweepGrid> fromJson(const JsonValue& spec);
   static StatusOr<SweepGrid> fromJsonText(std::string_view text);
   JsonValue toJson() const;
@@ -92,8 +98,6 @@ class SweepGrid {
   const std::string& driver() const { return driver_; }
   void setDriver(std::string driver) { driver_ = std::move(driver); }
   std::uint64_t baseSeed() const { return baseSeed_; }
-  const std::vector<Axis>& axes() const { return axes_; }
-  bool isExplicit() const { return !points_.empty(); }
 
   std::size_t pointCount() const;
   // Materializes point `index` (coords, merged values, derived seed).

@@ -3,27 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <fstream>
-#include <iostream>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "sweep/thread_pool.hpp"
 #include "util/intern.hpp"
 #include "util/strings.hpp"
 
 namespace microedge {
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double secondsSince(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
 
 // One completed point, fully described (config + seed are embedded so the
 // merged file is self-contained and replayable).
@@ -36,75 +25,11 @@ JsonValue pointDocument(SweepPoint point, JsonValue result) {
   return p;
 }
 
-// Once-a-second completed/total + ETA lines while workers run. Joined (and
-// thereby quiesced) before any result is read, so it needs nothing beyond
-// one atomic counter.
-class ProgressReporter {
- public:
-  ProgressReporter(std::ostream& out, std::string label, std::size_t total,
-                   std::size_t resumed, const std::atomic<std::size_t>& done)
-      : out_(out),
-        label_(std::move(label)),
-        total_(total),
-        resumed_(resumed),
-        done_(done),
-        start_(WallClock::now()),
-        thread_([this] { loop(); }) {}
-
-  ~ProgressReporter() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    print();  // final line: 100% with the total wall time
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, std::chrono::seconds(1),
-                         [this] { return stop_; })) {
-      print();
-    }
-  }
-
-  void print() {
-    const std::size_t done = done_.load(std::memory_order_relaxed);
-    const double elapsed = secondsSince(start_);
-    std::string line = strCat("sweep ", label_, ": ", resumed_ + done, "/",
-                              total_, " points");
-    if (resumed_ > 0) line += strCat(" (", resumed_, " resumed)");
-    line += strCat(", ", fmtDouble(elapsed, 1), "s elapsed");
-    const std::size_t remaining = total_ - resumed_ - done;
-    if (done > 0 && remaining > 0) {
-      line += strCat(", eta ",
-                     fmtDouble(elapsed / static_cast<double>(done) *
-                                   static_cast<double>(remaining),
-                               1),
-                     "s");
-    }
-    out_ << line << "\n";
-  }
-
-  std::ostream& out_;
-  std::string label_;
-  std::size_t total_;
-  std::size_t resumed_;
-  const std::atomic<std::size_t>& done_;
-  WallClock::time_point start_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
 StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
                                const SweepOptions& options) {
-  const auto start = WallClock::now();
+  const auto start = std::chrono::steady_clock::now();
   const std::size_t total = grid.pointCount();
   if (total == 0) return invalidArgument("sweep: empty grid");
   const std::string fingerprint = grid.fingerprint();
@@ -112,14 +37,13 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
   SweepReport report;
   report.totalPoints = total;
 
-  // Per-point result slots. A slot is written by exactly one worker task
-  // (or prefilled from the manifest before workers start) and read only
-  // after the pool joins — no locking, no ordering sensitivity.
+  // Per-point result slots. A slot is written by exactly one worker (or
+  // prefilled from the manifest before workers start) and read only after
+  // the workers join — no locking, no ordering sensitivity.
   std::vector<JsonValue> slots(total);
   std::vector<char> present(total, 0);
 
-  SweepManifest manifest(options.manifestPath.empty() ? std::string()
-                                                      : options.manifestPath);
+  SweepManifest manifest(options.manifestPath);
   if (!options.manifestPath.empty()) {
     if (options.resume) {
       StatusOr<std::vector<SweepManifest::Entry>> entries =
@@ -144,11 +68,7 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
   for (std::size_t i = 0; i < total; ++i) {
     if (!present[i]) pending.push_back(i);
   }
-  if (options.maxNewPoints > 0 && pending.size() > options.maxNewPoints) {
-    pending.resize(options.maxNewPoints);
-  }
 
-  std::atomic<std::size_t> done{0};
   const bool checkpointing = !options.manifestPath.empty();
   auto runPoint = [&](std::size_t index) {
     // Fresh intern tables for this point: handle values become a pure
@@ -159,33 +79,25 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
     JsonValue result = fn(p);
     if (checkpointing) manifest.append(index, result);
     slots[index] = pointDocument(std::move(p), std::move(result));
-    present[index] = 1;
-    done.fetch_add(1, std::memory_order_relaxed);
   };
-
-  {
-    std::unique_ptr<ProgressReporter> reporter;
-    if (options.progress) {
-      reporter = std::make_unique<ProgressReporter>(
-          options.progressOut != nullptr ? *options.progressOut : std::cerr,
-          grid.name(), total, report.resumed, done);
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t k = next++; k < pending.size(); k = next++) {
+      runPoint(pending[k]);
     }
-    // No more workers than points: an idle worker only spins on steals.
-    WorkStealingPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(options.threads, pending.size())));
-    std::vector<WorkStealingPool::Task> tasks;
-    tasks.reserve(pending.size());
-    for (std::size_t index : pending) {
-      tasks.push_back([&runPoint, index] { runPoint(index); });
-    }
-    pool.run(std::move(tasks));
-    report.stolen = pool.stolenCount();
+  };
+  const std::size_t workers =
+      std::min<std::size_t>(options.threads, pending.size());
+  if (workers <= 1) {
+    worker();
+  } else {
+    // jthreads join on destruction, so the block ends only when every
+    // worker has, even if starting a later one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
   }
-  report.ran = done.load();
-
-  report.complete = report.resumed + report.ran == total;
-  report.wallSeconds = secondsSince(start);
-  if (!report.complete) return report;  // interrupted (maxNewPoints)
+  report.ran = pending.size();
 
   // Merge: the slots in index order, so the document is independent of
   // which worker ran what.
@@ -201,7 +113,9 @@ StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
     ME_RETURN_IF_ERROR(
         writeTextFile(options.outPath, report.merged.dump(2) + "\n"));
   }
-  report.wallSeconds = secondsSince(start);
+  report.wallSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
   return report;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
-// SweepRunner: turns a SweepGrid into work-stolen units of independent
-// Simulator runs and merges the per-point results deterministically into
-// one document:
+// SweepRunner: runs every point of a SweepGrid as an independent Simulator
+// run and merges the per-point results deterministically into one
+// document:
 //
 //   {"sweep": 1, "grid": ..., "fingerprint": ...,
 //    "points": [ {"i": 0, "seed": ..., "config": {...}, "result": {...}},
@@ -10,9 +10,8 @@
 //
 // Determinism contract (the subsystem's reason to exist):
 //   merged_bytes = f(grid, point function)      — nothing else.
-// Thread count, completion order, steals, and interrupted/resumed
-// histories all produce the identical BENCH_sweep.json. Three mechanisms
-// carry that guarantee:
+// Thread count, completion order and resumed histories all produce the
+// identical BENCH_sweep.json. Three mechanisms carry that guarantee:
 //
 //   1. Per-point isolation. Every point runs inside its own InternScope
 //      (fresh intern tables for the worker thread) with a fresh Testbed/
@@ -26,17 +25,17 @@
 //   3. Canonical serialization. util/json prints one spelling per value.
 //
 // The merged document deliberately excludes anything run-dependent (wall
-// clock, thread count); timing lives in the report and the stderr progress
-// lines instead, so two runs can be compared byte for byte.
+// clock, thread count); timing lives in the report instead, so two runs can
+// be compared byte for byte.
 //
-// Work distribution is the WorkStealingPool (tail imbalance across grid
-// points is the real scheduling problem; see thread_pool.hpp). Progress is
-// wall-clock: a reporter thread prints completed/total and an ETA to
-// stderr once a second while workers run.
+// Work distribution: each worker claims the next pending point from one
+// shared counter until none is left. A point is a whole simulation run, so
+// the claim costs nothing next to it, and a worker that drew a cheap point
+// simply claims another — the built-in grids' points differ in cost by up
+// to 4x (fig6) and finish in about a second in total.
 
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -54,7 +53,8 @@ namespace microedge {
 using SweepPointFn = std::function<JsonValue(const SweepPoint&)>;
 
 struct SweepOptions {
-  // 1 = serial path (inline on the calling thread, canonical grid order).
+  // Worker threads, never more than pending points. 0 or 1 runs the points
+  // inline on the calling thread, in canonical grid order.
   unsigned threads = 1;
   // Merged document path; empty = keep the merge in memory only.
   std::string outPath;
@@ -62,23 +62,14 @@ struct SweepOptions {
   std::string manifestPath;
   // Fold a pre-existing manifest in and run only the missing points.
   bool resume = false;
-  // Test hook / simulated kill: run at most this many new points (0 = all).
-  // The sweep then reports complete=false and writes no merged output —
-  // exactly the state an interrupted run leaves behind.
-  std::size_t maxNewPoints = 0;
-  // Wall-clock progress lines (to *progressOut, default std::cerr).
-  bool progress = false;
-  std::ostream* progressOut = nullptr;
 };
 
 struct SweepReport {
   std::size_t totalPoints = 0;
   std::size_t ran = 0;      // executed this run
   std::size_t resumed = 0;  // folded in from the manifest
-  std::size_t stolen = 0;   // tasks that changed workers (pool telemetry)
   double wallSeconds = 0.0;
-  bool complete = false;
-  JsonValue merged;  // valid when complete
+  JsonValue merged;
 };
 
 StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,

@@ -105,10 +105,12 @@ struct ShardedCluster::RackControl {
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     : config_(std::move(config)), zoo_(zoo::standardZoo()) {
-  if (config_.shards < 1 || config_.racks < 1) {
-    setupStatus_ = invalidArgument(
-        strCat("sharded cluster: shards (", config_.shards, ") and racks (",
-               config_.racks, ") must be at least 1"));
+  if (config_.shards < 1 ||
+      config_.shards > ShardedClusterConfig::kMaxShards || config_.racks < 1) {
+    setupStatus_ = invalidArgument(strCat(
+        "sharded cluster: shards (", config_.shards, ") must be 1 to ",
+        ShardedClusterConfig::kMaxShards, " and racks (", config_.racks,
+        ") at least 1"));
     return;
   }
   const int racks = config_.racks;

@@ -85,7 +85,11 @@ struct ScenarioRunConfig {
 // default health tuning and one failover per frame, on default TPU hardware
 // and network (whose base latency is the lookahead).
 struct ShardedClusterConfig {
-  // At least 1 each; anything less fails setupStatus() with InvalidArgument.
+  // Most shards a cluster runs: ShardedSim keeps shards² mailboxes and
+  // starts one thread per shard in every run(). The repo runs at most 8.
+  static constexpr unsigned kMaxShards = 64;
+  // shards in [1, kMaxShards], racks at least 1; anything else fails
+  // setupStatus() with InvalidArgument.
   unsigned shards = 1;
   int racks = 2;
   int tRpisPerRack = 2;

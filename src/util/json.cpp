@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -37,6 +38,14 @@ const JsonValue* JsonValue::find(std::string_view key) const {
     if (m.first == key) return &m.second;
   }
   return nullptr;
+}
+
+std::int64_t JsonValue::asInt() const {
+  if (type_ != Type::kDouble) return int_;
+  if (std::isnan(double_)) return 0;
+  if (double_ >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+  if (double_ < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(double_);
 }
 
 std::int64_t JsonValue::getInt(std::string_view key,

@@ -72,9 +72,10 @@ class JsonValue {
   bool isObject() const { return type_ == Type::kObject; }
 
   bool asBool() const { return bool_; }
-  std::int64_t asInt() const {
-    return type_ == Type::kDouble ? static_cast<std::int64_t>(double_) : int_;
-  }
+  // A double outside int64's range saturates to INT64_MIN/INT64_MAX and NaN
+  // reads as 0 (the bare cast is undefined there), so a range check on the
+  // result sees the value's true sign.
+  std::int64_t asInt() const;
   std::uint64_t asUint() const { return static_cast<std::uint64_t>(asInt()); }
   double asDouble() const {
     return type_ == Type::kInt ? static_cast<double>(int_) : double_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -92,6 +93,25 @@ TEST(JsonValueTest, Int64RoundTripsExactly) {
   auto parsedSeed = JsonValue::parse(s.dump());
   ASSERT_TRUE(parsedSeed.isOk());
   EXPECT_EQ(parsedSeed->asUint(), seed);
+}
+
+TEST(JsonValueTest, AsIntSaturatesOutOfRangeDoubles) {
+  // A grid point's {"tpus": 1e30} must reach the driver's range check as a
+  // huge positive count, not as whatever the undefined cast yields.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(JsonValue(1e30).asInt(), kMax);
+  EXPECT_EQ(JsonValue(-1e30).asInt(), kMin);
+  EXPECT_EQ(JsonValue(0x1p63).asInt(), kMax);
+  EXPECT_EQ(JsonValue(-0x1p63).asInt(), kMin);  // exactly representable
+  EXPECT_EQ(JsonValue(std::nan("")).asInt(), 0);
+  EXPECT_EQ(JsonValue(-2.9).asInt(), -2);  // in range: truncates as before
+
+  // An integer literal past INT64_MAX parses as a double.
+  auto parsed = JsonValue::parse("18446744073709551615");
+  ASSERT_TRUE(parsed.isOk());
+  EXPECT_TRUE(parsed->isDouble());
+  EXPECT_EQ(parsed->asInt(), kMax);
 }
 
 TEST(JsonValueTest, DoubleRoundTripsExactly) {

@@ -1,6 +1,6 @@
-// src/sweep: grid enumeration, seed derivation, the work-stealing runner's
-// determinism contract (merged bytes = f(grid, point function) for any
-// thread/resume history), checkpoint manifests, and the InternScope
+// src/sweep: grid enumeration and its point cap, seed derivation, the
+// runner's determinism contract (merged bytes = f(grid, point function) for
+// any thread/resume history), checkpoint manifests, and the InternScope
 // isolation that makes a worker's run bit-identical to a solo run.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "sweep/drivers.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/thread_pool.hpp"
 #include "util/intern.hpp"
 #include "util/strings.hpp"
 
@@ -76,7 +76,6 @@ TEST(SweepGridTest, ExplicitPointsKeepListOrder) {
   SweepGrid grid =
       SweepGrid::explicitPoints("variants", {p0, p1}, /*baseSeed=*/9);
   ASSERT_EQ(grid.pointCount(), 2u);
-  EXPECT_TRUE(grid.isExplicit());
   EXPECT_EQ(grid.point(0).getString("label", ""), "first");
   EXPECT_EQ(grid.point(1).getString("label", ""), "second");
   // Explicit points are addressed by list position.
@@ -101,6 +100,50 @@ TEST(SweepGridTest, JsonRoundTripPreservesIdentity) {
 
 TEST(SweepGridTest, FromJsonTextRejectsGarbage) {
   EXPECT_FALSE(SweepGrid::fromJsonText("{not json").isOk());
+}
+
+// A cartesian grid spec of `axes` axes with `values` values each.
+JsonValue axesSpec(int axes, int values) {
+  JsonValue list = JsonValue::array();
+  for (int a = 0; a < axes; ++a) {
+    JsonValue axis = JsonValue::object();
+    axis.set("name", strCat("a", a));
+    JsonValue vals = JsonValue::array();
+    for (int v = 0; v < values; ++v) vals.push(v);
+    axis.set("values", std::move(vals));
+    list.push(std::move(axis));
+  }
+  JsonValue spec = JsonValue::object();
+  spec.set("axes", std::move(list));
+  return spec;
+}
+
+void expectTooManyPoints(int axes, int values) {
+  StatusOr<SweepGrid> grid = SweepGrid::fromJson(axesSpec(axes, values));
+  EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument)
+      << axes << " axes of " << values << ": " << grid.status().toString();
+}
+
+// Accepted, the runner would ask for one result slot per point.
+TEST(SweepGridTest, TwoToTheFortyPointsAreRejected) {
+  expectTooManyPoints(40, 2);
+}
+
+// 3^41 exceeds what a std::vector can hold.
+TEST(SweepGridTest, ThreeToTheFortyOnePointsAreRejected) {
+  expectTooManyPoints(41, 3);
+}
+
+// 2^64 wraps to 0 in size_t, which the runner took for an empty grid.
+TEST(SweepGridTest, TwoToTheSixtyFourPointsAreRejectedNotWrapped) {
+  expectTooManyPoints(64, 2);
+}
+
+TEST(SweepGridTest, PointCapIsInclusive) {
+  StatusOr<SweepGrid> atCap = SweepGrid::fromJson(axesSpec(20, 2));
+  ASSERT_TRUE(atCap.isOk()) << atCap.status().toString();
+  EXPECT_EQ(atCap->pointCount(), kMaxSweepPoints);
+  expectTooManyPoints(21, 2);
 }
 
 TEST(SweepGridTest, FingerprintSeparatesGrids) {
@@ -130,35 +173,35 @@ TEST(SweepGridTest, SeedDerivationIsCoordinatePure) {
   EXPECT_EQ(seeds.size(), grid.pointCount());  // all distinct
 }
 
-// ---------------------------------------------------------------- pool --
+// -------------------------------------------------------------- runner --
 
-TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnce) {
+TEST(SweepRunnerTest, RunsEveryPointExactlyOnce) {
+  std::vector<JsonValue> values;
+  for (int k = 0; k < 64; ++k) values.emplace_back(k);
+  SweepGrid grid =
+      SweepGrid::cartesian("once", {SweepGrid::Axis{"k", std::move(values)}});
   for (unsigned threads : {1u, 2u, 8u}) {
-    std::atomic<int> calls{0};
-    std::vector<std::atomic<int>> per(64);
-    std::vector<WorkStealingPool::Task> tasks;
-    for (std::size_t i = 0; i < per.size(); ++i) {
-      tasks.push_back([&, i] {
-        per[i].fetch_add(1);
-        calls.fetch_add(1);
-      });
-    }
-    WorkStealingPool pool(threads);
-    pool.run(std::move(tasks));
-    EXPECT_EQ(calls.load(), 64) << threads << " threads";
-    for (std::size_t i = 0; i < per.size(); ++i) {
-      EXPECT_EQ(per[i].load(), 1) << "task " << i;
+    std::vector<std::atomic<int>> calls(grid.pointCount());
+    SweepPointFn counting = [&](const SweepPoint& p) {
+      calls[p.index].fetch_add(1);
+      return JsonValue(p.getInt("k", -1));
+    };
+    SweepOptions options;
+    options.threads = threads;
+    auto report = runSweep(grid, counting, options);
+    ASSERT_TRUE(report.isOk()) << report.status().toString();
+    EXPECT_EQ(report->ran, grid.pointCount()) << threads << " threads";
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "point " << i << ", " << threads
+                                    << " threads";
     }
   }
 }
-
-// -------------------------------------------------------------- runner --
 
 TEST(SweepRunnerTest, SerialRunProducesCanonicalMerge) {
   SweepOptions options;  // threads=1, in-memory
   auto report = runSweep(testGrid(), syntheticPoint, options);
   ASSERT_TRUE(report.isOk());
-  EXPECT_TRUE(report->complete);
   EXPECT_EQ(report->ran, 6u);
   EXPECT_EQ(report->resumed, 0u);
 
@@ -193,7 +236,6 @@ TEST(SweepRunnerTest, MergedBytesIdenticalAcrossThreads) {
     options.outPath = out;
     auto report = runSweep(testGrid(), syntheticPoint, options);
     ASSERT_TRUE(report.isOk()) << report.status().toString();
-    ASSERT_TRUE(report->complete);
     auto bytes = readTextFile(out);
     ASSERT_TRUE(bytes.isOk());
     if (reference.empty()) {
@@ -206,44 +248,49 @@ TEST(SweepRunnerTest, MergedBytesIdenticalAcrossThreads) {
 }
 
 TEST(SweepRunnerTest, InterruptedThenResumedRunIsByteIdentical) {
-  // Fresh reference run.
+  // A checkpointed run: its merged file is the reference, its manifest the
+  // material for the state a kill leaves behind.
   std::string refOut = tempPath("resume_ref.json");
+  std::string manifest = tempPath("resume.json.manifest.jsonl");
   SweepOptions ref;
+  ref.threads = 2;
   ref.outPath = refOut;
+  ref.manifestPath = manifest;
   ASSERT_TRUE(runSweep(testGrid(), syntheticPoint, ref).isOk());
 
-  // Interrupted run: 3 of 6 points, then a simulated kill.
+  // Killed while appending the fourth point: the header, three whole lines
+  // and a torn fourth with no newline.
+  auto written = readTextFile(manifest);
+  ASSERT_TRUE(written.isOk());
+  std::istringstream lines(*written);
+  std::string kept;
+  std::string line;
+  for (int n = 0; n < 4; ++n) {
+    ASSERT_TRUE(std::getline(lines, line));
+    kept += line + "\n";
+  }
+  ASSERT_TRUE(std::getline(lines, line));
+  kept += line.substr(0, line.size() / 2);
+  ASSERT_TRUE(writeTextFile(manifest, kept).isOk());
+
+  // Resume: exactly the three missing points run, and the bytes match the
+  // fresh run.
   std::string out = tempPath("resume.json");
-  std::string manifest = tempPath("resume.json.manifest.jsonl");
   std::atomic<int> calls{0};
   SweepPointFn counting = [&](const SweepPoint& p) {
     calls.fetch_add(1);
     return syntheticPoint(p);
   };
-  SweepOptions first;
-  first.threads = 2;
-  first.outPath = out;
-  first.manifestPath = manifest;
-  first.maxNewPoints = 3;
-  auto interrupted = runSweep(testGrid(), counting, first);
-  ASSERT_TRUE(interrupted.isOk());
-  EXPECT_FALSE(interrupted->complete);
-  EXPECT_EQ(interrupted->ran, 3u);
-  EXPECT_EQ(calls.load(), 3);
-  EXPECT_FALSE(readTextFile(out).isOk());  // no partial merged output
-
-  // Resume: only the missing points run, and the bytes match the fresh run.
-  SweepOptions second;
-  second.threads = 2;
-  second.outPath = out;
-  second.manifestPath = manifest;
-  second.resume = true;
-  auto resumed = runSweep(testGrid(), counting, second);
+  SweepOptions resume;
+  resume.threads = 2;
+  resume.outPath = out;
+  resume.manifestPath = manifest;
+  resume.resume = true;
+  auto resumed = runSweep(testGrid(), counting, resume);
   ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
-  EXPECT_TRUE(resumed->complete);
   EXPECT_EQ(resumed->resumed, 3u);
   EXPECT_EQ(resumed->ran, 3u);
-  EXPECT_EQ(calls.load(), 6);  // no point ever ran twice
+  EXPECT_EQ(calls.load(), 3);
 
   auto a = readTextFile(refOut);
   auto b = readTextFile(out);
@@ -260,7 +307,6 @@ TEST(SweepRunnerTest, ResumeWithoutManifestRunsEverything) {
   options.resume = true;  // nothing to fold in: behaves like a fresh run
   auto report = runSweep(testGrid(), syntheticPoint, options);
   ASSERT_TRUE(report.isOk()) << report.status().toString();
-  EXPECT_TRUE(report->complete);
   EXPECT_EQ(report->resumed, 0u);
   EXPECT_EQ(report->ran, 6u);
 }
@@ -370,7 +416,6 @@ TEST(SweepSoloEquivalenceTest, WorkerResultsMatchSoloRuns) {
   options.threads = 8;
   auto report = runSweep(grid, *driver, options);
   ASSERT_TRUE(report.isOk()) << report.status().toString();
-  ASSERT_TRUE(report->complete);
   const auto& points = report->merged.find("points")->items();
   ASSERT_EQ(points.size(), grid.pointCount());
 
@@ -484,7 +529,9 @@ TEST(SweepDriversTest, TraceOutOfRangeNumbersAreInBandErrors) {
 
 TEST(SweepDriversTest, ScenarioOutOfRangeNumbersAreInBandErrors) {
   // shards is checked before its unsigned cast: -1 must not become
-  // 4,294,967,295 shards.
+  // 4,294,967,295 shards. Past ShardedClusterConfig::kMaxShards the
+  // cluster's setup refuses it: 100000 shards would allocate 10^10
+  // mailboxes.
   JsonValue base = JsonValue::object();
   base.set("racks", 1);
   base.set("vrpis_per_rack", 1);
@@ -492,11 +539,31 @@ TEST(SweepDriversTest, ScenarioOutOfRangeNumbersAreInBandErrors) {
   expectEachIsAnInBandError(
       "scenario", base,
       {{"shards", JsonValue(-1)}, {"shards", JsonValue(0)},
+       {"shards", JsonValue(65)}, {"shards", JsonValue(100000)},
        {"racks", JsonValue(0)}, {"racks", JsonValue(-2)},
        {"vrpis_per_rack", JsonValue(0)}, {"streams_per_vrpi", JsonValue(-3)},
        {"streams_per_vrpi", JsonValue(0)}, {"slo_ms", JsonValue(-5.0)},
        {"slo_ms", JsonValue(0.0)}, {"fps", JsonValue(0.0)},
        {"peak", JsonValue(-2.0)}});
+}
+
+TEST(SweepDriversTest, HugeIntegerFieldIsRejectedWithItsSign) {
+  // 1e30, and an integer literal past INT64_MAX (which parses as a double),
+  // saturate: the range check names INT64_MAX, not the negative number a
+  // bare double-to-int64 cast gives on x86.
+  JsonValue e30 = JsonValue::object();
+  e30.set("tpus", 1e30);
+  auto literal = JsonValue::parse(R"({"tpus": 18446744073709551615})");
+  ASSERT_TRUE(literal.isOk());
+  for (const JsonValue& values : {e30, *literal}) {
+    JsonValue result = runDriverPoint("scalability", values);
+    const JsonValue* error = result.find("error");
+    ASSERT_NE(error, nullptr) << result.dump();
+    EXPECT_NE(error->asString().find(
+                  "tpus must be an integer >= 1, got 9223372036854775807"),
+              std::string::npos)
+        << error->asString();
+  }
 }
 
 // A duration past SimDuration's range (int64 ns, about 292 years) is an
