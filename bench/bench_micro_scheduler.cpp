@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the control-plane hot paths:
-//   - Algorithm 1 admission at pool sizes up to 65536 (the §4.2 scaling
-//     claim: the incremental packing indexes make a single admission
-//     O(log M) where a linear scan would be O(M));
+//   - Algorithm 1 admission at pool sizes up to 65536. Admission walks the
+//     pool linearly (TpuPool::scan), so one admission is O(M); the pools the
+//     system packs hold at most 24 TPUs, and the large sizes keep the cost
+//     of that linear walk visible;
 //   - admit/release churn (steady-state pool turnover);
 //   - workload-partitioned admission;
 //   - smooth-WRR routing;
@@ -12,7 +13,7 @@
 // Setup (pool construction, pre-fill) happens once per pool size outside the
 // timing loop; the measured region is a steady-state admit+release pair so
 // pool state is identical across iterations. No PauseTiming/ResumeTiming —
-// its per-iteration overhead (~100ns+) would dominate an indexed admission.
+// its per-iteration overhead (~100ns+) would dominate a small-pool admission.
 
 #include <benchmark/benchmark.h>
 
@@ -30,8 +31,8 @@ namespace microedge {
 namespace {
 
 // Builds a pool of `tpus` TPUs with all but the last filled to 900 milli, so
-// a 500-milli First-Fit admission must skip M-1 candidates (the worst case
-// for a linear scan, one firstAtLeast() for the segment tree).
+// a 500-milli First-Fit admission must skip M-1 candidates: the worst case
+// for Algorithm 1's linear scan, which visits every TPU once.
 TpuPool makeFilledPool(int tpus, const ModelRegistry& zoo) {
   TpuPool pool;
   for (int i = 0; i < tpus; ++i) {
@@ -86,8 +87,8 @@ BENCHMARK(BM_AdmissionBestFit)
     ->Complexity();
 
 // Steady-state churn: the pool is pre-filled with pods of mixed sizes; each
-// iteration releases the oldest and admits a replacement, exercising the
-// index update path (bucket moves / segment-tree updates) on every step.
+// iteration releases the oldest and admits a replacement, so every step
+// changes loads and rescans the pool.
 void BM_AdmissionChurn(benchmark::State& state) {
   ModelRegistry zoo = zoo::standardZoo();
   const auto tpus = static_cast<int>(state.range(0));

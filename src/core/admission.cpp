@@ -65,11 +65,9 @@ std::optional<AdmitResult> AdmissionController::placeSingle(
 StatusOr<AdmitResult> AdmissionController::admitSingle(std::uint64_t podUid,
                                                        const ModelInfo& model,
                                                        TpuUnit units) {
-  // O(log M) per candidate: the cursor only yields TPUs whose residual
-  // already satisfies the TPU Units Rule.
-  auto cursor = pool_.scan(config_.strategy, units, nextFitCursor_);
-  for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
-       index = cursor.next()) {
+  // The scan yields only TPUs whose residual satisfies the TPU Units Rule.
+  for (std::size_t index :
+       pool_.scan(config_.strategy, units, nextFitCursor_)) {
     if (!modelAllowedOn(pool_.tpus()[index], model)) continue;
     if (auto result = placeSingle(index, podUid, model, units)) {
       return std::move(*result);
@@ -90,10 +88,8 @@ StatusOr<AdmitResult> AdmissionController::admitPartitioned(
   std::vector<PlannedShare> planned;
   TpuUnit remaining = units;
   // Any TPU with at least one free milli-unit is a candidate.
-  auto cursor =
-      pool_.scan(config_.strategy, TpuUnit::fromMilli(1), nextFitCursor_);
-  for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
-       index = cursor.next()) {
+  for (std::size_t index : pool_.scan(config_.strategy, TpuUnit::fromMilli(1),
+                                      nextFitCursor_)) {
     const TpuState& tpu = pool_.tpus()[index];
     if (!modelAllowedOn(tpu, model)) continue;
     const TpuUnit wp = TpuUnit::min(remaining, tpu.freeUnits());

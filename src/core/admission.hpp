@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/cocompiler.hpp"
-#include "core/packing_strategy.hpp"
 #include "core/tpu_state.hpp"
 #include "core/tpu_units.hpp"
 #include "models/registry.hpp"

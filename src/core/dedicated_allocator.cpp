@@ -19,13 +19,11 @@ StatusOr<AdmitResult> DedicatedAllocator::admit(std::uint64_t podUid,
   // Integral TPU count: 0.35 -> 1 TPU, 1.2 -> 2 TPUs.
   auto needed = static_cast<std::size_t>((units.milli() + 999) / 1000);
 
-  // First-Fit over fully-idle TPUs: the index yields exactly the TPUs with
-  // residual 1000 milli, in pool order — the same walk as a linear scan
-  // without visiting loaded TPUs.
+  // First-Fit over fully-idle TPUs: the scan yields the TPUs with a whole
+  // unit free, in pool order.
   std::vector<TpuState*> free;
-  auto cursor = pool_.scan(PackingStrategy::kFirstFit, TpuUnit::full());
-  for (std::uint32_t index = cursor.next(); index != TpuPool::npos;
-       index = cursor.next()) {
+  for (std::size_t index : pool_.scan(PackingStrategy::kFirstFit,
+                                      TpuUnit::full())) {
     TpuState& tpu = pool_.tpus()[index];
     if (tpu.liveModelCount() != 0) continue;
     free.push_back(&tpu);

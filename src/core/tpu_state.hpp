@@ -9,20 +9,15 @@
 // reference counts; zero-reference models remain resident (and consume no
 // accountable memory) until the next co-compile excludes them.
 //
-// All hot state is keyed by interned dense ids (util/intern.hpp): model
-// reference counts are a small dense vector of ModelId entries instead of a
-// map<string, int>, and the pool maintains incremental packing indexes
-// (core/packing_index.hpp) that are updated in place whenever a TPU's load
-// changes, so the admission scan is O(log M) instead of O(M). Names enter
-// only where a TPU joins or leaves the pool (addTpu, removeTpu).
+// Model reference counts are keyed by interned dense ids (util/intern.hpp):
+// a small dense vector of ModelId entries instead of a map<string, int>.
+// Names enter only where a TPU joins or leaves the pool (addTpu, removeTpu).
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/packing_index.hpp"
 #include "core/tpu_units.hpp"
 #include "models/registry.hpp"
 #include "util/intern.hpp"
@@ -30,8 +25,14 @@
 
 namespace microedge {
 
-class TpuPool;
-
+// Online bin-packing scan orders (§4.2).
+//
+// MicroEdge extends First-Fit (asymptotic approximation ratio 1.7). The
+// alternatives the paper cites — Next-Fit, Best-Fit, Worst-Fit — are
+// implemented for the ablation bench: they all plug into the same admission
+// algorithm by changing the order in which Algorithm 1 scans the TPU pool
+// (and, for Next-Fit, which TPUs it may revisit). TpuPool::scan defines the
+// orders.
 enum class PackingStrategy { kFirstFit, kNextFit, kBestFit, kWorstFit };
 
 std::string_view toString(PackingStrategy strategy);
@@ -41,15 +42,6 @@ class TpuState {
   TpuState(std::string id, double paramCapacityMb)
       : id_(std::move(id)), sym_(internTpu(id_)),
         paramCapacityMb_(paramCapacityMb) {}
-
-  // Copies detach from any owning pool (the copy is standalone bookkeeping;
-  // TpuPool re-binds its elements after copying the whole vector). Moves
-  // keep the binding so vector reallocation inside the owning pool stays
-  // index-maintaining.
-  TpuState(const TpuState& other);
-  TpuState& operator=(const TpuState& other);
-  TpuState(TpuState&&) noexcept = default;
-  TpuState& operator=(TpuState&&) noexcept = default;
 
   const std::string& id() const { return id_; }
   TpuId tpuId() const { return sym_; }
@@ -93,8 +85,6 @@ class TpuState {
   void purgeDeadModels();
 
  private:
-  friend class TpuPool;
-
   // Reference counts in first-load order; zero-count entries linger until
   // purgeDeadModels() (lazy reclamation), so this vector IS the resident
   // order. Live-model sets are tiny (bounded by the 6.9 MB parameter
@@ -106,11 +96,6 @@ class TpuState {
 
   const Ref* findRef(ModelId model) const;
   Ref* findRef(ModelId model);
-  void bind(TpuPool* owner, std::uint32_t pos) {
-    owner_ = owner;
-    pos_ = pos;
-  }
-  void notifyResidual();
 
   std::string id_;
   TpuId sym_;
@@ -118,30 +103,13 @@ class TpuState {
   TpuUnit load_;
   std::vector<Ref> refs_;
   std::uint32_t liveCount_ = 0;
-  // Owning pool (nullptr for standalone states); load changes are pushed to
-  // the pool's packing indexes through this binding.
-  TpuPool* owner_ = nullptr;
-  std::uint32_t pos_ = 0;
 };
 
 // Ordered collection of TPU states; order is the First-Fit scan order.
-//
-// The pool maintains, incrementally on every load change:
-//   - a max-residual segment tree (First/Next-Fit: first TPU at position
-//     >= from with residual >= u, O(log M));
-//   - residual-bucketed free lists (Best/Worst-Fit candidate order without
-//     any per-admission sort);
-//   - an interned-id -> position map (find() is O(1)).
+// Admission walks it linearly, as Algorithm 1 does: the pools the system
+// packs hold at most a few dozen TPUs.
 class TpuPool {
  public:
-  static constexpr std::uint32_t npos = 0xffffffffu;
-
-  TpuPool() = default;
-  TpuPool(const TpuPool& other);
-  TpuPool& operator=(const TpuPool& other);
-  TpuPool(TpuPool&& other) noexcept;
-  TpuPool& operator=(TpuPool&& other) noexcept;
-
   Status addTpu(const std::string& id, double paramCapacityMb);
   Status removeTpu(const std::string& id);
 
@@ -156,60 +124,17 @@ class TpuPool {
   // Number of TPUs with non-zero load (the bin-packing objective K).
   std::size_t usedTpuCount() const;
 
-  // First position >= from whose residual is >= minResidual, or npos.
-  // O(log M) via the segment tree.
-  std::uint32_t firstWithResidualAtLeast(TpuUnit minResidual,
-                                         std::uint32_t from = 0) const;
-
-  // Lazy enumeration of candidate positions in a packing strategy's scan
-  // order, restricted to residual >= minResidual:
+  // Candidate positions in a packing strategy's scan order, keeping only
+  // TPUs with at least `minResidual` free units:
   //  - FirstFit: pool order.
   //  - NextFit:  from `nextFitCursor` onward only (earlier bins are "closed").
   //  - BestFit:  most-loaded first (tightest remaining gap), ties by index.
   //  - WorstFit: least-loaded first, ties by index.
-  // tests/packing_scan_order.hpp materializes the same order naively as the
-  // differential reference. The cursor is invalidated by any pool/load
-  // mutation EXCEPT committing to the most recently returned position (the
-  // admission pattern: place and stop).
-  class ScanCursor {
-   public:
-    // Next candidate position, or TpuPool::npos when exhausted.
-    std::uint32_t next();
-
-   private:
-    friend class TpuPool;
-    ScanCursor(const TpuPool* pool, PackingStrategy strategy,
-               std::int64_t minResidual, std::uint32_t from);
-
-    const TpuPool* pool_;
-    PackingStrategy strategy_;
-    std::int64_t minResidual_;
-    std::uint32_t from_ = 0;  // first/next-fit resume position
-    int bucket_ = -1;         // best/worst-fit current bucket
-    std::set<std::uint32_t>::const_iterator it_;
-    bool inBucket_ = false;
-  };
-
-  ScanCursor scan(PackingStrategy strategy, TpuUnit minResidual,
-                  std::size_t nextFitCursor = 0) const;
-
-  // Test hook: verifies the incremental indexes against the actual states.
-  bool indexConsistent() const;
+  std::vector<std::size_t> scan(PackingStrategy strategy, TpuUnit minResidual,
+                                std::size_t nextFitCursor = 0) const;
 
  private:
-  friend class TpuState;
-
-  static std::int64_t clampedResidual(const TpuState& tpu);
-  void onResidualChanged(std::uint32_t pos);
-  // Re-binds every state and rebuilds all indexes (used after copy/move,
-  // removal, or anything else that renumbers positions).
-  void rebuildIndex();
-
   std::vector<TpuState> tpus_;
-  std::vector<std::int64_t> residual_;  // cached clamped residual per pos
-  ResidualSegTree seg_;
-  LoadBuckets buckets_;
-  std::unordered_map<std::uint32_t, std::uint32_t> posBySym_;
 };
 
 }  // namespace microedge

@@ -1,6 +1,11 @@
 #include "orch/spec.hpp"
 
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
+
 #include "util/strings.hpp"
+#include "util/time.hpp"
 
 namespace microedge {
 
@@ -22,25 +27,38 @@ StatusOr<std::map<std::string, std::string>> readStringMap(
   return out;
 }
 
+// False for NaN, infinity and anything a long cannot hold.
+bool fitsLong(double v) {
+  return v >= static_cast<double>(std::numeric_limits<long>::min()) &&
+         v < static_cast<double>(std::numeric_limits<long>::max());
+}
+
 }  // namespace
+
+bool validTpuUnits(double units) {
+  return units > 0.0 && fitsLong(units * 1000.0);
+}
 
 StatusOr<long> parseCpuMillicores(const std::string& text) {
   if (text.empty()) return invalidArgument("cpu: empty value");
   if (text.back() == 'm') {
     const std::string digits = text.substr(0, text.size() - 1);
     char* end = nullptr;
+    errno = 0;
     long v = std::strtol(digits.c_str(), &end, 10);
-    if (end == digits.c_str() || *end != '\0' || v < 0) {
+    if (end == digits.c_str() || *end != '\0' || v < 0 || errno == ERANGE) {
       return invalidArgument(strCat("cpu: bad millicore value '", text, "'"));
     }
     return v;
   }
   char* end = nullptr;
   double cores = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || cores < 0) {
+  const double millicores = cores * 1000.0 + 0.5;
+  if (end == text.c_str() || *end != '\0' || cores < 0 ||
+      !fitsLong(millicores)) {
     return invalidArgument(strCat("cpu: bad value '", text, "'"));
   }
-  return static_cast<long>(cores * 1000.0 + 0.5);
+  return static_cast<long>(millicores);
 }
 
 StatusOr<long> parseMemoryMb(const std::string& text) {
@@ -58,10 +76,11 @@ StatusOr<long> parseMemoryMb(const std::string& text) {
   }
   char* end = nullptr;
   double v = std::strtod(digits.c_str(), &end);
-  if (end == digits.c_str() || *end != '\0' || v < 0) {
+  const double mb = v * multiplier + 0.5;
+  if (end == digits.c_str() || *end != '\0' || v < 0 || !fitsLong(mb)) {
     return invalidArgument(strCat("memory: bad value '", text, "'"));
   }
-  return static_cast<long>(v * multiplier + 0.5);
+  return static_cast<long>(mb);
 }
 
 StatusOr<PodSpec> podSpecFromYaml(const std::string& yamlText) {
@@ -90,7 +109,9 @@ StatusOr<PodSpec> podSpecFromYaml(const YamlNode& root) {
   if (const YamlNode* fps = root.find("fps"); fps != nullptr) {
     auto v = fps->asDouble();
     if (!v.isOk()) return v.status();
-    if (*v < 0) return invalidArgument("pod spec: fps must be >= 0");
+    if (*v != 0.0 && !fitsFramePeriod(*v)) {
+      return invalidArgument("pod spec: fps must be 0 (unset) or in (0, 1e9]");
+    }
     spec.fps = *v;
   }
 
@@ -117,8 +138,9 @@ StatusOr<PodSpec> podSpecFromYaml(const YamlNode& root) {
     if (units != nullptr) {
       auto v = units->asDouble();
       if (!v.isOk()) return v.status();
-      if (*v <= 0) {
-        return invalidArgument("pod spec: tpu-units must be positive");
+      if (!validTpuUnits(*v)) {
+        return invalidArgument(
+            "pod spec: tpu-units must be positive and fit int64 milli-units");
       }
       if (!model->isScalar() || model->scalar().empty()) {
         return invalidArgument("pod spec: bad 'model'");

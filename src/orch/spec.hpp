@@ -35,6 +35,10 @@ StatusOr<long> parseCpuMillicores(const std::string& text);
 // "256Mi" -> 256, "2Gi" -> 2048, bare number -> MB.
 StatusOr<long> parseMemoryMb(const std::string& text);
 
+// A TPU-units request is positive and its milli-unit count fits int64, the
+// domain of TpuUnit::fromDouble (false for NaN).
+bool validTpuUnits(double units);
+
 // Renders a spec back to YAML (round-trips through podSpecFromYaml).
 std::string podSpecToYaml(const PodSpec& spec);
 

@@ -1,6 +1,7 @@
 #include "orch/yaml.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/strings.hpp"
@@ -221,8 +222,9 @@ StatusOr<double> YamlNode::asDouble() const {
   const char* begin = scalar_.c_str();
   char* end = nullptr;
   double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0') {
-    return invalidArgument(strCat("yaml: '", scalar_, "' is not a number"));
+  if (end == begin || *end != '\0' || !std::isfinite(v)) {
+    return invalidArgument(
+        strCat("yaml: '", scalar_, "' is not a finite number"));
   }
   return v;
 }

@@ -34,6 +34,7 @@ class YamlNode {
 
   // Scalar access.
   const std::string& scalar() const { return scalar_; }
+  // Finite numbers only: "nan" and "inf" are rejected.
   StatusOr<double> asDouble() const;
   StatusOr<long> asLong() const;
   StatusOr<bool> asBool() const;

@@ -1,26 +1,41 @@
 #include "sweep/checkpoint.hpp"
 
+#include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "util/strings.hpp"
 
 namespace microedge {
 
+namespace {
+
+// The manifest's text through its last newline; empty when the file is
+// missing. A final line without its newline is a write a kill tore, even
+// when what landed happens to parse, so it is left out and that point
+// reruns.
+std::string wholeLines(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string text{std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>()};
+  text.erase(text.rfind('\n') + 1);  // npos + 1 == 0: no whole line
+  return text;
+}
+
+}  // namespace
+
 StatusOr<std::vector<SweepManifest::Entry>> SweepManifest::load(
     const std::string& fingerprint, std::size_t pointCount) const {
   std::vector<Entry> entries;
-  std::ifstream in(path_);
-  if (!in.is_open()) return entries;  // no manifest yet: fresh sweep
-
+  std::istringstream in(wholeLines(path_));
   std::string line;
   bool sawHeader = false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     StatusOr<JsonValue> parsed = JsonValue::parse(line);
     if (!parsed.isOk()) {
-      // A truncated tail is the signature of a killed writer; anything
-      // malformed *before* EOF means the file is not ours.
-      if (in.peek() == std::ifstream::traits_type::eof()) break;
+      // Only the final line can be torn, and wholeLines() dropped it: a
+      // whole line that does not parse means the file is not ours.
       return invalidArgument(
           strCat("sweep manifest ", path_, ": corrupt line: ", line));
     }
@@ -40,9 +55,7 @@ StatusOr<std::vector<SweepManifest::Entry>> SweepManifest::load(
       sawHeader = true;
       continue;
     }
-    // Tail tolerance covers only lines that fail to *parse*: a torn write
-    // is a proper prefix of a complete line, which never balances its
-    // braces. A line that parses but names a bad point is real corruption.
+    // A whole line that parses but names a bad point is real corruption.
     const JsonValue* result = v.find("result");
     std::int64_t index = v.getInt("i", -1);
     if (result == nullptr || index < 0 ||
@@ -59,11 +72,18 @@ Status SweepManifest::openForAppend(const std::string& gridName,
                                     const std::string& fingerprint,
                                     bool resume) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool fresh = [&] {
-    if (!resume) return true;
-    std::ifstream probe(path_);
-    return !probe.is_open() || probe.peek() == std::ifstream::traits_type::eof();
-  }();
+  // Resuming keeps the whole lines load() read and cuts off a torn final
+  // one, so the first new entry starts a line of its own.
+  const std::size_t keep = resume ? wholeLines(path_).size() : 0;
+  const bool fresh = keep == 0;
+  if (!fresh) {
+    std::error_code error;
+    std::filesystem::resize_file(path_, keep, error);
+    if (error) {
+      return internalError(strCat("cannot truncate sweep manifest ", path_,
+                                  ": ", error.message()));
+    }
+  }
   out_.open(path_, fresh ? std::ios::trunc : std::ios::app);
   if (!out_.is_open()) {
     return internalError(strCat("cannot open sweep manifest ", path_));

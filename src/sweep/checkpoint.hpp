@@ -18,8 +18,8 @@
 // matter: the runner folds the manifest into its results *slot by point
 // index*, so the merged output of a resumed sweep is byte-identical to an
 // uninterrupted one. A process killed mid-write leaves at most one
-// truncated final line, which load() tolerates by dropping it — that
-// point simply reruns.
+// final line without its newline, which load() drops and a resuming
+// openForAppend() cuts off the file — that point simply reruns.
 
 #include <cstdint>
 #include <fstream>
@@ -46,13 +46,14 @@ class SweepManifest {
   // an error (fresh sweep: no entries). A fingerprint mismatch *is*: the
   // grid changed under the checkpoint, and silently mixing results from
   // two different grids is exactly the corruption this file exists to
-  // prevent. A truncated or garbled trailing line is dropped; a garbled
-  // interior line fails.
+  // prevent. A final line without its newline (a torn write) is dropped;
+  // any other line that does not parse fails.
   StatusOr<std::vector<Entry>> load(const std::string& fingerprint,
                                     std::size_t pointCount) const;
 
-  // Opens for append, writing the header when the file is new/empty.
-  // Pass resume=false to start over (truncates any previous manifest).
+  // Opens for append, writing the header when the file holds no whole
+  // line; on resume a torn final line is cut off first. Pass resume=false
+  // to start over (truncates any previous manifest).
   Status openForAppend(const std::string& gridName,
                        const std::string& fingerprint, bool resume);
 

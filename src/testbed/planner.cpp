@@ -2,8 +2,10 @@
 
 #include "core/dedicated_allocator.hpp"
 #include "metrics/report.hpp"
+#include "orch/spec.hpp"
 #include "orch/yaml.hpp"
 #include "util/strings.hpp"
+#include "util/time.hpp"
 
 namespace microedge {
 
@@ -100,13 +102,16 @@ StatusOr<PlannerScenario> scenarioFromYaml(const std::string& yamlText,
     if (const YamlNode* fps = item.find("fps"); fps != nullptr) {
       auto v = fps->asDouble();
       if (!v.isOk()) return v.status();
-      if (*v <= 0) return invalidArgument(strCat("pod ", pod.name, ": bad fps"));
+      if (!fitsFramePeriod(*v)) {
+        return invalidArgument(
+            strCat("pod ", pod.name, ": fps must be in (0, 1e9]"));
+      }
       pod.fps = *v;
     }
     if (const YamlNode* units = item.find("tpu-units"); units != nullptr) {
       auto v = units->asDouble();
       if (!v.isOk()) return v.status();
-      if (*v <= 0) {
+      if (!validTpuUnits(*v)) {
         return invalidArgument(strCat("pod ", pod.name, ": bad tpu-units"));
       }
       pod.tpuUnits = *v;

@@ -69,7 +69,15 @@ inline constexpr double toSecondsSinceEpoch(SimTime t) {
   return toSeconds(t.time_since_epoch());
 }
 
-// Period of a fixed frame rate, e.g. framePeriod(15.0) == 66.67ms.
+// True when framePeriod(fps) is at least 1 ns, so simulated time advances
+// between frames, and fits SimDuration: 0 < fps <= 1e9 (false for NaN).
+inline bool fitsFramePeriod(double fps) {
+  if (!(fps > 0.0)) return false;
+  const double ns = 1e9 / fps;
+  return ns >= 1.0 && fitsSimDuration(ns);
+}
+// Period of a fixed frame rate, e.g. framePeriod(15.0) == 66.67ms. Defined
+// when fitsFramePeriod(fps) holds.
 inline SimDuration framePeriod(double fps) {
   return SimDuration{static_cast<std::int64_t>(1e9 / fps)};
 }

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/admission.hpp"
-#include "core/packing_strategy.hpp"
 #include "models/zoo.hpp"
-#include "packing_scan_order.hpp"
 
 namespace microedge {
 namespace {
@@ -26,30 +24,36 @@ class PackingOrderTest : public ::testing::Test {
         ->addAllocation(model, TpuUnit::fromDouble(0.8));
   }
 
+  // Every TPU in the fixture has free units, so the 1-milli minimum keeps
+  // them all and the order alone is under test.
+  std::vector<std::size_t> order(PackingStrategy strategy,
+                                 std::size_t nextFitCursor = 0) const {
+    return pool_.scan(strategy, TpuUnit::fromMilli(1), nextFitCursor);
+  }
+
   ModelRegistry zoo_;
   TpuPool pool_;
 };
 
 TEST_F(PackingOrderTest, FirstFitIsPoolOrder) {
-  auto order = packingScanOrder(PackingStrategy::kFirstFit, pool_, 0);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(order(PackingStrategy::kFirstFit),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST_F(PackingOrderTest, NextFitSkipsClosedBins) {
-  auto order = packingScanOrder(PackingStrategy::kNextFit, pool_, 2);
-  EXPECT_EQ(order, (std::vector<std::size_t>{2, 3}));
-  auto past = packingScanOrder(PackingStrategy::kNextFit, pool_, 9);
-  EXPECT_TRUE(past.empty());
+  EXPECT_EQ(order(PackingStrategy::kNextFit, 2),
+            (std::vector<std::size_t>{2, 3}));
+  EXPECT_TRUE(order(PackingStrategy::kNextFit, 9).empty());
 }
 
 TEST_F(PackingOrderTest, BestFitMostLoadedFirst) {
-  auto order = packingScanOrder(PackingStrategy::kBestFit, pool_, 0);
-  EXPECT_EQ(order, (std::vector<std::size_t>{2, 0, 1, 3}));
+  EXPECT_EQ(order(PackingStrategy::kBestFit),
+            (std::vector<std::size_t>{2, 0, 1, 3}));
 }
 
 TEST_F(PackingOrderTest, WorstFitLeastLoadedFirst) {
-  auto order = packingScanOrder(PackingStrategy::kWorstFit, pool_, 0);
-  EXPECT_EQ(order, (std::vector<std::size_t>{3, 1, 0, 2}));
+  EXPECT_EQ(order(PackingStrategy::kWorstFit),
+            (std::vector<std::size_t>{3, 1, 0, 2}));
 }
 
 TEST_F(PackingOrderTest, Names) {

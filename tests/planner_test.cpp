@@ -74,6 +74,32 @@ TEST_F(PlannerTest, ValidationErrors) {
                    .isOk());
 }
 
+TEST_F(PlannerTest, NumbersMustBeFiniteAndFitTheirConversions) {
+  auto parse = [&](const std::string& cluster, const std::string& pod) {
+    return scenarioFromYaml(cluster + "pods:\n  - name: a\n"
+                                      "    model: mobilenet-v1\n" + pod,
+                            registry_);
+  };
+  ASSERT_TRUE(parse("", "    fps: 15\n    tpu-units: 0.5\n").isOk());
+  // A NaN or 1e-300 fps made --simulate re-arm its camera at one instant
+  // forever (the frame period came out negative).
+  for (const char* fps : {"nan", "inf", "-inf", "1e-300", "1e300"}) {
+    EXPECT_FALSE(parse("", std::string("    fps: ") + fps + "\n").isOk())
+        << fps;
+  }
+  for (const char* units : {"nan", "inf", "1e16"}) {
+    EXPECT_FALSE(parse("", std::string("    tpu-units: ") + units + "\n")
+                     .isOk())
+        << units;
+  }
+  for (const char* mem : {"nan", "inf"}) {
+    EXPECT_FALSE(
+        parse(std::string("cluster:\n  param-memory-mb: ") + mem + "\n", "")
+            .isOk())
+        << mem;
+  }
+}
+
 TEST_F(PlannerTest, PlanMatchesAdmissionMath) {
   PlannerScenario scenario;
   scenario.tpus = 2;

@@ -93,24 +93,24 @@ TEST_F(ReclamationTest, ReleaseNow) {
 }
 
 TEST_F(ReclamationTest, ReclaimUpdatesPackingIndexInPlace) {
-  // Pod death -> pollOnce must surface the freed units through the pool's
-  // incremental indexes, not just the TpuState loads.
+  // Pod death -> pollOnce must surface the freed units to the admission
+  // scan, not just the TpuState loads.
   Allocation a = admitPod(1, 0.9);
   ASSERT_EQ(a.shares.size(), 1u);
   const TpuId victimTpu = a.shares[0].tpu;
   // Occupy the other two TPUs as well so no TPU has >= 950 milli free.
   admitPod(2, 0.9);
   admitPod(3, 0.9);
-  ASSERT_EQ(pool_.firstWithResidualAtLeast(TpuUnit::fromMilli(950)),
-            TpuPool::npos);
+  ASSERT_TRUE(
+      pool_.scan(PackingStrategy::kFirstFit, TpuUnit::fromMilli(950)).empty());
 
   reclamation_->pollOnce([](std::uint64_t uid) { return uid != 1; });
 
-  // The freed TPU is immediately visible via the segment tree...
-  std::uint32_t freed = pool_.firstWithResidualAtLeast(TpuUnit::fromMilli(950));
-  ASSERT_NE(freed, TpuPool::npos);
-  EXPECT_EQ(pool_.tpus()[freed].tpuId(), victimTpu);
-  EXPECT_TRUE(pool_.indexConsistent());
+  // The freed TPU is immediately the first First-Fit candidate...
+  std::vector<std::size_t> freed =
+      pool_.scan(PackingStrategy::kFirstFit, TpuUnit::fromMilli(950));
+  ASSERT_FALSE(freed.empty());
+  EXPECT_EQ(pool_.tpus()[freed.front()].tpuId(), victimTpu);
 
   // ...and a re-admission lands on it.
   auto result =
@@ -118,7 +118,6 @@ TEST_F(ReclamationTest, ReclaimUpdatesPackingIndexInPlace) {
   ASSERT_TRUE(result.isOk());
   ASSERT_EQ(result->allocation.shares.size(), 1u);
   EXPECT_EQ(result->allocation.shares[0].tpu, victimTpu);
-  EXPECT_TRUE(pool_.indexConsistent());
 }
 
 TEST_F(ReclamationTest, PurgeAfterReclaimKeepsIndexConsistent) {
@@ -126,13 +125,18 @@ TEST_F(ReclamationTest, PurgeAfterReclaimKeepsIndexConsistent) {
   reclamation_->pollOnce([](std::uint64_t) { return false; });
   TpuState* tpu = pool_.find(lookupTpu("tpu-0"));
   ASSERT_NE(tpu, nullptr);
+  const TpuUnit load = tpu->currentLoad();
+  const std::vector<std::size_t> scanBefore =
+      pool_.scan(PackingStrategy::kBestFit, TpuUnit::fromMilli(1));
   // The model lingers with zero references; purging it touches the resident
-  // set but not the load, so the indexes must stay untouched and consistent.
+  // set but not the load, so the admission scan is unchanged.
   ASSERT_EQ(tpu->residentOrder().size(), 1u);
   tpu->purgeDeadModels();
   EXPECT_TRUE(tpu->residentOrder().empty());
   EXPECT_EQ(tpu->liveModelCount(), 0u);
-  EXPECT_TRUE(pool_.indexConsistent());
+  EXPECT_EQ(tpu->currentLoad().milli(), load.milli());
+  EXPECT_EQ(pool_.scan(PackingStrategy::kBestFit, TpuUnit::fromMilli(1)),
+            scanBefore);
 }
 
 TEST_F(ReclamationTest, CapacityIsReusableAfterReclaim) {

@@ -96,6 +96,46 @@ TEST(SpecTest, NegativeFpsRejected) {
   EXPECT_FALSE(podSpecFromYaml("name: a\nfps: -5\n").isOk());
 }
 
+TEST(SpecTest, NumbersMustBeFiniteAndFitTheirIntegers) {
+  // Casting any of these to long would be undefined; unchecked, they came
+  // out as LONG_MIN millicores or MB.
+  for (const char* cpu : {"1e300", "nan", "inf", "9.3e15",
+                          "99999999999999999999m"}) {
+    EXPECT_FALSE(parseCpuMillicores(cpu).isOk()) << cpu;
+    EXPECT_FALSE(
+        podSpecFromYaml(std::string("name: a\nresources:\n  cpu: ") + cpu)
+            .isOk())
+        << cpu;
+  }
+  for (const char* memory : {"1e300Gi", "nanGi", "nan", "inf", "9.3e18Mi"}) {
+    EXPECT_FALSE(parseMemoryMb(memory).isOk()) << memory;
+    EXPECT_FALSE(podSpecFromYaml(
+                     std::string("name: a\nresources:\n  memory: ") + memory)
+                     .isOk())
+        << memory;
+  }
+  // The largest values that fit still parse.
+  EXPECT_EQ(*parseCpuMillicores("9.2e15"), 9200000000000000000L);
+  EXPECT_EQ(*parseMemoryMb("9.2e18Mi"), 9200000000000000000L);
+
+  // A frame rate must give a frame period of 1 ns to about 292 years.
+  for (const char* fps : {"nan", "inf", "1e-300", "1e300"}) {
+    EXPECT_FALSE(podSpecFromYaml(std::string("name: a\nfps: ") + fps).isOk())
+        << fps;
+  }
+  EXPECT_TRUE(podSpecFromYaml("name: a\nfps: 0\n").isOk());  // unset
+  EXPECT_TRUE(podSpecFromYaml("name: a\nfps: 1e9\n").isOk());
+
+  // TPU units become int64 milli-units.
+  for (const char* units : {"nan", "inf", "1e16"}) {
+    EXPECT_FALSE(podSpecFromYaml(std::string("name: a\nresources:\n"
+                                             "  model: m\n  tpu-units: ") +
+                                 units)
+                     .isOk())
+        << units;
+  }
+}
+
 TEST(SpecTest, RoundTripThroughYaml) {
   auto spec = podSpecFromYaml(std::string(kFullSpec));
   ASSERT_TRUE(spec.isOk());

@@ -297,6 +297,18 @@ TEST(SweepRunnerTest, InterruptedThenResumedRunIsByteIdentical) {
   ASSERT_TRUE(a.isOk());
   ASSERT_TRUE(b.isOk());
   EXPECT_EQ(*a, *b);
+
+  // The resumed manifest is whole again: a second resume runs nothing and
+  // writes the same bytes.
+  calls = 0;
+  auto again = runSweep(testGrid(), counting, resume);
+  ASSERT_TRUE(again.isOk()) << again.status().toString();
+  EXPECT_EQ(again->resumed, 6u);
+  EXPECT_EQ(again->ran, 0u);
+  EXPECT_EQ(calls.load(), 0);
+  auto c = readTextFile(out);
+  ASSERT_TRUE(c.isOk());
+  EXPECT_EQ(*a, *c);
 }
 
 TEST(SweepRunnerTest, ResumeWithoutManifestRunsEverything) {
@@ -338,6 +350,31 @@ TEST(SweepManifestTest, TruncatedTrailingLineIsDropped) {
   ASSERT_EQ(entries->size(), 2u);  // the torn line reruns, not corrupts
   EXPECT_EQ((*entries)[0].pointIndex, 0u);
   EXPECT_EQ((*entries)[1].pointIndex, 4u);
+}
+
+TEST(SweepManifestTest, EntryMissingItsNewlineIsTorn) {
+  // Killed between an entry's last byte and its newline: the line parses,
+  // but the next append would land on it, so it counts as torn.
+  std::string path = tempPath("manifest_nonl.jsonl");
+  SweepManifest manifest(path);
+  ASSERT_TRUE(manifest.openForAppend("unit", "aaaa", false).isOk());
+  manifest.append(0, JsonValue(1));
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "{\"i\": 5, \"result\": 2}";
+  }
+  auto entries = SweepManifest(path).load("aaaa", 6);
+  ASSERT_TRUE(entries.isOk()) << entries.status().toString();
+  ASSERT_EQ(entries->size(), 1u);
+
+  SweepManifest resumed(path);
+  ASSERT_TRUE(resumed.openForAppend("unit", "aaaa", true).isOk());
+  resumed.append(5, JsonValue(3));
+  entries = SweepManifest(path).load("aaaa", 6);
+  ASSERT_TRUE(entries.isOk()) << entries.status().toString();
+  ASSERT_EQ(entries->size(), 2u);
+  EXPECT_EQ((*entries)[1].pointIndex, 5u);
+  EXPECT_EQ((*entries)[1].result.asInt(), 3);
 }
 
 TEST(SweepManifestTest, MissingFileMeansFreshSweep) {

@@ -154,22 +154,25 @@ TEST(TpuPoolTest, IndexTracksDirectMutations) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(pool.addTpu("tpu-" + std::to_string(i), 6.9).isOk());
   }
+  using Order = std::vector<std::size_t>;
   // Mutating a TpuState through the pool (the reclamation/defrag pattern)
-  // must keep the incremental indexes in sync without an explicit rebuild.
+  // shows in the next scan without any rebuild step.
   pool.find(lookupTpu("tpu-1"))->addAllocation(internModel(zoo::kMobileNetV1),
                                     TpuUnit::fromMilli(800));
   pool.find(lookupTpu("tpu-2"))->addAllocation(internModel(zoo::kMobileNetV1),
                                     TpuUnit::fromMilli(400));
-  EXPECT_TRUE(pool.indexConsistent());
-  EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(700)), 0u);
-  EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(700), 1), 3u);
-  EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(600), 1), 2u);
+  EXPECT_EQ(pool.scan(PackingStrategy::kFirstFit, TpuUnit::fromMilli(700)),
+            (Order{0, 3}));
+  EXPECT_EQ(pool.scan(PackingStrategy::kNextFit, TpuUnit::fromMilli(700), 1),
+            (Order{3}));
+  EXPECT_EQ(pool.scan(PackingStrategy::kNextFit, TpuUnit::fromMilli(600), 1),
+            (Order{2, 3}));
   ASSERT_TRUE(pool.find(lookupTpu("tpu-1"))
                   ->removeAllocation(internModel(zoo::kMobileNetV1),
                                      TpuUnit::fromMilli(800))
                   .isOk());
-  EXPECT_EQ(pool.firstWithResidualAtLeast(TpuUnit::fromMilli(601), 1), 1u);
-  EXPECT_TRUE(pool.indexConsistent());
+  EXPECT_EQ(pool.scan(PackingStrategy::kNextFit, TpuUnit::fromMilli(601), 1),
+            (Order{1, 3}));
 }
 
 TEST(TpuPoolTest, IndexSurvivesRemoveCopyAndMove) {
@@ -178,24 +181,31 @@ TEST(TpuPoolTest, IndexSurvivesRemoveCopyAndMove) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pool.addTpu("tpu-" + std::to_string(i), 6.9).isOk());
   }
+  using Order = std::vector<std::size_t>;
   pool.find(lookupTpu("tpu-3"))->addAllocation(internModel(zoo::kMobileNetV1),
                                                TpuUnit::fromMilli(900));
   ASSERT_TRUE(pool.removeTpu("tpu-1").isOk());
-  EXPECT_TRUE(pool.indexConsistent());
+  EXPECT_EQ(pool.find(lookupTpu("tpu-1")), nullptr);
+  // tpu-3 moved up to position 2 and keeps its load.
+  EXPECT_EQ(pool.scan(PackingStrategy::kBestFit, TpuUnit::fromMilli(1)),
+            (Order{2, 0, 1, 3}));
 
-  // Copies (the defragmenter's rollback snapshot) carry a working index and
-  // stay independent of the original.
+  // Copies (the defragmenter's rollback snapshot) stay independent of the
+  // original.
   TpuPool copy = pool;
-  EXPECT_TRUE(copy.indexConsistent());
   copy.find(lookupTpu("tpu-0"))->addAllocation(internModel(zoo::kMobileNetV1),
                                                TpuUnit::fromMilli(500));
-  EXPECT_TRUE(copy.indexConsistent());
+  EXPECT_EQ(copy.scan(PackingStrategy::kFirstFit, TpuUnit::fromMilli(600)),
+            (Order{1, 3}));
   EXPECT_TRUE(pool.find(lookupTpu("tpu-0"))->currentLoad().isZero());
-  EXPECT_TRUE(pool.indexConsistent());
+  EXPECT_EQ(pool.scan(PackingStrategy::kFirstFit, TpuUnit::fromMilli(600)),
+            (Order{0, 1, 3}));
 
   TpuPool moved = std::move(copy);
-  EXPECT_TRUE(moved.indexConsistent());
   EXPECT_EQ(moved.find(lookupTpu("tpu-0"))->currentLoad().milli(), 500);
+  EXPECT_EQ(moved.find(lookupTpu("tpu-3"))->currentLoad().milli(), 900);
+  EXPECT_EQ(moved.scan(PackingStrategy::kFirstFit, TpuUnit::fromMilli(600)),
+            (Order{1, 3}));
 }
 
 TEST(TpuPoolTest, ScanCursorOrders) {
@@ -209,21 +219,14 @@ TEST(TpuPoolTest, ScanCursorOrders) {
   }
   auto collect = [&](PackingStrategy strategy, int minMilli,
                      std::size_t from = 0) {
-    std::vector<std::uint32_t> order;
-    auto cursor = pool.scan(strategy, TpuUnit::fromMilli(minMilli), from);
-    for (std::uint32_t p = cursor.next(); p != TpuPool::npos; p = cursor.next())
-      order.push_back(p);
-    return order;
+    return pool.scan(strategy, TpuUnit::fromMilli(minMilli), from);
   };
-  EXPECT_EQ(collect(PackingStrategy::kFirstFit, 300),
-            (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(collect(PackingStrategy::kNextFit, 300, 2),
-            (std::vector<std::uint32_t>{2}));
+  using Order = std::vector<std::size_t>;
+  EXPECT_EQ(collect(PackingStrategy::kFirstFit, 300), (Order{0, 1, 2}));
+  EXPECT_EQ(collect(PackingStrategy::kNextFit, 300, 2), (Order{2}));
   // Best-Fit: tightest residual first; Worst-Fit: emptiest first.
-  EXPECT_EQ(collect(PackingStrategy::kBestFit, 100),
-            (std::vector<std::uint32_t>{3, 1, 0, 2}));
-  EXPECT_EQ(collect(PackingStrategy::kWorstFit, 100),
-            (std::vector<std::uint32_t>{2, 0, 1, 3}));
+  EXPECT_EQ(collect(PackingStrategy::kBestFit, 100), (Order{3, 1, 0, 2}));
+  EXPECT_EQ(collect(PackingStrategy::kWorstFit, 100), (Order{2, 0, 1, 3}));
   // A request larger than one TPU yields no single-TPU candidates.
   EXPECT_TRUE(collect(PackingStrategy::kBestFit, 1200).empty());
   EXPECT_TRUE(collect(PackingStrategy::kWorstFit, 1200).empty());
