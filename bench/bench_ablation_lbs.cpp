@@ -30,13 +30,14 @@ struct SpreadResult {
 };
 
 SpreadResult runSpread(LbSpread spread) {
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry registry = zoo::standardZoo();
   TopologySpec topoSpec;
   topoSpec.vRpiCount = 6;
   topoSpec.tRpiCount = 3;
-  ClusterTopology topo(sim, registry, topoSpec);
-  DataPlane dataPlane(sim, topo, registry);
+  ClusterTopology topo(sharded, registry, topoSpec);
+  DataPlane dataPlane(sharded, topo, registry);
   const std::vector<std::string> tpus = {"tpu-00", "tpu-01", "tpu-02"};
   for (const auto& tpu : tpus) {
     Status s =

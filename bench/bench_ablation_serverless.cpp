@@ -51,13 +51,14 @@ std::vector<StreamSpec> fleet() {
 }
 
 FleetResult runDirect(SimDuration horizon) {
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry registry = zoo::standardZoo();
   TopologySpec topoSpec;
   topoSpec.vRpiCount = 6;
   topoSpec.tRpiCount = 2;
-  ClusterTopology topo(sim, registry, topoSpec);
-  DataPlane dataPlane(sim, topo, registry);
+  ClusterTopology topo(sharded, registry, topoSpec);
+  DataPlane dataPlane(sharded, topo, registry);
   // Deployment-time placement: both models co-compiled on both TPUs, each
   // camera pinned with unit weights (what admission control would emit).
   for (const char* tpu : {"tpu-00", "tpu-01"}) {
@@ -100,13 +101,14 @@ FleetResult runDirect(SimDuration horizon) {
 }
 
 FleetResult runServerless(SimDuration horizon) {
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry registry = zoo::standardZoo();
   TopologySpec topoSpec;
   topoSpec.vRpiCount = 6;
   topoSpec.tRpiCount = 2;
-  ClusterTopology topo(sim, registry, topoSpec);
-  DataPlane dataPlane(sim, topo, registry);
+  ClusterTopology topo(sharded, registry, topoSpec);
+  DataPlane dataPlane(sharded, topo, registry);
   // Serverless: no deployment-time model placement; first use loads.
   ServerlessDispatcher::Config dispatcherConfig;
   dispatcherConfig.dispatcherNode = "vrpi-05";

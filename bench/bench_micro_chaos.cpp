@@ -21,45 +21,21 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "count_allocs.hpp"
 #include "dataplane/dataplane.hpp"
 #include "models/zoo.hpp"
 #include "sim/fault_injector.hpp"
 #include "testbed/degradation.hpp"
 #include "util/strings.hpp"
 
-// --- Counting allocator ------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocCount{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace microedge {
 namespace {
-
-std::uint64_t allocsNow() {
-  return g_allocCount.load(std::memory_order_relaxed);
-}
 
 constexpr int kTRpis = 8;
 constexpr int kVRpis = 8;
@@ -97,10 +73,10 @@ struct Stream {
 
 struct Fixture {
   ModelRegistry zoo;
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ClusterTopology topo;
   DataPlane dataPlane;
-  std::unique_ptr<FaultInjector> injector;
   std::vector<std::unique_ptr<TpuClient>> clients;
   std::vector<Stream> streams;
 
@@ -112,8 +88,8 @@ struct Fixture {
   }
 
   explicit Fixture(Mode mode)
-      : zoo(zoo::standardZoo()), topo(sim, zoo, spec()),
-        dataPlane(sim, topo, zoo) {
+      : zoo(zoo::standardZoo()), topo(sharded, zoo, spec()),
+        dataPlane(sharded, topo, zoo) {
     LbConfig lb;
     for (int t = 0; t < kTRpis; ++t) {
       const std::string tpuId = indexName("tpu-", t);
@@ -136,8 +112,6 @@ struct Fixture {
       streams[i].client = clients.back().get();
     }
     if (mode != Mode::kOff) {
-      injector = std::make_unique<FaultInjector>(dataPlane.router(),
-                                                 dataPlane.faultHooks());
       FaultPlan plan;
       plan.seed = 99;
       if (mode == Mode::kActive) {
@@ -167,7 +141,7 @@ struct Fixture {
         plan.events.push_back(FaultEvent{seconds(86400), FaultKind::kTpuHang,
                                          "tpu-00", milliseconds(100), 0.0});
       }
-      injector->arm(plan);
+      dataPlane.armFaults(plan);
     }
   }
 
@@ -343,7 +317,8 @@ struct OverloadStream {
 
 struct OverloadFixture {
   ModelRegistry zoo;
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ClusterTopology topo;
   DataPlane dataPlane;
   std::vector<std::unique_ptr<TpuClient>> clients;
@@ -359,8 +334,8 @@ struct OverloadFixture {
   }
 
   OverloadFixture(Policy policy, double loadFactor)
-      : zoo(zoo::standardZoo()), topo(sim, zoo, spec()),
-        dataPlane(sim, topo, zoo) {
+      : zoo(zoo::standardZoo()), topo(sharded, zoo, spec()),
+        dataPlane(sharded, topo, zoo) {
     LbConfig lb;
     for (int t = 0; t < kOvTpus; ++t) {
       const std::string tpuId = indexName("tpu-", t);

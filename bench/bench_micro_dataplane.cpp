@@ -24,44 +24,20 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "count_allocs.hpp"
 #include "dataplane/dataplane.hpp"
 #include "models/zoo.hpp"
 #include "util/strings.hpp"
 
-// --- Counting allocator ------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocCount{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace microedge {
 namespace {
-
-std::uint64_t allocsNow() {
-  return g_allocCount.load(std::memory_order_relaxed);
-}
 
 constexpr int kTRpis = 8;
 constexpr int kVRpis = 8;
@@ -93,7 +69,8 @@ struct Stream {
 // round-robin over the vRPis, each fanning out over all 8 TPUs.
 struct Fixture {
   ModelRegistry zoo;
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ClusterTopology topo;
   DataPlane dataPlane;
   std::vector<std::unique_ptr<TpuClient>> clients;
@@ -107,8 +84,8 @@ struct Fixture {
   }
 
   explicit Fixture(int streamCount)
-      : zoo(zoo::standardZoo()), topo(sim, zoo, spec()),
-        dataPlane(sim, topo, zoo) {
+      : zoo(zoo::standardZoo()), topo(sharded, zoo, spec()),
+        dataPlane(sharded, topo, zoo) {
     LbConfig lb;
     for (int t = 0; t < kTRpis; ++t) {
       const std::string tpuId = indexName("tpu-", t);

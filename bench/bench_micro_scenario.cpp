@@ -128,14 +128,6 @@ const ShardedCluster::PhaseStats* findPhase(const PolicyRun& run,
   return nullptr;
 }
 
-bool parseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 void usage() {
   std::cerr <<
       "usage: bench_micro_scenario [options]\n"

@@ -31,48 +31,22 @@
 // a global counting operator new and aborts, printing the count, if the
 // budget is blown.
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cli_flags.hpp"
+#include "count_allocs.hpp"
 #include "testbed/sharded_cluster.hpp"
 #include "util/strings.hpp"
 
-// --- Counting allocator ------------------------------------------------------
-// Same idiom as bench_micro_dataplane: count every global allocation so the
-// 100k preset can assert its steady state is allocation-free.
-
-namespace {
-std::atomic<std::uint64_t> g_allocCount{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace microedge {
 namespace {
-
-std::uint64_t allocsNow() {
-  return g_allocCount.load(std::memory_order_relaxed);
-}
 
 struct Preset {
   std::string name;
@@ -214,14 +188,6 @@ RunResult runPreset(const Preset& preset, unsigned shards,
   result.crossMessages = cluster.shardedSim().crossShardMessages();
   result.digest = cluster.digest();
   return result;
-}
-
-bool parseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
 }
 
 void usage() {

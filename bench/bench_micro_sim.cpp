@@ -21,44 +21,16 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "count_allocs.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
-// --- Counting allocator ------------------------------------------------------
-// Replaces the global allocation functions for the whole binary. Relaxed
-// atomics: the benchmarks are single-threaded; the counter only needs to be
-// well-defined, not ordered.
-
-namespace {
-std::atomic<std::uint64_t> g_allocCount{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace microedge {
 namespace {
-
-std::uint64_t allocsNow() {
-  return g_allocCount.load(std::memory_order_relaxed);
-}
 
 // Fire throughput with a minimal capture (one pointer): schedule `n` events
 // at scattered timestamps, then time the drain. Allocations during run() are

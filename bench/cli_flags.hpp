@@ -1,16 +1,26 @@
 #pragma once
 
-// Numeric flag values for the bench CLIs. A value that is not a decimal
+// Flag parsing for the bench CLIs. A numeric value that is not a decimal
 // unsigned integer is a usage error: the CLI names the flag, prints its
 // usage and exits 2, the way it treats an unknown argument.
 
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
 namespace microedge {
+
+// True when `arg` is `--<name>=<value>`; sets *value to what follows `=`.
+inline bool parseFlag(const std::string& arg, const std::string& name,
+                      std::string* value) {
+  const std::string prefix = "--" + name + "=";
+  if (arg.rfind(prefix, 0) != 0) return false;
+  *value = arg.substr(prefix.size());
+  return true;
+}
 
 // The value of `--<flag>=` as an `Unsigned`. On an empty value, a sign,
 // trailing characters or a value `Unsigned` cannot hold: reports `program`,

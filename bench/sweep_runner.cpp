@@ -39,14 +39,6 @@ void usage() {
       "  --dump-grid        print the grid JSON and exit\n";
 }
 
-bool parseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

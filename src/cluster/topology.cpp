@@ -18,25 +18,22 @@ std::string rackedName(int racks, int rack, const char* prefix, int i) {
 }
 }  // namespace
 
-ClusterTopology::ClusterTopology(Simulator& sim, const ModelRegistry& registry,
-                                 TopologySpec spec)
-    : ClusterTopology([&sim](const std::string&) -> Simulator& { return sim; },
-                      registry, std::move(spec)) {}
-
-ClusterTopology::ClusterTopology(const SimProvider& simOf,
+ClusterTopology::ClusterTopology(ShardedSim& sharded,
                                  const ModelRegistry& registry,
                                  TopologySpec spec)
     : spec_(spec), network_(spec.networkConfig) {
+  ShardMap& map = sharded.shardMap();
   const int racks = spec_.racks < 1 ? 1 : spec_.racks;
   int tpuIndex = 0;
   for (int i = 0; i < spec_.tRpiCount; ++i) {
     const int rack = i % racks;
     auto node = std::make_unique<RpiNode>(rackedName(racks, rack, "trpi-", i),
                                           spec_.nodeResources);
+    Simulator& host = sharded.shardSim(map.assignByName(node->name()));
     for (int t = 0; t < spec_.tpusPerTRpi; ++t) {
       auto tpu = std::make_unique<TpuDevice>(
-          simOf(node->name()), registry,
-          rackedName(racks, rack, "tpu-", tpuIndex++), spec_.tpuConfig);
+          host, registry, rackedName(racks, rack, "tpu-", tpuIndex++),
+          spec_.tpuConfig);
       node->attachTpu(tpu.get());
       tpuById_[tpu->id()] = tpu.get();
       tpuHost_[tpu->id()] = node->name();
@@ -49,6 +46,7 @@ ClusterTopology::ClusterTopology(const SimProvider& simOf,
     const int rack = i % racks;
     auto node = std::make_unique<RpiNode>(rackedName(racks, rack, "vrpi-", i),
                                           spec_.nodeResources);
+    map.assignByName(node->name());
     nodeByName_[node->name()] = node.get();
     nodes_.push_back(std::move(node));
   }

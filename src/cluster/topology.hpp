@@ -5,7 +5,6 @@
 // of them with one Coral TPU each (19 vRPis + 6 tRPis), interconnected by
 // gigabit switches.
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,7 +14,7 @@
 #include "cluster/node.hpp"
 #include "cluster/tpu_device.hpp"
 #include "models/registry.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_sim.hpp"
 
 namespace microedge {
 
@@ -36,15 +35,11 @@ struct TopologySpec {
 
 class ClusterTopology {
  public:
-  // Hands each TPU device the Simulator that owns its host node's event
-  // loop — the identity of that Simulator is what binds a device to a shard
-  // in sharded runs (solo runs return the same Simulator for every name).
-  using SimProvider = std::function<Simulator&(const std::string& nodeName)>;
-
-  // `registry` must outlive the topology.
-  ClusterTopology(Simulator& sim, const ModelRegistry& registry,
-                  TopologySpec spec);
-  ClusterTopology(const SimProvider& simOf, const ModelRegistry& registry,
+  // Records each node's shard in `sharded`'s map as it builds the node
+  // (each tRPi before its TPUs, then the vRPis; set the rack mapping first)
+  // and runs each TPU on its host's shard Simulator. `registry` must
+  // outlive the topology.
+  ClusterTopology(ShardedSim& sharded, const ModelRegistry& registry,
                   TopologySpec spec);
 
   ClusterTopology(const ClusterTopology&) = delete;

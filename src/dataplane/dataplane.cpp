@@ -7,23 +7,11 @@
 
 namespace microedge {
 
-DataPlane::DataPlane(Simulator& sim, const ClusterTopology& topology,
+DataPlane::DataPlane(ShardedSim& sharded, const ClusterTopology& topology,
                      const ModelRegistry& registry)
-    : DataPlane(topology, registry, std::make_unique<SoloRouter>(sim),
-                nullptr) {}
-
-DataPlane::DataPlane(ShardRouter& router, const ClusterTopology& topology,
-                     const ModelRegistry& registry)
-    : DataPlane(topology, registry, nullptr, &router) {}
-
-DataPlane::DataPlane(const ClusterTopology& topology,
-                     const ModelRegistry& registry,
-                     std::unique_ptr<SoloRouter> solo, ShardRouter* router)
-    : soloRouter_(std::move(solo)),
-      router_(router != nullptr ? *router : *soloRouter_),
-      topology_(topology), registry_(registry),
-      transport_(router_, topology.network()) {
-  const unsigned shards = router_.shardCount();
+    : sharded_(sharded), topology_(topology), registry_(registry),
+      transport_(sharded, topology.network()) {
+  const unsigned shards = sharded_.shardCount();
   serviceViews_.resize(shards);
   clientsByShard_.resize(shards);
   loadRetriesByShard_.assign(shards, 0);
@@ -60,13 +48,13 @@ TpuService* DataPlane::service(const std::string& tpuId) {
 }
 
 TpuService* DataPlane::serviceById(TpuId tpu) {
-  const auto& view = serviceViews_[ShardRouter::currentShard()];
+  const auto& view = serviceViews_[ShardedSim::currentShard()];
   return tpu.valid() && tpu.value < view.size() ? view[tpu.value] : nullptr;
 }
 
 std::vector<TpuService*> DataPlane::services() {
   std::vector<TpuService*> out;
-  out.reserve(liveCount_[ShardRouter::currentShard()]);
+  out.reserve(liveCount_[ShardedSim::currentShard()]);
   for (auto& [id, service] : services_) {
     if (serviceById(service->tpu()) != nullptr) out.push_back(service.get());
   }
@@ -95,21 +83,21 @@ void DataPlane::removeService(const std::string& tpuId) {
   if (it == services_.end()) return;
   TpuService* service = it->second.get();
   const TpuId handle = service->tpu();
-  const unsigned here = ShardRouter::currentShard();
-  const unsigned shards = router_.shardCount();
+  const unsigned here = ShardedSim::currentShard();
+  const unsigned shards = sharded_.shardCount();
   // Sharded runs: the removal must originate on the service's owner shard
   // (the failure is a local hardware event there).
-  assert(shards == 1 || router_.shardOfNode(service->nodeId()) == here);
+  assert(shards == 1 || sharded_.shardOfNode(service->nodeId()) == here);
   if (!removeFromShard(here, handle)) return;  // already removed
   if (shards > 1) {
     // Failure-detection broadcast: every other shard observes the removal
     // one lookahead later — the minimum cross-shard notification latency
     // the conservative window already accounts for.
-    const SimTime noticeAt = router_.currentSim().now() + router_.lookahead();
+    const SimTime noticeAt = sharded_.currentSim().now() + sharded_.lookahead();
     for (unsigned s = 0; s < shards; ++s) {
       if (s == here) continue;
-      router_.postToShard(s, noticeAt,
-                          [this, s, handle] { removeFromShard(s, handle); });
+      sharded_.postToShard(s, noticeAt,
+                           [this, s, handle] { removeFromShard(s, handle); });
     }
   }
 }
@@ -130,10 +118,10 @@ Status DataPlane::executeLoadOrRetry(const LoadCommand& command) {
 }
 
 void DataPlane::retryLoad(LoadCommand command, std::uint32_t attempt) {
-  router_.currentSim().scheduleAfter(
+  sharded_.currentSim().scheduleAfter(
       ExpBackoff{}.delay(attempt),
       [this, command = std::move(command), attempt]() mutable {
-        ++loadRetriesByShard_[ShardRouter::currentShard()];
+        ++loadRetriesByShard_[ShardedSim::currentShard()];
         // Done on success, an exhausted budget, or a service that vanished
         // while we backed off (permanent: eviction is recovery's move).
         if (executeLoad(command).isOk() ||
@@ -151,28 +139,37 @@ std::uint64_t DataPlane::loadRetries() const {
   return n;
 }
 
-FaultInjector::Hooks DataPlane::faultHooks() {
-  FaultInjector::Hooks hooks;
-  hooks.shardOf = [this](const std::string& target) {
-    return shardOfTarget(target);
-  };
-  hooks.tpuFailDataPlane = [this](const std::string& tpuId) {
-    removeService(tpuId);
-  };
-  hooks.nodeFailDataPlane = [this](const std::string& nodeName) {
-    if (const RpiNode* node = topology_.findNode(nodeName)) {
-      for (const TpuDevice* tpu : node->tpus()) removeService(tpu->id());
-    }
-  };
-  hooks.setTpuHung = [this](const std::string& tpuId, bool hung) {
-    if (TpuService* target = service(tpuId)) target->setHung(hung);
-  };
-  hooks.setTransportFault = [this](double loss, double latencyMultiplier,
-                                   std::uint64_t seed) {
-    transport_.setFault(loss, latencyMultiplier, seed);
-  };
-  hooks.clearTransportFault = [this] { transport_.clearFault(); };
-  return hooks;
+FaultInjector& DataPlane::armFaults(
+    const FaultPlan& plan,
+    std::function<void(const std::string& tpuId)> onTpuFailure,
+    std::function<void(const std::string& node)> onNodeFailure) {
+  if (faults_ == nullptr) {
+    FaultInjector::Hooks hooks;
+    hooks.shardOf = [this](const std::string& target) {
+      return shardOfTarget(target);
+    };
+    hooks.tpuFailDataPlane = [this](const std::string& tpuId) {
+      removeService(tpuId);
+    };
+    hooks.nodeFailDataPlane = [this](const std::string& nodeName) {
+      if (const RpiNode* node = topology_.findNode(nodeName)) {
+        for (const TpuDevice* tpu : node->tpus()) removeService(tpu->id());
+      }
+    };
+    hooks.setTpuHung = [this](const std::string& tpuId, bool hung) {
+      if (TpuService* target = service(tpuId)) target->setHung(hung);
+    };
+    hooks.setTransportFault = [this](double loss, double latencyMultiplier,
+                                     std::uint64_t seed) {
+      transport_.setFault(loss, latencyMultiplier, seed);
+    };
+    hooks.clearTransportFault = [this] { transport_.clearFault(); };
+    hooks.tpuFailControlPlane = std::move(onTpuFailure);
+    hooks.nodeFailControlPlane = std::move(onNodeFailure);
+    faults_ = std::make_unique<FaultInjector>(sharded_, std::move(hooks));
+  }
+  faults_->arm(plan);  // a second plan aborts
+  return *faults_;
 }
 
 unsigned DataPlane::shardOfTarget(const std::string& target) const {
@@ -180,7 +177,7 @@ unsigned DataPlane::shardOfTarget(const std::string& target) const {
                                 ? topology_.nodeOfTpu(target)
                                 : target;
   return topology_.findNode(node) != nullptr
-             ? router_.shardOfNode(internNode(node))
+             ? sharded_.shardOfNode(internNode(node))
              : 0;
 }
 
@@ -199,9 +196,9 @@ std::unique_ptr<TpuClient> DataPlane::makeClient(TpuClient::Config config) {
   // stream token get the next sequential one, so loss outcomes replay
   // identically at any shard count.
   if (config.streamToken == 0) config.streamToken = newStreamToken();
-  const unsigned shard = router_.shardOfNode(internNode(config.clientNode));
+  const unsigned shard = sharded_.shardOfNode(internNode(config.clientNode));
   auto client = std::make_unique<TpuClient>(
-      router_, registry_, transport_,
+      sharded_, registry_, transport_,
       [this](TpuId tpu) { return serviceById(tpu); }, std::move(config));
   ClientList& list = clientsByShard_[shard];
   list.slots.push_back(client.get());

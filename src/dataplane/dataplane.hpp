@@ -3,8 +3,8 @@
 // Data-plane assembly: instantiates one TPU Service per physical TPU at
 // cluster boot (as MicroEdge does at system initialization) and provides
 // the glue the control plane needs — a Load executor for the extended
-// scheduler, the retrying Load every replan uses, the data-plane side of
-// fault plans, and a client factory for application pods.
+// scheduler, the retrying Load every replan uses, fault-plan arming, and a
+// client factory for application pods.
 //
 // Reliability glue: the DataPlane keeps a registry of the clients it
 // created; removeService() broadcasts the removal so every in-flight frame
@@ -23,11 +23,11 @@
 // posts the same removal notice to every other shard one lookahead later —
 // exactly the failure-detection broadcast latency the conservative window
 // already budgets for. Clients are bucketed per shard so the broadcast
-// touches only shard-local client state. The solo constructor wraps the
-// single Simulator in an owned SoloRouter; every code path is shared and
-// shard 0 is the only shard.
+// touches only shard-local client state. A one-shard ShardedSim is the
+// solo path: every code path is shared and shard 0 is the only shard.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,9 +44,7 @@ namespace microedge {
 
 class DataPlane {
  public:
-  DataPlane(Simulator& sim, const ClusterTopology& topology,
-            const ModelRegistry& registry);
-  DataPlane(ShardRouter& router, const ClusterTopology& topology,
+  DataPlane(ShardedSim& sharded, const ClusterTopology& topology,
             const ModelRegistry& registry);
   ~DataPlane();
 
@@ -54,7 +52,6 @@ class DataPlane {
   DataPlane& operator=(const DataPlane&) = delete;
 
   SimTransport& transport() { return transport_; }
-  ShardRouter& router() { return router_; }
 
   // Service lookups resolve against the CALLING shard's view: a service
   // removed on its owner shard stays visible to other shards for up to one
@@ -67,7 +64,7 @@ class DataPlane {
   TpuService* serviceById(TpuId tpu);
   std::vector<TpuService*> services();
   std::size_t serviceCount() const {
-    return liveCount_[ShardRouter::currentShard()];
+    return liveCount_[ShardedSim::currentShard()];
   }
 
   // Removes a TPU Service (node failure injection) and fails fast: every
@@ -90,13 +87,18 @@ class DataPlane {
   Status executeLoadOrRetry(const LoadCommand& command);
   std::uint64_t loadRetries() const;
 
-  // Fault-plan hooks (sim/fault_injector.hpp) for the data-plane side of
-  // every fault: a crash removes the TPU Service, a node death removes each
+  // Arms a replayable fault plan (sim/fault_injector.hpp), the one place a
+  // plan becomes events. The data plane writes the data-plane side of every
+  // fault at t: a crash removes the TPU Service, a node death removes each
   // of the node's services (in topology order), a hang flips setHung, and
-  // a transport window drives the calling shard's lane. shardOf maps a TPU
-  // id or node name to its node's shard. Harnesses add the control-plane
-  // edges.
-  FaultInjector::Hooks faultHooks();
+  // a transport window drives each shard's lane. Every edge runs on its
+  // target node's shard. The harness passes only its control-plane edges,
+  // which run at t + detectionDelay. One plan per data plane: a second call
+  // aborts in FaultInjector::arm, in every build.
+  FaultInjector& armFaults(
+      const FaultPlan& plan,
+      std::function<void(const std::string& tpuId)> onTpuFailure = {},
+      std::function<void(const std::string& node)> onNodeFailure = {});
 
   // Creates the client library instance baked into an application pod and
   // registers it for fail-fast service-removal broadcasts. The client is
@@ -113,9 +115,6 @@ class DataPlane {
   std::size_t clientCount() const { return clientCount_; }
 
  private:
-  DataPlane(const ClusterTopology& topology, const ModelRegistry& registry,
-            std::unique_ptr<SoloRouter> solo, ShardRouter* router);
-
   // Retry number `attempt` (0-based) of a failed replan Load.
   void retryLoad(LoadCommand command, std::uint32_t attempt);
   unsigned shardOfTarget(const std::string& target) const;
@@ -126,8 +125,7 @@ class DataPlane {
   void hookClient(TpuClient* client, unsigned shard, std::uint32_t slot);
   void unregisterClient(unsigned shard, std::uint32_t slot);
 
-  std::unique_ptr<SoloRouter> soloRouter_;  // owns the router in solo mode
-  ShardRouter& router_;
+  ShardedSim& sharded_;
   const ClusterTopology& topology_;
   const ModelRegistry& registry_;
   SimTransport transport_;
@@ -153,6 +151,7 @@ class DataPlane {
   std::size_t clientCount_ = 0;
   std::vector<std::uint64_t> loadRetriesByShard_;
   std::uint64_t nextStreamToken_ = 1;
+  std::unique_ptr<FaultInjector> faults_;  // built by the first armFaults()
 };
 
 }  // namespace microedge

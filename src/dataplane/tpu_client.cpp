@@ -35,16 +35,17 @@ const std::string& FrameBreakdown::servedByName() const {
   return servedBy.valid() ? tpuName(servedBy) : kEmpty;
 }
 
-TpuClient::TpuClient(ShardRouter& router, const ModelRegistry& registry,
+TpuClient::TpuClient(ShardedSim& sharded, const ModelRegistry& registry,
                      SimTransport& transport, Directory directory,
                      Config config)
-    : sim_(router.shardSim(router.shardOfNode(internNode(config.clientNode)))),
+    : sim_(sharded.shardSim(
+          sharded.shardOfNode(internNode(config.clientNode)))),
       registry_(registry), transport_(transport),
       directory_(std::move(directory)), config_(std::move(config)),
-      router_(router), clientNode_(internNode(config_.clientNode)),
+      sharded_(sharded), clientNode_(internNode(config_.clientNode)),
       model_(internModel(config_.model)), lb_(config_.spread) {
   lb_.setHealthConfig(config_.health);
-  myShard_ = router_.shardOfNode(clientNode_);
+  myShard_ = sharded_.shardOfNode(clientNode_);
 }
 
 Status TpuClient::configureLb(const LbConfig& config) {
@@ -299,10 +300,10 @@ void TpuClient::ship(Handle h, InvokeContext* c, SimDuration departAfter) {
                                                             : SimTime::max(),
                 frameMsgKey(frameId, attempt, /*hop=*/1)};
   // Cross-shard implies cross-node, so latency >= the network base latency
-  // == the router's lookahead and the mailbox invariant holds.
-  router_.postToShard(router_.shardOfNode(c->serviceNode),
-                      sim_.now() + departAfter + latency,
-                      [hop] { onArrival(hop); });
+  // == the lookahead and the mailbox invariant holds.
+  sharded_.postToShard(sharded_.shardOfNode(c->serviceNode),
+                       sim_.now() + departAfter + latency,
+                       [hop] { onArrival(hop); });
 }
 
 void TpuClient::onArrival(const Hop& hop) {
@@ -323,7 +324,7 @@ void TpuClient::onArrival(const Hop& hop) {
   // whose result nobody can use. Conservative (response hop and postprocess
   // are not included).
   if (hop.deadlineAt != SimTime::max()) {
-    const SimTime now = client.router_.currentSim().now();
+    const SimTime now = client.sharded_.currentSim().now();
     const SimDuration estimate = client.modelInfo().inferenceLatency;
     if (now + service->device().estimatedBacklog(now, estimate) + estimate >
         hop.deadlineAt) {
@@ -364,9 +365,9 @@ void TpuClient::onDeviceDone(const Hop& hop,
     c->breakdown.responseTransmit = respLat;
   }
   if (dropped) return;
-  client->router_.postToShard(
+  client->sharded_.postToShard(
       client->myShard_,
-      client->router_.currentSim().now() + info.postprocessLatency + respLat,
+      client->sharded_.currentSim().now() + info.postprocessLatency + respLat,
       [client, h = hop.h, queueDelay = stats.queueDelay,
        serviceTime = stats.serviceTime, respLat] {
         client->onResponse(h, queueDelay, serviceTime, respLat);
@@ -383,9 +384,9 @@ void TpuClient::nack(const Hop& hop, Nack kind) {
   const SimDuration delay = std::max(
       client->transport_.network().controlLatency(hop.serviceNode,
                                                   client->clientNode_),
-      client->router_.lookahead());
-  client->router_.postToShard(
-      client->myShard_, client->router_.currentSim().now() + delay,
+      client->sharded_.lookahead());
+  client->sharded_.postToShard(
+      client->myShard_, client->sharded_.currentSim().now() + delay,
       [client, h = hop.h, kind] { client->onNack(h, kind); });
 }
 

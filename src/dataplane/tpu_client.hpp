@@ -34,7 +34,7 @@
 // models the request hop on that shard's transport lane and posts a Hop
 // envelope (client, slot handle, target, service node, deadline,
 // response-hop loss key: 40 bytes, stored inline in the event slot) through
-// ShardRouter::postToShard at exactly now + preprocess (none on a failover
+// ShardedSim::postToShard at exactly now + preprocess (none on a failover
 // re-ship) + transfer latency. On the client's own shard that is a plain
 // schedule; across shards, a mailbox append. onArrival, onDeviceDone
 // and nack run on the service's shard and read only the envelope, client
@@ -167,9 +167,9 @@ class TpuClient {
   // context slot without a std::function heap allocation per frame.
   using CompletionCallback = MoveFn<void(const FrameBreakdown&)>;
 
-  // The client runs on the event loop of its node's shard in `router` (a
-  // SoloRouter is one shard); its frames reach services on any shard.
-  TpuClient(ShardRouter& router, const ModelRegistry& registry,
+  // The client runs on the event loop of its node's shard in `sharded`;
+  // its frames reach services on any shard.
+  TpuClient(ShardedSim& sharded, const ModelRegistry& registry,
             SimTransport& transport, Directory directory, Config config);
   ~TpuClient();
 
@@ -277,7 +277,7 @@ class TpuClient {
   // Service-side stages run on the service's shard; true when that is also
   // the client's.
   bool onClientShard() const {
-    return ShardRouter::currentShard() == myShard_;
+    return ShardedSim::currentShard() == myShard_;
   }
 
   // Client shard: models the request hop and posts the arrival to the
@@ -326,7 +326,7 @@ class TpuClient {
   SimTransport& transport_;
   Directory directory_;  // immutable after construction (read cross-shard)
   Config config_;
-  ShardRouter& router_;
+  ShardedSim& sharded_;
   unsigned myShard_ = 0;  // shard owning clientNode_ (== this client's sim_)
   NodeId clientNode_{};  // interned once; every frame's transport endpoint
   ModelId model_{};      // interned once; every frame's invoke argument

@@ -48,7 +48,7 @@ SimDuration SimTransport::send(NodeId fromNode, NodeId toNode,
   SimDuration latency =
       modelMessage(lane(), fromNode, toNode, bytes, &dropped, msgKey);
   if (dropped) return latency;
-  router_.currentSim().scheduleAfter(latency, std::move(onDelivered));
+  sharded_.currentSim().scheduleAfter(latency, std::move(onDelivered));
   return latency;
 }
 

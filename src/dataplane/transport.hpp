@@ -15,15 +15,15 @@
 // draw is a pure function of (fault seed, key): one rule for every sender,
 // independent of lane, shard count and every other message.
 //
-// Sharded runs: one SimTransport serves every shard of its ShardRouter (a
-// SoloRouter is one shard). All mutable state — counters and the fault
+// Sharded runs: one SimTransport serves every shard of its ShardedSim (one
+// shard on the solo path). All mutable state — counters and the fault
 // window — lives in per-shard cache-line-sized lanes indexed by
-// ShardRouter::currentShard(), so concurrent shard workers never touch the
+// ShardedSim::currentShard(), so concurrent shard workers never touch the
 // same bytes. send() schedules on the calling shard's own Simulator and is
 // therefore only correct for same-shard deliveries (the Coral-Pie app and
 // the serverless baseline use it). TpuClient's frame hops use sendRouted()
 // (model + account, no scheduling) and post the delivery through
-// ShardRouter::postToShard: a plain schedule on the same shard, a mailbox
+// ShardedSim::postToShard: a plain schedule on the same shard, a mailbox
 // append across shards.
 
 #include <cstddef>
@@ -41,8 +41,8 @@ namespace microedge {
 
 class SimTransport {
  public:
-  SimTransport(ShardRouter& router, const NetworkModel& network)
-      : router_(router), network_(network), lanes_(router.shardCount()) {}
+  SimTransport(ShardedSim& sharded, const NetworkModel& network)
+      : sharded_(sharded), network_(network), lanes_(sharded.shardCount()) {}
 
   // Stable per-message identity for fault decisions: a splitMix64 chain over
   // (sender token, message id, tag). Each sender on a transport needs its
@@ -64,8 +64,8 @@ class SimTransport {
 
   // Models and accounts a message WITHOUT scheduling its delivery: returns
   // the (fault-adjusted) transfer latency and sets *dropped when the fault
-  // window eats the message. The caller owns delivery, e.g. through the
-  // router, which may hand it to another shard's mailbox.
+  // window eats the message. The caller owns delivery, e.g. through
+  // ShardedSim::postToShard, which may hand it to another shard's mailbox.
   SimDuration sendRouted(NodeId fromNode, NodeId toNode, std::size_t bytes,
                          bool* dropped, std::uint64_t msgKey);
 
@@ -102,7 +102,7 @@ class SimTransport {
                                   // shard count
   };
 
-  Lane& lane() { return lanes_[ShardRouter::currentShard()]; }
+  Lane& lane() { return lanes_[ShardedSim::currentShard()]; }
   // Accounts the message on `lane` and returns its fault-adjusted latency;
   // sets *dropped when the fault window eats it, decided from
   // (lane.faultSeed, msgKey).
@@ -110,7 +110,7 @@ class SimTransport {
                            std::size_t bytes, bool* dropped,
                            std::uint64_t msgKey);
 
-  ShardRouter& router_;
+  ShardedSim& sharded_;
   const NetworkModel& network_;
   std::vector<Lane> lanes_;
 };

@@ -145,7 +145,7 @@ void FaultInjector::arm(const FaultPlan& plan) {
   }
   armed_ = true;
   plan_ = plan;
-  const SimTime base = router_.currentSim().now();
+  const SimTime base = sharded_.currentSim().now();
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
     const SimTime begin = base + e.at;
@@ -156,7 +156,7 @@ void FaultInjector::arm(const FaultPlan& plan) {
         e.kind == FaultKind::kLatencySpike) {
       // Lanes are shard-local state: one edge pair per shard, shard 0's
       // pair stands for the window in the log.
-      for (unsigned s = 0; s < router_.shardCount(); ++s) {
+      for (unsigned s = 0; s < sharded_.shardCount(); ++s) {
         post(s, begin, 2 * i, s == 0);
         post(s, end, 2 * i + 1, s == 0);
       }
@@ -173,7 +173,7 @@ void FaultInjector::post(unsigned shard, SimTime at, std::size_t edge,
   // Emitter-tagged: a fault's cascade (failure broadcast, recovery pushes,
   // evictions) is exactly the rare cross-shard control traffic the adaptive
   // window bound must see. Without emitter tracking the tag is inert.
-  router_.postToShard(
+  sharded_.postToShard(
       shard, at, [this, edge, logged] { apply(edge, logged); },
       /*emitter=*/true);
 }
@@ -182,8 +182,8 @@ void FaultInjector::apply(std::size_t edge, bool logged) {
   const FaultEvent& e = plan_.events[edge / 2];
   const bool begin = edge % 2 == 0;
   if (logged) {
-    logs_[ShardRouter::currentShard()].push_back(
-        LogEntry{edge, Applied{router_.currentSim().now(), e.kind, e.target,
+    logs_[ShardedSim::currentShard()].push_back(
+        LogEntry{edge, Applied{sharded_.currentSim().now(), e.kind, e.target,
                                begin}});
   }
   const auto call = [](const auto& hook, const auto&... args) {

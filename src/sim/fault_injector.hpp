@@ -12,9 +12,11 @@
 //
 // The injector is the only code that turns a plan into simulator events,
 // for both harnesses. It stays decoupled from the cluster stack through a
-// small Hooks struct (plain std::functions), keeping me_sim dependency-free:
-// DataPlane::faultHooks() fills the data-plane side and the owner-shard map,
-// and each harness adds its control-plane edges.
+// small Hooks struct (plain std::functions), keeping me_sim dependency-free.
+// DataPlane::armFaults is the one place that builds an injector: it fills
+// the data-plane side and the owner-shard map, takes each harness's
+// control-plane edges as arguments, and arms the plan. Testbed and
+// bench_micro_chaos run it on a one-shard ShardedSim.
 //
 // Sharding: every edge is posted emitter-tagged onto its target's owner
 // shard (Hooks::shardOf), so a hook only ever touches state of the shard it
@@ -122,9 +124,9 @@ class FaultInjector {
     }
   };
 
-  FaultInjector(ShardRouter& router, Hooks hooks)
-      : router_(router), hooks_(std::move(hooks)),
-        logs_(router.shardCount()) {}
+  FaultInjector(ShardedSim& sharded, Hooks hooks)
+      : sharded_(sharded), hooks_(std::move(hooks)),
+        logs_(sharded.shardCount()) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -152,7 +154,7 @@ class FaultInjector {
   // Runs one edge on the calling shard.
   void apply(std::size_t edge, bool logged);
 
-  ShardRouter& router_;
+  ShardedSim& sharded_;
   Hooks hooks_;
   FaultPlan plan_;  // immutable once armed; pending edges index into it
   std::vector<std::vector<LogEntry>> logs_;  // [shard], own worker writes

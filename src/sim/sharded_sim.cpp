@@ -11,11 +11,11 @@ namespace microedge {
 
 namespace {
 // Shard whose event loop this thread is executing; 0 everywhere outside a
-// sharded run's worker threads (setup, solo runs, tests).
+// multi-shard run's worker threads (setup, one-shard runs, tests).
 thread_local unsigned tlsCurrentShard = 0;
 }  // namespace
 
-unsigned ShardRouter::currentShard() { return tlsCurrentShard; }
+unsigned ShardedSim::currentShard() { return tlsCurrentShard; }
 
 ShardedSim::ShardedSim(unsigned shards, SimDuration lookahead,
                        WindowBound bound)
@@ -44,7 +44,7 @@ void ShardedSim::postToShard(unsigned shard, SimTime deliverAt, EventFn fn,
   const unsigned src = currentShard();
   if (!running_ || shard == src) {
     // Setup-phase arming (single-threaded, no worker owns any sim yet) or a
-    // same-shard post: schedule directly, exactly like the solo path.
+    // same-shard post: a plain schedule.
     sims_[shard]->schedule(deliverAt, std::move(fn), emitter);
     return;
   }

@@ -52,11 +52,13 @@
 // destination sims assign — and therefore equal-timestamp tie-breaking —
 // are a pure function of simulation state, independent of thread timing.
 //
-// --shards=1 is the bit-exact canonical path: run() degenerates to the
-// plain Simulator::runUntil() loop and no mailbox, barrier or worker thread
-// exists. Workloads whose cross-shard event timestamps are distinct (the
-// differential suite staggers camera phases to guarantee this) produce
-// identical per-frame timings at every shard count.
+// ShardedSim is the only router. One shard is the solo path (Testbed, the
+// solo benches, the test fixtures), bit for bit the plain engine: run() is
+// the Simulator::runUntil() loop, postToShard a plain schedule, and no
+// mailbox, barrier or worker thread exists. Workloads whose cross-shard
+// event timestamps are distinct (the differential suite staggers camera
+// phases to guarantee this) produce identical per-frame timings at every
+// shard count.
 //
 // Each run() starts one plain std::thread per shard and joins them at the
 // deadline; every worker adopts the launching thread's InternDomain so
@@ -77,69 +79,7 @@
 
 namespace microedge {
 
-// Routing surface the shard-aware actors (DataPlane, SimTransport,
-// TpuClient) consult. SoloRouter wraps the classic single-Simulator world;
-// ShardedSim implements the parallel one. Actors hold a ShardRouter& and
-// never know which they got.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-
-  virtual unsigned shardCount() const = 0;
-  virtual unsigned shardOfNode(NodeId node) const = 0;
-  virtual Simulator& shardSim(unsigned shard) = 0;
-  // The conservative window: minimum modelled latency of any cross-shard
-  // interaction (the NetworkModel base inter-node latency).
-  virtual SimDuration lookahead() const = 0;
-  // Schedules `fn` at absolute time `deliverAt` on `shard`. Same-shard (or
-  // while the run loop is not executing, e.g. chaos-plan arming at setup)
-  // this is a direct schedule; cross-shard during a run it is a mailbox
-  // append, and `deliverAt` must be >= the sending shard's now() +
-  // lookahead(). `emitter` tags a direct schedule as a cross-shard-emitting
-  // root (see Simulator::schedule); pass true when arming events whose
-  // cascades may send cross-shard (fault plans, control pushes) so the
-  // adaptive window bound stays sound.
-  virtual void postToShard(unsigned shard, SimTime deliverAt, EventFn fn,
-                           bool emitter) = 0;
-  void postToShard(unsigned shard, SimTime deliverAt, EventFn fn) {
-    postToShard(shard, deliverAt, std::move(fn), false);
-  }
-
-  void postToNode(NodeId node, SimTime deliverAt, EventFn fn,
-                  bool emitter = false) {
-    postToShard(shardOfNode(node), deliverAt, std::move(fn), emitter);
-  }
-  // Shard whose event loop the calling thread is currently executing
-  // (thread-local; 0 on non-worker threads, i.e. setup and solo runs).
-  static unsigned currentShard();
-  Simulator& currentSim() { return shardSim(currentShard()); }
-};
-
-// The single-Simulator world behind the router interface: everything is
-// shard 0 and postToShard is a plain schedule. Zero behaviour change for
-// code paths that predate sharding.
-class SoloRouter : public ShardRouter {
- public:
-  explicit SoloRouter(Simulator& sim, SimDuration lookahead = SimDuration{})
-      : sim_(sim), lookahead_(lookahead) {}
-
-  using ShardRouter::postToShard;
-
-  unsigned shardCount() const override { return 1; }
-  unsigned shardOfNode(NodeId) const override { return 0; }
-  Simulator& shardSim(unsigned) override { return sim_; }
-  SimDuration lookahead() const override { return lookahead_; }
-  void postToShard(unsigned, SimTime deliverAt, EventFn fn,
-                   bool emitter) override {
-    sim_.schedule(deliverAt, std::move(fn), emitter);
-  }
-
- private:
-  Simulator& sim_;
-  SimDuration lookahead_;
-};
-
-class ShardedSim : public ShardRouter {
+class ShardedSim {
  public:
   // Mailbox capacity per (src,dst) pair and window: a shard that emits more
   // cross-shard messages than this inside one lookahead window is a
@@ -160,19 +100,27 @@ class ShardedSim : public ShardRouter {
   ShardedSim(const ShardedSim&) = delete;
   ShardedSim& operator=(const ShardedSim&) = delete;
 
-  using ShardRouter::postToShard;
-
-  // --- ShardRouter ----------------------------------------------------------
-  unsigned shardCount() const override {
-    return static_cast<unsigned>(sims_.size());
-  }
-  unsigned shardOfNode(NodeId node) const override {
-    return map_.shardOf(node);
-  }
-  Simulator& shardSim(unsigned shard) override { return *sims_[shard]; }
-  SimDuration lookahead() const override { return lookahead_; }
+  // --- Routing (DataPlane, SimTransport, TpuClient, FaultInjector) -------
+  unsigned shardCount() const { return static_cast<unsigned>(sims_.size()); }
+  unsigned shardOfNode(NodeId node) const { return map_.shardOf(node); }
+  Simulator& shardSim(unsigned shard) { return *sims_[shard]; }
+  // The conservative window: minimum modelled latency of any cross-shard
+  // interaction (the NetworkModel base inter-node latency).
+  SimDuration lookahead() const { return lookahead_; }
+  // Schedules `fn` at absolute time `deliverAt` on `shard`. Same-shard (or
+  // while the run loop is not executing, e.g. fault-plan arming at setup)
+  // this is a direct schedule; cross-shard during a run it is a mailbox
+  // append, and `deliverAt` must be >= the sending shard's now() +
+  // lookahead(). `emitter` tags a direct schedule as a cross-shard-emitting
+  // root (see Simulator::schedule); pass true when arming events whose
+  // cascades may send cross-shard (fault plans, control pushes) so the
+  // adaptive window bound stays sound.
   void postToShard(unsigned shard, SimTime deliverAt, EventFn fn,
-                   bool emitter) override;
+                   bool emitter = false);
+  // Shard whose event loop the calling thread is currently executing
+  // (thread-local; 0 on non-worker threads, i.e. setup and one-shard runs).
+  static unsigned currentShard();
+  Simulator& currentSim() { return shardSim(currentShard()); }
 
   // Node->shard assignment (setup phase; see ShardMap for the rack rules).
   ShardMap& shardMap() { return map_; }

@@ -58,6 +58,16 @@ Status checkDuration(std::string_view field, double value, double ns) {
       value));
 }
 
+// A frame rate must give a frame period of at least 1 ns that fits
+// SimDuration (fitsFramePeriod), checked before anything converts it.
+Status checkFps(double fps) {
+  if (fitsFramePeriod(fps)) return Status::ok();
+  return invalidArgument(strCat(
+      "sweep: fps must give a frame period between 1 ns and about 292 "
+      "years, got ",
+      fps));
+}
+
 Status firstError(std::initializer_list<Status> checks) {
   for (const Status& check : checks) {
     if (!check.isOk()) return check;
@@ -82,8 +92,7 @@ JsonValue runScalabilitySweepPoint(const SweepPoint& p) {
   const double horizonS = p.getDouble("horizon_s", 40.0);
   const std::int64_t tpusField = p.getInt("tpus", 1);
   Status valid = firstError(
-      {checkPositive("fps", fps),
-       checkAtLeast("tpus_per_node", tpusPerNode, 1),
+      {checkFps(fps), checkAtLeast("tpus_per_node", tpusPerNode, 1),
        checkAtLeast("camera_upper_bound", upperBound, 1),
        checkDuration("horizon_s", horizonS, horizonS * 1e9),
        checkAtLeast("tpus", tpusField, 1)});
@@ -192,8 +201,7 @@ JsonValue runScenarioSweepPoint(const SweepPoint& p) {
        checkAtLeast("shards", shards, 1), checkAtLeast("racks", racks, 1),
        checkAtLeast("vrpis_per_rack", vRpisPerRack, 1),
        checkAtLeast("streams_per_vrpi", streamsPerVRpi, 1),
-       checkPositive("fps", fps),
-       checkDuration("slo_ms", sloMs, sloMs * 1e6)});
+       checkFps(fps), checkDuration("slo_ms", sloMs, sloMs * 1e6)});
   if (!valid.isOk()) return pointError(valid);
   if (peak > 0.0) {
     for (FlashCrowdSpec& flash : spec.flash) flash.peakMultiplier = peak;

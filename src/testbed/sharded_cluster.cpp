@@ -106,11 +106,13 @@ struct ShardedCluster::RackControl {
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     : config_(std::move(config)), zoo_(zoo::standardZoo()) {
   if (config_.shards < 1 ||
-      config_.shards > ShardedClusterConfig::kMaxShards || config_.racks < 1) {
+      config_.shards > ShardedClusterConfig::kMaxShards || config_.racks < 1 ||
+      !fitsFramePeriod(config_.fps)) {
     setupStatus_ = invalidArgument(strCat(
         "sharded cluster: shards (", config_.shards, ") must be 1 to ",
-        ShardedClusterConfig::kMaxShards, " and racks (", config_.racks,
-        ") at least 1"));
+        ShardedClusterConfig::kMaxShards, ", racks (", config_.racks,
+        ") at least 1, and fps (", config_.fps,
+        ") must give a frame period between 1 ns and about 292 years"));
     return;
   }
   const int racks = config_.racks;
@@ -118,8 +120,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   sharded_ = std::make_unique<ShardedSim>(
       config_.shards, NetworkConfig{}.baseLatency, config_.windowBound);
   ShardMap& map = sharded_->shardMap();
-  // Placement policy must be fixed before the first shardOfName() — the
-  // topology factory below resolves each node's owner sim through it.
+  // Placement policy must be fixed before the topology assigns its nodes.
   map.setRackMapping(config_.rackMapping, racks);
 
   TopologySpec spec;
@@ -127,12 +128,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   spec.tRpiCount = racks * config_.tRpisPerRack;
   spec.vRpiCount = racks * config_.vRpisPerRack;
   spec.tpusPerTRpi = config_.tpusPerTRpi;
-  topology_ = std::make_unique<ClusterTopology>(
-      [this](const std::string& name) -> Simulator& {
-        return sharded_->shardSim(shardOfName(name));
-      },
-      zoo_, spec);
-  for (const auto& node : topology_->nodes()) map.assignByName(node->name());
+  topology_ = std::make_unique<ClusterTopology>(*sharded_, zoo_, spec);
 
   dataPlane_ = std::make_unique<DataPlane>(*sharded_, *topology_, zoo_);
 
@@ -267,7 +263,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     stream->camera = camera->name();
     stream->targetRack = targetRack;
     stream->crossRack = cross;
-    stream->shard = shardOfName(camera->name());
+    stream->shard = sharded_->shardOfNode(internNode(camera->name()));
     stream->uid = uid;
     if (isChurn) {
       const ChurnHost& churn = churnCameras[static_cast<std::size_t>(i - base)];
@@ -379,10 +375,6 @@ void ShardedCluster::stopStreams() {
   }
 }
 
-unsigned ShardedCluster::shardOfName(const std::string& nodeName) const {
-  return sharded_->shardMap().shardOfRack(ShardMap::rackOfName(nodeName));
-}
-
 ShardedCluster::Stream* ShardedCluster::streamByUid(std::uint64_t uid) {
   const std::size_t index = static_cast<std::size_t>(uid) - 1;
   return uid >= 1 && index < streams_.size() ? streams_[index].get() : nullptr;
@@ -412,27 +404,21 @@ void ShardedCluster::evictStream(std::uint64_t uid) {
 }
 
 FaultInjector& ShardedCluster::armFaults(const FaultPlan& plan) {
-  if (faults_ == nullptr) {
-    // The data plane supplies every data-plane edge and each target's owner
-    // shard, which is also its rack's control shard; detection runs the
-    // rack-local control plane there.
-    FaultInjector::Hooks hooks = dataPlane_->faultHooks();
-    hooks.tpuFailControlPlane = [this](const std::string& tpuId) {
-      recoverTpu(tpuId);
-    };
-    hooks.nodeFailControlPlane = [this](const std::string& nodeName) {
-      recoverNode(nodeName);
-    };
-    faults_ = std::make_unique<FaultInjector>(*sharded_, std::move(hooks));
-  }
-  faults_->arm(plan);  // a second plan aborts
-  return *faults_;
+  // Each target's owner shard is also its rack's control shard; detection
+  // runs the rack-local control plane there.
+  return dataPlane_->armFaults(
+      plan, [this](const std::string& tpuId) { recoverTpu(tpuId); },
+      [this](const std::string& nodeName) { recoverNode(nodeName); });
 }
 
 void ShardedCluster::recoverTpu(const std::string& tpuId) {
-  const int rack = std::max(0, ShardMap::rackOfName(tpuId));
-  RackControl& rc = *racks_[static_cast<std::size_t>(rack)];
-  if (!rc.pool.removeTpu(tpuId).isOk()) return;  // already failed earlier
+  // A plan may name a TPU on a rack this cluster lacks: nothing to recover.
+  const auto rack = static_cast<std::size_t>(
+      std::max(0, ShardMap::rackOfName(tpuId)));
+  if (rack >= racks_.size()) return;
+  RackControl& rc = *racks_[rack];
+  // Not in the pool: failed earlier, or no such TPU on this rack.
+  if (!rc.pool.removeTpu(tpuId).isOk()) return;
   (void)rc.recovery->onTpuFailure(tpuId);
 }
 

@@ -3,9 +3,10 @@
 // City-scale experiment harness over the sharded simulation
 // (sim/sharded_sim.hpp).
 //
-// Where Testbed assembles the full single-Simulator MicroEdge stack, this
-// harness assembles a rack-structured cluster across a ShardedSim: every
-// rack's nodes, TPU Services, cameras AND control plane (TpuPool +
+// Where Testbed assembles the full MicroEdge stack on a one-shard
+// ShardedSim, this harness assembles a rack-structured cluster across any
+// number of shards: the topology places every node on its rack's shard, and
+// every rack's nodes, TPU Services, cameras AND control plane (TpuPool +
 // AdmissionController + Reclamation + FailureRecovery) live on the rack's
 // owner shard, so steady-state traffic is shard-local and only genuinely
 // cross-rack interactions — cross-rack streams, failure-detection
@@ -21,11 +22,13 @@
 // machinery — whose cross-shard timing legitimately differs from solo —
 // off the differential path.
 //
-// Chaos: a FaultPlan is armed through FaultInjector with the data plane's
-// hooks (DataPlane::faultHooks), so every edge runs on its target's owner
-// shard: TPU crash -> removeService at t, then the rack pool's removeTpu
-// and recovery at t + detectionDelay; tRPi death -> the same for each of
-// its TPUs, after the streams it hosts stop and return their units; hang ->
+// Chaos: a FaultPlan is armed through DataPlane::armFaults, which writes
+// every data-plane edge; this harness passes only its control-plane edges
+// (recoverTpu, recoverNode). Every edge runs on its target's owner shard:
+// TPU crash -> removeService at t, then the rack pool's removeTpu and
+// recovery at t + detectionDelay (a TPU on a rack the cluster lacks changes
+// nothing); tRPi death -> the same for each of its TPUs, after the streams
+// it hosts stop and return their units; hang ->
 // setHung window; transport faults -> one per-shard lane window whose keyed
 // drop decisions depend only on (window seed, stream uid, frame seq) —
 // shard-count invariant, so LOSS sits on the differential path. Weight
@@ -36,8 +39,8 @@
 // Determinism witness: each stream folds every completed frame's breakdown
 // into a running FNV-1a digest on its own shard; metricsJson() serializes
 // per-stream digests and outcome counters in stream order. Two runs of the
-// same config agree byte for byte regardless of shard count (the CI smoke
-// literally `cmp`s shards=1 vs shards=4 output).
+// same config agree byte for byte regardless of shard count (the `figures`
+// goldens compare the dumps at shards 1, 4 and 8 with one committed file).
 
 #include <array>
 #include <cstdint>
@@ -88,8 +91,9 @@ struct ShardedClusterConfig {
   // Most shards a cluster runs: ShardedSim keeps shards² mailboxes and
   // starts one thread per shard in every run(). The repo runs at most 8.
   static constexpr unsigned kMaxShards = 64;
-  // shards in [1, kMaxShards], racks at least 1; anything else fails
-  // setupStatus() with InvalidArgument.
+  // shards in [1, kMaxShards], racks at least 1 and an fps that passes
+  // fitsFramePeriod (util/time.hpp); anything else fails setupStatus() with
+  // InvalidArgument.
   unsigned shards = 1;
   int racks = 2;
   int tRpisPerRack = 2;
@@ -240,7 +244,6 @@ class ShardedCluster {
   struct Stream;
   struct RackControl;
 
-  unsigned shardOfName(const std::string& nodeName) const;
   Stream* streamByUid(std::uint64_t uid);
   // Control-plane pushes toward a pod's client (weights / eviction) land on
   // the client's shard one lookahead later — at EVERY shard count, so solo
@@ -272,7 +275,6 @@ class ShardedCluster {
   std::vector<std::unique_ptr<RackControl>> racks_;
   std::vector<std::unique_ptr<Stream>> streams_;
   Status setupStatus_ = Status::ok();
-  std::unique_ptr<FaultInjector> faults_;  // built by the first armFaults()
   // Scenario state (empty/zero with scenario off).
   CompiledScenario compiled_;
   double streamUnits_ = 0.0;      // admitted units per stream (churn joins)

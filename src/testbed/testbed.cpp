@@ -21,7 +21,8 @@ std::string_view toString(SchedulingMode mode) {
 
 Testbed::Testbed(TestbedConfig config)
     : config_(config), zoo_(zoo::standardZoo()),
-      topology_(sim_, zoo_, config_.topology), rng_(config_.seed) {
+      sharded_(1, config_.topology.networkConfig.baseLatency),
+      topology_(sharded_, zoo_, config_.topology), rng_(config_.seed) {
   // Register nodes with the orchestrator; tRPis are labelled so specs can
   // target or avoid them.
   for (const auto& node : topology_.nodes()) {
@@ -49,7 +50,7 @@ Testbed::Testbed(TestbedConfig config)
   }
 
   api_ = std::make_unique<ApiServer>(nodes_, [this] { return sim_.now(); });
-  dataPlane_ = std::make_unique<DataPlane>(sim_, topology_, zoo_);
+  dataPlane_ = std::make_unique<DataPlane>(sharded_, topology_, zoo_);
 
   if (config_.mode == SchedulingMode::kBaselineDedicated) {
     baselineAllocator_ = std::make_unique<DedicatedAllocator>(pool_, zoo_);
@@ -417,7 +418,7 @@ void Testbed::startBackgroundTasks() {
 
 void Testbed::run(SimDuration horizon) {
   startBackgroundTasks();
-  sim_.runFor(horizon);
+  sharded_.runFor(horizon);
 }
 
 void Testbed::pollReclamationNow() {
@@ -549,22 +550,11 @@ Testbed::NodeFailureReport Testbed::failNode(const std::string& nodeName) {
 }
 
 FaultInjector& Testbed::armFaults(const FaultPlan& plan) {
-  if (faultInjector_ == nullptr) {
-    // The data plane supplies every data-plane edge; detection runs the
-    // full failTpu / failNode paths (removeService is an idempotent no-op
-    // by then).
-    FaultInjector::Hooks hooks = dataPlane_->faultHooks();
-    hooks.tpuFailControlPlane = [this](const std::string& tpuId) {
-      (void)failTpu(tpuId);
-    };
-    hooks.nodeFailControlPlane = [this](const std::string& nodeName) {
-      (void)failNode(nodeName);
-    };
-    faultInjector_ = std::make_unique<FaultInjector>(dataPlane_->router(),
-                                                     std::move(hooks));
-  }
-  faultInjector_->arm(plan);  // a second plan aborts
-  return *faultInjector_;
+  // Detection runs the full failTpu / failNode paths (removeService is an
+  // idempotent no-op by then).
+  return dataPlane_->armFaults(
+      plan, [this](const std::string& tpuId) { (void)failTpu(tpuId); },
+      [this](const std::string& nodeName) { (void)failNode(nodeName); });
 }
 
 Defragmenter::Report Testbed::defragment(bool full) {

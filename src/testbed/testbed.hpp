@@ -4,7 +4,9 @@
 // cluster, K3s-surface orchestrator, extended scheduler (or the bare-metal
 // dedicated baseline), data plane, applications and metrics — behind one
 // object, so examples and benches describe *what* to deploy, not how to
-// wire it.
+// wire it. The stack runs on a one-shard ShardedSim, the same engine and
+// data plane ShardedCluster spreads over many shards; sim() is its one
+// event loop.
 //
 // Scheduling modes mirror the paper's evaluation variants:
 //   kBaselineDedicated — integral TPUs dedicated per camera, collocated
@@ -101,7 +103,7 @@ class Testbed {
 
   // --- Wiring access ------------------------------------------------------
   const TestbedConfig& config() const { return config_; }
-  Simulator& sim() { return sim_; }
+  Simulator& sim() { return sim_; }  // shard 0
   const ModelRegistry& zoo() const { return zoo_; }
   ClusterTopology& topology() { return topology_; }
   NodeRegistry& nodeRegistry() { return nodes_; }
@@ -218,7 +220,8 @@ class Testbed {
 
   TestbedConfig config_;
   ModelRegistry zoo_;
-  Simulator sim_;
+  ShardedSim sharded_;
+  Simulator& sim_ = sharded_.shardSim(0);
   ClusterTopology topology_;
   NodeRegistry nodes_;
   TpuPool pool_;
@@ -231,7 +234,6 @@ class Testbed {
   std::unique_ptr<FailureRecovery> failureRecovery_;
   std::unique_ptr<Defragmenter> defragmenter_;
   std::unique_ptr<DataPlane> dataPlane_;
-  std::unique_ptr<FaultInjector> faultInjector_;
   std::unique_ptr<UtilizationTracker> utilization_;
   std::unique_ptr<PeriodicTask> reclamationTask_;
   bool backgroundStarted_ = false;

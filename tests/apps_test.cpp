@@ -83,8 +83,8 @@ TEST(DiffDetectorTest, DeterministicPerSeed) {
 class AppsFixture : public ::testing::Test {
  protected:
   AppsFixture()
-      : zoo_(zoo::standardZoo()), topo_(sim_, zoo_, smallTopology()),
-        dataPlane_(sim_, topo_, zoo_) {}
+      : zoo_(zoo::standardZoo()), topo_(sharded_, zoo_, smallTopology()),
+        dataPlane_(sharded_, topo_, zoo_) {}
 
   static TopologySpec smallTopology() {
     TopologySpec spec;
@@ -106,7 +106,8 @@ class AppsFixture : public ::testing::Test {
     return client;
   }
 
-  Simulator sim_;
+  ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
+  Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
   ClusterTopology topo_;
   DataPlane dataPlane_;

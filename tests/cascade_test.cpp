@@ -23,8 +23,8 @@ TEST(CascadeUnitsTest, DutyCycleMath) {
 class CascadeFixture : public ::testing::Test {
  protected:
   CascadeFixture()
-      : zoo_(zoo::standardZoo()), topo_(sim_, zoo_, smallTopology()),
-        dataPlane_(sim_, topo_, zoo_) {}
+      : zoo_(zoo::standardZoo()), topo_(sharded_, zoo_, smallTopology()),
+        dataPlane_(sharded_, topo_, zoo_) {}
 
   static TopologySpec smallTopology() {
     TopologySpec spec;
@@ -46,7 +46,8 @@ class CascadeFixture : public ::testing::Test {
     return client;
   }
 
-  Simulator sim_;
+  ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
+  Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
   ClusterTopology topo_;
   DataPlane dataPlane_;

@@ -19,8 +19,8 @@ namespace {
 struct Cluster {
   Cluster()
       : zoo(zoo::standardZoo()),
-        topo(sim, zoo, spec()),
-        dataPlane(sim, topo, zoo) {}
+        topo(sharded, zoo, spec()),
+        dataPlane(sharded, topo, zoo) {}
 
   static TopologySpec spec() {
     TopologySpec s;
@@ -36,7 +36,8 @@ struct Cluster {
     sim.run();
   }
 
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry zoo;
   ClusterTopology topo;
   DataPlane dataPlane;

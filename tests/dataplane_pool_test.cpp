@@ -214,8 +214,8 @@ class ClientPoolTest : public ::testing::Test {
  protected:
   ClientPoolTest()
       : zoo_(zoo::standardZoo()),
-        topo_(sim_, zoo_, smallTopology()),
-        dataPlane_(sim_, topo_, zoo_) {}
+        topo_(sharded_, zoo_, smallTopology()),
+        dataPlane_(sharded_, topo_, zoo_) {}
 
   static TopologySpec smallTopology() {
     TopologySpec spec;
@@ -231,7 +231,8 @@ class ClientPoolTest : public ::testing::Test {
     sim_.run();
   }
 
-  Simulator sim_;
+  ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
+  Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
   ClusterTopology topo_;
   DataPlane dataPlane_;

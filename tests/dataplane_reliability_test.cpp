@@ -20,8 +20,8 @@ class ReliabilityTest : public ::testing::Test {
  protected:
   ReliabilityTest()
       : zoo_(zoo::standardZoo()),
-        topo_(sim_, zoo_, smallTopology()),
-        dataPlane_(sim_, topo_, zoo_) {}
+        topo_(sharded_, zoo_, smallTopology()),
+        dataPlane_(sharded_, topo_, zoo_) {}
 
   static TopologySpec smallTopology() {
     TopologySpec spec;
@@ -48,7 +48,8 @@ class ReliabilityTest : public ::testing::Test {
     return config;
   }
 
-  Simulator sim_;
+  ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
+  Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
   ClusterTopology topo_;
   DataPlane dataPlane_;
@@ -383,8 +384,8 @@ TEST_F(ReliabilityTest, RemovalFailsOverOldestFrameFirst) {
 }
 
 TEST_F(ReliabilityTest, DataPlaneDestroyedFirstDetachesClientHooks) {
-  ClusterTopology topo(sim_, zoo_, smallTopology());
-  auto plane = std::make_unique<DataPlane>(sim_, topo, zoo_);
+  ClusterTopology topo(sharded_, zoo_, smallTopology());
+  auto plane = std::make_unique<DataPlane>(sharded_, topo, zoo_);
   std::vector<std::unique_ptr<TpuClient>> clients;
   for (int i = 0; i < 6; ++i) {
     clients.push_back(plane->makeClient("vrpi-00", zoo::kMobileNetV1));

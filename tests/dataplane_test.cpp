@@ -15,8 +15,8 @@ class DataPlaneTest : public ::testing::Test {
  protected:
   DataPlaneTest()
       : zoo_(zoo::standardZoo()),
-        topo_(sim_, zoo_, smallTopology()),
-        dataPlane_(sim_, topo_, zoo_) {}
+        topo_(sharded_, zoo_, smallTopology()),
+        dataPlane_(sharded_, topo_, zoo_) {}
 
   static TopologySpec smallTopology() {
     TopologySpec spec;
@@ -30,7 +30,8 @@ class DataPlaneTest : public ::testing::Test {
     return LoadCommand{tpuId, std::move(models), {}};
   }
 
-  Simulator sim_;
+  ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
+  Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
   ClusterTopology topo_;
   DataPlane dataPlane_;

@@ -171,13 +171,14 @@ TEST(DeviceEdgeTest, QueuedInvokesSurviveMidStreamLoad) {
 }
 
 TEST(DataPlaneEdgeTest, LbReconfigureMidStreamShiftsRouting) {
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry zoo = zoo::standardZoo();
   TopologySpec topoSpec;
   topoSpec.vRpiCount = 2;
   topoSpec.tRpiCount = 2;
-  ClusterTopology topo(sim, zoo, topoSpec);
-  DataPlane dataPlane(sim, topo, zoo);
+  ClusterTopology topo(sharded, zoo, topoSpec);
+  DataPlane dataPlane(sharded, topo, zoo);
   for (const char* tpu : {"tpu-00", "tpu-01"}) {
     ASSERT_TRUE(
         dataPlane.executeLoad(LoadCommand{tpu, {zoo::kMobileNetV1}, {}})

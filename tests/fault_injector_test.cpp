@@ -92,8 +92,8 @@ TEST(FaultPlanTest, JsonCarriesSeedKindsAndTargets) {
 }
 
 TEST(FaultInjectorTest, CrashSplitsAcrossDetectionWindow) {
-  Simulator sim;
-  SoloRouter router(sim);
+  ShardedSim sharded(1, microseconds(500));
+  Simulator& sim = sharded.shardSim(0);
   std::vector<std::pair<std::string, SimDuration>> calls;
   FaultInjector::Hooks hooks;
   hooks.tpuFailDataPlane = [&](const std::string& tpu) {
@@ -102,7 +102,7 @@ TEST(FaultInjectorTest, CrashSplitsAcrossDetectionWindow) {
   hooks.tpuFailControlPlane = [&](const std::string& tpu) {
     calls.emplace_back("ctrl:" + tpu, sim.now() - kSimEpoch);
   };
-  FaultInjector injector(router, std::move(hooks));
+  FaultInjector injector(sharded, std::move(hooks));
 
   FaultPlan plan;
   plan.detectionDelay = milliseconds(750);
@@ -124,8 +124,8 @@ TEST(FaultInjectorTest, CrashSplitsAcrossDetectionWindow) {
 }
 
 TEST(FaultInjectorTest, HangAndTransportWindowsHaveBothEdges) {
-  Simulator sim;
-  SoloRouter router(sim);
+  ShardedSim sharded(1, microseconds(500));
+  Simulator& sim = sharded.shardSim(0);
   std::vector<std::string> calls;
   FaultInjector::Hooks hooks;
   hooks.setTpuHung = [&](const std::string& tpu, bool hung) {
@@ -136,7 +136,7 @@ TEST(FaultInjectorTest, HangAndTransportWindowsHaveBothEdges) {
                     std::to_string(mult));
   };
   hooks.clearTransportFault = [&] { calls.push_back("clear"); };
-  FaultInjector injector(router, std::move(hooks));
+  FaultInjector injector(sharded, std::move(hooks));
 
   FaultPlan plan;
   plan.events.push_back(FaultEvent{milliseconds(100), FaultKind::kTpuHang,
@@ -159,9 +159,9 @@ TEST(FaultInjectorTest, ReplayProducesIdenticalAppliedLog) {
   ASSERT_FALSE(plan.events.empty());
 
   auto runOnce = [&plan] {
-    Simulator sim;
-    SoloRouter router(sim);
-    FaultInjector injector(router, FaultInjector::Hooks{});  // hooks optional
+    ShardedSim sharded(1, microseconds(500));
+    Simulator& sim = sharded.shardSim(0);
+    FaultInjector injector(sharded, FaultInjector::Hooks{});  // hooks optional
     injector.arm(plan);
     sim.run();
     return injector.log();
@@ -173,22 +173,21 @@ TEST(FaultInjectorTest, ReplayProducesIdenticalAppliedLog) {
 }
 
 TEST(FaultInjectorTest, TransportLossWindowDropsThenHeals) {
-  Simulator sim;
+  ShardedSim sharded(1, NetworkConfig{}.baseLatency);
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry zoo = zoo::standardZoo();
   TopologySpec spec;
   spec.vRpiCount = 1;
   spec.tRpiCount = 1;
-  ClusterTopology topo(sim, zoo, spec);
-  DataPlane dataPlane(sim, topo, zoo);
+  ClusterTopology topo(sharded, zoo, spec);
+  DataPlane dataPlane(sharded, topo, zoo);
   SimTransport& transport = dataPlane.transport();
-
-  FaultInjector injector(dataPlane.router(), dataPlane.faultHooks());
 
   FaultPlan plan;
   plan.events.push_back(FaultEvent{milliseconds(100),
                                    FaultKind::kTransportLoss, "",
                                    milliseconds(200), 1.0});  // drop all
-  injector.arm(plan);
+  dataPlane.armFaults(plan);
 
   int delivered = 0;
   const NodeId from = internNode("vrpi-00"), to = internNode("trpi-00");
@@ -210,9 +209,8 @@ TEST(FaultInjectorTest, TransportLossWindowDropsThenHeals) {
 // second plan would arm on top of the first.
 TEST(FaultInjectorDeathTest, SecondArmAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Simulator sim;
-  SoloRouter router(sim);
-  FaultInjector injector(router, FaultInjector::Hooks{});
+  ShardedSim sharded(1, microseconds(500));
+  FaultInjector injector(sharded, FaultInjector::Hooks{});
   FaultPlan hang;
   hang.events.push_back(
       {seconds(1), FaultKind::kTpuHang, "tpu-00", milliseconds(500), 0.0});

@@ -116,13 +116,14 @@ TEST(ScenarioTest, FullFeatureConfigAcceptsAtLeastAsManyAsRestricted) {
 }
 
 TEST(ServerlessTest, PerRequestSchedulingCostsMoreLatency) {
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry zoo = zoo::standardZoo();
   TopologySpec topoSpec;
   topoSpec.vRpiCount = 4;
   topoSpec.tRpiCount = 2;
-  ClusterTopology topo(sim, zoo, topoSpec);
-  DataPlane dataPlane(sim, topo, zoo);
+  ClusterTopology topo(sharded, zoo, topoSpec);
+  DataPlane dataPlane(sharded, topo, zoo);
   for (const char* tpu : {"tpu-00", "tpu-01"}) {
     ASSERT_TRUE(
         dataPlane.executeLoad(LoadCommand{tpu, {zoo::kSsdMobileNetV2}, {}})
@@ -166,13 +167,14 @@ TEST(ServerlessTest, PerRequestSchedulingCostsMoreLatency) {
 TEST(CoCompileAblationTest, SwapSharingCollapsesThroughputOnTheDataPlane) {
   // Why the Model Size Rule exists: force two different-model tenants onto
   // one TPU *without* co-compiling and watch swaps destroy service times.
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ModelRegistry zoo = zoo::standardZoo();
   TopologySpec topoSpec;
   topoSpec.vRpiCount = 2;
   topoSpec.tRpiCount = 1;
-  ClusterTopology topo(sim, zoo, topoSpec);
-  DataPlane dataPlane(sim, topo, zoo);
+  ClusterTopology topo(sharded, zoo, topoSpec);
+  DataPlane dataPlane(sharded, topo, zoo);
   ASSERT_TRUE(dataPlane
                   .executeLoad(LoadCommand{"tpu-00", {zoo::kMobileNetV1}, {}})
                   .isOk());

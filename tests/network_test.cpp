@@ -47,9 +47,9 @@ class TopologyTest : public ::testing::Test {
  protected:
   TopologyTest()
       : zoo_(zoo::standardZoo()),
-        topo_(sim_, zoo_, ClusterTopology::microEdgeDefault()) {}
+        topo_(sharded_, zoo_, ClusterTopology::microEdgeDefault()) {}
 
-  Simulator sim_;
+  ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
   ModelRegistry zoo_;
   ClusterTopology topo_;
 };
@@ -83,14 +83,41 @@ TEST_F(TopologyTest, Lookups) {
   EXPECT_EQ(topo_.findNode("nope"), nullptr);
 }
 
+// The topology records every node's shard as it builds it: each node, vRPis
+// included, runs on its rack's shard under either rack mapping.
+TEST(TopologyShardTest, EveryNodeRunsOnItsRacksShard) {
+  ModelRegistry zoo = zoo::standardZoo();
+  TopologySpec spec;
+  spec.racks = 5;
+  spec.tRpiCount = 10;
+  spec.vRpiCount = 15;
+  for (unsigned shards : {1u, 2u, 4u}) {
+    for (RackMapping mapping :
+         {RackMapping::kRoundRobin, RackMapping::kBlock}) {
+      ShardedSim sharded(shards, NetworkConfig{}.baseLatency);
+      sharded.shardMap().setRackMapping(mapping, spec.racks);
+      ClusterTopology topo(sharded, zoo, spec);
+      const ShardMap& map = sharded.shardMap();
+      EXPECT_EQ(map.mappedCount(), topo.nodes().size());
+      for (const auto& node : topo.nodes()) {
+        const int rack = ShardMap::rackOfName(node->name());
+        ASSERT_GE(rack, 0) << node->name();
+        EXPECT_EQ(sharded.shardOfNode(internNode(node->name())),
+                  map.shardOfRack(rack))
+            << node->name() << " shards=" << shards;
+      }
+    }
+  }
+}
+
 TEST(TopologyMultiTpuTest, BodyPixBaselineAttachesTwoTpusPerNode) {
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
   ModelRegistry zoo = zoo::standardZoo();
   TopologySpec spec;
   spec.tRpiCount = 3;
   spec.tpusPerTRpi = 2;
   spec.vRpiCount = 4;
-  ClusterTopology topo(sim, zoo, spec);
+  ClusterTopology topo(sharded, zoo, spec);
   EXPECT_EQ(topo.tpus().size(), 6u);
   for (RpiNode* node : topo.tRpis()) {
     EXPECT_EQ(node->tpus().size(), 2u);

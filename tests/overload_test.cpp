@@ -239,7 +239,8 @@ TEST(RepackSupervisorTest, MaxRepacksCapsTriggers) {
 
 struct MiniCluster {
   ModelRegistry zoo;
-  Simulator sim;
+  ShardedSim sharded{1, NetworkConfig{}.baseLatency};
+  Simulator& sim = sharded.shardSim(0);
   ClusterTopology topo;
   DataPlane dataPlane;
 
@@ -252,8 +253,8 @@ struct MiniCluster {
   }
 
   explicit MiniCluster(int tpus = 1)
-      : zoo(zoo::standardZoo()), topo(sim, zoo, spec(tpus)),
-        dataPlane(sim, topo, zoo) {
+      : zoo(zoo::standardZoo()), topo(sharded, zoo, spec(tpus)),
+        dataPlane(sharded, topo, zoo) {
     for (const auto& tpu : topo.tpus()) {
       LoadCommand load{tpu->id(), {zoo::kMobileNetV1}, {}};
       if (!dataPlane.executeLoad(load).isOk()) std::abort();

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -294,6 +295,34 @@ TEST(ShardedClusterFaults, AppliedFaultLogIsShardCountInvariant) {
   }
 }
 
+// A plan may name hardware the cluster lacks. Crashing a TPU on a rack past
+// the cluster's logs both edges and changes nothing else: the run is the
+// run without the plan.
+TEST(ShardedClusterFaults, TargetOutsideTheClusterChangesNothing) {
+  for (unsigned shards : {1u, 2u}) {
+    ShardedClusterConfig config;
+    config.shards = shards;
+    ShardedCluster healthy(config);
+    ASSERT_TRUE(healthy.setupStatus().isOk());
+    healthy.run(seconds(2));
+
+    ShardedCluster cluster(config);
+    ASSERT_TRUE(cluster.setupStatus().isOk());
+    FaultPlan plan;
+    plan.events.push_back(
+        {milliseconds(300), FaultKind::kTpuCrash, "r9-tpu-00", {}, 0.0});
+    FaultInjector& injector = cluster.armFaults(plan);
+    cluster.run(seconds(2));
+
+    const std::vector<FaultInjector::Applied> log = injector.log();
+    ASSERT_EQ(log.size(), 2u) << "shards=" << shards;
+    EXPECT_TRUE(log[0].begin);
+    EXPECT_FALSE(log[1].begin);
+    EXPECT_GT(cluster.totalCompleted(), 0u);
+    EXPECT_EQ(cluster.digest(), healthy.digest()) << "shards=" << shards;
+  }
+}
+
 // A cluster with no shard or no rack is a configuration error, reported by
 // setupStatus() rather than silently run as one shard or one rack.
 TEST(ShardedClusterSetupTest, ZeroShardsOrRacksIsInvalidArgument) {
@@ -308,6 +337,22 @@ TEST(ShardedClusterSetupTest, ZeroShardsOrRacksIsInvalidArgument) {
     ShardedCluster cluster(config);
     EXPECT_EQ(cluster.setupStatus().code(), StatusCode::kInvalidArgument)
         << "shards=" << config.shards << " racks=" << config.racks << ": "
+        << cluster.setupStatus().toString();
+    EXPECT_EQ(cluster.streamCount(), 0u);
+  }
+}
+
+// An fps whose frame period is under 1 ns or past SimDuration is refused
+// before anything converts it.
+TEST(ShardedClusterSetupTest, FpsOutsideAFramePeriodIsInvalidArgument) {
+  for (double fps : {0.0, std::numeric_limits<double>::quiet_NaN(), 1e-300,
+                     1e300}) {
+    ShardedClusterConfig config = baseConfig(1);
+    config.fps = fps;
+    ShardedCluster cluster(config);
+    EXPECT_EQ(cluster.setupStatus().code(), StatusCode::kInvalidArgument)
+        << "fps=" << fps << ": " << cluster.setupStatus().toString();
+    EXPECT_NE(cluster.setupStatus().message().find("fps"), std::string::npos)
         << cluster.setupStatus().toString();
     EXPECT_EQ(cluster.streamCount(), 0u);
   }

@@ -138,12 +138,14 @@ TEST(ShardedSim, PostToNodeRoutesThroughShardMap) {
   // One flag per shard: each is written only by its own shard's worker.
   SimDuration fired0{}, fired1{};
   const SimTime start = sharded.now();
-  sharded.postToNode(internNode("r1-vrpi-01"), start + milliseconds(1), [&] {
-    fired1 = sharded.shardSim(1).now() - start;
-  });
-  sharded.postToNode(internNode("r0-vrpi-00"), start + milliseconds(2), [&] {
-    fired0 = sharded.shardSim(0).now() - start;
-  });
+  sharded.postToShard(sharded.shardOfNode(internNode("r1-vrpi-01")),
+                      start + milliseconds(1), [&] {
+                        fired1 = sharded.shardSim(1).now() - start;
+                      });
+  sharded.postToShard(sharded.shardOfNode(internNode("r0-vrpi-00")),
+                      start + milliseconds(2), [&] {
+                        fired0 = sharded.shardSim(0).now() - start;
+                      });
   sharded.runFor(milliseconds(3));
   EXPECT_EQ(fired1, milliseconds(1));
   EXPECT_EQ(fired0, milliseconds(2));

@@ -637,6 +637,39 @@ TEST(SweepDriversTest, TraceWindowPastSimDurationIsAnInBandError) {
   expectDurationOutOfRange("trace", std::move(base), "window_s", 1e10);
 }
 
+// An fps whose frame period is under 1 ns or past SimDuration is an
+// in-band error naming fps, checked before anything converts it: not a
+// point that simulated no cameras, nor a setup error about TPU units.
+void expectFpsOutOfRange(const std::string& driver, const JsonValue& base) {
+  for (double fps : {1e-300, 1e300}) {
+    JsonValue values = base;
+    values.set("fps", fps);
+    JsonValue result = runDriverPoint(driver, std::move(values));
+    const JsonValue* error = result.find("error");
+    ASSERT_NE(error, nullptr) << driver << " fps=" << fps << ": "
+                              << result.dump();
+    EXPECT_NE(error->asString().find("fps must give a frame period"),
+              std::string::npos)
+        << error->asString();
+  }
+}
+
+TEST(SweepDriversTest, ScalabilityFpsOutsideAFramePeriodIsAnInBandError) {
+  JsonValue base = JsonValue::object();
+  base.set("tpus", 2);
+  base.set("horizon_s", 0.5);
+  base.set("camera_upper_bound", 4);
+  expectFpsOutOfRange("scalability", base);
+}
+
+TEST(SweepDriversTest, ScenarioFpsOutsideAFramePeriodIsAnInBandError) {
+  JsonValue base = JsonValue::object();
+  base.set("racks", 1);
+  base.set("vrpis_per_rack", 1);
+  base.set("streams_per_vrpi", 1);
+  expectFpsOutOfRange("scenario", base);
+}
+
 TEST(SweepDriversTest, ScenarioSloPastSimDurationIsAnInBandError) {
   JsonValue base = JsonValue::object();
   base.set("racks", 1);
