@@ -49,16 +49,16 @@ enum class Mode { kOff, kIdle, kActive };
 
 struct Stream {
   TpuClient* client = nullptr;
+  std::uint64_t* terminated = nullptr;  // the fixture's count, all streams
   std::uint64_t remaining = 0;
   std::uint64_t completed = 0;
-  std::uint64_t terminated = 0;
   std::vector<double> latenciesUs;  // completed frames only; pre-reserved
 
   void pump() {
     if (remaining == 0) return;
     --remaining;
     (void)client->invoke([this](const FrameBreakdown& b) {
-      ++terminated;
+      ++*terminated;
       if (b.outcome == FrameOutcome::kCompleted) {
         ++completed;
         if (latenciesUs.size() < latenciesUs.capacity()) {
@@ -79,6 +79,7 @@ struct Fixture {
   DataPlane dataPlane;
   std::vector<std::unique_ptr<TpuClient>> clients;
   std::vector<Stream> streams;
+  std::uint64_t terminated = 0;  // frames that reached a terminal outcome
 
   static TopologySpec spec() {
     TopologySpec s;
@@ -110,6 +111,7 @@ struct Fixture {
       clients.push_back(dataPlane.makeClient(std::move(config)));
       if (!clients.back()->configureLb(lb).isOk()) std::abort();
       streams[i].client = clients.back().get();
+      streams[i].terminated = &terminated;
     }
     if (mode != Mode::kOff) {
       FaultPlan plan;
@@ -145,13 +147,17 @@ struct Fixture {
     }
   }
 
+  // Runs `frames` more frames per stream and returns how many frames have
+  // terminated so far. Steps the simulator only until this run's frames
+  // have terminated, so the rest of the fault plan stays pending for the
+  // next run.
   std::uint64_t run(std::uint64_t frames) {
+    const std::uint64_t target = terminated + frames * streams.size();
     for (Stream& s : streams) s.remaining = frames;
     for (Stream& s : streams) s.pump();
-    sim.run();
-    std::uint64_t total = 0;
-    for (Stream& s : streams) total += s.terminated;
-    return total;
+    while (terminated < target && sim.step()) {
+    }
+    return terminated;
   }
 };
 
@@ -176,11 +182,10 @@ void BM_ChaosFrames(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto fx = std::make_unique<Fixture>(mode);
-    fx->run(64);  // warm-up: pools, rings, event arena, latency buffers
-    std::uint64_t terminatedBefore = 0;
+    // Warm-up: pools, rings, event arena, latency buffers.
+    const std::uint64_t terminatedBefore = fx->run(64);
     std::uint64_t completedBefore = 0;
     for (Stream& s : fx->streams) {
-      terminatedBefore += s.terminated;
       completedBefore += s.completed;
       s.latenciesUs.clear();
       s.latenciesUs.reserve(framesPerStream);
@@ -224,10 +229,8 @@ void BM_ChaosSteadyAllocFree(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto fx = std::make_unique<Fixture>(Mode::kIdle);
-    fx->run(64);
-    std::uint64_t terminatedBefore = 0;
+    const std::uint64_t terminatedBefore = fx->run(64);
     for (Stream& s : fx->streams) {
-      terminatedBefore += s.terminated;
       s.latenciesUs.clear();
       s.latenciesUs.reserve(framesPerStream);
     }
@@ -363,7 +366,6 @@ struct OverloadFixture {
       }
       if (policy == Policy::kAdmit || policy == Policy::kDegrade) {
         config.admission.enabled = true;
-        config.admission.overcommit = 1.0;
       }
       clients.push_back(dataPlane.makeClient(std::move(config)));
       if (!clients.back()->configureLb(lb).isOk()) std::abort();

@@ -6,6 +6,9 @@
 // the global operator new/delete of the whole binary, so include it from
 // the bench's one translation unit and never link two benches together.
 // Relaxed atomics: the counter only needs to be well-defined, not ordered.
+// The operators stay out of line so GCC does not match an inlined malloc()
+// or free() against the replaced operator it pairs with
+// (-Wmismatched-new-delete).
 
 #include <atomic>
 #include <cstdint>
@@ -16,18 +19,24 @@ namespace {
 std::atomic<std::uint64_t> g_allocCount{0};
 }
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocCount.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace microedge {
 

@@ -37,9 +37,10 @@ int main() {
     apps.push_back(*app);
     const Pod* pod = testbed.api().findPodByName(deployment.name);
     std::cout << deployment.name << " partition:";
-    for (const LbWeight& w : testbed.scheduler().lbConfig(pod->uid)->weights) {
-      std::cout << " " << tpuName(w.tpu) << "="
-                << fmtDouble(w.weight / 1000.0, 2);
+    for (const TpuShare& share :
+         testbed.reclamation().allocationOf(pod->uid)->shares) {
+      std::cout << " " << tpuName(share.tpu) << "="
+                << fmtDouble(share.units.value(), 2);
     }
     std::cout << "\n";
   }

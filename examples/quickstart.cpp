@@ -57,8 +57,9 @@ int main() {
   }
   const Pod* pod = testbed.api().findPodByName(deployment.name);
   std::cout << "pod bound to " << pod->nodeName << "; TPU shares:";
-  for (const LbWeight& w : testbed.scheduler().lbConfig(pod->uid)->weights) {
-    std::cout << " " << tpuName(w.tpu) << "=" << w.weight << "m";
+  const Allocation* allocation = testbed.reclamation().allocationOf(pod->uid);
+  for (const TpuShare& share : allocation->shares) {
+    std::cout << " " << tpuName(share.tpu) << "=" << share.units.milli() << "m";
   }
   std::cout << "\n\nstreaming 30 seconds of 15 FPS video...\n";
 

@@ -7,6 +7,16 @@
 
 namespace microedge {
 
+LbConfig lbConfigFromAllocation(const Allocation& allocation) {
+  LbConfig config;
+  config.weights.reserve(allocation.shares.size());
+  for (const TpuShare& share : allocation.shares) {
+    config.weights.push_back(
+        LbWeight{share.tpu, static_cast<std::uint32_t>(share.units.milli())});
+  }
+  return config;
+}
+
 AdmissionController::AdmissionController(TpuPool& pool,
                                          const ModelRegistry& registry,
                                          AdmissionConfig config)

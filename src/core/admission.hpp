@@ -69,6 +69,21 @@ struct AdmitResult {
   std::vector<LoadCommand> loads;
 };
 
+// One downstream TPU Service and its share of the pod's requests. Weights
+// are integer milli-units, consumed directly by the smooth-WRR scheduler.
+struct LbWeight {
+  TpuId tpu{};
+  std::uint32_t weight = 0;
+};
+
+struct LbConfig {
+  std::vector<LbWeight> weights;
+  bool empty() const { return weights.empty(); }
+};
+
+// A pod's LB weights are its allocation's shares (§3.1 step 4).
+LbConfig lbConfigFromAllocation(const Allocation& allocation);
+
 // Interface shared by MicroEdge's admission controller and the bare-metal
 // dedicated-TPU baseline, so the scheduler/reclamation machinery and the
 // experiment harness can swap strategies.

@@ -1,19 +1,17 @@
 #include "core/admission_ledger.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace microedge {
 
 void AdmissionLedger::reconfigure(const TargetCapacity* targets,
-                                  std::size_t count, double overcommit) {
+                                  std::size_t count) {
   // Zombie pass: every existing entry loses its capacity; those re-named
   // below get the fresh value, the rest only drain.
   for (Entry& e : entries_) e.capacityMilli = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const std::int64_t capacity = static_cast<std::int64_t>(
-        std::llround(static_cast<double>(targets[i].shareMilli) * overcommit));
+    const std::int64_t capacity = targets[i].shareMilli;
     const std::uint32_t idx = entryFor(targets[i].tpu);
     if (idx == kNoEntry) {
       Entry e;

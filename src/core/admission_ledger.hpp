@@ -8,8 +8,8 @@
 // valve is shedding at the deadline. This ledger closes the gap with a
 // per-target capacity counter in estimated-execution/deadline units:
 //
-//   estimate(frame) = inferenceEstimate / frameDeadline      (milli, >= 1)
-//   capacity(target) = share units on that TPU * overcommit  (milli)
+//   estimate(frame) = inferenceEstimate / frameDeadline  (milli, >= 1)
+//   capacity(target) = share units on that TPU            (milli)
 //
 // A frame is charged against its routed target at accept and credited at
 // its terminal outcome — whichever outcome that is (completed, timed out,
@@ -46,25 +46,21 @@ struct FrameAdmissionConfig {
   // Off by default: the ledger is never consulted and the data-plane path
   // is bit-identical to a build without it.
   bool enabled = false;
-  // Headroom multiplier on each target's share capacity. < 1 admits less
-  // than the deployment-time share (slack against queueing at the device);
-  // > 1 tolerates transient bursts above it.
-  double overcommit = 1.0;
 };
 
 class AdmissionLedger {
  public:
   static constexpr std::uint32_t kNoEntry = static_cast<std::uint32_t>(-1);
 
-  // Installs the target set from LB weights (weight == share milli-units).
-  // Charges outstanding against surviving targets are preserved; targets no
-  // longer named keep their entry with capacity zero until drained.
+  // Installs the target set from LB weights (weight == share milli-units ==
+  // capacity). Charges outstanding against surviving targets are preserved;
+  // targets no longer named keep their entry with capacity zero until
+  // drained.
   struct TargetCapacity {
     TpuId tpu{};
     std::uint32_t shareMilli = 0;
   };
-  void reconfigure(const TargetCapacity* targets, std::size_t count,
-                   double overcommit);
+  void reconfigure(const TargetCapacity* targets, std::size_t count);
 
   // Entry index for a target; kNoEntry when the target was never configured
   // (defensive: routing only yields configured targets).

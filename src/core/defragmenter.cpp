@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/extended_scheduler.hpp"
 #include "util/logging.hpp"
 
 namespace microedge {
@@ -42,8 +41,7 @@ Status Defragmenter::pushPlacement(std::uint64_t uid,
     }
   }
   if (callbacks_.reconfigureLb) {
-    callbacks_.reconfigureLb(
-        uid, ExtendedScheduler::lbConfigFromAllocation(result.allocation));
+    callbacks_.reconfigureLb(uid, lbConfigFromAllocation(result.allocation));
   }
   reclamation_.retrack(uid, result.allocation);
   return Status::ok();

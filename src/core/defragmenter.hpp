@@ -22,7 +22,6 @@
 #include <functional>
 
 #include "core/admission.hpp"
-#include "core/extended_scheduler.hpp"
 #include "core/reclamation.hpp"
 #include "util/status.hpp"
 

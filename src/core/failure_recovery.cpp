@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/extended_scheduler.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -81,9 +80,8 @@ FailureRecovery::Report FailureRecovery::onTpuFailure(
     if (!ok) continue;
 
     if (callbacks_.reconfigureLb) {
-      callbacks_.reconfigureLb(
-          pod.uid, ExtendedScheduler::lbConfigFromAllocation(
-                       replanned->allocation));
+      callbacks_.reconfigureLb(pod.uid,
+                               lbConfigFromAllocation(replanned->allocation));
     }
     reclamation_.retrack(pod.uid, replanned->allocation);
     ++report.recoveredPods;

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/admission.hpp"
-#include "core/extended_scheduler.hpp"
 #include "core/reclamation.hpp"
 #include "util/status.hpp"
 

@@ -15,8 +15,7 @@ const Allocation* Reclamation::allocationOf(std::uint64_t podUid) const {
 }
 
 std::size_t Reclamation::pollOnce(
-    const std::function<bool(std::uint64_t)>& isAlive,
-    const std::function<void(std::uint64_t)>& onReclaimed) {
+    const std::function<bool(std::uint64_t)>& isAlive) {
   std::size_t count = 0;
   for (auto it = tracked_.begin(); it != tracked_.end();) {
     if (isAlive(it->first)) {
@@ -28,9 +27,7 @@ std::size_t Reclamation::pollOnce(
       ME_LOG(kError) << "reclamation of pod uid " << it->first
                      << " failed: " << released.toString();
     }
-    std::uint64_t uid = it->first;
     it = tracked_.erase(it);
-    if (onReclaimed) onReclaimed(uid);
     ++count;
     ++reclaimed_;
   }

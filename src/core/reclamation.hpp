@@ -9,6 +9,10 @@
 // counts drop inside AdmissionController::release, and the next co-compile
 // on the TPU excludes zero-reference models (lazy reclamation).
 //
+// The tracked allocation is the only record of a pod's placement: failure
+// recovery and the defragmenter retrack it when they replan, and a pod's LB
+// weights are lbConfigFromAllocation of it.
+//
 // Driving the poll is the caller's job (a PeriodicTask in simulation, a
 // thread in the in-process runtime) so this component stays clock-agnostic.
 
@@ -44,11 +48,8 @@ class Reclamation {
   void untrack(std::uint64_t podUid) { tracked_.erase(podUid); }
 
   // One poll cycle: reclaims every tracked pod for which isAlive returns
-  // false. `onReclaimed` (optional) fires per reclaimed pod uid, letting the
-  // scheduler drop its LB bookkeeping. Returns the number reclaimed.
-  std::size_t pollOnce(const std::function<bool(std::uint64_t)>& isAlive,
-                       const std::function<void(std::uint64_t)>& onReclaimed =
-                           nullptr);
+  // false. Returns the number reclaimed.
+  std::size_t pollOnce(const std::function<bool(std::uint64_t)>& isAlive);
 
   // Immediate release (used when a later pipeline step fails after
   // admission succeeded, to avoid leaking units until the next poll).

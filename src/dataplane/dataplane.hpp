@@ -2,9 +2,9 @@
 
 // Data-plane assembly: instantiates one TPU Service per physical TPU at
 // cluster boot (as MicroEdge does at system initialization) and provides
-// the glue the control plane needs — a Load executor for the extended
-// scheduler, the retrying Load every replan uses, fault-plan arming, and a
-// client factory for application pods.
+// the glue the control plane needs — the Load every admission uses, the
+// retrying Load every replan uses, fault-plan arming, and a client factory
+// for application pods.
 //
 // Reliability glue: the DataPlane keeps a registry of the clients it
 // created; removeService() broadcasts the removal so every in-flight frame
@@ -74,16 +74,17 @@ class DataPlane {
   // lookahead later.
   void removeService(const std::string& tpuId);
 
-  // ExtendedScheduler::Callbacks::loadModel implementation (admission-time
-  // Loads: a failure is the caller's to handle).
+  // The admission Load (ControlPlane::admit: every deployment, including a
+  // mid-run churn join): a failure refuses the admission, which returns its
+  // units.
   Status executeLoad(const LoadCommand& command);
 
-  // The control-plane replan Load (failure recovery, defragmentation,
-  // mid-run joins), which races with hung-but-alive services: tries the
-  // Load now; if it fails while the service still exists, retries in the
-  // background with ExpBackoff{} (ordinary events on the calling shard) and
-  // reports OK; if the service is gone the failure is permanent and its
-  // error is returned, so the caller evicts instead of waiting.
+  // The control-plane replan Load (failure recovery, defragmentation),
+  // which races with hung-but-alive services: tries the Load now; if it
+  // fails while the service still exists, retries in the background with
+  // ExpBackoff{} (ordinary events on the calling shard) and reports OK; if
+  // the service is gone the failure is permanent and its error is returned,
+  // so the caller evicts instead of waiting.
   Status executeLoadOrRetry(const LoadCommand& command);
   std::uint64_t loadRetries() const;
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // TPU load balancing service (§5.3): per-pod component, seeded by the
-// extended scheduler with the workload-partitioning weights, that fans the
+// control plane with the workload-partitioning weights, that fans the
 // pod's successive Invoke requests out to TPU Service instances.
 //
 // K3s's default Service load balancer cannot pin requests to *specific*
@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/extended_scheduler.hpp"
+#include "core/admission.hpp"
 #include "dataplane/wrr.hpp"
 #include "util/status.hpp"
 #include "util/time.hpp"

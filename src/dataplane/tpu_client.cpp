@@ -51,16 +51,15 @@ TpuClient::TpuClient(ShardedSim& sharded, const ModelRegistry& registry,
 Status TpuClient::configureLb(const LbConfig& config) {
   Status s = lb_.configure(config);
   if (!s.isOk() || !config_.admission.enabled) return s;
-  // Capacity line = the pushed share weights (milli units) scaled by the
-  // overcommit knob. Control-plane path: a local vector is fine here; the
-  // per-frame charge/credit path below allocates nothing.
+  // Capacity line = the pushed share weights (milli units). Control-plane
+  // path: a local vector is fine here; the per-frame charge/credit path
+  // below allocates nothing.
   std::vector<AdmissionLedger::TargetCapacity> targets;
   targets.reserve(lb_.config().weights.size());
   for (const LbWeight& w : lb_.config().weights) {
     targets.push_back({w.tpu, w.weight});
   }
-  admission_.reconfigure(targets.data(), targets.size(),
-                         config_.admission.overcommit);
+  admission_.reconfigure(targets.data(), targets.size());
   // One model + one deadline per client, so the SLEDGE estimate
   // (execution / deadline) is a per-client constant. Zero disables the
   // per-frame check (no deadline, or the model is not registered yet —

@@ -173,9 +173,10 @@ class TpuClient {
             SimTransport& transport, Directory directory, Config config);
   ~TpuClient();
 
-  // Seeds the embedded LB Service (done by the extended scheduler at pod
-  // initialization, §3.1 step 4) and, with admission enabled, rebuilds the
-  // ledger's capacity line from the pushed weights (share milli-units).
+  // Seeds the embedded LB Service with the weights the control plane
+  // admitted (pod initialization, §3.1 step 4) or replanned, and, with
+  // admission enabled, rebuilds the ledger's capacity line from them (share
+  // milli-units).
   Status configureLb(const LbConfig& config);
   bool ready() const { return lb_.configured() && !stopped_; }
 

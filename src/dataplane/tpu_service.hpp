@@ -4,7 +4,7 @@
 //
 // Instantiated at cluster boot for every physical TPU, it listens for two
 // request kinds:
-//   Load   — from the extended scheduler: install a (co-compiled) model
+//   Load   — from the control plane: install a (co-compiled) model
 //            composite into TPU memory;
 //   Invoke — from TPU Clients: run one inference, reply with the result.
 //

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/extended_scheduler.hpp"
+#include "core/admission.hpp"
 #include "util/status.hpp"
 
 namespace microedge {

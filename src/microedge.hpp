@@ -12,13 +12,14 @@
 //   orch      -> K3s-surface: YAML pod specs, node registry, API server
 //   core      -> the paper's contribution: TPU units, Algorithm 1 admission
 //                control, workload partitioning, co-compile planning,
-//                reclamation, extended scheduler, failure recovery,
-//                defragmentation
+//                reclamation, failure recovery, defragmentation
 //   dataplane -> TPU Service / LB Service / TPU Client
 //   apps      -> camera pipelines: Coral-Pie, BodyPix, cascades
 //   trace     -> MAF-like workload generation & replay
 //   metrics   -> utilization, SLO, latency breakdowns
-//   testbed   -> experiment harness + offline planner
+//   testbed   -> control plane (the K3s extended scheduler and its
+//                loops over one TPU pool), experiment harnesses + offline
+//                planner
 
 #include "apps/bodypix.hpp"
 #include "apps/cascade.hpp"
@@ -29,7 +30,6 @@
 #include "core/admission.hpp"
 #include "core/dedicated_allocator.hpp"
 #include "core/defragmenter.hpp"
-#include "core/extended_scheduler.hpp"
 #include "core/failure_recovery.hpp"
 #include "core/reclamation.hpp"
 #include "core/tpu_units.hpp"
@@ -41,6 +41,7 @@
 #include "models/zoo.hpp"
 #include "orch/api_server.hpp"
 #include "orch/spec.hpp"
+#include "testbed/control_plane.hpp"
 #include "testbed/planner.hpp"
 #include "testbed/scenarios.hpp"
 #include "testbed/serverless_baseline.hpp"

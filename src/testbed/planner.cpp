@@ -1,6 +1,5 @@
 #include "testbed/planner.hpp"
 
-#include "core/dedicated_allocator.hpp"
 #include "metrics/report.hpp"
 #include "orch/spec.hpp"
 #include "orch/yaml.hpp"
@@ -129,17 +128,8 @@ PlannerResult planScenario(const PlannerScenario& scenario,
                            scenario.paramMemoryMb);
     (void)s;
   }
-  std::unique_ptr<TpuAllocator> allocator;
-  if (scenario.mode == SchedulingMode::kBaselineDedicated) {
-    allocator = std::make_unique<DedicatedAllocator>(pool, registry);
-  } else {
-    AdmissionConfig config;
-    config.enableWorkloadPartitioning =
-        scenario.mode == SchedulingMode::kMicroEdgeWp;
-    config.enableCoCompile = scenario.coCompile;
-    config.strategy = scenario.strategy;
-    allocator = std::make_unique<AdmissionController>(pool, registry, config);
-  }
+  const std::unique_ptr<TpuAllocator> allocator = makeAllocator(
+      {scenario.mode, scenario.coCompile, scenario.strategy}, pool, registry);
 
   PlannerResult result;
   std::uint64_t uid = 1;

@@ -6,7 +6,8 @@
 // fits an existing cluster) shouldn't have to deploy to find out. The
 // planner consumes a scenario document — cluster size, scheduler
 // configuration, ordered pod list — and produces exactly the placement the
-// extended scheduler would make: per-pod TPU shares (the LBS weights),
+// control plane would make (it builds the same allocator, makeAllocator):
+// per-pod TPU shares (the LBS weights),
 // per-TPU residual capacity and resident models, and a reason string for
 // every rejection.
 //

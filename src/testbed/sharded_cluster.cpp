@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/extended_scheduler.hpp"
 #include "models/zoo.hpp"
 #include "sim/topology.hpp"
 #include "util/json.hpp"
@@ -84,21 +83,20 @@ struct ShardedCluster::Stream {
   }
 };
 
-// One rack's control plane, living on the rack's owner shard: its own TPU
-// pool (only this rack's TPUs), admission, reclamation and failure
-// recovery. Control actions affecting clients on other shards are posted
+// One rack's control plane, living on the rack's owner shard over only this
+// rack's TPUs. Control actions affecting clients on other shards are posted
 // one lookahead later (the modelled control-push latency).
 struct ShardedCluster::RackControl {
-  int rack = 0;
-  unsigned shard = 0;
-  TpuPool pool;
-  std::unique_ptr<AdmissionController> admission;
-  std::unique_ptr<Reclamation> reclamation;
-  std::unique_ptr<FailureRecovery> recovery;
+  RackControl(int r, unsigned s, DataPlane& dataPlane,
+              const ModelRegistry& zoo, const ControlPlane::Hooks& hooks)
+      : rack(r), shard(s), control(dataPlane, zoo, {}, hooks) {}
+
+  int rack;
+  unsigned shard;
+  ControlPlane control;
   // SLO-attainment-triggered repacking (config.repack; null when off): the
   // supervisor ticks on the rack's own shard and replans through the same
   // weight-push path failure recovery uses.
-  std::unique_ptr<Defragmenter> defrag;
   std::unique_ptr<RepackSupervisor> repackSupervisor;
   std::unique_ptr<PeriodicTask> repackTask;
 };
@@ -133,34 +131,16 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   dataPlane_ = std::make_unique<DataPlane>(*sharded_, *topology_, zoo_);
 
   // --- Per-rack control planes ---------------------------------------------
+  const ControlPlane::Hooks hooks{
+      [this](std::uint64_t uid, const LbConfig& lb) { pushLbConfig(uid, lb); },
+      [this](std::uint64_t uid, const Status&) { evictStream(uid); }};
   racks_.reserve(static_cast<std::size_t>(racks));
   for (int r = 0; r < racks; ++r) {
-    auto rc = std::make_unique<RackControl>();
-    rc->rack = r;
-    rc->shard = map.shardOfRack(r);
-    rc->admission = std::make_unique<AdmissionController>(rc->pool, zoo_);
-    rc->reclamation = std::make_unique<Reclamation>(*rc->admission);
-    FailureRecovery::Callbacks callbacks;
-    callbacks.loadModel = [this](const LoadCommand& command) {
-      return dataPlane_->executeLoadOrRetry(command);
-    };
-    callbacks.reconfigureLb = [this](std::uint64_t uid, const LbConfig& lb) {
-      pushLbConfig(uid, lb);
-    };
-    callbacks.evictPod = [this](std::uint64_t uid, const Status&) {
-      evictStream(uid);
-    };
-    rc->recovery = std::make_unique<FailureRecovery>(
-        *rc->admission, *rc->reclamation, std::move(callbacks));
-    racks_.push_back(std::move(rc));
+    racks_.push_back(std::make_unique<RackControl>(r, map.shardOfRack(r),
+                                                   *dataPlane_, zoo_, hooks));
   }
   for (const auto& tpu : topology_->tpus()) {
-    int rack = ShardMap::rackOfName(tpu->id());
-    if (rack < 0) rack = 0;
-    Status added =
-        racks_[rack]->pool.addTpu(tpu->id(), tpu->config().paramMemoryMb);
-    assert(added.isOk());
-    (void)added;
+    racks_[std::max(0, ShardMap::rackOfName(tpu->id()))]->control.addTpu(*tpu);
   }
 
   // --- Camera streams -------------------------------------------------------
@@ -279,20 +259,12 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     const bool admitNow = stream->joinAt == SimDuration::zero();
     if (admitNow) {
       auto admitted =
-          rc.admission->admit(uid, config_.model, TpuUnit::fromDouble(units));
+          rc.control.admit(uid, config_.model, TpuUnit::fromDouble(units));
       if (!admitted.isOk()) {
         setupStatus_ = admitted.status();
         return;
       }
-      for (const LoadCommand& load : admitted->loads) {
-        Status s = dataPlane_->executeLoad(load);
-        if (!s.isOk()) {
-          setupStatus_ = s;
-          return;
-        }
-      }
-      lb = ExtendedScheduler::lbConfigFromAllocation(admitted->allocation);
-      rc.reclamation->track(uid, std::move(admitted)->allocation);
+      lb = std::move(admitted).value();
     } else {
       stream->joined = false;
     }
@@ -415,11 +387,7 @@ void ShardedCluster::recoverTpu(const std::string& tpuId) {
   // A plan may name a TPU on a rack this cluster lacks: nothing to recover.
   const auto rack = static_cast<std::size_t>(
       std::max(0, ShardMap::rackOfName(tpuId)));
-  if (rack >= racks_.size()) return;
-  RackControl& rc = *racks_[rack];
-  // Not in the pool: failed earlier, or no such TPU on this rack.
-  if (!rc.pool.removeTpu(tpuId).isOk()) return;
-  (void)rc.recovery->onTpuFailure(tpuId);
+  if (rack < racks_.size()) (void)racks_[rack]->control.failTpu(tpuId);
 }
 
 void ShardedCluster::recoverNode(const std::string& nodeName) {
@@ -437,10 +405,10 @@ void ShardedCluster::recoverNode(const std::string& nodeName) {
     s->client->stop();
     RackControl* target = racks_[static_cast<std::size_t>(s->targetRack)].get();
     if (s->targetRack == rack) {
-      (void)target->reclamation->releaseNow(s->uid);
+      (void)target->control.reclamation().releaseNow(s->uid);
     } else {
       sharded_->postToShard(target->shard, pushAt, [target, uid = s->uid] {
-        (void)target->reclamation->releaseNow(uid);
+        (void)target->control.reclamation().releaseNow(uid);
       });
     }
   }
@@ -525,7 +493,8 @@ void ShardedCluster::armScenarioTimeline() {
           [this, s] {
             if (s->joined) {
               (void)racks_[static_cast<std::size_t>(s->targetRack)]
-                  ->reclamation->releaseNow(s->uid);
+                  ->control.reclamation()
+                  .releaseNow(s->uid);
             }
           },
           /*emitter=*/true);
@@ -547,20 +516,14 @@ void ShardedCluster::armScenarioTimeline() {
 
 void ShardedCluster::joinStream(Stream* stream) {
   // Runs as an event on the stream's shard — the rack's control shard, so
-  // pool/admission state is touched only by its owner. A full rack (or one
-  // gutted by a failure group) deterministically refuses the join: the
+  // pool/admission state is touched only by its owner. The join is an
+  // admission: a full rack (or one gutted by a failure group), or a Load
+  // that fails on a hung service, deterministically refuses it and the
   // camera simply never starts.
-  RackControl& rc = *racks_[static_cast<std::size_t>(stream->targetRack)];
-  auto admitted = rc.admission->admit(stream->uid, config_.model,
-                                      TpuUnit::fromDouble(streamUnits_));
-  if (!admitted.isOk()) return;
-  for (const LoadCommand& load : admitted->loads) {
-    (void)dataPlane_->executeLoadOrRetry(load);
-  }
-  const LbConfig lb =
-      ExtendedScheduler::lbConfigFromAllocation(admitted->allocation);
-  rc.reclamation->track(stream->uid, std::move(admitted)->allocation);
-  (void)stream->client->configureLb(lb);
+  auto lb = racks_[static_cast<std::size_t>(stream->targetRack)]->control.admit(
+      stream->uid, config_.model, TpuUnit::fromDouble(streamUnits_));
+  if (!lb.isOk()) return;
+  (void)stream->client->configureLb(*lb);
   stream->joined = true;
   Simulator& sim = sharded_->shardSim(stream->shard);
   stream->task->startAt(latticeTick(sim.now(), stream->uid));
@@ -569,15 +532,6 @@ void ShardedCluster::joinStream(Stream* stream) {
 void ShardedCluster::armRepackSupervisors() {
   for (const auto& rcp : racks_) {
     RackControl* rc = rcp.get();
-    Defragmenter::Callbacks callbacks;
-    callbacks.loadModel = [this](const LoadCommand& command) {
-      return dataPlane_->executeLoadOrRetry(command);
-    };
-    callbacks.reconfigureLb = [this](std::uint64_t uid, const LbConfig& lb) {
-      pushLbConfig(uid, lb);
-    };
-    rc->defrag = std::make_unique<Defragmenter>(
-        *rc->admission, *rc->reclamation, std::move(callbacks));
     const int rack = rc->rack;
     rc->repackSupervisor = std::make_unique<RepackSupervisor>(
         config_.repack,
@@ -599,7 +553,7 @@ void ShardedCluster::armRepackSupervisors() {
           }
           return sample;
         },
-        [rc] { return rc->defrag->replanAll(); });
+        [rc] { return rc->control.defragment(true); });
     // The supervisor ticks on the rack's own shard; emitter-tagged because a
     // triggered repack pushes weights at +lookahead (a cross-shard cascade
     // root the adaptive window bound must see).

@@ -6,11 +6,13 @@
 // Where Testbed assembles the full MicroEdge stack on a one-shard
 // ShardedSim, this harness assembles a rack-structured cluster across any
 // number of shards: the topology places every node on its rack's shard, and
-// every rack's nodes, TPU Services, cameras AND control plane (TpuPool +
-// AdmissionController + Reclamation + FailureRecovery) live on the rack's
-// owner shard, so steady-state traffic is shard-local and only genuinely
-// cross-rack interactions — cross-rack streams, failure-detection
+// every rack's nodes, TPU Services, cameras AND control plane (one
+// ControlPlane over the rack's TPUs, testbed/control_plane.hpp) live on the
+// rack's owner shard, so steady-state traffic is shard-local and only
+// genuinely cross-rack interactions — cross-rack streams, failure-detection
 // broadcasts, weight pushes — ride the conservative-lookahead mailboxes.
+// The harness gives each rack's control plane the same two pod-facing edges
+// Testbed does: pushed weights and eviction.
 //
 // Workload: one camera stream per vRPi, each a PeriodicTask on the vRPi's
 // shard with staggered phases (camera i of N starts at (i+1) * period /
@@ -25,11 +27,11 @@
 // Chaos: a FaultPlan is armed through DataPlane::armFaults, which writes
 // every data-plane edge; this harness passes only its control-plane edges
 // (recoverTpu, recoverNode). Every edge runs on its target's owner shard:
-// TPU crash -> removeService at t, then the rack pool's removeTpu and
-// recovery at t + detectionDelay (a TPU on a rack the cluster lacks changes
-// nothing); tRPi death -> the same for each of its TPUs, after the streams
-// it hosts stop and return their units; hang ->
-// setHung window; transport faults -> one per-shard lane window whose keyed
+// TPU crash -> removeService at t, then the rack's ControlPlane::failTpu at
+// t + detectionDelay (a TPU on a rack the cluster lacks changes nothing);
+// tRPi death -> the same for each of its TPUs, after the streams it hosts
+// stop and return their units; hang -> setHung window; transport faults ->
+// one per-shard lane window whose keyed
 // drop decisions depend only on (window seed, stream uid, frame seq) —
 // shard-count invariant, so LOSS sits on the differential path. Weight
 // pushes and evictions from recovery are posted to the affected client's
@@ -49,17 +51,14 @@
 #include <vector>
 
 #include "cluster/topology.hpp"
-#include "core/admission.hpp"
-#include "core/defragmenter.hpp"
-#include "core/failure_recovery.hpp"
 #include "core/overload_supervisor.hpp"
-#include "core/reclamation.hpp"
 #include "dataplane/dataplane.hpp"
 #include "models/registry.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/sharded_sim.hpp"
+#include "testbed/control_plane.hpp"
 #include "testbed/degradation.hpp"
 #include "util/status.hpp"
 
@@ -260,8 +259,9 @@ class ShardedCluster {
   // Smallest lattice timestamp strictly after `notBefore` owned by `uid`
   // (t ≡ uid mod quantum — see rate_control.hpp).
   SimTime latticeTick(SimTime notBefore, std::uint64_t uid) const;
-  // Mid-run admission of a churn camera; runs as an event on the stream's
-  // shard at its join time.
+  // Mid-run admission of a churn camera through its rack's control plane;
+  // runs as an event on the stream's shard at its join time. A failed Load
+  // refuses the join.
   void joinStream(Stream* stream);
   void armScenarioTimeline();
   void armRepackSupervisors();

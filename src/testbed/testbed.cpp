@@ -1,5 +1,6 @@
 #include "testbed/testbed.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/logging.hpp"
@@ -7,17 +8,21 @@
 
 namespace microedge {
 
-std::string_view toString(SchedulingMode mode) {
-  switch (mode) {
-    case SchedulingMode::kBaselineDedicated:
-      return "baseline (dedicated TPUs)";
-    case SchedulingMode::kMicroEdgeNoWp:
-      return "MicroEdge w/o W.P.";
-    case SchedulingMode::kMicroEdgeWp:
-      return "MicroEdge w/ W.P.";
-  }
-  return "unknown";
+namespace {
+
+// Each kind's word in the table's messages, indexed by Testbed::Kind.
+constexpr std::string_view kKindNames[] = {"camera", "coral-pie", "bodypix",
+                                           "cascade"};
+
+// The monitor an app's SLO report reads.
+const SloMonitor& sloOf(const CameraPipeline& app) { return app.slo(); }
+const SloMonitor& sloOf(const CoralPieApp& app) {
+  return app.detection().slo();
 }
+const SloMonitor& sloOf(const BodyPixApp& app) { return app.pipeline().slo(); }
+const SloMonitor& sloOf(const CascadeApp& app) { return app.slo(); }
+
+}  // namespace
 
 Testbed::Testbed(TestbedConfig config)
     : config_(config), zoo_(zoo::standardZoo()),
@@ -43,66 +48,25 @@ Testbed::Testbed(TestbedConfig config)
     assert(s.isOk());
     (void)s;
   }
-  for (const auto& tpu : topology_.tpus()) {
-    Status s = pool_.addTpu(tpu->id(), tpu->config().paramMemoryMb);
-    assert(s.isOk());
-    (void)s;
-  }
 
   api_ = std::make_unique<ApiServer>(nodes_, [this] { return sim_.now(); });
   dataPlane_ = std::make_unique<DataPlane>(sharded_, topology_, zoo_);
-
-  if (config_.mode == SchedulingMode::kBaselineDedicated) {
-    baselineAllocator_ = std::make_unique<DedicatedAllocator>(pool_, zoo_);
-    allocator_ = baselineAllocator_.get();
-  } else {
-    AdmissionConfig admission;
-    admission.enableWorkloadPartitioning =
-        config_.mode == SchedulingMode::kMicroEdgeWp;
-    admission.enableCoCompile = config_.enableCoCompile;
-    admission.strategy = config_.strategy;
-    microEdgeAllocator_ =
-        std::make_unique<AdmissionController>(pool_, zoo_, admission);
-    allocator_ = microEdgeAllocator_.get();
-  }
-  reclamation_ = std::make_unique<Reclamation>(*allocator_);
-
-  ExtendedScheduler::Callbacks callbacks;
-  callbacks.loadModel = [this](const LoadCommand& command) {
-    return dataPlane_->executeLoad(command);
-  };
-  scheduler_ = std::make_unique<ExtendedScheduler>(*allocator_, *reclamation_,
-                                                   std::move(callbacks));
+  control_ = std::make_unique<ControlPlane>(
+      *dataPlane_, zoo_,
+      ControlPlaneConfig{config_.mode, config_.enableCoCompile,
+                         config_.strategy},
+      ControlPlane::Hooks{
+          [this](std::uint64_t uid, const LbConfig& config) {
+            reconfigurePodLb(uid, config);
+          },
+          [this](std::uint64_t uid, const Status& reason) {
+            evictPodByUid(uid, reason);
+          }});
+  for (const auto& tpu : topology_.tpus()) control_->addTpu(*tpu);
   api_->setSchedulerExtension(
       [this](const Pod& pod, const std::vector<std::string>& candidates) {
-        return scheduler_->schedule(pod, candidates);
+        return control_->schedule(pod, candidates);
       });
-
-  // Replans race with hung-but-alive services: their Loads go through the
-  // data plane's retry policy (DataPlane::executeLoadOrRetry).
-  FailureRecovery::Callbacks recovery;
-  recovery.loadModel = [this](const LoadCommand& command) {
-    return dataPlane_->executeLoadOrRetry(command);
-  };
-  recovery.reconfigureLb = [this](std::uint64_t uid, const LbConfig& config) {
-    reconfigurePodLb(uid, config);
-  };
-  recovery.evictPod = [this](std::uint64_t uid, const Status& reason) {
-    evictPodByUid(uid, reason);
-  };
-  failureRecovery_ = std::make_unique<FailureRecovery>(
-      *allocator_, *reclamation_, std::move(recovery));
-  if (microEdgeAllocator_ != nullptr) {
-    Defragmenter::Callbacks defrag;
-    defrag.loadModel = [this](const LoadCommand& command) {
-      return dataPlane_->executeLoadOrRetry(command);
-    };
-    defrag.reconfigureLb = [this](std::uint64_t uid, const LbConfig& config) {
-      reconfigurePodLb(uid, config);
-    };
-    defragmenter_ = std::make_unique<Defragmenter>(
-        *microEdgeAllocator_, *reclamation_, std::move(defrag));
-  }
 
   std::vector<TpuDevice*> devices;
   for (const auto& tpu : topology_.tpus()) devices.push_back(tpu.get());
@@ -151,7 +115,7 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   if (!created.isOk()) return created.status();
   *uid = *created;
 
-  const Allocation* allocation = reclamation_->allocationOf(*uid);
+  const Allocation* allocation = control_->reclamation().allocationOf(*uid);
   assert(allocation != nullptr && !allocation->shares.empty());
   const Pod* pod = api_->getPod(*uid);
   assert(pod != nullptr);
@@ -171,13 +135,7 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   clientConfig.health = config_.lbHealth;
   clientConfig.admission = config_.frameAdmission;
   auto client = dataPlane_->makeClient(std::move(clientConfig));
-  const LbConfig* lb = scheduler_->lbConfig(*uid);
-  if (lb == nullptr) {
-    (void)api_->deletePod(*uid);
-    return internalError(
-        strCat("pod ", deployment.name, ": no LB config after admission"));
-  }
-  Status configured = client->configureLb(*lb);
+  Status configured = client->configureLb(lbConfigFromAllocation(*allocation));
   if (!configured.isOk()) {
     (void)api_->deletePod(*uid);
     return configured;
@@ -185,11 +143,26 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   return client;
 }
 
+Status Testbed::checkNotLive(Kind kind, const std::string& name) const {
+  if (live_.count({kind, name}) == 0) return Status::ok();
+  return alreadyExists(strCat(kKindNames[kind], " ", name, " already live"));
+}
+
+template <typename T>
+T* Testbed::launch(const std::string& name, std::vector<PodRef> pods,
+                   std::unique_ptr<T> app) {
+  T* raw = app.get();
+  App entry = std::move(app);
+  const std::size_t kind = entry.index();
+  live_.emplace(Key{kind, name}, Instance{std::move(pods), std::move(entry)});
+  raw->start();
+  return raw;
+}
+
 StatusOr<CameraPipeline*> Testbed::deployCamera(
     const CameraDeployment& deployment) {
-  if (cameras_.count(deployment.name) > 0) {
-    return alreadyExists(strCat("camera ", deployment.name, " already live"));
-  }
+  Status free = checkNotLive(kCamera, deployment.name);
+  if (!free.isOk()) return free;
   std::uint64_t uid = 0;
   auto client = deployClient(deployment, &uid);
   if (!client.isOk()) return client.status();
@@ -201,45 +174,29 @@ StatusOr<CameraPipeline*> Testbed::deployCamera(
   if (deployment.useDiffDetector) config.diffDetector = deployment.diffConfig;
   config.slo = sloConfigFor(deployment);
 
-  CameraInstance instance;
-  instance.uid = uid;
-  instance.pipeline = std::make_unique<CameraPipeline>(
-      sim_, std::move(client).value(), std::move(config), rng_.split());
-  CameraPipeline* pipeline = instance.pipeline.get();
-  cameras_.emplace(deployment.name, std::move(instance));
-  pipeline->start();
-  return pipeline;
-}
-
-Status Testbed::removeCamera(const std::string& name) {
-  auto it = cameras_.find(name);
-  if (it == cameras_.end()) {
-    return notFound(strCat("camera ", name, " not deployed"));
-  }
-  it->second.pipeline->stop();
-  Status s = api_->deletePodByName(name);
-  retiredCameras_.push_back(std::move(it->second));
-  cameras_.erase(it);
-  return s;
+  TpuClient* raw = client->get();
+  return launch(deployment.name, {{uid, raw}},
+                std::make_unique<CameraPipeline>(
+                    sim_, std::move(client).value(), std::move(config),
+                    rng_.split()));
 }
 
 CameraPipeline* Testbed::findCamera(const std::string& name) {
-  auto it = cameras_.find(name);
-  return it == cameras_.end() ? nullptr : it->second.pipeline.get();
+  auto it = live_.find({kCamera, name});
+  return it == live_.end() ? nullptr : std::get<kCamera>(it->second.app).get();
 }
 
-std::vector<CameraPipeline*> Testbed::liveCameras() {
-  std::vector<CameraPipeline*> out;
-  out.reserve(cameras_.size());
-  for (auto& [name, instance] : cameras_) out.push_back(instance.pipeline.get());
-  return out;
+std::size_t Testbed::liveCameraCount() const {
+  return static_cast<std::size_t>(
+      std::count_if(live_.begin(), live_.end(), [](const auto& entry) {
+        return entry.first.first == kCamera;
+      }));
 }
 
 StatusOr<CoralPieApp*> Testbed::deployCoralPie(
     const CameraDeployment& deployment) {
-  if (coralPies_.count(deployment.name) > 0) {
-    return alreadyExists(strCat("coral-pie ", deployment.name, " already live"));
-  }
+  Status free = checkNotLive(kCoralPie, deployment.name);
+  if (!free.isOk()) return free;
   std::uint64_t uid = 0;
   auto client = deployClient(deployment, &uid);
   if (!client.isOk()) return client.status();
@@ -269,42 +226,17 @@ StatusOr<CoralPieApp*> Testbed::deployCoralPie(
   config.vehicleIdBase = nextVehicleBase_;
   nextVehicleBase_ += 1000000;
 
-  CoralPieInstance instance;
-  instance.uid = uid;
-  instance.reidUid = *reidCreated;
-  instance.app = std::make_unique<CoralPieApp>(
-      sim_, std::move(client).value(), dataPlane_->transport(),
-      std::move(config), rng_.split());
-  CoralPieApp* app = instance.app.get();
-  coralPies_.emplace(deployment.name, std::move(instance));
-  app->start();
-  return app;
-}
-
-Status Testbed::removeCoralPie(const std::string& name) {
-  auto it = coralPies_.find(name);
-  if (it == coralPies_.end()) {
-    return notFound(strCat("coral-pie ", name, " not deployed"));
-  }
-  it->second.app->stop();
-  Status s1 = api_->deletePod(it->second.uid);
-  Status s2 = api_->deletePod(it->second.reidUid);
-  retiredCoralPies_.push_back(std::move(it->second));
-  coralPies_.erase(it);
-  return s1.isOk() ? s2 : s1;
-}
-
-std::vector<CoralPieApp*> Testbed::liveCoralPies() {
-  std::vector<CoralPieApp*> out;
-  for (auto& [name, instance] : coralPies_) out.push_back(instance.app.get());
-  return out;
+  TpuClient* raw = client->get();
+  return launch(deployment.name, {{uid, raw}, {*reidCreated, nullptr}},
+                std::make_unique<CoralPieApp>(
+                    sim_, std::move(client).value(), dataPlane_->transport(),
+                    std::move(config), rng_.split()));
 }
 
 StatusOr<BodyPixApp*> Testbed::deployBodyPix(
     const CameraDeployment& deployment) {
-  if (bodypixes_.count(deployment.name) > 0) {
-    return alreadyExists(strCat("bodypix ", deployment.name, " already live"));
-  }
+  Status free = checkNotLive(kBodyPix, deployment.name);
+  if (!free.isOk()) return free;
   std::uint64_t uid = 0;
   auto client = deployClient(deployment, &uid);
   if (!client.isOk()) return client.status();
@@ -315,22 +247,16 @@ StatusOr<BodyPixApp*> Testbed::deployBodyPix(
   config.maxFrames = deployment.maxFrames;
   config.slo = sloConfigFor(deployment);
 
-  BodyPixInstance instance;
-  instance.uid = uid;
-  instance.app = std::make_unique<BodyPixApp>(
-      sim_, std::move(client).value(), std::move(config), rng_.split());
-  BodyPixApp* app = instance.app.get();
-  bodypixes_.emplace(deployment.name, std::move(instance));
-  app->start();
-  return app;
+  TpuClient* raw = client->get();
+  return launch(deployment.name, {{uid, raw}},
+                std::make_unique<BodyPixApp>(sim_, std::move(client).value(),
+                                             std::move(config), rng_.split()));
 }
 
 StatusOr<CascadeApp*> Testbed::deployCascade(
     const CascadeDeployment& deployment) {
-  if (cascades_.count(deployment.name) > 0) {
-    return alreadyExists(
-        strCat("cascade ", deployment.name, " already live"));
-  }
+  Status free = checkNotLive(kCascade, deployment.name);
+  if (!free.isOk()) return free;
   auto gateInfo = zoo_.find(deployment.gateModel);
   if (!gateInfo.isOk()) return gateInfo.status();
   auto expertInfo = zoo_.find(deployment.expertModel);
@@ -372,41 +298,43 @@ StatusOr<CascadeApp*> Testbed::deployCascade(
   config.quietEscalationRate = deployment.quietEscalationRate;
   config.slo.targetFps = deployment.fps;
 
-  CascadeInstance instance;
-  instance.gateUid = gateUid;
-  instance.expertUid = expertUid;
-  instance.app = std::make_unique<CascadeApp>(
-      sim_, std::move(gateClient).value(), std::move(expertClient).value(),
-      std::move(config), rng_.split());
-  CascadeApp* app = instance.app.get();
-  cascades_.emplace(deployment.name, std::move(instance));
-  app->start();
-  return app;
+  std::vector<PodRef> pods = {{gateUid, gateClient->get()},
+                              {expertUid, expertClient->get()}};
+  return launch(deployment.name, std::move(pods),
+                std::make_unique<CascadeApp>(
+                    sim_, std::move(gateClient).value(),
+                    std::move(expertClient).value(), std::move(config),
+                    rng_.split()));
 }
 
-Status Testbed::removeCascade(const std::string& name) {
-  auto it = cascades_.find(name);
-  if (it == cascades_.end()) {
-    return notFound(strCat("cascade ", name, " not deployed"));
+Testbed::Instance& Testbed::retire(Table::iterator it) {
+  std::visit([](const auto& app) { app->stop(); }, it->second.app);
+  retired_.push_back(std::move(it->second));
+  live_.erase(it);
+  return retired_.back();
+}
+
+Status Testbed::remove(Kind kind, const std::string& name) {
+  auto it = live_.find({kind, name});
+  if (it == live_.end()) {
+    return notFound(strCat(kKindNames[kind], " ", name, " not deployed"));
   }
-  it->second.app->stop();
-  Status s1 = api_->deletePod(it->second.gateUid);
-  Status s2 = api_->deletePod(it->second.expertUid);
-  retiredCascades_.push_back(std::move(it->second));
-  cascades_.erase(it);
-  return s1.isOk() ? s2 : s1;
+  Status status = Status::ok();
+  for (const PodRef& pod : retire(it).pods) {
+    Status deleted = api_->deletePod(pod.uid);
+    if (status.isOk()) status = deleted;
+  }
+  return status;
 }
 
-std::vector<CascadeApp*> Testbed::liveCascades() {
-  std::vector<CascadeApp*> out;
-  for (auto& [name, instance] : cascades_) out.push_back(instance.app.get());
-  return out;
-}
-
-std::vector<BodyPixApp*> Testbed::liveBodyPixes() {
-  std::vector<BodyPixApp*> out;
-  for (auto& [name, instance] : bodypixes_) out.push_back(instance.app.get());
-  return out;
+template <typename Fn>
+void Testbed::forEachInstance(Kind kind, Fn&& fn) const {
+  for (const auto& [key, instance] : live_) {
+    if (key.first == kind) fn(instance);
+  }
+  for (const Instance& instance : retired_) {
+    if (instance.app.index() == kind) fn(instance);
+  }
 }
 
 void Testbed::startBackgroundTasks() {
@@ -422,31 +350,22 @@ void Testbed::run(SimDuration horizon) {
 }
 
 void Testbed::pollReclamationNow() {
-  reclamation_->pollOnce(
-      [this](std::uint64_t uid) { return api_->isAlive(uid); },
-      [this](std::uint64_t uid) { scheduler_->forgetPod(uid); });
+  control_->reclamation().pollOnce(
+      [this](std::uint64_t uid) { return api_->isAlive(uid); });
 }
 
-TpuClient* Testbed::clientForUid(std::uint64_t uid) {
-  for (auto& [name, instance] : cameras_) {
-    if (instance.uid == uid) return &instance.pipeline->client();
+std::pair<Testbed::Table::iterator, TpuClient*> Testbed::findTpuPod(
+    std::uint64_t uid) {
+  for (auto it = live_.begin(); it != live_.end(); ++it) {
+    for (const PodRef& pod : it->second.pods) {
+      if (pod.uid == uid && pod.client != nullptr) return {it, pod.client};
+    }
   }
-  for (auto& [name, instance] : coralPies_) {
-    if (instance.uid == uid) return &instance.app->detection().client();
-  }
-  for (auto& [name, instance] : bodypixes_) {
-    if (instance.uid == uid) return &instance.app->pipeline().client();
-  }
-  for (auto& [name, instance] : cascades_) {
-    if (instance.gateUid == uid) return &instance.app->gateClient();
-    if (instance.expertUid == uid) return &instance.app->expertClient();
-  }
-  return nullptr;
+  return {live_.end(), nullptr};
 }
 
 void Testbed::reconfigurePodLb(std::uint64_t uid, const LbConfig& config) {
-  scheduler_->recordLbConfig(uid, config);
-  TpuClient* client = clientForUid(uid);
+  TpuClient* client = findTpuPod(uid).second;
   if (client == nullptr) return;  // control-plane-only pod (tests)
   Status s = client->configureLb(config);
   if (!s.isOk()) {
@@ -457,43 +376,14 @@ void Testbed::reconfigurePodLb(std::uint64_t uid, const LbConfig& config) {
 
 void Testbed::evictPodByUid(std::uint64_t uid, const Status& reason) {
   ME_LOG(kWarning) << "evicting pod uid " << uid << ": " << reason.toString();
-  scheduler_->forgetPod(uid);
-  // Stop the application's frame flow, then terminate the pod.
-  for (auto it = cameras_.begin(); it != cameras_.end(); ++it) {
-    if (it->second.uid == uid) {
-      it->second.pipeline->stop();
-      retiredCameras_.push_back(std::move(it->second));
-      cameras_.erase(it);
-      break;
-    }
-  }
-  for (auto it = coralPies_.begin(); it != coralPies_.end(); ++it) {
-    if (it->second.uid == uid) {
-      it->second.app->stop();
-      (void)api_->failPod(it->second.reidUid);
-      retiredCoralPies_.push_back(std::move(it->second));
-      coralPies_.erase(it);
-      break;
-    }
-  }
-  for (auto it = bodypixes_.begin(); it != bodypixes_.end(); ++it) {
-    if (it->second.uid == uid) {
-      it->second.app->stop();
-      retiredBodyPixes_.push_back(std::move(it->second));
-      bodypixes_.erase(it);
-      break;
-    }
-  }
-  for (auto it = cascades_.begin(); it != cascades_.end(); ++it) {
-    if (it->second.gateUid == uid || it->second.expertUid == uid) {
-      // Losing either stage kills the pipeline; terminate the sibling too.
-      it->second.app->stop();
-      std::uint64_t sibling =
-          it->second.gateUid == uid ? it->second.expertUid : it->second.gateUid;
-      if (api_->isAlive(sibling)) (void)api_->failPod(sibling);
-      retiredCascades_.push_back(std::move(it->second));
-      cascades_.erase(it);
-      break;
+  // Losing one of an app's TPU pods stops the app and fails its other live
+  // pods; a CPU-only pod fails alone.
+  auto found = findTpuPod(uid).first;
+  if (found != live_.end()) {
+    for (const PodRef& pod : retire(found).pods) {
+      if (pod.uid != uid && api_->isAlive(pod.uid)) {
+        (void)api_->failPod(pod.uid);
+      }
     }
   }
   if (api_->isAlive(uid)) (void)api_->failPod(uid);
@@ -503,12 +393,7 @@ FailureRecovery::Report Testbed::failTpu(const std::string& tpuId) {
   ME_LOG(kInfo) << "injecting failure of " << tpuId;
   // Data plane first: the service stops answering; in-flight routes drop.
   dataPlane_->removeService(tpuId);
-  Status removed = pool_.removeTpu(tpuId);
-  if (!removed.isOk()) {
-    ME_LOG(kWarning) << "failTpu: " << removed.toString();
-    return {};
-  }
-  return failureRecovery_->onTpuFailure(tpuId);
+  return control_->failTpu(tpuId);
 }
 
 Testbed::NodeFailureReport Testbed::failNode(const std::string& nodeName) {
@@ -536,11 +421,10 @@ Testbed::NodeFailureReport Testbed::failNode(const std::string& nodeName) {
 
   // Attached TPUs are gone; recover their tenants onto survivors.
   for (TpuDevice* tpu : node->tpus()) {
-    dataPlane_->removeService(tpu->id());
-    Status removed = pool_.removeTpu(tpu->id());
-    if (!removed.isOk()) continue;  // already failed earlier
+    const std::size_t poolSize = control_->pool().size();
+    FailureRecovery::Report r = failTpu(tpu->id());
+    if (control_->pool().size() == poolSize) continue;  // failed earlier
     ++report.tpusLost;
-    FailureRecovery::Report r = failureRecovery_->onTpuFailure(tpu->id());
     report.recovery.affectedPods += r.affectedPods;
     report.recovery.recoveredPods += r.recoveredPods;
     report.recovery.evictedPods += r.evictedPods;
@@ -557,35 +441,23 @@ FaultInjector& Testbed::armFaults(const FaultPlan& plan) {
       [this](const std::string& nodeName) { (void)failNode(nodeName); });
 }
 
-Defragmenter::Report Testbed::defragment(bool full) {
-  if (defragmenter_ == nullptr) return {};  // dedicated baseline: nothing to do
-  return full ? defragmenter_->replanAll() : defragmenter_->consolidate();
-}
-
 std::vector<const CameraPipeline*> Testbed::allCameras() const {
   std::vector<const CameraPipeline*> out;
-  for (const auto& [name, instance] : cameras_) {
-    out.push_back(instance.pipeline.get());
-  }
-  for (const auto& instance : retiredCameras_) {
-    out.push_back(instance.pipeline.get());
-  }
+  forEachInstance(kCamera, [&out](const Instance& instance) {
+    out.push_back(std::get<kCamera>(instance.app).get());
+  });
   return out;
 }
 
 std::vector<const SloMonitor*> Testbed::collectSloMonitors() const {
   std::vector<const SloMonitor*> monitors;
-  auto addPipeline = [&monitors](const CameraPipeline& p) {
-    monitors.push_back(&p.slo());
-  };
-  for (const auto& [name, i] : cameras_) addPipeline(*i.pipeline);
-  for (const auto& i : retiredCameras_) addPipeline(*i.pipeline);
-  for (const auto& [name, i] : coralPies_) addPipeline(i.app->detection());
-  for (const auto& i : retiredCoralPies_) addPipeline(i.app->detection());
-  for (const auto& [name, i] : bodypixes_) addPipeline(i.app->pipeline());
-  for (const auto& i : retiredBodyPixes_) addPipeline(i.app->pipeline());
-  for (const auto& [name, i] : cascades_) monitors.push_back(&i.app->slo());
-  for (const auto& i : retiredCascades_) monitors.push_back(&i.app->slo());
+  for (std::size_t kind = 0; kind < kKinds; ++kind) {
+    forEachInstance(static_cast<Kind>(kind), [&monitors](const Instance& i) {
+      std::visit(
+          [&monitors](const auto& app) { monitors.push_back(&sloOf(*app)); },
+          i.app);
+    });
+  }
   return monitors;
 }
 

@@ -1,23 +1,25 @@
 #pragma once
 
-// Experiment harness: assembles the full MicroEdge stack — simulated
-// cluster, K3s-surface orchestrator, extended scheduler (or the bare-metal
-// dedicated baseline), data plane, applications and metrics — behind one
-// object, so examples and benches describe *what* to deploy, not how to
-// wire it. The stack runs on a one-shard ShardedSim, the same engine and
-// data plane ShardedCluster spreads over many shards; sim() is its one
-// event loop.
+// Experiment harness: the paper's deployment layer over the full MicroEdge
+// stack — simulated cluster, K3s-surface orchestrator, one ControlPlane for
+// the whole TPU pool (testbed/control_plane.hpp: admission or the dedicated
+// baseline, reclamation, failure recovery, defragmentation), data plane,
+// applications and metrics — behind one object, so examples and benches
+// describe *what* to deploy, not how to wire it. The stack runs on a
+// one-shard ShardedSim, the same engine and data plane ShardedCluster
+// spreads over many shards; sim() is its one event loop.
 //
-// Scheduling modes mirror the paper's evaluation variants:
-//   kBaselineDedicated — integral TPUs dedicated per camera, collocated
-//                        client (the §6.2 bare-metal baseline);
-//   kMicroEdgeNoWp     — fractional sharing, no workload partitioning;
-//   kMicroEdgeWp       — fractional sharing + workload partitioning.
-// Co-compiling can be toggled independently (the Fig. 6 2x2).
+// Deployed apps (cameras, Coral-Pie, BodyPix, cascades) live in one table
+// keyed by (kind, name); each kind keeps its own name space. The harness
+// gives the control plane its two pod-facing edges: pushed weights reach
+// the pod's client, and an evicted TPU pod stops its app, fails the app's
+// other live pods, then the lost pod.
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "apps/bodypix.hpp"
@@ -25,23 +27,16 @@
 #include "apps/coral_pie.hpp"
 #include "apps/pipeline.hpp"
 #include "cluster/topology.hpp"
-#include "core/dedicated_allocator.hpp"
-#include "core/defragmenter.hpp"
-#include "core/extended_scheduler.hpp"
-#include "core/failure_recovery.hpp"
 #include "dataplane/dataplane.hpp"
 #include "metrics/slo.hpp"
 #include "metrics/utilization.hpp"
 #include "models/zoo.hpp"
 #include "orch/api_server.hpp"
 #include "sim/fault_injector.hpp"
+#include "testbed/control_plane.hpp"
 #include "util/rng.hpp"
 
 namespace microedge {
-
-enum class SchedulingMode { kBaselineDedicated, kMicroEdgeNoWp, kMicroEdgeWp };
-
-std::string_view toString(SchedulingMode mode);
 
 struct TestbedConfig {
   TopologySpec topology = ClusterTopology::microEdgeDefault();
@@ -102,19 +97,17 @@ class Testbed {
   Testbed& operator=(const Testbed&) = delete;
 
   // --- Wiring access ------------------------------------------------------
-  const TestbedConfig& config() const { return config_; }
   Simulator& sim() { return sim_; }  // shard 0
   const ModelRegistry& zoo() const { return zoo_; }
   ClusterTopology& topology() { return topology_; }
   NodeRegistry& nodeRegistry() { return nodes_; }
   ApiServer& api() { return *api_; }
-  TpuPool& pool() { return pool_; }
+  TpuPool& pool() { return control_->pool(); }
   DataPlane& dataPlane() { return *dataPlane_; }
-  ExtendedScheduler& scheduler() { return *scheduler_; }
-  Reclamation& reclamation() { return *reclamation_; }
+  Reclamation& reclamation() { return control_->reclamation(); }
   UtilizationTracker& utilization() { return *utilization_; }
   // Stats source valid only in MicroEdge modes (nullptr in baseline).
-  AdmissionController* admissionController() { return microEdgeAllocator_.get(); }
+  AdmissionController* admissionController() { return control_->admission(); }
 
   double profiledUnits(const std::string& model, double fps) const;
 
@@ -122,24 +115,30 @@ class Testbed {
   // Generic camera pipeline on the public API path (YAML spec -> admission
   // -> client + LBS -> frames flowing). Returns the live pipeline.
   StatusOr<CameraPipeline*> deployCamera(const CameraDeployment& deployment);
-  Status removeCamera(const std::string& name);
+  Status removeCamera(const std::string& name) {
+    return remove(kCamera, name);
+  }
   CameraPipeline* findCamera(const std::string& name);
-  std::vector<CameraPipeline*> liveCameras();
-  std::size_t liveCameraCount() const { return cameras_.size(); }
+  std::vector<CameraPipeline*> liveCameras() { return live<CameraPipeline>(); }
+  std::size_t liveCameraCount() const;
 
   // Coral-Pie: detection pod (TPU) + re-id pod on a second RPi.
   StatusOr<CoralPieApp*> deployCoralPie(const CameraDeployment& deployment);
-  Status removeCoralPie(const std::string& name);
-  std::vector<CoralPieApp*> liveCoralPies();
+  Status removeCoralPie(const std::string& name) {
+    return remove(kCoralPie, name);
+  }
+  std::vector<CoralPieApp*> liveCoralPies() { return live<CoralPieApp>(); }
 
   // BodyPix person segmentation.
   StatusOr<BodyPixApp*> deployBodyPix(const CameraDeployment& deployment);
-  std::vector<BodyPixApp*> liveBodyPixes();
+  std::vector<BodyPixApp*> liveBodyPixes() { return live<BodyPixApp>(); }
 
   // Multi-model cascade: gate + expert pods sharing the TPU pool.
   StatusOr<CascadeApp*> deployCascade(const CascadeDeployment& deployment);
-  Status removeCascade(const std::string& name);
-  std::vector<CascadeApp*> liveCascades();
+  Status removeCascade(const std::string& name) {
+    return remove(kCascade, name);
+  }
+  std::vector<CascadeApp*> liveCascades() { return live<CascadeApp>(); }
 
   // --- Execution ----------------------------------------------------------
   // Advances simulated time (reclamation + utilization sampling run inside).
@@ -156,7 +155,9 @@ class Testbed {
   // Runs the defragmenter: full FFD replan (full=true) or incremental
   // consolidation of partitioned pods. Only meaningful in MicroEdge modes;
   // returns an un-applied report under the dedicated baseline.
-  Defragmenter::Report defragment(bool full = true);
+  Defragmenter::Report defragment(bool full = true) {
+    return control_->defragment(full);
+  }
 
   struct NodeFailureReport {
     std::size_t podsLost = 0;  // pods hosted on the node, terminated
@@ -184,31 +185,59 @@ class Testbed {
   std::vector<const CameraPipeline*> allCameras() const;
 
  private:
-  struct CameraInstance {
+  // An app's kind is its App alternative's index.
+  enum Kind : std::size_t { kCamera, kCoralPie, kBodyPix, kCascade, kKinds };
+  using App = std::variant<std::unique_ptr<CameraPipeline>,
+                           std::unique_ptr<CoralPieApp>,
+                           std::unique_ptr<BodyPixApp>,
+                           std::unique_ptr<CascadeApp>>;
+  struct PodRef {
     std::uint64_t uid = 0;
-    std::unique_ptr<CameraPipeline> pipeline;
+    TpuClient* client = nullptr;  // null for a CPU-only pod (Coral-Pie re-id)
   };
-  struct CoralPieInstance {
-    std::uint64_t uid = 0;       // detection pod
-    std::uint64_t reidUid = 0;   // re-id pod
-    std::unique_ptr<CoralPieApp> app;
+  // One deployed app with its pods. Retired instances stay alive until the
+  // harness dies so in-flight simulation callbacks never dangle.
+  struct Instance {
+    std::vector<PodRef> pods;
+    App app;
   };
-  struct BodyPixInstance {
-    std::uint64_t uid = 0;
-    std::unique_ptr<BodyPixApp> app;
-  };
-  struct CascadeInstance {
-    std::uint64_t gateUid = 0;
-    std::uint64_t expertUid = 0;
-    std::unique_ptr<CascadeApp> app;
-  };
+  // (kind, name): each kind keeps its own name space, and the table lists
+  // apps kind by kind, by name within a kind.
+  using Key = std::pair<std::size_t, std::string>;
+  using Table = std::map<Key, Instance>;
 
   PodSpec buildPodSpec(const CameraDeployment& deployment) const;
-  // The TPU Client baked into the pod with the given uid (nullptr if gone).
-  TpuClient* clientForUid(std::uint64_t uid);
-  // Replaces a pod's LB weights end to end (scheduler record + client).
+  // AlreadyExists when `kind` has a live app called `name`.
+  Status checkNotLive(Kind kind, const std::string& name) const;
+  // Enters a deployed app into the table and starts it.
+  template <typename T>
+  T* launch(const std::string& name, std::vector<PodRef> pods,
+            std::unique_ptr<T> app);
+  // Stops a live app and moves it to the retired list.
+  Instance& retire(Table::iterator it);
+  // Stops a live app and deletes its pods.
+  Status remove(Kind kind, const std::string& name);
+  template <typename T>
+  std::vector<T*> live() {
+    std::vector<T*> out;
+    for (auto& [key, instance] : live_) {
+      if (auto* app = std::get_if<std::unique_ptr<T>>(&instance.app)) {
+        out.push_back(app->get());
+      }
+    }
+    return out;
+  }
+  // Live apps of one kind by name, then its retired ones in retirement
+  // order.
+  template <typename Fn>
+  void forEachInstance(Kind kind, Fn&& fn) const;
+  // The live app owning the TPU pod with this uid, and the pod's client
+  // (end and nullptr if no live app has it).
+  std::pair<Table::iterator, TpuClient*> findTpuPod(std::uint64_t uid);
+  // Pushes a replan's weights to the pod's client.
   void reconfigurePodLb(std::uint64_t uid, const LbConfig& config);
-  // Terminates a pod that lost its TPU allocation (failure recovery).
+  // Terminates a pod that lost its TPU allocation (failure recovery) or its
+  // node.
   void evictPodByUid(std::uint64_t uid, const Status& reason);
   // Shared deployment front half: create the pod, build + configure the
   // client. On success fills uid and returns the ready client.
@@ -224,32 +253,17 @@ class Testbed {
   Simulator& sim_ = sharded_.shardSim(0);
   ClusterTopology topology_;
   NodeRegistry nodes_;
-  TpuPool pool_;
   std::unique_ptr<ApiServer> api_;
-  std::unique_ptr<AdmissionController> microEdgeAllocator_;
-  std::unique_ptr<DedicatedAllocator> baselineAllocator_;
-  TpuAllocator* allocator_ = nullptr;
-  std::unique_ptr<Reclamation> reclamation_;
-  std::unique_ptr<ExtendedScheduler> scheduler_;
-  std::unique_ptr<FailureRecovery> failureRecovery_;
-  std::unique_ptr<Defragmenter> defragmenter_;
   std::unique_ptr<DataPlane> dataPlane_;
+  std::unique_ptr<ControlPlane> control_;
   std::unique_ptr<UtilizationTracker> utilization_;
   std::unique_ptr<PeriodicTask> reclamationTask_;
   bool backgroundStarted_ = false;
   Pcg32 rng_;
   std::uint64_t nextVehicleBase_ = 0;
 
-  std::map<std::string, CameraInstance> cameras_;
-  std::map<std::string, CoralPieInstance> coralPies_;
-  std::map<std::string, BodyPixInstance> bodypixes_;
-  std::map<std::string, CascadeInstance> cascades_;
-  // Terminated instances stay alive until the harness dies so in-flight
-  // simulation callbacks never dangle.
-  std::vector<CameraInstance> retiredCameras_;
-  std::vector<CoralPieInstance> retiredCoralPies_;
-  std::vector<BodyPixInstance> retiredBodyPixes_;
-  std::vector<CascadeInstance> retiredCascades_;
+  Table live_;
+  std::vector<Instance> retired_;
 };
 
 }  // namespace microedge

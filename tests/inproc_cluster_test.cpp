@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/extended_scheduler.hpp"
+#include "core/admission.hpp"
 #include "inproc_runtime.hpp"
 #include "models/zoo.hpp"
 
@@ -50,8 +50,7 @@ class InprocClusterTest : public ::testing::Test {
       directory_.at(load.tpuId)->load(load.composite);
     }
     auto client = std::make_unique<InprocClient>(zoo_, model);
-    LbConfig lb =
-        ExtendedScheduler::lbConfigFromAllocation(result->allocation);
+    LbConfig lb = lbConfigFromAllocation(result->allocation);
     EXPECT_TRUE(client->configure(lb, directory_).isOk());
     allocations_[uid] = result->allocation;
     return client;

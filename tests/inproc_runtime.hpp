@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/extended_scheduler.hpp"
+#include "core/admission.hpp"
 #include "dataplane/wrr.hpp"
 #include "models/registry.hpp"
 #include "util/status.hpp"

@@ -95,7 +95,7 @@ TEST(InprocClientTest, RoutesPerAdmissionWeights) {
   s1.load({zoo::kMobileNetV1});
 
   InprocClient client(zoo, zoo::kMobileNetV1);
-  LbConfig lb = ExtendedScheduler::lbConfigFromAllocation(result->allocation);
+  LbConfig lb = lbConfigFromAllocation(result->allocation);
   ASSERT_TRUE(
       client.configure(lb, {{"tpu-00", &s0}, {"tpu-01", &s1}}).isOk());
 

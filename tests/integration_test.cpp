@@ -27,13 +27,14 @@ TEST(YamlToAdmissionTest, SpecDrivesTheFullControlPlane) {
   auto uid = testbed.api().createPod(*spec);
   ASSERT_TRUE(uid.isOk()) << uid.status();
   EXPECT_EQ(testbed.pool().totalLoad().milli(), 350);
-  const LbConfig* lb = testbed.scheduler().lbConfig(*uid);
-  ASSERT_NE(lb, nullptr);
-  EXPECT_EQ(lb->weights[0].weight, 350u);
+  const Allocation* allocation = testbed.reclamation().allocationOf(*uid);
+  ASSERT_NE(allocation, nullptr);
+  const LbConfig lb = lbConfigFromAllocation(*allocation);
+  EXPECT_EQ(lb.weights[0].weight, 350u);
   // The model was pushed to the TPU Service by the Load command.
   testbed.sim().run();
   EXPECT_TRUE(testbed.topology()
-                  .findTpu(tpuName(lb->weights[0].tpu))
+                  .findTpu(tpuName(lb.weights[0].tpu))
                   ->isResident(lookupModel(zoo::kSsdMobileNetV2)));
 }
 

@@ -28,7 +28,7 @@ namespace {
 TEST(AdmissionLedgerTest, ChargesUpToCapacityThenRejects) {
   AdmissionLedger ledger;
   const AdmissionLedger::TargetCapacity targets[] = {{internTpu("al-a"), 500}};
-  ledger.reconfigure(targets, 1, 1.0);
+  ledger.reconfigure(targets, 1);
   const std::uint32_t entry = ledger.entryFor(internTpu("al-a"));
   ASSERT_NE(entry, AdmissionLedger::kNoEntry);
   EXPECT_EQ(ledger.entryCapacity(entry), 500);
@@ -57,7 +57,7 @@ TEST(AdmissionLedgerTest, ProgressRuleAdmitsOneOversizedFrame) {
   // zero outstanding charge always admits exactly one frame.
   AdmissionLedger ledger;
   const AdmissionLedger::TargetCapacity targets[] = {{internTpu("al-b"), 50}};
-  ledger.reconfigure(targets, 1, 1.0);
+  ledger.reconfigure(targets, 1);
   const std::uint32_t entry = ledger.entryFor(internTpu("al-b"));
   ASSERT_NE(entry, AdmissionLedger::kNoEntry);
 
@@ -69,22 +69,12 @@ TEST(AdmissionLedgerTest, ProgressRuleAdmitsOneOversizedFrame) {
   EXPECT_EQ(ledger.chargedMilli(), 0);
 }
 
-TEST(AdmissionLedgerTest, OvercommitScalesCapacity) {
-  AdmissionLedger ledger;
-  const AdmissionLedger::TargetCapacity targets[] = {{internTpu("al-c"), 400}};
-  ledger.reconfigure(targets, 1, 1.5);
-  const std::uint32_t entry = ledger.entryFor(internTpu("al-c"));
-  EXPECT_EQ(ledger.entryCapacity(entry), 600);
-  ledger.reconfigure(targets, 1, 0.5);
-  EXPECT_EQ(ledger.entryCapacity(entry), 200);
-}
-
 TEST(AdmissionLedgerTest, ReconfigurePreservesChargesAndDrainsZombies) {
   AdmissionLedger ledger;
   const TpuId a = internTpu("al-d");
   const TpuId b = internTpu("al-e");
   const AdmissionLedger::TargetCapacity both[] = {{a, 300}, {b, 300}};
-  ledger.reconfigure(both, 2, 1.0);
+  ledger.reconfigure(both, 2);
   const std::uint32_t entryA = ledger.entryFor(a);
   const std::uint32_t entryB = ledger.entryFor(b);
   ASSERT_TRUE(ledger.tryCharge(entryA, 100));
@@ -93,7 +83,7 @@ TEST(AdmissionLedgerTest, ReconfigurePreservesChargesAndDrainsZombies) {
   // A weight push drops target A: its entry survives at capacity zero (the
   // in-flight frame's index stays valid), B's capacity updates in place.
   const AdmissionLedger::TargetCapacity onlyB[] = {{b, 500}};
-  ledger.reconfigure(onlyB, 1, 1.0);
+  ledger.reconfigure(onlyB, 1);
   EXPECT_EQ(ledger.entryFor(a), entryA);
   EXPECT_EQ(ledger.entryFor(b), entryB);
   EXPECT_EQ(ledger.entryCapacity(entryA), 0);
@@ -112,7 +102,7 @@ TEST(AdmissionLedgerTest, ReconfigurePreservesChargesAndDrainsZombies) {
 TEST(AdmissionLedgerDeathTest, CreditWithoutChargeAborts) {
   AdmissionLedger ledger;
   const AdmissionLedger::TargetCapacity targets[] = {{internTpu("al-f"), 500}};
-  ledger.reconfigure(targets, 1, 1.0);
+  ledger.reconfigure(targets, 1);
   const std::uint32_t entry = ledger.entryFor(internTpu("al-f"));
   ASSERT_TRUE(ledger.tryCharge(entry, 100));
   ledger.credit(entry, 100);

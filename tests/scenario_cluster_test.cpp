@@ -142,6 +142,34 @@ TEST(ScenarioCluster, ChurnUnderChaosStaysConservative) {
   }
 }
 
+// A mid-run churn join is an admission: when its Load fails on a hung TPU
+// Service the join is refused (the units go back) and the camera never
+// submits a frame.
+TEST(ScenarioCluster, ChurnJoinWhoseLoadFailsIsRefused) {
+  ScenarioSpec spec;
+  spec.name = "hung-join";
+  spec.horizonS = 3.0;
+  spec.churn.push_back(ChurnSpec{0, /*joinS=*/1.0, /*leaveS=*/0.0, 1});
+  ShardedClusterConfig config;
+  config.racks = 1;
+  config.streamsPerVRpi = 0;
+  config.scenario.enabled = true;
+  config.scenario.spec = spec;
+  ShardedCluster cluster(config);
+  ASSERT_TRUE(cluster.setupStatus().isOk())
+      << cluster.setupStatus().toString();
+  FaultPlan plan;
+  plan.events.push_back(FaultEvent{milliseconds(500), FaultKind::kTpuHang,
+                                   "tpu-00", seconds(2), 0.0});
+  cluster.armFaults(plan);
+  ASSERT_TRUE(cluster.runScenario().isOk());
+  ASSERT_EQ(cluster.streamCount(), 1u);
+  const ShardedCluster::StreamStats stats = cluster.streamStats(0);
+  EXPECT_TRUE(stats.churn);
+  EXPECT_FALSE(stats.joined);
+  EXPECT_EQ(stats.submitted, 0u);
+}
+
 TEST(ScenarioCluster, PhaseSeriesCoversHorizonWithSaneMetrics) {
   StatusOr<ScenarioSpec> spec = builtinScenario("flashcrowd");
   ASSERT_TRUE(spec.isOk());
@@ -156,7 +184,9 @@ TEST(ScenarioCluster, PhaseSeriesCoversHorizonWithSaneMetrics) {
   EXPECT_EQ(phases.back().end, secondsF(spec->horizonS));
   std::uint64_t submitted = 0, completed = 0, deadlineMet = 0;
   for (std::size_t p = 0; p < phases.size(); ++p) {
-    if (p > 0) EXPECT_GT(phases[p].end, phases[p - 1].end);
+    if (p > 0) {
+      EXPECT_GT(phases[p].end, phases[p - 1].end);
+    }
     EXPECT_GE(phases[p].attainment, 0.0);
     EXPECT_LE(phases[p].attainment, 1.0);
     EXPECT_GT(phases[p].activeStreams, 0u);

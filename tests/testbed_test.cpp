@@ -150,10 +150,10 @@ TEST(TestbedTest, BodyPixPartitionsAcrossTwoTpus) {
   deployment.model = zoo::kBodyPixMobileNetV1;
   auto app = testbed.deployBodyPix(deployment);
   ASSERT_TRUE(app.isOk()) << app.status();
-  const LbConfig* lb = testbed.scheduler().lbConfig(
+  const Allocation* allocation = testbed.reclamation().allocationOf(
       testbed.api().findPodByName("seg-0")->uid);
-  ASSERT_NE(lb, nullptr);
-  EXPECT_EQ(lb->weights.size(), 2u);
+  ASSERT_NE(allocation, nullptr);
+  EXPECT_EQ(lbConfigFromAllocation(*allocation).weights.size(), 2u);
   testbed.run(seconds(10));
   // 1.2 units split across two TPUs sustains 15 FPS.
   EXPECT_TRUE((*app)->pipeline().slo().throughputMet());
@@ -240,10 +240,11 @@ TEST(TestbedTest, CoralPieReIdLossIgnoresOtherSendersOnTheLane) {
       b.tpuUnits = 0.7;
       EXPECT_TRUE(testbed.deployCoralPie(b).isOk());
       auto tpuOf = [&](const char* pod) {
-        const LbConfig* lb = testbed.scheduler().lbConfig(
-            testbed.api().findPodByName(pod)->uid);
-        EXPECT_EQ(lb->weights.size(), 1u);
-        return lb->weights[0].tpu;
+        const LbConfig lb = lbConfigFromAllocation(
+            *testbed.reclamation().allocationOf(
+                testbed.api().findPodByName(pod)->uid));
+        EXPECT_EQ(lb.weights.size(), 1u);
+        return lb.weights[0].tpu;
       };
       EXPECT_NE(tpuOf("cp-a"), tpuOf("cp-b"));
     }
