@@ -102,8 +102,8 @@ struct Fixture {
     streams.resize(kStreams);
     for (int i = 0; i < kStreams; ++i) {
       TpuClient::Config config;
-      config.clientNode = indexName("vrpi-", i % kVRpis);
-      config.model = zoo::kMobileNetV1;
+      config.clientNode = internNode(indexName("vrpi-", i % kVRpis));
+      config.model = internModel(zoo::kMobileNetV1);
       if (mode != Mode::kOff) {
         config.frameDeadline = milliseconds(250);
         config.maxFailovers = 1;
@@ -358,8 +358,8 @@ struct OverloadFixture {
 
     for (int i = 0; i < kOvStreams; ++i) {
       TpuClient::Config config;
-      config.clientNode = indexName("vrpi-", i);
-      config.model = zoo::kMobileNetV1;
+      config.clientNode = internNode(indexName("vrpi-", i));
+      config.model = internModel(zoo::kMobileNetV1);
       if (policy != Policy::kNone) {
         config.frameDeadline = milliseconds(kOvDeadlineMs);
         config.maxFailovers = 1;

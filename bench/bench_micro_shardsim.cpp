@@ -30,6 +30,13 @@
 // may allocate, same shard or cross shard. The bench counts allocations via
 // a global counting operator new and aborts, printing the count, if the
 // budget is blown.
+//
+// Every run also reports the city's footprint: the heap blocks and bytes
+// (malloc_usable_size) the harness's setup leaves live, per stream. The
+// 100k preset gates both at 5% over the values measured when the per-stream
+// state was last laid out (a client, task and rate control inside one
+// stream block, plus one block of LB targets) and aborts, printing them,
+// past either bound.
 
 #include <chrono>
 #include <cstdlib>
@@ -65,6 +72,10 @@ struct Preset {
   // frames — which legitimately grow client/queue capacity — as steady
   // state.
   double warmupSeconds = 0;
+  // Footprint bounds: live heap blocks and bytes per stream after setup
+  // (0 = no check).
+  double maxBlocksPerStream = 0;
+  double maxBytesPerStream = 0;
 };
 
 // Nodes per rack = tRpis + vRpis; streams = racks * (vRpis * perV + tRpis *
@@ -78,6 +89,11 @@ Preset presetByName(const std::string& name) {
   if (name == "100k") {
     Preset p{"100k", 1000, 2, 8, 10, 10, 1.0, 0.01, 0, 2.5};
     p.warmupSeconds = 1.25;  // one full 1 fps period + slack
+    // 5% over the 4.53 blocks and 1,138 bytes per stream measured at one
+    // shard (gcc 12, glibc; the first run in the process also counts the
+    // node names it interns).
+    p.maxBlocksPerStream = 4.53 * 1.05;
+    p.maxBytesPerStream = 1138 * 1.05;
     return p;
   }
   std::cerr << "unknown preset " << name << " (smoke|1k|10k|100k)\n";
@@ -134,10 +150,14 @@ struct RunResult {
   std::size_t crossMessages = 0;
   std::uint64_t digest = 0;
   double steadyAllocsPerFrame = 0;
+  double blocksPerStream = 0;
+  double bytesPerStream = 0;
 };
 
 RunResult runPreset(const Preset& preset, unsigned shards,
                     ShardedSim::WindowBound mode) {
+  const std::int64_t blocks0 = liveBlocksNow();
+  const std::int64_t bytes0 = liveBytesNow();
   ShardedCluster cluster(configFor(preset, shards, mode));
   if (!cluster.setupStatus().isOk()) {
     std::cerr << "setup failed: " << cluster.setupStatus().toString() << "\n";
@@ -145,6 +165,23 @@ RunResult runPreset(const Preset& preset, unsigned shards,
   }
   RunResult result;
   result.shards = shards;
+  const double streams = static_cast<double>(cluster.streamCount());
+  result.blocksPerStream =
+      static_cast<double>(liveBlocksNow() - blocks0) / streams;
+  result.bytesPerStream =
+      static_cast<double>(liveBytesNow() - bytes0) / streams;
+  if ((preset.maxBlocksPerStream > 0 &&
+       result.blocksPerStream > preset.maxBlocksPerStream) ||
+      (preset.maxBytesPerStream > 0 &&
+       result.bytesPerStream > preset.maxBytesPerStream)) {
+    std::cerr << "FOOTPRINT BUDGET BLOWN: " << result.blocksPerStream
+              << " heap blocks (bound " << preset.maxBlocksPerStream << ") and "
+              << result.bytesPerStream << " bytes (bound "
+              << preset.maxBytesPerStream << ") live per stream after setup"
+              << " at preset " << preset.name << " shards=" << shards
+              << " mode=" << modeName(mode) << "\n";
+    std::exit(1);
+  }
 
   double horizon = preset.horizonSeconds;
   std::size_t fired = 0;
@@ -359,6 +396,8 @@ int main(int argc, char** argv) {
           json += strCat(", \"steady_allocs_per_frame\": ",
                          r.steadyAllocsPerFrame);
         }
+        json += strCat(", \"heap_blocks_per_stream\": ", r.blocksPerStream,
+                       ", \"heap_bytes_per_stream\": ", r.bytesPerStream);
         json += strCat(", \"digest\": ", r.digest, "}");
         firstRun = false;
         std::cout << name << " mode=" << modeName(mode) << " shards=" << shards

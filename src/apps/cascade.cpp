@@ -44,23 +44,29 @@ void CascadeApp::onFrame(std::uint64_t frameId) {
       slo_.recordCompleted(gateFrame.completed, gateFrame.endToEnd());
       return;
     }
-    // Stage 2: escalate to the expert model.
+    // Stage 2: escalate to the expert model. The completion keeps only the
+    // two gate timestamps it needs, so it rides the frame's context slot
+    // instead of heap-allocating per escalated frame.
     ++expertFrames_;
-    SimTime gateSubmitted = gateFrame.submitted;
-    Status st = expert_->invoke(
-        [this, gateFrame, gateSubmitted](const FrameBreakdown& expertFrame) {
-          if (expertFrame.outcome != FrameOutcome::kCompleted) {
-            fullCascade_.add(expertFrame);  // tallies the terminal outcome
-            // The gate stage did finish: fall back to gate-only accounting
-            // so the stream's SLO reflects the partial result.
-            slo_.recordCompleted(gateFrame.completed, gateFrame.endToEnd());
-            return;
-          }
-          fullCascade_.add(expertFrame);
-          SimDuration total = expertFrame.completed - gateSubmitted;
-          cascadeLatency_.add(total);
-          slo_.recordCompleted(expertFrame.completed, total);
-        });
+    auto onExpert = [this, gateSubmitted = gateFrame.submitted,
+                     gateCompleted = gateFrame.completed](
+                        const FrameBreakdown& expertFrame) {
+      if (expertFrame.outcome != FrameOutcome::kCompleted) {
+        fullCascade_.add(expertFrame);  // tallies the terminal outcome
+        // The gate stage did finish: fall back to gate-only accounting so
+        // the stream's SLO reflects the partial result.
+        slo_.recordCompleted(gateCompleted, gateCompleted - gateSubmitted);
+        return;
+      }
+      fullCascade_.add(expertFrame);
+      SimDuration total = expertFrame.completed - gateSubmitted;
+      cascadeLatency_.add(total);
+      slo_.recordCompleted(expertFrame.completed, total);
+    };
+    static_assert(
+        TpuClient::CompletionCallback::fitsInline<decltype(onExpert)>(),
+        "the expert completion must fit the completion's inline buffer");
+    Status st = expert_->invoke(std::move(onExpert));
     if (!st.isOk()) {
       ME_LOG(kWarning) << "cascade " << config_.name
                        << ": expert invoke failed: " << st.toString();

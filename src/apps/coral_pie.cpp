@@ -52,7 +52,7 @@ CoralPieApp::CoralPieApp(Simulator& sim, std::unique_ptr<TpuClient> client,
     : sim_(sim), transport_(transport), config_(std::move(config)),
       detection_(sim, std::move(client), detectionConfig(config_), rng.split()),
       reid_(sim, config_.reid),
-      detectionNode_(internNode(detection_.client().config().clientNode)) {
+      detectionNode_(detection_.client().clientNode()) {
   detection_.setFrameHook(
       [this](const FrameBreakdown& frame) { onDetectionComplete(frame); });
 }
@@ -75,7 +75,7 @@ void CoralPieApp::onDetectionComplete(const FrameBreakdown& frame) {
   // transport, with the top tag bit set: frame keys tag (attempt << 1) | hop
   // and never reach it.
   constexpr std::uint64_t kReIdTag = std::uint64_t{1} << 63;
-  const std::uint64_t token = detection_.client().config().streamToken;
+  const std::uint64_t token = detection_.client().streamToken();
   const std::uint64_t notifyKey =
       SimTransport::messageKey(token, vehicleId, kReIdTag | 1);
   transport_.send(

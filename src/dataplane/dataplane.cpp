@@ -30,12 +30,12 @@ DataPlane::DataPlane(ShardedSim& sharded, const ClusterTopology& topology,
 }
 
 DataPlane::~DataPlane() {
-  // Clients created by this plane may outlive it (harness teardown order is
-  // the owner's business); detach their unregister hooks so a later client
-  // destruction doesn't call into freed memory.
+  // Clients may outlive their plane (harness teardown order is the owner's
+  // business); detach them so a later client destruction doesn't call into
+  // freed memory.
   for (const ClientList& list : clientsByShard_) {
     for (TpuClient* client : list.slots) {
-      if (client != nullptr) client->setOnDestroy(nullptr);
+      if (client != nullptr) client->registrySlot_ = TpuClient::kDetached;
     }
   }
 }
@@ -181,55 +181,43 @@ unsigned DataPlane::shardOfTarget(const std::string& target) const {
              : 0;
 }
 
-std::unique_ptr<TpuClient> DataPlane::makeClient(std::string clientNode,
-                                                 std::string model,
+std::unique_ptr<TpuClient> DataPlane::makeClient(std::string_view clientNode,
+                                                 std::string_view model,
                                                  LbSpread spread) {
   TpuClient::Config config;
-  config.clientNode = std::move(clientNode);
-  config.model = std::move(model);
+  config.clientNode = internNode(clientNode);
+  config.model = internModel(model);
   config.spread = spread;
-  return makeClient(std::move(config));
+  return makeClient(config);
 }
 
-std::unique_ptr<TpuClient> DataPlane::makeClient(TpuClient::Config config) {
-  // Keyed transport-loss identity: clients that don't bring their own
-  // stream token get the next sequential one, so loss outcomes replay
-  // identically at any shard count.
-  if (config.streamToken == 0) config.streamToken = newStreamToken();
-  const unsigned shard = sharded_.shardOfNode(internNode(config.clientNode));
-  auto client = std::make_unique<TpuClient>(
-      sharded_, registry_, transport_,
-      [this](TpuId tpu) { return serviceById(tpu); }, std::move(config));
-  ClientList& list = clientsByShard_[shard];
-  list.slots.push_back(client.get());
+std::unique_ptr<TpuClient> DataPlane::makeClient(
+    const TpuClient::Config& config) {
+  return std::make_unique<TpuClient>(*this, config);
+}
+
+void DataPlane::registerClient(TpuClient& client) {
+  ClientList& list = clientsByShard_[client.myShard_];
+  client.registrySlot_ = static_cast<std::uint32_t>(list.slots.size());
+  list.slots.push_back(&client);
   ++clientCount_;
-  hookClient(client.get(), shard,
-             static_cast<std::uint32_t>(list.slots.size() - 1));
-  return client;
 }
 
-void DataPlane::hookClient(TpuClient* client, unsigned shard,
-                           std::uint32_t slot) {
-  // The capture is 16 bytes, which std::function stores inline: hooking a
-  // client allocates nothing.
-  client->setOnDestroy(
-      [this, shard, slot](TpuClient*) { unregisterClient(shard, slot); });
-}
-
-void DataPlane::unregisterClient(unsigned shard, std::uint32_t slot) {
-  ClientList& list = clientsByShard_[shard];
-  list.slots[slot] = nullptr;
+void DataPlane::unregisterClient(TpuClient& client) {
+  ClientList& list = clientsByShard_[client.myShard_];
+  list.slots[client.registrySlot_] = nullptr;
+  client.registrySlot_ = TpuClient::kDetached;
   --clientCount_;
   ++list.dead;
   if (2 * list.dead < list.slots.size()) return;
-  // Half the list is dead: squeeze it out in order and re-hook the
-  // survivors at their new slots. Each compaction costs at most twice the
-  // deaths since the last one.
+  // Half the list is dead: squeeze it out in order and point the survivors
+  // at their new slots. Each compaction costs at most twice the deaths
+  // since the last one.
   std::uint32_t live = 0;
-  for (TpuClient* client : list.slots) {
-    if (client == nullptr) continue;
-    list.slots[live] = client;
-    hookClient(client, shard, live++);
+  for (TpuClient* survivor : list.slots) {
+    if (survivor == nullptr) continue;
+    list.slots[live] = survivor;
+    survivor->registrySlot_ = live++;
   }
   list.slots.resize(live);
   list.dead = 0;

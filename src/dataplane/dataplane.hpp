@@ -6,12 +6,12 @@
 // retrying Load every replan uses, fault-plan arming, and a client factory
 // for application pods.
 //
-// Reliability glue: the DataPlane keeps a registry of the clients it
-// created; removeService() broadcasts the removal so every in-flight frame
-// addressed to the dead service fails over or terminates immediately
+// Reliability glue: every TpuClient registers itself with its DataPlane on
+// construction; removeService() broadcasts the removal so every in-flight
+// frame addressed to the dead service fails over or terminates immediately
 // (fail-fast) instead of waiting for its arrival event. Clients unregister
-// themselves on destruction, so the registry never dangles regardless of
-// which side dies first.
+// themselves on destruction, and the DataPlane's destructor detaches the
+// clients that outlive it, so neither side dangles whichever dies first.
 //
 // Sharded runs: one DataPlane serves every shard. The string->service map
 // is immutable after construction and service objects are never destroyed
@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -52,6 +53,8 @@ class DataPlane {
   DataPlane& operator=(const DataPlane&) = delete;
 
   SimTransport& transport() { return transport_; }
+  ShardedSim& shardedSim() { return sharded_; }
+  const ModelRegistry& registry() const { return registry_; }
 
   // Service lookups resolve against the CALLING shard's view: a service
   // removed on its owner shard stays visible to other shards for up to one
@@ -101,14 +104,15 @@ class DataPlane {
       std::function<void(const std::string& tpuId)> onTpuFailure = {},
       std::function<void(const std::string& node)> onNodeFailure = {});
 
-  // Creates the client library instance baked into an application pod and
-  // registers it for fail-fast service-removal broadcasts. The client is
+  // Creates the client library instance baked into an application pod on
+  // the heap (owners that hold one by value construct it in place). The
+  // client registers itself for fail-fast service-removal broadcasts and is
   // bound to its node's shard: its Simulator& is that shard's event loop.
-  std::unique_ptr<TpuClient> makeClient(std::string clientNode,
-                                        std::string model,
+  std::unique_ptr<TpuClient> makeClient(std::string_view clientNode,
+                                        std::string_view model,
                                         LbSpread spread = LbSpread::kSmooth);
   // Same, with the reliability knobs (deadline / failover / breaker) set.
-  std::unique_ptr<TpuClient> makeClient(TpuClient::Config config);
+  std::unique_ptr<TpuClient> makeClient(const TpuClient::Config& config);
   // Next sender token for SimTransport::messageKey: sequential from 1 in
   // creation order (fixed single-threaded setup), so every sender on this
   // data plane's transport keys its messages apart from every other one.
@@ -122,9 +126,11 @@ class DataPlane {
   // Applies the removal on one shard: nulls the view entry and notifies the
   // shard's clients. Returns false if that shard already saw the removal.
   bool removeFromShard(unsigned shard, TpuId handle);
-  // Points the client's destroy hook at its registry slot.
-  void hookClient(TpuClient* client, unsigned shard, std::uint32_t slot);
-  void unregisterClient(unsigned shard, std::uint32_t slot);
+  // Client registry, called by TpuClient's constructor and destructor:
+  // each keeps the client's registrySlot_ pointing at its list entry.
+  friend class TpuClient;
+  void registerClient(TpuClient& client);
+  void unregisterClient(TpuClient& client);
 
   ShardedSim& sharded_;
   const ClusterTopology& topology_;
@@ -138,12 +144,11 @@ class DataPlane {
   // written only by its own shard after construction.
   std::vector<std::vector<TpuService*>> serviceViews_;
   std::vector<std::size_t> liveCount_;  // live services per shard view
-  // Live clients created by makeClient, per shard in creation order: the
-  // order removeFromShard notifies them in, which fixes the sequence order
-  // of fail-fast events. A destroyed client leaves a nullptr behind, and the
-  // list is compacted (order kept) once half of it is dead, so
-  // unregistration is amortised O(1). Mutated only during single-threaded
-  // setup/teardown.
+  // Live clients, per shard in creation order: the order removeFromShard
+  // notifies them in, which fixes the sequence order of fail-fast events.
+  // A destroyed client leaves a nullptr behind, and the list is compacted
+  // (order kept) once half of it is dead, so unregistration is amortised
+  // O(1). Mutated only during single-threaded setup/teardown.
   struct ClientList {
     std::vector<TpuClient*> slots;
     std::size_t dead = 0;

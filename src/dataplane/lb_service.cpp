@@ -6,55 +6,55 @@
 namespace microedge {
 
 Status LbService::configure(const LbConfig& config) {
-  Status s = spread_ == LbSpread::kSmooth ? smooth_.setTargets(config.weights)
-                                          : burst_.setTargets(config.weights);
-  if (!s.isOk()) return s;
-  lbConfig_ = config;
-  configured_ = true;
-  routed_ = 0;
+  auto gcd = wrrWeightGcd(config.weights);
+  if (!gcd.isOk()) return gcd.status();
+  targets_.assign(config.weights.size(), Target{});
+  std::uint64_t totalWeight = 0;
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    targets_[i].tpu = config.weights[i].tpu;
+    targets_[i].weight = config.weights[i].weight / *gcd;
+    totalWeight += targets_[i].weight;
+  }
+  if (spread_ == LbSpread::kSmooth) {
+    schedule_.totalWeight = totalWeight;
+  } else {
+    schedule_.burst = {0, 0};
+  }
   maskEvents_ = 0;
-  perTarget_.assign(lbConfig_.weights.size(), 0);
-  targetState_.assign(lbConfig_.weights.size(), TargetState{});
   return Status::ok();
 }
 
 std::size_t LbService::rawPick() {
-  return spread_ == LbSpread::kSmooth ? smooth_.pickIndex()
-                                      : burst_.pickIndex();
-}
-
-std::size_t LbService::routeIndex() {
-  assert(configured_ && "LbService::route before configure");
-  std::size_t index = rawPick();
-  ++routed_;
-  ++perTarget_[index];
-  return index;
+  return spread_ == LbSpread::kSmooth
+             ? smoothWrrPick(targets_.data(), targets_.size(),
+                             schedule_.totalWeight)
+             : burstWrrPick(targets_.data(), targets_.size(),
+                            schedule_.burst.cursor, schedule_.burst.emitted);
 }
 
 std::size_t LbService::routeHealthyIndex(SimTime now) {
-  assert(configured_ && "LbService::route before configure");
+  assert(configured() && "LbService::route before configure");
   // Each draw advances the WRR even when the target is skipped; with every
   // target healthy this is exactly one draw, so the smooth interleaving (and
   // the per-target counters the partitioning tests assert) is unchanged.
-  const std::size_t n = lbConfig_.weights.size();
+  const std::size_t n = targets_.size();
   for (std::size_t draw = 0; draw < n; ++draw) {
     std::size_t index = rawPick();
-    TargetState& t = targetState_[index];
+    Target& t = targets_[index];
     if (t.state == TargetHealth::kMasked) {
       if (now < t.retryAt) continue;  // window still open: skip this target
       t.state = TargetHealth::kProbing;  // half-open: this frame is the probe
       t.probeSuccesses = 0;
     }
-    ++routed_;
-    ++perTarget_[index];
+    ++t.routed;
     return index;
   }
   return kNoTarget;
 }
 
 void LbService::recordSuccess(std::size_t index) {
-  if (index >= targetState_.size()) return;
-  TargetState& t = targetState_[index];
+  if (index >= targets_.size()) return;
+  Target& t = targets_[index];
   t.consecutiveFailures = 0;
   if (t.state == TargetHealth::kProbing &&
       ++t.probeSuccesses >= health_.probeSuccesses) {
@@ -64,8 +64,8 @@ void LbService::recordSuccess(std::size_t index) {
 }
 
 void LbService::recordFailure(std::size_t index, SimTime now) {
-  if (index >= targetState_.size()) return;
-  TargetState& t = targetState_[index];
+  if (index >= targets_.size()) return;
+  Target& t = targets_[index];
   t.probeSuccesses = 0;
   switch (t.state) {
     case TargetHealth::kProbing:
@@ -82,7 +82,7 @@ void LbService::recordFailure(std::size_t index, SimTime now) {
   }
 }
 
-void LbService::trip(TargetState& target, SimTime now) {
+void LbService::trip(Target& target, SimTime now) {
   target.state = TargetHealth::kMasked;
   target.consecutiveFailures = 0;
   target.retryAt = now + target.backoffMultiplier * health_.maskDuration;
@@ -90,21 +90,27 @@ void LbService::trip(TargetState& target, SimTime now) {
 }
 
 TargetHealth LbService::targetHealth(std::size_t index) const {
-  return index < targetState_.size() ? targetState_[index].state
-                                     : TargetHealth::kHealthy;
+  return index < targets_.size() ? targets_[index].state
+                                 : TargetHealth::kHealthy;
 }
 
 std::size_t LbService::maskedCount() const {
   std::size_t n = 0;
-  for (const TargetState& t : targetState_) {
+  for (const Target& t : targets_) {
     if (t.state == TargetHealth::kMasked) ++n;
   }
   return n;
 }
 
+std::uint64_t LbService::routedCount() const {
+  std::uint64_t n = 0;
+  for (const Target& t : targets_) n += t.routed;
+  return n;
+}
+
 std::uint64_t LbService::routedCountTo(TpuId tpu) const {
-  for (std::size_t i = 0; i < lbConfig_.weights.size(); ++i) {
-    if (lbConfig_.weights[i].tpu == tpu) return perTarget_[i];
+  for (const Target& t : targets_) {
+    if (t.tpu == tpu) return t.routed;
   }
   return 0;
 }

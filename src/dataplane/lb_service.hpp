@@ -17,7 +17,13 @@
 // failed probe re-masks with doubled (capped) backoff. This keeps frames
 // flowing through a pod's surviving shares during the detection window —
 // before failure recovery rewrites the weights — without any per-frame
-// allocation (health state is a flat vector aligned with the weights).
+// allocation.
+//
+// Layout: every camera stream's client embeds one LbService, so at city
+// scale its bytes are per-stream memory. Each target is kept once, in one
+// array: its TPU, reduced weight and WRR credit, routed count and breaker
+// state. Beside it sit only the active spread's schedule (smooth: the
+// total weight; burst: the cursor and its run) and the breaker tuning.
 
 #include <cstdint>
 #include <vector>
@@ -29,7 +35,7 @@
 
 namespace microedge {
 
-enum class LbSpread { kSmooth, kBurst };
+enum class LbSpread : std::uint8_t { kSmooth, kBurst };
 
 // Per-target circuit-breaker tuning. Defaults favour fast convergence in
 // simulation: one good probe restores a target.
@@ -52,26 +58,23 @@ class LbService {
   // routeHealthyIndex() result when every target is masked or absent.
   static constexpr std::size_t kNoTarget = static_cast<std::size_t>(-1);
 
-  explicit LbService(LbSpread spread = LbSpread::kSmooth) : spread_(spread) {}
+  explicit LbService(LbSpread spread = LbSpread::kSmooth,
+                     const LbHealthConfig& health = {})
+      : health_(health), spread_(spread) {}
 
   // Installs the weights computed at admission (milli-units per TPU, each
-  // target named by its TpuId handle) as given: the WRR routes by index and
-  // the client resolves the handle. Resets routing counters AND health
-  // state: a weight push from recovery names live targets, so they start
-  // healthy.
+  // target named by its TpuId handle), in the given order: the WRR routes
+  // by index and the client resolves the handle. Resets routing counters
+  // AND health state: a weight push from recovery names live targets, so
+  // they start healthy.
   Status configure(const LbConfig& config);
-  bool configured() const { return configured_; }
+  bool configured() const { return !targets_.empty(); }
 
-  void setHealthConfig(const LbHealthConfig& config) { health_ = config; }
-
-  // Routes the next request; returns the index of the target in
-  // config().weights. Per-frame hot path.
-  // Precondition: configured().
-  std::size_t routeIndex();
   // Health-aware routing: repeatedly draws from the WRR, skipping targets
   // whose mask window has not elapsed; a target whose window elapsed is
-  // moved to kProbing and returned (half-open probe). Returns kNoTarget
-  // when every target is masked. Precondition: configured().
+  // moved to kProbing and returned (half-open probe). Returns the target's
+  // index, or kNoTarget when every target is masked. Per-frame hot path.
+  // Precondition: configured().
   std::size_t routeHealthyIndex(SimTime now);
 
   // Health feedback from the client. Out-of-range indices (stale after a
@@ -79,40 +82,50 @@ class LbService {
   void recordSuccess(std::size_t index);
   void recordFailure(std::size_t index, SimTime now);
 
+  // The configured targets, in configured order.
+  std::size_t targetCount() const { return targets_.size(); }
+  TpuId target(std::size_t index) const { return targets_[index].tpu; }
+
   TargetHealth targetHealth(std::size_t index) const;
   std::size_t maskedCount() const;
   // Total healthy->masked transitions since configure() (telemetry).
   std::uint64_t maskEvents() const { return maskEvents_; }
 
-  std::uint64_t routedCount() const { return routed_; }
-  // Requests routed to `tpu` since configure(); 0 if it is not a target.
+  // Requests routed since configure(), in total and to `tpu` (0 if it is
+  // not a target).
+  std::uint64_t routedCount() const;
   std::uint64_t routedCountTo(TpuId tpu) const;
-  const LbConfig& config() const { return lbConfig_; }
 
  private:
-  struct TargetState {
-    TargetHealth state = TargetHealth::kHealthy;
+  // One target: WRR state (tpu, weight, credit), then routing and breaker
+  // state.
+  struct Target : WrrTarget {
+    std::uint64_t routed = 0;
+    SimTime retryAt{};  // mask window end (valid while kMasked)
     std::uint32_t consecutiveFailures = 0;
     std::uint32_t probeSuccesses = 0;
     std::uint32_t backoffMultiplier = 1;
-    SimTime retryAt{};  // mask window end (valid while kMasked)
+    TargetHealth state = TargetHealth::kHealthy;
   };
 
-  void trip(TargetState& target, SimTime now);
+  void trip(Target& target, SimTime now);
   // Next raw pick from the configured spread's WRR.
   std::size_t rawPick();
 
-  LbSpread spread_;
-  SmoothWrr smooth_;
-  BurstWrr burst_;
-  LbConfig lbConfig_;
-  LbHealthConfig health_;
-  bool configured_ = false;
-  std::uint64_t routed_ = 0;
+  std::vector<Target> targets_;
   std::uint64_t maskEvents_ = 0;
-  // Aligned with lbConfig_.weights (the WRR preserves target order).
-  std::vector<std::uint64_t> perTarget_;
-  std::vector<TargetState> targetState_;
+  // The active spread's schedule, set by configure(): smooth WRR's total
+  // weight, or burst WRR's cursor and the picks it has emitted there.
+  union Schedule {
+    std::uint64_t totalWeight;
+    struct {
+      std::uint32_t cursor;
+      std::uint32_t emitted;
+    } burst;
+  };
+  Schedule schedule_{};
+  LbHealthConfig health_;
+  LbSpread spread_;
 };
 
 }  // namespace microedge

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "dataplane/dataplane.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -35,39 +36,54 @@ const std::string& FrameBreakdown::servedByName() const {
   return servedBy.valid() ? tpuName(servedBy) : kEmpty;
 }
 
-TpuClient::TpuClient(ShardedSim& sharded, const ModelRegistry& registry,
-                     SimTransport& transport, Directory directory,
-                     Config config)
-    : sim_(sharded.shardSim(
-          sharded.shardOfNode(internNode(config.clientNode)))),
-      registry_(registry), transport_(transport),
-      directory_(std::move(directory)), config_(std::move(config)),
-      sharded_(sharded), clientNode_(internNode(config_.clientNode)),
-      model_(internModel(config_.model)), lb_(config_.spread) {
-  lb_.setHealthConfig(config_.health);
-  myShard_ = sharded_.shardOfNode(clientNode_);
+TpuClient::TpuClient(DataPlane& dataPlane, const Config& config)
+    : dataPlane_(dataPlane),
+      sim_(dataPlane.shardedSim().shardSim(
+          dataPlane.shardedSim().shardOfNode(config.clientNode))),
+      lb_(config.spread, config.health),
+      admission_(config.admission.enabled
+                     ? std::make_unique<AdmissionLedger>()
+                     : nullptr),
+      maxFailovers_(config.maxFailovers),
+      frameDeadline_(config.frameDeadline),
+      // Keyed transport-loss identity: a client that brings no stream token
+      // takes the plane's next one, so loss outcomes replay identically at
+      // any shard count.
+      streamToken_(config.streamToken != 0 ? config.streamToken
+                                           : dataPlane.newStreamToken()),
+      clientNode_(config.clientNode),
+      model_(config.model),
+      myShard_(dataPlane.shardedSim().shardOfNode(config.clientNode)) {
+  dataPlane_.registerClient(*this);
+}
+
+const ModelInfo& TpuClient::modelInfo() const {
+  return *dataPlane_.registry().byId(model_);
+}
+
+const AdmissionLedger& TpuClient::admissionLedger() const {
+  static const AdmissionLedger kNone;
+  return admission_ != nullptr ? *admission_ : kNone;
 }
 
 Status TpuClient::configureLb(const LbConfig& config) {
   Status s = lb_.configure(config);
-  if (!s.isOk() || !config_.admission.enabled) return s;
+  if (!s.isOk() || admission_ == nullptr) return s;
   // Capacity line = the pushed share weights (milli units). Control-plane
   // path: a local vector is fine here; the per-frame charge/credit path
   // below allocates nothing.
   std::vector<AdmissionLedger::TargetCapacity> targets;
-  targets.reserve(lb_.config().weights.size());
-  for (const LbWeight& w : lb_.config().weights) {
-    targets.push_back({w.tpu, w.weight});
-  }
-  admission_.reconfigure(targets.data(), targets.size());
+  targets.reserve(config.weights.size());
+  for (const LbWeight& w : config.weights) targets.push_back({w.tpu, w.weight});
+  admission_->reconfigure(targets.data(), targets.size());
   // One model + one deadline per client, so the SLEDGE estimate
   // (execution / deadline) is a per-client constant. Zero disables the
   // per-frame check (no deadline, or the model is not registered yet —
   // deployments register models before pushing LB configs).
-  const ModelInfo* info = registry_.byId(model_);
-  if (info != nullptr && config_.frameDeadline > SimDuration::zero()) {
+  const ModelInfo* info = dataPlane_.registry().byId(model_);
+  if (info != nullptr && frameDeadline_ > SimDuration::zero()) {
     const std::int64_t est =
-        info->inferenceLatency.count() * 1000 / config_.frameDeadline.count();
+        info->inferenceLatency.count() * 1000 / frameDeadline_.count();
     admissionEstimateMilli_ =
         static_cast<std::uint32_t>(std::max<std::int64_t>(1, est));
   } else {
@@ -81,7 +97,7 @@ TpuClient::~TpuClient() {
   // clients alive until the simulation drains, but don't leave a timer
   // pointing at a dead `this` if someone tears down early).
   if (dlTimer_.valid()) sim_.cancel(dlTimer_);
-  if (onDestroy_) onDestroy_(this);
+  if (registrySlot_ != kDetached) dataPlane_.unregisterClient(*this);
 }
 
 // ---- Deadline queue ---------------------------------------------------------
@@ -175,7 +191,7 @@ std::uint64_t TpuClient::frameMsgKey(std::uint64_t frameId,
   // order, shard count). Frame keys skip 0, so every recorded run replays
   // bit for bit.
   const std::uint64_t key = SimTransport::messageKey(
-      config_.streamToken, frameId,
+      streamToken_, frameId,
       (static_cast<std::uint64_t>(attempt) << 1) | hop);
   return key != 0 ? key : 1;
 }
@@ -187,11 +203,11 @@ TpuService* TpuClient::routeToLiveTarget(std::size_t* index) {
   // and re-draws, so a dead target is masked after a few frames and the
   // pod's surviving shares carry the stream through the detection window.
   const SimTime now = sim_.now();
-  const std::size_t attempts = lb_.config().weights.size() + 1;
+  const std::size_t attempts = lb_.targetCount() + 1;
   for (std::size_t i = 0; i < attempts; ++i) {
     std::size_t idx = lb_.routeHealthyIndex(now);
     if (idx == LbService::kNoTarget) return nullptr;
-    TpuService* service = directory_(lb_.config().weights[idx].tpu);
+    TpuService* service = dataPlane_.serviceById(lb_.target(idx));
     if (service != nullptr) {
       *index = idx;
       return service;
@@ -206,9 +222,10 @@ Status TpuClient::invoke(CompletionCallback done) {
   if (!lb_.configured()) {
     return failedPrecondition("TPU client LB not configured");
   }
-  const ModelInfo* info = registry_.byId(model_);
+  const ModelInfo* info = dataPlane_.registry().byId(model_);
   if (info == nullptr) {
-    return notFound(strCat("model not registered: ", config_.model));
+    return notFound(strCat("model not registered: ",
+                           model_.valid() ? modelName(model_) : ""));
   }
 
   std::size_t index = 0;
@@ -221,9 +238,9 @@ Status TpuClient::invoke(CompletionCallback done) {
   std::uint32_t ledgerEntry = AdmissionLedger::kNoEntry;
   std::uint32_t ledgerCharge = 0;
   if (service != nullptr && admissionEstimateMilli_ != 0) {
-    ledgerEntry = admission_.entryFor(lb_.config().weights[index].tpu);
+    ledgerEntry = admission_->entryFor(lb_.target(index));
     if (ledgerEntry != AdmissionLedger::kNoEntry) {
-      if (!admission_.tryCharge(ledgerEntry, admissionEstimateMilli_)) {
+      if (!admission_->tryCharge(ledgerEntry, admissionEstimateMilli_)) {
         ++submitted_;
         ++failed_;
         ++outcomes_[static_cast<std::size_t>(
@@ -253,21 +270,21 @@ Status TpuClient::invoke(CompletionCallback done) {
   if (service == nullptr) {
     // Every target is dead or masked: terminal drop, explicitly counted (the
     // completion still fires so the application sees the loss).
-    ME_LOG(kWarning) << "no reachable TPU service for " << config_.model
+    ME_LOG(kWarning) << "no reachable TPU service for " << modelName(model_)
                      << "; frame dropped";
     finish(h, FrameOutcome::kDroppedDeadTarget);
     return Status::ok();
   }
   c->breakdown.preprocess = info->preprocessLatency;
-  c->breakdown.servedBy = lb_.config().weights[index].tpu;
+  c->breakdown.servedBy = lb_.target(index);
   c->serviceNode = service->nodeId();
   c->targetIndex = static_cast<std::uint32_t>(index);
 
   // Deadline: append to the client's intrusive deadline FIFO — a few index
   // writes; the one client-wide timer is armed only when the queue was
   // idle. No per-frame event, no allocation.
-  if (config_.frameDeadline > SimDuration::zero()) {
-    c->deadlineAt = c->breakdown.submitted + config_.frameDeadline;
+  if (frameDeadline_ > SimDuration::zero()) {
+    c->deadlineAt = c->breakdown.submitted + frameDeadline_;
     dlEnqueue(h, c);
   }
 
@@ -285,7 +302,8 @@ void TpuClient::ship(Handle h, InvokeContext* c, SimDuration departAfter) {
   const std::uint64_t frameId = c->breakdown.frameId;
   const std::uint32_t attempt = c->breakdown.failovers;
   bool dropped = false;
-  const SimDuration latency = transport_.sendRouted(
+  ShardedSim& sharded = dataPlane_.shardedSim();
+  const SimDuration latency = dataPlane_.transport().sendRouted(
       clientNode_, c->serviceNode, modelInfo().inputBytes(), &dropped,
       frameMsgKey(frameId, attempt, /*hop=*/0));
   // Transmit cost accumulates across attempts.
@@ -295,14 +313,14 @@ void TpuClient::ship(Handle h, InvokeContext* c, SimDuration departAfter) {
                 h,
                 c->breakdown.servedBy,
                 c->serviceNode,
-                config_.frameDeadline > SimDuration::zero() ? c->deadlineAt
-                                                            : SimTime::max(),
+                frameDeadline_ > SimDuration::zero() ? c->deadlineAt
+                                                     : SimTime::max(),
                 frameMsgKey(frameId, attempt, /*hop=*/1)};
   // Cross-shard implies cross-node, so latency >= the network base latency
   // == the lookahead and the mailbox invariant holds.
-  sharded_.postToShard(sharded_.shardOfNode(c->serviceNode),
-                       sim_.now() + departAfter + latency,
-                       [hop] { onArrival(hop); });
+  sharded.postToShard(sharded.shardOfNode(c->serviceNode),
+                      sim_.now() + departAfter + latency,
+                      [hop] { onArrival(hop); });
 }
 
 void TpuClient::onArrival(const Hop& hop) {
@@ -313,7 +331,7 @@ void TpuClient::onArrival(const Hop& hop) {
   // timed out (so the shed predicate drops it) or failed over away from a
   // removed service (never re-added, so the directory says null).
   const TpuClient& client = *hop.client;
-  TpuService* service = client.directory_(hop.target);
+  TpuService* service = client.dataPlane_.serviceById(hop.target);
   if (service == nullptr) {
     nack(hop, Nack::kDeadTarget);
     return;
@@ -323,7 +341,7 @@ void TpuClient::onArrival(const Hop& hop) {
   // whose result nobody can use. Conservative (response hop and postprocess
   // are not included).
   if (hop.deadlineAt != SimTime::max()) {
-    const SimTime now = client.sharded_.currentSim().now();
+    const SimTime now = client.dataPlane_.shardedSim().currentSim().now();
     const SimDuration estimate = client.modelInfo().inferenceLatency;
     if (now + service->device().estimatedBacklog(now, estimate) + estimate >
         hop.deadlineAt) {
@@ -353,8 +371,9 @@ void TpuClient::onDeviceDone(const Hop& hop,
   // post-processing stage folded into the delivery event (completion fires
   // at now + postprocess + latency).
   const ModelInfo& info = client->modelInfo();
+  ShardedSim& sharded = client->dataPlane_.shardedSim();
   bool dropped = false;
-  const SimDuration respLat = client->transport_.sendRouted(
+  const SimDuration respLat = client->dataPlane_.transport().sendRouted(
       hop.serviceNode, client->clientNode_, info.outputBytes, &dropped,
       hop.respKey);
   if (c != nullptr) {
@@ -364,9 +383,9 @@ void TpuClient::onDeviceDone(const Hop& hop,
     c->breakdown.responseTransmit = respLat;
   }
   if (dropped) return;
-  client->sharded_.postToShard(
+  sharded.postToShard(
       client->myShard_,
-      client->sharded_.currentSim().now() + info.postprocessLatency + respLat,
+      sharded.currentSim().now() + info.postprocessLatency + respLat,
       [client, h = hop.h, queueDelay = stats.queueDelay,
        serviceTime = stats.serviceTime, respLat] {
         client->onResponse(h, queueDelay, serviceTime, respLat);
@@ -380,12 +399,13 @@ void TpuClient::nack(const Hop& hop, Nack kind) {
     return;
   }
   // Across shards the client learns one control message later.
+  ShardedSim& sharded = client->dataPlane_.shardedSim();
   const SimDuration delay = std::max(
-      client->transport_.network().controlLatency(hop.serviceNode,
-                                                  client->clientNode_),
-      client->sharded_.lookahead());
-  client->sharded_.postToShard(
-      client->myShard_, client->sharded_.currentSim().now() + delay,
+      client->dataPlane_.transport().network().controlLatency(
+          hop.serviceNode, client->clientNode_),
+      sharded.lookahead());
+  sharded.postToShard(
+      client->myShard_, sharded.currentSim().now() + delay,
       [client, h = hop.h, kind] { client->onNack(h, kind); });
 }
 
@@ -420,7 +440,7 @@ void TpuClient::onNack(Handle h, Nack kind) {
 }
 
 bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
-  if (c->breakdown.failovers >= config_.maxFailovers) return false;
+  if (c->breakdown.failovers >= maxFailovers_) return false;
   std::size_t index = 0;
   TpuService* service = routeToLiveTarget(&index);
   if (service == nullptr) return false;
@@ -451,7 +471,7 @@ bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
 
   ++nc->breakdown.failovers;
   ++failovers_;
-  nc->breakdown.servedBy = lb_.config().weights[index].tpu;
+  nc->breakdown.servedBy = lb_.target(index);
   nc->serviceNode = service->nodeId();
   nc->targetIndex = static_cast<std::uint32_t>(index);
   // Re-ship the already-preprocessed frame to the new target.
@@ -467,7 +487,7 @@ void TpuClient::finish(Handle h, FrameOutcome outcome) {
   // here covers every outcome — completion, timeout, shed, dead-target
   // drops, remote NACKs, and failover chains (the charge rode to this slot).
   if (c->ledgerCharge != 0) {
-    admission_.credit(c->ledgerEntry, c->ledgerCharge);
+    admission_->credit(c->ledgerEntry, c->ledgerCharge);
     c->ledgerCharge = 0;
   }
   c->breakdown.outcome = outcome;

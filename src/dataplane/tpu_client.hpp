@@ -16,10 +16,10 @@
 // client-side stages re-resolve the slot on entry, so a dropped frame's
 // stale events are rejected instead of dereferencing recycled state.
 // Routing, transport and the TPU Service all speak dense interned handles
-// (TpuId / NodeId / ModelId); the client interns its node and model once at
-// construction, and each stage looks the model's constants (bytes each way,
-// inference estimate, postprocess) up by ModelId in the registry. The frame
-// takes three simulator events end to end on one shard (arrival at the
+// (TpuId / NodeId / ModelId); the client is configured with its node and
+// model as handles, and each stage looks the model's constants (bytes each
+// way, inference estimate, postprocess) up by ModelId in the registry. The
+// frame takes three simulator events end to end on one shard (arrival at the
 // service, device completion, client completion) — preprocess rides the
 // request hop and postprocess the response hop, with identical timestamps
 // to the five-event formulation.
@@ -79,10 +79,18 @@
 // Object lifetime: completions reference the client; the experiment harness
 // keeps client objects alive until the simulation drains (a stopped client
 // simply refuses new invokes).
+//
+// Footprint: a city runs one client per camera stream, so every byte here
+// is per-stream memory. The client holds one DataPlane& and reaches the
+// services, the model registry, the transport and the shard map through
+// it; it names its node and model by interned handle, keeps the breaker
+// tuning only inside its LbService, and builds an AdmissionLedger only
+// when per-frame admission is on. It is neither copyable nor movable, so
+// an owner may hold it by value (ShardedCluster's streams do).
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -138,11 +146,13 @@ struct FrameBreakdown {
   const std::string& servedByName() const;
 };
 
+class DataPlane;
+
 class TpuClient {
  public:
   struct Config {
-    std::string clientNode;  // RPi hosting the application pod
-    std::string model;
+    NodeId clientNode{};  // RPi hosting the application pod
+    ModelId model{};
     LbSpread spread = LbSpread::kSmooth;
     // Per-frame deadline measured from submit; zero disables the deadline
     // timer AND deadline-based shedding (seed behaviour).
@@ -153,25 +163,26 @@ class TpuClient {
     // Stable identity of this client's frame stream for keyed transport-loss
     // draws: whether a frame drops under a loss window is a pure function of
     // (fault seed, token, frame id, attempt, hop) — invariant to shard count
-    // and to every other stream's traffic. DataPlane::makeClient, the only
-    // place a client is built, assigns a nonzero token when left at zero.
+    // and to every other stream's traffic. Zero takes the data plane's next
+    // token (DataPlane::newStreamToken).
     std::uint64_t streamToken = 0;
     // Per-frame admission (DESIGN.md §14). Disabled keeps the submit path
     // bit-identical to a ledger-free build.
     FrameAdmissionConfig admission{};
   };
-  // Resolves a TPU handle to its TPU Service instance (nullptr if gone).
-  // Dense-handle lookup so per-frame routing never touches a string map.
-  using Directory = std::function<TpuService*(TpuId tpu)>;
   // Move-only SBO callable: completions with inline-sized captures ride the
   // context slot without a std::function heap allocation per frame.
   using CompletionCallback = MoveFn<void(const FrameBreakdown&)>;
 
-  // The client runs on the event loop of its node's shard in `sharded`;
-  // its frames reach services on any shard.
-  TpuClient(ShardedSim& sharded, const ModelRegistry& registry,
-            SimTransport& transport, Directory directory, Config config);
+  // Builds the client on the event loop of its node's shard and registers
+  // it with `dataPlane` for fail-fast service-removal broadcasts; its
+  // frames reach services on any shard. The destructor unregisters it, and
+  // a client that outlives its data plane is detached by the plane's
+  // destructor (then it must not invoke again).
+  TpuClient(DataPlane& dataPlane, const Config& config);
   ~TpuClient();
+  TpuClient(const TpuClient&) = delete;
+  TpuClient& operator=(const TpuClient&) = delete;
 
   // Seeds the embedded LB Service with the weights the control plane
   // admitted (pod initialization, §3.1 step 4) or replanned, and, with
@@ -194,13 +205,10 @@ class TpuClient {
   // permitting) or terminates kDroppedDeadTarget — nothing waits for an
   // arrival event at a dead service.
   void onServiceRemoved(TpuId tpu);
-  // Owner hook invoked from the destructor (DataPlane unregisters the
-  // client from its fail-fast broadcast list).
-  void setOnDestroy(std::function<void(TpuClient*)> hook) {
-    onDestroy_ = std::move(hook);
-  }
 
-  const Config& config() const { return config_; }
+  NodeId clientNode() const { return clientNode_; }
+  ModelId model() const { return model_; }
+  std::uint64_t streamToken() const { return streamToken_; }
   LbService& lbService() { return lb_; }
   const LbService& lbService() const { return lb_; }
   std::uint64_t submittedCount() const { return submitted_; }
@@ -220,8 +228,8 @@ class TpuClient {
   // Context slots allocated, live or free: under twice the in-flight
   // high-water mark.
   std::size_t contextCapacity() const { return pool_.capacity(); }
-  // Per-frame admission ledger (meaningful only with admission enabled).
-  const AdmissionLedger& admissionLedger() const { return admission_; }
+  // Per-frame admission ledger; an empty one when admission is off.
+  const AdmissionLedger& admissionLedger() const;
 
  private:
   // All client-side per-frame state (breakdown, deadline links, ledger
@@ -241,7 +249,7 @@ class TpuClient {
     // Intrusive deadline-queue links (valid while the frame is enqueued).
     Handle dlPrev{};
     Handle dlNext{};
-    std::uint32_t targetIndex = 0;  // index into lb_.config().weights
+    std::uint32_t targetIndex = 0;  // the LB target index the frame took
     // Admission-ledger charge riding the frame: credited exactly once in
     // finish(), whatever the terminal outcome. ledgerCharge == 0 marks "not
     // charged" (admission off, or the frame was rejected up front).
@@ -274,7 +282,7 @@ class TpuClient {
 
   // The model's constants (registered before the first invoke, never
   // dropped by the registry).
-  const ModelInfo& modelInfo() const { return *registry_.byId(model_); }
+  const ModelInfo& modelInfo() const;
   // Service-side stages run on the service's shard; true when that is also
   // the client's.
   bool onClientShard() const {
@@ -322,21 +330,28 @@ class TpuClient {
   std::uint64_t frameMsgKey(std::uint64_t frameId, std::uint32_t attempt,
                             std::uint32_t hop) const;
 
-  Simulator& sim_;
-  const ModelRegistry& registry_;
-  SimTransport& transport_;
-  Directory directory_;  // immutable after construction (read cross-shard)
-  Config config_;
-  ShardedSim& sharded_;
-  unsigned myShard_ = 0;  // shard owning clientNode_ (== this client's sim_)
-  NodeId clientNode_{};  // interned once; every frame's transport endpoint
-  ModelId model_{};      // interned once; every frame's invoke argument
+  // DataPlane bookkeeping: registers, unregisters and detaches clients
+  // through registrySlot_.
+  friend class DataPlane;
+  static constexpr std::uint32_t kDetached = 0xffffffffu;
+
+  DataPlane& dataPlane_;
+  Simulator& sim_;  // the event loop of myShard_
   LbService lb_;
-  AdmissionLedger admission_;
+  // Built only when per-frame admission is on.
+  std::unique_ptr<AdmissionLedger> admission_;
   // Per-frame charge in milli execution/deadline units, fixed per client
   // (one model + one deadline): inferenceEstimate * 1000 / frameDeadline,
   // floored at 1. Zero when admission is off or no deadline is configured.
   std::uint32_t admissionEstimateMilli_ = 0;
+  std::uint32_t maxFailovers_;
+  SimDuration frameDeadline_;
+  std::uint64_t streamToken_;
+  NodeId clientNode_;  // every frame's transport endpoint
+  ModelId model_;      // every frame's invoke argument
+  unsigned myShard_;   // shard owning clientNode_ (== this client's sim_)
+  // Position in the data plane's client list of myShard_, or kDetached.
+  std::uint32_t registrySlot_ = kDetached;
   ContextPool pool_;
   // Deadline queue state: head/tail of the intrusive FIFO plus the single
   // armed timer (invalid while the queue is empty or a sweep is running).
@@ -344,7 +359,6 @@ class TpuClient {
   Handle dlTail_{};
   EventId dlTimer_{};
   bool dlSweeping_ = false;
-  std::function<void(TpuClient*)> onDestroy_;
   bool stopped_ = false;
   std::uint64_t nextFrameId_ = 1;
   std::uint64_t submitted_ = 0;

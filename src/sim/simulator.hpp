@@ -287,9 +287,14 @@ class Simulator {
 // An `emitter` task tags every tick as a cross-shard-emitting root (the
 // first tick explicitly, the re-arms by taint inheritance): this is how a
 // cross-rack camera stream keeps the adaptive window bound honest.
+//
+// The callback's inline buffer holds 16 bytes, the most any production tick
+// captures (an owner pointer and one more): a city runs one task per camera
+// stream, so every byte of it is per-stream memory. A larger capture costs
+// one heap block when the task is built, never one per tick.
 class PeriodicTask {
  public:
-  using Callback = EventFn;
+  using Callback = MoveFn<void(), 16>;
 
   PeriodicTask(Simulator& sim, SimDuration period, Callback fn,
                bool emitter = false)

@@ -31,14 +31,25 @@ std::uint64_t fnvFoldString(std::uint64_t h, const std::string& s) {
 }  // namespace
 
 // One camera stream: a PeriodicTask on the vRPi's shard submitting frames
-// through the pod's TpuClient. `client` is declared before `task` so the
-// task (which captures the stream) dies first at teardown.
+// through the pod's TpuClient, whose node handle names the camera. The
+// client, task and rate control live in the stream itself, so a stream is
+// one heap block (plus its LB targets'), and members are destroyed in
+// reverse order: the degrader and rate control (which reference the task
+// and client) first, then the task (which captures the stream), then the
+// client.
 struct ShardedCluster::Stream {
-  std::string camera;     // vRPi node name
+  Stream(ShardedCluster& owner, DataPlane& dataPlane,
+         const TpuClient::Config& clientConfig, Simulator& sim,
+         SimDuration period, bool emitter, SimDuration nominalPeriod,
+         SimDuration quantum)
+      : client(dataPlane, clientConfig),
+        task(sim, period, [&owner, this] { owner.submitFrame(*this); },
+             emitter),
+        rate(task, nominalPeriod, quantum) {}
+
   int targetRack = 0;
-  bool crossRack = false;
   unsigned shard = 0;
-  std::uint64_t uid = 0;
+  bool crossRack = false;
   bool evicted = false;
   // Scenario churn state: a churn camera with joinAt > 0 is built (client,
   // task, rate control) at setup but admitted — units, loads, LB config —
@@ -48,17 +59,16 @@ struct ShardedCluster::Stream {
   bool churn = false;
   bool joined = true;
   bool departed = false;
+  std::uint64_t uid = 0;
   SimDuration joinAt{};
   SimDuration leaveAt{};
   std::uint64_t deadlineMet = 0;  // completed within sloDeadline_
   std::uint64_t digest = kFnvOffset;
-  std::unique_ptr<TpuClient> client;
-  std::unique_ptr<PeriodicTask> task;
-  // Period arbiter (scenario envelope x degrader rung); declared after
-  // task (destroyed first; it references it).
-  std::unique_ptr<StreamRateControl> rate;
-  // Declared after rate/client (destroyed first; it references both). Null
-  // unless degradation is enabled.
+  TpuClient client;
+  PeriodicTask task;
+  // Period arbiter (scenario envelope x degrader rung).
+  StreamRateControl rate;
+  // Null unless degradation is enabled.
   std::unique_ptr<StreamDegrader> degrader;
 
   void fold(const FrameBreakdown& b) {
@@ -149,6 +159,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     setupStatus_ = infoOr.status();
     return;
   }
+  const ModelId model = infoOr->id;
   const double units = config_.tpuUnits > 0.0
                            ? config_.tpuUnits
                            : zoo_.at(config_.model).tpuUnitsAt(config_.fps);
@@ -229,9 +240,10 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   streams_.reserve(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     const bool isChurn = i >= base;
+    const ChurnHost* churn =
+        isChurn ? &churnCameras[static_cast<std::size_t>(i - base)] : nullptr;
     RpiNode* camera =
-        isChurn ? churnCameras[static_cast<std::size_t>(i - base)].host
-                : cameras[static_cast<std::size_t>(i)];
+        isChurn ? churn->host : cameras[static_cast<std::size_t>(i)];
     int rack = ShardMap::rackOfName(camera->name());
     if (rack < 0) rack = 0;
     const bool cross = !isChurn && racks > 1 && config_.crossRackStride > 0 &&
@@ -239,24 +251,15 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     const int targetRack = cross ? (rack + 1) % racks : rack;
     const std::uint64_t uid = static_cast<std::uint64_t>(i) + 1;
 
-    auto stream = std::make_unique<Stream>();
-    stream->camera = camera->name();
-    stream->targetRack = targetRack;
-    stream->crossRack = cross;
-    stream->shard = sharded_->shardOfNode(internNode(camera->name()));
-    stream->uid = uid;
-    if (isChurn) {
-      const ChurnHost& churn = churnCameras[static_cast<std::size_t>(i - base)];
-      stream->churn = true;
-      stream->joinAt = churn.joinAt;
-      stream->leaveAt = churn.leaveAt;
-    }
-
+    // The camera's name is interned once: the stream and its client share
+    // the handle.
+    const NodeId cameraNode = internNode(camera->name());
+    const unsigned shard = sharded_->shardOfNode(cameraNode);
     RackControl& rc = *racks_[static_cast<std::size_t>(targetRack)];
-    LbConfig lb;
     // Churn cameras with a positive join time defer admission (units, weight
     // loads, LB config) to their join event; everyone else admits at setup.
-    const bool admitNow = stream->joinAt == SimDuration::zero();
+    const bool admitNow = !isChurn || churn->joinAt == SimDuration::zero();
+    LbConfig lb;
     if (admitNow) {
       auto admitted =
           rc.control.admit(uid, config_.model, TpuUnit::fromDouble(units));
@@ -265,13 +268,11 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
         return;
       }
       lb = std::move(admitted).value();
-    } else {
-      stream->joined = false;
     }
 
     TpuClient::Config clientConfig;
-    clientConfig.clientNode = camera->name();
-    clientConfig.model = config_.model;
+    clientConfig.clientNode = cameraNode;
+    clientConfig.model = model;
     // Cross-rack streams run deadline-free: the deadline/shed/NACK paths are
     // the one place sharded timing legitimately differs from solo (see
     // header), so the differential witness keeps them rack-local only.
@@ -284,43 +285,36 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     // frames a loss window drops is a pure function of (plan seed, uid,
     // frame seq), identical at every shard count.
     clientConfig.streamToken = uid;
-    stream->client = dataPlane_->makeClient(std::move(clientConfig));
-    if (admitNow) {
-      Status configured = stream->client->configureLb(lb);
-      if (!configured.isOk()) {
-        setupStatus_ = configured;
-        return;
-      }
-    }
-
-    Stream* raw = stream.get();
-    Simulator& sim = sharded_->shardSim(stream->shard);
     // Emitter-tag only streams whose target rack lives on ANOTHER shard:
     // their frame cascades are the steady-state source of cross-shard sends,
     // so the adaptive window bound must see them (sim/sharded_sim.hpp).
     // Same-shard cross-rack streams stay untagged — tagging them would pin
     // the ECSB to every frame tick and erase the adaptive win.
-    const bool crossShard =
-        cross && map.shardOfRack(targetRack) != stream->shard;
-    stream->task = std::make_unique<PeriodicTask>(
-        sim, period,
-        [this, raw] {
-          (void)raw->client->invoke([this, raw](const FrameBreakdown& b) {
-            raw->fold(b);
-            if (sloDeadline_ > SimDuration::zero() &&
-                b.outcome == FrameOutcome::kCompleted &&
-                b.endToEnd() <= sloDeadline_) {
-              ++raw->deadlineMet;
-            }
-            if (raw->degrader) raw->degrader->onFrame();
-          });
-        },
-        crossShard);
-    stream->rate = std::make_unique<StreamRateControl>(*stream->task,
-                                                       nominalPeriod, quantum);
+    const bool crossShard = cross && map.shardOfRack(targetRack) != shard;
+    Simulator& sim = sharded_->shardSim(shard);
+    auto stream =
+        std::make_unique<Stream>(*this, *dataPlane_, clientConfig, sim, period,
+                                 crossShard, nominalPeriod, quantum);
+    stream->targetRack = targetRack;
+    stream->crossRack = cross;
+    stream->shard = shard;
+    stream->uid = uid;
+    stream->joined = admitNow;
+    if (isChurn) {
+      stream->churn = true;
+      stream->joinAt = churn->joinAt;
+      stream->leaveAt = churn->leaveAt;
+    }
+    if (admitNow) {
+      Status configured = stream->client.configureLb(lb);
+      if (!configured.isOk()) {
+        setupStatus_ = configured;
+        return;
+      }
+    }
     if (config_.degradation.enabled) {
       stream->degrader = std::make_unique<StreamDegrader>(
-          *stream->client, *stream->rate, config_.degradation);
+          stream->client, stream->rate, config_.degradation);
     }
     // Stagger camera phases so no two frames in the cluster ever share a
     // timestamp: the global event order — and with it every breakdown — is
@@ -328,8 +322,8 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     // staggered start onto the stream's lattice residue instead.
     const SimDuration phase = (period * (i + 1)) / (total + 1);
     if (admitNow) {
-      stream->task->startAt(scenarioOn ? latticeTick(sim.now() + phase, uid)
-                                       : sim.now() + phase);
+      stream->task.startAt(scenarioOn ? latticeTick(sim.now() + phase, uid)
+                                      : sim.now() + phase);
     }
     streams_.push_back(std::move(stream));
   }
@@ -342,9 +336,20 @@ ShardedCluster::~ShardedCluster() = default;
 void ShardedCluster::stopStreams() {
   assert(!sharded_->running());
   for (const auto& stream : streams_) {
-    stream->task->stop();
-    stream->client->stop();
+    stream->task.stop();
+    stream->client.stop();
   }
+}
+
+void ShardedCluster::submitFrame(Stream& stream) {
+  (void)stream.client.invoke([this, &stream](const FrameBreakdown& b) {
+    stream.fold(b);
+    if (sloDeadline_ > SimDuration::zero() &&
+        b.outcome == FrameOutcome::kCompleted && b.endToEnd() <= sloDeadline_) {
+      ++stream.deadlineMet;
+    }
+    if (stream.degrader) stream.degrader->onFrame();
+  });
 }
 
 ShardedCluster::Stream* ShardedCluster::streamByUid(std::uint64_t uid) {
@@ -359,7 +364,7 @@ void ShardedCluster::pushLbConfig(std::uint64_t uid, const LbConfig& lb) {
   // one lookahead later — ALWAYS delayed, even when both live on the same
   // shard, so every shard count observes the identical push time.
   const SimTime at = sharded_->currentSim().now() + sharded_->lookahead();
-  sharded_->postToShard(stream->shard, at, [client = stream->client.get(), lb] {
+  sharded_->postToShard(stream->shard, at, [client = &stream->client, lb] {
     (void)client->configureLb(lb);
   });
 }
@@ -370,8 +375,8 @@ void ShardedCluster::evictStream(std::uint64_t uid) {
   stream->evicted = true;
   const SimTime at = sharded_->currentSim().now() + sharded_->lookahead();
   sharded_->postToShard(stream->shard, at, [stream] {
-    stream->task->stop();
-    stream->client->stop();
+    stream->task.stop();
+    stream->client.stop();
   });
 }
 
@@ -398,11 +403,12 @@ void ShardedCluster::recoverNode(const std::string& nodeName) {
   // push latency, at every shard count).
   const int rack = std::max(0, ShardMap::rackOfName(nodeName));
   const SimTime pushAt = sharded_->currentSim().now() + sharded_->lookahead();
+  const NodeId node = lookupNode(nodeName);
   for (const auto& sp : streams_) {
     Stream* s = sp.get();
-    if (s->camera != nodeName) continue;
-    s->task->stop();
-    s->client->stop();
+    if (s->client.clientNode() != node) continue;
+    s->task.stop();
+    s->client.stop();
     RackControl* target = racks_[static_cast<std::size_t>(s->targetRack)].get();
     if (s->targetRack == rack) {
       (void)target->control.reclamation().releaseNow(s->uid);
@@ -462,7 +468,7 @@ void ShardedCluster::armScenarioTimeline() {
       if (update.tenant >= 0 && s->targetRack != update.tenant) continue;
       sharded_->postToShard(
           s->shard, scenarioBase_ + update.at,
-          [rate = s->rate.get(), m = update.multiplier] {
+          [rate = &s->rate, m = update.multiplier] {
             rate->setEnvelope(m);
           },
           /*emitter=*/true);
@@ -484,8 +490,8 @@ void ShardedCluster::armScenarioTimeline() {
           s->shard, scenarioBase_ + s->leaveAt,
           [s] {
             s->departed = true;
-            s->task->stop();
-            s->client->stop();
+            s->task.stop();
+            s->client.stop();
           },
           /*emitter=*/true);
       sharded_->postToShard(
@@ -523,10 +529,10 @@ void ShardedCluster::joinStream(Stream* stream) {
   auto lb = racks_[static_cast<std::size_t>(stream->targetRack)]->control.admit(
       stream->uid, config_.model, TpuUnit::fromDouble(streamUnits_));
   if (!lb.isOk()) return;
-  (void)stream->client->configureLb(*lb);
+  (void)stream->client.configureLb(*lb);
   stream->joined = true;
   Simulator& sim = sharded_->shardSim(stream->shard);
-  stream->task->startAt(latticeTick(sim.now(), stream->uid));
+  stream->task.startAt(latticeTick(sim.now(), stream->uid));
 }
 
 void ShardedCluster::armRepackSupervisors() {
@@ -544,11 +550,11 @@ void ShardedCluster::armRepackSupervisors() {
             if (s->targetRack != rack || s->crossRack) continue;
             sample.good += sloDeadline_ > SimDuration::zero()
                                ? s->deadlineMet
-                               : s->client->completedCount();
+                               : s->client.completedCount();
             for (std::size_t o = 0; o < kFrameOutcomeCount; ++o) {
               const auto outcome = static_cast<FrameOutcome>(o);
               if (outcome == FrameOutcome::kInFlight) continue;
-              sample.total += s->client->outcomeCount(outcome);
+              sample.total += s->client.outcomeCount(outcome);
             }
           }
           return sample;
@@ -597,18 +603,18 @@ void ShardedCluster::samplePhase(std::size_t phase) {
       std::max<std::size_t>(1, config_.degradation.ladder.size());
   cum.rungOccupancy.assign(rungs, 0);
   for (const auto& s : streams_) {
-    cum.submitted += s->client->submittedCount();
-    cum.completed += s->client->completedCount();
+    cum.submitted += s->client.submittedCount();
+    cum.completed += s->client.completedCount();
     cum.deadlineMet += s->deadlineMet;
     cum.admissionRejected +=
-        s->client->outcomeCount(FrameOutcome::kAdmissionRejected);
-    cum.timedOut += s->client->outcomeCount(FrameOutcome::kTimedOut);
-    cum.shed += s->client->outcomeCount(FrameOutcome::kShed);
+        s->client.outcomeCount(FrameOutcome::kAdmissionRejected);
+    cum.timedOut += s->client.outcomeCount(FrameOutcome::kTimedOut);
+    cum.shed += s->client.outcomeCount(FrameOutcome::kShed);
     if (s->degrader != nullptr) {
       cum.degradeDowns += s->degrader->stepDowns();
       cum.degradeUps += s->degrader->stepUps();
     }
-    if (s->task->running()) {
+    if (s->task.running()) {
       ++cum.activeStreams;
       std::size_t rung = s->degrader != nullptr ? s->degrader->rung() : 0;
       if (rung >= rungs) rung = rungs - 1;
@@ -645,22 +651,22 @@ ShardedCluster::StreamStats ShardedCluster::streamStats(
     std::size_t index) const {
   const Stream& stream = *streams_[index];
   StreamStats stats;
-  stats.camera = stream.camera;
+  stats.camera = nodeName(stream.client.clientNode());
   stats.crossRack = stream.crossRack;
   stats.churn = stream.churn;
   stats.joined = stream.joined;
   stats.departed = stream.departed;
   stats.deadlineMet = stream.deadlineMet;
-  stats.submitted = stream.client->submittedCount();
-  stats.completed = stream.client->completedCount();
-  stats.failovers = stream.client->failoverCount();
+  stats.submitted = stream.client.submittedCount();
+  stats.completed = stream.client.completedCount();
+  stats.failovers = stream.client.failoverCount();
   if (stream.degrader != nullptr) {
     stats.degradeDowns = stream.degrader->stepDowns();
     stats.degradeUps = stream.degrader->stepUps();
   }
   for (std::size_t o = 0; o < kFrameOutcomeCount; ++o) {
     stats.outcomes[o] =
-        stream.client->outcomeCount(static_cast<FrameOutcome>(o));
+        stream.client.outcomeCount(static_cast<FrameOutcome>(o));
   }
   stats.digest = stream.digest;
   return stats;
@@ -668,19 +674,19 @@ ShardedCluster::StreamStats ShardedCluster::streamStats(
 
 std::uint64_t ShardedCluster::totalSubmitted() const {
   std::uint64_t n = 0;
-  for (const auto& s : streams_) n += s->client->submittedCount();
+  for (const auto& s : streams_) n += s->client.submittedCount();
   return n;
 }
 
 std::uint64_t ShardedCluster::totalCompleted() const {
   std::uint64_t n = 0;
-  for (const auto& s : streams_) n += s->client->completedCount();
+  for (const auto& s : streams_) n += s->client.completedCount();
   return n;
 }
 
 std::uint64_t ShardedCluster::outcomeTotal(FrameOutcome outcome) const {
   std::uint64_t n = 0;
-  for (const auto& s : streams_) n += s->client->outcomeCount(outcome);
+  for (const auto& s : streams_) n += s->client.outcomeCount(outcome);
   return n;
 }
 

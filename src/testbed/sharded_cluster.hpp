@@ -244,6 +244,9 @@ class ShardedCluster {
   struct RackControl;
 
   Stream* streamByUid(std::uint64_t uid);
+  // A stream's tick: submits one frame and folds its outcome into the
+  // stream's witness, deadline count and degrader.
+  void submitFrame(Stream& stream);
   // Control-plane pushes toward a pod's client (weights / eviction) land on
   // the client's shard one lookahead later — at EVERY shard count, so solo
   // and sharded runs observe the identical push time.

@@ -127,14 +127,14 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
           : pod->nodeName;
 
   TpuClient::Config clientConfig;
-  clientConfig.clientNode = clientNode;
-  clientConfig.model = deployment.model;
+  clientConfig.clientNode = internNode(clientNode);
+  clientConfig.model = internModel(deployment.model);
   clientConfig.frameDeadline = deployment.frameDeadline > SimDuration::zero()
                                    ? deployment.frameDeadline
                                    : config_.frameDeadline;
   clientConfig.health = config_.lbHealth;
   clientConfig.admission = config_.frameAdmission;
-  auto client = dataPlane_->makeClient(std::move(clientConfig));
+  auto client = dataPlane_->makeClient(clientConfig);
   Status configured = client->configureLb(lbConfigFromAllocation(*allocation));
   if (!configured.isOk()) {
     (void)api_->deletePod(*uid);

@@ -180,6 +180,9 @@ inline const std::string& tpuName(TpuId id) {
 inline NodeId internNode(std::string_view name) {
   return NodeId{nodeInterner().intern(name)};
 }
+inline NodeId lookupNode(std::string_view name) {
+  return NodeId{nodeInterner().lookup(name)};
+}
 inline const std::string& nodeName(NodeId id) {
   return nodeInterner().name(id.value);
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -43,8 +44,8 @@ class ReliabilityTest : public ::testing::Test {
 
   TpuClient::Config baseConfig(const std::string& model) {
     TpuClient::Config config;
-    config.clientNode = "vrpi-00";
-    config.model = model;
+    config.clientNode = internNode("vrpi-00");
+    config.model = internModel(model);
     return config;
   }
 
@@ -390,15 +391,60 @@ TEST_F(ReliabilityTest, DataPlaneDestroyedFirstDetachesClientHooks) {
   for (int i = 0; i < 6; ++i) {
     clients.push_back(plane->makeClient("vrpi-00", zoo::kMobileNetV1));
   }
-  // The third destruction compacts the registry and re-hooks the rest.
+  // Clients held by value, as ShardedCluster's streams hold theirs (a deque
+  // never moves its elements).
+  std::deque<TpuClient> inPlace;
+  for (int i = 0; i < 4; ++i) {
+    inPlace.emplace_back(*plane, baseConfig(zoo::kMobileNetV1));
+  }
+  EXPECT_EQ(plane->clientCount(), 10u);
+  // The fifth destruction compacts the registry and re-points the rest.
   clients[0].reset();
+  inPlace.pop_front();
   clients[3].reset();
+  inPlace.pop_back();
   clients[4].reset();
-  EXPECT_EQ(plane->clientCount(), 3u);
+  EXPECT_EQ(plane->clientCount(), 5u);
   plane.reset();
   // No survivor may call back into the destroyed plane (ASan reports it if
   // one does).
   clients.clear();
+  inPlace.clear();
+}
+
+TEST_F(ReliabilityTest, ByValueClientRegistersAndUnregistersWithItsOwner) {
+  loadEverywhere(zoo::kMobileNetV1);
+  // An owner that holds its client by value, as a city stream does.
+  struct Owner {
+    Owner(DataPlane& plane, const TpuClient::Config& config)
+        : client(plane, config) {}
+    TpuClient client;
+  };
+  auto owner =
+      std::make_unique<Owner>(dataPlane_, baseConfig(zoo::kMobileNetV1));
+  auto other = makeClient(baseConfig(zoo::kMobileNetV1));
+  EXPECT_EQ(dataPlane_.clientCount(), 2u);
+  EXPECT_EQ(owner->client.clientNode(), internNode("vrpi-00"));
+  EXPECT_EQ(owner->client.model(), lookupModel(zoo::kMobileNetV1));
+  // Registered: a removal fails its in-flight frame at once.
+  ASSERT_TRUE(owner->client
+                  .configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
+                  .isOk());
+  FrameOutcome seen = FrameOutcome::kInFlight;
+  ASSERT_TRUE(owner->client
+                  .invoke([&](const FrameBreakdown& b) { seen = b.outcome; })
+                  .isOk());
+  dataPlane_.removeService("tpu-00");
+  EXPECT_EQ(seen, FrameOutcome::kDroppedDeadTarget);
+  // Drain the frame's stale arrival event while the client lives (events
+  // reference their client), then destroy the owner: that unregisters the
+  // client, so the next broadcast reaches only the survivor (ASan reports a
+  // visit to the freed client).
+  sim_.run();
+  owner.reset();
+  EXPECT_EQ(dataPlane_.clientCount(), 1u);
+  dataPlane_.removeService("tpu-01");
+  sim_.run();
 }
 
 TEST_F(ReliabilityTest, SubmitAgainstDeadTargetIsExplicitNotSilent) {

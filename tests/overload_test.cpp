@@ -263,8 +263,8 @@ struct MiniCluster {
   std::unique_ptr<TpuClient> makeClient(SimDuration deadline, bool admission,
                                         std::uint32_t weightMilli = 1000) {
     TpuClient::Config config;
-    config.clientNode = "vrpi-00";
-    config.model = zoo::kMobileNetV1;
+    config.clientNode = internNode("vrpi-00");
+    config.model = internModel(zoo::kMobileNetV1);
     config.frameDeadline = deadline;
     config.maxFailovers = 1;
     config.admission.enabled = admission;

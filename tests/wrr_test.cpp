@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "dataplane/lb_service.hpp"
 #include "dataplane/wrr.hpp"
 #include "util/strings.hpp"
 
@@ -174,6 +175,121 @@ TEST(SmoothWrrBatchTest, SetTargetsResetsTheSchedule) {
   std::vector<std::size_t> second;
   for (int j = 0; j < 5; ++j) second.push_back(wrr.pickIndex());
   EXPECT_EQ(first, second);  // reconfigure restarts from the schedule start
+}
+
+// LbService keeps its own per-target array but runs the same pick step as
+// the stand-alone schedulers: with every target healthy it must route the
+// exact sequence they pick.
+template <typename Wrr>
+void expectLbServiceMatches(LbSpread spread,
+                            const std::vector<std::uint32_t>& weights) {
+  const std::vector<LbWeight> targets = makeTargets(weights);
+  Wrr reference;
+  ASSERT_TRUE(reference.setTargets(targets).isOk());
+  LbService lb(spread);
+  ASSERT_TRUE(lb.configure(LbConfig{targets}).isOk());
+  ASSERT_EQ(lb.targetCount(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(lb.target(i), targets[i].tpu);
+  }
+  for (int pick = 0; pick < 1000; ++pick) {
+    ASSERT_EQ(lb.routeHealthyIndex(SimTime{}), reference.pickIndex())
+        << "pick " << pick << " of " << targets.size() << " targets";
+  }
+  EXPECT_EQ(lb.routedCount(), 1000u);
+}
+
+TEST(LbServiceWrrTest, SmoothSpreadPicksLikeSmoothWrr) {
+  for (const auto& weights : {std::vector<std::uint32_t>{350},
+                              std::vector<std::uint32_t>{400, 200},
+                              std::vector<std::uint32_t>{400, 200, 100}}) {
+    expectLbServiceMatches<SmoothWrr>(LbSpread::kSmooth, weights);
+  }
+}
+
+TEST(LbServiceWrrTest, BurstSpreadPicksLikeBurstWrr) {
+  for (const auto& weights : {std::vector<std::uint32_t>{350},
+                              std::vector<std::uint32_t>{400, 200},
+                              std::vector<std::uint32_t>{400, 200, 100}}) {
+    expectLbServiceMatches<BurstWrr>(LbSpread::kBurst, weights);
+  }
+}
+
+// Routed counts, masking and half-open probes across reconfigures from
+// three targets to one to two: every configure resets the counters and the
+// breakers, feedback for an index the new set lacks is ignored, and the
+// breaker runs the same way on the reshaped set.
+TEST(LbServiceWrrTest, CountsAndBreakersAcrossReconfigures) {
+  LbHealthConfig health;  // 3 failures trip, 500 ms mask, backoff cap 4
+  LbService lb(LbSpread::kSmooth, health);
+  const TpuId a = internTpu("t0");
+  const TpuId b = internTpu("t1");
+  const TpuId c = internTpu("t2");
+  const SimTime t0{};
+
+  ASSERT_TRUE(lb.configure(LbConfig{{LbWeight{a, 400}, LbWeight{b, 200},
+                                     LbWeight{c, 100}}})
+                  .isOk());
+  for (int i = 0; i < 700; ++i) lb.routeHealthyIndex(t0);
+  EXPECT_EQ(lb.routedCountTo(a), 400u);
+  EXPECT_EQ(lb.routedCountTo(b), 200u);
+  EXPECT_EQ(lb.routedCountTo(c), 100u);
+  EXPECT_EQ(lb.routedCount(), 700u);
+  // Masking target 1 sends its share to the others while the window runs.
+  for (int i = 0; i < 3; ++i) lb.recordFailure(1, t0);
+  EXPECT_EQ(lb.targetHealth(1), TargetHealth::kMasked);
+  EXPECT_EQ(lb.maskedCount(), 1u);
+  EXPECT_EQ(lb.maskEvents(), 1u);
+  for (int i = 0; i < 70; ++i) {
+    EXPECT_NE(lb.routeHealthyIndex(t0 + milliseconds(1)), 1u);
+  }
+  EXPECT_EQ(lb.routedCountTo(b), 200u);
+  EXPECT_EQ(lb.routedCount(), 770u);
+
+  // Three targets -> one.
+  ASSERT_TRUE(lb.configure(LbConfig{{LbWeight{c, 350}}}).isOk());
+  EXPECT_EQ(lb.routedCount(), 0u);
+  EXPECT_EQ(lb.routedCountTo(a), 0u);
+  EXPECT_EQ(lb.maskedCount(), 0u);
+  EXPECT_EQ(lb.maskEvents(), 0u);
+  lb.recordFailure(2, t0);  // stale index from the old set: ignored
+  EXPECT_EQ(lb.targetHealth(2), TargetHealth::kHealthy);
+  EXPECT_EQ(lb.routeHealthyIndex(t0), 0u);
+  EXPECT_EQ(lb.routedCountTo(c), 1u);
+  // Trip the only target: nothing routes until the window ends, then the
+  // next frame probes it half-open and a success restores it.
+  for (int i = 0; i < 3; ++i) lb.recordFailure(0, t0);
+  EXPECT_EQ(lb.routeHealthyIndex(t0 + milliseconds(499)), LbService::kNoTarget);
+  EXPECT_EQ(lb.routeHealthyIndex(t0 + milliseconds(500)), 0u);
+  EXPECT_EQ(lb.targetHealth(0), TargetHealth::kProbing);
+  lb.recordSuccess(0);
+  EXPECT_EQ(lb.targetHealth(0), TargetHealth::kHealthy);
+  EXPECT_EQ(lb.routedCountTo(c), 2u);
+
+  // One target -> two.
+  ASSERT_TRUE(
+      lb.configure(LbConfig{{LbWeight{b, 400}, LbWeight{a, 200}}}).isOk());
+  EXPECT_EQ(lb.routedCount(), 0u);
+  EXPECT_EQ(lb.maskEvents(), 0u);
+  for (int i = 0; i < 300; ++i) lb.routeHealthyIndex(t0);
+  EXPECT_EQ(lb.routedCountTo(b), 200u);
+  EXPECT_EQ(lb.routedCountTo(a), 100u);
+  EXPECT_EQ(lb.routedCountTo(c), 0u);
+  // A failed probe re-masks with twice the window.
+  for (int i = 0; i < 3; ++i) lb.recordFailure(1, t0);
+  SimTime now = t0 + milliseconds(500);
+  std::size_t index = LbService::kNoTarget;
+  while (index != 1u) index = lb.routeHealthyIndex(now);
+  EXPECT_EQ(lb.targetHealth(1), TargetHealth::kProbing);
+  lb.recordFailure(1, now);
+  EXPECT_EQ(lb.targetHealth(1), TargetHealth::kMasked);
+  EXPECT_EQ(lb.maskEvents(), 2u);
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_EQ(lb.routeHealthyIndex(now + milliseconds(999)), 0u);
+  }
+  index = LbService::kNoTarget;
+  while (index != 1u) index = lb.routeHealthyIndex(now + milliseconds(1000));
+  EXPECT_EQ(lb.targetHealth(1), TargetHealth::kProbing);
 }
 
 }  // namespace
