@@ -1,6 +1,7 @@
 #include "dataplane/dataplane.hpp"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "dataplane/backoff.hpp"
 #include "util/strings.hpp"
@@ -10,7 +11,8 @@ namespace microedge {
 DataPlane::DataPlane(ShardedSim& sharded, const ClusterTopology& topology,
                      const ModelRegistry& registry)
     : sharded_(sharded), topology_(topology), registry_(registry),
-      transport_(sharded, topology.network()) {
+      transport_(sharded, topology.network()),
+      contexts_(sharded.shardCount()) {
   const unsigned shards = sharded_.shardCount();
   serviceViews_.resize(shards);
   clientsByShard_.resize(shards);
@@ -86,8 +88,17 @@ void DataPlane::removeService(const std::string& tpuId) {
   const unsigned here = ShardedSim::currentShard();
   const unsigned shards = sharded_.shardCount();
   // Sharded runs: the removal must originate on the service's owner shard
-  // (the failure is a local hardware event there).
-  assert(shards == 1 || sharded_.shardOfNode(service->nodeId()) == here);
+  // (the failure is a local hardware event there). Checked in every build:
+  // run anywhere else, it would null the wrong shard's view and notify the
+  // wrong shard's clients.
+  const unsigned owner = sharded_.shardOfNode(service->nodeId());
+  if (owner != here) {
+    std::fprintf(stderr,
+                 "DataPlane::removeService: %s is owned by shard %u but the "
+                 "removal ran on shard %u\n",
+                 tpuId.c_str(), owner, here);
+    std::abort();
+  }
   if (!removeFromShard(here, handle)) return;  // already removed
   if (shards > 1) {
     // Failure-detection broadcast: every other shard observes the removal

@@ -13,18 +13,25 @@
 // themselves on destruction, and the DataPlane's destructor detaches the
 // clients that outlive it, so neither side dangles whichever dies first.
 //
+// Frame contexts: the plane owns one SlabPool of TpuClient::InvokeContext
+// per shard, which every client on that shard draws its frames' slots
+// from, so context memory follows the frames in flight on a shard, not the
+// number of clients. Only that shard's event loop (or single-threaded
+// setup and teardown) touches a pool.
+//
 // Sharded runs: one DataPlane serves every shard. The string->service map
 // is immutable after construction and service objects are never destroyed
 // by removal (so a frame mid-invoke on another shard never chases a freed
 // pointer); what changes is the per-shard dense view serviceViews_[shard]
 // — "is this service alive, as observed by this shard?". removeService()
-// must run on the failed TPU's owner shard: it nulls that shard's view and
-// notifies that shard's clients synchronously (identical to solo), then
-// posts the same removal notice to every other shard one lookahead later —
-// exactly the failure-detection broadcast latency the conservative window
-// already budgets for. Clients are bucketed per shard so the broadcast
-// touches only shard-local client state. A one-shard ShardedSim is the
-// solo path: every code path is shared and shard 0 is the only shard.
+// must run on the failed TPU's owner shard (checked in every build): it
+// nulls that shard's view and notifies that shard's clients synchronously
+// (identical to solo), then posts the same removal notice to every other
+// shard one lookahead later — exactly the failure-detection broadcast
+// latency the conservative window already budgets for. Clients are
+// bucketed per shard so the broadcast touches only shard-local client
+// state. A one-shard ShardedSim is the solo path: every code path is shared
+// and shard 0 is the only shard.
 
 #include <cstdint>
 #include <functional>
@@ -73,8 +80,8 @@ class DataPlane {
   // Removes a TPU Service (node failure injection) and fails fast: every
   // registered client immediately fails over or terminates its in-flight
   // frames addressed to the removed service. Sharded runs: must execute on
-  // the service's owner shard; other shards observe the removal one
-  // lookahead later.
+  // the service's owner shard, or it aborts naming the TPU and both shards
+  // (in every build); other shards observe the removal one lookahead later.
   void removeService(const std::string& tpuId);
 
   // The admission Load (ControlPlane::admit: every deployment, including a
@@ -118,6 +125,12 @@ class DataPlane {
   // data plane's transport keys its messages apart from every other one.
   std::uint64_t newStreamToken() { return nextStreamToken_++; }
   std::size_t clientCount() const { return clientCount_; }
+  // The frame-context pool every client on `shard` shares: inUse() is that
+  // shard's frames in flight, capacity() stays under twice its high-water
+  // mark.
+  const TpuClient::ContextPool& contextPool(unsigned shard) const {
+    return contexts_[shard].pool;
+  }
 
  private:
   // Retry number `attempt` (0-based) of a failed replan Load.
@@ -155,6 +168,15 @@ class DataPlane {
   };
   std::vector<ClientList> clientsByShard_;
   std::size_t clientCount_ = 0;
+  // One frame-context pool per shard, each alone in a 128-byte block: two
+  // shard workers never write one line, nor one pair of lines, which the
+  // L2's adjacent-line prefetcher fetches together (with 64-byte blocks
+  // city-sharded ran measurably slower). A client binds to its shard's
+  // pool at construction (TpuClient::pool_).
+  struct alignas(128) ShardContexts {
+    TpuClient::ContextPool pool;
+  };
+  std::vector<ShardContexts> contexts_;
   std::vector<std::uint64_t> loadRetriesByShard_;
   std::uint64_t nextStreamToken_ = 1;
   std::unique_ptr<FaultInjector> faults_;  // built by the first armFaults()

@@ -53,7 +53,8 @@ TpuClient::TpuClient(DataPlane& dataPlane, const Config& config)
                                            : dataPlane.newStreamToken()),
       clientNode_(config.clientNode),
       model_(config.model),
-      myShard_(dataPlane.shardedSim().shardOfNode(config.clientNode)) {
+      myShard_(dataPlane.shardedSim().shardOfNode(config.clientNode)),
+      pool_(dataPlane.contexts_[myShard_].pool) {
   dataPlane_.registerClient(*this);
 }
 
@@ -96,45 +97,58 @@ TpuClient::~TpuClient() {
   // One id to cancel, however many frames are in flight (the harness keeps
   // clients alive until the simulation drains, but don't leave a timer
   // pointing at a dead `this` if someone tears down early).
-  if (dlTimer_.valid()) sim_.cancel(dlTimer_);
-  if (registrySlot_ != kDetached) dataPlane_.unregisterClient(*this);
+  if (deadlineTimer_.valid()) sim_.cancel(deadlineTimer_);
+  if (registrySlot_ == kDetached) return;  // the pool died with the plane
+  // Hand the shard pool back the slots of frames still in flight, dropping
+  // their completions unrun.
+  for (Handle h = fifoHead_; h.valid();) {
+    InvokeContext* c = pool_.get(h);
+    const Handle next = c->fifoNext;
+    c->done = nullptr;
+    pool_.release(h);
+    h = next;
+  }
+  dataPlane_.unregisterClient(*this);
 }
 
-// ---- Deadline queue ---------------------------------------------------------
+std::size_t TpuClient::contextsInFlight() const {
+  std::size_t n = 0;
+  for (Handle h = fifoHead_; h.valid(); h = pool_.get(h)->fifoNext) ++n;
+  return n;
+}
 
-void TpuClient::dlEnqueue(Handle h, InvokeContext* c) {
-  c->dlPrev = dlTail_;
-  c->dlNext = Handle{};
-  if (dlTail_.valid()) {
-    pool_.get(dlTail_)->dlNext = h;
+// ---- In-flight FIFO ---------------------------------------------------------
+
+void TpuClient::fifoPush(Handle h, InvokeContext* c) {
+  c->fifoPrev = fifoTail_;
+  c->fifoNext = Handle{};
+  if (fifoTail_.valid()) {
+    pool_.get(fifoTail_)->fifoNext = h;
   } else {
-    dlHead_ = h;
+    fifoHead_ = h;
   }
-  dlTail_ = h;
+  fifoTail_ = h;
   // Monotonic deadlines: an armed timer always targets a time <= this
   // frame's deadline, so only an idle queue needs a fresh event. During a
   // sweep the epilogue of onDeadlineTimer re-arms instead.
-  if (!dlTimer_.valid() && !dlSweeping_) {
-    dlTimer_ = sim_.schedule(c->deadlineAt, [this] { onDeadlineTimer(); });
+  if (frameDeadline_ > SimDuration::zero() && !deadlineTimer_.valid() &&
+      !deadlineSweeping_) {
+    deadlineTimer_ =
+        sim_.schedule(c->deadlineAt, [this] { onDeadlineTimer(); });
   }
 }
 
-void TpuClient::dlUnlink(Handle h, InvokeContext* c) {
-  const bool queued =
-      c->dlPrev.valid() || c->dlNext.valid() || dlHead_ == h;
-  if (!queued) return;  // frame terminated before it was ever enqueued
-  if (c->dlPrev.valid()) {
-    pool_.get(c->dlPrev)->dlNext = c->dlNext;
+void TpuClient::fifoUnlink(InvokeContext* c) {
+  if (c->fifoPrev.valid()) {
+    pool_.get(c->fifoPrev)->fifoNext = c->fifoNext;
   } else {
-    dlHead_ = c->dlNext;
+    fifoHead_ = c->fifoNext;
   }
-  if (c->dlNext.valid()) {
-    pool_.get(c->dlNext)->dlPrev = c->dlPrev;
+  if (c->fifoNext.valid()) {
+    pool_.get(c->fifoNext)->fifoPrev = c->fifoPrev;
   } else {
-    dlTail_ = c->dlPrev;
+    fifoTail_ = c->fifoPrev;
   }
-  c->dlPrev = Handle{};
-  c->dlNext = Handle{};
   // The timer deliberately stays armed — even when the queue just emptied.
   // It fires at the departed head's deadline, finds whatever is at the head
   // then, and re-arms forward (or lazily disarms on an empty queue). That
@@ -143,43 +157,38 @@ void TpuClient::dlUnlink(Handle h, InvokeContext* c) {
   // can hold a fully-drained simulation for up to one frameDeadline.
 }
 
-void TpuClient::dlReplace(Handle h, InvokeContext* c, Handle nh,
-                          InvokeContext* nc) {
-  const bool queued =
-      c->dlPrev.valid() || c->dlNext.valid() || dlHead_ == h;
-  nc->dlPrev = c->dlPrev;
-  nc->dlNext = c->dlNext;
-  if (!queued) return;
-  if (nc->dlPrev.valid()) {
-    pool_.get(nc->dlPrev)->dlNext = nh;
+void TpuClient::fifoReplace(InvokeContext* c, Handle nh, InvokeContext* nc) {
+  nc->fifoPrev = c->fifoPrev;
+  nc->fifoNext = c->fifoNext;
+  if (nc->fifoPrev.valid()) {
+    pool_.get(nc->fifoPrev)->fifoNext = nh;
   } else {
-    dlHead_ = nh;
+    fifoHead_ = nh;
   }
-  if (nc->dlNext.valid()) {
-    pool_.get(nc->dlNext)->dlPrev = nh;
+  if (nc->fifoNext.valid()) {
+    pool_.get(nc->fifoNext)->fifoPrev = nh;
   } else {
-    dlTail_ = nh;
+    fifoTail_ = nh;
   }
-  c->dlPrev = Handle{};
-  c->dlNext = Handle{};
 }
 
 void TpuClient::onDeadlineTimer() {
-  dlTimer_ = EventId{};
-  dlSweeping_ = true;  // completion callbacks may re-enter invoke()
+  deadlineTimer_ = EventId{};
+  deadlineSweeping_ = true;  // completion callbacks may re-enter invoke()
   const SimTime now = sim_.now();
-  while (dlHead_.valid()) {
-    Handle h = dlHead_;
+  while (fifoHead_.valid()) {
+    Handle h = fifoHead_;
     InvokeContext* c = pool_.get(h);
     if (c->deadlineAt > now) break;
     // A timeout is breaker feedback: a hung service or a lossy link shows
     // up as frames that never come back.
     lb_.recordFailure(c->targetIndex, now);
-    finish(h, FrameOutcome::kTimedOut);  // unlinks h, advancing dlHead_
+    finish(h, FrameOutcome::kTimedOut);  // unlinks h, advancing fifoHead_
   }
-  dlSweeping_ = false;
-  if (dlHead_.valid()) {
-    dlTimer_ = sim_.rearmCurrentAfter(pool_.get(dlHead_)->deadlineAt - now);
+  deadlineSweeping_ = false;
+  if (fifoHead_.valid()) {
+    deadlineTimer_ =
+        sim_.rearmCurrentAfter(pool_.get(fifoHead_)->deadlineAt - now);
   }
 }
 
@@ -217,6 +226,17 @@ TpuService* TpuClient::routeToLiveTarget(std::size_t* index) {
   return nullptr;
 }
 
+void TpuClient::failAtSubmit(FrameOutcome outcome, CompletionCallback& done) {
+  ++submitted_;
+  ++failed_;
+  ++outcomes_[static_cast<std::size_t>(outcome)];
+  FrameBreakdown b;
+  b.frameId = nextFrameId_++;
+  b.submitted = sim_.now();
+  b.outcome = outcome;
+  if (done) done(b);
+}
+
 Status TpuClient::invoke(CompletionCallback done) {
   if (stopped_) return failedPrecondition("TPU client is stopped");
   if (!lb_.configured()) {
@@ -231,25 +251,26 @@ Status TpuClient::invoke(CompletionCallback done) {
   std::size_t index = 0;
   TpuService* service = routeToLiveTarget(&index);
 
+  if (service == nullptr) {
+    // Every target is dead or masked: terminal drop, explicitly counted (the
+    // completion still fires so the application sees the loss).
+    ME_LOG(kWarning) << "no reachable TPU service for " << modelName(model_)
+                     << "; frame dropped";
+    failAtSubmit(FrameOutcome::kDroppedDeadTarget, done);
+    return Status::ok();
+  }
+
   // Per-frame admission: charge the routed target's ledger entry before any
   // slab slot or transport event exists, so a rejection costs a stack-built
   // breakdown and nothing else. estimate == 0 means admission is off and the
   // submit path is untouched.
   std::uint32_t ledgerEntry = AdmissionLedger::kNoEntry;
   std::uint32_t ledgerCharge = 0;
-  if (service != nullptr && admissionEstimateMilli_ != 0) {
+  if (admissionEstimateMilli_ != 0) {
     ledgerEntry = admission_->entryFor(lb_.target(index));
     if (ledgerEntry != AdmissionLedger::kNoEntry) {
       if (!admission_->tryCharge(ledgerEntry, admissionEstimateMilli_)) {
-        ++submitted_;
-        ++failed_;
-        ++outcomes_[static_cast<std::size_t>(
-            FrameOutcome::kAdmissionRejected)];
-        FrameBreakdown b;
-        b.frameId = nextFrameId_++;
-        b.submitted = sim_.now();
-        b.outcome = FrameOutcome::kAdmissionRejected;
-        if (done) done(b);
+        failAtSubmit(FrameOutcome::kAdmissionRejected, done);
         return Status::ok();
       }
       ledgerCharge = admissionEstimateMilli_;
@@ -262,31 +283,21 @@ Status TpuClient::invoke(CompletionCallback done) {
   c->breakdown = FrameBreakdown{};
   c->breakdown.frameId = nextFrameId_++;
   c->breakdown.submitted = sim_.now();
-  c->dlPrev = Handle{};  // recycled slot: clear stale queue links
-  c->dlNext = Handle{};
-  c->ledgerEntry = ledgerEntry;
-  c->ledgerCharge = ledgerCharge;
-  c->done = std::move(done);
-  if (service == nullptr) {
-    // Every target is dead or masked: terminal drop, explicitly counted (the
-    // completion still fires so the application sees the loss).
-    ME_LOG(kWarning) << "no reachable TPU service for " << modelName(model_)
-                     << "; frame dropped";
-    finish(h, FrameOutcome::kDroppedDeadTarget);
-    return Status::ok();
-  }
   c->breakdown.preprocess = info->preprocessLatency;
   c->breakdown.servedBy = lb_.target(index);
   c->serviceNode = service->nodeId();
+  c->deadlineAt = frameDeadline_ > SimDuration::zero()
+                      ? c->breakdown.submitted + frameDeadline_
+                      : SimTime::max();
   c->targetIndex = static_cast<std::uint32_t>(index);
+  c->ledgerEntry = ledgerEntry;
+  c->ledgerCharge = ledgerCharge;
+  c->done = std::move(done);
 
-  // Deadline: append to the client's intrusive deadline FIFO — a few index
-  // writes; the one client-wide timer is armed only when the queue was
-  // idle. No per-frame event, no allocation.
-  if (frameDeadline_ > SimDuration::zero()) {
-    c->deadlineAt = c->breakdown.submitted + frameDeadline_;
-    dlEnqueue(h, c);
-  }
+  // Append to the client's in-flight FIFO — a few index writes; with a
+  // deadline, the one client-wide timer is armed only when none is. No
+  // per-frame event, no allocation.
+  fifoPush(h, c);
 
   // Stages 1+2 fused: client-side resize to the model's input resolution,
   // then the request hop. The preprocess stage delays departure
@@ -313,8 +324,7 @@ void TpuClient::ship(Handle h, InvokeContext* c, SimDuration departAfter) {
                 h,
                 c->breakdown.servedBy,
                 c->serviceNode,
-                frameDeadline_ > SimDuration::zero() ? c->deadlineAt
-                                                     : SimTime::max(),
+                c->deadlineAt,
                 frameMsgKey(frameId, attempt, /*hop=*/1)};
   // Cross-shard implies cross-node, so latency >= the network base latency
   // == the lookahead and the mailbox invariant holds.
@@ -464,9 +474,9 @@ bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
   nc->done = std::move(c->done);
   c->done = nullptr;
   // The deadline is a property of the frame, not of the attempt: the new
-  // slot takes over the old one's queue position (same absolute deadline,
+  // slot takes over the old one's FIFO position (same absolute deadline,
   // so FIFO order is preserved) and the armed timer is untouched.
-  dlReplace(h, c, nh, nc);
+  fifoReplace(c, nh, nc);
   pool_.release(h);
 
   ++nc->breakdown.failovers;
@@ -482,7 +492,7 @@ bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
 void TpuClient::finish(Handle h, FrameOutcome outcome) {
   InvokeContext* c = pool_.get(h);
   if (c == nullptr) return;
-  dlUnlink(h, c);
+  fifoUnlink(c);
   // Exactly-one-credit: finish is the single terminal path, so crediting
   // here covers every outcome — completion, timeout, shed, dead-target
   // drops, remote NACKs, and failover chains (the charge rode to this slot).
@@ -509,24 +519,31 @@ void TpuClient::finish(Handle h, FrameOutcome outcome) {
 }
 
 void TpuClient::onServiceRemoved(TpuId tpu) {
-  // Snapshot first: failovers acquire fresh slots while we walk the pool.
-  std::vector<Handle> doomed;
-  pool_.forEachLive([&](Handle h, InvokeContext& c) {
-    if (c.breakdown.servedBy == tpu) doomed.push_back(h);
-  });
-  if (doomed.empty()) return;
-  // Failover goes oldest frame first, not in pool-slot order: LIFO slot
-  // reuse makes slot order depend on which frames finished first, so a
-  // newer frame can sit in a lower slot than older ones on this target.
-  std::sort(doomed.begin(), doomed.end(), [this](Handle a, Handle b) {
-    return pool_.get(a)->breakdown.frameId < pool_.get(b)->breakdown.frameId;
-  });
+  // The FIFO is in frameId order, so frames fail over oldest first. A
+  // failover keeps the frame's FIFO position and a finish unlinks only its
+  // own frame, so the successor read before either stays valid — unless a
+  // completion callback re-entered the client and ended or moved it, in
+  // which case the walk resumes from the head past the last id it saw.
+  // Frames submitted during the walk routed after the removal: skip them.
+  const std::uint64_t end = nextFrameId_;
   const SimTime now = sim_.now();
-  for (Handle h : doomed) {
+  Handle h = fifoHead_;
+  while (h.valid()) {
     InvokeContext* c = pool_.get(h);
-    if (c == nullptr) continue;
-    lb_.recordFailure(c->targetIndex, now);
-    if (!tryFailover(h, c)) finish(h, FrameOutcome::kDroppedDeadTarget);
+    const std::uint64_t frameId = c->breakdown.frameId;
+    if (frameId >= end) break;
+    Handle next = c->fifoNext;
+    if (c->breakdown.servedBy == tpu) {
+      lb_.recordFailure(c->targetIndex, now);
+      if (!tryFailover(h, c)) finish(h, FrameOutcome::kDroppedDeadTarget);
+      if (next.valid() && pool_.get(next) == nullptr) {
+        next = fifoHead_;
+        while (next.valid() && pool_.get(next)->breakdown.frameId <= frameId) {
+          next = pool_.get(next)->fifoNext;
+        }
+      }
+    }
+    h = next;
   }
 }
 

@@ -11,10 +11,12 @@
 // visibility inside the TPU Service) is reported on completion.
 //
 // Fast path: the per-frame pipeline is heap-allocation-free and string-free
-// in steady state, on one shard or across shards. Frame state lives in a
-// slab pool of InvokeContext slots addressed by generation-checked handles;
-// client-side stages re-resolve the slot on entry, so a dropped frame's
-// stale events are rejected instead of dereferencing recycled state.
+// in steady state, on one shard or across shards. Frame state lives in
+// InvokeContext slots of its shard's slab pool (the DataPlane owns one per
+// shard, shared by every client there), addressed by generation-checked
+// handles; client-side stages re-resolve the slot on entry, so a dropped
+// frame's stale events are rejected instead of dereferencing recycled
+// state, whichever client holds the slot now.
 // Routing, transport and the TPU Service all speak dense interned handles
 // (TpuId / NodeId / ModelId); the client is configured with its node and
 // model as handles, and each stage looks the model's constants (bytes each
@@ -59,15 +61,17 @@
 //
 // Reliability: every frame reaches exactly one terminal FrameOutcome and
 // the completion callback fires for all of them (apps gate on kCompleted).
-// With a frameDeadline configured, in-flight frames sit on an intrusive
-// deadline queue threaded through their slab slots. All frames of a client
-// share one deadline duration, so absolute deadlines are monotonic in
-// submit order and the queue is FIFO — ONE timer event per client, armed
-// for the head frame's deadline, replaces a schedule/cancel pair per frame.
-// Enqueue/unlink are a handful of index writes, completions leave the
-// armed timer alone (it re-arms forward when it fires and finds the head
-// still alive), and the whole layer stays allocation-free and costs ~zero
-// when nothing misses its deadline. A frame that lands on a
+// Every in-flight frame sits on its client's intrusive FIFO, threaded
+// through its slab slot in submit (= frameId) order, so a client reaches
+// its own frames without scanning the shared pool. With a frameDeadline
+// configured, the FIFO is also the deadline queue: all frames of a client
+// share one deadline duration, so absolute deadlines are monotonic in FIFO
+// order — ONE timer event per client, armed for the head frame's deadline,
+// replaces a schedule/cancel pair per frame. Push/unlink are a handful of
+// index writes, completions leave the armed timer alone (it re-arms forward
+// when it fires and finds the head still alive), and the whole layer stays
+// allocation-free and costs ~zero when nothing misses its deadline. Without
+// a deadline no timer is ever armed. A frame that lands on a
 // dead or rejecting target feeds the LB Service's per-target circuit
 // breaker and takes one bounded failover: it moves to a fresh slab slot (so
 // the generation check retires every event addressed to the old attempt)
@@ -78,15 +82,20 @@
 //
 // Object lifetime: completions reference the client; the experiment harness
 // keeps client objects alive until the simulation drains (a stopped client
-// simply refuses new invokes).
+// simply refuses new invokes). A client destroyed with frames in flight
+// returns their slots to the shard pool by walking its FIFO.
 //
 // Footprint: a city runs one client per camera stream, so every byte here
 // is per-stream memory. The client holds one DataPlane& and reaches the
 // services, the model registry, the transport and the shard map through
 // it; it names its node and model by interned handle, keeps the breaker
 // tuning only inside its LbService, and builds an AdmissionLedger only
-// when per-frame admission is on. It is neither copyable nor movable, so
-// an owner may hold it by value (ShardedCluster's streams do).
+// when per-frame admission is on. Of its frames it keeps a reference to
+// the shard pool and the two ends of its FIFO, so context memory scales
+// with the frames in flight on a shard, not with the clients there (the
+// 100k-stream city peaks at about 3,400 live slots). It is neither
+// copyable nor movable, so an owner may hold it by value (ShardedCluster's
+// streams do).
 
 #include <array>
 #include <cstdint>
@@ -174,11 +183,13 @@ class TpuClient {
   // context slot without a std::function heap allocation per frame.
   using CompletionCallback = MoveFn<void(const FrameBreakdown&)>;
 
-  // Builds the client on the event loop of its node's shard and registers
-  // it with `dataPlane` for fail-fast service-removal broadcasts; its
-  // frames reach services on any shard. The destructor unregisters it, and
-  // a client that outlives its data plane is detached by the plane's
-  // destructor (then it must not invoke again).
+  // Builds the client on the event loop of its node's shard, with that
+  // shard's context pool, and registers it with `dataPlane` for fail-fast
+  // service-removal broadcasts; its frames reach services on any shard.
+  // The destructor returns the slots of frames still in flight and
+  // unregisters it; a client that outlives its data plane is detached by
+  // the plane's destructor (then it must not invoke again, and its
+  // destructor touches neither pool nor plane).
   TpuClient(DataPlane& dataPlane, const Config& config);
   ~TpuClient();
   TpuClient(const TpuClient&) = delete;
@@ -223,32 +234,32 @@ class TpuClient {
   std::uint64_t outstanding() const {
     return submitted_ - completed_ - failed_;
   }
-  // Live context slots (== outstanding()); exposed for pool-accounting tests.
-  std::size_t contextsInFlight() const { return pool_.inUse(); }
-  // Context slots allocated, live or free: under twice the in-flight
-  // high-water mark.
-  std::size_t contextCapacity() const { return pool_.capacity(); }
+  // Frames on this client's in-flight FIFO (== outstanding() between
+  // events), counted by walking it; for pool-accounting tests. The shard
+  // pool's own counts are DataPlane::contextPool(shard).
+  std::size_t contextsInFlight() const;
   // Per-frame admission ledger; an empty one when admission is off.
   const AdmissionLedger& admissionLedger() const;
 
  private:
-  // All client-side per-frame state (breakdown, deadline links, ledger
-  // charge, completion) lives in one recycled pool slot, so no string or
-  // heap allocation recurs per frame. The model's constants are not copied
-  // here: every stage looks them up by ModelId.
+  // All client-side per-frame state (breakdown, FIFO links, ledger charge,
+  // completion) lives in one recycled slot of the shard's pool, so no
+  // string or heap allocation recurs per frame. The model's constants are
+  // not copied here: every stage looks them up by ModelId.
   // InvokeContext holds handles to its own pool's slots, so the handle type
   // is named before the context is complete.
   struct InvokeContext;
+  // The DataPlane owns one per shard.
   using ContextPool = SlabPool<InvokeContext>;
   using Handle = SlabHandle;
 
   struct InvokeContext {
     FrameBreakdown breakdown{};
     NodeId serviceNode{};
-    SimTime deadlineAt{};
-    // Intrusive deadline-queue links (valid while the frame is enqueued).
-    Handle dlPrev{};
-    Handle dlNext{};
+    SimTime deadlineAt{};  // SimTime::max() when the client has no deadline
+    // Intrusive links of the client's in-flight FIFO (valid while live).
+    Handle fifoPrev{};
+    Handle fifoNext{};
     std::uint32_t targetIndex = 0;  // the LB target index the frame took
     // Admission-ledger charge riding the frame: credited exactly once in
     // finish(), whatever the terminal outcome. ledgerCharge == 0 marks "not
@@ -306,23 +317,27 @@ class TpuClient {
   // Draws healthy targets from the LB until one resolves to a live service
   // (each dead draw feeds the breaker). Returns nullptr when none does.
   TpuService* routeToLiveTarget(std::size_t* index);
+  // A frame that ends at submit (admission said no, or no live target)
+  // takes no slot: it is counted and completed with a stack breakdown.
+  void failAtSubmit(FrameOutcome outcome, CompletionCallback& done);
   // Moves the frame to a fresh slot and re-ships it to the next healthy
   // target. Returns false (context untouched) when the failover budget is
   // spent or no live target remains; on true the old handle is dead.
   bool tryFailover(Handle h, InvokeContext* c);
-  // Deadline queue: FIFO == deadline order because every frame of this
-  // client carries the same frameDeadline (failover keeps the absolute
-  // deadline, so position is preserved there too).
-  void dlEnqueue(Handle h, InvokeContext* c);
-  void dlUnlink(Handle h, InvokeContext* c);
+  // In-flight FIFO: submit order, which is also deadline order because
+  // every frame of this client carries the same frameDeadline (failover
+  // keeps the frame's position and absolute deadline). A push arms the
+  // deadline timer when the client has a deadline and none is armed.
+  void fifoPush(Handle h, InvokeContext* c);
+  void fifoUnlink(InvokeContext* c);
   // Failover: the frame moved from slot `h` to `nh`; splice the new handle
-  // into the old one's queue position.
-  void dlReplace(Handle h, InvokeContext* c, Handle nh, InvokeContext* nc);
+  // into the old one's FIFO position.
+  void fifoReplace(InvokeContext* c, Handle nh, InvokeContext* nc);
   // The client-wide deadline timer: expires every head frame whose deadline
   // has passed, then re-arms for the new head (or disarms when idle).
   void onDeadlineTimer();
-  // Terminates the frame: unlinks it from the deadline queue, stamps +
-  // counts the outcome, recycles the slot, and runs the completion callback.
+  // Terminates the frame: unlinks it from the FIFO, stamps + counts the
+  // outcome, recycles the slot, and runs the completion callback.
   void finish(Handle h, FrameOutcome outcome);
 
   // Message key for keyed transport-loss draws. hop: 0 = request,
@@ -352,13 +367,13 @@ class TpuClient {
   unsigned myShard_;   // shard owning clientNode_ (== this client's sim_)
   // Position in the data plane's client list of myShard_, or kDetached.
   std::uint32_t registrySlot_ = kDetached;
-  ContextPool pool_;
-  // Deadline queue state: head/tail of the intrusive FIFO plus the single
-  // armed timer (invalid while the queue is empty or a sweep is running).
-  Handle dlHead_{};
-  Handle dlTail_{};
-  EventId dlTimer_{};
-  bool dlSweeping_ = false;
+  ContextPool& pool_;  // the DataPlane's pool for myShard_
+  // Head/tail of the in-flight FIFO, plus the single armed deadline timer
+  // (invalid while none is due or a sweep is running).
+  Handle fifoHead_{};
+  Handle fifoTail_{};
+  EventId deadlineTimer_{};
+  bool deadlineSweeping_ = false;
   bool stopped_ = false;
   std::uint64_t nextFrameId_ = 1;
   std::uint64_t submitted_ = 0;

@@ -8,20 +8,19 @@
 // churn on each of the millions of frames a figure reproduction replays.
 // The pool replaces that with recycled slots: stages capture a {this, Handle}
 // pair (16 bytes — inline in the event slot) and re-resolve the context at
-// each hop.
+// each hop. The DataPlane keeps one pool per shard, shared by every client
+// on that shard, so its live slots are that shard's frames in flight.
 //
 // Design points:
 //  * a slot is {generation, free link, T}: resolving a handle reads one slot
 //    and nothing else, with no side table of generations or free indices;
 //  * storage is chunked and chunks double from one slot: chunk k holds 2^k
 //    slots at indices [2^k - 1, 2^(k+1) - 1), so an index finds its chunk
-//    with one std::bit_width. Chunk 0 — the one slot that a client with one
-//    frame in flight at a time (a 1 fps stream) ever uses — lives inline in
-//    the pool object, so it sits beside its owner's other fields and costs
-//    no heap block; chunks k >= 1 are heap arrays. Growth adds a chunk and
-//    never moves a live object, so T* stay stable for the pool's lifetime
-//    (the pool is neither copyable nor movable) and a stage may hold a
-//    pointer across calls that acquire new slots;
+//    with one std::bit_width. Every chunk is a heap array, and an empty
+//    pool owns none. Growth adds a chunk and never moves a live object, so
+//    T* stay stable for the pool's lifetime (the pool is neither copyable
+//    nor movable) and a stage may hold a pointer across calls that acquire
+//    new slots;
 //  * capacity stays under twice the in-use high-water mark;
 //  * each slot carries a generation counter bumped on acquire AND release
 //    (odd = live). A handle embeds the generation it was minted with, so a
@@ -31,8 +30,11 @@
 //    hot working set small and cache-resident; a new chunk is linked in
 //    index order, so never-used slots come out lowest index first;
 //  * steady state performs zero heap allocations: a chunk is allocated only
-//    when the in-use high-water mark outgrows the capacity, and chunk 0
-//    never is.
+//    when the in-use high-water mark outgrows the capacity.
+//
+// The pool keeps no list of its live slots: an owner that must find its
+// objects again threads its own links through them (TpuClient keeps its
+// frames in flight on an intrusive FIFO).
 //
 // T must be default-constructible; objects are constructed once per slot and
 // reused, so the caller resets whatever fields matter on acquire.
@@ -102,18 +104,6 @@ class SlabPool {
     return true;
   }
 
-  // Visits every live slot as (Handle, T&) in index order. `fn` must not
-  // acquire or release slots while iterating — snapshot handles first if it
-  // needs to. O(capacity); meant for rare lifecycle sweeps (service
-  // removal), never the per-frame path.
-  template <typename Fn>
-  void forEachLive(Fn&& fn) {
-    for (std::uint32_t i = 0; i < capacity_; ++i) {
-      Slot& s = slot(i);
-      if ((s.generation & 1u) != 0u) fn(Handle{i, s.generation}, s.value);
-    }
-  }
-
   std::size_t inUse() const { return inUse_; }
   std::size_t capacity() const { return capacity_; }
 
@@ -127,23 +117,19 @@ class SlabPool {
   };
 
   Slot& slot(std::uint32_t index) {
-    if (index == 0) return first_;
     // index + 1 has its top bit at position k for every slot of chunk k.
     const unsigned k = std::bit_width(index + 1u) - 1u;
-    return chunks_[k - 1][index + 1u - (1u << k)];
+    return chunks_[k][index + 1u - (1u << k)];
   }
 
   // Adds the next chunk; acquire() calls this only on an empty free list.
   // Chunk k starts at index capacity() == 2^k - 1 and holds 2^k slots,
-  // linked so the lowest index comes out first. Chunk 0 is first_, already
-  // in place.
+  // linked so the lowest index comes out first.
   void grow() {
     const std::uint32_t oldCapacity = capacity_;
     const std::uint32_t newCapacity = 2 * oldCapacity + 1;
     assert(newCapacity < kNoSlot && "slab pool index space");
-    if (oldCapacity > 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(oldCapacity + 1));
-    }
+    chunks_.push_back(std::make_unique<Slot[]>(oldCapacity + 1));
     capacity_ = newCapacity;
     for (std::uint32_t i = oldCapacity; i < newCapacity; ++i) {
       slot(i).nextFree = i + 1 < newCapacity ? i + 1 : kNoSlot;
@@ -151,8 +137,7 @@ class SlabPool {
     freeHead_ = oldCapacity;
   }
 
-  Slot first_;                                   // chunk 0 (index 0)
-  std::vector<std::unique_ptr<Slot[]>> chunks_;  // chunk k at chunks_[k - 1]
+  std::vector<std::unique_ptr<Slot[]>> chunks_;  // chunk k at chunks_[k]
   std::uint32_t capacity_ = 0;
   std::uint32_t freeHead_ = kNoSlot;
   std::size_t inUse_ = 0;

@@ -1,38 +1,19 @@
 // Context-pool semantics of the allocation-free client fast path: slot
-// recycling, generation-checked staleness, and accounting under churn.
-// Exercised under ASan in CI — a use-after-release of a recycled slot or a
-// leaked InvokeContext shows up here first.
+// recycling, generation-checked staleness, the per-shard pool that every
+// client on a shard shares, and accounting under churn. Exercised under
+// ASan in CI — a use-after-release of a recycled slot or a leaked
+// InvokeContext shows up here first.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "dataplane/dataplane.hpp"
 #include "models/zoo.hpp"
 #include "util/slab_pool.hpp"
-
-// Counts heap allocations, so a test can show that a pool path makes none.
-// The array forms reach these through the library's defaults; the deletes
-// stay out of line so GCC does not match an inlined free() against the
-// replaced operator new (-Wmismatched-new-delete).
-namespace {
-std::atomic<std::uint64_t> g_allocCount{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace microedge {
 namespace {
@@ -163,52 +144,10 @@ TEST(SlabPoolTest, AcquireRunSpansThreeChunks) {
   EXPECT_NE(pool.get(head), nullptr);
 }
 
-TEST(SlabPoolTest, ForEachLiveVisitsIndexOrderAcrossChunks) {
-  SlabPool<int> pool;
-  std::vector<SlabPool<int>::Handle> handles;
-  for (int i = 0; i < 20; ++i) handles.push_back(pool.acquire());  // chunks 0-4
-  for (auto h : handles) *pool.get(h) = static_cast<int>(h.index);
-  std::vector<std::uint32_t> expected;
-  for (auto h : handles) {
-    if (h.index % 3 == 0) {
-      ASSERT_TRUE(pool.release(h));
-    } else {
-      expected.push_back(h.index);
-    }
-  }
-  std::vector<std::uint32_t> seen;
-  pool.forEachLive([&](SlabPool<int>::Handle h, int& value) {
-    EXPECT_EQ(value, static_cast<int>(h.index));
-    EXPECT_EQ(pool.get(h), &value);
-    seen.push_back(h.index);
-  });
-  EXPECT_EQ(seen, expected);
-}
-
-TEST(SlabPoolTest, FirstSlotIsInlineAndAllocatesNothing) {
-  // A client with one frame in flight at a time only ever uses slot 0: it
-  // lives inside the pool object, so using it costs no heap block.
-  const std::uint64_t before = g_allocCount.load();
-  SlabPool<std::uint64_t> pool;
-  SlabPool<std::uint64_t>::Handle h = pool.acquire();
-  std::uint64_t* first = pool.get(h);
-  for (int frame = 0; frame < 3; ++frame) {
-    pool.release(h);
-    h = pool.acquire();
-  }
-  const std::uint64_t allocs = g_allocCount.load() - before;
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(h.index, 0u);
-  EXPECT_EQ(pool.get(h), first);
-  EXPECT_EQ(pool.capacity(), 1u);
-  const auto slot = reinterpret_cast<std::uintptr_t>(first);
-  const auto begin = reinterpret_cast<std::uintptr_t>(&pool);
-  EXPECT_GE(slot, begin);
-  EXPECT_LE(slot + sizeof(std::uint64_t), begin + sizeof(pool));
-}
-
 // ---------------------------------------------------------------------------
-// Client level: the pool's accounting must track the pipeline exactly.
+// Client level: the shard pool's accounting must track the pipeline exactly.
+// Both vRPis of this topology sit on the one shard, so their clients share
+// shard 0's pool.
 
 class ClientPoolTest : public ::testing::Test {
  protected:
@@ -231,6 +170,15 @@ class ClientPoolTest : public ::testing::Test {
     sim_.run();
   }
 
+  std::unique_ptr<TpuClient> makeClient(const char* node, const char* tpu) {
+    auto client = dataPlane_.makeClient(node, zoo::kMobileNetV1);
+    EXPECT_TRUE(
+        client->configureLb(LbConfig{{LbWeight{internTpu(tpu), 100}}}).isOk());
+    return client;
+  }
+
+  const auto& pool() const { return dataPlane_.contextPool(0); }
+
   ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
   Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
@@ -244,7 +192,7 @@ TEST_F(ClientPoolTest, SlotReusedAfterCompletion) {
   ASSERT_TRUE(
       client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
           .isOk());
-  // Sequential frames cycle through the pool one slot at a time: the pool
+  // Sequential frames cycle through the shard pool one slot at a time: it
   // never grows past the warm footprint of one in-flight frame.
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
@@ -252,7 +200,8 @@ TEST_F(ClientPoolTest, SlotReusedAfterCompletion) {
     EXPECT_EQ(client->contextsInFlight(), 0u);
   }
   EXPECT_EQ(client->completedCount(), 200u);
-  EXPECT_EQ(client->contextCapacity(), 1u);
+  EXPECT_EQ(pool().inUse(), 0u);
+  EXPECT_EQ(pool().capacity(), 1u);
 }
 
 TEST_F(ClientPoolTest, StopMidFlightDrainsInFlightFrames) {
@@ -268,8 +217,9 @@ TEST_F(ClientPoolTest, StopMidFlightDrainsInFlightFrames) {
         client->invoke([&](const FrameBreakdown&) { ++completions; }).isOk());
   }
   EXPECT_EQ(client->contextsInFlight(), 8u);
+  EXPECT_EQ(pool().inUse(), 8u);
   // Chunks double from one slot (1, 3, 7, 15): eight frames hold 15 slots.
-  EXPECT_LT(client->contextCapacity(), 16u);
+  EXPECT_LT(pool().capacity(), 16u);
   client->stop();
   EXPECT_FALSE(client->invoke(nullptr).isOk());
   sim_.run();
@@ -306,15 +256,21 @@ TEST_F(ClientPoolTest, OutstandingTracksPoolUnderChurn) {
                   ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
                                           LbWeight{internTpu("tpu-01"), 100}}})
                   .isOk());
+  // A peer on the same shard keeps four frames of its own in flight.
+  auto peer = makeClient("vrpi-01", "tpu-01");
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(peer->invoke(nullptr).isOk());
   // Closed loop with a fan-out of 16: every completion immediately resubmits
-  // until 500 frames have drained. The pool population must equal the
-  // client's outstanding count at every completion edge.
+  // until 500 frames have drained. The client's in-flight FIFO must equal
+  // its outstanding count, and the shard pool's population the two
+  // clients' FIFOs together, at every completion edge.
   std::uint64_t target = 500;
   std::uint64_t finished = 0;
   std::function<void(const FrameBreakdown&)> pump =
       [&](const FrameBreakdown&) {
         ++finished;
         EXPECT_EQ(client->contextsInFlight(), client->outstanding());
+        EXPECT_EQ(pool().inUse(),
+                  client->contextsInFlight() + peer->contextsInFlight());
         if (finished + client->outstanding() < target) {
           ASSERT_TRUE(client->invoke([&](const FrameBreakdown& b) { pump(b); })
                           .isOk());
@@ -325,10 +281,113 @@ TEST_F(ClientPoolTest, OutstandingTracksPoolUnderChurn) {
         client->invoke([&](const FrameBreakdown& b) { pump(b); }).isOk());
   }
   EXPECT_EQ(client->contextsInFlight(), 16u);
+  EXPECT_EQ(pool().inUse(), 20u);
   sim_.run();
   EXPECT_EQ(client->completedCount(), finished);
   EXPECT_EQ(client->contextsInFlight(), 0u);
   EXPECT_EQ(client->outstanding(), 0u);
+  EXPECT_EQ(peer->completedCount(), 4u);
+  EXPECT_EQ(pool().inUse(), 0u);
+}
+
+TEST_F(ClientPoolTest, ClientsOnOneShardReuseEachOthersSlots) {
+  loadAll(zoo::kMobileNetV1);
+  auto a = makeClient("vrpi-00", "tpu-00");
+  auto b = makeClient("vrpi-01", "tpu-01");
+  // Alternating sequential frames: each client takes the slot the other
+  // just released, so two clients cost one slot, not one each.
+  for (int i = 0; i < 50; ++i) {
+    for (TpuClient* client : {a.get(), b.get()}) {
+      ASSERT_TRUE(client->invoke(nullptr).isOk());
+      EXPECT_EQ(pool().inUse(), 1u);
+      sim_.run();
+    }
+  }
+  EXPECT_EQ(a->completedCount(), 50u);
+  EXPECT_EQ(b->completedCount(), 50u);
+  EXPECT_EQ(pool().capacity(), 1u);
+}
+
+TEST_F(ClientPoolTest, StaleHandleMissesAnotherClientsFrameInItsSlot) {
+  loadAll(zoo::kMobileNetV1);
+  // A probe frame measures the pipeline, as the deadline below needs.
+  auto probe = makeClient("vrpi-00", "tpu-00");
+  FrameBreakdown measured;
+  ASSERT_TRUE(
+      probe->invoke([&](const FrameBreakdown& f) { measured = f; }).isOk());
+  sim_.run();
+  ASSERT_EQ(measured.outcome, FrameOutcome::kCompleted);
+  const SimDuration deviceDone = measured.preprocess +
+                                 measured.requestTransmit +
+                                 measured.queueDelay + measured.inference;
+
+  // A's deadline falls halfway through its response hop: the frame times
+  // out after the device ran it and releases its slot, and B's frame,
+  // submitted from A's completion, takes that slot. A's response then lands
+  // on the slot B holds; its handle is stale and must resolve to nothing.
+  TpuClient::Config config;
+  config.clientNode = internNode("vrpi-00");
+  config.model = internModel(zoo::kMobileNetV1);
+  config.frameDeadline =
+      deviceDone + (measured.postprocess + measured.responseTransmit) / 2;
+  auto a = dataPlane_.makeClient(config);
+  ASSERT_TRUE(
+      a->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}}).isOk());
+  auto b = makeClient("vrpi-01", "tpu-01");
+  FrameBreakdown seenA;
+  FrameBreakdown seenB;
+  const SimTime start = sim_.now();
+  ASSERT_TRUE(a->invoke([&](const FrameBreakdown& f) {
+                 seenA = f;
+                 EXPECT_EQ(pool().inUse(), 0u);
+                 ASSERT_TRUE(
+                     b->invoke([&](const FrameBreakdown& g) { seenB = g; })
+                         .isOk());
+               })
+                  .isOk());
+  sim_.run();
+  EXPECT_EQ(seenA.outcome, FrameOutcome::kTimedOut);
+  EXPECT_EQ(a->outcomeCount(FrameOutcome::kTimedOut), 1u);
+  EXPECT_EQ(a->completedCount(), 0u);
+  // B's frame ran its own full pipeline, untouched by A's late response.
+  EXPECT_EQ(seenB.outcome, FrameOutcome::kCompleted);
+  EXPECT_EQ(seenB.frameId, 1u);
+  EXPECT_EQ(seenB.servedByName(), "tpu-01");
+  EXPECT_EQ(seenB.submitted, start + config.frameDeadline);
+  EXPECT_EQ(b->completedCount(), 1u);
+  EXPECT_EQ(pool().capacity(), 1u);
+  EXPECT_EQ(pool().inUse(), 0u);
+}
+
+TEST_F(ClientPoolTest, DestroyedClientReturnsItsInFlightSlots) {
+  loadAll(zoo::kMobileNetV1);
+  auto a = makeClient("vrpi-00", "tpu-00");
+  auto b = makeClient("vrpi-01", "tpu-01");
+  // Each completion owns a heap token, so a callback the pool neither ran
+  // nor destroyed would show as a leak (and under ASan as one too).
+  auto token = std::make_shared<int>(7);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(a->invoke([token](const FrameBreakdown&) {}).isOk());
+  }
+  ASSERT_TRUE(b->invoke(nullptr).isOk());
+  EXPECT_EQ(pool().inUse(), 6u);
+  EXPECT_EQ(token.use_count(), 6);
+  const std::size_t capacity = pool().capacity();
+  a.reset();
+  // A's five slots went back with their completions dropped unrun; B's
+  // frame is untouched.
+  EXPECT_EQ(pool().inUse(), 1u);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(b->contextsInFlight(), 1u);
+  EXPECT_EQ(dataPlane_.clientCount(), 1u);
+  b.reset();
+  EXPECT_EQ(pool().inUse(), 0u);
+  // The returned slots serve the next client without growing the pool.
+  auto c = makeClient("vrpi-00", "tpu-00");
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(c->invoke(nullptr).isOk());
+  EXPECT_EQ(pool().capacity(), capacity);
+  // The destroyed clients' frames still have events queued, which would
+  // call into them: the simulation is torn down without running them.
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dataplane/backoff.hpp"
@@ -348,11 +349,12 @@ TEST_F(ReliabilityTest, RemoveServiceNotifiesSurvivorsInCreationOrder) {
 }
 
 TEST_F(ReliabilityTest, RemovalFailsOverOldestFrameFirst) {
-  // LIFO slot reuse can put a newer frame in a lower slot than older frames
-  // in flight to the same target; the fail-fast sweep must still re-ship
-  // them oldest first. Weights 2:1 route frames 1, 3, 4 to tpu-00 and
-  // frame 2 to tpu-01. Frame 1 takes slot 0, frame 3 slot 2; frame 4 is
-  // submitted from frame 1's completion and reuses slot 0.
+  // The fail-fast sweep must re-ship a client's frames oldest first, not in
+  // the order of their slots in the shard pool, where LIFO reuse can put a
+  // newer frame in a lower slot than older ones on the same target. Weights
+  // 2:1 route frames 1, 3, 4 to tpu-00 and frame 2 to tpu-01; frame 4 is
+  // submitted from frame 1's completion and takes the slot frame 1 just
+  // released, below frame 3's.
   loadEverywhere(zoo::kMobileNetV1);
   auto client = makeClient(baseConfig(zoo::kMobileNetV1));
   ASSERT_TRUE(client
@@ -382,6 +384,38 @@ TEST_F(ReliabilityTest, RemovalFailsOverOldestFrameFirst) {
     EXPECT_EQ(b.servedByName(), "tpu-01");
   }
   EXPECT_LT(failedOver[0].completed, failedOver[1].completed);
+}
+
+TEST_F(ReliabilityTest, RemovalFromACompletionKeepsTheOuterSweepGoing) {
+  // Frame 1's completion removes a second service, whose nested sweep ends
+  // frames 2 and 4 — including the one the outer sweep was about to visit.
+  // The outer sweep must pick up again at frame 3, and every frame must end
+  // exactly once.
+  loadEverywhere(zoo::kMobileNetV1);
+  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
+  config.maxFailovers = 0;
+  auto client = makeClient(std::move(config));
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
+                  .isOk());
+  std::vector<std::uint64_t> ended;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client
+                    ->invoke([&](const FrameBreakdown& b) {
+                      EXPECT_EQ(b.outcome, FrameOutcome::kDroppedDeadTarget);
+                      ended.push_back(b.frameId);
+                      if (b.frameId == 1) dataPlane_.removeService("tpu-01");
+                    })
+                    .isOk());
+  }
+  dataPlane_.removeService("tpu-00");
+  EXPECT_EQ(ended, (std::vector<std::uint64_t>{1, 2, 4, 3}));
+  EXPECT_EQ(client->contextsInFlight(), 0u);
+  EXPECT_EQ(dataPlane_.contextPool(0).inUse(), 0u);
+  sim_.run();
+  EXPECT_EQ(ended.size(), 4u);
+  EXPECT_EQ(client->failedCount(), 4u);
 }
 
 TEST_F(ReliabilityTest, DataPlaneDestroyedFirstDetachesClientHooks) {
@@ -683,6 +717,32 @@ TEST_F(ReliabilityTest, BackoffDelaysDoubleAndCap) {
   EXPECT_EQ(backoff.delay(2), milliseconds(40));
   EXPECT_EQ(backoff.delay(3), milliseconds(50));   // capped
   EXPECT_EQ(backoff.delay(30), milliseconds(50));  // no overflow
+}
+
+// The owner-shard rule of removeService holds in every build: run off its
+// owner shard, a removal would null the wrong shard's view and notify the
+// wrong shard's clients.
+TEST(DataPlaneDeathTest, RemovalOffItsOwnerShardAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardedSim sharded(2, NetworkConfig{}.baseLatency);
+  ModelRegistry zoo = zoo::standardZoo();
+  TopologySpec spec;
+  spec.vRpiCount = 2;
+  spec.tRpiCount = 2;
+  spec.racks = 2;
+  ClusterTopology topo(sharded, zoo, spec);
+  DataPlane plane(sharded, topo, zoo);
+  std::string remote;
+  for (TpuService* service : plane.services()) {
+    if (sharded.shardOfNode(service->nodeId()) == 1) {
+      remote = tpuName(service->tpu());
+    }
+  }
+  ASSERT_FALSE(remote.empty());
+  // Setup code runs as shard 0.
+  EXPECT_DEATH(plane.removeService(remote),
+               "DataPlane::removeService: " + remote +
+                   " is owned by shard 1 but the removal ran on shard 0");
 }
 
 TEST(LbBatchHealthTest, AllMaskedBatchRoutesNothing) {
