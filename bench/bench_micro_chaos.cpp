@@ -104,10 +104,7 @@ struct Fixture {
       TpuClient::Config config;
       config.clientNode = internNode(indexName("vrpi-", i % kVRpis));
       config.model = internModel(zoo::kMobileNetV1);
-      if (mode != Mode::kOff) {
-        config.frameDeadline = milliseconds(250);
-        config.maxFailovers = 1;
-      }
+      if (mode != Mode::kOff) config.frameDeadline = milliseconds(250);
       clients.push_back(dataPlane.makeClient(std::move(config)));
       if (!clients.back()->configureLb(lb).isOk()) std::abort();
       streams[i].client = clients.back().get();
@@ -362,7 +359,6 @@ struct OverloadFixture {
       config.model = internModel(zoo::kMobileNetV1);
       if (policy != Policy::kNone) {
         config.frameDeadline = milliseconds(kOvDeadlineMs);
-        config.maxFailovers = 1;
       }
       if (policy == Policy::kAdmit || policy == Policy::kDegrade) {
         config.admission.enabled = true;
@@ -379,15 +375,9 @@ struct OverloadFixture {
             [raw](const FrameBreakdown& b) { raw->onDone(b); });
       });
       if (policy == Policy::kDegrade) {
-        DegradationConfig degrade;
-        degrade.enabled = true;
-        degrade.windowFrames = 30;
-        degrade.stepDownPressure = 0.25;
-        degrade.sustainWindows = 2;
-        degrade.coolDownWindows = 4;
         stream->rate = std::make_unique<StreamRateControl>(*raw->task, period);
         stream->degrader = std::make_unique<StreamDegrader>(
-            *raw->client, *stream->rate, degrade);
+            *raw->client, *stream->rate, /*stepDownPressure=*/0.25);
       }
       // Staggered phases, same as the sharded harness: no two submissions
       // share a timestamp.

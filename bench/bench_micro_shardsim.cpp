@@ -105,11 +105,11 @@ Preset presetByName(const std::string& name) {
   if (name == "100k") {
     Preset p{"100k", 1000, 2, 8, 10, 10, 1.0, 0.01, 0, 2.5};
     p.warmupSeconds = 1.25;  // one full 1 fps period + slack
-    // 5% over the 4.53 blocks and 866 bytes per stream measured at one
+    // 5% over the 4.53 blocks and 850 bytes per stream measured at one
     // shard (gcc 12, glibc; the first run in the process also counts the
     // node names it interns).
     p.maxBlocksPerStream = 4.53 * 1.05;
-    p.maxBytesPerStream = 866 * 1.05;
+    p.maxBytesPerStream = 850 * 1.05;
     return p;
   }
   std::cerr << "unknown preset " << name << " (smoke|1k|10k|100k)\n";

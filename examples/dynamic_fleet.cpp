@@ -16,7 +16,6 @@ using namespace microedge;
 
 int main() {
   TraceScenarioConfig config;
-  config.trace = MafTraceGenerator::paperDefaults();
   config.trace.horizon = minutes(12);
   config.trace.seed = 7;
   config.capacityUnits = 7.0;
@@ -25,9 +24,10 @@ int main() {
   config.testbed.enableCoCompile = true;
 
   std::cout << "replaying a " << toSeconds(config.trace.horizon) / 60.0
-            << "-minute trace (continuous=" << config.trace.continuousModel
-            << ", sparse=" << config.trace.sparseModel
-            << ", bursty=" << config.trace.burstyModel << ")...\n";
+            << "-minute trace (continuous="
+            << MafTraceGenerator::kContinuousModel
+            << ", sparse=" << MafTraceGenerator::kSparseModel
+            << ", bursty=" << MafTraceGenerator::kBurstyModel << ")...\n";
 
   TraceRunResult result = runTraceScenario(config);
 

@@ -25,8 +25,7 @@ struct NodeResources {
 
 class RpiNode {
  public:
-  RpiNode(std::string name, NodeResources resources)
-      : name_(std::move(name)), resources_(resources) {}
+  explicit RpiNode(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
   const NodeResources& resources() const { return resources_; }
@@ -37,7 +36,7 @@ class RpiNode {
 
  private:
   std::string name_;
-  NodeResources resources_;
+  NodeResources resources_{};
   std::vector<TpuDevice*> tpus_;  // owned by ClusterTopology
 };
 

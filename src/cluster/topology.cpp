@@ -21,14 +21,14 @@ std::string rackedName(int racks, int rack, const char* prefix, int i) {
 ClusterTopology::ClusterTopology(ShardedSim& sharded,
                                  const ModelRegistry& registry,
                                  TopologySpec spec)
-    : spec_(spec), network_(spec.networkConfig) {
+    : spec_(spec) {
   ShardMap& map = sharded.shardMap();
   const int racks = spec_.racks < 1 ? 1 : spec_.racks;
   int tpuIndex = 0;
   for (int i = 0; i < spec_.tRpiCount; ++i) {
     const int rack = i % racks;
-    auto node = std::make_unique<RpiNode>(rackedName(racks, rack, "trpi-", i),
-                                          spec_.nodeResources);
+    auto node =
+        std::make_unique<RpiNode>(rackedName(racks, rack, "trpi-", i));
     Simulator& host = sharded.shardSim(map.assignByName(node->name()));
     for (int t = 0; t < spec_.tpusPerTRpi; ++t) {
       auto tpu = std::make_unique<TpuDevice>(
@@ -44,8 +44,8 @@ ClusterTopology::ClusterTopology(ShardedSim& sharded,
   }
   for (int i = 0; i < spec_.vRpiCount; ++i) {
     const int rack = i % racks;
-    auto node = std::make_unique<RpiNode>(rackedName(racks, rack, "vrpi-", i),
-                                          spec_.nodeResources);
+    auto node =
+        std::make_unique<RpiNode>(rackedName(racks, rack, "vrpi-", i));
     map.assignByName(node->name());
     nodeByName_[node->name()] = node.get();
     nodes_.push_back(std::move(node));

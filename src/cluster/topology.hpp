@@ -3,7 +3,8 @@
 // Cluster topology: owns the simulated nodes and TPU devices and knows which
 // TPU lives on which node. The paper's reference deployment is 25 RPi 4s, 6
 // of them with one Coral TPU each (19 vRPis + 6 tRPis), interconnected by
-// gigabit switches.
+// gigabit switches. Every node is an RPi 4 (NodeResources) on the default
+// network (NetworkConfig).
 
 #include <map>
 #include <memory>
@@ -28,9 +29,7 @@ struct TopologySpec {
   // prefix is what the sharded simulation's ShardMap partitions by; racks
   // <= 1 keeps the legacy flat names bit for bit.
   int racks = 1;
-  NodeResources nodeResources{};
   TpuHardwareConfig tpuConfig{};
-  NetworkConfig networkConfig{};
 };
 
 class ClusterTopology {

@@ -3,7 +3,6 @@
 namespace microedge {
 
 bool RepackSupervisor::onWindow() {
-  if (!config_.enabled) return false;
   ++windowsObserved_;
   const Sample cur = sample_();
   const std::uint64_t dGood = cur.good - prev_.good;
@@ -21,18 +20,15 @@ bool RepackSupervisor::onWindow() {
   if (dTotal == 0) return false;
 
   lastAttainment_ = static_cast<double>(dGood) / static_cast<double>(dTotal);
-  if (lastAttainment_ >= config_.attainmentThreshold) {
+  if (lastAttainment_ >= kAttainmentThreshold) {
     streak_ = 0;
     return false;
   }
   ++pressuredWindows_;
-  if (++streak_ < config_.sustainWindows) return false;
+  if (++streak_ < kSustainWindows) return false;
 
   streak_ = 0;
-  cooldown_ = config_.cooldownWindows;
-  if (config_.maxRepacks != 0 && repacksTriggered_ >= config_.maxRepacks) {
-    return false;
-  }
+  cooldown_ = kCooldownWindows;
   ++repacksTriggered_;
   lastReport_ = repack_();
   return true;

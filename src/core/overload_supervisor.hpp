@@ -5,18 +5,18 @@
 // The defragmenter exists since PR 4 but only ever ran when a bench called
 // it by hand. This supervisor closes the loop: it watches *windowed* SLO
 // attainment (delta good / delta total between ticks, so one bad minute is
-// not diluted by an hour of history) and, after `sustainWindows` consecutive
-// windows under the threshold, invokes the repack callback — in the testbed,
-// Defragmenter::replanAll() pushed through the same drain → replan →
-// LB-weight-push path failure recovery uses, which is what makes the repack
-// safe under live traffic: in-flight frames drain on their old route (the
-// ledger keeps their charges until terminal), new frames route on the pushed
-// weights, and a mid-repack fault window just means the replan sees the
-// post-fault pool like any other caller.
+// not diluted by an hour of history) and, after kSustainWindows consecutive
+// windows under kAttainmentThreshold, invokes the repack callback — in the
+// testbed, Defragmenter::replanAll() pushed through the same drain → replan
+// → LB-weight-push path failure recovery uses, which is what makes the
+// repack safe under live traffic: in-flight frames drain on their old route
+// (the ledger keeps their charges until terminal), new frames route on the
+// pushed weights, and a mid-repack fault window just means the replan sees
+// the post-fault pool like any other caller.
 //
 // Deliberately sim-free (core stays pure logic): the owner arms a
-// PeriodicTask at config.window and calls onWindow() from it, so triggering
-// is deterministic and seed-replayable. Cooldown and sustain are counted in
+// PeriodicTask at kWindow and calls onWindow() from it, so triggering is
+// deterministic and seed-replayable. Cooldown and sustain are counted in
 // windows for the same reason.
 
 #include <cstdint>
@@ -27,24 +27,25 @@
 
 namespace microedge {
 
+// Whether the owner arms supervisors at all; the loop's tuning is
+// RepackSupervisor's constants.
 struct RepackSupervisorConfig {
   bool enabled = false;
-  // Sampling window; the owner arms its periodic tick at this interval.
-  SimDuration window = seconds(2);
-  // A window with attainment strictly below this is "pressured".
-  double attainmentThreshold = 0.9;
-  // Consecutive pressured windows before a repack fires.
-  std::uint32_t sustainWindows = 3;
-  // Windows to hold off after a repack (applied or rolled back) before the
-  // streak may build again — gives pushed weights time to show up in the
-  // attainment signal instead of re-triggering on stale misery.
-  std::uint32_t cooldownWindows = 5;
-  // Hard cap on repacks per run; 0 = unlimited.
-  std::uint32_t maxRepacks = 0;
 };
 
 class RepackSupervisor {
  public:
+  // Sampling window; the owner arms its periodic tick at this interval.
+  static constexpr SimDuration kWindow = seconds(2);
+  // A window with attainment strictly below this is "pressured".
+  static constexpr double kAttainmentThreshold = 0.9;
+  // Consecutive pressured windows before a repack fires.
+  static constexpr std::uint32_t kSustainWindows = 3;
+  // Windows to hold off after a repack (applied or rolled back) before the
+  // streak may build again — gives pushed weights time to show up in the
+  // attainment signal instead of re-triggering on stale misery.
+  static constexpr std::uint32_t kCooldownWindows = 5;
+
   // Cumulative counters since start of run; the supervisor differences
   // successive samples itself.
   struct Sample {
@@ -54,15 +55,12 @@ class RepackSupervisor {
   using SampleFn = std::function<Sample()>;
   using RepackFn = std::function<Defragmenter::Report()>;
 
-  RepackSupervisor(RepackSupervisorConfig config, SampleFn sample,
-                   RepackFn repack)
-      : config_(config), sample_(std::move(sample)),
-        repack_(std::move(repack)) {}
+  RepackSupervisor(SampleFn sample, RepackFn repack)
+      : sample_(std::move(sample)), repack_(std::move(repack)) {}
 
   // One window tick. Returns true when this tick triggered a repack.
   bool onWindow();
 
-  const RepackSupervisorConfig& config() const { return config_; }
   std::uint64_t windowsObserved() const { return windowsObserved_; }
   std::uint64_t pressuredWindows() const { return pressuredWindows_; }
   std::uint64_t repacksTriggered() const { return repacksTriggered_; }
@@ -71,7 +69,6 @@ class RepackSupervisor {
   const Defragmenter::Report& lastReport() const { return lastReport_; }
 
  private:
-  RepackSupervisorConfig config_;
   SampleFn sample_;
   RepackFn repack_;
   Sample prev_{};

@@ -44,7 +44,6 @@ std::size_t LbService::routeHealthyIndex(SimTime now) {
     if (t.state == TargetHealth::kMasked) {
       if (now < t.retryAt) continue;  // window still open: skip this target
       t.state = TargetHealth::kProbing;  // half-open: this frame is the probe
-      t.probeSuccesses = 0;
     }
     ++t.routed;
     return index;
@@ -56,8 +55,7 @@ void LbService::recordSuccess(std::size_t index) {
   if (index >= targets_.size()) return;
   Target& t = targets_[index];
   t.consecutiveFailures = 0;
-  if (t.state == TargetHealth::kProbing &&
-      ++t.probeSuccesses >= health_.probeSuccesses) {
+  if (t.state == TargetHealth::kProbing) {
     t.state = TargetHealth::kHealthy;
     t.backoffMultiplier = 1;
   }
@@ -66,16 +64,15 @@ void LbService::recordSuccess(std::size_t index) {
 void LbService::recordFailure(std::size_t index, SimTime now) {
   if (index >= targets_.size()) return;
   Target& t = targets_[index];
-  t.probeSuccesses = 0;
   switch (t.state) {
     case TargetHealth::kProbing:
       // Failed probe: re-mask with doubled (capped) backoff.
       t.backoffMultiplier =
-          std::min(t.backoffMultiplier * 2, health_.maxBackoffMultiplier);
+          std::min(t.backoffMultiplier * 2, kMaxBackoffMultiplier);
       trip(t, now);
       break;
     case TargetHealth::kHealthy:
-      if (++t.consecutiveFailures >= health_.failureThreshold) trip(t, now);
+      if (++t.consecutiveFailures >= kFailureThreshold) trip(t, now);
       break;
     case TargetHealth::kMasked:
       break;  // late failure from a frame routed before the trip
@@ -85,7 +82,7 @@ void LbService::recordFailure(std::size_t index, SimTime now) {
 void LbService::trip(Target& target, SimTime now) {
   target.state = TargetHealth::kMasked;
   target.consecutiveFailures = 0;
-  target.retryAt = now + target.backoffMultiplier * health_.maskDuration;
+  target.retryAt = now + target.backoffMultiplier * kMaskDuration;
   ++maskEvents_;  // every transition into masked, including failed probes
 }
 

@@ -9,21 +9,22 @@
 // Default spread is smooth WRR (WFQ-like); the burst variant exists for the
 // ablation bench.
 //
-// Health masking: each target carries a small circuit breaker. Consecutive
-// routing failures (dead service, rejected invoke, frame timeout) trip the
-// target into kMasked; routeHealthyIndex() skips masked targets until their
-// mask window elapses, then lets exactly the frames that re-pick it probe
-// the target half-open (kProbing). A successful probe restores kHealthy; a
-// failed probe re-masks with doubled (capped) backoff. This keeps frames
-// flowing through a pod's surviving shares during the detection window —
-// before failure recovery rewrites the weights — without any per-frame
-// allocation.
+// Health masking: each target carries a small circuit breaker.
+// kFailureThreshold consecutive routing failures (dead service, rejected
+// invoke, frame timeout) trip the target into kMasked; routeHealthyIndex()
+// skips masked targets until their mask window elapses, then lets exactly
+// the frames that re-pick it probe the target half-open (kProbing). One
+// successful probe restores kHealthy; a failed probe re-masks with doubled
+// (capped) backoff. This keeps frames flowing through a pod's surviving
+// shares during the detection window — before failure recovery rewrites
+// the weights — without any per-frame allocation.
 //
 // Layout: every camera stream's client embeds one LbService, so at city
 // scale its bytes are per-stream memory. Each target is kept once, in one
 // array: its TPU, reduced weight and WRR credit, routed count and breaker
 // state. Beside it sit only the active spread's schedule (smooth: the
-// total weight; burst: the cursor and its run) and the breaker tuning.
+// total weight; burst: the cursor and its run) and the spread; the breaker
+// tuning is constants.
 
 #include <cstdint>
 #include <vector>
@@ -37,30 +38,22 @@ namespace microedge {
 
 enum class LbSpread : std::uint8_t { kSmooth, kBurst };
 
-// Per-target circuit-breaker tuning. Defaults favour fast convergence in
-// simulation: one good probe restores a target.
-struct LbHealthConfig {
-  // Consecutive failures that trip a healthy target into kMasked.
-  std::uint32_t failureThreshold = 3;
-  // Base mask window; multiplied by the per-target backoff multiplier.
-  SimDuration maskDuration = milliseconds(500);
-  // Consecutive probe successes needed to restore a masked target.
-  std::uint32_t probeSuccesses = 1;
-  // Backoff multiplier cap for repeated failed probes (window <=
-  // maskDuration * maxBackoffMultiplier).
-  std::uint32_t maxBackoffMultiplier = 4;
-};
-
 enum class TargetHealth : std::uint8_t { kHealthy, kMasked, kProbing };
 
 class LbService {
  public:
   // routeHealthyIndex() result when every target is masked or absent.
   static constexpr std::size_t kNoTarget = static_cast<std::size_t>(-1);
+  // Circuit-breaker tuning, chosen for fast convergence in simulation.
+  // Consecutive failures that trip a healthy target into kMasked.
+  static constexpr std::uint32_t kFailureThreshold = 3;
+  // Base mask window; multiplied by the per-target backoff multiplier.
+  static constexpr SimDuration kMaskDuration = milliseconds(500);
+  // Backoff multiplier cap for repeated failed probes (window <=
+  // kMaskDuration * kMaxBackoffMultiplier).
+  static constexpr std::uint32_t kMaxBackoffMultiplier = 4;
 
-  explicit LbService(LbSpread spread = LbSpread::kSmooth,
-                     const LbHealthConfig& health = {})
-      : health_(health), spread_(spread) {}
+  explicit LbService(LbSpread spread = LbSpread::kSmooth) : spread_(spread) {}
 
   // Installs the weights computed at admission (milli-units per TPU, each
   // target named by its TpuId handle), in the given order: the WRR routes
@@ -103,7 +96,6 @@ class LbService {
     std::uint64_t routed = 0;
     SimTime retryAt{};  // mask window end (valid while kMasked)
     std::uint32_t consecutiveFailures = 0;
-    std::uint32_t probeSuccesses = 0;
     std::uint32_t backoffMultiplier = 1;
     TargetHealth state = TargetHealth::kHealthy;
   };
@@ -124,7 +116,6 @@ class LbService {
     } burst;
   };
   Schedule schedule_{};
-  LbHealthConfig health_;
   LbSpread spread_;
 };
 

@@ -40,11 +40,10 @@ TpuClient::TpuClient(DataPlane& dataPlane, const Config& config)
     : dataPlane_(dataPlane),
       sim_(dataPlane.shardedSim().shardSim(
           dataPlane.shardedSim().shardOfNode(config.clientNode))),
-      lb_(config.spread, config.health),
+      lb_(config.spread),
       admission_(config.admission.enabled
                      ? std::make_unique<AdmissionLedger>()
                      : nullptr),
-      maxFailovers_(config.maxFailovers),
       frameDeadline_(config.frameDeadline),
       // Keyed transport-loss identity: a client that brings no stream token
       // takes the plane's next one, so loss outcomes replay identically at
@@ -450,7 +449,7 @@ void TpuClient::onNack(Handle h, Nack kind) {
 }
 
 bool TpuClient::tryFailover(Handle h, InvokeContext* c) {
-  if (c->breakdown.failovers >= maxFailovers_) return false;
+  if (c->breakdown.failovers >= kMaxFailovers) return false;
   std::size_t index = 0;
   TpuService* service = routeToLiveTarget(&index);
   if (service == nullptr) return false;

@@ -88,9 +88,9 @@
 // Footprint: a city runs one client per camera stream, so every byte here
 // is per-stream memory. The client holds one DataPlane& and reaches the
 // services, the model registry, the transport and the shard map through
-// it; it names its node and model by interned handle, keeps the breaker
-// tuning only inside its LbService, and builds an AdmissionLedger only
-// when per-frame admission is on. Of its frames it keeps a reference to
+// it; it names its node and model by interned handle, holds no tuning
+// (failover budget and breaker are constants), and builds an
+// AdmissionLedger only when per-frame admission is on. Of its frames it keeps a reference to
 // the shard pool and the two ends of its FIFO, so context memory scales
 // with the frames in flight on a shard, not with the clients there (the
 // 100k-stream city peaks at about 3,400 live slots). It is neither
@@ -166,9 +166,6 @@ class TpuClient {
     // Per-frame deadline measured from submit; zero disables the deadline
     // timer AND deadline-based shedding (seed behaviour).
     SimDuration frameDeadline{};
-    // Re-route budget per frame when its target dies or rejects.
-    std::uint32_t maxFailovers = 1;
-    LbHealthConfig health{};
     // Stable identity of this client's frame stream for keyed transport-loss
     // draws: whether a frame drops under a loss window is a pure function of
     // (fault seed, token, frame id, attempt, hop) — invariant to shard count
@@ -182,6 +179,8 @@ class TpuClient {
   // Move-only SBO callable: completions with inline-sized captures ride the
   // context slot without a std::function heap allocation per frame.
   using CompletionCallback = MoveFn<void(const FrameBreakdown&)>;
+  // Re-route budget per frame when its target dies or rejects.
+  static constexpr std::uint32_t kMaxFailovers = 1;
 
   // Builds the client on the event loop of its node's shard, with that
   // shard's context pool, and registers it with `dataPlane` for fail-fast
@@ -359,7 +358,6 @@ class TpuClient {
   // (one model + one deadline): inferenceEstimate * 1000 / frameDeadline,
   // floored at 1. Zero when admission is off or no deadline is configured.
   std::uint32_t admissionEstimateMilli_ = 0;
-  std::uint32_t maxFailovers_;
   SimDuration frameDeadline_;
   std::uint64_t streamToken_;
   NodeId clientNode_;  // every frame's transport endpoint

@@ -3,8 +3,9 @@
 // Seeded, simulator-driven fault injection.
 //
 // A FaultPlan is a replayable schedule of fault events — TPU crash, TPU
-// hang, tRPi node death, transport loss and latency-spike windows — either
-// hand-built or drawn from a seeded Pcg32 (FaultPlan::random). The
+// hang, tRPi node death, transport loss and latency-spike windows — built
+// by hand, compiled from a scenario's failure groups, or drawn from a seed
+// by the chaos soaks' helper (tests/fault_plans.hpp). The
 // FaultInjector arms a plan by scheduling each fault as an ordinary
 // simulator event, so faults interleave deterministically with frames: the
 // same plan armed twice produces bit-identical event traces (the applied-
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "sim/sharded_sim.hpp"
-#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace microedge {
@@ -67,27 +67,6 @@ struct FaultPlan {
   // noticing (health checks, node heartbeats).
   SimDuration detectionDelay = milliseconds(750);
   std::vector<FaultEvent> events;
-
-  struct RandomConfig {
-    std::vector<std::string> tpus;   // crash/hang candidates
-    std::vector<std::string> nodes;  // death candidates (tRPis)
-    SimDuration earliest = seconds(1);  // fault window start
-    SimDuration horizon = seconds(6);   // fault window end
-    std::size_t maxTpuCrashes = 1;
-    std::size_t maxTpuHangs = 2;
-    std::size_t maxNodeDeaths = 0;
-    std::size_t maxTransportFaults = 2;
-    SimDuration minWindow = milliseconds(200);  // hang / transport windows
-    SimDuration maxWindow = milliseconds(1500);
-    double maxLossProbability = 0.5;
-    double maxLatencyMultiplier = 6.0;
-  };
-  // Draws a plan from `seed`: distinct crash targets, hang/transport
-  // windows inside [earliest, horizon]. Same seed + config => same plan.
-  static FaultPlan random(std::uint64_t seed, const RandomConfig& config);
-
-  // Machine-readable dump (reproducing a failing chaos seed starts here).
-  std::string toJson() const;
 };
 
 class FaultInjector {

@@ -140,7 +140,6 @@ JsonValue runTraceSweepPoint(const SweepPoint& p) {
        checkPositive("capacity_units", capacityUnits)});
   if (!valid.isOk()) return pointError(valid);
   TraceScenarioConfig config;
-  config.trace = MafTraceGenerator::paperDefaults();
   config.trace.horizon = secondsF(horizonMin * 60.0);
   config.trace.seed = pointSeed(p);
   config.capacityUnits = capacityUnits;

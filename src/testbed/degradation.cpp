@@ -5,9 +5,8 @@
 namespace microedge {
 
 void StreamDegrader::onFrame() {
-  if (!config_.enabled) return;
   ++terminals_;
-  if (terminals_ % config_.windowFrames != 0) return;
+  if (terminals_ % kWindowFrames != 0) return;
   ++windowsObserved_;
 
   const std::uint64_t bad =
@@ -17,12 +16,12 @@ void StreamDegrader::onFrame() {
   const std::uint64_t dBad = bad - prevBad_;
   prevBad_ = bad;
   const double pressure =
-      static_cast<double>(dBad) / static_cast<double>(config_.windowFrames);
+      static_cast<double>(dBad) / static_cast<double>(kWindowFrames);
 
-  if (pressure >= config_.stepDownPressure) {
+  if (pressure >= stepDownPressure_) {
     cleanStreak_ = 0;
-    if (++pressStreak_ >= config_.sustainWindows &&
-        rung_ + 1 < config_.ladder.size()) {
+    if (++pressStreak_ >= kSustainWindows &&
+        rung_ + 1 < kLadder.size()) {
       ++rung_;
       ++stepDowns_;
       pressStreak_ = 0;
@@ -31,7 +30,7 @@ void StreamDegrader::onFrame() {
     return;
   }
   pressStreak_ = 0;
-  if (rung_ > 0 && ++cleanStreak_ >= config_.coolDownWindows) {
+  if (rung_ > 0 && ++cleanStreak_ >= kCoolDownWindows) {
     --rung_;
     ++stepUps_;
     cleanStreak_ = 0;
@@ -45,7 +44,7 @@ void StreamDegrader::applyRung() {
   // quantum). Takes effect when the in-flight firing re-arms — no
   // cancel/reschedule, so the event schedule mutation is deterministic
   // wherever onFrame() was called from.
-  rate_.setDegrade(config_.ladder[rung_]);
+  rate_.setDegrade(kLadder[rung_]);
 }
 
 }  // namespace microedge

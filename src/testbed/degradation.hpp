@@ -12,7 +12,7 @@
 //
 // The controller is deliberately event-free: it piggybacks on the stream's
 // completion callback (onFrame() after every terminal outcome) and evaluates
-// one window every `windowFrames` terminals, retuning the stream's period
+// one window every kWindowFrames terminals, retuning the stream's period
 // through its StreamRateControl arbiter (rate_control.hpp), which composes
 // the rung multiplier with the scenario engine's rate envelope and applies
 // the one PeriodicTask::setPeriod — effective at the next re-arm. No timer
@@ -26,19 +26,19 @@
 // a per-shard-count property.)
 //
 // Hysteresis sketch (why it cannot flap): stepping down requires
-// `sustainWindows` consecutive windows with pressure >= stepDownPressure;
-// stepping up requires `coolDownWindows` consecutive windows with pressure
+// kSustainWindows consecutive windows with pressure >= stepDownPressure;
+// stepping up requires kCoolDownWindows consecutive windows with pressure
 // below it, and both counters reset on any opposite-sign window. A step in
 // either direction therefore moves at most one rung per
-// min(sustainWindows, coolDownWindows) windows, and an oscillation
+// min(kSustainWindows, kCoolDownWindows) windows, and an oscillation
 // down-then-up needs the pressure signal itself to cross the threshold in
-// both directions at least `sustainWindows + coolDownWindows` windows apart
+// both directions at least kSustainWindows + kCoolDownWindows windows apart
 // — bounded-frequency by construction. The ladder is finite, so the rung
 // sequence converges whenever the pressure signal settles on one side of
 // the threshold.
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "dataplane/tpu_client.hpp"
 #include "sim/simulator.hpp"
@@ -49,47 +49,47 @@ namespace microedge {
 
 struct DegradationConfig {
   bool enabled = false;
-  // fps multipliers, descending from full rate. Rung r runs the stream at
-  // nominal fps * ladder[r].
-  std::vector<double> ladder = {1.0, 0.75, 0.5, 1.0 / 3.0, 0.25};
-  // Terminal outcomes per evaluation window.
-  std::uint32_t windowFrames = 30;
   // Window pressure (bad terminals / window terminals) at or above which the
   // window counts toward stepping down. Bad = admission-rejected + timed-out
   // + shed: the outcomes overload produces.
   double stepDownPressure = 0.1;
-  std::uint32_t sustainWindows = 2;
-  std::uint32_t coolDownWindows = 4;
 };
 
 class StreamDegrader {
  public:
+  // fps multipliers, descending from full rate. Rung r runs the stream at
+  // nominal fps * kLadder[r].
+  static constexpr std::array<double, 5> kLadder = {1.0, 0.75, 0.5,
+                                                    1.0 / 3.0, 0.25};
+  // Terminal outcomes per evaluation window.
+  static constexpr std::uint32_t kWindowFrames = 30;
+  // Consecutive pressured windows per step down, clean windows per step up.
+  static constexpr std::uint32_t kSustainWindows = 2;
+  static constexpr std::uint32_t kCoolDownWindows = 4;
+
   // `rate` is the stream's period arbiter (the degrader owns the degrade
   // input; the scenario envelope composes through the same arbiter). The
   // degrader never starts/stops the task, only retunes it.
   StreamDegrader(TpuClient& client, StreamRateControl& rate,
-                 DegradationConfig config)
-      : client_(client), rate_(rate), config_(std::move(config)) {
-    if (config_.ladder.empty()) config_.ladder.push_back(1.0);
-  }
+                 double stepDownPressure)
+      : client_(client), rate_(rate), stepDownPressure_(stepDownPressure) {}
 
   // Hook this into the stream's completion callback (after every terminal
   // outcome, not just completions).
   void onFrame();
 
   std::size_t rung() const { return rung_; }
-  double multiplier() const { return config_.ladder[rung_]; }
+  double multiplier() const { return kLadder[rung_]; }
   std::uint64_t stepDowns() const { return stepDowns_; }
   std::uint64_t stepUps() const { return stepUps_; }
   std::uint64_t windowsObserved() const { return windowsObserved_; }
-  const DegradationConfig& config() const { return config_; }
 
  private:
   void applyRung();
 
   TpuClient& client_;
   StreamRateControl& rate_;
-  DegradationConfig config_;
+  double stepDownPressure_;
   std::uint64_t terminals_ = 0;
   // Previous window's cumulative bad-outcome count (admission-rejected +
   // timed-out + shed).

@@ -50,7 +50,7 @@ struct ShardedCluster::Stream {
   int targetRack = 0;
   unsigned shard = 0;
   bool crossRack = false;
-  bool evicted = false;
+  bool evicted = false;  // the pod is gone: evicted, or its host died
   // Scenario churn state: a churn camera with joinAt > 0 is built (client,
   // task, rate control) at setup but admitted — units, loads, LB config —
   // by its join event mid-run; `joined` stays false if that admission
@@ -154,15 +154,10 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   }
 
   // --- Camera streams -------------------------------------------------------
-  auto infoOr = zoo_.find(config_.model);
-  if (!infoOr.isOk()) {
-    setupStatus_ = infoOr.status();
-    return;
-  }
-  const ModelId model = infoOr->id;
-  const double units = config_.tpuUnits > 0.0
-                           ? config_.tpuUnits
-                           : zoo_.at(config_.model).tpuUnitsAt(config_.fps);
+  const ModelInfo& info = zoo_.at(zoo::kMobileNetV1);
+  const ModelId model = info.id;
+  const double units = config_.tpuUnits > 0.0 ? config_.tpuUnits
+                                              : info.tpuUnitsAt(config_.fps);
   streamUnits_ = units;
   const SimDuration nominalPeriod = secondsF(1.0 / config_.fps);
   const bool scenarioOn = config_.scenario.enabled;
@@ -262,7 +257,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     LbConfig lb;
     if (admitNow) {
       auto admitted =
-          rc.control.admit(uid, config_.model, TpuUnit::fromDouble(units));
+          rc.control.admit(uid, zoo::kMobileNetV1, TpuUnit::fromDouble(units));
       if (!admitted.isOk()) {
         setupStatus_ = admitted.status();
         return;
@@ -314,7 +309,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     }
     if (config_.degradation.enabled) {
       stream->degrader = std::make_unique<StreamDegrader>(
-          stream->client, stream->rate, config_.degradation);
+          stream->client, stream->rate, config_.degradation.stepDownPressure);
     }
     // Stagger camera phases so no two frames in the cluster ever share a
     // timestamp: the global event order — and with it every breakdown — is
@@ -396,17 +391,19 @@ void ShardedCluster::recoverTpu(const std::string& tpuId) {
 }
 
 void ShardedCluster::recoverNode(const std::string& nodeName) {
-  // Streams hosted on the dead RPi die with it (they live on its shard).
-  // Their units return to their target rack before the node's TPUs are
-  // recovered, so the replan sees the freed capacity: at once for the
-  // node's own rack, one lookahead later for another rack (the control
-  // push latency, at every shard count).
+  // Streams hosted on the dead RPi die with it (they live on its shard)
+  // and count as evicted, so a churn camera whose join is still pending
+  // never joins on the dead host. Their units return to their target rack
+  // before the node's TPUs are recovered, so the replan sees the freed
+  // capacity: at once for the node's own rack, one lookahead later for
+  // another rack (the control push latency, at every shard count).
   const int rack = std::max(0, ShardMap::rackOfName(nodeName));
   const SimTime pushAt = sharded_->currentSim().now() + sharded_->lookahead();
   const NodeId node = lookupNode(nodeName);
   for (const auto& sp : streams_) {
     Stream* s = sp.get();
     if (s->client.clientNode() != node) continue;
+    s->evicted = true;
     s->task.stop();
     s->client.stop();
     RackControl* target = racks_[static_cast<std::size_t>(s->targetRack)].get();
@@ -525,9 +522,11 @@ void ShardedCluster::joinStream(Stream* stream) {
   // pool/admission state is touched only by its owner. The join is an
   // admission: a full rack (or one gutted by a failure group), or a Load
   // that fails on a hung service, deterministically refuses it and the
-  // camera simply never starts.
+  // camera simply never starts; so does the death of its host before the
+  // join.
+  if (stream->evicted) return;
   auto lb = racks_[static_cast<std::size_t>(stream->targetRack)]->control.admit(
-      stream->uid, config_.model, TpuUnit::fromDouble(streamUnits_));
+      stream->uid, zoo::kMobileNetV1, TpuUnit::fromDouble(streamUnits_));
   if (!lb.isOk()) return;
   (void)stream->client.configureLb(*lb);
   stream->joined = true;
@@ -540,7 +539,6 @@ void ShardedCluster::armRepackSupervisors() {
     RackControl* rc = rcp.get();
     const int rack = rc->rack;
     rc->repackSupervisor = std::make_unique<RepackSupervisor>(
-        config_.repack,
         [this, rack] {
           // Windowed attainment over the rack's own (rack-local) streams:
           // good = frames inside the SLO bound when one is set, else all
@@ -565,12 +563,12 @@ void ShardedCluster::armRepackSupervisors() {
     // root the adaptive window bound must see).
     Simulator& sim = sharded_->shardSim(rc->shard);
     rc->repackTask = std::make_unique<PeriodicTask>(
-        sim, config_.repack.window,
+        sim, RepackSupervisor::kWindow,
         [supervisor = rc->repackSupervisor.get()] {
           (void)supervisor->onWindow();
         },
         /*emitter=*/true);
-    rc->repackTask->startAt(sim.now() + config_.repack.window);
+    rc->repackTask->startAt(sim.now() + RepackSupervisor::kWindow);
   }
 }
 
@@ -599,9 +597,7 @@ void ShardedCluster::samplePhase(std::size_t phase) {
   PhaseStats cum;
   cum.name = compiled_.phaseNames[phase];
   cum.end = compiled_.phaseEnds[phase];
-  const std::size_t rungs =
-      std::max<std::size_t>(1, config_.degradation.ladder.size());
-  cum.rungOccupancy.assign(rungs, 0);
+  cum.rungOccupancy.assign(StreamDegrader::kLadder.size(), 0);
   for (const auto& s : streams_) {
     cum.submitted += s->client.submittedCount();
     cum.completed += s->client.completedCount();
@@ -616,9 +612,7 @@ void ShardedCluster::samplePhase(std::size_t phase) {
     }
     if (s->task.running()) {
       ++cum.activeStreams;
-      std::size_t rung = s->degrader != nullptr ? s->degrader->rung() : 0;
-      if (rung >= rungs) rung = rungs - 1;
-      ++cum.rungOccupancy[rung];
+      ++cum.rungOccupancy[s->degrader != nullptr ? s->degrader->rung() : 0];
     }
   }
   cum.repacks = totalRepacks();

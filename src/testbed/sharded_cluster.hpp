@@ -83,9 +83,10 @@ struct ScenarioRunConfig {
   SimDuration sloDeadline{};
 };
 
-// Every rack runs First-Fit admission, every client smooth-WRR routing with
-// default health tuning and one failover per frame, on default TPU hardware
-// and network (whose base latency is the lookahead).
+// Every stream runs MobileNet V1; every rack runs First-Fit admission, every
+// client smooth-WRR routing with the LbService breaker and one failover per
+// frame, on default TPU hardware and network (whose base latency is the
+// lookahead).
 struct ShardedClusterConfig {
   // Most shards a cluster runs: ShardedSim keeps shards² mailboxes and
   // starts one thread per shard in every run(). The repo runs at most 8.
@@ -116,7 +117,6 @@ struct ShardedClusterConfig {
   // shard-local except at block boundaries, which is what gives the
   // adaptive bound its long emitter-free stretches.
   RackMapping rackMapping = RackMapping::kRoundRobin;
-  std::string model = "mobilenet-v1";
   double fps = 15.0;
   // 0 => profile from the model's zoo service time at `fps`.
   double tpuUnits = 0.0;

@@ -10,6 +10,9 @@ namespace microedge {
 
 namespace {
 
+// Period of the reclamation poll that notices crashed pods.
+constexpr SimDuration kReclamationPeriod = seconds(2);
+
 // Each kind's word in the table's messages, indexed by Testbed::Kind.
 constexpr std::string_view kKindNames[] = {"camera", "coral-pie", "bodypix",
                                            "cascade"};
@@ -26,7 +29,7 @@ const SloMonitor& sloOf(const CascadeApp& app) { return app.slo(); }
 
 Testbed::Testbed(TestbedConfig config)
     : config_(config), zoo_(zoo::standardZoo()),
-      sharded_(1, config_.topology.networkConfig.baseLatency),
+      sharded_(1, NetworkConfig{}.baseLatency),
       topology_(sharded_, zoo_, config_.topology), rng_(config_.seed) {
   // Register nodes with the orchestrator; tRPis are labelled so specs can
   // target or avoid them.
@@ -73,7 +76,7 @@ Testbed::Testbed(TestbedConfig config)
   utilization_ = std::make_unique<UtilizationTracker>(
       sim_, std::move(devices), config_.utilizationWindow);
   reclamationTask_ = std::make_unique<PeriodicTask>(
-      sim_, config_.reclamationPeriod, [this] { pollReclamationNow(); });
+      sim_, kReclamationPeriod, [this] { pollReclamationNow(); });
 }
 
 double Testbed::profiledUnits(const std::string& model, double fps) const {
@@ -132,7 +135,6 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   clientConfig.frameDeadline = deployment.frameDeadline > SimDuration::zero()
                                    ? deployment.frameDeadline
                                    : config_.frameDeadline;
-  clientConfig.health = config_.lbHealth;
   clientConfig.admission = config_.frameAdmission;
   auto client = dataPlane_->makeClient(clientConfig);
   Status configured = client->configureLb(lbConfigFromAllocation(*allocation));

@@ -43,13 +43,11 @@ struct TestbedConfig {
   SchedulingMode mode = SchedulingMode::kMicroEdgeWp;
   bool enableCoCompile = true;
   PackingStrategy strategy = PackingStrategy::kFirstFit;
-  SimDuration reclamationPeriod = seconds(2);
   SimDuration utilizationWindow = seconds(60);
   std::uint64_t seed = 1234;
   // --- Data-plane reliability defaults (per-deployment overridable) -------
   // Per-frame deadline; zero keeps the seed behaviour (no timer, no shed).
   SimDuration frameDeadline{};
-  LbHealthConfig lbHealth{};
   // Per-frame admission for every deployed client (DESIGN.md §14); off
   // keeps the data-plane submit path byte-identical to the seed.
   FrameAdmissionConfig frameAdmission{};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "models/zoo.hpp"
 #include "util/strings.hpp"
 
 namespace microedge {
@@ -20,14 +19,6 @@ std::string_view toString(InvocationClass cls) {
   return "unknown";
 }
 
-MafTraceConfig MafTraceGenerator::paperDefaults() {
-  MafTraceConfig config;
-  config.continuousModel = zoo::kSsdMobileNetV2;  // vehicle watching, 24x7
-  config.sparseModel = zoo::kMobileNetV1;         // on-demand classification
-  config.burstyModel = zoo::kUNetV2;              // event-driven segmentation
-  return config;
-}
-
 std::vector<TraceEvent> MafTraceGenerator::generate(
     const ModelRegistry& registry) const {
   Pcg32 rng(config_.seed);
@@ -36,7 +27,7 @@ std::vector<TraceEvent> MafTraceGenerator::generate(
   int counter = 0;
 
   auto unitsFor = [&](const std::string& model) {
-    return registry.at(model).tpuUnitsAt(config_.fps);
+    return registry.at(model).tpuUnitsAt(kFps);
   };
   auto push = [&](InvocationClass cls, const std::string& model, double atSec,
                   SimDuration lifetime) {
@@ -46,26 +37,26 @@ std::vector<TraceEvent> MafTraceGenerator::generate(
     ev.instanceName = strCat("trace-", toString(cls), "-", counter++);
     ev.cls = cls;
     ev.model = model;
-    ev.fps = config_.fps;
+    ev.fps = kFps;
     ev.tpuUnits = unitsFor(model);
     events.push_back(std::move(ev));
   };
 
   // Continuous (24x7) streams: present from the start, never leave.
-  for (int i = 0; i < config_.continuousStreams; ++i) {
-    push(InvocationClass::kContinuous, config_.continuousModel,
+  for (int i = 0; i < kContinuousStreams; ++i) {
+    push(InvocationClass::kContinuous, kContinuousModel,
          0.5 * static_cast<double>(i), SimDuration::zero());
   }
 
   // Sparse: Poisson arrivals, exponential lifetimes.
   {
     Pcg32 sparseRng = rng.split();
-    double meanGapSec = 60.0 / config_.sparseArrivalsPerMin;
+    double meanGapSec = 60.0 / kSparseArrivalsPerMin;
     double t = sparseRng.exponential(meanGapSec);
     while (t < horizonSec) {
       double life = sparseRng.exponential(
-          toSeconds(config_.sparseMeanLifetime));
-      push(InvocationClass::kSparse, config_.sparseModel, t,
+          toSeconds(kSparseMeanLifetime));
+      push(InvocationClass::kSparse, kSparseModel, t,
            secondsF(std::max(life, 5.0)));
       t += sparseRng.exponential(meanGapSec);
     }
@@ -74,15 +65,15 @@ std::vector<TraceEvent> MafTraceGenerator::generate(
   // Bursty: Poisson burst epochs, each spawning several short streams.
   {
     Pcg32 burstRng = rng.split();
-    double meanGapSec = 60.0 / config_.burstEpochsPerMin;
+    double meanGapSec = 60.0 / kBurstEpochsPerMin;
     double t = burstRng.exponential(meanGapSec);
     while (t < horizonSec) {
-      int size = 1 + burstRng.poisson(config_.burstMeanSize - 1.0);
+      int size = 1 + burstRng.poisson(kBurstMeanSize - 1.0);
       for (int i = 0; i < size; ++i) {
         double jitter = burstRng.uniform(0.0, 3.0);
         double life = burstRng.exponential(
-            toSeconds(config_.burstMeanLifetime));
-        push(InvocationClass::kBursty, config_.burstyModel, t + jitter,
+            toSeconds(kBurstMeanLifetime));
+        push(InvocationClass::kBursty, kBurstyModel, t + jitter,
              secondsF(std::max(life, 10.0)));
       }
       t += burstRng.exponential(meanGapSec);

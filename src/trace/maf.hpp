@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "models/registry.hpp"
+#include "models/zoo.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -45,35 +46,31 @@ struct TraceEvent {
 struct MafTraceConfig {
   SimDuration horizon = minutes(30);
   std::uint64_t seed = 42;
-  double fps = 15.0;
-
-  // Class parameters (rates are per minute of simulated time), tuned so the
-  // offered load meaningfully pressures a 6-TPU pool (the paper downsizes
-  // the MAF trace to just fit its cluster's capacity).
-  int continuousStreams = 6;
-  double sparseArrivalsPerMin = 12.0;
-  SimDuration sparseMeanLifetime = seconds(80);
-  double burstEpochsPerMin = 1.0;
-  double burstMeanSize = 5.0;
-  SimDuration burstMeanLifetime = seconds(150);
-
-  // Model per class (defaults follow §6.1/§6.3's mix).
-  std::string continuousModel;
-  std::string sparseModel;
-  std::string burstyModel;
 };
 
+// The class parameters are the §6.3 mix, fixed: rates are per minute of
+// simulated time, tuned so the offered load meaningfully pressures a 6-TPU
+// pool (the paper downsizes the MAF trace to just fit its cluster's
+// capacity), and each class runs the model §6.1/§6.3 assign it.
 class MafTraceGenerator {
  public:
-  explicit MafTraceGenerator(MafTraceConfig config)
-      : config_(std::move(config)) {}
+  static constexpr double kFps = 15.0;
+  static constexpr int kContinuousStreams = 6;
+  static constexpr double kSparseArrivalsPerMin = 12.0;
+  static constexpr SimDuration kSparseMeanLifetime = seconds(80);
+  static constexpr double kBurstEpochsPerMin = 1.0;
+  static constexpr double kBurstMeanSize = 5.0;
+  static constexpr SimDuration kBurstMeanLifetime = seconds(150);
+  // Vehicle watching 24x7, on-demand classification, event-driven
+  // segmentation.
+  static constexpr const char* kContinuousModel = zoo::kSsdMobileNetV2;
+  static constexpr const char* kSparseModel = zoo::kMobileNetV1;
+  static constexpr const char* kBurstyModel = zoo::kUNetV2;
+
+  explicit MafTraceGenerator(MafTraceConfig config) : config_(config) {}
 
   // Events sorted by creation time. TPU units are profiled from the zoo.
   std::vector<TraceEvent> generate(const ModelRegistry& registry) const;
-
-  // §6.1/§6.3 defaults: detection 24x7, classification sparse, segmentation
-  // bursty.
-  static MafTraceConfig paperDefaults();
 
   const MafTraceConfig& config() const { return config_; }
 

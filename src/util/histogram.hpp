@@ -29,7 +29,6 @@ class Summary {
   // q in [0, 1]; linear interpolation between closest ranks.
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
-  double p90() const { return quantile(0.90); }
   double p99() const { return quantile(0.99); }
 
   const std::vector<double>& samples() const { return samples_; }

@@ -96,14 +96,6 @@ class Pcg32 {
     return mean + stddev * u * s;
   }
 
-  // Log-normal parameterised by the mean/stddev of the *resulting* value.
-  double lognormal(double mean, double stddev) {
-    double variance = stddev * stddev;
-    double mu = std::log(mean * mean / std::sqrt(variance + mean * mean));
-    double sigma = std::sqrt(std::log(1.0 + variance / (mean * mean)));
-    return std::exp(gaussian(mu, sigma));
-  }
-
   // Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

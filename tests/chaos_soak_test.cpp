@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "fault_plans.hpp"
 #include "models/zoo.hpp"
 #include "testbed/testbed.hpp"
 
@@ -36,14 +37,11 @@ TestbedConfig soakConfig() {
   config.topology.vRpiCount = 4;
   config.topology.tRpiCount = 4;  // 4 TPUs; plans kill at most 1
   config.frameDeadline = milliseconds(400);
-  config.lbHealth.failureThreshold = 2;
-  config.lbHealth.maskDuration = milliseconds(200);
-  config.reclamationPeriod = milliseconds(500);
   return config;
 }
 
 FaultPlan soakPlan(std::uint64_t seed, Testbed& testbed) {
-  FaultPlan::RandomConfig random;
+  RandomFaultPlanConfig random;
   for (const auto& tpu : testbed.topology().tpus()) {
     random.tpus.push_back(tpu->id());
   }
@@ -52,7 +50,7 @@ FaultPlan soakPlan(std::uint64_t seed, Testbed& testbed) {
   random.maxTpuCrashes = 1;
   random.maxTpuHangs = 2;
   random.maxTransportFaults = 2;
-  return FaultPlan::random(seed, random);
+  return randomFaultPlan(seed, random);
 }
 
 struct CameraTotals {
@@ -87,7 +85,7 @@ SoakRun runSoak(std::uint64_t seed, TestbedConfig config = soakConfig()) {
   FaultPlan plan = soakPlan(seed, testbed);
   FaultInjector& injector = testbed.armFaults(plan);
   SoakRun result;
-  result.planJson = plan.toJson();
+  result.planJson = faultPlanJson(plan);
 
   // Soak through every fault window ([1 s, 6 s] + <=1.5 s + detection),
   // then a calm tail during which masks must converge.

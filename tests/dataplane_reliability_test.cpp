@@ -50,6 +50,25 @@ class ReliabilityTest : public ::testing::Test {
     return config;
   }
 
+  // A 50/50 client over tpu-00 and tpu-01 whose breaker on tpu-00 was just
+  // tripped by a hung service: each frame is rejected there and fails over
+  // to tpu-01 until kFailureThreshold rejections mask tpu-00.
+  std::unique_ptr<TpuClient> tripFirstTarget() {
+    auto client = makeClient(baseConfig(zoo::kMobileNetV1));
+    EXPECT_TRUE(
+        client
+            ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
+                                    LbWeight{internTpu("tpu-01"), 500}}})
+            .isOk());
+    dataPlane_.service("tpu-00")->setHung(true);
+    for (std::uint32_t i = 0; i < LbService::kFailureThreshold; ++i) {
+      EXPECT_TRUE(client->invoke(nullptr).isOk());
+      sim_.run();
+    }
+    EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
+    return client;
+  }
+
   ShardedSim sharded_{1, NetworkConfig{}.baseLatency};
   Simulator& sim_ = sharded_.shardSim(0);
   ModelRegistry zoo_;
@@ -63,7 +82,6 @@ TEST_F(ReliabilityTest, DeadlineFiresBeforeArrivalAndCountsTimedOut) {
   loadEverywhere(zoo::kMobileNetV1);
   TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
   config.frameDeadline = milliseconds(1);  // transit alone takes ~8 ms
-  config.maxFailovers = 0;
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(
       client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
@@ -152,17 +170,20 @@ TEST_F(ReliabilityTest, RepeatedTimeoutsTripTheBreaker) {
   loadEverywhere(zoo::kMobileNetV1);
   TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
   config.frameDeadline = milliseconds(1);
-  config.maxFailovers = 0;
-  config.health.failureThreshold = 3;
   auto client = makeClient(std::move(config));
   ASSERT_TRUE(
       client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100}}})
           .isOk());
 
-  for (int i = 0; i < 3; ++i) {
+  // Timeouts end frames without a failover; each one is a breaker failure.
+  for (std::uint32_t i = 0; i < LbService::kFailureThreshold; ++i) {
+    EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kHealthy);
     ASSERT_TRUE(client->invoke(nullptr).isOk());
     sim_.run();
   }
+  EXPECT_EQ(client->outcomeCount(FrameOutcome::kTimedOut),
+            LbService::kFailureThreshold);
+  EXPECT_EQ(client->failoverCount(), 0u);
   EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
   EXPECT_EQ(client->lbService().maskEvents(), 1u);
 }
@@ -255,9 +276,7 @@ TEST_F(ReliabilityTest, FailoverKeepsAbsoluteDeadline) {
 
 TEST_F(ReliabilityTest, FailoverBudgetBoundsReRoutes) {
   loadEverywhere(zoo::kMobileNetV1);
-  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
-  config.maxFailovers = 1;
-  auto client = makeClient(std::move(config));
+  auto client = makeClient(baseConfig(zoo::kMobileNetV1));
   ASSERT_TRUE(client
                   ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 400},
                                           LbWeight{internTpu("tpu-01"), 300},
@@ -268,7 +287,8 @@ TEST_F(ReliabilityTest, FailoverBudgetBoundsReRoutes) {
       client->invoke([&](const FrameBreakdown& b) { seen = b.outcome; })
           .isOk());
   // First target dies mid-flight -> failover #1. The survivor it re-shipped
-  // to dies too -> budget (1) is spent: terminal, not a second re-route.
+  // to dies too -> the budget (kMaxFailovers, 1) is spent: terminal, not a
+  // second re-route.
   dataPlane_.removeService("tpu-00");
   dataPlane_.removeService("tpu-01");
   dataPlane_.removeService("tpu-02");
@@ -392,23 +412,34 @@ TEST_F(ReliabilityTest, RemovalFromACompletionKeepsTheOuterSweepGoing) {
   // The outer sweep must pick up again at frame 3, and every frame must end
   // exactly once.
   loadEverywhere(zoo::kMobileNetV1);
-  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
-  config.maxFailovers = 0;
-  auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 100},
-                                          LbWeight{internTpu("tpu-01"), 100}}})
-                  .isOk());
+  auto client = makeClient(baseConfig(zoo::kMobileNetV1));
+  // Every frame first spends its one failover: all four ride tpu-02, whose
+  // removal re-ships frames 1 and 3 to tpu-00 and frames 2 and 4 to tpu-01
+  // (the weights pushed meanwhile keep tpu-02 first, so the failures its
+  // removal records stay on its own entry). The removals below then find no
+  // budget left and end each frame where it stands.
+  ASSERT_TRUE(
+      client->configureLb(LbConfig{{LbWeight{internTpu("tpu-02"), 100}}})
+          .isOk());
   std::vector<std::uint64_t> ended;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(client
                     ->invoke([&](const FrameBreakdown& b) {
                       EXPECT_EQ(b.outcome, FrameOutcome::kDroppedDeadTarget);
+                      EXPECT_EQ(b.failovers, TpuClient::kMaxFailovers);
                       ended.push_back(b.frameId);
                       if (b.frameId == 1) dataPlane_.removeService("tpu-01");
                     })
                     .isOk());
   }
+  ASSERT_TRUE(client
+                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-02"), 100},
+                                          LbWeight{internTpu("tpu-00"), 100},
+                                          LbWeight{internTpu("tpu-01"), 100}}})
+                  .isOk());
+  dataPlane_.removeService("tpu-02");
+  ASSERT_EQ(client->failoverCount(), 4u);
+  ASSERT_TRUE(ended.empty());
   dataPlane_.removeService("tpu-00");
   EXPECT_EQ(ended, (std::vector<std::uint64_t>{1, 2, 4, 3}));
   EXPECT_EQ(client->contextsInFlight(), 0u);
@@ -505,10 +536,7 @@ TEST_F(ReliabilityTest, SubmitAgainstDeadTargetIsExplicitNotSilent) {
 
 TEST_F(ReliabilityTest, HungTargetTripsMaskAndTrafficShiftsToSurvivor) {
   loadEverywhere(zoo::kMobileNetV1);
-  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
-  config.health.failureThreshold = 2;
-  config.health.maskDuration = seconds(10);
-  auto client = makeClient(std::move(config));
+  auto client = makeClient(baseConfig(zoo::kMobileNetV1));
   ASSERT_TRUE(client
                   ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
                                           LbWeight{internTpu("tpu-01"), 500}}})
@@ -519,72 +547,76 @@ TEST_F(ReliabilityTest, HungTargetTripsMaskAndTrafficShiftsToSurvivor) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
     sim_.run();
   }
-  // Two rejections trip the breaker; everything after routes to tpu-01.
+  // Each of the first three frames is rejected by tpu-00 and fails over to
+  // tpu-01; the third rejection trips the breaker, and everything after
+  // routes to tpu-01 while the 500 ms mask lasts.
   EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
   EXPECT_EQ(client->lbService().maskedCount(), 1u);
-  EXPECT_GE(dataPlane_.service("tpu-01")->invokeCount(), 10u);
-  EXPECT_EQ(client->completedCount() + client->failedCount(), 12u);
+  EXPECT_EQ(client->lbService().routedCountTo(internTpu("tpu-00")),
+            LbService::kFailureThreshold);
+  EXPECT_EQ(dataPlane_.service("tpu-01")->invokeCount(), 12u);
+  EXPECT_EQ(client->failoverCount(), LbService::kFailureThreshold);
+  EXPECT_EQ(client->completedCount(), 12u);
 }
 
 TEST_F(ReliabilityTest, HalfOpenProbeRestoresRecoveredTarget) {
   loadEverywhere(zoo::kMobileNetV1);
-  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
-  config.health.failureThreshold = 1;
-  config.health.maskDuration = milliseconds(100);
-  auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
-                                          LbWeight{internTpu("tpu-01"), 500}}})
-                  .isOk());
-  dataPlane_.service("tpu-00")->setHung(true);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client->invoke(nullptr).isOk());
-    sim_.run();
-  }
-  ASSERT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
+  auto client = tripFirstTarget();
+  const std::uint64_t before = dataPlane_.service("tpu-00")->invokeCount();
 
-  // The service recovers; after the mask window the next pick probes it.
+  // The service recovers, but until the mask window ends no frame probes
+  // it.
   dataPlane_.service("tpu-00")->setHung(false);
-  sim_.runFor(milliseconds(200));
-  std::uint64_t before = dataPlane_.service("tpu-00")->invokeCount();
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(client->invoke(nullptr).isOk());
-    sim_.run();
-  }
-  EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kHealthy);
-  EXPECT_GT(dataPlane_.service("tpu-00")->invokeCount(), before);
-}
+  sim_.runFor(LbService::kMaskDuration - milliseconds(100));
+  ASSERT_TRUE(client->invoke(nullptr).isOk());
+  sim_.run();
+  EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
+  EXPECT_EQ(dataPlane_.service("tpu-00")->invokeCount(), before);
 
-TEST_F(ReliabilityTest, FailedProbeRemasksWithLongerBackoff) {
-  loadEverywhere(zoo::kMobileNetV1);
-  TpuClient::Config config = baseConfig(zoo::kMobileNetV1);
-  config.health.failureThreshold = 1;
-  config.health.maskDuration = milliseconds(100);
-  auto client = makeClient(std::move(config));
-  ASSERT_TRUE(client
-                  ->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 500},
-                                          LbWeight{internTpu("tpu-01"), 500}}})
-                  .isOk());
-  dataPlane_.service("tpu-00")->setHung(true);  // and it stays hung
+  // After the window the next pick probes it, and one success restores it.
+  sim_.runFor(milliseconds(200));
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(client->invoke(nullptr).isOk());
     sim_.run();
   }
-  ASSERT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
+  EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kHealthy);
+  EXPECT_EQ(dataPlane_.service("tpu-00")->invokeCount(), before + 1);
+  EXPECT_EQ(client->lbService().maskEvents(), 1u);
+}
 
-  // First probe after 100 ms fails -> re-masked for 200 ms, then 400 ms...
-  // capped. Over 2 s of traffic the hung target sees only a handful of
-  // probe frames, not half the load.
-  std::uint64_t hungBefore = dataPlane_.service("tpu-00")->invokeCount();
-  for (int i = 0; i < 40; ++i) {
+TEST_F(ReliabilityTest, FailedProbeRemasksWithLongerBackoff) {
+  loadEverywhere(zoo::kMobileNetV1);
+  auto client = tripFirstTarget();  // and tpu-00 stays hung
+
+  // A frame every 50 ms or so for 9 s. Each failed probe re-masks tpu-00
+  // for twice the last window, capped at kMaxBackoffMultiplier (4) times
+  // the 500 ms mask: 500 ms, then 1 s, 2 s, 2 s, 2 s. So the hung target
+  // sees five probe frames, not half the load, and the gaps between probes
+  // follow the windows.
+  const TpuId hung = internTpu("tpu-00");
+  std::uint64_t seen = client->lbService().routedCountTo(hung);
+  std::vector<SimTime> probes;
+  const SimTime end = sim_.now() + seconds(9);
+  while (sim_.now() < end) {
     sim_.runFor(milliseconds(50));
+    const SimTime submitAt = sim_.now();
     ASSERT_TRUE(client->invoke(nullptr).isOk());
     sim_.run();
+    const std::uint64_t count = client->lbService().routedCountTo(hung);
+    if (count != seen) probes.push_back(submitAt);
+    seen = count;
   }
-  std::uint64_t probes =
-      dataPlane_.service("tpu-00")->invokeCount() - hungBefore;
-  EXPECT_LE(probes, 8u);
-  EXPECT_GE(client->lbService().maskEvents(), 2u);
+  const SimDuration capped =
+      LbService::kMaxBackoffMultiplier * LbService::kMaskDuration;
+  const SimDuration windows[] = {2 * LbService::kMaskDuration, capped,
+                                 capped, capped};
+  ASSERT_EQ(probes.size(), 5u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const SimDuration gap = probes[k + 1] - probes[k];
+    EXPECT_GT(gap, windows[k]) << "probe " << k + 1;
+    EXPECT_LT(gap, windows[k] + milliseconds(150)) << "probe " << k + 1;
+  }
+  EXPECT_EQ(client->lbService().maskEvents(), 1u + probes.size());
   EXPECT_EQ(client->lbService().targetHealth(0), TargetHealth::kMasked);
 }
 

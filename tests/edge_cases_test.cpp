@@ -269,7 +269,7 @@ TEST(AdmissionEdgeTest, ThreeModelTetris) {
 
 TEST(TraceEdgeTest, ZeroCapacityDropsEverything) {
   ModelRegistry zoo = zoo::standardZoo();
-  MafTraceConfig config = MafTraceGenerator::paperDefaults();
+  MafTraceConfig config;
   config.horizon = minutes(5);
   auto events = MafTraceGenerator(config).generate(zoo);
   EXPECT_TRUE(downsizeToCapacity(events, 0.0, config.horizon).empty());
@@ -277,7 +277,7 @@ TEST(TraceEdgeTest, ZeroCapacityDropsEverything) {
 
 TEST(TraceEdgeTest, GenerousCapacityKeepsEverything) {
   ModelRegistry zoo = zoo::standardZoo();
-  MafTraceConfig config = MafTraceGenerator::paperDefaults();
+  MafTraceConfig config;
   config.horizon = minutes(5);
   auto events = MafTraceGenerator(config).generate(zoo);
   EXPECT_EQ(downsizeToCapacity(events, 1e9, config.horizon).size(),

@@ -7,14 +7,15 @@
 #include <algorithm>
 
 #include "dataplane/dataplane.hpp"
+#include "fault_plans.hpp"
 #include "models/zoo.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace microedge {
 namespace {
 
-FaultPlan::RandomConfig smallRandomConfig() {
-  FaultPlan::RandomConfig config;
+RandomFaultPlanConfig smallRandomConfig() {
+  RandomFaultPlanConfig config;
   config.tpus = {"tpu-00", "tpu-01", "tpu-02"};
   config.nodes = {"trpi-00", "trpi-01"};
   config.maxNodeDeaths = 1;
@@ -22,15 +23,15 @@ FaultPlan::RandomConfig smallRandomConfig() {
 }
 
 TEST(FaultPlanTest, RandomIsDeterministicPerSeed) {
-  FaultPlan::RandomConfig config = smallRandomConfig();
-  FaultPlan a = FaultPlan::random(42, config);
-  FaultPlan b = FaultPlan::random(42, config);
-  EXPECT_EQ(a.toJson(), b.toJson());
+  RandomFaultPlanConfig config = smallRandomConfig();
+  FaultPlan a = randomFaultPlan(42, config);
+  FaultPlan b = randomFaultPlan(42, config);
+  EXPECT_EQ(faultPlanJson(a), faultPlanJson(b));
 
   // Different seeds diverge (checked across a few, not guaranteed per pair).
   bool anyDifferent = false;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    if (FaultPlan::random(seed, config).toJson() != a.toJson()) {
+    if (faultPlanJson(randomFaultPlan(seed, config)) != faultPlanJson(a)) {
       anyDifferent = true;
     }
   }
@@ -38,9 +39,9 @@ TEST(FaultPlanTest, RandomIsDeterministicPerSeed) {
 }
 
 TEST(FaultPlanTest, RandomRespectsBoundsAndOrdering) {
-  FaultPlan::RandomConfig config = smallRandomConfig();
+  RandomFaultPlanConfig config = smallRandomConfig();
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    FaultPlan plan = FaultPlan::random(seed, config);
+    FaultPlan plan = randomFaultPlan(seed, config);
     std::size_t crashes = 0;
     SimDuration prev = SimDuration::zero();
     for (const FaultEvent& e : plan.events) {
@@ -83,7 +84,7 @@ TEST(FaultPlanTest, JsonCarriesSeedKindsAndTargets) {
       FaultEvent{seconds(1), FaultKind::kTpuCrash, "tpu-01", {}, 0.0});
   plan.events.push_back(FaultEvent{seconds(2), FaultKind::kTransportLoss, "",
                                    milliseconds(500), 0.25});
-  std::string json = plan.toJson();
+  std::string json = faultPlanJson(plan);
   EXPECT_NE(json.find("\"seed\":77"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"tpu-crash\""), std::string::npos);
   EXPECT_NE(json.find("\"target\":\"tpu-01\""), std::string::npos);
@@ -155,7 +156,7 @@ TEST(FaultInjectorTest, HangAndTransportWindowsHaveBothEdges) {
 }
 
 TEST(FaultInjectorTest, ReplayProducesIdenticalAppliedLog) {
-  FaultPlan plan = FaultPlan::random(1234, smallRandomConfig());
+  FaultPlan plan = randomFaultPlan(1234, smallRandomConfig());
   ASSERT_FALSE(plan.events.empty());
 
   auto runOnce = [&plan] {

@@ -82,7 +82,6 @@ TEST(ScenarioTest, CostToSupportMatchesTable1Shape) {
 
 TEST(ScenarioTest, TraceScenarioRunsAndServesStreams) {
   TraceScenarioConfig config;
-  config.trace = MafTraceGenerator::paperDefaults();
   config.trace.horizon = minutes(6);
   config.trace.seed = 21;
   config.capacityUnits = 7.0;
@@ -102,7 +101,6 @@ TEST(ScenarioTest, TraceScenarioRunsAndServesStreams) {
 TEST(ScenarioTest, FullFeatureConfigAcceptsAtLeastAsManyAsRestricted) {
   auto runWith = [](bool wp, bool cc) {
     TraceScenarioConfig config;
-    config.trace = MafTraceGenerator::paperDefaults();
     config.trace.horizon = minutes(6);
     config.trace.seed = 33;
     config.capacityUnits = 7.0;

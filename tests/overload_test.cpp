@@ -4,8 +4,10 @@
 // the end-to-end contracts — admission-on below capacity is outcome-identical
 // to admission-off, an overloaded admission-on client never lets an admitted
 // frame miss its deadline, the metrics export carries the new counters
-// with features off reading all-zero, and forced repacks under live traffic
-// lose no frame at any shard count.
+// with features off reading all-zero, and repacks triggered by real
+// pressure under live traffic end every frame exactly once at any shard
+// count. Every loop runs at its production tuning (the constants in
+// StreamDegrader and RepackSupervisor).
 
 #include <gtest/gtest.h>
 
@@ -113,14 +115,15 @@ TEST(AdmissionLedgerDeathTest, CreditWithoutChargeAborts) {
 
 // --- RepackSupervisor --------------------------------------------------------
 
+// Windows scripted against the supervisor's constants: a pressured window
+// attains 0.5 (< kAttainmentThreshold), a healthy one 1.0.
 struct ScriptedSlo {
   RepackSupervisor::Sample current;
   int repacks = 0;
 
-  RepackSupervisor makeSupervisor(RepackSupervisorConfig config) {
-    config.enabled = true;
+  RepackSupervisor makeSupervisor() {
     return RepackSupervisor(
-        config, [this] { return current; },
+        [this] { return current; },
         [this] {
           ++repacks;
           Defragmenter::Report report;
@@ -134,24 +137,26 @@ struct ScriptedSlo {
     current.good += good;
     current.total += total;
   }
+  void pressured() { window(50, 100); }
+  void healthy() { window(100, 100); }
 };
 
 TEST(RepackSupervisorTest, TriggersAfterSustainedPressure) {
   ScriptedSlo slo;
-  RepackSupervisorConfig config;
-  config.attainmentThreshold = 0.9;
-  config.sustainWindows = 3;
-  config.cooldownWindows = 2;
-  RepackSupervisor supervisor = slo.makeSupervisor(config);
+  RepackSupervisor supervisor = slo.makeSupervisor();
 
-  slo.window(100, 100);  // healthy
+  slo.healthy();
   EXPECT_FALSE(supervisor.onWindow());
-  for (int i = 0; i < 2; ++i) {
-    slo.window(50, 100);  // 0.5 < 0.9: pressured
+  // A window exactly at the threshold is not pressured.
+  slo.window(90, 100);
+  EXPECT_FALSE(supervisor.onWindow());
+  EXPECT_EQ(supervisor.pressuredWindows(), 0u);
+  for (std::uint32_t i = 1; i < RepackSupervisor::kSustainWindows; ++i) {
+    slo.pressured();
     EXPECT_FALSE(supervisor.onWindow()) << "window " << i;
   }
-  slo.window(50, 100);
-  EXPECT_TRUE(supervisor.onWindow());  // third consecutive pressured window
+  slo.pressured();
+  EXPECT_TRUE(supervisor.onWindow());  // the kSustainWindows-th in a row
   EXPECT_EQ(slo.repacks, 1);
   EXPECT_EQ(supervisor.repacksTriggered(), 1u);
   EXPECT_TRUE(supervisor.lastReport().applied);
@@ -160,69 +165,58 @@ TEST(RepackSupervisorTest, TriggersAfterSustainedPressure) {
 
 TEST(RepackSupervisorTest, CooldownHoldsOffRetrigger) {
   ScriptedSlo slo;
-  RepackSupervisorConfig config;
-  config.sustainWindows = 2;
-  config.cooldownWindows = 3;
-  RepackSupervisor supervisor = slo.makeSupervisor(config);
+  RepackSupervisor supervisor = slo.makeSupervisor();
 
-  // Sustained misery: a trigger costs sustain (2) + cooldown (3) windows,
-  // so 12 windows yield exactly three — at windows 2, 7 and 12 — instead of
-  // one every other window.
-  int triggers = 0;
-  for (int i = 0; i < 12; ++i) {
-    slo.window(10, 100);
-    if (supervisor.onWindow()) ++triggers;
+  // Sustained misery: the first trigger takes kSustainWindows (3) windows
+  // and every later one kCooldownWindows (5) more, so 19 windows yield
+  // exactly three, at windows 3, 11 and 19, instead of one every third
+  // window.
+  std::vector<int> triggeredAt;
+  for (int i = 1; i <= 19; ++i) {
+    slo.pressured();
+    if (supervisor.onWindow()) triggeredAt.push_back(i);
   }
-  EXPECT_EQ(triggers, 3);
+  EXPECT_EQ(triggeredAt, (std::vector<int>{3, 11, 19}));
   EXPECT_EQ(slo.repacks, 3);
+  // Cooldown windows are observed but neither pressured nor counted.
+  EXPECT_EQ(supervisor.windowsObserved(), 19u);
+  EXPECT_EQ(supervisor.pressuredWindows(), 9u);
 }
 
 TEST(RepackSupervisorTest, HealthyWindowResetsStreak) {
   ScriptedSlo slo;
-  RepackSupervisorConfig config;
-  config.sustainWindows = 2;
-  RepackSupervisor supervisor = slo.makeSupervisor(config);
+  RepackSupervisor supervisor = slo.makeSupervisor();
 
-  slo.window(10, 100);
+  slo.pressured();
   EXPECT_FALSE(supervisor.onWindow());
-  slo.window(100, 100);  // recovery resets the streak
+  slo.pressured();
   EXPECT_FALSE(supervisor.onWindow());
-  slo.window(10, 100);
+  slo.healthy();  // recovery resets the streak
+  EXPECT_FALSE(supervisor.onWindow());
+  slo.pressured();
   EXPECT_FALSE(supervisor.onWindow());  // streak restarted at 1
-  slo.window(10, 100);
+  slo.pressured();
+  EXPECT_FALSE(supervisor.onWindow());
+  slo.pressured();
   EXPECT_TRUE(supervisor.onWindow());
 }
 
 TEST(RepackSupervisorTest, QuietWindowsAreNeutral) {
   ScriptedSlo slo;
-  RepackSupervisorConfig config;
-  config.sustainWindows = 2;
-  RepackSupervisor supervisor = slo.makeSupervisor(config);
+  RepackSupervisor supervisor = slo.makeSupervisor();
 
-  slo.window(10, 100);
+  slo.pressured();
   EXPECT_FALSE(supervisor.onWindow());
   // No traffic at all: neither pressured nor healthy, streak holds.
   EXPECT_FALSE(supervisor.onWindow());
   EXPECT_FALSE(supervisor.onWindow());
-  slo.window(10, 100);
+  slo.pressured();
+  EXPECT_FALSE(supervisor.onWindow());
+  EXPECT_FALSE(supervisor.onWindow());
+  slo.pressured();
   EXPECT_TRUE(supervisor.onWindow());
-  EXPECT_EQ(supervisor.pressuredWindows(), 2u);
-}
-
-TEST(RepackSupervisorTest, MaxRepacksCapsTriggers) {
-  ScriptedSlo slo;
-  RepackSupervisorConfig config;
-  config.sustainWindows = 1;
-  config.cooldownWindows = 1;
-  config.maxRepacks = 1;
-  RepackSupervisor supervisor = slo.makeSupervisor(config);
-  int triggers = 0;
-  for (int i = 0; i < 10; ++i) {
-    slo.window(10, 100);
-    if (supervisor.onWindow()) ++triggers;
-  }
-  EXPECT_EQ(triggers, 1);
-  EXPECT_EQ(slo.repacks, 1);
+  EXPECT_EQ(supervisor.pressuredWindows(), 3u);
+  EXPECT_EQ(supervisor.windowsObserved(), 6u);
 }
 
 // --- Data-plane fixture for degradation / differential tests -----------------
@@ -266,7 +260,6 @@ struct MiniCluster {
     config.clientNode = internNode("vrpi-00");
     config.model = internModel(zoo::kMobileNetV1);
     config.frameDeadline = deadline;
-    config.maxFailovers = 1;
     config.admission.enabled = admission;
     auto client = dataPlane.makeClient(std::move(config));
     EXPECT_TRUE(client->configureLb(allTpus(weightMilli)).isOk());
@@ -283,65 +276,73 @@ TEST(StreamDegraderTest, StepsDownUnderPressureAndBackUpWhenClean) {
   // second back-to-back submission is rejected.
   auto client = cluster.makeClient(milliseconds(50), /*admission=*/true, 100);
 
-  PeriodicTask task(cluster.sim, framePeriod(15.0), [] {});
-  DegradationConfig config;
-  config.enabled = true;
-  config.ladder = {1.0, 0.75, 0.5};
-  config.windowFrames = 10;
-  config.stepDownPressure = 0.25;
-  config.sustainWindows = 2;
-  config.coolDownWindows = 3;
-  StreamRateControl rate(task, framePeriod(15.0));
-  StreamDegrader degrader(*client, rate, config);
+  const SimDuration nominal = framePeriod(15.0);
+  PeriodicTask task(cluster.sim, nominal, [] {});
+  StreamRateControl rate(task, nominal);
+  StreamDegrader degrader(*client, rate, /*stepDownPressure=*/0.25);
+  constexpr std::size_t kBottom = StreamDegrader::kLadder.size() - 1;
 
   auto onDone = [&degrader](const FrameBreakdown&) { degrader.onFrame(); };
-  // Pressured phase: pairs of back-to-back submissions — the second is
-  // admission-rejected while the first is still charged, so every window
-  // runs at pressure 0.5 >= 0.25.
+  // Pressured window: pairs of back-to-back submissions — the second is
+  // admission-rejected while the first is still charged, so the window runs
+  // at pressure 0.5 >= 0.25.
   auto pressuredWindow = [&] {
-    for (int i = 0; i < 5; ++i) {
+    for (std::uint32_t i = 0; i < StreamDegrader::kWindowFrames / 2; ++i) {
       ASSERT_TRUE(client->invoke(onDone).isOk());
       ASSERT_TRUE(client->invoke(onDone).isOk());  // rejected synchronously
       cluster.sim.run();                           // drain the admitted one
     }
   };
+  // Clean window: one frame at a time, drained to completion — pressure 0.
+  auto cleanWindow = [&] {
+    for (std::uint32_t i = 0; i < StreamDegrader::kWindowFrames; ++i) {
+      ASSERT_TRUE(client->invoke(onDone).isOk());
+      cluster.sim.run();
+    }
+  };
+
+  // Each rung down takes kSustainWindows (2) pressured windows.
   pressuredWindow();
   EXPECT_EQ(degrader.rung(), 0u);  // one pressured window is not sustained
   pressuredWindow();
   EXPECT_EQ(degrader.rung(), 1u);
   EXPECT_EQ(degrader.stepDowns(), 1u);
-  EXPECT_EQ(task.period(), SimDuration{framePeriod(15.0).count() * 4 / 3});
+  EXPECT_EQ(task.period(), SimDuration{nominal.count() * 4 / 3});
+  for (std::size_t rung = 2; rung <= kBottom; ++rung) {
+    pressuredWindow();
+    EXPECT_EQ(degrader.rung(), rung - 1);
+    pressuredWindow();
+    EXPECT_EQ(degrader.rung(), rung);
+  }
+  EXPECT_DOUBLE_EQ(degrader.multiplier(), 0.25);
+  EXPECT_EQ(task.period(), nominal * 4);
+  // The bottom rung holds: the controller never indexes past the ladder.
+  pressuredWindow();
+  pressuredWindow();
+  EXPECT_EQ(degrader.rung(), kBottom);
+  EXPECT_EQ(degrader.stepDowns(), kBottom);
 
-  // Two more sustained-pressure windows: down to the last rung, where the
-  // controller must hold (never indexes past the ladder).
-  pressuredWindow();
-  pressuredWindow();
-  EXPECT_EQ(degrader.rung(), 2u);
-  pressuredWindow();
-  pressuredWindow();
-  EXPECT_EQ(degrader.rung(), 2u);  // bottom rung holds
-
-  // Clean phase: one frame at a time, drained to completion — pressure 0.
-  auto cleanWindow = [&] {
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(client->invoke(onDone).isOk());
-      cluster.sim.run();
+  // Each rung up takes kCoolDownWindows (4) clean windows, and the
+  // cool-down streak resets after each step (hysteresis).
+  for (std::size_t rung = kBottom; rung > 0; --rung) {
+    for (std::uint32_t w = 1; w < StreamDegrader::kCoolDownWindows; ++w) {
+      cleanWindow();
+      EXPECT_EQ(degrader.rung(), rung) << "clean window " << w;
     }
-  };
+    cleanWindow();
+    EXPECT_EQ(degrader.rung(), rung - 1);
+  }
+  EXPECT_EQ(degrader.stepUps(), kBottom);
+  EXPECT_EQ(task.period(), nominal);
+
+  // An opposite window resets the streak: pressured, clean, pressured does
+  // not step down; a second pressured window in a row does.
+  pressuredWindow();
   cleanWindow();
-  cleanWindow();
-  EXPECT_EQ(degrader.rung(), 2u);  // 2 clean windows < coolDownWindows
-  cleanWindow();
-  EXPECT_EQ(degrader.rung(), 1u);
-  EXPECT_EQ(degrader.stepUps(), 1u);
-  // Hysteresis: the cool-down streak resets after each step, so the next
-  // rung takes another full coolDownWindows of clean traffic.
-  cleanWindow();
-  EXPECT_EQ(degrader.rung(), 1u);
-  cleanWindow();
-  cleanWindow();
+  pressuredWindow();
   EXPECT_EQ(degrader.rung(), 0u);
-  EXPECT_EQ(task.period(), framePeriod(15.0));
+  pressuredWindow();
+  EXPECT_EQ(degrader.rung(), 1u);
   EXPECT_EQ(client->admissionLedger().chargedMilli(), 0);
 }
 
@@ -446,73 +447,96 @@ TEST(OverloadMetricsTest, ShardedClusterExportsOverloadCounters) {
   EXPECT_EQ(cluster.totalDegradeUps(), 0u);
 }
 
-// Degradation on a deliberately overloaded sharded cluster: deterministic
-// for a fixed shard count (same seed, same step sequence) and strictly
-// bounded by the ladder.
+// Degradation on a deliberately overloaded sharded cluster: every stream
+// steps down and recovers within the ladder, and a rerun at the same shard
+// count takes the same step sequence byte for byte.
 TEST(OverloadMetricsTest, ShardedDegradationIsDeterministicAndBounded) {
-  auto run = [] {
+  auto run = [](unsigned shards) {
     ShardedClusterConfig config;
-    config.shards = 2;
+    config.shards = shards;
     config.racks = 2;
     config.tRpisPerRack = 1;
     config.vRpisPerRack = 2;
     config.tpusPerTRpi = 1;
-    // 4 streams x 60 fps of mobilenet against 2 TPUs (~444 fps capacity):
-    // heavily oversubscribed, every stream must step down.
-    config.fps = 60.0;
+    // 4 streams x 150 fps of mobilenet at half a TPU each: two streams per
+    // TPU offer 300 fps against its ~222, 1.35x its rate.
+    config.fps = 150.0;
+    config.tpuUnits = 0.5;
     config.frameDeadline = milliseconds(60);
     config.frameAdmission.enabled = true;
     config.degradation.enabled = true;
-    config.degradation.windowFrames = 20;
     config.degradation.stepDownPressure = 0.25;
     ShardedCluster cluster(config);
     EXPECT_TRUE(cluster.setupStatus().isOk());
     cluster.run(seconds(4));
+    EXPECT_GT(cluster.totalDegradeDowns(), 0u)
+        << "overloaded streams never stepped down at shards=" << shards;
+    for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+      const ShardedCluster::StreamStats stats = cluster.streamStats(i);
+      EXPECT_GE(stats.degradeDowns, stats.degradeUps) << stats.camera;
+      EXPECT_LE(stats.degradeDowns - stats.degradeUps,
+                StreamDegrader::kLadder.size() - 1)
+          << stats.camera;
+    }
     return cluster.metricsJson();
   };
-  const std::string first = run();
-  const std::string second = run();
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("\"totalDegradeDowns\": 0"), std::string::npos)
-      << "overloaded streams never stepped down:\n"
-      << first;
+  for (unsigned shards : {1u, 2u}) {
+    const std::string first = run(shards);
+    EXPECT_EQ(run(shards), first) << "shards=" << shards;
+  }
 }
 
 // --- Repacking under live traffic --------------------------------------------
 
 TEST(ShardedRepackTest, RepackFiresUnderLiveTrafficAndStreamsSurvive) {
-  // Attainment can never reach 1.1: every window is pressured, so this
-  // forces each rack's drain -> replan -> weight-push path to run repeatedly
-  // under live traffic — the test is that nothing breaks, streams keep
-  // completing and the run stays shard-count invariant, not that the
+  // Real pressure: each stream holds 0.2 units where its 60 fps needs 0.27,
+  // so admission packs five streams on each TPU at 1.35x its rate. Under a
+  // deadline and per-frame admission the rejected frames keep each rack's
+  // deadline-met share under kAttainmentThreshold, so after kSustainWindows
+  // windows (6 s) each rack's supervisor replans through the drain ->
+  // replan -> weight-push path under live traffic. The test is that
+  // nothing breaks and the run stays shard-count invariant, not that the
   // replan finds improvement.
   auto run = [](unsigned shards) {
     ShardedClusterConfig config;
     config.shards = shards;
+    config.racks = 2;
+    config.tRpisPerRack = 2;
+    config.vRpisPerRack = 5;
+    config.streamsPerVRpi = 2;
+    config.fps = 60.0;
+    config.tpuUnits = 0.2;
+    config.frameDeadline = milliseconds(60);
+    config.frameAdmission.enabled = true;
     config.repack.enabled = true;
-    config.repack.window = milliseconds(500);
-    config.repack.attainmentThreshold = 1.1;
-    config.repack.sustainWindows = 2;
-    config.repack.cooldownWindows = 2;
     ShardedCluster cluster(config);
     EXPECT_TRUE(cluster.setupStatus().isOk())
         << cluster.setupStatus().toString();
-    cluster.run(seconds(5));
-    EXPECT_GE(cluster.totalRepacks(), 2u) << "shards=" << shards;
+    const SimDuration firstRepack =
+        RepackSupervisor::kWindow * RepackSupervisor::kSustainWindows;
+    cluster.run(firstRepack + RepackSupervisor::kWindow / 2);
+    const std::uint64_t repacks = cluster.totalRepacks();
+    EXPECT_GE(repacks, 1u) << "shards=" << shards;
+    EXPECT_GT(cluster.outcomeTotal(FrameOutcome::kAdmissionRejected), 0u);
 
-    // Repacks under live traffic lost nothing: streams keep completing after
-    // the last one so far, and no frame ever reached a failure outcome.
+    // Streams keep completing after the last repack: the cooldown holds the
+    // next one off well past this stretch.
     const std::uint64_t before = cluster.totalCompleted();
-    cluster.run(seconds(2));
-    EXPECT_GT(cluster.totalCompleted(), before + 50) << "shards=" << shards;
-    for (std::size_t o = 0; o < kFrameOutcomeCount; ++o) {
-      const auto outcome = static_cast<FrameOutcome>(o);
-      if (outcome == FrameOutcome::kInFlight ||
-          outcome == FrameOutcome::kCompleted) {
-        continue;
+    cluster.run(RepackSupervisor::kWindow);
+    EXPECT_EQ(cluster.totalRepacks(), repacks) << "shards=" << shards;
+    EXPECT_GT(cluster.totalCompleted(), before + 1000) << "shards=" << shards;
+
+    // Drained, every frame reached exactly one terminal outcome.
+    cluster.stopStreams();
+    cluster.run(seconds(1));
+    for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+      const ShardedCluster::StreamStats stats = cluster.streamStats(i);
+      std::uint64_t terminal = 0;
+      for (std::size_t o = 1; o < kFrameOutcomeCount; ++o) {
+        terminal += stats.outcomes[o];
       }
-      EXPECT_EQ(cluster.outcomeTotal(outcome), 0u)
-          << toString(outcome) << " shards=" << shards;
+      EXPECT_EQ(stats.outcomes[0], 0u) << stats.camera;
+      EXPECT_EQ(terminal, stats.submitted) << stats.camera;
     }
     return cluster.metricsJson();
   };

@@ -170,6 +170,48 @@ TEST(ScenarioCluster, ChurnJoinWhoseLoadFailsIsRefused) {
   EXPECT_EQ(stats.submitted, 0u);
 }
 
+// A churn camera whose host vRPi dies before its join time stays down: the
+// dead host's streams count as evicted, so the pending join neither admits
+// it (holding rack units for the rest of the run) nor counts it as active.
+TEST(ScenarioCluster, ChurnCameraOnADeadHostNeverJoins) {
+  StatusOr<ScenarioSpec> spec = builtinScenario("churn");
+  ASSERT_TRUE(spec.isOk());
+  ShardedClusterConfig config;
+  config.racks = 2;
+  config.scenario.enabled = true;
+  config.scenario.spec = *spec;
+  ShardedCluster cluster(config);
+  ASSERT_TRUE(cluster.setupStatus().isOk())
+      << cluster.setupStatus().toString();
+  // r0-vrpi-06 hosts a tenant-0 churn camera that joins at 3.5 s.
+  std::size_t doomed = cluster.streamCount();
+  for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+    const ShardedCluster::StreamStats stats = cluster.streamStats(i);
+    if (stats.churn && stats.camera == "r0-vrpi-06") doomed = i;
+  }
+  ASSERT_LT(doomed, cluster.streamCount());
+  FaultPlan plan;
+  plan.events.push_back(
+      FaultEvent{seconds(1), FaultKind::kNodeDeath, "r0-vrpi-06", {}, 0.0});
+  cluster.armFaults(plan);
+  ASSERT_TRUE(cluster.runScenario().isOk());
+
+  const ShardedCluster::StreamStats stats = cluster.streamStats(doomed);
+  EXPECT_FALSE(stats.joined);
+  EXPECT_EQ(stats.submitted, 0u);
+  // Active at the "joined" and "drained" boundaries (7 s and 10 s, after
+  // the wave left): every joined camera off the dead host that stayed.
+  std::uint64_t alive = 0;
+  for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+    const ShardedCluster::StreamStats s = cluster.streamStats(i);
+    if (s.camera != "r0-vrpi-06" && s.joined && !s.departed) ++alive;
+  }
+  const std::vector<ShardedCluster::PhaseStats>& phases = cluster.phaseStats();
+  ASSERT_EQ(phases.size(), 3u);
+  EXPECT_EQ(phases[1].activeStreams, alive);
+  EXPECT_EQ(phases[2].activeStreams, alive);
+}
+
 TEST(ScenarioCluster, PhaseSeriesCoversHorizonWithSaneMetrics) {
   StatusOr<ScenarioSpec> spec = builtinScenario("flashcrowd");
   ASSERT_TRUE(spec.isOk());

@@ -81,7 +81,6 @@ TEST(CostScenarioTest, SmallFleets) {
 
 TEST(TraceScenarioTest, DeterministicForIdenticalConfig) {
   TraceScenarioConfig config;
-  config.trace = MafTraceGenerator::paperDefaults();
   config.trace.horizon = minutes(4);
   config.trace.seed = 99;
   config.capacityUnits = 6.5;
@@ -98,7 +97,6 @@ TEST(TraceScenarioTest, DeterministicForIdenticalConfig) {
 
 TEST(TraceScenarioTest, BaselineServesAtMostOneStreamPerTpu) {
   TraceScenarioConfig config;
-  config.trace = MafTraceGenerator::paperDefaults();
   config.trace.horizon = minutes(4);
   config.trace.seed = 5;
   config.capacityUnits = 8.0;
@@ -112,7 +110,6 @@ TEST(TraceScenarioTest, BaselineServesAtMostOneStreamPerTpu) {
 TEST(TraceScenarioTest, TighterCapacityMeansFewerAttempts) {
   auto attemptsAt = [](double capacity) {
     TraceScenarioConfig config;
-    config.trace = MafTraceGenerator::paperDefaults();
     config.trace.horizon = minutes(4);
     config.trace.seed = 13;
     config.capacityUnits = capacity;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "fault_plans.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/sharded_sim.hpp"
 #include "testbed/sharded_cluster.hpp"
@@ -39,7 +40,7 @@ ShardedClusterConfig soakConfig() {
 }
 
 FaultPlan planForSeed(std::uint64_t seed, ShardedCluster& probe) {
-  FaultPlan::RandomConfig random;
+  RandomFaultPlanConfig random;
   for (const auto& tpu : probe.topology().tpus()) {
     random.tpus.push_back(tpu->id());
   }
@@ -52,7 +53,7 @@ FaultPlan planForSeed(std::uint64_t seed, ShardedCluster& probe) {
   random.maxTpuHangs = 2;
   random.maxNodeDeaths = 1;
   random.maxTransportFaults = 2;  // loss allowed: fixed shard count here
-  return FaultPlan::random(seed, random);
+  return randomFaultPlan(seed, random);
 }
 
 struct SoakResult {
@@ -95,7 +96,7 @@ SoakResult runSoak(
     // outcome — the core no-leak/no-double-count invariant under chaos.
     EXPECT_EQ(stats.submitted, terminal)
         << "seed=" << seed << " stream=" << stats.camera << "\n"
-        << plan.toJson();
+        << faultPlanJson(plan);
     EXPECT_EQ(stats.outcomes[static_cast<std::size_t>(FrameOutcome::kCompleted)],
               stats.completed)
         << "seed=" << seed << " stream=" << stats.camera;

@@ -16,7 +16,7 @@ class TraceTest : public ::testing::Test {
   TraceTest() : zoo_(zoo::standardZoo()) {}
 
   MafTraceConfig config() const {
-    MafTraceConfig config = MafTraceGenerator::paperDefaults();
+    MafTraceConfig config;
     config.horizon = minutes(20);
     config.seed = 42;
     return config;

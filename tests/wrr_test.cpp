@@ -220,8 +220,8 @@ TEST(LbServiceWrrTest, BurstSpreadPicksLikeBurstWrr) {
 // breakers, feedback for an index the new set lacks is ignored, and the
 // breaker runs the same way on the reshaped set.
 TEST(LbServiceWrrTest, CountsAndBreakersAcrossReconfigures) {
-  LbHealthConfig health;  // 3 failures trip, 500 ms mask, backoff cap 4
-  LbService lb(LbSpread::kSmooth, health);
+  // The breaker's constants: 3 failures trip, 500 ms mask, backoff cap 4.
+  LbService lb(LbSpread::kSmooth);
   const TpuId a = internTpu("t0");
   const TpuId b = internTpu("t1");
   const TpuId c = internTpu("t2");
