@@ -25,9 +25,13 @@ struct NodeResources {
 
 class RpiNode {
  public:
-  explicit RpiNode(std::string name) : name_(std::move(name)) {}
+  RpiNode(std::string name, int rack) : name_(std::move(name)), rack_(rack) {}
 
   const std::string& name() const { return name_; }
+  // The rack ClusterTopology placed the node in (0 in a flat cluster): what
+  // the sharded simulation partitions by, and which rack's control plane
+  // owns the node's TPUs.
+  int rack() const { return rack_; }
   const NodeResources& resources() const { return resources_; }
 
   bool isTRpi() const { return !tpus_.empty(); }
@@ -36,6 +40,7 @@ class RpiNode {
 
  private:
   std::string name_;
+  int rack_;
   NodeResources resources_{};
   std::vector<TpuDevice*> tpus_;  // owned by ClusterTopology
 };

@@ -1,7 +1,5 @@
 #include "cluster/topology.hpp"
 
-#include <cassert>
-
 #include "util/strings.hpp"
 
 namespace microedge {
@@ -10,8 +8,7 @@ namespace {
 std::string indexName(const char* prefix, int i) {
   return strCat(prefix, i < 10 ? "0" : "", i);
 }
-// racks <= 1 keeps the legacy flat name; otherwise the rack prefix carries
-// the shard-mapping information (ShardMap::rackOfName parses it back).
+// racks <= 1 keeps the flat name; otherwise the name carries its rack.
 std::string rackedName(int racks, int rack, const char* prefix, int i) {
   return racks > 1 ? strCat("r", rack, "-", indexName(prefix, i))
                    : indexName(prefix, i);
@@ -25,18 +22,23 @@ ClusterTopology::ClusterTopology(ShardedSim& sharded,
   ShardMap& map = sharded.shardMap();
   const int racks = spec_.racks < 1 ? 1 : spec_.racks;
   int tpuIndex = 0;
+  // Interns the node and records its rack's shard.
+  const auto place = [&map](const RpiNode& node) {
+    const unsigned shard = map.shardOfRack(node.rack());
+    map.assign(internNode(node.name()), shard);
+    return shard;
+  };
   for (int i = 0; i < spec_.tRpiCount; ++i) {
     const int rack = i % racks;
     auto node =
-        std::make_unique<RpiNode>(rackedName(racks, rack, "trpi-", i));
-    Simulator& host = sharded.shardSim(map.assignByName(node->name()));
+        std::make_unique<RpiNode>(rackedName(racks, rack, "trpi-", i), rack);
+    Simulator& host = sharded.shardSim(place(*node));
     for (int t = 0; t < spec_.tpusPerTRpi; ++t) {
       auto tpu = std::make_unique<TpuDevice>(
           host, registry, rackedName(racks, rack, "tpu-", tpuIndex++),
           spec_.tpuConfig);
       node->attachTpu(tpu.get());
-      tpuById_[tpu->id()] = tpu.get();
-      tpuHost_[tpu->id()] = node->name();
+      tpuById_[tpu->id()] = TpuEntry{tpu.get(), node.get()};
       tpus_.push_back(std::move(tpu));
     }
     nodeByName_[node->name()] = node.get();
@@ -45,8 +47,8 @@ ClusterTopology::ClusterTopology(ShardedSim& sharded,
   for (int i = 0; i < spec_.vRpiCount; ++i) {
     const int rack = i % racks;
     auto node =
-        std::make_unique<RpiNode>(rackedName(racks, rack, "vrpi-", i));
-    map.assignByName(node->name());
+        std::make_unique<RpiNode>(rackedName(racks, rack, "vrpi-", i), rack);
+    place(*node);
     nodeByName_[node->name()] = node.get();
     nodes_.push_back(std::move(node));
   }
@@ -75,13 +77,12 @@ RpiNode* ClusterTopology::findNode(const std::string& name) const {
 
 TpuDevice* ClusterTopology::findTpu(const std::string& tpuId) const {
   auto it = tpuById_.find(tpuId);
-  return it == tpuById_.end() ? nullptr : it->second;
+  return it == tpuById_.end() ? nullptr : it->second.device;
 }
 
-const std::string& ClusterTopology::nodeOfTpu(const std::string& tpuId) const {
-  auto it = tpuHost_.find(tpuId);
-  assert(it != tpuHost_.end() && "unknown TPU id");
-  return it->second;
+RpiNode* ClusterTopology::hostOf(const std::string& tpuId) const {
+  auto it = tpuById_.find(tpuId);
+  return it == tpuById_.end() ? nullptr : it->second.host;
 }
 
 TopologySpec ClusterTopology::microEdgeDefault() {

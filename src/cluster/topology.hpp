@@ -23,21 +23,20 @@ struct TopologySpec {
   int vRpiCount = 19;
   int tRpiCount = 6;
   int tpusPerTRpi = 1;
-  // racks > 1 switches to rack-structured names ("r<k>-trpi-03",
-  // "r<k>-vrpi-07", "r<k>-tpu-01"): nodes distribute round-robin (node i ->
-  // rack i % racks) and every TPU inherits its host tRPi's rack. The rack
-  // prefix is what the sharded simulation's ShardMap partitions by; racks
-  // <= 1 keeps the legacy flat names bit for bit.
+  // racks > 1 distributes nodes round-robin (node i -> rack i % racks; every
+  // TPU is in its host tRPi's rack), records each node's rack on the node,
+  // and names nodes after it ("r<k>-trpi-03", "r<k>-vrpi-07", "r<k>-tpu-01");
+  // racks <= 1 is one rack 0 with the flat names.
   int racks = 1;
   TpuHardwareConfig tpuConfig{};
 };
 
 class ClusterTopology {
  public:
-  // Records each node's shard in `sharded`'s map as it builds the node
-  // (each tRPi before its TPUs, then the vRPis; set the rack mapping first)
-  // and runs each TPU on its host's shard Simulator. `registry` must
-  // outlive the topology.
+  // Records each node's shard in `sharded`'s map as it builds the node,
+  // from the node's rack (each tRPi before its TPUs, then the vRPis; set
+  // the rack mapping first), and runs each TPU on its host's shard
+  // Simulator. `registry` must outlive the topology.
   ClusterTopology(ShardedSim& sharded, const ModelRegistry& registry,
                   TopologySpec spec);
 
@@ -53,9 +52,9 @@ class ClusterTopology {
   RpiNode* findNode(const std::string& name) const;
 
   const std::vector<std::unique_ptr<TpuDevice>>& tpus() const { return tpus_; }
+  // The TPU, and the tRPi it is attached to; null for an unknown id.
   TpuDevice* findTpu(const std::string& tpuId) const;
-  // Node hosting a TPU (every TPU is attached to exactly one tRPi).
-  const std::string& nodeOfTpu(const std::string& tpuId) const;
+  RpiNode* hostOf(const std::string& tpuId) const;
 
   // The paper's reference cluster: 19 vRPis + 6 tRPis with 1 TPU each.
   static TopologySpec microEdgeDefault();
@@ -65,9 +64,13 @@ class ClusterTopology {
   NetworkModel network_;
   std::vector<std::unique_ptr<RpiNode>> nodes_;
   std::vector<std::unique_ptr<TpuDevice>> tpus_;
+  // One entry per TPU: the device and its host.
+  struct TpuEntry {
+    TpuDevice* device;
+    RpiNode* host;
+  };
   std::map<std::string, RpiNode*> nodeByName_;
-  std::map<std::string, TpuDevice*> tpuById_;
-  std::map<std::string, std::string> tpuHost_;
+  std::map<std::string, TpuEntry> tpuById_;
 };
 
 }  // namespace microedge

@@ -47,12 +47,9 @@ StatusOr<LoadCommand> AdmissionController::makeLoad(TpuState& tpu,
   // the same one, but it rejects a lone model over the parameter budget,
   // which modelAllowedOn admits onto an empty TPU (partial caching).
   if (config_.enableCoCompile && tpu.liveModelCount() > 0) {
-    auto plan = coCompiler_.planAdd(tpu, model);
-    if (!plan.isOk()) return plan.status();
-    return LoadCommand{plan->tpuId, plan->composite, plan->compileLatency};
+    return coCompiler_.planAdd(tpu, model);
   }
-  CoCompilePlan plan = coCompiler_.planFresh(tpu, model);
-  return LoadCommand{plan.tpuId, plan.composite, plan.compileLatency};
+  return coCompiler_.planFresh(tpu, model);
 }
 
 std::optional<AdmitResult> AdmissionController::placeSingle(

@@ -56,14 +56,6 @@ struct Allocation {
   bool partitioned() const { return shares.size() > 1; }
 };
 
-// Data-plane side effect of an admission: install this composite on the TPU
-// (executed via the TPU Service Load primitive; compile runs off-path).
-struct LoadCommand {
-  std::string tpuId;
-  std::vector<std::string> composite;
-  SimDuration compileLatency{};
-};
-
 struct AdmitResult {
   Allocation allocation;
   std::vector<LoadCommand> loads;

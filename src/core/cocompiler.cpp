@@ -10,21 +10,21 @@ SimDuration CoCompiler::estimateLatency(double totalParamMb) const {
              static_cast<double>(config_.perMbLatency.count()) * totalParamMb)};
 }
 
-StatusOr<CoCompilePlan> CoCompiler::planAdd(const TpuState& tpu,
-                                            const ModelInfo& model) const {
-  CoCompilePlan plan;
-  plan.tpuId = tpu.id();
+StatusOr<LoadCommand> CoCompiler::planAdd(const TpuState& tpu,
+                                          const ModelInfo& model) const {
+  LoadCommand load;
+  load.tpuId = tpu.id();
   double total = 0.0;
   bool present = false;
   // zero-reference models are excluded from the composite
   for (ModelId id : tpu.liveModelIds()) {
     const ModelInfo& live = registry_.at(id);
-    plan.composite.push_back(live.name);
+    load.composite.push_back(live.name);
     total += live.paramSizeMb;
     present = present || id == model.id;
   }
   if (!present) {
-    plan.composite.push_back(model.name);
+    load.composite.push_back(model.name);
     total += model.paramSizeMb;
   }
   if (total > tpu.paramCapacityMb()) {
@@ -33,19 +33,14 @@ StatusOr<CoCompilePlan> CoCompiler::planAdd(const TpuState& tpu,
                fmtDouble(total, 2), " MB exceeds ",
                fmtDouble(tpu.paramCapacityMb(), 2), " MB parameter budget"));
   }
-  plan.totalParamMb = total;
-  plan.compileLatency = estimateLatency(total);
-  return plan;
+  load.compileLatency = estimateLatency(total);
+  return load;
 }
 
-CoCompilePlan CoCompiler::planFresh(const TpuState& tpu,
-                                    const ModelInfo& model) const {
-  CoCompilePlan plan;
-  plan.tpuId = tpu.id();
-  plan.composite = {model.name};
-  plan.totalParamMb = model.paramSizeMb;
-  plan.compileLatency = estimateLatency(model.paramSizeMb);
-  return plan;
+LoadCommand CoCompiler::planFresh(const TpuState& tpu,
+                                  const ModelInfo& model) const {
+  return LoadCommand{tpu.id(), {model.name},
+                     estimateLatency(model.paramSizeMb)};
 }
 
 }  // namespace microedge

@@ -52,15 +52,6 @@ bool TpuState::modelFits(const ModelRegistry& registry,
   return model.paramSizeMb <= freeParamMb(registry);
 }
 
-std::vector<std::string> TpuState::liveModels() const {
-  std::vector<std::string> out;
-  out.reserve(liveCount_);
-  for (const Ref& ref : refs_) {
-    if (ref.count > 0) out.push_back(modelName(ref.model));
-  }
-  return out;
-}
-
 std::vector<ModelId> TpuState::liveModelIds() const {
   std::vector<ModelId> out;
   out.reserve(liveCount_);

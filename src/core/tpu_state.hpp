@@ -66,7 +66,6 @@ class TpuState {
   // Number of distinct live-referenced models. O(1).
   std::size_t liveModelCount() const { return liveCount_; }
   // Live-referenced models, in first-load order (co-compile priority).
-  std::vector<std::string> liveModels() const;
   std::vector<ModelId> liveModelIds() const;
   // All resident names including zero-reference leftovers (diagnostics).
   std::vector<std::string> residentOrder() const;

@@ -19,7 +19,7 @@ DataPlane::DataPlane(ShardedSim& sharded, const ClusterTopology& topology,
   loadRetriesByShard_.assign(shards, 0);
   for (const auto& tpu : topology.tpus()) {
     auto service =
-        std::make_unique<TpuService>(*tpu, topology.nodeOfTpu(tpu->id()));
+        std::make_unique<TpuService>(*tpu, topology.hostOf(tpu->id())->name());
     TpuId handle = service->tpu();
     for (unsigned s = 0; s < shards; ++s) {
       auto& view = serviceViews_[s];
@@ -184,12 +184,9 @@ FaultInjector& DataPlane::armFaults(
 }
 
 unsigned DataPlane::shardOfTarget(const std::string& target) const {
-  const std::string& node = topology_.findTpu(target) != nullptr
-                                ? topology_.nodeOfTpu(target)
-                                : target;
-  return topology_.findNode(node) != nullptr
-             ? sharded_.shardOfNode(internNode(node))
-             : 0;
+  const RpiNode* node = topology_.hostOf(target);
+  if (node == nullptr) node = topology_.findNode(target);
+  return node != nullptr ? sharded_.shardOfNode(internNode(node->name())) : 0;
 }
 
 std::unique_ptr<TpuClient> DataPlane::makeClient(std::string_view clientNode,

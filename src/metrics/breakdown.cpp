@@ -54,6 +54,8 @@ std::string BreakdownAggregator::render(const std::string& label) const {
                   outcomeCount(FrameOutcome::kShed), ", dead-target ",
                   outcomeCount(FrameOutcome::kDroppedDeadTarget),
                   ", rejected ", outcomeCount(FrameOutcome::kRejected),
+                  ", admission-rejected ",
+                  outcomeCount(FrameOutcome::kAdmissionRejected),
                   ", failed-over ", failedOver_, "\n");
   }
   return out;

@@ -40,30 +40,6 @@ std::string TextTable::render() const {
   return out;
 }
 
-std::string TextTable::renderCsv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char c : cell) {
-      if (c == '"') quoted += '"';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  auto renderRow = [&](const std::vector<std::string>& cells) {
-    std::string line;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) line += ',';
-      line += escape(cells[c]);
-    }
-    return line + "\n";
-  };
-  std::string out = renderRow(header_);
-  for (const auto& row : rows_) out += renderRow(row);
-  return out;
-}
-
 std::string banner(const std::string& title) {
   return strCat("\n== ", title, " ==\n");
 }

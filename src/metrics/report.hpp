@@ -18,9 +18,6 @@ class TextTable {
   // Renders with aligned columns and a header separator.
   std::string render() const;
 
-  // CSV rendering for plotting pipelines (RFC 4180 quoting where needed).
-  std::string renderCsv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

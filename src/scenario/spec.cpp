@@ -1,7 +1,5 @@
 #include "scenario/spec.hpp"
 
-#include <limits>
-
 #include "util/strings.hpp"
 #include "util/time.hpp"
 
@@ -16,24 +14,6 @@ Status checkSeconds(const char* what, double v) {
   return invalidArgument(strCat(
       "scenario: ", what, " must be >= 0 and at most about 292 years (got ",
       v, ")"));
-}
-
-// Reads an int field, `fallback` when absent. A value an int cannot hold
-// sets *error (the first one wins) instead of wrapping.
-int intField(const JsonValue& obj, const char* key, int fallback,
-             Status* error) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->isNumber()) return fallback;
-  const double d = v->asDouble();
-  if (d >= std::numeric_limits<int>::min() &&
-      d <= std::numeric_limits<int>::max()) {
-    return static_cast<int>(v->asInt());
-  }
-  if (error->isOk()) {
-    *error = invalidArgument(
-        strCat("scenario: ", key, " must fit an int (got ", v->dump(), ")"));
-  }
-  return fallback;
 }
 
 }  // namespace
@@ -183,97 +163,8 @@ JsonValue ScenarioSpec::toJson() const {
   return out;
 }
 
-StatusOr<ScenarioSpec> ScenarioSpec::fromJson(const JsonValue& spec) {
-  if (!spec.isObject()) {
-    return invalidArgument("scenario: spec must be a JSON object");
-  }
-  ScenarioSpec out;
-  Status narrowed = Status::ok();
-  out.name = spec.getString("name", out.name);
-  out.seed = static_cast<std::uint64_t>(spec.getInt("seed", 1));
-  out.horizonS = spec.getDouble("horizon_s", out.horizonS);
-  out.envelopePeriodS = spec.getDouble("envelope_period_s", out.envelopePeriodS);
-  out.quantumNs = spec.getInt("quantum_ns", out.quantumNs);
-  out.detectionDelayS = spec.getDouble("detection_delay_s", out.detectionDelayS);
-  if (const JsonValue* points = spec.find("diurnal");
-      points != nullptr && points->isArray()) {
-    for (const JsonValue& p : points->items()) {
-      DiurnalSpec::Point pt;
-      pt.atS = p.getDouble("at_s", 0.0);
-      pt.multiplier = p.getDouble("mult", 1.0);
-      out.diurnal.points.push_back(pt);
-    }
-  }
-  if (const JsonValue* crowds = spec.find("flash");
-      crowds != nullptr && crowds->isArray()) {
-    for (const JsonValue& c : crowds->items()) {
-      FlashCrowdSpec f;
-      f.tenant = intField(c, "tenant", -1, &narrowed);
-      f.startS = c.getDouble("start_s", f.startS);
-      f.rampS = c.getDouble("ramp_s", f.rampS);
-      f.holdS = c.getDouble("hold_s", f.holdS);
-      f.decayS = c.getDouble("decay_s", f.decayS);
-      f.peakMultiplier = c.getDouble("peak", f.peakMultiplier);
-      out.flash.push_back(f);
-    }
-  }
-  if (const JsonValue* entries = spec.find("churn");
-      entries != nullptr && entries->isArray()) {
-    for (const JsonValue& e : entries->items()) {
-      ChurnSpec c;
-      c.tenant = intField(e, "tenant", -1, &narrowed);
-      c.joinS = e.getDouble("join_s", 0.0);
-      c.leaveS = e.getDouble("leave_s", 0.0);
-      c.count = intField(e, "count", 1, &narrowed);
-      out.churn.push_back(c);
-    }
-  }
-  if (const JsonValue* groups = spec.find("failures");
-      groups != nullptr && groups->isArray()) {
-    for (const JsonValue& e : groups->items()) {
-      FailureGroupSpec g;
-      g.atS = e.getDouble("at_s", g.atS);
-      g.tenant = intField(e, "tenant", 0, &narrowed);
-      g.count = intField(e, "count", 0, &narrowed);
-      out.failures.push_back(g);
-    }
-  }
-  if (const JsonValue* list = spec.find("phases");
-      list != nullptr && list->isArray()) {
-    for (const JsonValue& e : list->items()) {
-      PhaseSpec p;
-      p.name = e.getString("name", "");
-      p.untilS = e.getDouble("until_s", 0.0);
-      out.phases.push_back(p);
-    }
-  }
-  if (!narrowed.isOk()) return narrowed;
-  Status valid = out.validate();
-  if (!valid.isOk()) return valid;
-  return out;
-}
-
-StatusOr<ScenarioSpec> ScenarioSpec::fromJsonText(std::string_view text) {
-  StatusOr<JsonValue> parsed = JsonValue::parse(text);
-  if (!parsed.isOk()) return parsed.status();
-  return fromJson(*parsed);
-}
-
 std::string ScenarioSpec::fingerprint() const {
-  std::string text = toJson().dump();
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  char buf[17];
-  static const char* kHex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = kHex[h & 0xf];
-    h >>= 4;
-  }
-  buf[16] = '\0';
-  return std::string(buf);
+  return jsonFingerprint(toJson());
 }
 
 StatusOr<ScenarioSpec> builtinScenario(const std::string& name) {

@@ -2,8 +2,8 @@
 
 // Declarative scenario specs (DESIGN.md §15).
 //
-// A ScenarioSpec is a seeded, JSON-loadable description of a time-varying
-// workload — the shape of the traffic, not the cluster serving it:
+// A ScenarioSpec is a seeded description of a time-varying workload — the
+// shape of the traffic, not the cluster serving it:
 //
 //   * diurnal   — a piecewise-linear (or sampled-sinusoid) fps-multiplier
 //                 envelope over the whole fleet: the time-of-day curve.
@@ -19,9 +19,10 @@
 //                 metrics (goodput, attainment, rung occupancy, repacks)
 //                 at each phase boundary.
 //
-// Like SweepGrid, a spec is pure data with a deterministic JSON round-trip
-// and an FNV fingerprint; scenario/engine.hpp compiles it into a timeline
-// of simulator events. "Tenant" is an abstract index the harness maps onto
+// A spec is pure data, built in code (builtinScenario; no program reads one
+// from a file), with a deterministic JSON dump and, like SweepGrid, a
+// fingerprint of it; scenario/engine.hpp compiles it into a timeline of
+// simulator events. "Tenant" is an abstract index the harness maps onto
 // its own multi-tenancy unit (the sharded harness: one tenant per rack);
 // tenant -1 addresses every tenant.
 //
@@ -103,10 +104,8 @@ struct ScenarioSpec {
   // and every time the engine converts within SimDuration's range.
   Status validate() const;
 
-  static StatusOr<ScenarioSpec> fromJson(const JsonValue& spec);
-  static StatusOr<ScenarioSpec> fromJsonText(std::string_view text);
   JsonValue toJson() const;
-  // FNV-1a over the compact JSON — names the scenario in dumps the way
+  // jsonFingerprint(toJson()): names the scenario in dumps the way
   // SweepGrid::fingerprint names grids.
   std::string fingerprint() const;
 };

@@ -14,23 +14,4 @@ void ShardMap::assign(NodeId node, unsigned shard) {
   ++mapped_;
 }
 
-unsigned ShardMap::assignByName(std::string_view name) {
-  const unsigned shard = shardOfRack(rackOfName(name));
-  assign(internNode(name), shard);
-  return shard;
-}
-
-int ShardMap::rackOfName(std::string_view name) {
-  if (name.size() < 3 || name[0] != 'r') return -1;
-  std::size_t i = 1;
-  int rack = 0;
-  while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-    rack = rack * 10 + (name[i] - '0');
-    ++i;
-  }
-  // Must have consumed at least one digit and hit the rack separator.
-  if (i == 1 || i >= name.size() || name[i] != '-') return -1;
-  return rack;
-}
-
 }  // namespace microedge

@@ -21,11 +21,11 @@
 //    boundaries — the locality the adaptive window bound turns into wide
 //    windows. Results are invariant to the mapping (the same argument as
 //    shard-count invariance: the mapping only partitions the event set).
-//  * Nodes without a rack-structured name ("r<k>-..."), e.g. the flat
-//    trpi-/vrpi- reference cluster, map to shard 0.
+//  * The map parses no names: ClusterTopology records each node's rack on
+//    the node as it builds it (a flat cluster is all rack 0) and assigns
+//    the node shardOfRack(rack).
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "util/intern.hpp"
@@ -42,7 +42,7 @@ class ShardMap {
   unsigned shards() const { return shards_; }
 
   // Selects the rack->shard policy. kBlock needs the total rack count to
-  // size its blocks; call before any assignByName()/shardOfRack() use (the
+  // size its blocks; call before any assign()/shardOfRack() use (the
   // mapping must be fixed for the life of the run).
   void setRackMapping(RackMapping mapping, int rackCount = 0) {
     mapping_ = mapping;
@@ -53,9 +53,6 @@ class ShardMap {
   // Records `node`'s owner. Handles are dense, so the backing vector grows
   // to the interner's high-water mark and lookups stay O(1).
   void assign(NodeId node, unsigned shard);
-  // Interns `name`, derives the shard from its rack (see header rules),
-  // records and returns it.
-  unsigned assignByName(std::string_view name);
 
   // Owner shard of `node`; unmapped nodes belong to shard 0. Hot path: one
   // bounds check plus a vector index.
@@ -66,7 +63,6 @@ class ShardMap {
   }
 
   unsigned shardOfRack(int rack) const {
-    if (rack < 0) return 0;
     const unsigned r = static_cast<unsigned>(rack);
     if (mapping_ == RackMapping::kRoundRobin) return r % shards_;
     // kBlock: contiguous blocks of ceil(rackCount / shards); racks past the
@@ -76,10 +72,6 @@ class ShardMap {
     const unsigned shard = r / block;
     return shard < shards_ ? shard : shards_ - 1;
   }
-
-  // Rack index from a rack-structured node name "r<k>-<rest>"; -1 for flat
-  // names (which map to shard 0).
-  static int rackOfName(std::string_view name);
 
   std::size_t mappedCount() const { return mapped_; }
 

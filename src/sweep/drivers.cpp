@@ -163,24 +163,6 @@ JsonValue runTraceSweepPoint(const SweepPoint& p) {
   return out;
 }
 
-// Overload-control bundles for the scenario driver, cumulative by design
-// (admit ⊂ degrade ⊂ full) so the sweep reads as an ablation.
-Status applyControlPolicy(const std::string& policy, SimDuration deadline,
-                          ShardedClusterConfig* config) {
-  if (policy == "none") return Status::ok();
-  config->frameDeadline = deadline;
-  config->frameAdmission.enabled = true;
-  if (policy == "admit") return Status::ok();
-  config->degradation.enabled = true;
-  if (policy == "degrade") return Status::ok();
-  if (policy == "full") {
-    config->repack.enabled = true;
-    return Status::ok();
-  }
-  return invalidArgument(strCat("sweep: unknown policy \"", policy,
-                                "\" (none|admit|degrade|full)"));
-}
-
 JsonValue runScenarioSweepPoint(const SweepPoint& p) {
   const std::string name = p.getString("scenario", "flashcrowd");
   StatusOr<ScenarioSpec> specOr = builtinScenario(name);
@@ -363,9 +345,8 @@ SweepGrid scenarioSweepGrid() {
                   {JsonValue("diurnal"), JsonValue("flashcrowd"),
                    JsonValue("churn"), JsonValue("failures"),
                    JsonValue("city")}});
-  axes.push_back({"policy",
-                  {JsonValue("none"), JsonValue("admit"), JsonValue("degrade"),
-                   JsonValue("full")}});
+  axes.push_back({"policy", std::vector<JsonValue>(kControlPolicies.begin(),
+                                                   kControlPolicies.end())});
   SweepGrid grid = SweepGrid::cartesian("scenario", std::move(axes), 41);
   grid.setDriver("scenario");
   return grid;

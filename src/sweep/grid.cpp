@@ -121,22 +121,7 @@ JsonValue SweepGrid::toJson() const {
   return spec;
 }
 
-std::string SweepGrid::fingerprint() const {
-  std::string text = toJson().dump();
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  char buf[17];
-  static const char* kHex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = kHex[h & 0xf];
-    h >>= 4;
-  }
-  buf[16] = '\0';
-  return std::string(buf);
-}
+std::string SweepGrid::fingerprint() const { return jsonFingerprint(toJson()); }
 
 std::size_t SweepGrid::pointCount() const {
   if (!points_.empty()) return points_.size();

@@ -90,8 +90,8 @@ class SweepGrid {
   static StatusOr<SweepGrid> fromJsonText(std::string_view text);
   JsonValue toJson() const;
 
-  // FNV-1a over the compact grid JSON; names the grid in shard files and
-  // checkpoint manifests so a stale manifest cannot poison a changed sweep.
+  // jsonFingerprint(toJson()): names the grid in checkpoint manifests so a
+  // stale manifest cannot poison a changed sweep.
   std::string fingerprint() const;
 
   const std::string& name() const { return name_; }

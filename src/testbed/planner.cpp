@@ -158,7 +158,7 @@ PlannerResult planScenario(const PlannerScenario& scenario,
     row.id = tpu.id();
     row.load = tpu.currentLoad().value();
     row.usedParamMb = tpu.usedParamMb(registry);
-    row.models = tpu.liveModels();
+    row.models = tpu.liveModelIds();
     result.tpus.push_back(std::move(row));
   }
   return result;
@@ -259,9 +259,9 @@ std::string renderPlan(const PlannerScenario& scenario,
   TextTable tpus({"tpu", "load", "param MB", "resident models"});
   for (const auto& row : result.tpus) {
     std::string models;
-    for (const auto& m : row.models) {
+    for (ModelId m : row.models) {
       if (!models.empty()) models += ", ";
-      models += m;
+      models += modelName(m);
     }
     tpus.addRow({row.id, fmtDouble(row.load, 2), fmtDouble(row.usedParamMb, 1),
                  models.empty() ? "-" : models});

@@ -71,7 +71,7 @@ struct PlannerResult {
     std::string id;
     double load = 0.0;
     double usedParamMb = 0.0;
-    std::vector<std::string> models;
+    std::vector<ModelId> models;  // live models, in first-load order
   };
 
   std::vector<Placement> placements;

@@ -1,6 +1,5 @@
 #include "testbed/sharded_cluster.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "models/zoo.hpp"
@@ -12,16 +11,9 @@ namespace microedge {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 // Gap between a departing churn camera's drain (task + client stop) and the
 // release of its admitted units back to the rack pool.
 constexpr SimDuration kDrainGrace = milliseconds(250);
-
-inline std::uint64_t fnvFold(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * kFnvPrime;
-}
 
 std::uint64_t fnvFoldString(std::uint64_t h, const std::string& s) {
   for (char c : s) h = fnvFold(h, static_cast<unsigned char>(c));
@@ -29,6 +21,22 @@ std::uint64_t fnvFoldString(std::uint64_t h, const std::string& s) {
 }
 
 }  // namespace
+
+Status applyControlPolicy(std::string_view policy, SimDuration deadline,
+                          ShardedClusterConfig* config) {
+  if (policy == "none") return Status::ok();
+  config->frameDeadline = deadline;
+  config->frameAdmission.enabled = true;
+  if (policy == "admit") return Status::ok();
+  config->degradation.enabled = true;
+  if (policy == "degrade") return Status::ok();
+  if (policy == "full") {
+    config->repack.enabled = true;
+    return Status::ok();
+  }
+  return invalidArgument(strCat("unknown control policy \"", policy,
+                                "\" (none|admit|degrade|full)"));
+}
 
 // One camera stream: a PeriodicTask on the vRPi's shard submitting frames
 // through the pod's TpuClient, whose node handle names the camera. The
@@ -149,8 +157,10 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     racks_.push_back(std::make_unique<RackControl>(r, map.shardOfRack(r),
                                                    *dataPlane_, zoo_, hooks));
   }
-  for (const auto& tpu : topology_->tpus()) {
-    racks_[std::max(0, ShardMap::rackOfName(tpu->id()))]->control.addTpu(*tpu);
+  for (const RpiNode* host : topology_->tRpis()) {
+    for (const TpuDevice* tpu : host->tpus()) {
+      racks_[static_cast<std::size_t>(host->rack())]->control.addTpu(*tpu);
+    }
   }
 
   // --- Camera streams -------------------------------------------------------
@@ -159,7 +169,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   const double units = config_.tpuUnits > 0.0 ? config_.tpuUnits
                                               : info.tpuUnitsAt(config_.fps);
   streamUnits_ = units;
-  const SimDuration nominalPeriod = secondsF(1.0 / config_.fps);
+  const SimDuration nominalPeriod = framePeriod(config_.fps);
   const bool scenarioOn = config_.scenario.enabled;
   SimDuration quantum{};
   if (scenarioOn) {
@@ -212,9 +222,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     std::vector<std::vector<RpiNode*>> vRpisByRack(
         static_cast<std::size_t>(racks));
     for (RpiNode* host : topology_->vRpis()) {
-      int r = ShardMap::rackOfName(host->name());
-      if (r < 0) r = 0;
-      vRpisByRack[static_cast<std::size_t>(r)].push_back(host);
+      vRpisByRack[static_cast<std::size_t>(host->rack())].push_back(host);
     }
     std::vector<std::size_t> cursor(static_cast<std::size_t>(racks), 0);
     for (const ScenarioChurnCamera& cam : compiled_.churn) {
@@ -239,8 +247,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
         isChurn ? &churnCameras[static_cast<std::size_t>(i - base)] : nullptr;
     RpiNode* camera =
         isChurn ? churn->host : cameras[static_cast<std::size_t>(i)];
-    int rack = ShardMap::rackOfName(camera->name());
-    if (rack < 0) rack = 0;
+    const int rack = camera->rack();
     const bool cross = !isChurn && racks > 1 && config_.crossRackStride > 0 &&
                        i % config_.crossRackStride == 0;
     const int targetRack = cross ? (rack + 1) % racks : rack;
@@ -384,10 +391,11 @@ FaultInjector& ShardedCluster::armFaults(const FaultPlan& plan) {
 }
 
 void ShardedCluster::recoverTpu(const std::string& tpuId) {
-  // A plan may name a TPU on a rack this cluster lacks: nothing to recover.
-  const auto rack = static_cast<std::size_t>(
-      std::max(0, ShardMap::rackOfName(tpuId)));
-  if (rack < racks_.size()) (void)racks_[rack]->control.failTpu(tpuId);
+  // A plan may name a TPU this cluster lacks: nothing to recover.
+  if (const RpiNode* host = topology_->hostOf(tpuId)) {
+    (void)racks_[static_cast<std::size_t>(host->rack())]->control.failTpu(
+        tpuId);
+  }
 }
 
 void ShardedCluster::recoverNode(const std::string& nodeName) {
@@ -396,8 +404,10 @@ void ShardedCluster::recoverNode(const std::string& nodeName) {
   // never joins on the dead host. Their units return to their target rack
   // before the node's TPUs are recovered, so the replan sees the freed
   // capacity: at once for the node's own rack, one lookahead later for
-  // another rack (the control push latency, at every shard count).
-  const int rack = std::max(0, ShardMap::rackOfName(nodeName));
+  // another rack (the control push latency, at every shard count). A plan
+  // may name a node this cluster lacks: nothing to recover.
+  const RpiNode* dead = topology_->findNode(nodeName);
+  if (dead == nullptr) return;
   const SimTime pushAt = sharded_->currentSim().now() + sharded_->lookahead();
   const NodeId node = lookupNode(nodeName);
   for (const auto& sp : streams_) {
@@ -407,7 +417,7 @@ void ShardedCluster::recoverNode(const std::string& nodeName) {
     s->task.stop();
     s->client.stop();
     RackControl* target = racks_[static_cast<std::size_t>(s->targetRack)].get();
-    if (s->targetRack == rack) {
+    if (s->targetRack == dead->rack()) {
       (void)target->control.reclamation().releaseNow(s->uid);
     } else {
       sharded_->postToShard(target->shard, pushAt, [target, uid = s->uid] {
@@ -415,9 +425,7 @@ void ShardedCluster::recoverNode(const std::string& nodeName) {
       });
     }
   }
-  if (const RpiNode* node = topology_->findNode(nodeName)) {
-    for (const TpuDevice* tpu : node->tpus()) recoverTpu(tpu->id());
-  }
+  for (const TpuDevice* tpu : dead->tpus()) recoverTpu(tpu->id());
 }
 
 Status ShardedCluster::validateScenario(std::size_t totalStreams) const {
@@ -509,9 +517,8 @@ void ShardedCluster::armScenarioTimeline() {
   std::vector<std::vector<std::string>> tRpisByRack(
       static_cast<std::size_t>(config_.racks));
   for (RpiNode* node : topology_->tRpis()) {
-    int r = ShardMap::rackOfName(node->name());
-    if (r < 0) r = 0;
-    tRpisByRack[static_cast<std::size_t>(r)].push_back(node->name());
+    tRpisByRack[static_cast<std::size_t>(node->rack())].push_back(
+        node->name());
   }
   FaultPlan plan = compileScenarioFaults(config_.scenario.spec, tRpisByRack);
   if (!plan.events.empty()) armFaults(plan);

@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -143,6 +144,20 @@ struct ShardedClusterConfig {
   // rack's own shard (off by default).
   RepackSupervisorConfig repack{};
 };
+
+// The overload-control bundles, in bundle order. They are cumulative (none
+// ⊂ admit ⊂ degrade ⊂ full), so a run over all four reads as an ablation:
+// the scenario sweep's policy axis and bench_micro_scenario's flash-crowd
+// study.
+inline constexpr std::array<std::string_view, 4> kControlPolicies = {
+    "none", "admit", "degrade", "full"};
+
+// Arms `policy`'s loops on `config`: admit enforces `deadline` as the frame
+// deadline with per-frame admission, degrade adds the fps ladder and full
+// adds SLO-triggered repacking; none leaves every loop off. Any other name
+// is InvalidArgument.
+Status applyControlPolicy(std::string_view policy, SimDuration deadline,
+                          ShardedClusterConfig* config);
 
 class ShardedCluster {
  public:

@@ -124,17 +124,15 @@ StatusOr<std::unique_ptr<TpuClient>> Testbed::deployClient(
   assert(pod != nullptr);
   // The bare-metal baseline collocates the application with its dedicated
   // TPU (no network hop); MicroEdge runs it wherever K3s bound the pod.
-  std::string clientNode =
+  const std::string& clientNode =
       config_.mode == SchedulingMode::kBaselineDedicated
-          ? topology_.nodeOfTpu(tpuName(allocation->shares.front().tpu))
+          ? topology_.hostOf(tpuName(allocation->shares.front().tpu))->name()
           : pod->nodeName;
 
   TpuClient::Config clientConfig;
   clientConfig.clientNode = internNode(clientNode);
   clientConfig.model = internModel(deployment.model);
-  clientConfig.frameDeadline = deployment.frameDeadline > SimDuration::zero()
-                                   ? deployment.frameDeadline
-                                   : config_.frameDeadline;
+  clientConfig.frameDeadline = config_.frameDeadline;
   clientConfig.admission = config_.frameAdmission;
   auto client = dataPlane_->makeClient(clientConfig);
   Status configured = client->configureLb(lbConfigFromAllocation(*allocation));

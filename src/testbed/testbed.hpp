@@ -45,7 +45,7 @@ struct TestbedConfig {
   PackingStrategy strategy = PackingStrategy::kFirstFit;
   SimDuration utilizationWindow = seconds(60);
   std::uint64_t seed = 1234;
-  // --- Data-plane reliability defaults (per-deployment overridable) -------
+  // --- Data-plane reliability, for every deployed client ----------------
   // Per-frame deadline; zero keeps the seed behaviour (no timer, no shed).
   SimDuration frameDeadline{};
   // Per-frame admission for every deployed client (DESIGN.md §14); off
@@ -83,8 +83,6 @@ struct CameraDeployment {
   long cpuMillicores = 1000;
   long memoryMb = 512;
   SimDuration latencyBound{};  // 0 disables the latency SLO check
-  // Per-deployment frame deadline; zero falls back to the testbed default.
-  SimDuration frameDeadline{};
 };
 
 class Testbed {

@@ -1,10 +1,7 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-
-#include "util/strings.hpp"
 
 namespace microedge {
 
@@ -61,40 +58,6 @@ double Summary::quantile(double q) const {
   std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   double frac = pos - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double v) {
-  ++total_;
-  if (v < lo_) {
-    ++underflow_;
-  } else if (v >= hi_) {
-    ++overflow_;
-  } else {
-    auto idx = static_cast<std::size_t>((v - lo_) / width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-    ++counts_[idx];
-  }
-}
-
-std::string Histogram::render(std::size_t maxBarWidth) const {
-  std::size_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    std::size_t bar =
-        peak == 0 ? 0 : counts_[i] * maxBarWidth / peak;
-    out += strCat(padLeft(fmtDouble(bucketLow(i), 1), 8), " - ",
-                  padLeft(fmtDouble(bucketHigh(i), 1), 8), " | ",
-                  std::string(bar, '#'), " ", counts_[i], "\n");
-  }
-  return out;
 }
 
 }  // namespace microedge

@@ -5,7 +5,6 @@
 // enough), so quantiles are exact rather than sketch-approximated.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/time.hpp"
@@ -56,32 +55,6 @@ class DurationSummary {
 
  private:
   Summary summary_;
-};
-
-// Fixed-width bucket histogram (for distribution-shaped report output).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double v);
-  std::size_t count() const { return total_; }
-  std::size_t bucketValue(std::size_t i) const { return counts_[i]; }
-  double bucketLow(std::size_t i) const { return lo_ + i * width_; }
-  double bucketHigh(std::size_t i) const { return lo_ + (i + 1) * width_; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-
-  // ASCII rendering, one line per non-empty bucket.
-  std::string render(std::size_t maxBarWidth = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace microedge

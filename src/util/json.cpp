@@ -94,6 +94,14 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
 
 // ---- serialization ----------------------------------------------------------
 
+std::string jsonFingerprint(const JsonValue& value) {
+  std::uint64_t h = kFnvOffset;
+  for (char c : value.dump()) h = fnvFold(h, static_cast<unsigned char>(c));
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
 std::string jsonFormatDouble(double v) {
   if (std::isnan(v)) return "null";  // JSON has no NaN/Inf
   if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";

@@ -134,4 +134,15 @@ class JsonValue {
 // exposed so other emitters can match BENCH_sweep.json's number spelling.
 std::string jsonFormatDouble(double v);
 
+// FNV-1a 64, the repo's one hash: start at kFnvOffset and fold each byte or
+// word in turn.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t fnvFold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
+
+// FNV-1a over `value`'s compact dump, as 16 lowercase hex digits: the name a
+// sweep grid or a scenario spec carries into dumps and checkpoint manifests.
+std::string jsonFingerprint(const JsonValue& value);
+
 }  // namespace microedge

@@ -1,5 +1,5 @@
-// Co-compile planner: composite construction, the 6.9 MB parameter budget,
-// lazy exclusion of dead models, and latency estimation.
+// Co-compile planner: the Load it builds (composite construction, the 6.9 MB
+// parameter budget, lazy exclusion of dead models) and latency estimation.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +20,14 @@ class CoCompilerTest : public ::testing::Test {
 };
 
 TEST_F(CoCompilerTest, FreshPlanSingleModel) {
-  CoCompilePlan plan = compiler_.planFresh(tpu_, zoo_.at(zoo::kMobileNetV1));
-  EXPECT_EQ(plan.tpuId, "tpu-00");
-  ASSERT_EQ(plan.composite.size(), 1u);
-  EXPECT_EQ(plan.composite[0], zoo::kMobileNetV1);
-  EXPECT_NEAR(plan.totalParamMb, 4.2, 1e-9);
-  EXPECT_GT(plan.compileLatency, SimDuration::zero());
+  LoadCommand load = compiler_.planFresh(tpu_, zoo_.at(zoo::kMobileNetV1));
+  EXPECT_EQ(load.tpuId, "tpu-00");
+  ASSERT_EQ(load.composite.size(), 1u);
+  EXPECT_EQ(load.composite[0], zoo::kMobileNetV1);
+  // Compiled from MobileNet V1's parameters alone.
+  EXPECT_EQ(load.compileLatency,
+            compiler_.estimateLatency(zoo_.at(zoo::kMobileNetV1).paramSizeMb));
+  EXPECT_GT(load.compileLatency, SimDuration::zero());
 }
 
 TEST_F(CoCompilerTest, PlanAddAppendsNewModelLast) {
@@ -36,7 +38,9 @@ TEST_F(CoCompilerTest, PlanAddAppendsNewModelLast) {
   // Existing residents keep higher priority; new model is appended.
   EXPECT_EQ(plan->composite[0], zoo::kMobileNetV1);
   EXPECT_EQ(plan->composite[1], zoo::kUNetV2);
-  EXPECT_NEAR(plan->totalParamMb, 4.2 + 2.5, 1e-9);
+  EXPECT_EQ(plan->compileLatency,
+            compiler_.estimateLatency(zoo_.at(zoo::kMobileNetV1).paramSizeMb +
+                                      zoo_.at(zoo::kUNetV2).paramSizeMb));
 }
 
 TEST_F(CoCompilerTest, PlanAddIdempotentForPresentModel) {
@@ -83,7 +87,10 @@ TEST_F(CoCompilerTest, PairThatFitsBudget) {
   tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.1));
   auto plan = compiler_.planAdd(tpu_, zoo_.at(zoo::kUNetV2));
   ASSERT_TRUE(plan.isOk());
-  EXPECT_LE(plan->totalParamMb, 6.9);
+  // Both models compile into one composite.
+  EXPECT_EQ(plan->composite.size(), 2u);
+  EXPECT_GT(plan->compileLatency,
+            compiler_.estimateLatency(zoo_.at(zoo::kMobileNetV1).paramSizeMb));
 }
 
 }  // namespace

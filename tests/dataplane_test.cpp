@@ -42,7 +42,7 @@ TEST_F(DataPlaneTest, OneServicePerTpu) {
   TpuService* service = dataPlane_.service("tpu-00");
   ASSERT_NE(service, nullptr);
   EXPECT_EQ(service->tpuId(), "tpu-00");
-  EXPECT_EQ(service->node(), topo_.nodeOfTpu("tpu-00"));
+  EXPECT_EQ(service->node(), topo_.hostOf("tpu-00")->name());
   EXPECT_EQ(dataPlane_.service("tpu-77"), nullptr);
 }
 
@@ -226,7 +226,8 @@ TEST_F(DataPlaneTest, BaselineCollocatedClientSkipsNetwork) {
   sim_.run();
   // Client on the TPU's own node: loopback transport.
   auto client =
-      dataPlane_.makeClient(topo_.nodeOfTpu("tpu-00"), zoo::kSsdMobileNetV2);
+      dataPlane_.makeClient(topo_.hostOf("tpu-00")->name(),
+                            zoo::kSsdMobileNetV2);
   ASSERT_TRUE(
       client->configureLb(LbConfig{{LbWeight{internTpu("tpu-00"), 350}}})
           .isOk());

@@ -323,7 +323,7 @@ TEST(NodeFailureTest, DeadNodeTakesPodsAndTpuWithIt) {
   }
   testbed.run(seconds(3));
 
-  const std::string victim = testbed.topology().nodeOfTpu("tpu-01");
+  const std::string victim = testbed.topology().hostOf("tpu-01")->name();
   auto report = testbed.failNode(victim);
   EXPECT_EQ(report.tpusLost, 1u);
   // Pods that held shares on tpu-01 were replanned or evicted explicitly.

@@ -152,6 +152,26 @@ TEST(BreakdownAggregatorTest, AggregatesComponents) {
   std::string rendered = agg.render("coral-pie");
   EXPECT_NE(rendered.find("inference"), std::string::npos);
   EXPECT_NE(rendered.find("end-to-end"), std::string::npos);
+  // No terminal outcome but completion: no outcome line.
+  EXPECT_EQ(rendered.find("outcomes:"), std::string::npos);
+
+  // One frame of each terminal outcome: the outcome line names every one,
+  // so its counts add up to the terminal count.
+  for (FrameOutcome outcome :
+       {FrameOutcome::kCompleted, FrameOutcome::kTimedOut, FrameOutcome::kShed,
+        FrameOutcome::kDroppedDeadTarget, FrameOutcome::kRejected,
+        FrameOutcome::kAdmissionRejected}) {
+    FrameBreakdown frame;
+    frame.outcome = outcome;
+    agg.add(frame);
+  }
+  EXPECT_EQ(agg.terminalCount(), 6u);
+  rendered = agg.render("coral-pie");
+  EXPECT_NE(rendered.find("  outcomes: completed 1, timed-out 1, shed 1, "
+                          "dead-target 1, rejected 1, admission-rejected 1, "
+                          "failed-over 0\n"),
+            std::string::npos)
+      << rendered;
 }
 
 TEST(TextTableTest, AlignsColumns) {
@@ -170,17 +190,6 @@ TEST(TextTableTest, ShortRowsPadded) {
   TextTable table({"a", "b", "c"});
   table.addRow({"only-one"});
   EXPECT_NO_THROW(table.render());
-}
-
-TEST(TextTableTest, CsvRendering) {
-  TextTable table({"config", "note"});
-  table.addRow({"baseline", "plain"});
-  table.addRow({"micro,edge", "says \"hi\""});
-  std::string csv = table.renderCsv();
-  EXPECT_EQ(csv,
-            "config,note\n"
-            "baseline,plain\n"
-            "\"micro,edge\",\"says \"\"hi\"\"\"\n");
 }
 
 }  // namespace

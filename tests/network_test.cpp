@@ -6,6 +6,7 @@
 #include "cluster/network.hpp"
 #include "cluster/topology.hpp"
 #include "models/zoo.hpp"
+#include "util/strings.hpp"
 
 namespace microedge {
 namespace {
@@ -64,9 +65,9 @@ TEST_F(TopologyTest, PaperReferenceClusterShape) {
 
 TEST_F(TopologyTest, TpuToNodeMapping) {
   for (const auto& tpu : topo_.tpus()) {
-    const std::string& host = topo_.nodeOfTpu(tpu->id());
-    RpiNode* node = topo_.findNode(host);
+    RpiNode* node = topo_.hostOf(tpu->id());
     ASSERT_NE(node, nullptr);
+    EXPECT_EQ(topo_.findNode(node->name()), node);
     EXPECT_TRUE(node->isTRpi());
     bool attached = false;
     for (TpuDevice* attachedTpu : node->tpus()) {
@@ -79,12 +80,14 @@ TEST_F(TopologyTest, TpuToNodeMapping) {
 TEST_F(TopologyTest, Lookups) {
   EXPECT_NE(topo_.findTpu("tpu-00"), nullptr);
   EXPECT_EQ(topo_.findTpu("tpu-99"), nullptr);
+  EXPECT_EQ(topo_.hostOf("tpu-99"), nullptr);
   EXPECT_NE(topo_.findNode("vrpi-00"), nullptr);
   EXPECT_EQ(topo_.findNode("nope"), nullptr);
 }
 
-// The topology records every node's shard as it builds it: each node, vRPis
-// included, runs on its rack's shard under either rack mapping.
+// The topology records every node's rack and shard as it builds it: node i
+// of each kind is in rack i % racks, its name carries that rack, and each
+// node, vRPis included, runs on its rack's shard under either rack mapping.
 TEST(TopologyShardTest, EveryNodeRunsOnItsRacksShard) {
   ModelRegistry zoo = zoo::standardZoo();
   TopologySpec spec;
@@ -99,9 +102,13 @@ TEST(TopologyShardTest, EveryNodeRunsOnItsRacksShard) {
       ClusterTopology topo(sharded, zoo, spec);
       const ShardMap& map = sharded.shardMap();
       EXPECT_EQ(map.mappedCount(), topo.nodes().size());
+      int tRpi = 0, vRpi = 0;  // nodes() lists the tRPis, then the vRPis
       for (const auto& node : topo.nodes()) {
-        const int rack = ShardMap::rackOfName(node->name());
-        ASSERT_GE(rack, 0) << node->name();
+        const int rack = node->rack();
+        const int index = node->isTRpi() ? tRpi++ : vRpi++;
+        EXPECT_EQ(rack, index % spec.racks) << node->name();
+        EXPECT_EQ(node->name().rfind(strCat("r", rack, "-"), 0), 0u)
+            << node->name();
         EXPECT_EQ(sharded.shardOfNode(internNode(node->name())),
                   map.shardOfRack(rack))
             << node->name() << " shards=" << shards;

@@ -1,4 +1,4 @@
-// Scenario engine unit tests (DESIGN.md §15): spec round-trip/validation,
+// Scenario engine unit tests (DESIGN.md §15): spec JSON dump/validation,
 // the envelope math and timeline compilation, the correlated-failure ->
 // FaultPlan bridge, and the StreamRateControl arbitration law (envelope and
 // degrader multipliers compose without lost updates, on the tick lattice).
@@ -13,24 +13,33 @@
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 #include "testbed/rate_control.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace microedge {
 namespace {
 
 TEST(ScenarioSpec, BuiltinsValidateAndRoundTrip) {
+  std::vector<std::string> fingerprints;
   for (const char* name :
        {"diurnal", "flashcrowd", "churn", "failures", "city"}) {
     StatusOr<ScenarioSpec> spec = builtinScenario(name);
     ASSERT_TRUE(spec.isOk()) << name;
     EXPECT_TRUE(spec->validate().isOk()) << name;
 
-    // JSON round-trip is byte-stable and fingerprint-preserving.
+    // The JSON dump round-trips through the reader byte for byte, and the
+    // fingerprint is the dump's.
     const std::string dumped = spec->toJson().dump();
-    StatusOr<ScenarioSpec> reparsed = ScenarioSpec::fromJsonText(dumped);
+    StatusOr<JsonValue> reparsed = JsonValue::parse(dumped);
     ASSERT_TRUE(reparsed.isOk()) << name;
-    EXPECT_EQ(reparsed->toJson().dump(), dumped) << name;
-    EXPECT_EQ(reparsed->fingerprint(), spec->fingerprint()) << name;
+    EXPECT_EQ(reparsed->dump(), dumped) << name;
+    EXPECT_EQ(spec->fingerprint(), jsonFingerprint(*reparsed)) << name;
+    fingerprints.push_back(spec->fingerprint());
+  }
+  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    for (std::size_t j = i + 1; j < fingerprints.size(); ++j) {
+      EXPECT_NE(fingerprints[i], fingerprints[j]) << i << " vs " << j;
+    }
   }
   EXPECT_FALSE(builtinScenario("no-such-scenario").isOk());
 }
@@ -57,40 +66,40 @@ TEST(ScenarioSpec, ValidateRejectsMalformedSpecs) {
   EXPECT_FALSE(bad.validate().isOk());
 }
 
-// Specs are outside input: a value the spec cannot represent is an
-// InvalidArgument, never a narrowed int or a time that wraps in secondsF().
-void expectInvalidArgument(const char* text) {
-  StatusOr<ScenarioSpec> spec = ScenarioSpec::fromJsonText(text);
-  ASSERT_FALSE(spec.isOk()) << text << " parsed as " << spec->toJson().dump();
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+// A time the engine would convert past SimDuration's range (or a sampling
+// period under 1 ns) is an InvalidArgument, never a time that wraps in
+// secondsF(): ShardedCluster validates every spec before compiling it.
+void expectInvalidArgument(const ScenarioSpec& spec, const char* what) {
+  EXPECT_EQ(spec.validate().code(), StatusCode::kInvalidArgument) << what;
 }
 
-TEST(ScenarioSpec, FromJsonRejectsChurnCountPastInt) {
-  // Narrowed with static_cast<int>, 2^32 + 1 would add one camera.
-  expectInvalidArgument(R"({"churn":[{"count":4294967297,"join_s":1}]})");
+TEST(ScenarioSpec, ValidateRejectsHorizonPastSimDuration) {
+  ScenarioSpec spec;
+  spec.horizonS = 1e10;
+  expectInvalidArgument(spec, "horizon_s 1e10");
 }
 
-TEST(ScenarioSpec, FromJsonRejectsFailureTenantPastInt) {
-  // 2^32 would narrow to tenant 0, a real rack.
-  expectInvalidArgument(R"({"failures":[{"tenant":4294967296}]})");
-}
+TEST(ScenarioSpec, ValidateRejectsOtherUnrepresentableValues) {
+  ScenarioSpec spec;
+  spec.churn = {{/*tenant=*/-1, /*joinS=*/1.0, /*leaveS=*/1e10, /*count=*/1}};
+  expectInvalidArgument(spec, "churn leave_s 1e10");
 
-TEST(ScenarioSpec, FromJsonRejectsHorizonPastSimDuration) {
-  expectInvalidArgument(R"({"horizon_s":1e10})");
-}
+  spec = ScenarioSpec{};
+  spec.failures = {{/*atS=*/1e10, /*tenant=*/0, /*count=*/0}};
+  expectInvalidArgument(spec, "failure at_s 1e10");
 
-TEST(ScenarioSpec, FromJsonRejectsOtherUnrepresentableValues) {
-  for (const char* text :
-       {R"({"flash":[{"tenant":-4294967295}]})",
-        R"({"churn":[{"tenant":2147483648}]})",
-        R"({"failures":[{"count":4294967301}]})",
-        R"({"churn":[{"join_s":1,"leave_s":1e10}]})",
-        R"({"failures":[{"at_s":1e10}]})",
-        R"({"detection_delay_s":1e10})",
-        R"({"flash":[{"hold_s":1e10}]})",
-        R"({"envelope_period_s":1e-12})"}) {
-    expectInvalidArgument(text);
-  }
+  spec = ScenarioSpec{};
+  spec.detectionDelayS = 1e10;
+  expectInvalidArgument(spec, "detection_delay_s 1e10");
+
+  spec = ScenarioSpec{};
+  spec.flash = {{/*tenant=*/-1, /*startS=*/1.0, /*rampS=*/1.0,
+                 /*holdS=*/1e10, /*decayS=*/1.0, /*peakMultiplier=*/2.0}};
+  expectInvalidArgument(spec, "flash hold_s 1e10");
+
+  spec = ScenarioSpec{};
+  spec.envelopePeriodS = 1e-12;
+  expectInvalidArgument(spec, "envelope_period_s 1e-12");
 }
 
 TEST(ScenarioEnvelope, DiurnalInterpolatesAndClampsAtEdges) {

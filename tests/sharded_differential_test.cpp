@@ -19,6 +19,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault_injector.hpp"
@@ -295,10 +296,17 @@ TEST(ShardedClusterFaults, AppliedFaultLogIsShardCountInvariant) {
   }
 }
 
-// A plan may name hardware the cluster lacks. Crashing a TPU on a rack past
-// the cluster's logs both edges and changes nothing else: the run is the
-// run without the plan.
+// A plan may name hardware the cluster lacks: a TPU on a rack past the
+// cluster's, a flat name in this racked (2-rack) cluster, a TPU the rack
+// lacks, and a tRPi in either form. Each logs both edges and changes nothing
+// else: the run is the run without the plan.
 TEST(ShardedClusterFaults, TargetOutsideTheClusterChangesNothing) {
+  const std::pair<FaultKind, std::string> targets[] = {
+      {FaultKind::kTpuCrash, "r9-tpu-00"},
+      {FaultKind::kTpuCrash, "tpu-00"},
+      {FaultKind::kTpuCrash, "r0-tpu-99"},
+      {FaultKind::kNodeDeath, "r9-trpi-00"},
+      {FaultKind::kNodeDeath, "trpi-00"}};
   for (unsigned shards : {1u, 2u}) {
     ShardedClusterConfig config;
     config.shards = shards;
@@ -306,20 +314,22 @@ TEST(ShardedClusterFaults, TargetOutsideTheClusterChangesNothing) {
     ASSERT_TRUE(healthy.setupStatus().isOk());
     healthy.run(seconds(2));
 
-    ShardedCluster cluster(config);
-    ASSERT_TRUE(cluster.setupStatus().isOk());
-    FaultPlan plan;
-    plan.events.push_back(
-        {milliseconds(300), FaultKind::kTpuCrash, "r9-tpu-00", {}, 0.0});
-    FaultInjector& injector = cluster.armFaults(plan);
-    cluster.run(seconds(2));
+    for (const auto& [kind, target] : targets) {
+      ShardedCluster cluster(config);
+      ASSERT_TRUE(cluster.setupStatus().isOk());
+      FaultPlan plan;
+      plan.events.push_back({milliseconds(300), kind, target, {}, 0.0});
+      FaultInjector& injector = cluster.armFaults(plan);
+      cluster.run(seconds(2));
 
-    const std::vector<FaultInjector::Applied> log = injector.log();
-    ASSERT_EQ(log.size(), 2u) << "shards=" << shards;
-    EXPECT_TRUE(log[0].begin);
-    EXPECT_FALSE(log[1].begin);
-    EXPECT_GT(cluster.totalCompleted(), 0u);
-    EXPECT_EQ(cluster.digest(), healthy.digest()) << "shards=" << shards;
+      const std::vector<FaultInjector::Applied> log = injector.log();
+      ASSERT_EQ(log.size(), 2u) << target << " shards=" << shards;
+      EXPECT_TRUE(log[0].begin) << target;
+      EXPECT_FALSE(log[1].begin) << target;
+      EXPECT_GT(cluster.totalCompleted(), 0u) << target;
+      EXPECT_EQ(cluster.digest(), healthy.digest())
+          << target << " shards=" << shards;
+    }
   }
 }
 

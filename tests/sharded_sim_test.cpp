@@ -16,19 +16,6 @@
 namespace microedge {
 namespace {
 
-TEST(ShardMap, RackOfNameParsing) {
-  EXPECT_EQ(ShardMap::rackOfName("r0-trpi-00"), 0);
-  EXPECT_EQ(ShardMap::rackOfName("r7-vrpi-13"), 7);
-  EXPECT_EQ(ShardMap::rackOfName("r12-tpu-03"), 12);
-  // Flat (legacy) names and malformed prefixes map to "no rack".
-  EXPECT_EQ(ShardMap::rackOfName("trpi-00"), -1);
-  EXPECT_EQ(ShardMap::rackOfName("tpu-01"), -1);
-  EXPECT_EQ(ShardMap::rackOfName("r-trpi-00"), -1);
-  EXPECT_EQ(ShardMap::rackOfName("rx-trpi-00"), -1);
-  EXPECT_EQ(ShardMap::rackOfName(""), -1);
-  EXPECT_EQ(ShardMap::rackOfName("r5"), -1);  // no '-' terminator
-}
-
 TEST(ShardMap, RoundRobinRackAssignment) {
   ShardMap map(3);
   EXPECT_EQ(map.shards(), 3u);
@@ -36,12 +23,12 @@ TEST(ShardMap, RoundRobinRackAssignment) {
   EXPECT_EQ(map.shardOfRack(1), 1u);
   EXPECT_EQ(map.shardOfRack(2), 2u);
   EXPECT_EQ(map.shardOfRack(3), 0u);
-  EXPECT_EQ(map.shardOfRack(-1), 0u);
 
-  EXPECT_EQ(map.assignByName("r4-vrpi-01"), 1u);
+  map.assign(internNode("r4-vrpi-01"), map.shardOfRack(4));
   EXPECT_EQ(map.shardOf(internNode("r4-vrpi-01")), 1u);
-  // Flat names assign to shard 0; unmapped nodes read as shard 0 too.
-  EXPECT_EQ(map.assignByName("vrpi-09"), 0u);
+  // A flat cluster is rack 0, shard 0; unmapped nodes read as shard 0 too.
+  map.assign(internNode("vrpi-09"), map.shardOfRack(0));
+  EXPECT_EQ(map.shardOf(internNode("vrpi-09")), 0u);
   EXPECT_EQ(map.shardOf(internNode("never-assigned")), 0u);
   EXPECT_EQ(map.mappedCount(), 2u);
 }
@@ -133,8 +120,8 @@ TEST(ShardedSim, PingPongAdvancesWindowByWindow) {
 
 TEST(ShardedSim, PostToNodeRoutesThroughShardMap) {
   ShardedSim sharded(2, microseconds(500));
-  sharded.shardMap().assignByName("r0-vrpi-00");
-  sharded.shardMap().assignByName("r1-vrpi-01");
+  sharded.shardMap().assign(internNode("r0-vrpi-00"), 0);
+  sharded.shardMap().assign(internNode("r1-vrpi-01"), 1);
   // One flag per shard: each is written only by its own shard's worker.
   SimDuration fired0{}, fired1{};
   const SimTime start = sharded.now();

@@ -227,12 +227,13 @@ TEST(TestbedTest, CoralPieReIdLossIgnoresOtherSendersOnTheLane) {
     d.useDiffDetector = true;
     d.diffConfig.meanQuietGap = seconds(1);
     d.diffConfig.meanActivityDwell = seconds(1);
-    d.frameDeadline = milliseconds(500);  // lost frames time out
     return d;
   };
+  TestbedConfig config;
+  config.frameDeadline = milliseconds(500);  // lost frames time out
   // A's delivered re-id messages, sampled every simulated second.
   auto runA = [&](bool withB) {
-    Testbed testbed;
+    Testbed testbed(config);
     auto a = testbed.deployCoralPie(deployment("cp-a"));
     EXPECT_TRUE(a.isOk()) << a.status();
     if (withB) {

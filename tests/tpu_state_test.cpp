@@ -88,11 +88,11 @@ TEST_F(TpuStateTest, LiveModelsPreserveLoadOrder) {
   tpu_.addAllocation(internModel(zoo::kMobileNetV1), TpuUnit::fromDouble(0.1));
   tpu_.addAllocation(internModel(zoo::kUNetV2), TpuUnit::fromDouble(0.1));
   tpu_.addAllocation(internModel(zoo::kMobileNetV2), TpuUnit::fromDouble(0.1));
-  auto live = tpu_.liveModels();
+  auto live = tpu_.liveModelIds();
   ASSERT_EQ(live.size(), 3u);
-  EXPECT_EQ(live[0], zoo::kMobileNetV1);
-  EXPECT_EQ(live[1], zoo::kUNetV2);
-  EXPECT_EQ(live[2], zoo::kMobileNetV2);
+  EXPECT_EQ(live[0], lookupModel(zoo::kMobileNetV1));
+  EXPECT_EQ(live[1], lookupModel(zoo::kUNetV2));
+  EXPECT_EQ(live[2], lookupModel(zoo::kMobileNetV2));
 }
 
 TEST(TpuPoolTest, AddRemoveFind) {

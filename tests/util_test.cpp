@@ -250,20 +250,5 @@ TEST(DurationSummaryTest, ReportsMilliseconds) {
   EXPECT_DOUBLE_EQ(s.maxMs(), 30.0);
 }
 
-TEST(HistogramTest, Bucketing) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(-1.0);
-  h.add(42.0);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucketValue(0), 1u);
-  EXPECT_EQ(h.bucketValue(1), 2u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_FALSE(h.render().empty());
-}
-
 }  // namespace
 }  // namespace microedge
