@@ -9,6 +9,12 @@
 // digest or the bench aborts (window bounds and shard counts only
 // partition the event set; they may never change the results).
 //
+// Each row's busiest_share is the share of the windowed events that each
+// window's busiest shard fired (ShardedSim::busiestShardEvents): 1/shards
+// when every window holds an even share of work for every shard, 1 when
+// each window holds one shard's work. A one-shard row runs no windows and
+// reads 1.
+//
 //   bench_micro_shardsim --preset=1k --shards=1,2,4,8 --mode=fixed,adaptive
 //   bench_micro_shardsim --smoke --shards=4 --mode=adaptive --dump=m.json
 //
@@ -150,8 +156,9 @@ ShardedClusterConfig configFor(const Preset& preset, unsigned shards,
   config.frameAdmission = g_admission;
   // Block placement keeps stride-to-next-rack streams shard-local except at
   // block boundaries — the locality the adaptive bound feeds on. Results
-  // are mapping-invariant, so both modes use it and the digests must still
-  // match the committed round-robin baselines.
+  // are mapping-invariant (the camera order depends on neither the mapping
+  // nor the shard count), so both modes use it and every cell of the grid
+  // must compute one digest.
   config.rackMapping = RackMapping::kBlock;
   return config;
 }
@@ -164,6 +171,7 @@ struct RunResult {
   std::size_t windows = 0;
   std::size_t adaptiveWindows = 0;
   std::size_t crossMessages = 0;
+  std::uint64_t busiestEvents = 0;
   std::uint64_t digest = 0;
   double steadyAllocsPerFrame = 0;
   double blocksPerStream = 0;
@@ -239,6 +247,7 @@ RunResult runPreset(const Preset& preset, unsigned shards,
   result.windows = cluster.shardedSim().windowCount();
   result.adaptiveWindows = cluster.shardedSim().adaptiveWindowCount();
   result.crossMessages = cluster.shardedSim().crossShardMessages();
+  result.busiestEvents = cluster.shardedSim().busiestShardEvents();
   result.digest = cluster.digest();
   return result;
 }
@@ -410,6 +419,11 @@ int main(int argc, char** argv) {
                 : static_cast<double>(r.events);
         const double speedup =
             r.wallSeconds > 0 ? soloWall / r.wallSeconds : 0;
+        // Every event of a sharded run fires inside a window.
+        const double busiestShare =
+            r.windows > 0 ? static_cast<double>(r.busiestEvents) /
+                                static_cast<double>(r.events)
+                          : 1.0;
         json += strCat(firstRun ? "\n" : ",\n",
                        "    {\"preset\": \"", name, "\", \"nodes\": ",
                        preset.racks * nodesPerRack,
@@ -426,6 +440,7 @@ int main(int argc, char** argv) {
                        ", \"events_per_window\": ", eventsPerWindow,
                        ", \"adaptive_windows\": ", r.adaptiveWindows,
                        ", \"cross_shard_messages\": ", r.crossMessages,
+                       ", \"busiest_share\": ", busiestShare,
                        ", \"speedup_vs_first\": ", speedup);
         if (preset.warmupSeconds > 0) {
           json += strCat(", \"steady_allocs_per_frame\": ",
@@ -439,7 +454,8 @@ int main(int argc, char** argv) {
                   << ": " << static_cast<std::uint64_t>(framesPerSec)
                   << " frames/s (wall " << r.wallSeconds << " s, "
                   << static_cast<std::uint64_t>(eventsPerWindow)
-                  << " events/window, speedup " << speedup << "x)\n";
+                  << " events/window, busiest share " << busiestShare
+                  << ", speedup " << speedup << "x)\n";
       }
     }
   }

@@ -90,7 +90,12 @@ void ShardedSim::recordWindowEvents() {
     return;
   }
   std::uint64_t fired = 0;
-  for (std::uint64_t f : shardWindowFired_) fired += f;
+  std::uint64_t busiest = 0;
+  for (std::uint64_t f : shardWindowFired_) {
+    fired += f;
+    busiest = std::max(busiest, f);
+  }
+  busiestEvents_ += busiest;
   std::size_t bucket = 0;
   while (bucket + 1 < kWindowHistBuckets && (1ull << bucket) <= fired) {
     ++bucket;

@@ -156,6 +156,11 @@ class ShardedSim {
       const {
     return windowHist_;
   }
+  // Sum over windows of the events the window's busiest shard fired. Over
+  // the events fired in windows, it reads 1/shards when every window's work
+  // is spread evenly and 1 when each window holds one shard's work.
+  // Deterministic for a given (workload, shard count, window bound).
+  std::uint64_t busiestShardEvents() const { return busiestEvents_; }
   // Wall-clock nanoseconds each shard's worker spent blocked at the barrier
   // across all run() calls. Wall time, NOT deterministic — keep it out of
   // byte-compared dumps.
@@ -189,7 +194,8 @@ class ShardedSim {
   // drains all mailboxes into the destination sims (deterministic merge
   // order), then computes the next window bound.
   void serialPhase(SimTime deadline);
-  // Adds the closed window's event count to the events-per-window histogram.
+  // Adds the closed window's event count to the events-per-window histogram
+  // and its busiest shard's count to busiestShardEvents().
   void recordWindowEvents();
   Mailbox& mailbox(unsigned src, unsigned dst) {
     return mail_[src * sims_.size() + dst];
@@ -218,6 +224,7 @@ class ShardedSim {
   std::size_t crossMessages_ = 0;
   std::size_t adaptiveWindows_ = 0;
   std::array<std::uint64_t, kWindowHistBuckets> windowHist_{};
+  std::uint64_t busiestEvents_ = 0;
   bool histPrimed_ = false;  // reset per run(); see recordWindowEvents()
 
   // Per-shard, own-worker-writes-only counters, read by the leader under

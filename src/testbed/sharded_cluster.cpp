@@ -15,6 +15,12 @@ namespace {
 // release of its admitted units back to the rack pool.
 constexpr SimDuration kDrainGrace = milliseconds(250);
 
+// Contiguous rack blocks the camera list is dealt over (block = rack *
+// kPhaseBlocks / racks). At least the largest shard count the benches and
+// tests run, so every short stretch of the phase order holds cameras of
+// every block, and under RackMapping::kBlock of every shard.
+constexpr std::size_t kPhaseBlocks = 8;
+
 std::uint64_t fnvFoldString(std::uint64_t h, const std::string& s) {
   for (char c : s) h = fnvFold(h, static_cast<unsigned char>(c));
   return fnvFold(h, s.size());
@@ -191,22 +197,53 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   const SimDuration period =
       scenarioOn ? StreamRateControl::periodFor(nominalPeriod, 1.0, quantum)
                  : nominalPeriod;
-  // Camera host list: every vRPi `streamsPerVRpi` times, then every tRPi
-  // `streamsPerTRpi` times. The default (1, 0) is byte-identical to the
-  // historical one-stream-per-vRPi workload — same hosts, uids and phases.
-  std::vector<RpiNode*> cameras;
+  // Camera list. The host-major list holds every vRPi `streamsPerVRpi` times,
+  // then every tRPi `streamsPerTRpi` times; node i of a kind sits on rack
+  // i % racks, so in that order the staggered phases sweep the racks in
+  // sequence and each short stretch of the period ticks on one rack block
+  // (one shard). The list is instead dealt round-robin over kPhaseBlocks
+  // rack blocks, one host with all its streams at a time, each block's hosts
+  // in host-major order. Stream index, uid, memory and phase order all follow
+  // the dealt list; the cross-rack flag keeps the host-major position, so
+  // every host keeps the same cross-rack streams. With at most kPhaseBlocks
+  // racks every rack is its own block and the deal is the identity.
+  struct Camera {
+    RpiNode* host = nullptr;
+    bool cross = false;
+  };
+  std::vector<Camera> cameras;
   {
-    const std::vector<RpiNode*> vRpis = topology_->vRpis();
-    const std::vector<RpiNode*> tRpis = topology_->tRpis();
-    const int perV = config_.streamsPerVRpi < 0 ? 0 : config_.streamsPerVRpi;
-    const int perT = config_.streamsPerTRpi < 0 ? 0 : config_.streamsPerTRpi;
-    cameras.reserve(vRpis.size() * static_cast<std::size_t>(perV) +
-                    tRpis.size() * static_cast<std::size_t>(perT));
-    for (RpiNode* host : vRpis) {
-      for (int k = 0; k < perV; ++k) cameras.push_back(host);
-    }
-    for (RpiNode* host : tRpis) {
-      for (int k = 0; k < perT; ++k) cameras.push_back(host);
+    struct Host {
+      RpiNode* node;
+      int first;  // host-major position of its first stream
+      int streams;
+    };
+    std::array<std::vector<Host>, kPhaseBlocks> blocks;
+    int position = 0;
+    const auto addHosts = [&](const std::vector<RpiNode*>& nodes, int perHost) {
+      if (perHost <= 0) return;
+      for (RpiNode* node : nodes) {
+        const std::size_t block = static_cast<std::size_t>(node->rack()) *
+                                  kPhaseBlocks /
+                                  static_cast<std::size_t>(racks);
+        blocks[block].push_back({node, position, perHost});
+        position += perHost;
+      }
+    };
+    addHosts(topology_->vRpis(), config_.streamsPerVRpi);
+    addHosts(topology_->tRpis(), config_.streamsPerTRpi);
+    const int stride = racks > 1 ? config_.crossRackStride : 0;
+    const std::size_t count = static_cast<std::size_t>(position);
+    cameras.reserve(count);
+    for (std::size_t round = 0; cameras.size() < count; ++round) {
+      for (const std::vector<Host>& block : blocks) {
+        if (round >= block.size()) continue;
+        const Host& host = block[round];
+        for (int k = 0; k < host.streams; ++k) {
+          cameras.push_back(
+              {host.node, stride > 0 && (host.first + k) % stride == 0});
+        }
+      }
     }
   }
   // Churn cameras (scenario only) are appended after the base set so base
@@ -246,10 +283,9 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     const ChurnHost* churn =
         isChurn ? &churnCameras[static_cast<std::size_t>(i - base)] : nullptr;
     RpiNode* camera =
-        isChurn ? churn->host : cameras[static_cast<std::size_t>(i)];
+        isChurn ? churn->host : cameras[static_cast<std::size_t>(i)].host;
     const int rack = camera->rack();
-    const bool cross = !isChurn && racks > 1 && config_.crossRackStride > 0 &&
-                       i % config_.crossRackStride == 0;
+    const bool cross = !isChurn && cameras[static_cast<std::size_t>(i)].cross;
     const int targetRack = cross ? (rack + 1) % racks : rack;
     const std::uint64_t uid = static_cast<std::uint64_t>(i) + 1;
 
@@ -798,6 +834,8 @@ std::string ShardedCluster::metricsJson(bool withSimStats) const {
                   sharded_->adaptiveWindowCount(),
                   ",\n    \"crossShardMessages\": ",
                   sharded_->crossShardMessages(),
+                  ",\n    \"busiestShardEvents\": ",
+                  sharded_->busiestShardEvents(),
                   ",\n    \"eventsPerWindowHist\": [");
     const auto& hist = sharded_->eventsPerWindowHist();
     for (std::size_t b = 0; b < hist.size(); ++b) {

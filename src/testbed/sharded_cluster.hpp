@@ -14,15 +14,20 @@
 // The harness gives each rack's control plane the same two pod-facing edges
 // Testbed does: pushed weights and eviction.
 //
-// Workload: one camera stream per vRPi, each a PeriodicTask on the vRPi's
-// shard with staggered phases (camera i of N starts at (i+1) * period /
-// (N+1)) so no two frames share a timestamp and the event order — hence
-// every breakdown — is identical at every shard count. Streams target
-// their own rack's TPUs by default; with `crossRackStride` = k, every k-th
-// camera instead targets the NEXT rack's TPUs (a deliberately cross-shard
-// pipeline) and runs without a deadline, keeping the deadline/shed/NACK
-// machinery — whose cross-shard timing legitimately differs from solo —
-// off the differential path.
+// Workload: one camera stream per vRPi by default, each a PeriodicTask on
+// its host's shard with staggered phases (camera i of N starts at (i+1) *
+// period / (N+1)) so no two frames share a timestamp and the event order —
+// hence every breakdown — is identical at every shard count. Cameras are
+// numbered by dealing the hosts round-robin over 8 contiguous rack blocks
+// (block = rack * 8 / racks), one host with all its streams at a time, so
+// every short stretch of the period ticks on every rack block, and under
+// RackMapping::kBlock on every shard; the order depends on neither the
+// shard count nor the rack mapping. Streams target their own rack's TPUs by
+// default; with `crossRackStride` = k, every k-th camera of the host-major
+// order (every vRPi's streams, then every tRPi's) instead targets the NEXT
+// rack's TPUs (a deliberately cross-shard pipeline) and runs without a
+// deadline, keeping the deadline/shed/NACK machinery — whose cross-shard
+// timing legitimately differs from solo — off the differential path.
 //
 // Chaos: a FaultPlan is armed through DataPlane::armFaults, which writes
 // every data-plane edge; this harness passes only its control-plane edges
@@ -103,10 +108,11 @@ struct ShardedClusterConfig {
   // Camera streams hosted per RPi. vRPis are the classic camera hosts;
   // tRPis can host streams too (they are full RPis that happen to carry
   // TPUs) — that is what grids the 10k-node city slice out to 100k+
-  // streams without growing the node count. Stream order: all vRPi
-  // streams (host-major), then all tRPi streams, so the default
-  // (1 per vRPi, 0 per tRPi) reproduces the historical stream set, uids
-  // and phases exactly.
+  // streams without growing the node count. Host-major order lists all
+  // vRPi streams, then all tRPi streams; stream order deals it over rack
+  // blocks (see the header). With at most 8 racks the deal is the identity,
+  // so there the default (1 per vRPi, 0 per tRPi) reproduces the historical
+  // stream set, uids and phases exactly.
   int streamsPerVRpi = 1;
   int streamsPerTRpi = 0;
   // Window-bound mode for the sharded run (fire traces are identical in
@@ -248,10 +254,10 @@ class ShardedCluster {
   // Deterministic serialization of the full result surface (per-stream and
   // totals) — what the CI determinism smoke byte-compares. With
   // `withSimStats`, appends a "sim" section (windows advanced, adaptive
-  // windows, events-per-window histogram, per-shard barrier stall
-  // wall-nanos). The section is opt-in because window counts differ by
-  // shard count/window mode and stall time is wall-clock — none of it
-  // belongs in the byte-compared default dump.
+  // windows, cross-shard messages, busiest-shard events, events-per-window
+  // histogram, per-shard barrier stall wall-nanos). The section is opt-in
+  // because window counts differ by shard count/window mode and stall time
+  // is wall-clock — none of it belongs in the byte-compared default dump.
   std::string metricsJson(bool withSimStats = false) const;
 
  private:

@@ -395,6 +395,7 @@ TEST(ShardedAdaptive, MetricsJsonSimSectionIsOptIn) {
   const std::string withSim = cluster.metricsJson(/*withSimStats=*/true);
   EXPECT_NE(withSim.find("\"sim\""), std::string::npos);
   EXPECT_NE(withSim.find("\"adaptiveWindows\""), std::string::npos);
+  EXPECT_NE(withSim.find("\"busiestShardEvents\""), std::string::npos);
   EXPECT_NE(withSim.find("\"eventsPerWindowHist\""), std::string::npos);
   EXPECT_NE(withSim.find("\"perShardStallNanos\""), std::string::npos);
   // The plain dump is a strict prefix-plus-suffix of the stats dump: the

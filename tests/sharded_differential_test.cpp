@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,6 +144,121 @@ TEST(ShardedDifferential, RepeatedRunsAreByteIdentical) {
   const std::string second = runOnce();
   EXPECT_EQ(first, second);
   EXPECT_FALSE(first.empty());
+}
+
+// ---- Camera order over more racks than phase blocks ------------------------
+
+// A 40-rack slice of the 100k city preset: ten 1 fps streams on every RPi,
+// every 5th stream of the host-major order cross-rack, block placement.
+// With more racks than phase blocks the camera order is not the host-major
+// one, so this is where the dealt order meets the differential.
+ShardedClusterConfig dealtSliceConfig(unsigned shards,
+                                      ShardedSim::WindowBound bound) {
+  ShardedClusterConfig config;
+  config.shards = shards;
+  config.racks = 40;
+  config.tRpisPerRack = 2;
+  config.vRpisPerRack = 8;
+  config.tpusPerTRpi = 1;
+  config.streamsPerVRpi = 10;
+  config.streamsPerTRpi = 10;
+  config.fps = 1.0;
+  config.tpuUnits = 0.01;
+  config.crossRackStride = 5;
+  config.windowBound = bound;
+  config.rackMapping = RackMapping::kBlock;
+  return config;
+}
+
+// Every shard count and window bound computes one dump and one digest, every
+// host keeps the two cross-rack streams of its host-major positions, and
+// each adaptive window holds work for every shard: the share of windowed
+// events its busiest shard fires stays near 1/shards. (Numbered host by
+// host, one 40-rack sweep per 100 ms, the busiest shard fires 0.748 of them
+// at 2 shards and 0.578 at 4.)
+TEST(ShardedDifferential, DealtCameraOrderOnFortyRacks) {
+  std::string reference;
+  std::uint64_t referenceDigest = 0;
+  for (auto bound :
+       {ShardedSim::WindowBound::kFixed, ShardedSim::WindowBound::kAdaptive}) {
+    for (unsigned shards : {1u, 2u, 4u, 8u}) {
+      ShardedCluster cluster(dealtSliceConfig(shards, bound));
+      ASSERT_TRUE(cluster.setupStatus().isOk())
+          << cluster.setupStatus().toString();
+      ASSERT_EQ(cluster.streamCount(), 4000u);
+      const std::size_t events =
+          cluster.shardedSim().runFor(milliseconds(2500));
+      EXPECT_GT(cluster.totalCompleted(), 8000u) << "shards=" << shards;
+
+      const std::string metrics = cluster.metricsJson();
+      if (reference.empty()) {
+        reference = metrics;
+        referenceDigest = cluster.digest();
+        std::map<std::string, std::pair<int, int>> perHost;  // streams, cross
+        for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
+          const ShardedCluster::StreamStats stats = cluster.streamStats(i);
+          ++perHost[stats.camera].first;
+          perHost[stats.camera].second += stats.crossRack ? 1 : 0;
+        }
+        EXPECT_EQ(perHost.size(), 400u);
+        for (const auto& [host, counts] : perHost) {
+          EXPECT_EQ(counts.first, 10) << host;
+          EXPECT_EQ(counts.second, 2) << host;
+        }
+        continue;
+      }
+      const char* mode =
+          bound == ShardedSim::WindowBound::kAdaptive ? "adaptive" : "fixed";
+      EXPECT_EQ(metrics, reference) << mode << " shards=" << shards;
+      EXPECT_EQ(cluster.digest(), referenceDigest)
+          << mode << " shards=" << shards;
+
+      if (bound != ShardedSim::WindowBound::kAdaptive ||
+          (shards != 2 && shards != 4)) {
+        continue;
+      }
+      const double busiestShare =
+          static_cast<double>(cluster.shardedSim().busiestShardEvents()) /
+          static_cast<double>(events);
+      EXPECT_LE(busiestShare, shards == 2 ? 0.60 : 0.36)
+          << "shards=" << shards;
+    }
+  }
+}
+
+// The 1k preset's shape (100 racks, one 15 fps stream per vRPi, every 5th
+// stream cross-rack, block placement): the dealt order keeps its cross-rack
+// streams on the hosts the host-major order gave them, none of which
+// crosses a block boundary at 2 or 4 shards, so the adaptive bound still
+// covers the run in one window after the first and no message crosses.
+TEST(ShardedDifferential, DealtCameraOrderKeepsOneKPresetShardLocal) {
+  std::uint64_t soloDigest = 0;
+  for (unsigned shards : {1u, 2u, 4u}) {
+    ShardedClusterConfig config;
+    config.shards = shards;
+    config.racks = 100;
+    config.tRpisPerRack = 2;
+    config.vRpisPerRack = 8;
+    config.tpusPerTRpi = 1;
+    config.fps = 15.0;
+    config.frameDeadline = milliseconds(60);
+    config.crossRackStride = 5;
+    config.windowBound = ShardedSim::WindowBound::kAdaptive;
+    config.rackMapping = RackMapping::kBlock;
+    ShardedCluster cluster(config);
+    ASSERT_TRUE(cluster.setupStatus().isOk())
+        << cluster.setupStatus().toString();
+    cluster.run(seconds(1));
+    EXPECT_GT(cluster.totalCompleted(), 10000u) << "shards=" << shards;
+    if (shards == 1) {
+      soloDigest = cluster.digest();
+      continue;
+    }
+    EXPECT_EQ(cluster.digest(), soloDigest) << "shards=" << shards;
+    EXPECT_EQ(cluster.shardedSim().windowCount(), 2u) << "shards=" << shards;
+    EXPECT_EQ(cluster.shardedSim().crossShardMessages(), 0u)
+        << "shards=" << shards;
+  }
 }
 
 // ---- Fault plans through the one interpreter (FaultInjector) ---------------
