@@ -10,18 +10,24 @@
 //   - cancel-heavy: interleaved schedule/cancel churn (the pattern pod
 //     lifecycle management produces);
 //   - periodic-heavy: many PeriodicTasks re-arming every tick (cameras,
-//     pollers, samplers).
+//     pollers, samplers);
+//   - lane rebind: a steady state that cycles more distinct delays than the
+//     engine has delay lanes, so lanes drain and rebind continuously.
 //
 // The binary also overrides global operator new/delete with a counting
-// allocator so the "zero heap allocations per fired event for inline-sized
-// callbacks" property is measured, not assumed: fire benchmarks report an
-// `allocs_per_event` counter.
+// allocator so the "zero heap allocations per fired event" property is
+// checked, not assumed: the fire, periodic and lane-rebind benchmarks abort
+// the process on any allocation in their timed phase, which makes them a
+// CI gate (the `allocs_per_event` counter they report is therefore 0).
 //
 // Emit machine-readable results with bench/run_bench.sh (-> BENCH_sim.json).
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -32,13 +38,25 @@
 namespace microedge {
 namespace {
 
+// Aborts when a timed phase allocated: the engine must fire, re-arm and
+// rebind lanes without touching the heap once its arena is sized.
+void requireNoAllocs(const char* bench, std::uint64_t allocs,
+                     std::uint64_t events) {
+  if (allocs == 0) return;
+  std::fprintf(stderr,
+               "FATAL: %s: %llu heap allocations over %llu fired events in "
+               "the timed phase; the event engine must be allocation-free\n",
+               bench, static_cast<unsigned long long>(allocs),
+               static_cast<unsigned long long>(events));
+  std::abort();
+}
+
 // Fire throughput with a minimal capture (one pointer): schedule `n` events
-// at scattered timestamps, then time the drain. Allocations during run() are
-// reported per fired event; the schedule phase is untimed.
+// at scattered timestamps, then time the drain. The schedule phase is
+// untimed; an allocation during run() aborts.
 void BM_FireThroughputSmall(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::uint64_t fires = 0;
-  std::uint64_t allocs = 0;
   std::uint64_t sink = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -48,19 +66,18 @@ void BM_FireThroughputSmall(benchmark::State& state) {
       sim->schedule(kSimEpoch + microseconds(rng.nextBounded(1u << 20)),
                     [&sink] { ++sink; });
     }
-    std::uint64_t before = allocsNow();
+    const std::uint64_t before = allocsNow();
     state.ResumeTiming();
-    fires += sim->run();
+    const std::size_t fired = sim->run();
     state.PauseTiming();
-    allocs += allocsNow() - before;
+    requireNoAllocs("BM_FireThroughputSmall", allocsNow() - before, fired);
+    fires += fired;
     sim.reset();
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(static_cast<std::int64_t>(fires));
-  state.counters["allocs_per_event"] =
-      benchmark::Counter(static_cast<double>(allocs) /
-                         static_cast<double>(fires ? fires : 1));
+  state.counters["allocs_per_event"] = benchmark::Counter(0.0);
 }
 BENCHMARK(BM_FireThroughputSmall)->Arg(10000)->Arg(100000)->Arg(1000000);
 
@@ -75,7 +92,6 @@ void BM_FireThroughputActorSized(benchmark::State& state) {
     std::uint64_t a, b, c;
   };
   std::uint64_t fires = 0;
-  std::uint64_t allocs = 0;
   std::uint64_t sink = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -86,19 +102,19 @@ void BM_FireThroughputActorSized(benchmark::State& state) {
       sim->schedule(kSimEpoch + microseconds(rng.nextBounded(1u << 20)),
                     [p] { *p.sink += p.a + p.b + p.c; });
     }
-    std::uint64_t before = allocsNow();
+    const std::uint64_t before = allocsNow();
     state.ResumeTiming();
-    fires += sim->run();
+    const std::size_t fired = sim->run();
     state.PauseTiming();
-    allocs += allocsNow() - before;
+    requireNoAllocs("BM_FireThroughputActorSized", allocsNow() - before,
+                    fired);
+    fires += fired;
     sim.reset();
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(static_cast<std::int64_t>(fires));
-  state.counters["allocs_per_event"] =
-      benchmark::Counter(static_cast<double>(allocs) /
-                         static_cast<double>(fires ? fires : 1));
+  state.counters["allocs_per_event"] = benchmark::Counter(0.0);
 }
 BENCHMARK(BM_FireThroughputActorSized)->Arg(10000)->Arg(100000)->Arg(1000000);
 
@@ -159,11 +175,11 @@ BENCHMARK(BM_CancelHeavyChurn)->Arg(10000)->Arg(100000);
 
 // Periodic-heavy: many PeriodicTasks firing every tick — the camera / poller
 // / sampler workload. The seed re-allocates a fresh closure per period; the
-// overhauled engine re-arms the existing event slot.
+// overhauled engine re-arms the existing event slot into the delay lane of
+// its period. An allocation during the timed run aborts.
 void BM_PeriodicHeavy(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
   std::uint64_t fires = 0;
-  std::uint64_t allocs = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto sim = std::make_unique<Simulator>();
@@ -175,22 +191,78 @@ void BM_PeriodicHeavy(benchmark::State& state) {
           *sim, microseconds(100 + i % 7), [&sink] { ++sink; }));
       running.back()->start();
     }
-    std::uint64_t before = allocsNow();
+    const std::uint64_t before = allocsNow();
     state.ResumeTiming();
-    fires += sim->runFor(milliseconds(100));
+    const std::size_t fired = sim->runFor(milliseconds(100));
     state.PauseTiming();
-    allocs += allocsNow() - before;
+    requireNoAllocs("BM_PeriodicHeavy", allocsNow() - before, fired);
+    fires += fired;
     benchmark::DoNotOptimize(sink);
     running.clear();
     sim.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(fires));
-  state.counters["allocs_per_event"] =
-      benchmark::Counter(static_cast<double>(allocs) /
-                         static_cast<double>(fires ? fires : 1));
+  state.counters["allocs_per_event"] = benchmark::Counter(0.0);
 }
 BENCHMARK(BM_PeriodicHeavy)->Arg(16)->Arg(256);
+
+// Lane rebind in steady state: `chains` events, each re-arming itself when
+// it fires, so the pending count stays constant. Every 1 ms epoch the
+// re-arms switch to the next four of kRebindDelays, three times as many
+// distinct delays as the engine has lanes (near ones, and one far one in
+// every eleven): lanes bound in one epoch drain in a later one and rebind
+// to new delays, and the delays that find every lane busy fall back to the
+// heaps. Warm-up sizes the slot arena and both heaps to the pending count
+// and then runs 100 ms, so any allocation in the timed phase is the lanes'
+// own bookkeeping, and aborts.
+constexpr std::size_t kRebindDelayCount = 3 * Simulator::laneCount();
+
+constexpr std::array<SimDuration, kRebindDelayCount> rebindDelays() {
+  std::array<SimDuration, kRebindDelayCount> delays{};
+  for (std::size_t i = 0; i < kRebindDelayCount; ++i) {
+    delays[i] = i % 11 == 10 ? milliseconds(64) + microseconds(7 * i)
+                             : microseconds(40 + 61 * i);
+  }
+  return delays;
+}
+constexpr std::array<SimDuration, kRebindDelayCount> kRebindDelays =
+    rebindDelays();
+
+void BM_LaneRebindSteadyAllocFree(benchmark::State& state) {
+  const int chains = static_cast<int>(state.range(0));
+  Simulator sim;
+  // Size the arena and both heaps: `chains` distinct near delays, then as
+  // many distinct far ones, fill every lane and overflow into each heap.
+  std::vector<EventId> sizing;
+  for (int i = 0; i < chains; ++i) {
+    sizing.push_back(sim.scheduleAfter(nanoseconds(i + 1), [] {}));
+    sizing.push_back(sim.scheduleAfter(
+        Simulator::farThreshold() + nanoseconds(i), [] {}));
+  }
+  for (EventId id : sizing) sim.cancel(id);
+  for (int i = 0; i < chains; ++i) {
+    const std::size_t which = static_cast<std::size_t>(i % 4);
+    sim.scheduleAfter(microseconds(i % 997), [&sim, which] {
+      const auto epoch = static_cast<std::size_t>(
+          sim.now().time_since_epoch().count() / milliseconds(1).count());
+      sim.rearmCurrentAfter(
+          kRebindDelays[(epoch * 4 + which) % kRebindDelayCount]);
+    });
+  }
+  sim.runFor(milliseconds(100));
+  std::uint64_t fires = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = allocsNow();
+    const std::size_t fired = sim.runFor(milliseconds(10));
+    requireNoAllocs("BM_LaneRebindSteadyAllocFree", allocsNow() - before,
+                    fired);
+    fires += fired;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(fires));
+  state.counters["allocs_per_event"] = benchmark::Counter(0.0);
+}
+BENCHMARK(BM_LaneRebindSteadyAllocFree)->Arg(256)->Arg(4096);
 
 }  // namespace
 }  // namespace microedge

@@ -1,9 +1,19 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace microedge {
+
+namespace {
+
+long long ns(SimTime t) {
+  return static_cast<long long>(t.time_since_epoch().count());
+}
+
+}  // namespace
 
 EventId Simulator::schedule(SimTime when, Callback fn, bool emitter) {
   assert(fn && "scheduling empty callback");
@@ -15,7 +25,7 @@ EventId Simulator::schedule(SimTime when, Callback fn, bool emitter) {
   // Taint closure: anything an emitter's callback schedules is an emitter.
   s.emitter = emitter || (firingSlot_ != kNpos && firingEmitter_);
   s.fn = std::move(fn);
-  heapPush(si, when, seq);
+  push(si, when, seq);
   if (s.emitter) emitterPush(when, seq, si);
   return EventId{seq, si};
 }
@@ -27,8 +37,14 @@ EventId Simulator::scheduleAfter(SimDuration delay, Callback fn,
 }
 
 EventId Simulator::rearmCurrentAfter(SimDuration delay) {
-  assert(firingSlot_ != kNpos &&
-         "rearmCurrentAfter is only callable from inside a firing callback");
+  // Checked in every build: outside a callback there is no slot to re-use.
+  if (firingSlot_ == kNpos) {
+    std::fprintf(stderr,
+                 "Simulator::rearmCurrentAfter: called outside a firing "
+                 "callback (now=%lld ns, delay=%lld ns)\n",
+                 ns(now_), static_cast<long long>(delay.count()));
+    std::abort();
+  }
   if (delay < SimDuration::zero()) delay = SimDuration::zero();
   rearmPending_ = true;
   rearmWhen_ = now_ + delay;
@@ -48,10 +64,14 @@ void Simulator::cancel(EventId id) {
   // cancelled (off-heap). Either way a no-op — nothing leaks.
   const std::uint32_t pos = slotPos_[id.slot];
   if (slots_[id.slot].seq != id.seq || pos == kNpos) return;
-  if (pos & kFarBit) {
-    heapRemoveAt(far_, kFarBit, pos & ~kFarBit);
+  if (pos & kLaneBit) {
+    unlinkFollower(id.slot);
   } else {
-    heapRemoveAt(heap_, 0, pos);
+    std::vector<HeapEntry>& h = (pos & kFarBit) ? far_ : heap_;
+    const std::uint32_t tag = pos & kFarBit;
+    if (!promoteFollower(h, tag, pos & ~kFarBit, id.slot)) {
+      heapRemoveAt(h, tag, pos & ~kFarBit);
+    }
   }
   releaseSlot(id.slot);
 }
@@ -68,8 +88,25 @@ void Simulator::taintEvent(EventId id) {
   }
   const std::uint32_t pos = slotPos_[id.slot];
   if (pos == kNpos) return;
+  if (pos & kLaneBit) {
+    emitterPush(slotWhen_[id.slot], s.seq, id.slot);
+    return;
+  }
   const std::vector<HeapEntry>& h = (pos & kFarBit) ? far_ : heap_;
   emitterPush(h[pos & ~kFarBit].when, s.seq, id.slot);
+}
+
+void Simulator::setEmitterTracking(bool on) {
+  // Checked in every build: emitters already pending would be invisible to
+  // the side index, and the adaptive window bound would be unsound.
+  if (on && pendingCount() != 0) {
+    std::fprintf(stderr,
+                 "Simulator::setEmitterTracking: enabled with %zu events "
+                 "already pending (now=%lld ns)\n",
+                 pendingCount(), ns(now_));
+    std::abort();
+  }
+  trackEmitters_ = on;
 }
 
 // Returns the heap whose root is the globally next event under (when, seq).
@@ -90,11 +127,18 @@ void Simulator::emitterPush(SimTime when, std::uint64_t seq,
 }
 
 SimTime Simulator::nextEmitterTime() {
+  // Checked in every build: mid-callback, the firing event's own children
+  // are still being scheduled, so the bound could be read too early.
+  if (firingSlot_ != kNpos) {
+    std::fprintf(stderr,
+                 "Simulator::nextEmitterTime: called from inside a firing "
+                 "callback (now=%lld ns); it is a between-events query\n",
+                 ns(now_));
+    std::abort();
+  }
   // Without the side-index every event is conservatively an emitter —
   // sound (the bound degenerates to the fixed-window one), never stale.
   if (!trackEmitters_) return nextEventTime();
-  assert(firingSlot_ == kNpos &&
-         "nextEmitterTime is a between-events (barrier) query");
   while (!emitters_.empty()) {
     const EmitterEntry& top = emitters_.front();
     // Live iff the slot still holds this seq: fired, cancelled and recycled
@@ -119,7 +163,8 @@ bool Simulator::fireNext() {
   // Move the callback out: the callback may schedule events and grow
   // `slots_`, so it must not run from arena storage.
   EventFn fn = std::move(slots_[si].fn);
-  popRoot(*h, h == &far_ ? kFarBit : 0);
+  const std::uint32_t tag = h == &far_ ? kFarBit : 0;
+  if (!promoteFollower(*h, tag, 0, si)) popRoot(*h, tag);
   // Keep the slot reserved (not on the free list) while the callback runs:
   // a re-arm wants it back, and cancel() of the now-stale id must not see a
   // recycled slot.
@@ -136,7 +181,7 @@ bool Simulator::fireNext() {
     Slot& s = slots_[si];
     s.fn = std::move(fn);
     s.seq = rearmSeq_;
-    heapPush(si, rearmWhen_, rearmSeq_);
+    push(si, rearmWhen_, rearmSeq_);
     if (s.emitter) emitterPush(rearmWhen_, rearmSeq_, si);
   } else {
     releaseSlot(si);
@@ -163,7 +208,15 @@ std::size_t Simulator::runUntil(SimTime deadline) {
 }
 
 std::size_t Simulator::runBefore(SimTime bound, SimTime advanceTo) {
-  assert(advanceTo <= bound && advanceTo >= now_);
+  // Checked in every build: a clock parked past the bound would let the
+  // next window schedule before now, and one parked before now runs back.
+  if (advanceTo > bound || advanceTo < now_) {
+    std::fprintf(stderr,
+                 "Simulator::runBefore: advanceTo=%lld ns outside [now=%lld "
+                 "ns, bound=%lld ns]\n",
+                 ns(advanceTo), ns(now_), ns(bound));
+    std::abort();
+  }
   std::size_t n = 0;
   for (const std::vector<HeapEntry>* h = nextHeap();
        h != nullptr && (*h)[0].when < bound; h = nextHeap()) {
@@ -179,12 +232,23 @@ bool Simulator::step() { return fireNext(); }
 std::uint32_t Simulator::acquireSlot() {
   if (freeHead_ != kNpos) {
     const std::uint32_t si = freeHead_;
-    freeHead_ = slots_[si].nextFree;
-    slots_[si].nextFree = kNpos;
+    freeHead_ = slots_[si].link;
+    slots_[si].link = kNpos;
     return si;
+  }
+  // Checked in every build, where the arena grows: a slot index must fit
+  // the heap entry's 24-bit slot field and stay below the position tags,
+  // or heap entries and lane links would name the wrong slot silently.
+  if (slots_.size() > kMaxSlots) {
+    std::fprintf(stderr,
+                 "Simulator: pending-event slot space exhausted (%zu slots "
+                 "in use, limit %u; now=%lld ns)\n",
+                 slots_.size(), kMaxSlots + 1, ns(now_));
+    std::abort();
   }
   slots_.emplace_back();
   slotPos_.push_back(kNpos);
+  slotWhen_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -193,15 +257,48 @@ void Simulator::releaseSlot(std::uint32_t si) {
   s.fn = EventFn();  // destroy the payload now, not at reuse time
   s.seq = 0;
   s.emitter = false;
-  s.nextFree = freeHead_;
+  s.link = freeHead_;
   slotPos_[si] = kNpos;
   freeHead_ = si;
 }
 
-void Simulator::heapPush(std::uint32_t si, SimTime when, std::uint64_t seq) {
+void Simulator::push(std::uint32_t si, SimTime when, std::uint64_t seq) {
+  const SimDuration delay = when - now_;
+  // One scan finds the lane bound to this delay, or else the first free one.
+  std::uint32_t li = kNoLane;
+  for (std::uint32_t i = 0; i < kLanes; ++i) {
+    if (laneDelay_[i] == delay) {
+      li = i;
+      break;
+    }
+    if (li == kNoLane && laneDelay_[i] == kFreeLane) li = i;
+  }
+  if (li != kNoLane) {
+    Slot& s = slots_[si];
+    Lane& lane = lanes_[li];
+    if (laneDelay_[li] != delay) {
+      // A free lane: bind it, and the event heads it from the heap below.
+      laneDelay_[li] = delay;
+      lane = Lane{si, seq, when};
+      s.lane = static_cast<std::uint8_t>(li);
+      slotWhen_[si] = when;
+    } else if (when > lane.tailWhen ||
+               (when == lane.tailWhen && seq > lane.tailSeq)) {
+      // Lands after the lane's last member: append, and stay off the heap.
+      slots_[lane.tail].link = si;
+      slotPos_[si] = kLaneBit | lane.tail;
+      s.lane = static_cast<std::uint8_t>(li);
+      slotWhen_[si] = when;
+      lane = Lane{si, seq, when};
+      ++(delay >= kFarThreshold ? farFollowers_ : nearFollowers_);
+      return;
+    }
+    // Otherwise a re-arm whose callback already scheduled this delay with a
+    // later seq: it would not land after the tail, so it goes to a heap.
+  }
   // Horizon split: long-dated events (deadline timers, armed fault plans,
   // slow pollers) stay out of the near heap the hot-path events churn.
-  if (when - now_ >= kFarThreshold) {
+  if (delay >= kFarThreshold) {
     far_.emplace_back();
     siftUp(far_, kFarBit, static_cast<std::uint32_t>(far_.size() - 1),
            makeEntry(when, seq, si));
@@ -210,6 +307,39 @@ void Simulator::heapPush(std::uint32_t si, SimTime when, std::uint64_t seq) {
     siftUp(heap_, 0, static_cast<std::uint32_t>(heap_.size() - 1),
            makeEntry(when, seq, si));
   }
+}
+
+bool Simulator::promoteFollower(std::vector<HeapEntry>& h, std::uint32_t tag,
+                                std::uint32_t pos, std::uint32_t si) {
+  Slot& s = slots_[si];
+  const std::uint32_t li = s.lane;
+  if (li == kNoLane) return false;
+  s.lane = kNoLane;
+  const std::uint32_t next = s.link;
+  if (next == kNpos) {
+    laneDelay_[li] = kFreeLane;  // drained: free for any delay
+    return false;
+  }
+  s.link = kNpos;
+  --(laneDelay_[li] >= kFarThreshold ? farFollowers_ : nearFollowers_);
+  // The follower is later than the head it replaces, so it can only sink.
+  siftDown(h, tag, pos, makeEntry(slotWhen_[next], slots_[next].seq, next));
+  return true;
+}
+
+void Simulator::unlinkFollower(std::uint32_t si) {
+  Slot& s = slots_[si];
+  const std::uint32_t prev = slotPos_[si] & ~kLaneBit;
+  const std::uint32_t li = s.lane;
+  slots_[prev].link = s.link;
+  if (s.link != kNpos) {
+    slotPos_[s.link] = kLaneBit | prev;
+  } else {
+    lanes_[li] = Lane{prev, slots_[prev].seq, slotWhen_[prev]};
+  }
+  --(laneDelay_[li] >= kFarThreshold ? farFollowers_ : nearFollowers_);
+  s.link = kNpos;
+  s.lane = kNoLane;
 }
 
 void Simulator::siftUp(std::vector<HeapEntry>& h, std::uint32_t tag,
@@ -301,8 +431,40 @@ void Simulator::heapRemoveAt(std::vector<HeapEntry>& h, std::uint32_t tag,
 }
 
 bool Simulator::checkInvariants() const {
-  const auto checkHeap = [this](const std::vector<HeapEntry>& h,
-                                std::uint32_t tag) {
+  if (slotPos_.size() != slots_.size() || slotWhen_.size() != slots_.size()) {
+    return false;
+  }
+  std::size_t followers[2] = {0, 0};  // near, far
+  std::array<std::uint32_t, kLanes> heads{};
+  // Walks lane `li` from its head `si` (in heap `tag` at `when`): members in
+  // (when, seq) order, each back-link naming its predecessor, the lane's
+  // tail record naming the last.
+  const auto checkLane = [&](std::uint32_t li, std::uint32_t si,
+                             std::uint32_t tag, SimTime when) {
+    if (li >= kLanes || laneDelay_[li] == kFreeLane) return false;
+    const bool far = laneDelay_[li] >= kFarThreshold;
+    if (far != (tag == kFarBit) || ++heads[li] > 1) return false;
+    if (slotWhen_[si] != when) return false;
+    std::uint32_t prev = si;
+    std::uint64_t prevSeq = slots_[si].seq;
+    for (std::uint32_t f = slots_[si].link; f != kNpos; f = slots_[f].link) {
+      if (f >= slots_.size() || slotPos_[f] != (kLaneBit | prev)) return false;
+      const Slot& s = slots_[f];
+      if (s.lane != li || s.seq == 0 || !s.fn) return false;
+      if (slotWhen_[f] < when || (slotWhen_[f] == when && s.seq <= prevSeq)) {
+        return false;
+      }
+      if (++followers[far] > slots_.size()) return false;  // cycle guard
+      prev = f;
+      prevSeq = s.seq;
+      when = slotWhen_[f];
+    }
+    const Lane& lane = lanes_[li];
+    return lane.tail == prev && lane.tailSeq == prevSeq &&
+           lane.tailWhen == when;
+  };
+  const auto checkHeap = [&](const std::vector<HeapEntry>& h,
+                             std::uint32_t tag) {
     for (std::uint32_t pos = 0; pos < h.size(); ++pos) {
       const HeapEntry& e = h[pos];
       const std::uint32_t si = e.slot();
@@ -312,21 +474,35 @@ bool Simulator::checkInvariants() const {
       if (slots_[si].seq != seq || seq == 0) return false;
       if (!slots_[si].fn) return false;
       if (pos > 0 && before(e, h[(pos - 1) >> 2])) return false;
+      if (slots_[si].lane == kNoLane) {
+        if (slots_[si].link != kNpos) return false;
+      } else if (!checkLane(slots_[si].lane, si, tag, e.when)) {
+        return false;
+      }
     }
     return true;
   };
   // No ordering constraint holds BETWEEN the heaps (a far event may now be
   // the global minimum); each must merely be a valid heap on its own.
   if (!checkHeap(heap_, 0) || !checkHeap(far_, kFarBit)) return false;
-  if (slotPos_.size() != slots_.size()) return false;
+  // A lane is bound exactly while its head sits in a heap.
+  for (std::uint32_t li = 0; li < kLanes; ++li) {
+    if ((laneDelay_[li] != kFreeLane) != (heads[li] == 1)) return false;
+  }
+  if (followers[0] != nearFollowers_ || followers[1] != farFollowers_) {
+    return false;
+  }
   std::size_t freeCount = 0;
-  for (std::uint32_t si = freeHead_; si != kNpos; si = slots_[si].nextFree) {
+  for (std::uint32_t si = freeHead_; si != kNpos; si = slots_[si].link) {
     if (si >= slots_.size()) return false;
     if (slotPos_[si] != kNpos || slots_[si].seq != 0) return false;
+    if (slots_[si].lane != kNoLane) return false;
     if (++freeCount > slots_.size()) return false;  // cycle guard
   }
   const std::size_t reserved = firingSlot_ != kNpos ? 1 : 0;
-  return heap_.size() + far_.size() + freeCount + reserved == slots_.size();
+  return heap_.size() + far_.size() + nearFollowers_ + farFollowers_ +
+             freeCount + reserved ==
+         slots_.size();
 }
 
 void PeriodicTask::startAt(SimTime first) {

@@ -36,6 +36,24 @@
 // either tier through a tagged position index, and a far event simply fires
 // from its own heap when its time comes.
 //
+// Delay lanes (DESIGN.md §6): almost every event is scheduled a fixed delay
+// after the event that schedules it — a camera tick at its period, a hop at
+// its link latency, a completion at its service time — and events pushed
+// with one delay arrive in (when, seq) order, because now() never goes back
+// and seqs only grow. So a FIFO already holds them sorted. A push whose
+// delay (when − now) matches a busy lane's is appended to that lane; only
+// each lane's oldest member, its head, sits in the near or far heap. When
+// the head fires or is cancelled, the lane's next member takes the head's
+// heap position with one sift-down instead of a pop plus a push. Lanes own
+// no storage: a member's slot link (the free-list link while the slot is
+// free) names the next member, its position index names the previous one,
+// and slotWhen_ holds its timestamp, so a cancel unlinks a follower in
+// O(1). A push whose delay finds no free lane, or that would not land after
+// the lane's last member (a re-arm whose callback already scheduled the
+// same delay), goes to the heaps as it would without lanes. The global fire
+// order is therefore unchanged. Followers count toward nearCount() or
+// farCount() by their lane's delay, exactly as if they sat in the heaps.
+//
 // Emitter taint (for the sharded sim's adaptive window bound, DESIGN.md
 // §12): an event may be tagged as an *emitter* — one whose callback might,
 // transitively, send a cross-shard message. The taint is closed under
@@ -44,14 +62,15 @@
 // cross-shard cascades (cross-rack camera ticks, fault-plan events, drained
 // mailbox deliveries) and the engine propagates the bit through arbitrarily
 // deep event chains. nextEmitterTime() reports the earliest pending emitter
-// across BOTH tiers — the shard's earliest-cross-shard-send bound (ECSB) —
-// via a lazy side min-heap: tagged schedules push an entry, fired/cancelled
-// entries are detected by seq mismatch and purged only when they surface at
-// the top. The side heap is maintained only under setEmitterTracking(true)
+// across both tiers and every lane — the shard's earliest-cross-shard-send
+// bound (ECSB) — via a lazy side min-heap: tagged schedules push an entry,
+// fired/cancelled entries are detected by seq mismatch and purged only when
+// they surface at the top. The side heap is maintained only under setEmitterTracking(true)
 // (the sharded adaptive mode); otherwise the bit still propagates (one bool
 // per slot) but costs nothing and nextEmitterTime() degrades to the always-
 // sound nextEventTime().
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
@@ -77,7 +96,7 @@ class Simulator {
  public:
   using Callback = EventFn;
 
-  Simulator() = default;
+  Simulator() { laneDelay_.fill(kFreeLane); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -107,7 +126,9 @@ class Simulator {
   // completion was scheduled untagged and now has an emitter job queued
   // behind it: tainting the wakeup keeps the chain visible to the adaptive
   // bound (its cascade then starts the queued job tagged by inheritance).
-  // Stale / fired / already-tagged ids are a no-op.
+  // The event may be a heap entry or a lane follower; the side index takes
+  // its timestamp from the heap entry or from slotWhen_. Stale / fired /
+  // already-tagged ids are a no-op.
   void taintEvent(EventId id);
 
   // Runs until the event queue drains. Returns the number of events fired.
@@ -128,18 +149,15 @@ class Simulator {
   // Earliest pending *emitter* event across both tiers, SimTime::max() when
   // none — the shard's ECSB under the adaptive window bound. Purges stale
   // side-heap entries lazily, hence non-const; callable only between events
-  // (the sharded barrier), never from inside a firing callback. Without
-  // emitter tracking this conservatively degrades to nextEventTime().
+  // (the sharded barrier): a call from inside a firing callback aborts, in
+  // every build. Without emitter tracking this conservatively degrades to
+  // nextEventTime().
   SimTime nextEmitterTime();
   // Enables the emitter side-heap. Must be flipped while no events are
   // pending (already-scheduled emitters would be invisible to the index and
-  // the adaptive bound would be unsound); the ShardedSim constructor does it
-  // before any actor schedules.
-  void setEmitterTracking(bool on) {
-    assert((!on || pendingCount() == 0) &&
-           "emitter tracking enabled with events already pending");
-    trackEmitters_ = on;
-  }
+  // the adaptive bound would be unsound), or the call aborts, in every
+  // build; the ShardedSim constructor does it before any actor schedules.
+  void setEmitterTracking(bool on);
   // True while the currently-firing callback is an emitter: actors that
   // carry work across cascades through their own state (the TPU device
   // FIFO) capture this at enqueue time and re-assert it on the event that
@@ -147,34 +165,48 @@ class Simulator {
   bool firingEmitter() const { return firingSlot_ != kNpos && firingEmitter_; }
   // Window execution for the sharded simulation: fires every event with
   // timestamp strictly < `bound`, then advances now() to `advanceTo`
-  // (callers pass advanceTo <= bound; events at exactly `bound` stay
-  // pending so a cross-shard delivery stamped `bound` can still be
-  // scheduled before them in the next window). Returns events fired.
+  // (callers pass now() <= advanceTo <= bound, or the call aborts; events
+  // at exactly `bound` stay pending so a cross-shard delivery stamped
+  // `bound` can still be scheduled before them in the next window).
+  // Returns events fired.
   std::size_t runBefore(SimTime bound, SimTime advanceTo);
 
   bool empty() const { return pendingCount() == 0; }
   std::size_t pendingCount() const {
-    return heap_.size() + far_.size() + (rearmPending_ ? 1 : 0);
+    return nearCount() + farCount() + (rearmPending_ ? 1 : 0);
   }
   std::size_t firedCount() const { return fired_; }
 
   // Two-tier split introspection (tests assert which tier an event landed
-  // in around the kFarThreshold boundary; see sim_heap_boundary_test).
-  std::size_t nearCount() const { return heap_.size(); }
-  std::size_t farCount() const { return far_.size(); }
+  // in around the kFarThreshold boundary; see sim_heap_boundary_test). A
+  // lane follower counts in the tier its delay selects, as if it sat in
+  // that heap.
+  std::size_t nearCount() const { return heap_.size() + nearFollowers_; }
+  std::size_t farCount() const { return far_.size() + farFollowers_; }
   // Events scheduled at least this far past now() go to the far heap.
   static constexpr SimDuration farThreshold() { return kFarThreshold; }
+  // Lane introspection (sim_lane_test): pending events waiting behind a
+  // lane head rather than in a heap, and the fixed number of lanes.
+  std::size_t laneFollowerCount() const {
+    return nearFollowers_ + farFollowers_;
+  }
+  static constexpr std::size_t laneCount() { return kLanes; }
 
-  // Validates the heap ordering, the slot<->heap back-pointers and the free
-  // list. O(n); intended for tests (sim_stress_test) and debugging.
+  // Validates the heap ordering, the slot<->heap back-pointers, every
+  // lane's order, back-links, tail and counts, and the free list. O(n);
+  // intended for tests (sim_stress_test) and debugging.
   bool checkInvariants() const;
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
+  static constexpr std::uint8_t kNoLane = 0xff;  // Slot::lane of a non-member
 
   struct Slot {
     std::uint64_t seq = 0;  // 0 while on the free list
-    std::uint32_t nextFree = kNpos;
+    // The next free slot while free; the lane's next member while the slot
+    // is a lane member (kNpos at the tail); kNpos otherwise.
+    std::uint32_t link = kNpos;
+    std::uint8_t lane = kNoLane;  // the lane this event waits in, if any
     bool emitter = false;  // may transitively send cross-shard (see header)
     EventFn fn;
   };
@@ -185,7 +217,8 @@ class Simulator {
   // word holds (seq << kSlotBits) | slot; seqs are unique, so comparing the
   // packed word ties out identically to comparing seqs, and the slot rides
   // along for free. 40 bits of seq (~10^12 events per run) and 24 bits of
-  // slot (~16M simultaneously pending events) bound a single simulation.
+  // slot (~16M simultaneously pending events) bound a single simulation;
+  // acquireSlot() checks the slot bound in every build.
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kMaxSlots = (1u << kSlotBits) - 1;
   struct HeapEntry {
@@ -211,13 +244,40 @@ class Simulator {
   // data-plane events (all <= ~12 ms) near while deadline timers and fault
   // plans (>= 100s of ms) stay out of their way.
   static constexpr SimDuration kFarThreshold = milliseconds(64);
-  // Tag bit in slotPos_: set when the position indexes far_ instead of
-  // heap_. kNpos (all ones) is checked first wherever positions are read.
+  // Tag bits in slotPos_. kFarBit: the position indexes far_ instead of
+  // heap_. kLaneBit: the slot is a lane follower, and the low bits name the
+  // previous member of its lane (the head, for the first follower). Heap
+  // positions and slot indexes stay below 2^24, so neither tag collides
+  // with them. kNpos (all ones) is checked first wherever positions are
+  // read.
   static constexpr std::uint32_t kFarBit = 0x80000000u;
+  static constexpr std::uint32_t kLaneBit = 0x40000000u;
+
+  // Number of delay lanes. A lane is bound to one delay while it holds
+  // events and freed when its last member leaves; a delay that finds every
+  // lane busy goes to the heaps. 8, 16 and 32 lanes ran the perfbench
+  // workloads equally fast; a sampled flash crowd had seven lanes bound.
+  static constexpr std::uint32_t kLanes = 16;
+  // laneDelay_ value of a free lane; real delays are >= 0.
+  static constexpr SimDuration kFreeLane = SimDuration{-1};
+  struct Lane {
+    std::uint32_t tail = kNpos;  // last member's slot
+    std::uint64_t tailSeq = 0;   // and its (when, seq) key
+    SimTime tailWhen{};
+  };
 
   bool fireNext();
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t si);
+  // Queues slot `si` at (when, seq): appended to the lane of its delay,
+  // made the head of a free lane, or pushed on a heap as a plain entry.
+  void push(std::uint32_t si, SimTime when, std::uint64_t seq);
+  // Hands heap position `pos`, held by lane head `si`, to the lane's next
+  // member with one sift-down. Returns false, after freeing a drained lane
+  // or if `si` is not a lane head, when the caller must remove the entry.
+  bool promoteFollower(std::vector<HeapEntry>& h, std::uint32_t tag,
+                       std::uint32_t pos, std::uint32_t si);
+  void unlinkFollower(std::uint32_t si);
   // Places `e` at `pos` of heap `h` and bubbles it toward the root / the
   // leaves, maintaining the slots' tagged heap-position back-pointers
   // (`tag` is 0 for the near heap, kFarBit for the far heap).
@@ -225,7 +285,6 @@ class Simulator {
               HeapEntry e);
   void siftDown(std::vector<HeapEntry>& h, std::uint32_t tag,
                 std::uint32_t pos, HeapEntry e);
-  void heapPush(std::uint32_t si, SimTime when, std::uint64_t seq);
   void heapRemoveAt(std::vector<HeapEntry>& h, std::uint32_t tag,
                     std::uint32_t pos);
   void popRoot(std::vector<HeapEntry>& h, std::uint32_t tag);
@@ -243,13 +302,24 @@ class Simulator {
   std::size_t fired_ = 0;
 
   std::vector<Slot> slots_;
-  // Tagged heap position of each slot's event (kNpos while free or firing),
-  // kept outside Slot so the sift back-pointer stores land in a dense
-  // 4-byte array instead of dirtying one cache line per 80-byte slot.
+  // Tagged heap position of each slot's event, or its lane back-link
+  // (kNpos while free or firing), kept outside Slot so the sift
+  // back-pointer stores land in a dense 4-byte array instead of dirtying
+  // one cache line per 80-byte slot.
   std::vector<std::uint32_t> slotPos_;
+  // Timestamp of each lane member (head or follower); stale otherwise.
+  std::vector<SimTime> slotWhen_;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap: events due soon
   std::vector<HeapEntry> far_;   // 4-ary min-heap: events >= kFarThreshold out
   std::uint32_t freeHead_ = kNpos;
+
+  // Lane i is bound to delay laneDelay_[i] (kFreeLane while it holds no
+  // event); the delays sit apart from the tails so the lookup on every push
+  // scans one contiguous 128-byte array.
+  std::array<SimDuration, kLanes> laneDelay_;
+  std::array<Lane, kLanes> lanes_{};
+  std::size_t nearFollowers_ = 0;
+  std::size_t farFollowers_ = 0;
 
   // State of the callback currently executing inside fireNext(). The fired
   // slot stays reserved (off both heap and free list) for the duration of

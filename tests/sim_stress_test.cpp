@@ -1,12 +1,17 @@
 // Randomized stress for the indexed-heap event engine: interleaved
 // schedule / cancel / step / runFor / periodic activity with full structural
 // invariant checks, monotonic-clock assertions and bit-exact replay of the
-// fired-event trace across identically seeded runs.
+// fired-event trace across identically seeded runs, plus a differential of
+// the delay lanes against a reference (when, schedule order) queue.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -196,6 +201,164 @@ TEST(SimStressTest, CallbacksMutatingTheQueueKeepInvariants) {
   EXPECT_TRUE(sim.empty());
   EXPECT_TRUE(sim.checkInvariants());
   EXPECT_GT(fired, 0);
+}
+
+// Differential for the delay lanes. Most delays come from a small set of
+// repeated values (so lanes fill, drain and rebind, near and far), the rest
+// are random one-offs (so pushes also find every lane busy). Events re-arm,
+// chain same-delay children, and are cancelled as the head, a middle member
+// or the tail of their delay's pending run. The reference is a std::set
+// ordered by (when, schedule order): every fire must pop its minimum.
+struct LaneDifferential {
+  explicit LaneDifferential(std::uint64_t seed) : rng(seed) {}
+
+  // (when ns, schedule order, tag); schedule order mirrors the engine's seq.
+  using Key = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  struct Live {
+    EventId id;
+    Key key;
+    std::int64_t delayNs;
+  };
+
+  Pcg32 rng;
+  Simulator sim;
+  std::set<Key> reference;
+  std::map<std::uint64_t, Live> live;  // pending events by tag
+  std::vector<FiredRecord> fired, expected;
+  std::uint64_t order = 0;
+  std::uint64_t nextTag = 0;
+  bool ok = true;  // every fire popped the reference minimum
+
+  // Near and far delays, one exactly at the far threshold.
+  static constexpr std::int64_t kRepeated[] = {
+      0,         17'000,     250'000,     1'000'000,
+      5'000'000, 64'000'000, 100'000'000, 1'000'000'000};
+
+  std::int64_t repeatedDelay() {
+    return kRepeated[rng.nextBounded(
+        static_cast<std::uint32_t>(std::size(kRepeated)))];
+  }
+  std::int64_t drawDelay() {
+    if (rng.nextBounded(5) != 0) return repeatedDelay();
+    return static_cast<std::int64_t>(rng.nextBounded(200'000'000));
+  }
+
+  std::int64_t nowNs() const { return sim.now().time_since_epoch().count(); }
+
+  void track(std::uint64_t tag, EventId id, std::int64_t delayNs) {
+    const Key key{nowNs() + delayNs, order++, tag};
+    reference.insert(key);
+    live[tag] = Live{id, key, delayNs};
+  }
+
+  // `tag` is the firing closure's own capture: a re-arm fires the same
+  // closure again, so it takes the re-armed occurrence's tag.
+  void onFire(std::uint64_t& tag) {
+    const Key key = live.at(tag).key;
+    if (reference.empty() || *reference.begin() != key) ok = false;
+    reference.erase(key);
+    live.erase(tag);
+    fired.push_back({nowNs(), tag});
+    expected.push_back({std::get<0>(key), std::get<2>(key)});
+    if (!sim.checkInvariants()) ok = false;  // mid-fire: slot reserved
+    if (nowNs() > 3'000'000'000) return;     // let the run drain
+    switch (rng.nextBounded(6)) {
+      case 0: {  // re-arm at a repeated delay
+        const std::int64_t d = repeatedDelay();
+        // The engine takes the re-arm's seq now, before anything the rest
+        // of this callback schedules.
+        tag = nextTag++;
+        const Key rekey{nowNs() + d, order++, tag};
+        reference.insert(rekey);
+        live[tag] = Live{sim.rearmCurrentAfter(nanoseconds(d)), rekey, d};
+        // Sometimes also schedule the same delay: that event takes the
+        // lane's tail first, and the re-arm must not follow it there.
+        if (rng.nextBounded(2) == 0) scheduleOne(d);
+        break;
+      }
+      case 1:  // chain a child at a repeated delay
+        scheduleOne(repeatedDelay());
+        break;
+      default:
+        break;
+    }
+  }
+
+  void scheduleOne(std::int64_t delayNs) {
+    const std::uint64_t tag = nextTag++;
+    track(tag,
+          sim.scheduleAfter(nanoseconds(delayNs),
+                            [this, t = tag]() mutable { onFire(t); }),
+          delayNs);
+  }
+
+  // Cancels the head (which = 0), a middle member (1) or the tail (2) of
+  // the pending events scheduled with one repeated delay.
+  void cancelOfDelay(std::int64_t delayNs, std::uint32_t which) {
+    std::vector<std::uint64_t> run;
+    for (const Key& k : reference) {
+      const std::uint64_t tag = std::get<2>(k);
+      if (live.at(tag).delayNs == delayNs) run.push_back(tag);
+    }
+    if (run.empty()) return;
+    const std::size_t pick = which == 0   ? 0
+                             : which == 2 ? run.size() - 1
+                                          : run.size() / 2;
+    cancelTag(run[pick]);
+  }
+
+  void cancelTag(std::uint64_t tag) {
+    const Live l = live.at(tag);
+    sim.cancel(l.id);
+    reference.erase(l.key);
+    live.erase(tag);
+  }
+
+  void act() {
+    switch (rng.nextBounded(10)) {
+      case 0:
+      case 1:
+      case 2:
+        scheduleOne(drawDelay());
+        break;
+      case 3: {  // burst at one repeated delay
+        const std::int64_t d = repeatedDelay();
+        for (int i = 0; i < 6; ++i) scheduleOne(d);
+        break;
+      }
+      case 4:
+      case 5:
+        cancelOfDelay(repeatedDelay(), rng.nextBounded(3));
+        break;
+      case 6:
+        sim.step();
+        break;
+      default:
+        sim.runFor(microseconds(rng.nextBounded(3000)));
+        break;
+    }
+  }
+};
+
+TEST(SimStressTest, DelayLanesMatchAReferenceOrder) {
+  for (std::uint64_t seed : {1ull, 7ull, 2024ull, 0xfeedull}) {
+    LaneDifferential w(seed);
+    for (int round = 0; round < 1500; ++round) {
+      w.act();
+      ASSERT_TRUE(w.sim.checkInvariants())
+          << "seed=" << seed << " round=" << round;
+      ASSERT_EQ(w.sim.pendingCount(), w.reference.size())
+          << "seed=" << seed << " round=" << round;
+    }
+    EXPECT_GT(w.sim.laneFollowerCount(), 0u) << "seed=" << seed;
+    w.sim.run();
+    ASSERT_TRUE(w.sim.checkInvariants()) << "seed=" << seed;
+    EXPECT_TRUE(w.sim.empty());
+    EXPECT_TRUE(w.reference.empty());
+    EXPECT_TRUE(w.ok) << "seed=" << seed;
+    EXPECT_GT(w.fired.size(), 1000u) << "seed=" << seed;
+    EXPECT_EQ(w.fired, w.expected) << "seed=" << seed;
+  }
 }
 
 }  // namespace

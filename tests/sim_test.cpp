@@ -253,5 +253,51 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(runOnce(), runOnce());
 }
 
+// The engine's calling contract holds in every build: each violation
+// aborts with its context instead of corrupting the run.
+TEST(SimulatorDeathTest, RearmOutsideACallbackAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim;
+  EXPECT_DEATH(sim.rearmCurrentAfter(milliseconds(1)),
+               "rearmCurrentAfter: called outside a firing callback");
+}
+
+TEST(SimulatorDeathTest, EmitterTrackingWithEventsPendingAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim;
+  sim.setEmitterTracking(true);  // nothing pending yet: allowed
+  sim.setEmitterTracking(false);
+  sim.scheduleAfter(milliseconds(1), [] {});
+  sim.setEmitterTracking(false);  // turning it off is always allowed
+  EXPECT_DEATH(sim.setEmitterTracking(true),
+               "enabled with 1 events already pending");
+}
+
+TEST(SimulatorDeathTest, NextEmitterTimeInsideACallbackAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim;
+  sim.setEmitterTracking(true);
+  sim.scheduleAfter(milliseconds(1), [&sim] { sim.nextEmitterTime(); });
+  EXPECT_DEATH(sim.run(), "nextEmitterTime: called from inside a firing");
+}
+
+TEST(SimulatorDeathTest, RunBeforeOutsideNowAndBoundAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim;
+  sim.runFor(milliseconds(10));
+  // Past the bound.
+  EXPECT_DEATH(sim.runBefore(kSimEpoch + milliseconds(20),
+                             kSimEpoch + milliseconds(21)),
+               "runBefore: advanceTo=21000000 ns outside");
+  // Before now.
+  EXPECT_DEATH(sim.runBefore(kSimEpoch + milliseconds(20),
+                             kSimEpoch + milliseconds(5)),
+               "runBefore: advanceTo=5000000 ns outside");
+  // The two ends of the range are allowed.
+  sim.runBefore(kSimEpoch + milliseconds(20), kSimEpoch + milliseconds(10));
+  sim.runBefore(kSimEpoch + milliseconds(20), kSimEpoch + milliseconds(20));
+  EXPECT_EQ(sim.now(), kSimEpoch + milliseconds(20));
+}
+
 }  // namespace
 }  // namespace microedge
