@@ -63,6 +63,7 @@
 #include "cli_flags.hpp"
 #include "count_allocs.hpp"
 #include "testbed/sharded_cluster.hpp"
+#include "util/intern.hpp"
 #include "util/strings.hpp"
 
 namespace microedge {
@@ -112,8 +113,7 @@ Preset presetByName(const std::string& name) {
     Preset p{"100k", 1000, 2, 8, 10, 10, 1.0, 0.01, 0, 2.5};
     p.warmupSeconds = 1.25;  // one full 1 fps period + slack
     // 5% over the 4.53 blocks and 850 bytes per stream measured at one
-    // shard (gcc 12, glibc; the first run in the process also counts the
-    // node names it interns).
+    // shard (gcc 12, glibc; node names interned during setup included).
     p.maxBlocksPerStream = 4.53 * 1.05;
     p.maxBytesPerStream = 850 * 1.05;
     return p;
@@ -180,6 +180,9 @@ struct RunResult {
 
 RunResult runPreset(const Preset& preset, unsigned shards,
                     ShardedSim::WindowBound mode) {
+  // Fresh intern tables, opened before the footprint baseline: every cell
+  // interns, and counts, its own node names, not only the process's first.
+  InternScope scope;
   const std::int64_t blocks0 = liveBlocksNow();
   const std::int64_t bytes0 = liveBytesNow();
   ShardedCluster cluster(configFor(preset, shards, mode));

@@ -32,7 +32,7 @@
 # Environment:
 #   BUILD_DIR=build                build tree holding bench/
 #   REPS=1                         google-benchmark repetitions
-#   BENCH_SWEEP_GRID=fig5          built-in grid or JSON grid file (sweep)
+#   BENCH_SWEEP_GRID=fig5          built-in grid: fig5|fig6|smoke|scenario (sweep)
 #   BENCH_SWEEP_THREADS=nproc      sweep worker threads
 #   BENCH_SHARDSIM_SHARDS=1,2,4,8  shard counts (shardsim)
 #   BENCH_SHARDSIM_MODES=fixed,adaptive  window-bound modes (shardsim; the
@@ -87,8 +87,7 @@ run_suite() {
       "${bin}" \
         --grid="${BENCH_SWEEP_GRID:-fig5}" \
         --threads="${BENCH_SWEEP_THREADS:-$(nproc)}" \
-        --out="${out}" \
-        --manifest=none
+        --out="${out}"
       echo "wrote ${out}"
       ;;
     shardsim)

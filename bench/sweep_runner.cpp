@@ -1,14 +1,15 @@
 // sweep_runner — CLI front end of the experiment-sweep subsystem.
 //
-// Runs a built-in grid (fig5 | fig6 | smoke | scenario) or a JSON grid file
-// on --threads workers and writes the deterministically merged result:
+// Runs a built-in grid (fig5 | fig6 | smoke | scenario) on --threads
+// workers and writes the deterministically merged result to --out, the only
+// file it writes:
 //
 //   sweep_runner --grid=fig5 --threads=8 --out=BENCH_sweep.json
-//   sweep_runner --grid=grid.json --resume
+//   sweep_runner --grid=fig6 --dump-grid
 //
-// The merged output is byte-identical for any --threads count (and across
-// interrupted + resumed histories); the `figures` ctest label compares it
-// with committed goldens. The run's summary goes to stderr.
+// The merged output is byte-identical for any --threads count; the
+// `figures` ctest label compares it with committed goldens. The run's
+// summary goes to stderr.
 
 #include <cstdlib>
 #include <iostream>
@@ -27,15 +28,12 @@ namespace {
 void usage() {
   std::cerr <<
       "usage: sweep_runner [options]\n"
-      "  --grid=NAME|FILE   built-in grid (fig5|fig6|smoke|scenario) or JSON\n"
-      "                     grid file (default fig5)\n"
+      "  --grid=NAME        built-in grid: fig5|fig6|smoke|scenario\n"
+      "                     (default fig5)\n"
       "  --threads=N        worker threads (default: hardware concurrency;\n"
       "                     1 = serial path, 0 = auto — clamp to the\n"
       "                     machine's hardware concurrency)\n"
       "  --out=PATH         merged output (default BENCH_sweep.json)\n"
-      "  --manifest=PATH    checkpoint manifest (default <out>.manifest.jsonl,\n"
-      "                     'none' disables checkpointing)\n"
-      "  --resume           fold an existing manifest in; run missing points\n"
       "  --dump-grid        print the grid JSON and exit\n";
 }
 
@@ -44,10 +42,8 @@ void usage() {
 int main(int argc, char** argv) {
   std::string gridName = "fig5";
   std::string outPath = "BENCH_sweep.json";
-  std::string manifestPath;  // empty = derive from outPath
   unsigned threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
-  bool resume = false;
   bool dumpGrid = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -64,10 +60,6 @@ int main(int argc, char** argv) {
       }
     } else if (parseFlag(arg, "out", &value)) {
       outPath = value;
-    } else if (parseFlag(arg, "manifest", &value)) {
-      manifestPath = value;
-    } else if (arg == "--resume") {
-      resume = true;
     } else if (arg == "--dump-grid") {
       dumpGrid = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -80,26 +72,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Grid: built-in name first, then a JSON file path.
-  SweepGrid grid;
   StatusOr<SweepGrid> builtin = builtinSweepGrid(gridName);
-  if (builtin.isOk()) {
-    grid = std::move(*builtin);
-  } else {
-    StatusOr<std::string> text = readTextFile(gridName);
-    if (!text.isOk()) {
-      std::cerr << "sweep_runner: " << gridName
-                << " is neither a built-in grid nor a readable file\n";
-      return 2;
-    }
-    StatusOr<SweepGrid> parsed = SweepGrid::fromJsonText(*text);
-    if (!parsed.isOk()) {
-      std::cerr << "sweep_runner: " << gridName << ": "
-                << parsed.status().toString() << "\n";
-      return 2;
-    }
-    grid = std::move(*parsed);
+  if (!builtin.isOk()) {
+    std::cerr << "sweep_runner: bad --grid value '" << gridName
+              << "' (expected fig5|fig6|smoke|scenario)\n";
+    usage();
+    return 2;
   }
+  const SweepGrid& grid = *builtin;
 
   if (dumpGrid) {
     std::cout << grid.toJson().dump(2) << "\n";
@@ -115,12 +95,6 @@ int main(int argc, char** argv) {
   SweepOptions options;
   options.threads = threads;
   options.outPath = outPath;
-  options.manifestPath =
-      manifestPath == "none"
-          ? std::string()
-          : (manifestPath.empty() ? outPath + ".manifest.jsonl"
-                                  : manifestPath);
-  options.resume = resume;
 
   StatusOr<SweepReport> report = runSweep(grid, *driver, options);
   if (!report.isOk()) {
@@ -128,8 +102,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cerr << "sweep " << grid.name() << ": " << report->ran << " run + "
-            << report->resumed << " resumed of " << report->totalPoints
+  std::cerr << "sweep " << grid.name() << ": " << report->totalPoints
             << " points, " << threads << " thread(s), "
             << fmtDouble(report->wallSeconds, 2) << "s wall\n";
   std::cerr << "wrote " << outPath << "\n";

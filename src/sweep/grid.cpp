@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace microedge {
 
@@ -35,66 +34,6 @@ SweepGrid SweepGrid::explicitPoints(std::string name,
   grid.points_ = std::move(points);
   grid.baseSeed_ = baseSeed;
   return grid;
-}
-
-namespace {
-
-Status tooManyPoints() {
-  return invalidArgument(
-      strCat("sweep grid: more than ", kMaxSweepPoints, " points"));
-}
-
-}  // namespace
-
-StatusOr<SweepGrid> SweepGrid::fromJson(const JsonValue& spec) {
-  if (!spec.isObject()) return invalidArgument("sweep grid: not an object");
-  SweepGrid grid;
-  grid.name_ = spec.getString("name", "sweep");
-  grid.driver_ = spec.getString("driver", "");
-  grid.baseSeed_ = static_cast<std::uint64_t>(spec.getInt("seed", 0));
-
-  const JsonValue* points = spec.find("points");
-  const JsonValue* axes = spec.find("axes");
-  if (points != nullptr && axes != nullptr) {
-    return invalidArgument("sweep grid: give either \"axes\" or \"points\"");
-  }
-  if (points != nullptr) {
-    if (!points->isArray() || points->items().empty()) {
-      return invalidArgument("sweep grid: \"points\" must be a non-empty array");
-    }
-    if (points->size() > kMaxSweepPoints) return tooManyPoints();
-    for (const JsonValue& p : points->items()) {
-      if (!p.isObject()) {
-        return invalidArgument("sweep grid: every point must be an object");
-      }
-    }
-    grid.points_ = points->items();
-    return grid;
-  }
-  if (axes == nullptr || !axes->isArray() || axes->items().empty()) {
-    return invalidArgument("sweep grid: missing \"axes\" (or \"points\")");
-  }
-  std::size_t count = 1;
-  for (const JsonValue& axis : axes->items()) {
-    const JsonValue* values = axis.find("values");
-    std::string axisName = axis.getString("name", "");
-    if (axisName.empty() || values == nullptr || !values->isArray() ||
-        values->items().empty()) {
-      return invalidArgument(
-          "sweep grid: each axis needs a name and non-empty values");
-    }
-    // Divided, not multiplied, so the product cannot wrap.
-    if (values->size() > kMaxSweepPoints / count) return tooManyPoints();
-    count *= values->size();
-    grid.axes_.push_back(Axis{std::move(axisName), values->items()});
-  }
-  return grid;
-}
-
-StatusOr<SweepGrid> SweepGrid::fromJsonText(std::string_view text) {
-  StatusOr<JsonValue> parsed = JsonValue::parse(text);
-  if (!parsed.isOk()) return parsed.status();
-  return fromJson(*parsed);
 }
 
 JsonValue SweepGrid::toJson() const {

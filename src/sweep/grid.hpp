@@ -6,9 +6,9 @@
 // experiment covers: either the cartesian product of a handful of axes
 // (model × fps × pool-size × strategy × seed — Fig. 5's shape) or an
 // explicit list of point objects (Fig. 6's five named variants). Grids are
-// plain JSON so a sweep can be described in a file, shipped to the
-// sweep_runner binary, fingerprinted into checkpoints and embedded in the
-// merged result:
+// built in code (sweep/drivers.hpp holds the built-in ones); their JSON
+// form is what sweep_runner --dump-grid prints and what the fingerprint the
+// merged result carries is taken over:
 //
 //   {
 //     "name": "fig5-coral-pie",
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/status.hpp"
 
 namespace microedge {
 
@@ -60,10 +59,6 @@ struct SweepPoint {
   }
 };
 
-// Most points a grid may hold. The runner keeps one result slot per point
-// in memory; the built-in grids hold at most 24.
-inline constexpr std::size_t kMaxSweepPoints = std::size_t{1} << 20;
-
 // splitMix64 chained over the base seed and the point's coordinates.
 std::uint64_t deriveSweepSeed(std::uint64_t baseSeed,
                               const std::vector<std::size_t>& coords);
@@ -84,14 +79,9 @@ class SweepGrid {
                                   std::vector<JsonValue> points,
                                   std::uint64_t baseSeed = 0);
 
-  // InvalidArgument on a malformed spec, or one naming more than
-  // kMaxSweepPoints points.
-  static StatusOr<SweepGrid> fromJson(const JsonValue& spec);
-  static StatusOr<SweepGrid> fromJsonText(std::string_view text);
   JsonValue toJson() const;
 
-  // jsonFingerprint(toJson()): names the grid in checkpoint manifests so a
-  // stale manifest cannot poison a changed sweep.
+  // jsonFingerprint(toJson()): names the grid in the merged document.
   std::string fingerprint() const;
 
   const std::string& name() const { return name_; }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "util/intern.hpp"
@@ -25,100 +24,6 @@ JsonValue pointDocument(SweepPoint point, JsonValue result) {
   return p;
 }
 
-}  // namespace
-
-StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
-                               const SweepOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t total = grid.pointCount();
-  if (total == 0) return invalidArgument("sweep: empty grid");
-  const std::string fingerprint = grid.fingerprint();
-
-  SweepReport report;
-  report.totalPoints = total;
-
-  // Per-point result slots. A slot is written by exactly one worker (or
-  // prefilled from the manifest before workers start) and read only after
-  // the workers join — no locking, no ordering sensitivity.
-  std::vector<JsonValue> slots(total);
-  std::vector<char> present(total, 0);
-
-  SweepManifest manifest(options.manifestPath);
-  if (!options.manifestPath.empty()) {
-    if (options.resume) {
-      StatusOr<std::vector<SweepManifest::Entry>> entries =
-          manifest.load(fingerprint, total);
-      if (!entries.isOk()) return entries.status();
-      for (SweepManifest::Entry& entry : *entries) {
-        if (present[entry.pointIndex]) continue;  // later dup wins nothing
-        slots[entry.pointIndex] = pointDocument(grid.point(entry.pointIndex),
-                                                std::move(entry.result));
-        present[entry.pointIndex] = 1;
-        ++report.resumed;
-      }
-    }
-    ME_RETURN_IF_ERROR(
-        manifest.openForAppend(grid.name(), fingerprint, options.resume));
-  }
-
-  // Missing points, in canonical order (the serial path runs them exactly
-  // in this order; parallel order is irrelevant by construction).
-  std::vector<std::size_t> pending;
-  pending.reserve(total - report.resumed);
-  for (std::size_t i = 0; i < total; ++i) {
-    if (!present[i]) pending.push_back(i);
-  }
-
-  const bool checkpointing = !options.manifestPath.empty();
-  auto runPoint = [&](std::size_t index) {
-    // Fresh intern tables for this point: handle values become a pure
-    // function of the point's own intern sequence, bit-identical to a solo
-    // run (and the tables cannot grow across a long sweep).
-    InternScope scope;
-    SweepPoint p = grid.point(index);
-    JsonValue result = fn(p);
-    if (checkpointing) manifest.append(index, result);
-    slots[index] = pointDocument(std::move(p), std::move(result));
-  };
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t k = next++; k < pending.size(); k = next++) {
-      runPoint(pending[k]);
-    }
-  };
-  const std::size_t workers =
-      std::min<std::size_t>(options.threads, pending.size());
-  if (workers <= 1) {
-    worker();
-  } else {
-    // jthreads join on destruction, so the block ends only when every
-    // worker has, even if starting a later one throws.
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
-  }
-  report.ran = pending.size();
-
-  // Merge: the slots in index order, so the document is independent of
-  // which worker ran what.
-  JsonValue points = JsonValue::array();
-  for (JsonValue& slot : slots) points.push(std::move(slot));
-  report.merged = JsonValue::object();
-  report.merged.set("sweep", 1);
-  report.merged.set("grid", grid.name());
-  report.merged.set("fingerprint", fingerprint);
-  report.merged.set("points", std::move(points));
-
-  if (!options.outPath.empty()) {
-    ME_RETURN_IF_ERROR(
-        writeTextFile(options.outPath, report.merged.dump(2) + "\n"));
-  }
-  report.wallSeconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  return report;
-}
-
 Status writeTextFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
   if (!out.is_open()) {
@@ -130,12 +35,64 @@ Status writeTextFile(const std::string& path, const std::string& contents) {
   return Status::ok();
 }
 
-StatusOr<std::string> readTextFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return notFound(strCat("cannot open ", path));
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+}  // namespace
+
+StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
+                               const SweepOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t total = grid.pointCount();
+  if (total == 0) return invalidArgument("sweep: empty grid");
+
+  SweepReport report;
+  report.totalPoints = total;
+
+  // Per-point result slots. A slot is written by exactly one worker and
+  // read only after the workers join — no locking, no ordering
+  // sensitivity.
+  std::vector<JsonValue> slots(total);
+  std::atomic<std::size_t> next{0};
+  // The serial path claims the points in canonical order; parallel order is
+  // irrelevant by construction.
+  auto worker = [&] {
+    for (std::size_t index = next++; index < total; index = next++) {
+      // Fresh intern tables for this point: handle values become a pure
+      // function of the point's own intern sequence, bit-identical to a
+      // solo run (and the tables cannot grow across a long sweep).
+      InternScope scope;
+      SweepPoint p = grid.point(index);
+      JsonValue result = fn(p);
+      slots[index] = pointDocument(std::move(p), std::move(result));
+    }
+  };
+  const std::size_t workers = std::min<std::size_t>(options.threads, total);
+  if (workers <= 1) {
+    worker();
+  } else {
+    // jthreads join on destruction, so the block ends only when every
+    // worker has, even if starting a later one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
+  }
+
+  // Merge: the slots in index order, so the document is independent of
+  // which worker ran what.
+  JsonValue points = JsonValue::array();
+  for (JsonValue& slot : slots) points.push(std::move(slot));
+  report.merged = JsonValue::object();
+  report.merged.set("sweep", 1);
+  report.merged.set("grid", grid.name());
+  report.merged.set("fingerprint", grid.fingerprint());
+  report.merged.set("points", std::move(points));
+
+  if (!options.outPath.empty()) {
+    ME_RETURN_IF_ERROR(
+        writeTextFile(options.outPath, report.merged.dump(2) + "\n"));
+  }
+  report.wallSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  return report;
 }
 
 }  // namespace microedge

@@ -10,8 +10,8 @@
 //
 // Determinism contract (the subsystem's reason to exist):
 //   merged_bytes = f(grid, point function)      — nothing else.
-// Thread count, completion order and resumed histories all produce the
-// identical BENCH_sweep.json. Three mechanisms carry that guarantee:
+// Every thread count and completion order produces the identical
+// BENCH_sweep.json. Three mechanisms carry that guarantee:
 //
 //   1. Per-point isolation. Every point runs inside its own InternScope
 //      (fresh intern tables for the worker thread) with a fresh Testbed/
@@ -19,17 +19,15 @@
 //      grid coordinates (deriveSweepSeed), so a point's result is
 //      bit-identical to the same point run alone in a fresh process.
 //   2. Slotted collection. Workers write into a per-point slot (no shared
-//      accumulator), the manifest records completions in arrival order but
-//      is folded back by index, and the merge reads the slots in index
-//      order.
+//      accumulator), and the merge reads the slots in index order.
 //   3. Canonical serialization. util/json prints one spelling per value.
 //
 // The merged document deliberately excludes anything run-dependent (wall
 // clock, thread count); timing lives in the report instead, so two runs can
 // be compared byte for byte.
 //
-// Work distribution: each worker claims the next pending point from one
-// shared counter until none is left. A point is a whole simulation run, so
+// Work distribution: each worker claims the next point from one shared
+// counter until none is left. A point is a whole simulation run, so
 // the claim costs nothing next to it, and a worker that drew a cheap point
 // simply claims another — the built-in grids' points differ in cost by up
 // to 4x (fig6) and finish in about a second in total.
@@ -39,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "sweep/checkpoint.hpp"
 #include "sweep/grid.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
@@ -53,30 +50,20 @@ namespace microedge {
 using SweepPointFn = std::function<JsonValue(const SweepPoint&)>;
 
 struct SweepOptions {
-  // Worker threads, never more than pending points. 0 or 1 runs the points
-  // inline on the calling thread, in canonical grid order.
+  // Worker threads, never more than points. 0 or 1 runs the points inline
+  // on the calling thread, in canonical grid order.
   unsigned threads = 1;
   // Merged document path; empty = keep the merge in memory only.
   std::string outPath;
-  // Checkpoint manifest path; empty disables checkpointing.
-  std::string manifestPath;
-  // Fold a pre-existing manifest in and run only the missing points.
-  bool resume = false;
 };
 
 struct SweepReport {
   std::size_t totalPoints = 0;
-  std::size_t ran = 0;      // executed this run
-  std::size_t resumed = 0;  // folded in from the manifest
   double wallSeconds = 0.0;
   JsonValue merged;
 };
 
 StatusOr<SweepReport> runSweep(const SweepGrid& grid, const SweepPointFn& fn,
                                const SweepOptions& options);
-
-// File-level conveniences for the sweep_runner CLI and tests.
-Status writeTextFile(const std::string& path, const std::string& contents);
-StatusOr<std::string> readTextFile(const std::string& path);
 
 }  // namespace microedge

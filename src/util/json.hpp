@@ -1,19 +1,16 @@
 #pragma once
 
-// Minimal deterministic JSON for the sweep subsystem (grids in, results out).
+// Minimal deterministic JSON writer for the sweep subsystem's merged results
+// and the benches' dumps.
 //
 // Determinism is the point: the sweep runner's merged BENCH_sweep.json must
-// be byte-identical regardless of thread count, shard count or resume
-// history, so serialization has exactly one spelling per value — objects
-// keep insertion order (no hash-map iteration order leaking in), integers
-// and doubles are distinct storage classes (a 64-bit seed survives a
-// round-trip bit-exactly; doubles print as the shortest std::to_chars
-// representation, which is platform-stable for IEEE-754 binary64), and the
-// writer emits no locale-dependent formatting.
-//
-// The parser is a small recursive-descent reader for trusted inputs (grid
-// files, our own shard/manifest output): full JSON minus surrogate-pair
-// exotica is supported; errors carry byte offsets.
+// be byte-identical regardless of thread count or shard count, so
+// serialization has exactly one spelling per value — objects keep
+// insertion order (no hash-map iteration order leaking in), integers and
+// doubles are distinct storage classes (a 64-bit seed prints bit-exactly;
+// doubles print as the shortest std::to_chars representation, which is
+// platform-stable for IEEE-754 binary64), and the writer emits no
+// locale-dependent formatting. Nothing in the program reads JSON back.
 
 #include <cstdint>
 #include <string>
@@ -21,8 +18,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/status.hpp"
 
 namespace microedge {
 
@@ -84,8 +79,6 @@ class JsonValue {
 
   Array& items() { return array_; }
   const Array& items() const { return array_; }
-  Object& members() { return object_; }
-  const Object& members() const { return object_; }
   std::size_t size() const {
     return type_ == Type::kObject ? object_.size() : array_.size();
   }
@@ -106,17 +99,9 @@ class JsonValue {
   std::string getString(std::string_view key, std::string_view fallback) const;
   bool getBool(std::string_view key, bool fallback) const;
 
-  // Exact structural equality (int 1 != double 1.0, as in serialization).
-  friend bool operator==(const JsonValue& a, const JsonValue& b);
-  friend bool operator!=(const JsonValue& a, const JsonValue& b) {
-    return !(a == b);
-  }
-
   // Compact (indent < 0) or pretty (2-space style indent) serialization.
   // Deterministic: same value -> same bytes, always.
   std::string dump(int indent = -1) const;
-
-  static StatusOr<JsonValue> parse(std::string_view text);
 
  private:
   void dumpTo(std::string& out, int indent, int depth) const;
@@ -142,7 +127,7 @@ inline constexpr std::uint64_t fnvFold(std::uint64_t h, std::uint64_t v) {
 }
 
 // FNV-1a over `value`'s compact dump, as 16 lowercase hex digits: the name a
-// sweep grid or a scenario spec carries into dumps and checkpoint manifests.
+// sweep grid or a scenario spec carries into dumps.
 std::string jsonFingerprint(const JsonValue& value);
 
 }  // namespace microedge

@@ -1,7 +1,7 @@
-// src/sweep: grid enumeration and its point cap, seed derivation, the
-// runner's determinism contract (merged bytes = f(grid, point function) for
-// any thread/resume history), checkpoint manifests, and the InternScope
-// isolation that makes a worker's run bit-identical to a solo run.
+// src/sweep: grid enumeration, seed derivation, the runner's determinism
+// contract (merged bytes = f(grid, point function) for any thread count),
+// and the InternScope isolation that makes a worker's run bit-identical to
+// a solo run.
 
 #include <gtest/gtest.h>
 
@@ -9,12 +9,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "sweep/checkpoint.hpp"
 #include "sweep/drivers.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
@@ -82,70 +81,6 @@ TEST(SweepGridTest, ExplicitPointsKeepListOrder) {
   EXPECT_EQ(grid.point(1).coords, (std::vector<std::size_t>{1}));
 }
 
-TEST(SweepGridTest, JsonRoundTripPreservesIdentity) {
-  SweepGrid grid = testGrid();
-  grid.setDriver("scalability");
-  auto back = SweepGrid::fromJson(grid.toJson());
-  ASSERT_TRUE(back.isOk());
-  EXPECT_EQ(back->name(), grid.name());
-  EXPECT_EQ(back->driver(), grid.driver());
-  EXPECT_EQ(back->baseSeed(), grid.baseSeed());
-  EXPECT_EQ(back->fingerprint(), grid.fingerprint());
-  ASSERT_EQ(back->pointCount(), grid.pointCount());
-  for (std::size_t i = 0; i < grid.pointCount(); ++i) {
-    EXPECT_EQ(back->point(i).values.dump(), grid.point(i).values.dump()) << i;
-    EXPECT_EQ(back->point(i).seed, grid.point(i).seed) << i;
-  }
-}
-
-TEST(SweepGridTest, FromJsonTextRejectsGarbage) {
-  EXPECT_FALSE(SweepGrid::fromJsonText("{not json").isOk());
-}
-
-// A cartesian grid spec of `axes` axes with `values` values each.
-JsonValue axesSpec(int axes, int values) {
-  JsonValue list = JsonValue::array();
-  for (int a = 0; a < axes; ++a) {
-    JsonValue axis = JsonValue::object();
-    axis.set("name", strCat("a", a));
-    JsonValue vals = JsonValue::array();
-    for (int v = 0; v < values; ++v) vals.push(v);
-    axis.set("values", std::move(vals));
-    list.push(std::move(axis));
-  }
-  JsonValue spec = JsonValue::object();
-  spec.set("axes", std::move(list));
-  return spec;
-}
-
-void expectTooManyPoints(int axes, int values) {
-  StatusOr<SweepGrid> grid = SweepGrid::fromJson(axesSpec(axes, values));
-  EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument)
-      << axes << " axes of " << values << ": " << grid.status().toString();
-}
-
-// Accepted, the runner would ask for one result slot per point.
-TEST(SweepGridTest, TwoToTheFortyPointsAreRejected) {
-  expectTooManyPoints(40, 2);
-}
-
-// 3^41 exceeds what a std::vector can hold.
-TEST(SweepGridTest, ThreeToTheFortyOnePointsAreRejected) {
-  expectTooManyPoints(41, 3);
-}
-
-// 2^64 wraps to 0 in size_t, which the runner took for an empty grid.
-TEST(SweepGridTest, TwoToTheSixtyFourPointsAreRejectedNotWrapped) {
-  expectTooManyPoints(64, 2);
-}
-
-TEST(SweepGridTest, PointCapIsInclusive) {
-  StatusOr<SweepGrid> atCap = SweepGrid::fromJson(axesSpec(20, 2));
-  ASSERT_TRUE(atCap.isOk()) << atCap.status().toString();
-  EXPECT_EQ(atCap->pointCount(), kMaxSweepPoints);
-  expectTooManyPoints(21, 2);
-}
-
 TEST(SweepGridTest, FingerprintSeparatesGrids) {
   SweepGrid a = testGrid();
   SweepGrid b = SweepGrid::cartesian(
@@ -190,7 +125,7 @@ TEST(SweepRunnerTest, RunsEveryPointExactlyOnce) {
     options.threads = threads;
     auto report = runSweep(grid, counting, options);
     ASSERT_TRUE(report.isOk()) << report.status().toString();
-    EXPECT_EQ(report->ran, grid.pointCount()) << threads << " threads";
+    EXPECT_EQ(report->totalPoints, grid.pointCount()) << threads << " threads";
     for (std::size_t i = 0; i < calls.size(); ++i) {
       EXPECT_EQ(calls[i].load(), 1) << "point " << i << ", " << threads
                                     << " threads";
@@ -202,8 +137,7 @@ TEST(SweepRunnerTest, SerialRunProducesCanonicalMerge) {
   SweepOptions options;  // threads=1, in-memory
   auto report = runSweep(testGrid(), syntheticPoint, options);
   ASSERT_TRUE(report.isOk());
-  EXPECT_EQ(report->ran, 6u);
-  EXPECT_EQ(report->resumed, 0u);
+  EXPECT_EQ(report->totalPoints, 6u);
 
   const JsonValue& merged = report->merged;
   EXPECT_EQ(merged.getString("grid", ""), "unit");
@@ -236,160 +170,17 @@ TEST(SweepRunnerTest, MergedBytesIdenticalAcrossThreads) {
     options.outPath = out;
     auto report = runSweep(testGrid(), syntheticPoint, options);
     ASSERT_TRUE(report.isOk()) << report.status().toString();
-    auto bytes = readTextFile(out);
-    ASSERT_TRUE(bytes.isOk());
+    std::ifstream in(out, std::ios::binary);
+    ASSERT_TRUE(in.is_open()) << out;
+    std::string bytes{std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>()};
     if (reference.empty()) {
-      reference = *bytes;
+      reference = bytes;
     } else {
-      EXPECT_EQ(*bytes, reference) << "threads=" << threads;
+      EXPECT_EQ(bytes, reference) << "threads=" << threads;
     }
   }
   EXPECT_FALSE(reference.empty());
-}
-
-TEST(SweepRunnerTest, InterruptedThenResumedRunIsByteIdentical) {
-  // A checkpointed run: its merged file is the reference, its manifest the
-  // material for the state a kill leaves behind.
-  std::string refOut = tempPath("resume_ref.json");
-  std::string manifest = tempPath("resume.json.manifest.jsonl");
-  SweepOptions ref;
-  ref.threads = 2;
-  ref.outPath = refOut;
-  ref.manifestPath = manifest;
-  ASSERT_TRUE(runSweep(testGrid(), syntheticPoint, ref).isOk());
-
-  // Killed while appending the fourth point: the header, three whole lines
-  // and a torn fourth with no newline.
-  auto written = readTextFile(manifest);
-  ASSERT_TRUE(written.isOk());
-  std::istringstream lines(*written);
-  std::string kept;
-  std::string line;
-  for (int n = 0; n < 4; ++n) {
-    ASSERT_TRUE(std::getline(lines, line));
-    kept += line + "\n";
-  }
-  ASSERT_TRUE(std::getline(lines, line));
-  kept += line.substr(0, line.size() / 2);
-  ASSERT_TRUE(writeTextFile(manifest, kept).isOk());
-
-  // Resume: exactly the three missing points run, and the bytes match the
-  // fresh run.
-  std::string out = tempPath("resume.json");
-  std::atomic<int> calls{0};
-  SweepPointFn counting = [&](const SweepPoint& p) {
-    calls.fetch_add(1);
-    return syntheticPoint(p);
-  };
-  SweepOptions resume;
-  resume.threads = 2;
-  resume.outPath = out;
-  resume.manifestPath = manifest;
-  resume.resume = true;
-  auto resumed = runSweep(testGrid(), counting, resume);
-  ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
-  EXPECT_EQ(resumed->resumed, 3u);
-  EXPECT_EQ(resumed->ran, 3u);
-  EXPECT_EQ(calls.load(), 3);
-
-  auto a = readTextFile(refOut);
-  auto b = readTextFile(out);
-  ASSERT_TRUE(a.isOk());
-  ASSERT_TRUE(b.isOk());
-  EXPECT_EQ(*a, *b);
-
-  // The resumed manifest is whole again: a second resume runs nothing and
-  // writes the same bytes.
-  calls = 0;
-  auto again = runSweep(testGrid(), counting, resume);
-  ASSERT_TRUE(again.isOk()) << again.status().toString();
-  EXPECT_EQ(again->resumed, 6u);
-  EXPECT_EQ(again->ran, 0u);
-  EXPECT_EQ(calls.load(), 0);
-  auto c = readTextFile(out);
-  ASSERT_TRUE(c.isOk());
-  EXPECT_EQ(*a, *c);
-}
-
-TEST(SweepRunnerTest, ResumeWithoutManifestRunsEverything) {
-  std::string out = tempPath("resume_cold.json");
-  SweepOptions options;
-  options.outPath = out;
-  options.manifestPath = tempPath("resume_cold.json.manifest.jsonl");
-  options.resume = true;  // nothing to fold in: behaves like a fresh run
-  auto report = runSweep(testGrid(), syntheticPoint, options);
-  ASSERT_TRUE(report.isOk()) << report.status().toString();
-  EXPECT_EQ(report->resumed, 0u);
-  EXPECT_EQ(report->ran, 6u);
-}
-
-// ---------------------------------------------------------- checkpoint --
-
-TEST(SweepManifestTest, FingerprintMismatchIsRejected) {
-  std::string path = tempPath("manifest_fp.jsonl");
-  SweepManifest manifest(path);
-  ASSERT_TRUE(manifest.openForAppend("unit", "aaaa", false).isOk());
-  manifest.append(0, JsonValue(1));
-  EXPECT_TRUE(SweepManifest(path).load("aaaa", 6).isOk());
-  EXPECT_FALSE(SweepManifest(path).load("bbbb", 6).isOk());
-}
-
-TEST(SweepManifestTest, TruncatedTrailingLineIsDropped) {
-  std::string path = tempPath("manifest_trunc.jsonl");
-  SweepManifest manifest(path);
-  ASSERT_TRUE(manifest.openForAppend("unit", "aaaa", false).isOk());
-  manifest.append(0, JsonValue(1));
-  manifest.append(4, JsonValue(2));
-  {
-    // Simulate a kill mid-append: a partial final line with no newline.
-    std::ofstream out(path, std::ios::app);
-    out << "{\"i\": 5, \"result\": {\"ha";
-  }
-  auto entries = SweepManifest(path).load("aaaa", 6);
-  ASSERT_TRUE(entries.isOk()) << entries.status().toString();
-  ASSERT_EQ(entries->size(), 2u);  // the torn line reruns, not corrupts
-  EXPECT_EQ((*entries)[0].pointIndex, 0u);
-  EXPECT_EQ((*entries)[1].pointIndex, 4u);
-}
-
-TEST(SweepManifestTest, EntryMissingItsNewlineIsTorn) {
-  // Killed between an entry's last byte and its newline: the line parses,
-  // but the next append would land on it, so it counts as torn.
-  std::string path = tempPath("manifest_nonl.jsonl");
-  SweepManifest manifest(path);
-  ASSERT_TRUE(manifest.openForAppend("unit", "aaaa", false).isOk());
-  manifest.append(0, JsonValue(1));
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "{\"i\": 5, \"result\": 2}";
-  }
-  auto entries = SweepManifest(path).load("aaaa", 6);
-  ASSERT_TRUE(entries.isOk()) << entries.status().toString();
-  ASSERT_EQ(entries->size(), 1u);
-
-  SweepManifest resumed(path);
-  ASSERT_TRUE(resumed.openForAppend("unit", "aaaa", true).isOk());
-  resumed.append(5, JsonValue(3));
-  entries = SweepManifest(path).load("aaaa", 6);
-  ASSERT_TRUE(entries.isOk()) << entries.status().toString();
-  ASSERT_EQ(entries->size(), 2u);
-  EXPECT_EQ((*entries)[1].pointIndex, 5u);
-  EXPECT_EQ((*entries)[1].result.asInt(), 3);
-}
-
-TEST(SweepManifestTest, MissingFileMeansFreshSweep) {
-  auto entries =
-      SweepManifest(tempPath("manifest_missing.jsonl")).load("aaaa", 6);
-  ASSERT_TRUE(entries.isOk());
-  EXPECT_TRUE(entries->empty());
-}
-
-TEST(SweepManifestTest, OutOfRangePointIndexFails) {
-  std::string path = tempPath("manifest_range.jsonl");
-  SweepManifest manifest(path);
-  ASSERT_TRUE(manifest.openForAppend("unit", "aaaa", false).isOk());
-  manifest.append(11, JsonValue(1));
-  EXPECT_FALSE(SweepManifest(path).load("aaaa", 6).isOk());
 }
 
 // --------------------------------------------------------- intern scope --
@@ -585,14 +376,14 @@ TEST(SweepDriversTest, ScenarioOutOfRangeNumbersAreInBandErrors) {
 }
 
 TEST(SweepDriversTest, HugeIntegerFieldIsRejectedWithItsSign) {
-  // 1e30, and an integer literal past INT64_MAX (which parses as a double),
+  // 1e30, and 2^64 (an integer past INT64_MAX, which only a double holds),
   // saturate: the range check names INT64_MAX, not the negative number a
   // bare double-to-int64 cast gives on x86.
   JsonValue e30 = JsonValue::object();
   e30.set("tpus", 1e30);
-  auto literal = JsonValue::parse(R"({"tpus": 18446744073709551615})");
-  ASSERT_TRUE(literal.isOk());
-  for (const JsonValue& values : {e30, *literal}) {
+  JsonValue twoTo64 = JsonValue::object();
+  twoTo64.set("tpus", JsonValue(18446744073709551615.0));
+  for (const JsonValue& values : {e30, twoTo64}) {
     JsonValue result = runDriverPoint("scalability", values);
     const JsonValue* error = result.find("error");
     ASSERT_NE(error, nullptr) << result.dump();
