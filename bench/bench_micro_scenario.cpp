@@ -3,33 +3,33 @@
 //
 // Default mode runs the builtin flash-crowd scenario (2x peak against a
 // cluster provisioned at ~0.86 load, so the peak is ~1.7x capacity) under
-// the four cumulative control-policy bundles (kControlPolicies, applied by
+// the three cumulative control-policy bundles (kControlPolicies, applied by
 // applyControlPolicy with a 60 ms deadline):
 //
-//   none     no deadline, no admission, no degradation, no repacking —
-//            frames queue without bound through the crowd
+//   none     no deadline, no admission, no degradation — frames queue
+//            without bound through the crowd
 //   admit    60 ms frame deadline + per-frame admission ledger
 //   degrade  admit + per-stream fps-ladder degradation
-//   full     degrade + SLO-attainment-triggered repacking
 //
-// and reports the per-phase SLO-attainment table (BENCH_scenario.json).
-// Every policy cell is run at EVERY shard count in --shards and the full
+// and reports the per-phase SLO-attainment and deadline-met / submitted
+// tables (BENCH_scenario.json, whose phases carry both counts). Every
+// policy cell is run at EVERY shard count in --shards and the full
 // deterministic metrics dump must be byte-identical across them — the
 // inline differential; the bench aborts on any mismatch. Acceptance gates
 // enforced in-binary, on the peak phase: attainment (deadline-met /
-// completed) is >= 0.99 under `full` and <= 0.90 under `none`; and the
-// share of submitted frames that meet the deadline is >= 0.7 under `full`
-// and above `admit`'s (the degrader's gain), and <= 0.1 under `none`.
-// Attainment alone cannot fail once the deadline enforces the SLO: every
-// completed frame then met it.
+// completed) is >= 0.99 under `degrade` and <= 0.90 under `none`; and the
+// share of submitted frames that meet the deadline is >= 0.7 under
+// `degrade` and above `admit`'s (the degrader's gain), and <= 0.1 under
+// `none`. Attainment alone cannot fail once the deadline enforces the SLO:
+// every completed frame then met it.
 //
 //   bench_micro_scenario [--shards=1,2,4] [--out=BENCH_scenario.json]
 //   bench_micro_scenario --smoke --shards=4 --dump=scen_s4.json
 //
 // --smoke runs the combined "city" scenario (diurnal + tenant flash crowd +
-// churn + a correlated rack failure) once on a small slice with every
-// control loop armed and writes the deterministic dump to --dump; CI runs
-// it at shards 1 and 4 and byte-compares the files.
+// churn + a correlated rack failure) once on a small slice under `degrade`,
+// every control loop armed, and writes the deterministic dump to --dump; CI
+// runs it at shards 1 and 4 and byte-compares the files.
 
 #include <cstdio>
 #include <cstdlib>
@@ -66,7 +66,12 @@ ShardedClusterConfig configFor(std::string_view policy, unsigned shards,
   // The SLO bound every policy is judged against — enforced as a frame
   // deadline only when the policy says so.
   config.scenario.sloDeadline = milliseconds(60);
-  (void)applyControlPolicy(policy, milliseconds(60), &config);
+  Status applied = applyControlPolicy(policy, milliseconds(60), &config);
+  if (!applied.isOk()) {
+    std::cerr << "bench_micro_scenario: policy \"" << policy
+              << "\": " << applied.toString() << "\n";
+    std::exit(1);
+  }
   return config;
 }
 
@@ -77,7 +82,6 @@ struct PolicyRun {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t deadlineMet = 0;
-  std::uint64_t repacks = 0;
   std::uint64_t digest = 0;
 };
 
@@ -102,7 +106,6 @@ PolicyRun runPolicy(std::string_view policy, unsigned shards,
   result.submitted = cluster.totalSubmitted();
   result.completed = cluster.totalCompleted();
   result.deadlineMet = cluster.totalDeadlineMet();
-  result.repacks = cluster.totalRepacks();
   result.digest = cluster.digest();
   return result;
 }
@@ -188,7 +191,7 @@ int main(int argc, char** argv) {
       std::cerr << spec.status().toString() << "\n";
       return 1;
     }
-    ShardedClusterConfig config = configFor("full", shardCounts[0], *spec);
+    ShardedClusterConfig config = configFor("degrade", shardCounts[0], *spec);
     config.vRpisPerRack = 2;
     config.streamsPerVRpi = 1;
     config.fps = 10.0;
@@ -260,26 +263,21 @@ int main(int argc, char** argv) {
                return ph.attainment;
              });
   printTable("\ndeadline met / submitted by phase", metShare);
-  std::printf("%-10s", "repacks");
-  for (const PolicyRun& run : runs) {
-    std::printf(" %9llu", static_cast<unsigned long long>(run.repacks));
-  }
-  std::printf("\n");
 
-  // Acceptance gates (see the header): on the peak phase, the full bundle
-  // keeps its completions inside the SLO and serves most of the offered
-  // frames inside it, more than admission alone; uncontrolled queueing
-  // collapses on both measures.
+  // Acceptance gates (see the header): on the peak phase, the degrade
+  // bundle keeps its completions inside the SLO and serves most of the
+  // offered frames inside it, more than admission alone; uncontrolled
+  // queueing collapses on both measures.
   const ShardedCluster::PhaseStats* nonePeak = findPhase(runs[0], "peak");
   const ShardedCluster::PhaseStats* admitPeak = findPhase(runs[1], "peak");
-  const ShardedCluster::PhaseStats* fullPeak = findPhase(runs[3], "peak");
-  if (nonePeak == nullptr || admitPeak == nullptr || fullPeak == nullptr) {
+  const ShardedCluster::PhaseStats* degradePeak = findPhase(runs[2], "peak");
+  if (nonePeak == nullptr || admitPeak == nullptr || degradePeak == nullptr) {
     std::cerr << "missing peak phase in results\n";
     return 1;
   }
-  if (fullPeak->attainment < 0.99) {
-    std::cerr << "ACCEPTANCE FAILED: full-policy peak attainment "
-              << fullPeak->attainment << " < 0.99\n";
+  if (degradePeak->attainment < 0.99) {
+    std::cerr << "ACCEPTANCE FAILED: degrade-policy peak attainment "
+              << degradePeak->attainment << " < 0.99\n";
     return 1;
   }
   if (nonePeak->attainment > 0.90) {
@@ -287,11 +285,11 @@ int main(int argc, char** argv) {
               << nonePeak->attainment << " did not collapse (> 0.90)\n";
     return 1;
   }
-  if (metShare(*fullPeak) < 0.7 ||
-      metShare(*fullPeak) <= metShare(*admitPeak)) {
-    std::cerr << "ACCEPTANCE FAILED: full-policy peak deadline-met share "
-              << metShare(*fullPeak) << " is under 0.7 or not above admit's "
-              << metShare(*admitPeak) << "\n";
+  if (metShare(*degradePeak) < 0.7 ||
+      metShare(*degradePeak) <= metShare(*admitPeak)) {
+    std::cerr << "ACCEPTANCE FAILED: degrade-policy peak deadline-met share "
+              << metShare(*degradePeak) << " is under 0.7 or not above "
+              << "admit's " << metShare(*admitPeak) << "\n";
     return 1;
   }
   if (metShare(*nonePeak) > 0.1) {
@@ -319,7 +317,6 @@ int main(int argc, char** argv) {
     entry.set("submitted", static_cast<std::int64_t>(run.submitted));
     entry.set("completed", static_cast<std::int64_t>(run.completed));
     entry.set("deadline_met", static_cast<std::int64_t>(run.deadlineMet));
-    entry.set("repacks", static_cast<std::int64_t>(run.repacks));
     entry.set("attainment",
               run.completed > 0 ? static_cast<double>(run.deadlineMet) /
                                       static_cast<double>(run.completed)
@@ -329,12 +326,12 @@ int main(int argc, char** argv) {
     for (const auto& ph : run.phases) {
       JsonValue phase = JsonValue::object();
       phase.set("name", ph.name);
+      phase.set("submitted", static_cast<std::int64_t>(ph.submitted));
       phase.set("completed", static_cast<std::int64_t>(ph.completed));
       phase.set("deadline_met", static_cast<std::int64_t>(ph.deadlineMet));
       phase.set("attainment", ph.attainment);
       phase.set("goodput_fps", ph.goodputFps);
       phase.set("degrade_downs", static_cast<std::int64_t>(ph.degradeDowns));
-      phase.set("repacks", static_cast<std::int64_t>(ph.repacks));
       phase.set("active_streams",
                 static_cast<std::int64_t>(ph.activeStreams));
       phases.push(std::move(phase));

@@ -35,9 +35,9 @@ class Defragmenter {
   };
 
   // Why a replan stopped short (or didn't): distinguishes "nothing to do"
-  // from the rollback causes, which callers (the repack supervisor, ops
-  // tooling) treat differently — an infeasible placement means try again
-  // after churn, a release failure means the tracking state is suspect.
+  // from the rollback causes, which callers treat differently — an
+  // infeasible placement means try again after churn, a release failure
+  // means the tracking state is suspect.
   enum class Reason : std::uint8_t {
     kNone = 0,            // applied cleanly (or trivially: nothing tracked)
     kInfeasiblePlacement, // re-admit failed mid-replan; pool rolled back

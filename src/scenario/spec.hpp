@@ -16,8 +16,8 @@
 //                 existing FaultPlan format so the injector, replay and
 //                 chaos-soak machinery apply unchanged.
 //   * phases    — named time segments; the harness snapshots windowed
-//                 metrics (goodput, attainment, rung occupancy, repacks)
-//                 at each phase boundary.
+//                 metrics (goodput, attainment, rung occupancy) at each
+//                 phase boundary.
 //
 // A spec is pure data, built in code (builtinScenario; no program reads one
 // from a file), with a deterministic JSON dump and, like SweepGrid, a

@@ -207,10 +207,17 @@ void ShardedSim::workerLoop(unsigned shard, SimTime deadline) {
 }
 
 std::size_t ShardedSim::run(SimTime deadline) {
-  assert(!running_ && "ShardedSim::run is not reentrant");
+  // Checked in every build: a nested run would advance shards that the
+  // outer run is driving.
+  if (running_) {
+    std::fprintf(stderr, "ShardedSim::run is not reentrant: called inside a "
+                 "run on shard %u\n", currentShard());
+    std::abort();
+  }
   std::size_t firedBefore = 0;
   for (const auto& sim : sims_) firedBefore += sim->firedCount();
 
+  running_ = true;
   if (sims_.size() == 1) {
     // Canonical path: the plain engine loop, bit for bit.
     sims_[0]->runUntil(deadline);
@@ -218,7 +225,6 @@ std::size_t ShardedSim::run(SimTime deadline) {
     domain_ = &currentInternDomain();
     done_ = false;
     histPrimed_ = false;
-    running_ = true;
     // One thread per shard for the whole run: the barrier needs every
     // shard's worker to arrive.
     std::vector<std::thread> workers;
@@ -227,8 +233,8 @@ std::size_t ShardedSim::run(SimTime deadline) {
       workers.emplace_back([this, s, deadline] { workerLoop(s, deadline); });
     }
     for (std::thread& worker : workers) worker.join();
-    running_ = false;
   }
+  running_ = false;
 
   std::size_t firedAfter = 0;
   for (const auto& sim : sims_) firedAfter += sim->firedCount();

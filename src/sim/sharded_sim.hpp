@@ -130,11 +130,12 @@ class ShardedSim {
   // Advances every shard to `deadline` (events at exactly `deadline`
   // included), interleaving them window by window. Single-shard maps run
   // the canonical Simulator::runUntil path. Returns total events fired.
-  // One run at a time; callable repeatedly with increasing deadlines.
+  // One run at a time (one started inside a run aborts, in every build);
+  // callable repeatedly with increasing deadlines.
   std::size_t run(SimTime deadline);
   std::size_t runFor(SimDuration horizon) { return run(now() + horizon); }
 
-  bool running() const { return running_; }
+  bool running() const { return running_; }  // inside run(), any shard count
   // All shards agree on now() outside run() (they are advanced to the
   // deadline together); shard 0 is the witness.
   SimTime now() const { return sims_[0]->now(); }

@@ -215,7 +215,6 @@ JsonValue runScenarioSweepPoint(const SweepPoint& p) {
   out.set("completed", static_cast<std::int64_t>(cluster.totalCompleted()));
   out.set("deadline_met",
           static_cast<std::int64_t>(cluster.totalDeadlineMet()));
-  out.set("repacks", static_cast<std::int64_t>(cluster.totalRepacks()));
   const std::uint64_t completed = cluster.totalCompleted();
   out.set("attainment",
           completed > 0 ? static_cast<double>(cluster.totalDeadlineMet()) /
@@ -230,7 +229,6 @@ JsonValue runScenarioSweepPoint(const SweepPoint& p) {
     entry.set("deadline_met", static_cast<std::int64_t>(ph.deadlineMet));
     entry.set("attainment", ph.attainment);
     entry.set("goodput_fps", ph.goodputFps);
-    entry.set("repacks", static_cast<std::int64_t>(ph.repacks));
     phases.push(std::move(entry));
   }
   out.set("phases", std::move(phases));

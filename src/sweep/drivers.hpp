@@ -1,7 +1,7 @@
 #pragma once
 
-// Point functions and built-in grids for the experiments the sweep runner
-// serves (Fig. 5 capacity/utilization, Fig. 6 trace study).
+// Point functions and built-in grids for the sweep runner's experiments
+// (Fig. 5 capacity/utilization, Fig. 6 trace study, scenario ablation).
 //
 // A grid's "driver" field names the PointFn that interprets its points:
 //
@@ -14,15 +14,15 @@
 //   "trace" — one runTraceScenario (MAF-like replay) per point. Fields:
 //       mode, co_compile; optional horizon_min, capacity_units, window_s
 //       (positive), seed.
-//
-// A point whose fields a driver rejects yields {"error": "..."} in place of
-// its result, so one bad point neither stops the sweep nor hides in it.
 //   "scenario" — one ShardedCluster scenario run (DESIGN.md §15) per point:
 //       SLO attainment x load shape x control policy. Fields: scenario
 //       (builtin name: diurnal|flashcrowd|churn|failures|city), policy
-//       (none|admit|degrade|full); optional peak (flash-crowd multiplier
+//       (none|admit|degrade); optional peak (flash-crowd multiplier
 //       override), fps, slo_ms, shards, racks, vrpis_per_rack,
 //       streams_per_vrpi, seed.
+//
+// A point whose fields a driver rejects yields {"error": "..."} in place of
+// its result, so one bad point neither stops the sweep nor hides in it.
 //
 // The smoke grid is a milliseconds-cheap scalability grid (tiny horizon,
 // small camera cap) used by the CI determinism check and tests.
@@ -46,7 +46,7 @@ StatusOr<SweepPointFn> findSweepDriver(const std::string& name);
 SweepGrid fig5SweepGrid();   // scalability: Coral-Pie + BodyPix series
 SweepGrid fig6SweepGrid();   // trace: the five scheduling variants
 SweepGrid smokeSweepGrid();  // tiny deterministic grid for CI smoke
-// SLO attainment x load shape x {none, admit, degrade, full}: every builtin
+// SLO attainment x load shape x {none, admit, degrade}: every builtin
 // scenario against every control-policy bundle.
 SweepGrid scenarioSweepGrid();
 

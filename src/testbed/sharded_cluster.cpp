@@ -1,6 +1,8 @@
 #include "testbed/sharded_cluster.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "models/zoo.hpp"
 #include "sim/topology.hpp"
@@ -30,18 +32,21 @@ std::uint64_t fnvFoldString(std::uint64_t h, const std::string& s) {
 
 Status applyControlPolicy(std::string_view policy, SimDuration deadline,
                           ShardedClusterConfig* config) {
-  if (policy == "none") return Status::ok();
-  config->frameDeadline = deadline;
-  config->frameAdmission.enabled = true;
-  if (policy == "admit") return Status::ok();
-  config->degradation.enabled = true;
-  if (policy == "degrade") return Status::ok();
-  if (policy == "full") {
-    config->repack.enabled = true;
-    return Status::ok();
+  // The bundles are cumulative, so a bundle's position in kControlPolicies
+  // says which loops it arms. An unknown name arms nothing.
+  const auto it =
+      std::find(kControlPolicies.begin(), kControlPolicies.end(), policy);
+  if (it == kControlPolicies.end()) {
+    return invalidArgument(strCat("unknown control policy \"", policy,
+                                  "\" (none|admit|degrade)"));
   }
-  return invalidArgument(strCat("unknown control policy \"", policy,
-                                "\" (none|admit|degrade|full)"));
+  const auto level = it - kControlPolicies.begin();
+  if (level >= 1) {
+    config->frameDeadline = deadline;
+    config->frameAdmission.enabled = true;
+  }
+  if (level >= 2) config->degradation.enabled = true;
+  return Status::ok();
 }
 
 // One camera stream: a PeriodicTask on the vRPi's shard submitting frames
@@ -111,18 +116,12 @@ struct ShardedCluster::Stream {
 // rack's TPUs. Control actions affecting clients on other shards are posted
 // one lookahead later (the modelled control-push latency).
 struct ShardedCluster::RackControl {
-  RackControl(int r, unsigned s, DataPlane& dataPlane,
-              const ModelRegistry& zoo, const ControlPlane::Hooks& hooks)
-      : rack(r), shard(s), control(dataPlane, zoo, {}, hooks) {}
+  RackControl(unsigned s, DataPlane& dataPlane, const ModelRegistry& zoo,
+              const ControlPlane::Hooks& hooks)
+      : shard(s), control(dataPlane, zoo, {}, hooks) {}
 
-  int rack;
   unsigned shard;
   ControlPlane control;
-  // SLO-attainment-triggered repacking (config.repack; null when off): the
-  // supervisor ticks on the rack's own shard and replans through the same
-  // weight-push path failure recovery uses.
-  std::unique_ptr<RepackSupervisor> repackSupervisor;
-  std::unique_ptr<PeriodicTask> repackTask;
 };
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
@@ -160,7 +159,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
       [this](std::uint64_t uid, const Status&) { evictStream(uid); }};
   racks_.reserve(static_cast<std::size_t>(racks));
   for (int r = 0; r < racks; ++r) {
-    racks_.push_back(std::make_unique<RackControl>(r, map.shardOfRack(r),
+    racks_.push_back(std::make_unique<RackControl>(map.shardOfRack(r),
                                                    *dataPlane_, zoo_, hooks));
   }
   for (const RpiNode* host : topology_->tRpis()) {
@@ -186,10 +185,6 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     sloDeadline_ = config_.scenario.sloDeadline > SimDuration::zero()
                        ? config_.scenario.sloDeadline
                        : config_.frameDeadline;
-  } else {
-    // Repack attainment accounting without a scenario judges against the
-    // enforced frame deadline (zero keeps the counter off).
-    sloDeadline_ = config_.frameDeadline;
   }
   // Scenario runs start on the tick lattice (rate_control.hpp): the period
   // is quantized up front and every stream's first fire lands on its own
@@ -366,13 +361,19 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     streams_.push_back(std::move(stream));
   }
   if (scenarioOn) armScenarioTimeline();
-  if (config_.repack.enabled) armRepackSupervisors();
 }
 
 ShardedCluster::~ShardedCluster() = default;
 
 void ShardedCluster::stopStreams() {
-  assert(!sharded_->running());
+  // Checked in every build: inside a run it would stop streams that other
+  // shards' threads are driving.
+  if (sharded_->running()) {
+    std::fprintf(stderr, "ShardedCluster::stopStreams: called inside a run "
+                 "on shard %u; call it between run()s\n",
+                 ShardedSim::currentShard());
+    std::abort();
+  }
   for (const auto& stream : streams_) {
     stream->task.stop();
     stream->client.stop();
@@ -577,44 +578,6 @@ void ShardedCluster::joinStream(Stream* stream) {
   stream->task.startAt(latticeTick(sim.now(), stream->uid));
 }
 
-void ShardedCluster::armRepackSupervisors() {
-  for (const auto& rcp : racks_) {
-    RackControl* rc = rcp.get();
-    const int rack = rc->rack;
-    rc->repackSupervisor = std::make_unique<RepackSupervisor>(
-        [this, rack] {
-          // Windowed attainment over the rack's own (rack-local) streams:
-          // good = frames inside the SLO bound when one is set, else all
-          // completions; total = every terminal outcome.
-          RepackSupervisor::Sample sample;
-          for (const auto& s : streams_) {
-            if (s->targetRack != rack || s->crossRack) continue;
-            sample.good += sloDeadline_ > SimDuration::zero()
-                               ? s->deadlineMet
-                               : s->client.completedCount();
-            for (std::size_t o = 0; o < kFrameOutcomeCount; ++o) {
-              const auto outcome = static_cast<FrameOutcome>(o);
-              if (outcome == FrameOutcome::kInFlight) continue;
-              sample.total += s->client.outcomeCount(outcome);
-            }
-          }
-          return sample;
-        },
-        [rc] { return rc->control.defragment(true); });
-    // The supervisor ticks on the rack's own shard; emitter-tagged because a
-    // triggered repack pushes weights at +lookahead (a cross-shard cascade
-    // root the adaptive window bound must see).
-    Simulator& sim = sharded_->shardSim(rc->shard);
-    rc->repackTask = std::make_unique<PeriodicTask>(
-        sim, RepackSupervisor::kWindow,
-        [supervisor = rc->repackSupervisor.get()] {
-          (void)supervisor->onWindow();
-        },
-        /*emitter=*/true);
-    rc->repackTask->startAt(sim.now() + RepackSupervisor::kWindow);
-  }
-}
-
 Status ShardedCluster::runScenario() {
   if (!setupStatus_.isOk()) return setupStatus_;
   if (!config_.scenario.enabled) {
@@ -658,7 +621,6 @@ void ShardedCluster::samplePhase(std::size_t phase) {
       ++cum.rungOccupancy[s->degrader != nullptr ? s->degrader->rung() : 0];
     }
   }
-  cum.repacks = totalRepacks();
 
   PhaseStats delta = cum;  // name/end/activeStreams/rungOccupancy stay as-is
   delta.submitted -= phaseCursor_.submitted;
@@ -669,7 +631,6 @@ void ShardedCluster::samplePhase(std::size_t phase) {
   delta.shed -= phaseCursor_.shed;
   delta.degradeDowns -= phaseCursor_.degradeDowns;
   delta.degradeUps -= phaseCursor_.degradeUps;
-  delta.repacks -= phaseCursor_.repacks;
   const SimDuration start =
       phase == 0 ? SimDuration::zero() : compiled_.phaseEnds[phase - 1];
   const double seconds =
@@ -693,7 +654,6 @@ ShardedCluster::StreamStats ShardedCluster::streamStats(
   stats.churn = stream.churn;
   stats.joined = stream.joined;
   stats.departed = stream.departed;
-  stats.deadlineMet = stream.deadlineMet;
   stats.submitted = stream.client.submittedCount();
   stats.completed = stream.client.completedCount();
   stats.failovers = stream.client.failoverCount();
@@ -749,16 +709,6 @@ std::uint64_t ShardedCluster::totalDeadlineMet() const {
   return n;
 }
 
-std::uint64_t ShardedCluster::totalRepacks() const {
-  std::uint64_t n = 0;
-  for (const auto& rc : racks_) {
-    if (rc->repackSupervisor != nullptr) {
-      n += rc->repackSupervisor->repacksTriggered();
-    }
-  }
-  return n;
-}
-
 std::uint64_t ShardedCluster::digest() const {
   std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
@@ -799,7 +749,6 @@ std::string ShardedCluster::metricsJson(bool withSimStats) const {
                   config_.scenario.spec.name, "\",\n    \"fingerprint\": \"",
                   config_.scenario.spec.fingerprint(),
                   "\",\n    \"totalDeadlineMet\": ", totalDeadlineMet(),
-                  ",\n    \"totalRepacks\": ", totalRepacks(),
                   ",\n    \"phases\": [");
     for (std::size_t p = 0; p < phases_.size(); ++p) {
       const PhaseStats& ph = phases_[p];
@@ -812,7 +761,6 @@ std::string ShardedCluster::metricsJson(bool withSimStats) const {
                     ", \"timedOut\": ", ph.timedOut, ", \"shed\": ", ph.shed,
                     ", \"degradeDowns\": ", ph.degradeDowns,
                     ", \"degradeUps\": ", ph.degradeUps,
-                    ", \"repacks\": ", ph.repacks,
                     ", \"activeStreams\": ", ph.activeStreams,
                     ", \"attainment\": ", jsonFormatDouble(ph.attainment),
                     ", \"goodputFps\": ", jsonFormatDouble(ph.goodputFps),

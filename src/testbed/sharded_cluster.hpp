@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "cluster/topology.hpp"
-#include "core/overload_supervisor.hpp"
 #include "dataplane/dataplane.hpp"
 #include "models/registry.hpp"
 #include "scenario/engine.hpp"
@@ -146,22 +145,20 @@ struct ShardedClusterConfig {
   // Time-varying workload driven by the scenario engine (off by default —
   // the default dump is byte-identical to a build without it).
   ScenarioRunConfig scenario{};
-  // SLO-attainment-triggered repacking, one supervisor per rack on the
-  // rack's own shard (off by default).
-  RepackSupervisorConfig repack{};
+  // Inert: no loop reads it. Kept only for the benchmark, which sets it.
+  struct { bool enabled = false; } repack;
 };
 
-// The overload-control bundles, in bundle order. They are cumulative (none
-// ⊂ admit ⊂ degrade ⊂ full), so a run over all four reads as an ablation:
-// the scenario sweep's policy axis and bench_micro_scenario's flash-crowd
-// study.
-inline constexpr std::array<std::string_view, 4> kControlPolicies = {
-    "none", "admit", "degrade", "full"};
+// The overload-control bundles, cumulative (none ⊂ admit ⊂ degrade) so a run
+// over all three is an ablation: the scenario sweep's policy axis and
+// bench_micro_scenario's flash-crowd study.
+inline constexpr std::array<std::string_view, 3> kControlPolicies = {
+    "none", "admit", "degrade"};
 
 // Arms `policy`'s loops on `config`: admit enforces `deadline` as the frame
-// deadline with per-frame admission, degrade adds the fps ladder and full
-// adds SLO-triggered repacking; none leaves every loop off. Any other name
-// is InvalidArgument.
+// deadline with per-frame admission and degrade adds the fps ladder; none
+// leaves every loop off. Any other name is InvalidArgument and leaves
+// `config` unchanged.
 Status applyControlPolicy(std::string_view policy, SimDuration deadline,
                           ShardedClusterConfig* config);
 
@@ -189,15 +186,14 @@ class ShardedCluster {
   // barrier-synced between segments, so sampling reads no mid-window state).
   // Requires scenario.enabled; call at most once.
   Status runScenario();
-  // Stops every camera (call between run()s, never inside one); a
-  // subsequent run() then drains in-flight frames to terminal outcomes.
+  // Stops every camera; a later run() drains in-flight frames to terminal
+  // outcomes. Between run()s only: inside one it aborts, in every build.
   void stopStreams();
 
   // --- Wiring access --------------------------------------------------------
   ShardedSim& shardedSim() { return *sharded_; }
   ClusterTopology& topology() { return *topology_; }
   DataPlane& dataPlane() { return *dataPlane_; }
-  const ModelRegistry& zoo() const { return zoo_; }
   std::size_t streamCount() const { return streams_.size(); }
 
   // --- Results --------------------------------------------------------------
@@ -209,7 +205,6 @@ class ShardedCluster {
     bool departed = false;   // drained out by a scenario leave event
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
-    std::uint64_t deadlineMet = 0;  // completed within the SLO deadline
     std::uint64_t failovers = 0;
     std::uint64_t degradeDowns = 0;  // fps-ladder steps down (0 when off)
     std::uint64_t degradeUps = 0;    // recovery steps back up
@@ -232,7 +227,6 @@ class ShardedCluster {
     std::uint64_t shed = 0;
     std::uint64_t degradeDowns = 0;
     std::uint64_t degradeUps = 0;
-    std::uint64_t repacks = 0;
     std::uint64_t activeStreams = 0;  // tasks running at the boundary
     std::vector<std::uint64_t> rungOccupancy;  // streams per ladder rung
     double attainment = 1.0;  // deadlineMet / completed over the phase
@@ -240,8 +234,8 @@ class ShardedCluster {
   };
   const std::vector<PhaseStats>& phaseStats() const { return phases_; }
   std::uint64_t totalDeadlineMet() const;
-  // Repacks triggered across all rack supervisors (0 with repack off).
-  std::uint64_t totalRepacks() const;
+  // Always 0; kept only for the benchmark, which reads it.
+  std::uint64_t totalRepacks() const { return 0; }
   std::uint64_t totalSubmitted() const;
   std::uint64_t totalCompleted() const;
   std::uint64_t outcomeTotal(FrameOutcome outcome) const;
@@ -288,7 +282,6 @@ class ShardedCluster {
   // refuses the join.
   void joinStream(Stream* stream);
   void armScenarioTimeline();
-  void armRepackSupervisors();
   void samplePhase(std::size_t phase);
 
   ShardedClusterConfig config_;
@@ -302,7 +295,7 @@ class ShardedCluster {
   // Scenario state (empty/zero with scenario off).
   CompiledScenario compiled_;
   double streamUnits_ = 0.0;      // admitted units per stream (churn joins)
-  SimDuration sloDeadline_{};     // deadlineMet accounting bound
+  SimDuration sloDeadline_{};     // deadlineMet bound (scenario runs)
   SimTime scenarioBase_{};        // sim time the timeline was armed at
   std::vector<PhaseStats> phases_;
   PhaseStats phaseCursor_;        // cumulative snapshot behind the deltas

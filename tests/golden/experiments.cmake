@@ -1,19 +1,26 @@
-# Checks the paper tables EXPERIMENTS.md restates against the goldens they
-# come from, so a number cannot change in one without the other:
+# Checks the tables EXPERIMENTS.md restates against the goldens they come
+# from, so a number cannot change in one without the other:
 #
 #   cmake -DDOC=<EXPERIMENTS.md> -DGOLDEN_DIR=<tests/golden>
-#         -P experiments.cmake
+#         -DBENCH_SCENARIO=<BENCH_scenario.json> -P experiments.cmake
 #
 # - Fig. 5a/5b: the camera-count table under "## Fig. 5a/5b" against the
 #   first table of bench_fig5_scalability.txt.
 # - Fig. 6: the acceptance table under "## Fig. 6a/6b" (config, attempted,
 #   accepted, Fig. 6b peak) against bench_fig6_trace.txt's acceptance totals
 #   and each config's largest Fig. 6b per-minute camera count.
+# - Flash crowd: the attainment table under "## Scenario engine" and the
+#   table after "Deadline-met ÷ submitted by phase" against
+#   BENCH_scenario.json. Rows are keyed by phase name, columns are the
+#   file's policies in its order, and each cell is recomputed from the
+#   phase's integer counts (deadline_met over completed or submitted),
+#   rounded half up to three decimals.
 #
-# Only tables are read, never prose: a markdown row "| a | b |" and a
-# golden row "a    b" (cells two or more spaces apart) both become "a,b".
+# Only tables are read, never prose: a markdown row "| a | b |" (indented
+# or not) and a golden row "a    b" (cells two or more spaces apart) both
+# become "a,b".
 
-foreach(var DOC GOLDEN_DIR)
+foreach(var DOC GOLDEN_DIR BENCH_SCENARIO)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "experiments.cmake: -D${var}=... is required")
   endif()
@@ -40,11 +47,11 @@ function(table_rows file anchor header out)
   list(SUBLIST lines 2 -1 lines)
   set(rows "")
   foreach(line IN LISTS lines)
+    string(STRIP "${line}" line)
     if(line MATCHES "^\\|")
       string(REGEX REPLACE "^\\| *(.*[^ ]) *\\|$" "\\1" line "${line}")
       string(REGEX REPLACE " *\\| *" "," line "${line}")
     else()
-      string(STRIP "${line}" line)
       string(REGEX REPLACE "   *" "," line "${line}")
     endif()
     list(APPEND rows "${line}")
@@ -111,3 +118,74 @@ table_rows("${DOC}" "## Fig. 6a/6b" "| config | attempted | accepted | Fig. 6b p
            doc_fig6)
 expect_rows("Fig. 6 acceptance totals and peaks (bench_fig6_trace.txt)"
             "${doc_fig6}" "${golden_fig6}")
+
+# Flash-crowd tables. ratio3(num den out) sets `out` to num / den rounded
+# half up to three decimals ("1.000" when den is 0, as the bench reads an
+# empty phase); counts are non-negative, and a ratio may pass 1.
+function(ratio3 num den out)
+  if(den EQUAL 0)
+    set(${out} "1.000" PARENT_SCOPE)
+    return()
+  endif()
+  math(EXPR milli "(${num} * 2000 + ${den}) / (2 * ${den})")
+  math(EXPR whole "${milli} / 1000")
+  math(EXPR frac "${milli} % 1000 + 1000")
+  string(SUBSTRING "${frac}" 1 3 frac)
+  set(${out} "${whole}.${frac}" PARENT_SCOPE)
+endfunction()
+
+file(READ "${BENCH_SCENARIO}" bench)
+string(JSON npolicies LENGTH "${bench}" policies)
+math(EXPR lastPolicy "${npolicies} - 1")
+set(header "| phase (s) |")
+foreach(p RANGE ${lastPolicy})
+  string(JSON policy GET "${bench}" policies ${p} policy)
+  string(APPEND header " ${policy} |")
+endforeach()
+
+# flash_table(anchor denominator what): the doc table headed `header` after
+# `anchor`, each row "<phase> (<span>)" against that phase's deadline_met /
+# <denominator> under every policy.
+function(flash_table anchor denominator what)
+  table_rows("${DOC}" "${anchor}" "${header}" rows)
+  set(doc "")
+  set(golden "")
+  foreach(row IN LISTS rows)
+    string(REGEX REPLACE " \\([^)]*\\)," "," row "${row}")
+    list(APPEND doc "${row}")
+    string(REGEX MATCH "^[^,]*" phase "${row}")
+    set(cells "${phase}")
+    foreach(p RANGE ${lastPolicy})
+      string(JSON nphases LENGTH "${bench}" policies ${p} phases)
+      math(EXPR lastPhase "${nphases} - 1")
+      set(cell "")
+      foreach(i RANGE ${lastPhase})
+        string(JSON name GET "${bench}" policies ${p} phases ${i} name)
+        if(name STREQUAL phase)
+          string(JSON met GET "${bench}" policies ${p} phases ${i}
+                 deadline_met)
+          string(JSON den GET "${bench}" policies ${p} phases ${i}
+                 ${denominator})
+          ratio3(${met} ${den} cell)
+        endif()
+      endforeach()
+      if(cell STREQUAL "")
+        set(cell "no phase ${phase}")
+      endif()
+      string(APPEND cells ",${cell}")
+    endforeach()
+    list(APPEND golden "${cells}")
+  endforeach()
+  string(JSON nphases LENGTH "${bench}" policies 0 phases)
+  list(LENGTH rows nrows)
+  if(NOT nrows EQUAL nphases)
+    message(FATAL_ERROR "${what}: EXPERIMENTS.md has ${nrows} rows, "
+                        "BENCH_scenario.json ${nphases} phases")
+  endif()
+  expect_rows("${what}" "${doc}" "${golden}")
+endfunction()
+
+flash_table("## Scenario engine" completed
+            "Flash-crowd attainment (BENCH_scenario.json)")
+flash_table("Deadline-met ÷ submitted by phase" submitted
+            "Flash-crowd deadline-met ÷ submitted (BENCH_scenario.json)")

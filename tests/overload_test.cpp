@@ -1,22 +1,22 @@
 // Closed-loop overload control (DESIGN.md §14): the admission ledger's
 // charge/credit arithmetic and progress rule, the per-stream degradation
-// ladder's hysteresis, the SLO-triggered repack supervisor's windowing, and
-// the end-to-end contracts — admission-on below capacity is outcome-identical
-// to admission-off, an overloaded admission-on client never lets an admitted
-// frame miss its deadline, the metrics export carries the new counters
-// with features off reading all-zero, and repacks triggered by real
-// pressure under live traffic end every frame exactly once at any shard
-// count. Every loop runs at its production tuning (the constants in
-// StreamDegrader and RepackSupervisor).
+// ladder's hysteresis, and the end-to-end contracts — admission-on below
+// capacity is outcome-identical to admission-off, an overloaded admission-on
+// client never lets an admitted frame miss its deadline, the metrics export
+// carries the new counters with features off reading all-zero, and each
+// control-policy bundle arms exactly its own loops. Every loop runs at its
+// production tuning (the constants in StreamDegrader).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/admission_ledger.hpp"
-#include "core/overload_supervisor.hpp"
 #include "dataplane/dataplane.hpp"
 #include "models/zoo.hpp"
 #include "testbed/degradation.hpp"
@@ -111,112 +111,6 @@ TEST(AdmissionLedgerDeathTest, CreditWithoutChargeAborts) {
   EXPECT_DEATH(ledger.credit(entry, 100),
                "credit without charge \\(entry=0 tpu=al-f estimate=100 "
                "charged=0");
-}
-
-// --- RepackSupervisor --------------------------------------------------------
-
-// Windows scripted against the supervisor's constants: a pressured window
-// attains 0.5 (< kAttainmentThreshold), a healthy one 1.0.
-struct ScriptedSlo {
-  RepackSupervisor::Sample current;
-  int repacks = 0;
-
-  RepackSupervisor makeSupervisor() {
-    return RepackSupervisor(
-        [this] { return current; },
-        [this] {
-          ++repacks;
-          Defragmenter::Report report;
-          report.applied = true;
-          return report;
-        });
-  }
-
-  // Advances the cumulative counters by one window's worth of traffic.
-  void window(std::uint64_t good, std::uint64_t total) {
-    current.good += good;
-    current.total += total;
-  }
-  void pressured() { window(50, 100); }
-  void healthy() { window(100, 100); }
-};
-
-TEST(RepackSupervisorTest, TriggersAfterSustainedPressure) {
-  ScriptedSlo slo;
-  RepackSupervisor supervisor = slo.makeSupervisor();
-
-  slo.healthy();
-  EXPECT_FALSE(supervisor.onWindow());
-  // A window exactly at the threshold is not pressured.
-  slo.window(90, 100);
-  EXPECT_FALSE(supervisor.onWindow());
-  EXPECT_EQ(supervisor.pressuredWindows(), 0u);
-  for (std::uint32_t i = 1; i < RepackSupervisor::kSustainWindows; ++i) {
-    slo.pressured();
-    EXPECT_FALSE(supervisor.onWindow()) << "window " << i;
-  }
-  slo.pressured();
-  EXPECT_TRUE(supervisor.onWindow());  // the kSustainWindows-th in a row
-  EXPECT_EQ(slo.repacks, 1);
-  EXPECT_EQ(supervisor.repacksTriggered(), 1u);
-  EXPECT_TRUE(supervisor.lastReport().applied);
-  EXPECT_DOUBLE_EQ(supervisor.lastAttainment(), 0.5);
-}
-
-TEST(RepackSupervisorTest, CooldownHoldsOffRetrigger) {
-  ScriptedSlo slo;
-  RepackSupervisor supervisor = slo.makeSupervisor();
-
-  // Sustained misery: the first trigger takes kSustainWindows (3) windows
-  // and every later one kCooldownWindows (5) more, so 19 windows yield
-  // exactly three, at windows 3, 11 and 19, instead of one every third
-  // window.
-  std::vector<int> triggeredAt;
-  for (int i = 1; i <= 19; ++i) {
-    slo.pressured();
-    if (supervisor.onWindow()) triggeredAt.push_back(i);
-  }
-  EXPECT_EQ(triggeredAt, (std::vector<int>{3, 11, 19}));
-  EXPECT_EQ(slo.repacks, 3);
-  // Cooldown windows are observed but neither pressured nor counted.
-  EXPECT_EQ(supervisor.windowsObserved(), 19u);
-  EXPECT_EQ(supervisor.pressuredWindows(), 9u);
-}
-
-TEST(RepackSupervisorTest, HealthyWindowResetsStreak) {
-  ScriptedSlo slo;
-  RepackSupervisor supervisor = slo.makeSupervisor();
-
-  slo.pressured();
-  EXPECT_FALSE(supervisor.onWindow());
-  slo.pressured();
-  EXPECT_FALSE(supervisor.onWindow());
-  slo.healthy();  // recovery resets the streak
-  EXPECT_FALSE(supervisor.onWindow());
-  slo.pressured();
-  EXPECT_FALSE(supervisor.onWindow());  // streak restarted at 1
-  slo.pressured();
-  EXPECT_FALSE(supervisor.onWindow());
-  slo.pressured();
-  EXPECT_TRUE(supervisor.onWindow());
-}
-
-TEST(RepackSupervisorTest, QuietWindowsAreNeutral) {
-  ScriptedSlo slo;
-  RepackSupervisor supervisor = slo.makeSupervisor();
-
-  slo.pressured();
-  EXPECT_FALSE(supervisor.onWindow());
-  // No traffic at all: neither pressured nor healthy, streak holds.
-  EXPECT_FALSE(supervisor.onWindow());
-  EXPECT_FALSE(supervisor.onWindow());
-  slo.pressured();
-  EXPECT_FALSE(supervisor.onWindow());
-  EXPECT_FALSE(supervisor.onWindow());
-  slo.pressured();
-  EXPECT_TRUE(supervisor.onWindow());
-  EXPECT_EQ(supervisor.pressuredWindows(), 3u);
-  EXPECT_EQ(supervisor.windowsObserved(), 6u);
 }
 
 // --- Data-plane fixture for degradation / differential tests -----------------
@@ -486,62 +380,45 @@ TEST(OverloadMetricsTest, ShardedDegradationIsDeterministicAndBounded) {
   }
 }
 
-// --- Repacking under live traffic --------------------------------------------
+// --- Control-policy bundles --------------------------------------------------
 
-TEST(ShardedRepackTest, RepackFiresUnderLiveTrafficAndStreamsSurvive) {
-  // Real pressure: each stream holds 0.2 units where its 60 fps needs 0.27,
-  // so admission packs five streams on each TPU at 1.35x its rate. Under a
-  // deadline and per-frame admission the rejected frames keep each rack's
-  // deadline-met share under kAttainmentThreshold, so after kSustainWindows
-  // windows (6 s) each rack's supervisor replans through the drain ->
-  // replan -> weight-push path under live traffic. The test is that
-  // nothing breaks and the run stays shard-count invariant, not that the
-  // replan finds improvement.
-  auto run = [](unsigned shards) {
-    ShardedClusterConfig config;
-    config.shards = shards;
-    config.racks = 2;
-    config.tRpisPerRack = 2;
-    config.vRpisPerRack = 5;
-    config.streamsPerVRpi = 2;
-    config.fps = 60.0;
-    config.tpuUnits = 0.2;
-    config.frameDeadline = milliseconds(60);
-    config.frameAdmission.enabled = true;
-    config.repack.enabled = true;
-    ShardedCluster cluster(config);
-    EXPECT_TRUE(cluster.setupStatus().isOk())
-        << cluster.setupStatus().toString();
-    const SimDuration firstRepack =
-        RepackSupervisor::kWindow * RepackSupervisor::kSustainWindows;
-    cluster.run(firstRepack + RepackSupervisor::kWindow / 2);
-    const std::uint64_t repacks = cluster.totalRepacks();
-    EXPECT_GE(repacks, 1u) << "shards=" << shards;
-    EXPECT_GT(cluster.outcomeTotal(FrameOutcome::kAdmissionRejected), 0u);
+// The loops a policy can arm: the frame deadline (ns), per-frame admission
+// and degradation.
+using ArmedLoops = std::tuple<std::int64_t, bool, bool>;
 
-    // Streams keep completing after the last repack: the cooldown holds the
-    // next one off well past this stretch.
-    const std::uint64_t before = cluster.totalCompleted();
-    cluster.run(RepackSupervisor::kWindow);
-    EXPECT_EQ(cluster.totalRepacks(), repacks) << "shards=" << shards;
-    EXPECT_GT(cluster.totalCompleted(), before + 1000) << "shards=" << shards;
+ArmedLoops armedLoops(const ShardedClusterConfig& config) {
+  return {config.frameDeadline.count(), config.frameAdmission.enabled,
+          config.degradation.enabled};
+}
 
-    // Drained, every frame reached exactly one terminal outcome.
-    cluster.stopStreams();
-    cluster.run(seconds(1));
-    for (std::size_t i = 0; i < cluster.streamCount(); ++i) {
-      const ShardedCluster::StreamStats stats = cluster.streamStats(i);
-      std::uint64_t terminal = 0;
-      for (std::size_t o = 1; o < kFrameOutcomeCount; ++o) {
-        terminal += stats.outcomes[o];
-      }
-      EXPECT_EQ(stats.outcomes[0], 0u) << stats.camera;
-      EXPECT_EQ(terminal, stats.submitted) << stats.camera;
-    }
-    return cluster.metricsJson();
+TEST(ControlPolicyTest, EachBundleArmsExactlyItsLoops) {
+  const SimDuration deadline = milliseconds(60);
+  const ArmedLoops expected[] = {
+      {0, false, false},                 // none
+      {deadline.count(), true, false},   // admit
+      {deadline.count(), true, true},    // degrade
   };
-  const std::string solo = run(1);
-  EXPECT_EQ(run(2), solo);
+  ASSERT_EQ(kControlPolicies.size(), std::size(expected));
+  for (std::size_t i = 0; i < kControlPolicies.size(); ++i) {
+    ShardedClusterConfig config;
+    EXPECT_TRUE(applyControlPolicy(kControlPolicies[i], deadline, &config)
+                    .isOk());
+    EXPECT_EQ(armedLoops(config), expected[i]) << kControlPolicies[i];
+  }
+}
+
+// A name that is no bundle (a retired one, an empty one, a miscased one) is
+// rejected before any loop is armed, so no caller runs a bundle it did not
+// name.
+TEST(ControlPolicyTest, UnknownNameIsRejectedAndChangesNothing) {
+  for (const char* name : {"full", "", "Degrade"}) {
+    ShardedClusterConfig config;
+    const ArmedLoops before = armedLoops(config);
+    const Status status =
+        applyControlPolicy(name, milliseconds(60), &config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(armedLoops(config), before) << name;
+  }
 }
 
 }  // namespace

@@ -31,10 +31,8 @@ ShardedClusterConfig scenarioConfig(unsigned shards, ScenarioSpec spec,
   config.scenario.spec = std::move(spec);
   config.scenario.sloDeadline = milliseconds(60);
   if (controls) {
-    config.frameDeadline = milliseconds(60);
-    config.frameAdmission.enabled = true;
-    config.degradation.enabled = true;
-    config.repack.enabled = true;
+    EXPECT_TRUE(
+        applyControlPolicy("degrade", milliseconds(60), &config).isOk());
   }
   return config;
 }
@@ -252,7 +250,7 @@ TEST(ScenarioCluster, SweepExposesScenarioAxes) {
   // Every builtin load shape x every control-policy bundle, resolvable by
   // the sweep runner's driver registry.
   SweepGrid grid = scenarioSweepGrid();
-  EXPECT_EQ(grid.pointCount(), 20u);  // 5 scenarios x 4 policies
+  EXPECT_EQ(grid.pointCount(), 15u);  // 5 scenarios x 3 policies
   EXPECT_EQ(grid.driver(), "scenario");
   EXPECT_TRUE(findSweepDriver("scenario").isOk());
 }

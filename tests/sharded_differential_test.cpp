@@ -498,5 +498,19 @@ TEST(ShardedClusterDeathTest, SecondFaultPlanAborts) {
   EXPECT_DEATH(cluster.armFaults(FaultPlan{}), "a fault plan is already armed");
 }
 
+// stopStreams() belongs between runs, checked in every build and at every
+// shard count: called from an event callback it aborts instead of stopping
+// the cameras mid-run.
+TEST(ShardedClusterDeathTest, StopStreamsInsideARunAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardedCluster cluster(baseConfig(1));
+  ASSERT_TRUE(cluster.setupStatus().isOk());
+  Simulator& sim = cluster.shardedSim().shardSim(0);
+  sim.schedule(sim.now() + milliseconds(10),
+               [&cluster] { cluster.stopStreams(); });
+  EXPECT_DEATH(cluster.run(milliseconds(20)),
+               "stopStreams: called inside a run on shard 0");
+}
+
 }  // namespace
 }  // namespace microedge

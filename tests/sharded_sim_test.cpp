@@ -246,6 +246,22 @@ TEST(ShardedSimDeathTest, UntaggedCrossShardSendAbortsUnderAdaptive) {
                "violates the delivery-time invariant");
 }
 
+// One run at a time, checked in every build and at every shard count: a
+// run started from an event callback aborts, on the one-shard engine loop
+// as on a worker thread.
+TEST(ShardedSimDeathTest, RunInsideARunAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (unsigned shards : {1u, 2u}) {
+    ShardedSim sharded(shards, microseconds(500));
+    Simulator& sim = sharded.shardSim(0);
+    sim.schedule(sim.now() + milliseconds(1),
+                 [&sharded] { sharded.runFor(milliseconds(1)); });
+    EXPECT_DEATH(sharded.runFor(milliseconds(2)),
+                 "ShardedSim::run is not reentrant")
+        << "shards=" << shards;
+  }
+}
+
 TEST(ShardedSim, DeterministicAcrossRuns) {
   // The same scripted workload produces the identical fire trace twice —
   // including equal-timestamp cross-shard deliveries, whose tie-break is
