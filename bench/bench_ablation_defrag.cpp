@@ -68,7 +68,7 @@ ChurnOutcome runChurn(std::uint64_t seed) {
 
   ChurnOutcome outcome;
   outcome.extraBefore = probeExtraCapacity(testbed, "before");
-  outcome.defrag = testbed.defragment(/*full=*/true);
+  outcome.defrag = testbed.defragment();
   outcome.extraAfter = probeExtraCapacity(testbed, "after");
   return outcome;
 }

@@ -210,12 +210,12 @@ BENCHMARK(BM_PeriodicHeavy)->Arg(16)->Arg(256);
 // Lane rebind in steady state: `chains` events, each re-arming itself when
 // it fires, so the pending count stays constant. Every 1 ms epoch the
 // re-arms switch to the next four of kRebindDelays, three times as many
-// distinct delays as the engine has lanes (near ones, and one far one in
-// every eleven): lanes bound in one epoch drain in a later one and rebind
-// to new delays, and the delays that find every lane busy fall back to the
-// heaps. Warm-up sizes the slot arena and both heaps to the pending count
-// and then runs 100 ms, so any allocation in the timed phase is the lanes'
-// own bookkeeping, and aborts.
+// distinct delays as the engine has lanes (ones under 3 ms, and one past
+// 64 ms in every eleven): lanes bound in one epoch drain in a later one
+// and rebind to new delays, and the delays that find every lane busy fall
+// back to the heap. Warm-up sizes the slot arena and the heap to the
+// pending count and then runs 100 ms, so any allocation in the timed phase
+// is the lanes' own bookkeeping, and aborts.
 constexpr std::size_t kRebindDelayCount = 3 * Simulator::laneCount();
 
 constexpr std::array<SimDuration, kRebindDelayCount> rebindDelays() {
@@ -232,13 +232,11 @@ constexpr std::array<SimDuration, kRebindDelayCount> kRebindDelays =
 void BM_LaneRebindSteadyAllocFree(benchmark::State& state) {
   const int chains = static_cast<int>(state.range(0));
   Simulator sim;
-  // Size the arena and both heaps: `chains` distinct near delays, then as
-  // many distinct far ones, fill every lane and overflow into each heap.
+  // Size the arena and the heap: `chains` distinct delays bind every lane
+  // and put all `chains` events in the heap, lane heads included.
   std::vector<EventId> sizing;
   for (int i = 0; i < chains; ++i) {
     sizing.push_back(sim.scheduleAfter(nanoseconds(i + 1), [] {}));
-    sizing.push_back(sim.scheduleAfter(
-        Simulator::farThreshold() + nanoseconds(i), [] {}));
   }
   for (EventId id : sizing) sim.cancel(id);
   for (int i = 0; i < chains; ++i) {

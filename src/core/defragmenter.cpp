@@ -89,7 +89,6 @@ Defragmenter::Report Defragmenter::replanAll() {
                        << " (" << result.status().toString()
                        << "); rolled back";
       report.applied = false;
-      report.reason = Reason::kInfeasiblePlacement;
       report.sharesAfter = report.sharesBefore;
       report.usedTpusAfter = report.usedTpusBefore;
       return report;
@@ -105,44 +104,6 @@ Defragmenter::Report Defragmenter::replanAll() {
     } else {
       reclamation_.retrack(uid, result.allocation);
     }
-  }
-  report.applied = true;
-  report.sharesAfter = totalShares(reclamation_.trackedAllocations());
-  report.usedTpusAfter = admission_.pool().usedTpuCount();
-  return report;
-}
-
-Defragmenter::Report Defragmenter::consolidate() {
-  Report report;
-  report.sharesBefore = totalShares(reclamation_.trackedAllocations());
-  report.usedTpusBefore = admission_.pool().usedTpuCount();
-
-  // Copy the partitioned pods up front; we mutate tracking as we go.
-  std::vector<std::pair<std::uint64_t, Allocation>> partitioned;
-  for (const auto& [uid, allocation] : reclamation_.trackedAllocations()) {
-    if (allocation.partitioned()) partitioned.emplace_back(uid, allocation);
-  }
-
-  for (const auto& [uid, allocation] : partitioned) {
-    TpuPool snapshot = admission_.pool();
-    Status released = admission_.release(allocation);
-    if (!released.isOk()) {
-      admission_.pool() = snapshot;
-      report.reason = Reason::kReleaseFailed;
-      continue;
-    }
-    auto result =
-        admission_.admit(uid, allocation.model, allocation.totalUnits());
-    if (!result.isOk() ||
-        result->allocation.shares.size() >= allocation.shares.size()) {
-      // Not an improvement: restore the original placement exactly.
-      admission_.pool() = snapshot;
-      if (report.reason == Reason::kNone) report.reason = Reason::kNoImprovement;
-      continue;
-    }
-    ++report.podsReplanned;
-    Status s = pushPlacement(uid, *result);
-    (void)s;
   }
   report.applied = true;
   report.sharesAfter = totalShares(reclamation_.trackedAllocations());

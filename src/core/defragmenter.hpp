@@ -15,8 +15,6 @@
 // allocation. It is transactionally safe: the pool is snapshotted, and if
 // the repack cannot place everything (possible under model-size
 // constraints), the snapshot is restored and nothing is touched.
-// consolidate() is the incremental variant: it only revisits partitioned
-// pods, trying to collapse them to fewer shares.
 
 #include <cstdint>
 #include <functional>
@@ -34,20 +32,8 @@ class Defragmenter {
     std::function<void(std::uint64_t podUid, const LbConfig&)> reconfigureLb;
   };
 
-  // Why a replan stopped short (or didn't): distinguishes "nothing to do"
-  // from the rollback causes, which callers treat differently — an
-  // infeasible placement means try again after churn, a release failure
-  // means the tracking state is suspect.
-  enum class Reason : std::uint8_t {
-    kNone = 0,            // applied cleanly (or trivially: nothing tracked)
-    kInfeasiblePlacement, // re-admit failed mid-replan; pool rolled back
-    kReleaseFailed,       // a tracked share would not release; rolled back
-    kNoImprovement,       // consolidate: no partitioned pod could collapse
-  };
-
   struct Report {
     bool applied = false;          // false => rolled back, nothing changed
-    Reason reason = Reason::kNone; // cause when !applied (or kNoImprovement)
     std::size_t podsReplanned = 0; // pods whose shares changed
     std::size_t sharesBefore = 0;
     std::size_t sharesAfter = 0;
@@ -62,10 +48,6 @@ class Defragmenter {
 
   // Full First-Fit-Decreasing repack of all live allocations.
   Report replanAll();
-
-  // Incremental: for each multi-share pod, release + re-admit; keeps the
-  // new placement only if it uses strictly fewer shares.
-  Report consolidate();
 
  private:
   Status pushPlacement(std::uint64_t uid, const AdmitResult& result);

@@ -54,7 +54,7 @@ EventId Simulator::rearmCurrentAfter(SimDuration delay) {
 
 void Simulator::cancel(EventId id) {
   if (!id.valid()) return;
-  // A pending re-arm lives outside the heaps until its callback returns.
+  // A pending re-arm lives outside the heap until its callback returns.
   if (rearmPending_ && id.slot == firingSlot_ && id.seq == rearmSeq_) {
     rearmPending_ = false;
     return;
@@ -66,12 +66,8 @@ void Simulator::cancel(EventId id) {
   if (slots_[id.slot].seq != id.seq || pos == kNpos) return;
   if (pos & kLaneBit) {
     unlinkFollower(id.slot);
-  } else {
-    std::vector<HeapEntry>& h = (pos & kFarBit) ? far_ : heap_;
-    const std::uint32_t tag = pos & kFarBit;
-    if (!promoteFollower(h, tag, pos & ~kFarBit, id.slot)) {
-      heapRemoveAt(h, tag, pos & ~kFarBit);
-    }
+  } else if (!promoteFollower(pos, id.slot)) {
+    heapRemoveAt(pos);
   }
   releaseSlot(id.slot);
 }
@@ -88,12 +84,8 @@ void Simulator::taintEvent(EventId id) {
   }
   const std::uint32_t pos = slotPos_[id.slot];
   if (pos == kNpos) return;
-  if (pos & kLaneBit) {
-    emitterPush(slotWhen_[id.slot], s.seq, id.slot);
-    return;
-  }
-  const std::vector<HeapEntry>& h = (pos & kFarBit) ? far_ : heap_;
-  emitterPush(h[pos & ~kFarBit].when, s.seq, id.slot);
+  emitterPush((pos & kLaneBit) ? slotWhen_[id.slot] : heap_[pos].when, s.seq,
+              id.slot);
 }
 
 void Simulator::setEmitterTracking(bool on) {
@@ -107,16 +99,6 @@ void Simulator::setEmitterTracking(bool on) {
     std::abort();
   }
   trackEmitters_ = on;
-}
-
-// Returns the heap whose root is the globally next event under (when, seq).
-// The far heap holds events that were distant when scheduled, but time
-// advances: once everything nearer has fired, the far root IS the next
-// event and fires from its own heap — no migration step.
-const std::vector<Simulator::HeapEntry>* Simulator::nextHeap() const {
-  if (far_.empty()) return heap_.empty() ? nullptr : &heap_;
-  if (heap_.empty()) return &far_;
-  return before(far_[0], heap_[0]) ? &far_ : &heap_;
 }
 
 void Simulator::emitterPush(SimTime when, std::uint64_t seq,
@@ -153,18 +135,16 @@ SimTime Simulator::nextEmitterTime() {
 }
 
 bool Simulator::fireNext() {
-  std::vector<HeapEntry>* h = nextHeap();
-  if (h == nullptr) return false;
+  if (heap_.empty()) return false;
   assert(firingSlot_ == kNpos && "fireNext is not reentrant");
-  const std::uint32_t si = (*h)[0].slot();
-  assert((*h)[0].when >= now_);
-  now_ = (*h)[0].when;
+  const std::uint32_t si = heap_[0].slot();
+  assert(heap_[0].when >= now_);
+  now_ = heap_[0].when;
   ++fired_;
   // Move the callback out: the callback may schedule events and grow
   // `slots_`, so it must not run from arena storage.
   EventFn fn = std::move(slots_[si].fn);
-  const std::uint32_t tag = h == &far_ ? kFarBit : 0;
-  if (!promoteFollower(*h, tag, 0, si)) popRoot(*h, tag);
+  if (!promoteFollower(0, si)) popRoot();
   // Keep the slot reserved (not on the free list) while the callback runs:
   // a re-arm wants it back, and cancel() of the now-stale id must not see a
   // recycled slot.
@@ -198,8 +178,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::runUntil(SimTime deadline) {
   std::size_t n = 0;
-  for (const std::vector<HeapEntry>* h = nextHeap();
-       h != nullptr && (*h)[0].when <= deadline; h = nextHeap()) {
+  while (!heap_.empty() && heap_[0].when <= deadline) {
     fireNext();
     ++n;
   }
@@ -218,8 +197,7 @@ std::size_t Simulator::runBefore(SimTime bound, SimTime advanceTo) {
     std::abort();
   }
   std::size_t n = 0;
-  for (const std::vector<HeapEntry>* h = nextHeap();
-       h != nullptr && (*h)[0].when < bound; h = nextHeap()) {
+  while (!heap_.empty() && heap_[0].when < bound) {
     fireNext();
     ++n;
   }
@@ -290,27 +268,18 @@ void Simulator::push(std::uint32_t si, SimTime when, std::uint64_t seq) {
       s.lane = static_cast<std::uint8_t>(li);
       slotWhen_[si] = when;
       lane = Lane{si, seq, when};
-      ++(delay >= kFarThreshold ? farFollowers_ : nearFollowers_);
+      ++followers_;
       return;
     }
     // Otherwise a re-arm whose callback already scheduled this delay with a
-    // later seq: it would not land after the tail, so it goes to a heap.
+    // later seq: it would not land after the tail, so it goes to the heap.
   }
-  // Horizon split: long-dated events (deadline timers, armed fault plans,
-  // slow pollers) stay out of the near heap the hot-path events churn.
-  if (delay >= kFarThreshold) {
-    far_.emplace_back();
-    siftUp(far_, kFarBit, static_cast<std::uint32_t>(far_.size() - 1),
-           makeEntry(when, seq, si));
-  } else {
-    heap_.emplace_back();  // grown before siftUp so positions stay in range
-    siftUp(heap_, 0, static_cast<std::uint32_t>(heap_.size() - 1),
-           makeEntry(when, seq, si));
-  }
+  heap_.emplace_back();  // grown before siftUp so positions stay in range
+  siftUp(static_cast<std::uint32_t>(heap_.size() - 1),
+         makeEntry(when, seq, si));
 }
 
-bool Simulator::promoteFollower(std::vector<HeapEntry>& h, std::uint32_t tag,
-                                std::uint32_t pos, std::uint32_t si) {
+bool Simulator::promoteFollower(std::uint32_t pos, std::uint32_t si) {
   Slot& s = slots_[si];
   const std::uint32_t li = s.lane;
   if (li == kNoLane) return false;
@@ -321,9 +290,9 @@ bool Simulator::promoteFollower(std::vector<HeapEntry>& h, std::uint32_t tag,
     return false;
   }
   s.link = kNpos;
-  --(laneDelay_[li] >= kFarThreshold ? farFollowers_ : nearFollowers_);
+  --followers_;
   // The follower is later than the head it replaces, so it can only sink.
-  siftDown(h, tag, pos, makeEntry(slotWhen_[next], slots_[next].seq, next));
+  siftDown(pos, makeEntry(slotWhen_[next], slots_[next].seq, next));
   return true;
 }
 
@@ -337,27 +306,27 @@ void Simulator::unlinkFollower(std::uint32_t si) {
   } else {
     lanes_[li] = Lane{prev, slots_[prev].seq, slotWhen_[prev]};
   }
-  --(laneDelay_[li] >= kFarThreshold ? farFollowers_ : nearFollowers_);
+  --followers_;
   s.link = kNpos;
   s.lane = kNoLane;
 }
 
-void Simulator::siftUp(std::vector<HeapEntry>& h, std::uint32_t tag,
-                       std::uint32_t pos, HeapEntry e) {
+void Simulator::siftUp(std::uint32_t pos, HeapEntry e) {
+  std::vector<HeapEntry>& h = heap_;
   while (pos > 0) {
     const std::uint32_t parentPos = (pos - 1) >> 2;
     const HeapEntry& p = h[parentPos];
     if (!before(e, p)) break;
     h[pos] = p;
-    slotPos_[p.slot()] = pos | tag;
+    slotPos_[p.slot()] = pos;
     pos = parentPos;
   }
   h[pos] = e;
-  slotPos_[e.slot()] = pos | tag;
+  slotPos_[e.slot()] = pos;
 }
 
-void Simulator::siftDown(std::vector<HeapEntry>& h, std::uint32_t tag,
-                         std::uint32_t pos, HeapEntry e) {
+void Simulator::siftDown(std::uint32_t pos, HeapEntry e) {
+  std::vector<HeapEntry>& h = heap_;
   const std::uint32_t n = static_cast<std::uint32_t>(h.size());
   for (;;) {
     const std::uint32_t first = (pos << 2) + 1;
@@ -378,11 +347,11 @@ void Simulator::siftDown(std::vector<HeapEntry>& h, std::uint32_t tag,
     }
     if (!before(h[best], e)) break;
     h[pos] = h[best];
-    slotPos_[h[pos].slot()] = pos | tag;
+    slotPos_[h[pos].slot()] = pos;
     pos = best;
   }
   h[pos] = e;
-  slotPos_[e.slot()] = pos | tag;
+  slotPos_[e.slot()] = pos;
 }
 
 // Bottom-up pop (Wegener): the replacement entry comes from the deepest
@@ -390,7 +359,8 @@ void Simulator::siftDown(std::vector<HeapEntry>& h, std::uint32_t tag,
 // node on the way down is wasted work. Instead, walk the min-child path to a
 // leaf unconditionally (3 compares per level, no data-dependent exit branch)
 // and sift the replacement up from that leaf — expected O(1) correction.
-void Simulator::popRoot(std::vector<HeapEntry>& h, std::uint32_t tag) {
+void Simulator::popRoot() {
+  std::vector<HeapEntry>& h = heap_;
   const HeapEntry last = h.back();
   h.pop_back();
   const std::uint32_t n = static_cast<std::uint32_t>(h.size());
@@ -410,22 +380,21 @@ void Simulator::popRoot(std::vector<HeapEntry>& h, std::uint32_t tag) {
       if (before(h[c], h[best])) best = c;
     }
     h[hole] = h[best];
-    slotPos_[h[hole].slot()] = hole | tag;
+    slotPos_[h[hole].slot()] = hole;
     hole = best;
   }
-  siftUp(h, tag, hole, last);
+  siftUp(hole, last);
 }
 
-void Simulator::heapRemoveAt(std::vector<HeapEntry>& h, std::uint32_t tag,
-                             std::uint32_t pos) {
-  HeapEntry last = h.back();
-  h.pop_back();
-  if (pos < h.size()) {
+void Simulator::heapRemoveAt(std::uint32_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
     // The replacement may belong above or below the vacated position.
-    if (pos > 0 && before(last, h[(pos - 1) >> 2])) {
-      siftUp(h, tag, pos, last);
+    if (pos > 0 && before(last, heap_[(pos - 1) >> 2])) {
+      siftUp(pos, last);
     } else {
-      siftDown(h, tag, pos, last);
+      siftDown(pos, last);
     }
   }
 }
@@ -434,17 +403,14 @@ bool Simulator::checkInvariants() const {
   if (slotPos_.size() != slots_.size() || slotWhen_.size() != slots_.size()) {
     return false;
   }
-  std::size_t followers[2] = {0, 0};  // near, far
+  std::size_t followers = 0;
   std::array<std::uint32_t, kLanes> heads{};
-  // Walks lane `li` from its head `si` (in heap `tag` at `when`): members in
+  // Walks lane `li` from its head `si` (in the heap at `when`): members in
   // (when, seq) order, each back-link naming its predecessor, the lane's
   // tail record naming the last.
-  const auto checkLane = [&](std::uint32_t li, std::uint32_t si,
-                             std::uint32_t tag, SimTime when) {
+  const auto checkLane = [&](std::uint32_t li, std::uint32_t si, SimTime when) {
     if (li >= kLanes || laneDelay_[li] == kFreeLane) return false;
-    const bool far = laneDelay_[li] >= kFarThreshold;
-    if (far != (tag == kFarBit) || ++heads[li] > 1) return false;
-    if (slotWhen_[si] != when) return false;
+    if (++heads[li] > 1 || slotWhen_[si] != when) return false;
     std::uint32_t prev = si;
     std::uint64_t prevSeq = slots_[si].seq;
     for (std::uint32_t f = slots_[si].link; f != kNpos; f = slots_[f].link) {
@@ -454,7 +420,7 @@ bool Simulator::checkInvariants() const {
       if (slotWhen_[f] < when || (slotWhen_[f] == when && s.seq <= prevSeq)) {
         return false;
       }
-      if (++followers[far] > slots_.size()) return false;  // cycle guard
+      if (++followers > slots_.size()) return false;  // cycle guard
       prev = f;
       prevSeq = s.seq;
       when = slotWhen_[f];
@@ -463,35 +429,26 @@ bool Simulator::checkInvariants() const {
     return lane.tail == prev && lane.tailSeq == prevSeq &&
            lane.tailWhen == when;
   };
-  const auto checkHeap = [&](const std::vector<HeapEntry>& h,
-                             std::uint32_t tag) {
-    for (std::uint32_t pos = 0; pos < h.size(); ++pos) {
-      const HeapEntry& e = h[pos];
-      const std::uint32_t si = e.slot();
-      const std::uint64_t seq = e.seqSlot >> kSlotBits;
-      if (si >= slots_.size()) return false;
-      if (slotPos_[si] != (pos | tag)) return false;
-      if (slots_[si].seq != seq || seq == 0) return false;
-      if (!slots_[si].fn) return false;
-      if (pos > 0 && before(e, h[(pos - 1) >> 2])) return false;
-      if (slots_[si].lane == kNoLane) {
-        if (slots_[si].link != kNpos) return false;
-      } else if (!checkLane(slots_[si].lane, si, tag, e.when)) {
-        return false;
-      }
+  for (std::uint32_t pos = 0; pos < heap_.size(); ++pos) {
+    const HeapEntry& e = heap_[pos];
+    const std::uint32_t si = e.slot();
+    const std::uint64_t seq = e.seqSlot >> kSlotBits;
+    if (si >= slots_.size()) return false;
+    if (slotPos_[si] != pos) return false;
+    if (slots_[si].seq != seq || seq == 0) return false;
+    if (!slots_[si].fn) return false;
+    if (pos > 0 && before(e, heap_[(pos - 1) >> 2])) return false;
+    if (slots_[si].lane == kNoLane) {
+      if (slots_[si].link != kNpos) return false;
+    } else if (!checkLane(slots_[si].lane, si, e.when)) {
+      return false;
     }
-    return true;
-  };
-  // No ordering constraint holds BETWEEN the heaps (a far event may now be
-  // the global minimum); each must merely be a valid heap on its own.
-  if (!checkHeap(heap_, 0) || !checkHeap(far_, kFarBit)) return false;
-  // A lane is bound exactly while its head sits in a heap.
+  }
+  // A lane is bound exactly while its head sits in the heap.
   for (std::uint32_t li = 0; li < kLanes; ++li) {
     if ((laneDelay_[li] != kFreeLane) != (heads[li] == 1)) return false;
   }
-  if (followers[0] != nearFollowers_ || followers[1] != farFollowers_) {
-    return false;
-  }
+  if (followers != followers_) return false;
   std::size_t freeCount = 0;
   for (std::uint32_t si = freeHead_; si != kNpos; si = slots_[si].link) {
     if (si >= slots_.size()) return false;
@@ -500,9 +457,7 @@ bool Simulator::checkInvariants() const {
     if (++freeCount > slots_.size()) return false;  // cycle guard
   }
   const std::size_t reserved = firingSlot_ != kNpos ? 1 : 0;
-  return heap_.size() + far_.size() + nearFollowers_ + farFollowers_ +
-             freeCount + reserved ==
-         slots_.size();
+  return heap_.size() + followers_ + freeCount + reserved == slots_.size();
 }
 
 void PeriodicTask::startAt(SimTime first) {

@@ -25,34 +25,25 @@
 // four children of a node adjacent in memory, which wins at the 10k-1M
 // pending depths the figure reproductions reach.
 //
-// Two-tier horizon split: events scheduled >= kFarThreshold ahead of now
-// (deadline timers, armed fault plans, slow pollers) go to a second heap
-// (`far_`) instead of the main one, and fireNext() fires whichever root is
-// globally next under the same (when, seq) order. Long-lived sentinels
-// therefore never deepen the near heap that the per-frame pipeline events
-// churn through — measured ~20% of data-plane frame throughput when every
-// client arms a deadline timer. The split is invisible to callers: ordering
-// and determinism are unchanged whatever the threshold, cancel() finds
-// either tier through a tagged position index, and a far event simply fires
-// from its own heap when its time comes.
-//
 // Delay lanes (DESIGN.md §6): almost every event is scheduled a fixed delay
 // after the event that schedules it — a camera tick at its period, a hop at
 // its link latency, a completion at its service time — and events pushed
 // with one delay arrive in (when, seq) order, because now() never goes back
 // and seqs only grow. So a FIFO already holds them sorted. A push whose
 // delay (when − now) matches a busy lane's is appended to that lane; only
-// each lane's oldest member, its head, sits in the near or far heap. When
-// the head fires or is cancelled, the lane's next member takes the head's
-// heap position with one sift-down instead of a pop plus a push. Lanes own
-// no storage: a member's slot link (the free-list link while the slot is
-// free) names the next member, its position index names the previous one,
-// and slotWhen_ holds its timestamp, so a cancel unlinks a follower in
-// O(1). A push whose delay finds no free lane, or that would not land after
-// the lane's last member (a re-arm whose callback already scheduled the
-// same delay), goes to the heaps as it would without lanes. The global fire
-// order is therefore unchanged. Followers count toward nearCount() or
-// farCount() by their lane's delay, exactly as if they sat in the heaps.
+// each lane's oldest member, its head, sits in the heap. When the head
+// fires or is cancelled, the lane's next member takes the head's heap
+// position with one sift-down instead of a pop plus a push. Lanes own no
+// storage: a member's slot link (the free-list link while the slot is free)
+// names the next member, its position index names the previous one, and
+// slotWhen_ holds its timestamp, so a cancel unlinks a follower in O(1). A
+// push whose delay finds no free lane, or that would not land after the
+// lane's last member (a re-arm whose callback already scheduled the same
+// delay), goes to the heap as it would without lanes. The global fire order
+// is therefore unchanged. Lanes also keep long-lived timers (deadline
+// timers, 1 s camera ticks) from deepening the heap: thousands of pending
+// ticks with one period sit behind one entry, so distant events need no
+// heap of their own.
 //
 // Emitter taint (for the sharded sim's adaptive window bound, DESIGN.md
 // §12): an event may be tagged as an *emitter* — one whose callback might,
@@ -62,7 +53,7 @@
 // cross-shard cascades (cross-rack camera ticks, fault-plan events, drained
 // mailbox deliveries) and the engine propagates the bit through arbitrarily
 // deep event chains. nextEmitterTime() reports the earliest pending emitter
-// across both tiers and every lane — the shard's earliest-cross-shard-send
+// in the heap and every lane — the shard's earliest-cross-shard-send
 // bound (ECSB) — via a lazy side min-heap: tagged schedules push an entry,
 // fired/cancelled entries are detected by seq mismatch and purged only when
 // they surface at the top. The side heap is maintained only under setEmitterTracking(true)
@@ -143,10 +134,9 @@ class Simulator {
   // Timestamp of the earliest pending event, SimTime::max() when idle. The
   // sharded window loop uses this to compute the next conservative bound.
   SimTime nextEventTime() const {
-    const std::vector<HeapEntry>* h = nextHeap();
-    return h != nullptr ? (*h)[0].when : SimTime::max();
+    return heap_.empty() ? SimTime::max() : heap_[0].when;
   }
-  // Earliest pending *emitter* event across both tiers, SimTime::max() when
+  // Earliest pending *emitter* event, SimTime::max() when
   // none — the shard's ECSB under the adaptive window bound. Purges stale
   // side-heap entries lazily, hence non-const; callable only between events
   // (the sharded barrier): a call from inside a firing callback aborts, in
@@ -173,23 +163,17 @@ class Simulator {
 
   bool empty() const { return pendingCount() == 0; }
   std::size_t pendingCount() const {
-    return nearCount() + farCount() + (rearmPending_ ? 1 : 0);
+    return heap_.size() + followers_ + (rearmPending_ ? 1 : 0);
   }
   std::size_t firedCount() const { return fired_; }
 
-  // Two-tier split introspection (tests assert which tier an event landed
-  // in around the kFarThreshold boundary; see sim_heap_boundary_test). A
-  // lane follower counts in the tier its delay selects, as if it sat in
-  // that heap.
-  std::size_t nearCount() const { return heap_.size() + nearFollowers_; }
-  std::size_t farCount() const { return far_.size() + farFollowers_; }
-  // Events scheduled at least this far past now() go to the far heap.
-  static constexpr SimDuration farThreshold() { return kFarThreshold; }
+  // Kept only for the benchmark, which reads the pending events as two
+  // columns: all of them (bar a pending re-arm), and 0.
+  std::size_t nearCount() const { return heap_.size() + followers_; }
+  std::size_t farCount() const { return 0; }
   // Lane introspection (sim_lane_test): pending events waiting behind a
-  // lane head rather than in a heap, and the fixed number of lanes.
-  std::size_t laneFollowerCount() const {
-    return nearFollowers_ + farFollowers_;
-  }
+  // lane head rather than in the heap, and the fixed number of lanes.
+  std::size_t laneFollowerCount() const { return followers_; }
   static constexpr std::size_t laneCount() { return kLanes; }
 
   // Validates the heap ordering, the slot<->heap back-pointers, every
@@ -239,23 +223,16 @@ class Simulator {
     return a.seqSlot < b.seqSlot;
   }
 
-  // Events at least this far in the future go to the far heap. Purely a
-  // performance split — any value is correct; this one keeps the per-frame
-  // data-plane events (all <= ~12 ms) near while deadline timers and fault
-  // plans (>= 100s of ms) stay out of their way.
-  static constexpr SimDuration kFarThreshold = milliseconds(64);
-  // Tag bits in slotPos_. kFarBit: the position indexes far_ instead of
-  // heap_. kLaneBit: the slot is a lane follower, and the low bits name the
-  // previous member of its lane (the head, for the first follower). Heap
-  // positions and slot indexes stay below 2^24, so neither tag collides
-  // with them. kNpos (all ones) is checked first wherever positions are
-  // read.
-  static constexpr std::uint32_t kFarBit = 0x80000000u;
-  static constexpr std::uint32_t kLaneBit = 0x40000000u;
+  // Tag bit in slotPos_: the slot is a lane follower, and the low bits name
+  // the previous member of its lane (the head, for the first follower).
+  // Heap positions and slot indexes stay below 2^24, so the tag never
+  // collides with them. kNpos (all ones) is checked first wherever
+  // positions are read.
+  static constexpr std::uint32_t kLaneBit = 0x80000000u;
 
   // Number of delay lanes. A lane is bound to one delay while it holds
   // events and freed when its last member leaves; a delay that finds every
-  // lane busy goes to the heaps. 8, 16 and 32 lanes ran the perfbench
+  // lane busy goes to the heap. 8, 16 and 32 lanes ran the perfbench
   // workloads equally fast; a sampled flash crowd had seven lanes bound.
   static constexpr std::uint32_t kLanes = 16;
   // laneDelay_ value of a free lane; real delays are >= 0.
@@ -270,47 +247,33 @@ class Simulator {
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t si);
   // Queues slot `si` at (when, seq): appended to the lane of its delay,
-  // made the head of a free lane, or pushed on a heap as a plain entry.
+  // made the head of a free lane, or pushed on the heap as a plain entry.
   void push(std::uint32_t si, SimTime when, std::uint64_t seq);
   // Hands heap position `pos`, held by lane head `si`, to the lane's next
   // member with one sift-down. Returns false, after freeing a drained lane
   // or if `si` is not a lane head, when the caller must remove the entry.
-  bool promoteFollower(std::vector<HeapEntry>& h, std::uint32_t tag,
-                       std::uint32_t pos, std::uint32_t si);
+  bool promoteFollower(std::uint32_t pos, std::uint32_t si);
   void unlinkFollower(std::uint32_t si);
-  // Places `e` at `pos` of heap `h` and bubbles it toward the root / the
-  // leaves, maintaining the slots' tagged heap-position back-pointers
-  // (`tag` is 0 for the near heap, kFarBit for the far heap).
-  void siftUp(std::vector<HeapEntry>& h, std::uint32_t tag, std::uint32_t pos,
-              HeapEntry e);
-  void siftDown(std::vector<HeapEntry>& h, std::uint32_t tag,
-                std::uint32_t pos, HeapEntry e);
-  void heapRemoveAt(std::vector<HeapEntry>& h, std::uint32_t tag,
-                    std::uint32_t pos);
-  void popRoot(std::vector<HeapEntry>& h, std::uint32_t tag);
-  // The heap holding the globally next event (nullptr when both are empty).
-  // The const overload is the real implementation (it only inspects the two
-  // roots); the mutable one exists so fireNext() can pop from the result.
-  const std::vector<HeapEntry>* nextHeap() const;
-  std::vector<HeapEntry>* nextHeap() {
-    return const_cast<std::vector<HeapEntry>*>(
-        static_cast<const Simulator*>(this)->nextHeap());
-  }
+  // Places `e` at heap position `pos` and bubbles it toward the root / the
+  // leaves, maintaining the slots' heap-position back-pointers.
+  void siftUp(std::uint32_t pos, HeapEntry e);
+  void siftDown(std::uint32_t pos, HeapEntry e);
+  void heapRemoveAt(std::uint32_t pos);
+  void popRoot();
 
   SimTime now_ = kSimEpoch;
   std::uint64_t nextSeq_ = 1;
   std::size_t fired_ = 0;
 
   std::vector<Slot> slots_;
-  // Tagged heap position of each slot's event, or its lane back-link
+  // Heap position of each slot's event, or its tagged lane back-link
   // (kNpos while free or firing), kept outside Slot so the sift
   // back-pointer stores land in a dense 4-byte array instead of dirtying
   // one cache line per 80-byte slot.
   std::vector<std::uint32_t> slotPos_;
   // Timestamp of each lane member (head or follower); stale otherwise.
   std::vector<SimTime> slotWhen_;
-  std::vector<HeapEntry> heap_;  // 4-ary min-heap: events due soon
-  std::vector<HeapEntry> far_;   // 4-ary min-heap: events >= kFarThreshold out
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap: lane heads and the rest
   std::uint32_t freeHead_ = kNpos;
 
   // Lane i is bound to delay laneDelay_[i] (kFreeLane while it holds no
@@ -318,11 +281,10 @@ class Simulator {
   // scans one contiguous 128-byte array.
   std::array<SimDuration, kLanes> laneDelay_;
   std::array<Lane, kLanes> lanes_{};
-  std::size_t nearFollowers_ = 0;
-  std::size_t farFollowers_ = 0;
+  std::size_t followers_ = 0;  // lane members behind their lane's head
 
   // State of the callback currently executing inside fireNext(). The fired
-  // slot stays reserved (off both heap and free list) for the duration of
+  // slot stays reserved (off the heap and the free list) for the duration of
   // the call so rearmCurrentAfter() can re-use it.
   std::uint32_t firingSlot_ = kNpos;
   bool firingEmitter_ = false;

@@ -116,9 +116,9 @@ FailureRecovery::Report ControlPlane::failTpu(const std::string& tpuId) {
   return recovery_.onTpuFailure(tpuId);
 }
 
-Defragmenter::Report ControlPlane::defragment(bool full) {
+Defragmenter::Report ControlPlane::defragment() {
   if (!defragmenter_) return {};
-  return full ? defragmenter_->replanAll() : defragmenter_->consolidate();
+  return defragmenter_->replanAll();
 }
 
 }  // namespace microedge

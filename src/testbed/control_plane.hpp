@@ -86,10 +86,9 @@ class ControlPlane {
   // survivors, or evicts them. A TPU the pool lacks (failed earlier, or not
   // in this pool) changes nothing and returns an empty report.
   FailureRecovery::Report failTpu(const std::string& tpuId);
-  // Full FFD replan (full=true) or incremental consolidation of partitioned
-  // pods. The dedicated baseline has nothing to replan and returns an
-  // un-applied report.
-  Defragmenter::Report defragment(bool full = true);
+  // Full FFD replan of every live allocation. The dedicated baseline has
+  // nothing to replan and returns an un-applied report.
+  Defragmenter::Report defragment();
 
   TpuPool& pool() { return pool_; }
   Reclamation& reclamation() { return reclamation_; }

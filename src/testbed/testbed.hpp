@@ -148,11 +148,11 @@ class Testbed {
   // pool forgets it, and failure recovery replans the affected pods onto
   // survivors (or evicts them when nothing fits).
   FailureRecovery::Report failTpu(const std::string& tpuId);
-  // Runs the defragmenter: full FFD replan (full=true) or incremental
-  // consolidation of partitioned pods. Only meaningful in MicroEdge modes;
-  // returns an un-applied report under the dedicated baseline.
-  Defragmenter::Report defragment(bool full = true) {
-    return control_->defragment(full);
+  // Runs the defragmenter's full FFD replan. Only meaningful in MicroEdge
+  // modes; returns an un-applied report under the dedicated baseline. The
+  // ignored flag is kept only for the benchmark, which passes `true`.
+  Defragmenter::Report defragment(bool /*full*/ = true) {
+    return control_->defragment();
   }
 
   struct NodeFailureReport {

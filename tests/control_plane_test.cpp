@@ -135,8 +135,7 @@ TEST_F(ControlPlaneTest, BaselineHasNoAdmissionControllerAndNoDefragmenter) {
   EXPECT_EQ(baseline.admission(), nullptr);
   ASSERT_TRUE(
       baseline.admit(1, zoo::kMobileNetV1, TpuUnit::fromDouble(0.4)).isOk());
-  EXPECT_FALSE(baseline.defragment(/*full=*/true).applied);
-  EXPECT_FALSE(baseline.defragment(/*full=*/false).applied);
+  EXPECT_FALSE(baseline.defragment().applied);
 }
 
 TEST_F(ControlPlaneTest, FailTpuThePoolLacksChangesNothing) {

@@ -1,5 +1,5 @@
-// Defragmenter: consolidation of partitioned pods and full FFD replans,
-// with transactional rollback when a replan is infeasible.
+// Defragmenter: full FFD replans, with transactional rollback when a replan
+// is infeasible.
 
 #include <gtest/gtest.h>
 
@@ -46,48 +46,6 @@ TEST_F(DefragmenterTest, EmptyPoolIsTrivial) {
   auto report = defrag_->replanAll();
   EXPECT_TRUE(report.applied);
   EXPECT_EQ(report.podsReplanned, 0u);
-  EXPECT_EQ(report.reason, Defragmenter::Reason::kNone);
-}
-
-TEST_F(DefragmenterTest, ConsolidateCollapsesPartitionedPod) {
-  // Fragment on purpose: fill 0.6 everywhere, partition a 0.9 pod, then
-  // drain the fillers — the 0.9 pod is left scattered 0.4/0.4/0.1 across
-  // three now-mostly-empty TPUs.
-  admitAndTrack(1, zoo::kMobileNetV1, 0.6);
-  admitAndTrack(2, zoo::kMobileNetV1, 0.6);
-  admitAndTrack(3, zoo::kMobileNetV1, 0.6);
-  admitAndTrack(4, zoo::kMobileNetV1, 0.6);
-  Allocation scattered = admitAndTrack(5, zoo::kMobileNetV1, 0.9);
-  ASSERT_EQ(scattered.shares.size(), 3u);
-  release(1);
-  release(2);
-  release(3);
-  release(4);
-
-  auto report = defrag_->consolidate();
-  EXPECT_TRUE(report.applied);
-  EXPECT_EQ(report.podsReplanned, 1u);
-  const Allocation* after = reclamation_->allocationOf(5);
-  ASSERT_NE(after, nullptr);
-  EXPECT_EQ(after->shares.size(), 1u);  // one TPU now fits the whole 0.9
-  EXPECT_EQ(after->totalUnits().milli(), 900);
-  EXPECT_EQ(pool_.totalLoad().milli(), 900);
-}
-
-TEST_F(DefragmenterTest, ConsolidateKeepsPlacementWhenNoImprovement) {
-  admitAndTrack(1, zoo::kMobileNetV1, 0.8);
-  admitAndTrack(2, zoo::kMobileNetV1, 0.8);
-  admitAndTrack(3, zoo::kMobileNetV1, 0.8);
-  admitAndTrack(4, zoo::kMobileNetV1, 0.8);
-  // 1.2-unit pod cannot fit any single TPU: must stay partitioned.
-  Allocation split = admitAndTrack(5, zoo::kMobileNetV1, 0.6);
-  ASSERT_GT(split.shares.size(), 1u);
-  auto report = defrag_->consolidate();
-  EXPECT_EQ(report.podsReplanned, 0u);
-  EXPECT_EQ(report.reason, Defragmenter::Reason::kNoImprovement);
-  EXPECT_EQ(reclamation_->allocationOf(5)->shares.size(),
-            split.shares.size());
-  EXPECT_EQ(pool_.totalLoad().milli(), 3800);
 }
 
 TEST_F(DefragmenterTest, ReplanAllCompactsLoadOntoFewerTpus) {
@@ -132,9 +90,18 @@ TEST_F(DefragmenterTest, ReplanEmitsLoadAndLbCallbacks) {
   ASSERT_GT(split.shares.size(), 1u);
   release(1);
   release(2);
-  auto report = defrag.consolidate();
-  EXPECT_EQ(report.podsReplanned, 1u);
-  EXPECT_EQ(reconfigured, std::vector<std::uint64_t>{5});
+  // FFD re-places 5 (0.9) whole on tpu-0, then 3 and 4 (0.6 each) on tpu-1
+  // and tpu-2: every pod moves, and each gets one Load and one LB update,
+  // hardest first.
+  auto report = defrag.replanAll();
+  ASSERT_TRUE(report.applied);
+  EXPECT_EQ(report.podsReplanned, 3u);
+  EXPECT_EQ(reconfigured, (std::vector<std::uint64_t>{5, 3, 4}));
+  std::vector<std::string> loadedTpus;
+  for (const LoadCommand& load : loads) loadedTpus.push_back(load.tpuId);
+  EXPECT_EQ(loadedTpus,
+            (std::vector<std::string>{"tpu-0", "tpu-1", "tpu-2"}));
+  EXPECT_EQ(reclamation_->allocationOf(5)->shares.size(), 1u);
 }
 
 TEST_F(DefragmenterTest, CapacityRecoveredAfterDefrag) {
@@ -212,7 +179,6 @@ TEST(DefragRollbackTest, InfeasibleReplanRestoresPackingIndexes) {
   // infeasible, roll back.
   auto report = defrag.replanAll();
   EXPECT_FALSE(report.applied);
-  EXPECT_EQ(report.reason, Defragmenter::Reason::kInfeasiblePlacement);
   EXPECT_EQ(report.podsReplanned, 0u);
 
   // Placements and tracked allocations restored exactly.
@@ -267,7 +233,7 @@ TEST(DefragTestbedTest, LiveStreamsSurviveDefrag) {
   }
   testbed.run(seconds(5));  // reclamation poller returns the units
 
-  auto report = testbed.defragment(/*full=*/true);
+  auto report = testbed.defragment();
   EXPECT_TRUE(report.applied);
   EXPECT_LE(report.usedTpusAfter, report.usedTpusBefore);
 
@@ -310,7 +276,7 @@ TEST(DefragTestbedTest, LoadsOnHungServicesRetry) {
   testbed.sim().scheduleAfter(milliseconds(25), [&services] {
     for (TpuService* service : services) service->setHung(false);
   });
-  const Defragmenter::Report report = testbed.defragment(/*full=*/true);
+  const Defragmenter::Report report = testbed.defragment();
   ASSERT_TRUE(report.applied);
   ASSERT_GT(report.podsReplanned, 0u);
   testbed.run(seconds(1));

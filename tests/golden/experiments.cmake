@@ -6,6 +6,9 @@
 #
 # - Fig. 5a/5b: the camera-count table under "## Fig. 5a/5b" against the
 #   first table of bench_fig5_scalability.txt.
+# - Table 1: the measured columns of the table under "## Table 1" (config,
+#   #TPUs (measured), #RPis, cost (measured)) against
+#   bench_table1_cost.txt. The paper's columns are not read.
 # - Fig. 6: the acceptance table under "## Fig. 6a/6b" (config, attempted,
 #   accepted, Fig. 6b peak) against bench_fig6_trace.txt's acceptance totals
 #   and each config's largest Fig. 6b per-minute camera count.
@@ -77,6 +80,22 @@ table_rows("${GOLDEN_DIR}/bench_fig5_scalability.txt" "== Fig. 5a/5b"
            golden_fig5)
 expect_rows("Fig. 5a/5b camera counts (bench_fig5_scalability.txt)"
             "${doc_fig5}" "${golden_fig5}")
+
+# Table 1 measured columns.
+table_rows("${DOC}" "## Table 1"
+           "| config | #TPUs (paper) | #TPUs (measured) | #RPis | cost (paper) | cost (measured) |"
+           rows)
+set(doc_table1 "")
+foreach(row IN LISTS rows)
+  string(REPLACE "," ";" cells "${row}")
+  list(GET cells 0 2 3 5 measured)
+  list(JOIN measured "," measured)
+  list(APPEND doc_table1 "${measured}")
+endforeach()
+table_rows("${GOLDEN_DIR}/bench_table1_cost.txt" "== Table 1"
+           "config  #TPUs  #RPis  total cost" golden_table1)
+expect_rows("Table 1 TPUs, RPis and cost (bench_table1_cost.txt)"
+            "${doc_table1}" "${golden_table1}")
 
 # Fig. 6 acceptance totals and per-minute peaks. The Fig. 6b header names
 # the configs in the acceptance table's row order, so column i + 1 of a

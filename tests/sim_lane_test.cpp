@@ -2,11 +2,11 @@
 //
 // A push whose delay (when - now) matches a busy lane's delay waits in that
 // lane behind one heap entry, the lane's head; everything else goes to the
-// near or far heap as before. These tests pin down what callers can see of
-// that: counts by tier, hand-over when a head fires or is cancelled, O(1)
-// unlinking of middle and tail followers, re-arms, retroactive taint, the
-// fallback to the heaps when every lane is busy, and lane reuse. Every test
-// also checks the fire order, which lanes must never change.
+// heap as before. These tests pin down what callers can see of that:
+// follower and pending counts, hand-over when a head fires or is cancelled,
+// O(1) unlinking of middle and tail followers, re-arms, retroactive taint,
+// the fallback to the heap when every lane is busy, and lane reuse. Every
+// test also checks the fire order, which lanes must never change.
 
 #include <gtest/gtest.h>
 
@@ -27,29 +27,23 @@ auto recorder(Simulator& sim, Fired& fired, int tag) {
   return [&sim, &fired, tag] { fired.emplace_back(tag, sim.now()); };
 }
 
-TEST(SimLane, FollowersCountInTheTierOfTheirDelay) {
+TEST(SimLane, FollowersCountAsPendingBehindTheirHead) {
   Simulator sim;
-  // Three events 1 ms out share one near lane: a head and two followers.
+  // Three events 1 ms out share one lane: a head and two followers.
   for (int i = 0; i < 3; ++i) sim.scheduleAfter(milliseconds(1), [] {});
-  EXPECT_EQ(sim.nearCount(), 3u);
-  EXPECT_EQ(sim.farCount(), 0u);
+  EXPECT_EQ(sim.pendingCount(), 3u);
   EXPECT_EQ(sim.laneFollowerCount(), 2u);
-  // Three events exactly at the far threshold share one far lane.
-  for (int i = 0; i < 3; ++i) {
-    sim.scheduleAfter(Simulator::farThreshold(), [] {});
-  }
-  EXPECT_EQ(sim.nearCount(), 3u);
-  EXPECT_EQ(sim.farCount(), 3u);
+  // Three events 64 ms out share a second lane.
+  for (int i = 0; i < 3; ++i) sim.scheduleAfter(milliseconds(64), [] {});
   EXPECT_EQ(sim.laneFollowerCount(), 4u);
   EXPECT_EQ(sim.pendingCount(), 6u);
   ASSERT_TRUE(sim.checkInvariants());
-  // Firing a head promotes its follower; the tier counts follow.
+  // Firing a head promotes its follower.
   ASSERT_TRUE(sim.step());
-  EXPECT_EQ(sim.nearCount(), 2u);
+  EXPECT_EQ(sim.pendingCount(), 5u);
   EXPECT_EQ(sim.laneFollowerCount(), 3u);
   sim.runUntil(kSimEpoch + milliseconds(1));
-  EXPECT_EQ(sim.nearCount(), 0u);
-  EXPECT_EQ(sim.farCount(), 3u);
+  EXPECT_EQ(sim.pendingCount(), 3u);
   EXPECT_EQ(sim.laneFollowerCount(), 2u);
   ASSERT_TRUE(sim.checkInvariants());
   EXPECT_EQ(sim.run(), 3u);
@@ -66,7 +60,7 @@ TEST(SimLane, CancelledHeadHandsItsPositionToTheFollower) {
     const EventId head = sim.scheduleAfter(delay, recorder(sim, fired, 0));
     sim.runFor(milliseconds(1));  // fires tag 9
     sim.scheduleAfter(delay, recorder(sim, fired, 1));
-    // An earlier event in the head's tier keeps the head off the heap root.
+    // An earlier event keeps the head off the heap root.
     sim.scheduleAfter(delay - milliseconds(2), recorder(sim, fired, 7));
     sim.scheduleAfter(delay + milliseconds(2), recorder(sim, fired, 8));
     ASSERT_EQ(sim.laneFollowerCount(), 1u);
@@ -184,7 +178,7 @@ TEST(SimLane, TaintedFollowerIsSeenByTheEmitterBound) {
   EXPECT_EQ(sim.nextEmitterTime(), SimTime::max());
 }
 
-TEST(SimLane, DelaysBeyondTheLaneCountFallBackToTheHeaps) {
+TEST(SimLane, DelaysBeyondTheLaneCountFallBackToTheHeap) {
   Simulator sim;
   Fired fired;
   const int delays = static_cast<int>(Simulator::laneCount()) + 4;
@@ -197,7 +191,7 @@ TEST(SimLane, DelaysBeyondTheLaneCountFallBackToTheHeaps) {
     }
   }
   EXPECT_EQ(sim.laneFollowerCount(), Simulator::laneCount());
-  EXPECT_EQ(sim.nearCount(), static_cast<std::size_t>(2 * delays));
+  EXPECT_EQ(sim.pendingCount(), static_cast<std::size_t>(2 * delays));
   ASSERT_TRUE(sim.checkInvariants());
   sim.run();
   Fired expected;

@@ -204,7 +204,7 @@ TEST(SimStressTest, CallbacksMutatingTheQueueKeepInvariants) {
 }
 
 // Differential for the delay lanes. Most delays come from a small set of
-// repeated values (so lanes fill, drain and rebind, near and far), the rest
+// repeated values (so lanes fill, drain and rebind, from 0 to 1 s), the rest
 // are random one-offs (so pushes also find every lane busy). Events re-arm,
 // chain same-delay children, and are cancelled as the head, a middle member
 // or the tail of their delay's pending run. The reference is a std::set
@@ -229,7 +229,7 @@ struct LaneDifferential {
   std::uint64_t nextTag = 0;
   bool ok = true;  // every fire popped the reference minimum
 
-  // Near and far delays, one exactly at the far threshold.
+  // Repeated delays from 0 to 1 s.
   static constexpr std::int64_t kRepeated[] = {
       0,         17'000,     250'000,     1'000'000,
       5'000'000, 64'000'000, 100'000'000, 1'000'000'000};

@@ -1,5 +1,5 @@
 // Discrete-event simulator: ordering, determinism, cancellation, periodic
-// tasks and partial runs.
+// tasks, partial runs and the emitter bound.
 
 #include <gtest/gtest.h>
 
@@ -251,6 +251,122 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
     return order;
   };
   EXPECT_EQ(runOnce(), runOnce());
+}
+
+TEST(SimulatorTest, EqualTimestampsScheduledAtDifferentNowsFireInSeqOrder) {
+  Simulator sim;
+  const SimTime start = sim.now();
+  const SimTime when = start + milliseconds(70);
+  std::vector<int> order;
+  // e1 is scheduled 70 ms ahead; e2, 10 ms later, for the same timestamp,
+  // so with a different delay.
+  sim.schedule(when, [&order] { order.push_back(1); });
+  sim.schedule(start + milliseconds(10), [&] {
+    sim.schedule(when, [&order] { order.push_back(2); });
+    EXPECT_EQ(sim.pendingCount(), 2u);
+  });
+  sim.run();
+  // Global (when, seq) order: e1 was scheduled first and fires first.
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimulatorTest, NextEventTimeSeesADistantEvent) {
+  Simulator sim;
+  const SimTime start = sim.now();
+  EXPECT_EQ(sim.nextEventTime(), SimTime::max());
+  sim.schedule(start + seconds(100), [] {});
+  EXPECT_EQ(sim.nextEventTime(), start + seconds(100));
+}
+
+TEST(SimulatorTest, CancelRootInPlace) {
+  Simulator sim;
+  const SimTime start = sim.now();
+  std::vector<int> order;
+  EventId root =
+      sim.schedule(start + milliseconds(100), [&order] { order.push_back(0); });
+  sim.schedule(start + milliseconds(120), [&order] { order.push_back(1); });
+  sim.schedule(start + milliseconds(140), [&order] { order.push_back(2); });
+  ASSERT_EQ(sim.pendingCount(), 3u);
+  // In-place removal of the root: no tombstone, the count drops now.
+  sim.cancel(root);
+  EXPECT_EQ(sim.pendingCount(), 2u);
+  ASSERT_TRUE(sim.checkInvariants());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // Cancelling the already-fired / already-cancelled ids is a no-op.
+  sim.cancel(root);
+  EXPECT_EQ(sim.pendingCount(), 0u);
+}
+
+TEST(SimulatorTest, CancelTheNextEventFromACallback) {
+  Simulator sim;
+  const SimTime start = sim.now();
+  bool laterFired = false;
+  EventId later = sim.schedule(start + milliseconds(100),
+                               [&laterFired] { laterFired = true; });
+  // While this callback runs, `later` is the next event: the root.
+  sim.schedule(start + milliseconds(50), [&] {
+    EXPECT_EQ(sim.nextEventTime(), start + milliseconds(100));
+    EXPECT_EQ(sim.pendingCount(), 1u);
+    sim.cancel(later);
+    EXPECT_EQ(sim.pendingCount(), 0u);
+  });
+  sim.runUntil(start + milliseconds(200));
+  EXPECT_FALSE(laterFired);
+  EXPECT_EQ(sim.now(), start + milliseconds(200));
+}
+
+TEST(SimulatorTest, EmitterBoundSeesOnlyTaggedEventsAndPurgesLazily) {
+  Simulator sim;
+  sim.setEmitterTracking(true);
+  const SimTime start = sim.now();
+  // Untagged events are invisible to the emitter bound.
+  sim.schedule(start + milliseconds(100), [] {});
+  sim.schedule(start + milliseconds(1), [] {});
+  EXPECT_EQ(sim.nextEmitterTime(), SimTime::max());
+  sim.schedule(start + milliseconds(200), [] {}, /*emitter=*/true);
+  EXPECT_EQ(sim.nextEmitterTime(), start + milliseconds(200));
+  // A nearer tagged event takes over the bound.
+  EventId nearTagged =
+      sim.schedule(start + milliseconds(2), [] {}, /*emitter=*/true);
+  EXPECT_EQ(sim.nextEmitterTime(), start + milliseconds(2));
+  // Cancelled entries are purged lazily when they surface at the top.
+  sim.cancel(nearTagged);
+  EXPECT_EQ(sim.nextEmitterTime(), start + milliseconds(200));
+}
+
+TEST(SimulatorTest, RetroactiveTaintOfAHeapEntry) {
+  Simulator sim;
+  sim.setEmitterTracking(true);
+  const SimTime start = sim.now();
+  EventId id = sim.schedule(start + milliseconds(100), [] {});
+  EXPECT_EQ(sim.nextEmitterTime(), SimTime::max());
+  // taintEvent locates the slot through its heap position.
+  sim.taintEvent(id);
+  EXPECT_EQ(sim.nextEmitterTime(), start + milliseconds(100));
+  // Idempotent while pending, and a stale id after firing is a no-op.
+  sim.taintEvent(id);
+  EXPECT_EQ(sim.nextEmitterTime(), start + milliseconds(100));
+  sim.run();
+  EXPECT_EQ(sim.nextEmitterTime(), SimTime::max());
+  sim.taintEvent(id);
+  EXPECT_EQ(sim.nextEmitterTime(), SimTime::max());
+}
+
+TEST(SimulatorTest, RunBeforeLeavesTheEventAtTheBoundPending) {
+  Simulator sim;
+  const SimTime start = sim.now();
+  std::vector<int> order;
+  sim.schedule(start + milliseconds(10), [&order] { order.push_back(0); });
+  sim.schedule(start + milliseconds(70), [&order] { order.push_back(1); });
+  // Strictly-before bound: the event AT the bound stays pending, and the
+  // clock parks at advanceTo.
+  sim.runBefore(start + milliseconds(70), start + milliseconds(65));
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(sim.now(), start + milliseconds(65));
+  EXPECT_EQ(sim.pendingCount(), 1u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 // The engine's calling contract holds in every build: each violation
