@@ -270,6 +270,22 @@ TEST(SimulatorTest, EqualTimestampsScheduledAtDifferentNowsFireInSeqOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(SimulatorTest, FiringOrderSpansNearAndDistantEvents) {
+  Simulator sim;
+  const SimTime start = sim.now();
+  std::vector<int> order;
+  // Interleave near and distant events, a nanosecond apart around 64 ms:
+  // they fire in timestamp order whatever order they were scheduled in.
+  sim.schedule(start + milliseconds(65), [&order] { order.push_back(3); });
+  sim.schedule(start + milliseconds(1), [&order] { order.push_back(0); });
+  sim.schedule(start + milliseconds(64), [&order] { order.push_back(2); });
+  sim.schedule(start + milliseconds(64) - nanoseconds(1),
+               [&order] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.now(), start + milliseconds(65));
+}
+
 TEST(SimulatorTest, NextEventTimeSeesADistantEvent) {
   Simulator sim;
   const SimTime start = sim.now();
